@@ -268,11 +268,14 @@ def replenish_metrics(cfg: SystemConfig, mode: str = "exact") -> ReplenishMetric
         cycles ~ (Q+1)/e_n,  length ~ (Q+1)/rate,
         holding ~ e_n*Q/rate + Q(Q+1)/(2*rate).
     """
+    return _replenish(cfg, mode, cycle_metrics(cfg.demand_rate, cfg.policy))
+
+
+def _replenish(cfg: SystemConfig, mode: str, cyc: CycleMetrics) -> ReplenishMetrics:
     if mode not in ("exact", "approx"):
         raise ValueError(f"mode must be 'exact' or 'approx', got {mode!r}")
     rate = cfg.demand_rate
     q_up = cfg.order_up_to
-    cyc = cycle_metrics(rate, cfg.policy)
     if isinstance(cfg.policy, QuantityPolicy):
         n = cfg.n_dispatches
         q = cfg.policy.q
@@ -299,6 +302,19 @@ def replenish_metrics(cfg: SystemConfig, mode: str = "exact") -> ReplenishMetric
     )
 
 
+def _assess(cfg: SystemConfig,
+            mode: str) -> tuple[CycleMetrics, ReplenishMetrics, ServiceMetrics]:
+    """Cycle, replenishment and service metrics, each computed once."""
+    cyc = cycle_metrics(cfg.demand_rate, cfg.policy)
+    rep = _replenish(cfg, mode, cyc)
+    svc = ServiceMetrics(
+        aod=cyc.delay / cyc.orders,
+        aosd=cyc.sq_delay / cyc.orders,
+        air=rep.holding / rep.length,
+    )
+    return cyc, rep, svc
+
+
 def service_metrics(cfg: SystemConfig, mode: str = "exact") -> ServiceMetrics:
     """Average order delay, squared delay, and inventory rate.
 
@@ -307,13 +323,7 @@ def service_metrics(cfg: SystemConfig, mode: str = "exact") -> ServiceMetrics:
     expected replenishment cycle length; the quantity policy's (n-1)q/2 is
     exact and used in both modes.
     """
-    cyc = cycle_metrics(cfg.demand_rate, cfg.policy)
-    rep = replenish_metrics(cfg, mode)
-    return ServiceMetrics(
-        aod=cyc.delay / cyc.orders,
-        aosd=cyc.sq_delay / cyc.orders,
-        air=rep.holding / rep.length,
-    )
+    return _assess(cfg, mode)[2]
 
 
 def average_cost(cfg: SystemConfig, mode: str = "exact", delay: str = "linear") -> Evaluation:
@@ -328,9 +338,7 @@ def average_cost(cfg: SystemConfig, mode: str = "exact", delay: str = "linear") 
         raise ValueError(f"delay must be 'linear' or 'squared', got {delay!r}")
     rate = cfg.demand_rate
     costs = cfg.costs
-    cyc = cycle_metrics(rate, cfg.policy)
-    rep = replenish_metrics(cfg, mode)
-    svc = service_metrics(cfg, mode)
+    cyc, rep, svc = _assess(cfg, mode)
     components = {
         "replenish": rate * (costs.replenish_fixed / (rep.cycles * cyc.orders)
                              + costs.replenish_unit),

@@ -13,22 +13,35 @@ an exact finite recursion on 0..Q:
     m(i) (1 - g(0)) = [i == 0] + sum_{j=1..min(i, smax)} g(j) m(i - j),
 
 so no truncation error enters beyond the tail cut of a Poisson increment.
+
+The recursion is solved a block of levels at a time.  ``m`` is the power
+series of 1/f with f(z) = (1 - g(0)) - sum_{j>=1} g(j) z^j, so the
+lower-triangular Toeplitz system of any n consecutive levels has the inverse
+Toeplitz(m(0..n-1)): a block is one correlation with the levels already
+solved and one convolution with the head of ``m``.  Block sizes double from 1
+up to ``BLOCK``, which keeps n within the levels already known.  This is the
+same recursion, O(Q * smax) multiply-adds in O(Q/BLOCK + log2(BLOCK)) numpy
+calls; every term is nonnegative, so nothing cancels.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import poisson as _poisson
+from scipy.special import gammainc, gammaln
 
-from .truncated_poisson import poisson_pmf, poisson_tail, trunc_pmf
+from .truncated_poisson import poisson_tail
 
 # The recursion is O(Q * support); reject absurd tables instead of hanging.
 MAX_ORDER_UP_TO = 10_000
 
 # Residual Poisson tail dropped when building a time-policy increment.
 DEFAULT_TAIL_EPS = 1e-12
+
+# Levels solved per block once the doubling warm-up reaches this size.
+BLOCK = 128
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,12 +91,25 @@ class RenewalTable:
         return self.m / self.M[-1]
 
 
+def _load_mean(rate: float, period: float) -> float:
+    mu = rate * period
+    if not rate > 0.0 or not period > 0.0 or not math.isfinite(mu):
+        raise ValueError("rate and period must be positive with a finite product")
+    return mu
+
+
+def _poisson_masses(mu: float, n: int) -> np.ndarray:
+    """P(X = i) for i = 0..n-1, X ~ Poisson(mu), evaluated in log space."""
+    i = np.arange(n, dtype=float)
+    return np.exp(-mu + i * math.log(mu) - gammaln(i + 1.0))
+
+
 def build_increment_hp(rate: float, q: int, period: float) -> IncrementDist:
     """Load distribution under a hybrid policy: min(X, q), X ~ Poisson(rate*period)."""
-    if not rate > 0.0 or not period > 0.0:
-        raise ValueError("rate and period must be positive")
-    mu = rate * period
-    masses = np.array([trunc_pmf(mu, q, i) for i in range(q + 1)])
+    mu = _load_mean(rate, period)
+    masses = np.empty(q + 1)
+    masses[:q] = _poisson_masses(mu, q)
+    masses[q] = poisson_tail(mu, q)
     return IncrementDist(masses)
 
 
@@ -94,17 +120,21 @@ def build_increment_tp(rate: float, period: float,
     The support is cut at the smallest point whose residual upper tail falls
     below ``tail_eps`` and the remaining masses are renormalized.
     """
-    if not rate > 0.0 or not period > 0.0:
-        raise ValueError("rate and period must be positive")
+    mu = _load_mean(rate, period)
     if not 0.0 < tail_eps <= 1e-10:
         raise ValueError(f"tail_eps must be in (0, 1e-10], got {tail_eps}")
-    mu = rate * period
-    end = int(_poisson.isf(tail_eps, mu)) + 1
-    while poisson_tail(mu, end + 1) >= tail_eps:
-        end += 1
-    while end > 1 and poisson_tail(mu, end) < tail_eps:
-        end -= 1
-    masses = np.array([poisson_pmf(mu, i) for i in range(end + 1)])
+    # The cut lies in (lo, hi]: P(X > hi) < tail_eps <= P(X > lo), or lo = 1.
+    # P(X > mu + 5 sqrt(mu)) is at least 1.9e-7 on mu in [1e-6, 1e8] and tends
+    # to the normal 2.9e-7 above, so lo is below the cut.  The seed of hi is
+    # above it for tail_eps >= 1e-12; a smaller tail_eps walks it up.
+    root = math.sqrt(mu)
+    hi = int(mu + 7.5 * root + 30)
+    lo = max(1, int(mu + 5.0 * root))
+    while poisson_tail(mu, hi + 1) >= tail_eps:
+        lo, hi = hi, hi + 2 * (hi - lo)
+    tails = gammainc(np.arange(lo + 1, hi + 2, dtype=float), mu)
+    end = lo + int(np.searchsorted(-tails, -tail_eps, side="right"))
+    masses = _poisson_masses(mu, end + 1)
     masses /= masses.sum()
     return IncrementDist(masses)
 
@@ -128,15 +158,19 @@ def renewal_table(inc: IncrementDist, order_up_to: int,
     g = inc.masses
     if g[0] >= 1.0 - 1e-12:
         raise ValueError("renewal series diverges: increment mass at zero is too close to 1")
-    scale = 1.0 / (1.0 - g[0])
     smax = inc.support_end
     m = np.empty(order_up_to + 1)
-    m[0] = scale
-    for i in range(1, order_up_to + 1):
-        j = min(i, smax)
-        stop = i - j - 1
-        window = m[i - 1:stop if stop >= 0 else None:-1]
-        m[i] = scale * float(g[1:j + 1] @ window)
+    m[0] = 1.0 / (1.0 - g[0])
+    # g(j + 1) at index j, zero past the support: the correlation kernel.
+    kernel = np.zeros(order_up_to)
+    kernel[:min(smax, order_up_to)] = g[1:order_up_to + 1]
+    b = 1
+    while b <= order_up_to:
+        n = min(b, BLOCK, order_up_to + 1 - b)
+        lo = max(0, b - smax)
+        known = np.correlate(kernel[:b - lo + n - 1], m[lo:b][::-1], "valid")
+        m[b:b + n] = np.convolve(known, m[:n])[:n]
+        b += n
     return RenewalTable(m=m, M=np.cumsum(m), order_up_to=order_up_to)
 
 

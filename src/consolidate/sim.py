@@ -126,19 +126,26 @@ def per_order_delays(arrival_times, dispatch_time: float) -> tuple[float, float]
 
 
 def _count_capped_cycles(rng, rate, q, period, count):
-    """Cycles for quantity/hybrid policies (period = inf gives pure quantity)."""
-    gaps = rng.exponential(1.0 / rate, size=(count, q))
-    arrivals = np.cumsum(gaps, axis=1)
-    hit = arrivals[:, -1]
+    """Cycles for quantity/hybrid policies (period = inf gives pure quantity).
+
+    One count x q buffer holds the arrival epochs, then the waits, then the
+    squared waits, so the block needs a single large float array.
+    """
+    buf = rng.exponential(1.0 / rate, size=(count, q))
+    np.cumsum(buf, axis=1, out=buf)
+    hit = buf[:, -1]
     by_count = hit <= period
     length = np.where(by_count, hit, period)
-    counted = arrivals < length[:, None]
+    counted = buf < length[:, None]
     loads = np.where(by_count, q, counted.sum(axis=1)).astype(np.int64)
-    waits = np.where(counted, length[:, None] - arrivals, 0.0)
-    delay = waits.sum(axis=1)
-    sq_delay = (waits * waits).sum(axis=1)
-    audit = (arrivals[0] if by_count[0] else arrivals[0][arrivals[0] < length[0]],
-             float(length[0]))
+    first = buf[0].copy()
+    audit = (first if by_count[0] else first[counted[0]], float(length[0]))
+    # Orders after the dispatch epoch have a negative difference: clip to 0.
+    np.subtract(length[:, None], buf, out=buf)
+    np.maximum(buf, 0.0, out=buf)
+    delay = buf.sum(axis=1)
+    np.multiply(buf, buf, out=buf)
+    sq_delay = buf.sum(axis=1)
     return length, loads, delay, sq_delay, audit
 
 

@@ -1,23 +1,40 @@
-"""Renewal tables against a direct convolution-series oracle.
+"""Renewal tables and load distributions against independent oracles.
 
-The library solves the lattice renewal equation by recursion; the oracle sums
-k-fold convolutions of the increment masses outright until the remaining
-series contributes less than 1e-14, which is an entirely separate route to
-the same numbers.
+The library solves the lattice renewal equation a block of levels at a time.
+Two oracles check it: the convolution-series oracle sums k-fold convolutions
+of the increment masses outright until the remaining series contributes less
+than 1e-14, an entirely separate route to the same numbers; the loop oracle
+runs the recursion one level at a time, the way the blocked solve must
+reproduce it at every level up to the capacity limit.  The load builders are
+checked against the per-element mass functions and the quantile-seeded tail
+cut of ``scipy.stats``.
 """
+
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.stats import poisson
 
+import consolidate
 from consolidate import (
     IncrementDist,
     build_increment_hp,
     build_increment_tp,
     expected_k,
     holding_sum,
+    poisson_pmf,
+    poisson_tail,
     renewal_table,
     trunc_pmf,
 )
+from consolidate.renewal import BLOCK, DEFAULT_TAIL_EPS, MAX_ORDER_UP_TO
 
 
 def series_oracle(masses, order_up_to, tol=1e-14):
@@ -32,6 +49,43 @@ def series_oracle(masses, order_up_to, tol=1e-14):
         if conv.sum() < tol:
             return m, np.cumsum(m)
     raise RuntimeError("series did not converge")
+
+
+def loop_oracle(masses, order_up_to):
+    """m(0..Q) by the recursion, one level per step."""
+    g = np.asarray(masses, dtype=float)
+    scale = 1.0 / (1.0 - g[0])
+    smax = g.size - 1
+    m = np.empty(order_up_to + 1)
+    m[0] = scale
+    for i in range(1, order_up_to + 1):
+        j = min(i, smax)
+        stop = i - j - 1
+        window = m[i - 1:stop if stop >= 0 else None:-1]
+        m[i] = scale * float(g[1:j + 1] @ window)
+    return m
+
+
+def tail_cut_oracle(mu, tail_eps):
+    """Support end of a tail-cut Poisson increment, seeded by the quantile."""
+    end = int(poisson.isf(tail_eps, mu)) + 1
+    while poisson_tail(mu, end + 1) >= tail_eps:
+        end += 1
+    while end > 1 and poisson_tail(mu, end) < tail_eps:
+        end -= 1
+    return end
+
+
+def assert_table_matches_loop(inc, order_up_to):
+    table = renewal_table(inc, order_up_to)
+    ref = loop_oracle(inc.masses, order_up_to)
+    big = ref > 1e-300
+    assert np.abs(table.m[~big] - ref[~big]).max(initial=0.0) <= 1e-300
+    rel = np.abs(table.m[big] - ref[big]) / ref[big]
+    assert rel.max(initial=0.0) <= 1e-10
+    assert expected_k(table) == pytest.approx(ref.sum(), rel=1e-11, abs=0.0)
+    q_levels = order_up_to - np.arange(order_up_to + 1)
+    assert holding_sum(table) == pytest.approx(float(q_levels @ ref), rel=1e-11, abs=0.0)
 
 
 def test_unit_increment():
@@ -187,3 +241,104 @@ def test_tables_are_immutable():
     table = renewal_table(IncrementDist([0.0, 1.0]), 3)
     with pytest.raises(ValueError):
         table.m[0] = 7.0
+
+
+# ---------------------------------------------------------------------------
+# blocked solve against the per-level loop
+
+
+@st.composite
+def increments(draw):
+    """Random increments: dense or lattice, light or heavy zero mass, and
+    support ends on both sides of the block size."""
+    smax = draw(st.one_of(st.integers(1, BLOCK - 1), st.integers(BLOCK, 3 * BLOCK)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    power = draw(st.floats(0.2, 8.0))
+    stride = draw(st.integers(1, 3))
+    zero_weight = draw(st.sampled_from([0.0, 0.1, 1.0, 20.0]))
+    w = np.random.default_rng(seed).random(smax + 1) ** power
+    w[np.arange(smax + 1) % stride != 0] = 0.0
+    w[0] = zero_weight * w[1:].sum() / smax
+    if not w[1:].any():
+        w[smax] = 1.0
+    return IncrementDist(w / w.sum())
+
+
+@given(inc=increments(), order_up_to=st.integers(0, 8 * BLOCK + 5))
+@settings(max_examples=60, deadline=None)
+def test_blocked_solve_matches_loop(inc, order_up_to):
+    assert_table_matches_loop(inc, order_up_to)
+
+
+@given(mu=st.floats(0.01, 600.0), q=st.integers(1, 3 * BLOCK),
+       order_up_to=st.integers(0, 8 * BLOCK + 5), time_policy=st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_blocked_solve_matches_loop_on_policy_loads(mu, q, order_up_to, time_policy):
+    inc = build_increment_tp(1.0, mu) if time_policy else build_increment_hp(1.0, q, mu)
+    assert_table_matches_loop(inc, order_up_to)
+
+
+@pytest.mark.parametrize("inc", [
+    build_increment_hp(1.0, 6, 5.9199),      # smax far below the block size
+    build_increment_hp(1.0, 200, 150.0),     # smax above it
+    build_increment_tp(1.0, 3000.0),         # wide support, mass near zero tiny
+    build_increment_tp(1.0, 0.05),           # mass at zero close to 1
+])
+def test_blocked_solve_matches_loop_at_capacity(inc):
+    assert_table_matches_loop(inc, MAX_ORDER_UP_TO)
+
+
+# ---------------------------------------------------------------------------
+# load builders against per-element masses and the quantile-seeded cut
+
+
+@given(mu=st.floats(-3.0, 4.0).map(lambda e: 10.0 ** e), q=st.integers(1, 2000))
+@example(mu=1e4, q=2000)
+@settings(max_examples=60, deadline=None)
+def test_hp_masses_match_per_element(mu, q):
+    masses = build_increment_hp(1.0, q, mu).masses
+    ref = np.array([trunc_pmf(mu, q, i) for i in range(q + 1)])
+    np.testing.assert_allclose(masses, ref, rtol=1e-9, atol=1e-300)
+
+
+@given(mu=st.floats(-3.0, 4.0).map(lambda e: 10.0 ** e))
+@example(mu=1e4)
+@settings(max_examples=60, deadline=None)
+def test_tp_masses_match_per_element(mu):
+    masses = build_increment_tp(1.0, mu).masses
+    ref = np.array([poisson_pmf(mu, i) for i in range(masses.size)])
+    np.testing.assert_allclose(masses, ref / ref.sum(), rtol=1e-9, atol=1e-300)
+
+
+@given(mu=st.floats(-3.0, 4.0).map(lambda e: 10.0 ** e),
+       tail_eps=st.sampled_from([1e-10, DEFAULT_TAIL_EPS, 1e-15]))
+@example(mu=1e-3, tail_eps=DEFAULT_TAIL_EPS)
+@example(mu=1e4, tail_eps=DEFAULT_TAIL_EPS)
+@settings(max_examples=100, deadline=None)
+def test_tp_support_end_matches_quantile_seeded_search(mu, tail_eps):
+    assert build_increment_tp(1.0, mu, tail_eps).support_end == tail_cut_oracle(mu, tail_eps)
+
+
+def test_tp_support_end_far_below_default_tail_eps():
+    # The seed guess is below the cut here; the upward walk must find it.
+    for mu in (0.5, 40.0, 5000.0):
+        end = build_increment_tp(1.0, mu, 1e-200).support_end
+        assert poisson_tail(mu, end + 1) < 1e-200 <= poisson_tail(mu, end)
+
+
+def test_builders_reject_infinite_load_mean():
+    with pytest.raises(ValueError):
+        build_increment_tp(1e200, 1e200)
+    with pytest.raises(ValueError):
+        build_increment_hp(1.0, 3, math.inf)
+
+
+def test_import_leaves_scipy_stats_out():
+    package_root = str(Path(consolidate.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    code = ("import sys, consolidate\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'stats']))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert proc.stdout.strip() == "[]"
