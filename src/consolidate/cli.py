@@ -10,13 +10,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 
 from . import compare as compare_mod
 from . import metrics, sim
-
-THREADS_ENV = "CONSOLIDATE_THREADS"
 
 
 class ConfigError(Exception):
@@ -138,19 +135,6 @@ def _parse_sim(doc: dict, system: metrics.SystemConfig, args) -> sim.SimConfig:
         )
     except ValueError as err:
         raise ConfigError(f"simulate: {err}") from err
-
-
-def _worker_cap() -> int:
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ConfigError(f"{THREADS_ENV}: expected a positive integer, got {raw!r}")
-    if cap < 1:
-        raise ConfigError(f"{THREADS_ENV}: expected a positive integer, got {raw!r}")
-    return cap
 
 
 def _fmt(value) -> str:
@@ -379,7 +363,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _worker_cap()  # validated cap; execution is currently single-threaded
         return args.func(args)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)

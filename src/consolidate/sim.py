@@ -8,12 +8,13 @@ ratio, and the spread of batch ratios estimates the sampling error of the
 grand ratio.
 
 Consolidation cycles are themselves i.i.d. (exponential interarrivals are
-memoryless across dispatch epochs), which the implementation exploits: cycles
-are generated in vectorized blocks of (length, load, delay-sum,
-squared-delay-sum) tuples, and a scan over cumulative loads splits the block
-into replenishment cycles wherever the running load first exceeds the
-order-up-to level.  Each batch draws from its own seeded stream, so reports
-are bit-identical for a given seed regardless of how work is scheduled.
+memoryless across dispatch epochs).  ``_generate`` draws each cycle's length
+and load, then its orders' epochs as uniforms on the cycle (Poisson order
+statistics): its cost grows with the load, not with q.  ``_split`` cuts the
+stream where the running load first exceeds its value at the previous cut
+plus the order-up-to level, one ``searchsorted`` giving the next cut from
+every cycle.  Each batch draws from its own seeded stream, so reports are
+bit-identical for a given seed regardless of how work is scheduled.
 """
 
 from __future__ import annotations
@@ -23,12 +24,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import HybridPolicy, QuantityPolicy, SystemConfig, TimePolicy
+from .metrics import HybridPolicy, QuantityPolicy, SystemConfig
 
 TRACE_HEADER = "cycle_index,length,k_cycles,cost,sum_delay,sum_sq_delay,inventory_integral"
 
-# Upper bound on consolidation cycles generated per block, to bound memory.
-_GEN_CAP = 2_000_000
+# Upper bound on the expected order draws (rows x max(mean load, 1)) of one
+# generated block.  The generator keeps two float64 arrays per draw, ~8 MB at
+# the cap, whatever q, the period and the order-up-to level.
+_GEN_CAP = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -125,64 +128,90 @@ def per_order_delays(arrival_times, dispatch_time: float) -> tuple[float, float]
     return linear, squared
 
 
-def _count_capped_cycles(rng, rate, q, period, count):
-    """Cycles for quantity/hybrid policies (period = inf gives pure quantity).
-
-    One count x q buffer holds the arrival epochs, then the waits, then the
-    squared waits, so the block needs a single large float array.
-    """
-    buf = rng.exponential(1.0 / rate, size=(count, q))
-    np.cumsum(buf, axis=1, out=buf)
-    hit = buf[:, -1]
-    by_count = hit <= period
-    length = np.where(by_count, hit, period)
-    counted = buf < length[:, None]
-    loads = np.where(by_count, q, counted.sum(axis=1)).astype(np.int64)
-    first = buf[0].copy()
-    audit = (first if by_count[0] else first[counted[0]], float(length[0]))
-    # Orders after the dispatch epoch have a negative difference: clip to 0.
-    np.subtract(length[:, None], buf, out=buf)
-    np.maximum(buf, 0.0, out=buf)
-    delay = buf.sum(axis=1)
-    np.multiply(buf, buf, out=buf)
-    sq_delay = buf.sum(axis=1)
-    return length, loads, delay, sq_delay, audit
-
-
-def _time_triggered_cycles(rng, rate, period, count):
-    """Cycles for the time policy: Poisson loads, arrivals uniform on the cycle."""
-    loads = rng.poisson(rate * period, size=count).astype(np.int64)
-    total = int(loads.sum())
-    arrivals = rng.random(total) * period
-    waits = period - arrivals
-    ends = np.cumsum(loads)
-    starts = ends - loads
-    cum_w = np.concatenate(([0.0], np.cumsum(waits)))
-    cum_w2 = np.concatenate(([0.0], np.cumsum(waits * waits)))
-    delay = cum_w[ends] - cum_w[starts]
-    sq_delay = cum_w2[ends] - cum_w2[starts]
-    length = np.full(count, float(period))
-    audit = (arrivals[:loads[0]], float(period))
-    return length, loads, delay, sq_delay, audit
-
-
 def _generate(rng, system: SystemConfig, count: int):
-    policy = system.policy
-    if isinstance(policy, TimePolicy):
-        return _time_triggered_cycles(rng, system.demand_rate, policy.period, count)
-    period = policy.period if isinstance(policy, HybridPolicy) else math.inf
-    return _count_capped_cycles(rng, system.demand_rate, policy.q, period, count)
+    """Draw ``count`` consolidation cycles: (length, load), then the orders
+    as uniforms on [0, length], save one at the epoch if it set off the dispatch.
 
+    * time policy: load ~ Poisson(rate T), length T;
+    * quantity policy: length ~ Gamma(q, 1/rate), load q;
+    * hybrid policy: N ~ Poisson(rate T); a cycle with N < q is
+      time-triggered, otherwise length = T Beta(q, N - q + 1) and load q.
 
-def _expected_loads_hint(system: SystemConfig) -> float:
+    Returns (length, load, delay sum, squared-delay sum) arrays and the first
+    cycle's (arrival epochs, dispatch epoch) for the per-order audit.
+    """
     policy = system.policy
+    rate = system.demand_rate
     if isinstance(policy, QuantityPolicy):
-        mean_load = float(policy.q)
-    elif isinstance(policy, TimePolicy):
-        mean_load = system.demand_rate * policy.period
+        length = rng.gamma(policy.q, 1.0 / rate, size=count)
+        loads = np.full(count, policy.q, dtype=np.int64)
+        by_count = np.ones(count, dtype=bool)
     else:
-        mean_load = min(float(policy.q), system.demand_rate * policy.period)
-    return system.order_up_to / max(mean_load, 0.25) + 1.5
+        loads = rng.poisson(rate * policy.period, size=count).astype(np.int64)
+        length = np.full(count, policy.period)
+        by_count = np.zeros(count, dtype=bool)
+        if isinstance(policy, HybridPolicy):
+            np.greater_equal(loads, policy.q, out=by_count)
+            length[by_count] = policy.period * rng.beta(policy.q, loads[by_count] - policy.q + 1)
+            loads[by_count] = policy.q
+    spread = loads - by_count
+    ends = np.cumsum(spread)
+    starts = ends - spread
+    # w[0] = 0 pads the running sums, so a cycle's sum is w[end] - w[start].
+    w = np.zeros(int(ends[-1]) + 1)
+    span = np.repeat(length, spread)
+    arrivals = w[1:]
+    rng.random(out=arrivals)
+    arrivals *= span
+    first = arrivals[:spread[0]]
+    audit = (np.append(first, length[0]) if by_count[0] else first.copy(), float(length[0]))
+    np.subtract(span, arrivals, out=arrivals)
+    np.multiply(arrivals, arrivals, out=span)
+    np.cumsum(w, out=w)
+    delay = w[ends] - w[starts]
+    w[1:] = span
+    np.cumsum(w, out=w)
+    sq_delay = w[ends] - w[starts]
+    return length, loads, delay, sq_delay, audit
+
+
+def _mean_load(system: SystemConfig) -> float:
+    """Mean consolidation load: exact for QP and TP, an upper bound for HP."""
+    policy = system.policy
+    return min(float(getattr(policy, "q", math.inf)),
+               system.demand_rate * getattr(policy, "period", math.inf))
+
+
+def _split(length, loads, delay, sq_delay, order_up_to: float, need: int):
+    """Rows (length, k, load, delay, sq_delay, holding) of at most ``need``
+    replenishment cycles cut from a consolidation-cycle stream, and the index
+    of the first consolidation cycle they leave unconsumed.
+    """
+    cum_load = np.cumsum(loads, dtype=np.float64)
+    nxt = cum_load.searchsorted(cum_load + order_up_to, side="right").tolist()
+    n = len(nxt)
+    ends = []
+    j = int(cum_load.searchsorted(order_up_to, side="right"))
+    while j < n and len(ends) < need:
+        ends.append(j)
+        j = nxt[j]
+    # Running sums padded with a leading 0, read one past each cycle's end
+    # (hi) and one past the previous cycle's end (lo).
+    hi = np.array(ends, dtype=np.intp) + 1
+    lo = np.concatenate(([0], hi))[:-1]
+    pad_load = np.concatenate(([0.0], cum_load))
+    pad_len, pad_d, pad_s, pad_lw = (
+        np.concatenate(([0.0], np.cumsum(x)))
+        for x in (length, delay, sq_delay, length * pad_load[:-1])
+    )
+
+    def seg(pad):
+        return pad[hi] - pad[lo]
+
+    seg_len = seg(pad_len)
+    holding = order_up_to * seg_len - (seg(pad_lw) - pad_load[lo] * seg_len)
+    rows = np.column_stack((seg_len, hi - lo, seg(pad_load), seg(pad_d), seg(pad_s), holding))
+    return rows, int(hi[-1]) if ends else 0
 
 
 def _simulate_batch(rng, system: SystemConfig, n_batch: int, cons_per_cycle: float):
@@ -193,58 +222,28 @@ def _simulate_batch(rng, system: SystemConfig, n_batch: int, cons_per_cycle: flo
     sizing of subsequent batches.
     """
     order_up_to = float(system.order_up_to)
-    out = np.empty((n_batch, 6))
-    want = min(int(n_batch * cons_per_cycle * 1.2) + 64, _GEN_CAP)
-    length, loads, delay, sq_delay, audit = _generate(rng, system, want)
-    lin, sq = per_order_delays(audit[0], audit[1])
-    if abs(lin - delay[0]) > 1e-9 * max(1.0, lin) or abs(sq - sq_delay[0]) > 1e-9 * max(1.0, sq):
-        raise AssertionError("vectorized cycle delays disagree with per-order recomputation")
-
+    cap = max(1, int(_GEN_CAP / max(_mean_load(system), 1.0)))
+    stream = (np.empty(0), np.empty(0, dtype=np.int64), np.empty(0), np.empty(0))
+    parts = []
     emitted = 0
-    grow = 4096
+    grow = 0
     while emitted < n_batch:
-        n = length.size
-        cum_load = np.cumsum(loads, dtype=np.float64)
-        load_before = np.concatenate(([0.0], cum_load[:-1]))
-        cum_len = np.cumsum(length)
-        cum_d = np.cumsum(delay)
-        cum_s = np.cumsum(sq_delay)
-        cum_lw = np.cumsum(length * load_before)
-        start = 0
-        base_load = base_len = base_d = base_s = base_lw = 0.0
-        while emitted < n_batch:
-            j = int(cum_load.searchsorted(base_load + order_up_to, side="right"))
-            if j >= n:
-                break
-            seg_len = cum_len[j] - base_len
-            holding = order_up_to * seg_len - (cum_lw[j] - base_lw - base_load * seg_len)
-            out[emitted] = (
-                seg_len,
-                j - start + 1,
-                cum_load[j] - base_load,
-                cum_d[j] - base_d,
-                cum_s[j] - base_s,
-                holding,
-            )
-            emitted += 1
-            start = j + 1
-            base_load = cum_load[j]
-            base_len = cum_len[j]
-            base_d = cum_d[j]
-            base_s = cum_s[j]
-            base_lw = cum_lw[j]
-        if emitted >= n_batch:
-            break
-        # Ran out of generated cycles mid-cycle: keep the unconsumed tail,
-        # extend it, and rescan from the start of the partial cycle.
-        remaining = n_batch - emitted
-        extra = min(max(int(remaining * cons_per_cycle * 1.2) + 64, grow), _GEN_CAP)
-        grow = min(grow * 2, _GEN_CAP)
-        more = _generate(rng, system, extra)
-        length = np.concatenate((length[start:], more[0]))
-        loads = np.concatenate((loads[start:], more[1]))
-        delay = np.concatenate((delay[start:], more[2]))
-        sq_delay = np.concatenate((sq_delay[start:], more[3]))
+        # The first block is sized from the hint.  A stream that runs out
+        # mid-cycle keeps its tail and is extended by a block of at least
+        # 4096 cycles (within the cap), doubling each time, then rescanned.
+        want = max(int((n_batch - emitted) * cons_per_cycle * 1.2) + 64, grow)
+        grow = max(2 * grow, 4096)
+        length, loads, delay, sq_delay, audit = _generate(rng, system, min(want, cap))
+        lin, sq = per_order_delays(audit[0], audit[1])
+        if (abs(lin - delay[0]) > 1e-9 * max(1.0, lin)
+                or abs(sq - sq_delay[0]) > 1e-9 * max(1.0, sq)):
+            raise AssertionError("vectorized cycle delays disagree with per-order recomputation")
+        stream = [np.concatenate(pair) for pair in zip(stream, (length, loads, delay, sq_delay))]
+        rows, start = _split(*stream, order_up_to, n_batch - emitted)
+        parts.append(rows)
+        emitted += len(rows)
+        stream = [col[start:] for col in stream]
+    out = np.concatenate(parts)
     observed = float(out[:, 1].sum()) / n_batch
     return out, observed
 
@@ -285,7 +284,7 @@ def simulate(cfg: SimConfig, trace=None) -> SimReport:
         trace_file.write(TRACE_HEADER + "\n")
 
     totals = np.zeros((n_batches, 7))  # length, k, load, delay, sq, hold, cost
-    cons_per_cycle = _expected_loads_hint(system)
+    cons_per_cycle = system.order_up_to / max(_mean_load(system), 0.25) + 1.5
     cycle_index = 0
     try:
         for b, rng in enumerate(streams):

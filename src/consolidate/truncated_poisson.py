@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 
-from scipy.integrate import quad
 from scipy.special import gammainc, gammaincc
 
 
@@ -153,6 +152,10 @@ def gamma_min_moment(mu: float, q: int, k: int, tol: float = 1e-9) -> float:
         raise ValueError(f"only factorial moments of order k in {{1,2,3}} are supported, got {k}")
     if k > q:
         raise ValueError(f"factorial moment order k={k} requires k <= q, got q={q}")
+    # Imported here: scipy.integrate pulls scipy.optimize, scipy.linalg and
+    # scipy.sparse into every import of the package.
+    from scipy.integrate import quad
+
     n = q - k + 1
     log_norm = math.lgamma(n)
 

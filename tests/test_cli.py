@@ -198,16 +198,6 @@ def test_optimize_trace_csv_rows_equal_evaluations(tmp_path, capsys):
     assert len(rows) - 1 == evaluations
 
 
-def test_threads_env_validation(hp_config, capsys, monkeypatch):
-    monkeypatch.setenv("CONSOLIDATE_THREADS", "not-a-number")
-    code, _, err = run_cli(["evaluate", "--config", hp_config], capsys)
-    assert code == 2
-    assert "CONSOLIDATE_THREADS" in err
-    monkeypatch.setenv("CONSOLIDATE_THREADS", "4")
-    code, _, _ = run_cli(["evaluate", "--config", hp_config], capsys)
-    assert code == 0
-
-
 def test_console_entry_point(hp_config):
     proc = subprocess.run(
         [sys.executable, "-m", "consolidate.cli", "evaluate", "--config", hp_config],

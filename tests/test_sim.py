@@ -2,9 +2,13 @@
 with the closed forms at Monte Carlo scale."""
 
 import io
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from consolidate import (
     CostParams,
@@ -14,12 +18,15 @@ from consolidate import (
     SystemConfig,
     TimePolicy,
     average_cost,
+    build_increment_hp,
+    build_increment_tp,
+    cycle_metrics,
     per_order_delays,
     replenish_metrics,
     service_metrics,
     simulate,
 )
-from consolidate.sim import TRACE_HEADER, _generate, _simulate_batch
+from consolidate.sim import TRACE_HEADER, _generate, _simulate_batch, _split
 
 REF_COSTS = CostParams(replenish_fixed=25.0, holding=0.4, dispatch_fixed=15.0, wait_linear=0.8)
 
@@ -86,6 +93,88 @@ def reference_partition(length, loads, delay, sq_delay, order_up_to, n_cycles):
     raise RuntimeError("stream too short")
 
 
+def loop_split(length, loads, delay, sq_delay, order_up_to, need):
+    """The per-replenishment-cycle loop ``_split`` replaced: one
+    ``searchsorted`` and one row assembly per cycle, same float expressions."""
+    order_up_to = float(order_up_to)
+    n = len(length)
+    out = np.empty((need, 6))
+    emitted = 0
+    cum_load = np.cumsum(loads, dtype=np.float64)
+    load_before = np.concatenate(([0.0], cum_load[:-1]))
+    cum_len = np.cumsum(length)
+    cum_d = np.cumsum(delay)
+    cum_s = np.cumsum(sq_delay)
+    cum_lw = np.cumsum(length * load_before)
+    start = 0
+    base_load = base_len = base_d = base_s = base_lw = 0.0
+    while emitted < need:
+        j = int(cum_load.searchsorted(base_load + order_up_to, side="right"))
+        if j >= n:
+            break
+        seg_len = cum_len[j] - base_len
+        holding = order_up_to * seg_len - (cum_lw[j] - base_lw - base_load * seg_len)
+        out[emitted] = (
+            seg_len,
+            j - start + 1,
+            cum_load[j] - base_load,
+            cum_d[j] - base_d,
+            cum_s[j] - base_s,
+            holding,
+        )
+        emitted += 1
+        start = j + 1
+        base_load = cum_load[j]
+        base_len = cum_len[j]
+        base_d = cum_d[j]
+        base_s = cum_s[j]
+        base_lw = cum_lw[j]
+    return out[:emitted], start
+
+
+def split_in_chunks(split, chunks, order_up_to, need):
+    """Run ``split`` as ``_simulate_batch`` does: when the stream runs out,
+    keep its unconsumed tail, append the next chunk and split again."""
+    stream = chunks[0]
+    parts = []
+    emitted = 0
+    for more in chunks[1:] + [None]:
+        rows, start = split(*stream, order_up_to, need - emitted)
+        parts.append(rows)
+        emitted += len(rows)
+        if emitted == need or more is None:
+            return np.concatenate(parts), start
+        stream = [np.concatenate((old[start:], new)) for old, new in zip(stream, more)]
+
+
+@st.composite
+def cycle_streams(draw):
+    """Consolidation-cycle streams cut into chunks, with zero loads, Q = 0
+    and loads above Q among the draws, and ``need`` often beyond what the
+    stream holds so the split runs out and regrows."""
+    n = draw(st.integers(1, 80))
+    loads = np.array(draw(st.lists(st.integers(0, 12), min_size=n, max_size=n)), dtype=np.int64)
+    positive = st.floats(0.0, 50.0, allow_nan=False, allow_infinity=False)
+    columns = [np.array(draw(st.lists(positive, min_size=n, max_size=n))) for _ in range(3)]
+    cuts = sorted(draw(st.lists(st.integers(1, n), max_size=3)))
+    bounds = [0, *cuts, n]
+    stream = (columns[0], loads, columns[1], columns[2])
+    chunks = [[col[a:b] for col in stream] for a, b in zip(bounds, bounds[1:]) if b > a]
+    return chunks, draw(st.integers(0, 10)), draw(st.integers(1, 40))
+
+
+@settings(max_examples=300, deadline=None)
+@given(cycle_streams())
+@example(([[np.array([1.0, 2.0, 0.5]), np.array([0, 0, 3]), np.array([0.0, 0.0, 1.0]),
+            np.array([0.0, 0.0, 0.5])]], 0, 5))
+def test_vectorized_split_matches_loop(case):
+    chunks, order_up_to, need = case
+    rows, start = split_in_chunks(_split, chunks, order_up_to, need)
+    ref_rows, ref_start = split_in_chunks(loop_split, chunks, order_up_to, need)
+    assert np.array_equal(rows, ref_rows)
+    assert start == ref_start
+
+
 @pytest.mark.parametrize("system", [
     SystemConfig(1.0, HybridPolicy(6, 5.9199), 14),
     SystemConfig(1.0, HybridPolicy(3, 2.0), 8),
@@ -114,6 +203,84 @@ def test_partition_matches_reference(system):
 
 
 # ---------------------------------------------------------------------------
+# the cycle generator against the exact per-cycle laws
+
+GEN_SYSTEMS = [
+    SystemConfig(1.0, HybridPolicy(6, 5.9199), 14),  # about half the cycles fill to q
+    SystemConfig(2.0, HybridPolicy(3, 2.0), 8),      # most cycles fill to q
+    SystemConfig(1.0, HybridPolicy(200, 5.0), 100),  # q far above the load
+    SystemConfig(2.0, TimePolicy(1.5), 8),
+    SystemConfig(1.5, QuantityPolicy(4), 8),
+]
+
+
+@pytest.mark.parametrize("system", GEN_SYSTEMS, ids=lambda s: s.policy.label())
+def test_generated_loads_follow_increment_masses(system):
+    n = 200_000
+    loads = _generate(np.random.default_rng(8), system, n)[1]
+    policy = system.policy
+    if isinstance(policy, QuantityPolicy):
+        assert np.all(loads == policy.q)
+        return
+    if isinstance(policy, TimePolicy):
+        p = build_increment_tp(system.demand_rate, policy.period).masses
+    else:
+        p = build_increment_hp(system.demand_rate, policy.q, policy.period).masses
+    counts = np.bincount(loads, minlength=p.size)
+    # Points with at least 5 expected hits one by one, the rest pooled.
+    big = n * p >= 5.0
+    se = np.sqrt(n * p[big] * (1.0 - p[big]))
+    assert np.all(np.abs(counts[:p.size][big] - n * p[big]) <= 4.0 * se)
+    rest = n - counts[:p.size][big].sum()
+    expected_rest = n * (1.0 - p[big].sum())
+    assert abs(rest - expected_rest) <= 4.0 * math.sqrt(max(expected_rest, 1.0))
+
+
+@pytest.mark.parametrize("system", GEN_SYSTEMS, ids=lambda s: s.policy.label())
+def test_generated_cycle_means_match_cycle_metrics(system):
+    n = 200_000
+    length, loads, delay, sq_delay, _ = _generate(np.random.default_rng(9), system, n)
+    exact = cycle_metrics(system.demand_rate, system.policy)
+    for sample, truth in ((length, exact.length), (loads, exact.orders),
+                          (delay, exact.delay), (sq_delay, exact.sq_delay)):
+        se = float(np.std(sample, ddof=1)) / math.sqrt(n)
+        assert abs(float(np.mean(sample)) - truth) <= 4.0 * se + 1e-12 * truth
+
+
+def test_time_policy_report_is_unchanged():
+    # Stored from the per-cycle-loop simulator that this one replaced: the
+    # time-policy stream draws the same numbers and sums them the same way.
+    system = SystemConfig(2.0, TimePolicy(1.5), 8, REF_COSTS)
+    report = simulate(SimConfig(system, 2000, seed=4))
+    assert {k: (v["mean"], v["se"]) for k, v in report.to_dict().items()} == {
+        "avg_cost": (17.72380413044671, 0.048496394015859215),
+        "aod": (0.7479713352506163, 0.003137916759616971),
+        "aosd": (0.7472773270718017, 0.004712838089621724),
+        "air": (4.65035849852383, 0.01824912895898212),
+        "cycle_length": (1.5, 0.0),
+        "replenish_length": (5.33475, 0.03985278306695553),
+        "cycles_per_replenish": (3.5565, 0.026568522044637027),
+        "orders_per_cycle": (2.9514972585407, 0.02349194918455509),
+    }
+
+
+@pytest.mark.parametrize("system, n_cycles, batch_size", [
+    (SystemConfig(1.0, HybridPolicy(1000, 5.0), 100), 20_000, None),
+    (SystemConfig(1.0, QuantityPolicy(10_000), 10_000), 200, 100),
+], ids=["HP(1000,5)", "QP(10000)"])
+def test_simulation_memory_is_bounded_for_large_q(system, n_cycles, batch_size):
+    # Memory follows the load drawn, not q: a block holds at most ~8 MB of
+    # order draws whatever q and Q are.
+    tracemalloc.start()
+    try:
+        simulate(SimConfig(system, n_cycles, seed=3, batch_size=batch_size))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+# ---------------------------------------------------------------------------
 # end-to-end simulation
 
 
@@ -122,18 +289,22 @@ def test_partition_survives_buffer_regrowth(monkeypatch):
     # keep-tail-and-extend path; the resulting cycles must match a reference
     # partition over the same concatenated stream.
     import consolidate.sim as sim_mod
-    monkeypatch.setattr(sim_mod, "_GEN_CAP", 50)
+    # The cap counts expected order draws: the mean load of HP(3, 2) at rate 1
+    # is taken as min(3, 2) = 2, so every generation request is 100 / 2 = 50
+    # cycles.
+    monkeypatch.setattr(sim_mod, "_GEN_CAP", 100)
     system = SystemConfig(1.0, HybridPolicy(3, 2.0), 8)
     n_cycles = 100
     seed = 777
     rows, _ = _simulate_batch(np.random.default_rng(seed), system, n_cycles, 5.0)
-    # with the cap at 50, every generation request is exactly 50 cycles
     ref_rng = np.random.default_rng(seed)
-    blocks = [_generate(ref_rng, system, 50) for _ in range(30)]
+    blocks = [_generate(ref_rng, system, 50)[:4] for _ in range(30)]
     stream = [np.concatenate([b[i] for b in blocks]) for i in range(4)]
     ref = reference_partition(stream[0], stream[1], stream[2], stream[3],
                               system.order_up_to, n_cycles)
     assert np.allclose(rows, ref, rtol=1e-9, atol=1e-9)
+    loop_rows, _ = split_in_chunks(loop_split, blocks, system.order_up_to, n_cycles)
+    assert np.array_equal(rows, loop_rows)
 
 
 def test_seed_determinism():
