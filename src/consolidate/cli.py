@@ -53,8 +53,8 @@ COST_KEYS = set(metrics.CostParams.__dataclass_fields__)
 SIM_KEYS = {"cycles", "seed", "batch_size", "delay"}
 MATCH_KEYS = {"target_cycle_length", "target_replenish_length", "qh_list"}
 OPT_KEYS = {"policy_kind", "bounds"}
-BOUND_KEYS = {"q_max", "order_up_to_max", "period_max"}
-VERIFY_KEYS = {"demand_rates", "q_values", "qh_extra", "replenish_multiples"}
+BOUND_KEYS = set(compare_mod.SearchBounds.__dataclass_fields__)
+VERIFY_KEYS = set(compare_mod.VerifyGrid.__dataclass_fields__) - {"costs"}
 
 
 def load_config(path: str) -> dict:
@@ -227,20 +227,19 @@ def cmd_compare(args) -> int:
         raise ConfigError(f"match: {err}") from err
     cols = ["label", "feasible", "order_up_to", "cycle_length", "aod", "aosd",
             "air_exact", "air_approx", "ac", "notes"]
+    payload = result.to_dict()
     print("  ".join(f"{c:<12}" for c in cols))
-    for row in result.rows:
-        d = row.to_dict()
-        cells = [row.label, str(row.feasible), str(row.order_up_to)]
+    for d in payload["rows"]:
+        cells = [d["label"], str(d["feasible"]), str(d["order_up_to"])]
         cells += ["" if d[c] is None else _fmt(d[c]) for c in cols[3:-1]]
-        cells.append("; ".join(row.notes))
+        cells.append("; ".join(d["notes"]))
         print("  ".join(f"{c:<12}" for c in cells))
     for key, value in result.verdicts.items():
         print(f"verdict {key}: {value}")
-    csv_out = [[row.label, row.feasible, row.order_up_to,
-                *(("" if row.to_dict()[c] is None else repr(row.to_dict()[c]))
-                  for c in cols[3:-1]),
-                "; ".join(row.notes)] for row in result.rows]
-    _write_output(result.to_dict(), (cols, csv_out), args)
+    csv_out = [[d["label"], d["feasible"], d["order_up_to"],
+                *("" if d[c] is None else repr(d[c]) for c in cols[3:-1]),
+                "; ".join(d["notes"])] for d in payload["rows"]]
+    _write_output(payload, (cols, csv_out), args)
     return 0
 
 
@@ -251,13 +250,12 @@ def cmd_verify(args) -> int:
         spec = doc.get("verify", {})
         _check_keys(spec, VERIFY_KEYS, "verify")
         kwargs = {}
-        for key, field in (("demand_rates", "demand_rates"), ("q_values", "q_values"),
-                           ("qh_extra", "qh_extra"), ("replenish_multiples", "replenish_multiples")):
+        for key in compare_mod.VerifyGrid.__dataclass_fields__:  # costs was rejected above
             if key in spec:
                 values = spec[key]
                 if not isinstance(values, list) or not values:
                     raise ConfigError(f"verify.{key}: expected a nonempty list")
-                kwargs[field] = tuple(values)
+                kwargs[key] = tuple(values)
         costs = _parse_costs(doc) if "costs" in doc else compare_mod.REFERENCE_COSTS
         grid = compare_mod.VerifyGrid(costs=costs, **kwargs)
     report = compare_mod.verify_theorems(grid)

@@ -20,12 +20,18 @@ The verified orderings, all at matched frequencies:
     sign depending on how tight the hybrid count cap is;
   * inventory rate:     TP ~ HP >= QP in the approximate-cycle-count regime;
   * average cost:       QP <~ HP <~ TP (linear delay, approximate regime).
+
+Each system is evaluated once per mode: one ``average_cost`` call carries its
+delay, squared delay, inventory rate and cost.  The optimizer runs one loop
+over the integer points (q, Q) of a family; at each point the quantity family
+evaluates once and the time and hybrid families search the period.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import partial
 
 from .metrics import (
     CostParams,
@@ -38,7 +44,6 @@ from .metrics import (
     average_cost,
     cycle_metrics,
     match_consolidation_cycle,
-    service_metrics,
 )
 
 INTEGER_TOL = 1e-9
@@ -114,20 +119,23 @@ def _round_level(value: float, notes: list, what: str) -> int:
     return max(int(level), 0)
 
 
-def _fill_row(row: ComparisonRow, rate: float, policy: Policy,
-              order_up_to: int | None, costs: CostParams | None) -> None:
+def _matched_row(label: str, rate: float, policy: Policy, order_up_to: int | None,
+                 notes: list, costs: CostParams | None) -> ComparisonRow:
+    """A feasible row; with a level it also carries AIR in both modes and, given
+    costs, the exact AC."""
     cyc = cycle_metrics(rate, policy)
-    row.cycle_length = cyc.length
-    row.aod = cyc.delay / cyc.orders
-    row.aosd = cyc.sq_delay / cyc.orders
-    if order_up_to is None:
-        return
-    cfg = SystemConfig(rate, policy, order_up_to,
-                       costs if costs is not None else CostParams())
-    row.air_exact = service_metrics(cfg, "exact").air
-    row.air_approx = service_metrics(cfg, "approx").air
-    if costs is not None:
-        row.ac = average_cost(cfg, "exact").avg_cost
+    row = ComparisonRow(label=label, policy=policy, order_up_to=order_up_to, feasible=True,
+                        notes=notes, aod=cyc.delay / cyc.orders,
+                        aosd=cyc.sq_delay / cyc.orders, cycle_length=cyc.length)
+    if order_up_to is not None:
+        cfg = SystemConfig(rate, policy, order_up_to,
+                           costs if costs is not None else CostParams())
+        exact = average_cost(cfg, "exact")
+        row.air_exact = exact.air
+        row.air_approx = average_cost(cfg, "approx").air
+        if costs is not None:
+            row.ac = exact.avg_cost
+    return row
 
 
 def compare_matched(spec: MatchSpec, qh_list, costs: CostParams | None = None) -> CompareResult:
@@ -137,65 +145,49 @@ def compare_matched(spec: MatchSpec, qh_list, costs: CostParams | None = None) -
     integer and each hybrid cap must exceed it; violations mark the row
     infeasible rather than dropping it.  With a replenishment-length target,
     order-up-to levels are derived from Q + 1 ~ rate * E[L^R] (identically
-    n*q), rounding noted per row.
+    n*q), rounding noted per row.  Each system is evaluated once per mode.
     """
     rate = spec.demand_rate
     target_mean = rate * spec.target_cycle_length
-    rows: list[ComparisonRow] = []
-
     elr = spec.target_replenish_length
 
     # Quantity policy: q = rate * E[L^C] must be integral.
-    qp_row = ComparisonRow(label="QP", policy=None, order_up_to=None, feasible=True)
     q_int = round(target_mean)
     if abs(target_mean - q_int) > INTEGER_TOL or q_int < 1:
-        qp_row.feasible = False
-        qp_row.notes.append(
-            f"rate*target_cycle_length = {target_mean:g} is not a positive integer"
-        )
+        rows = [ComparisonRow(
+            label="QP", policy=None, order_up_to=None, feasible=False,
+            notes=[f"rate*target_cycle_length = {target_mean:g} is not a positive integer"],
+        )]
     else:
-        policy = QuantityPolicy(int(q_int))
-        qp_row.policy = policy
+        notes: list = []
         order_up_to = None
         if elr is not None:
-            n = _round_level(rate * elr / q_int, qp_row.notes, "dispatch count n")
-            n = max(n, 1)
+            n = max(_round_level(rate * elr / q_int, notes, "dispatch count n"), 1)
             order_up_to = (n - 1) * int(q_int)
-        qp_row.order_up_to = order_up_to
-        _fill_row(qp_row, rate, policy, order_up_to, costs)
-    rows.append(qp_row)
+        rows = [_matched_row("QP", rate, QuantityPolicy(int(q_int)), order_up_to, notes, costs)]
+
+    # Time and hybrid policies share the level Q = rate * E[L^R] - 1.
+    level_notes: list = []
+    level = (None if elr is None
+             else _round_level(rate * elr - 1.0, level_notes, "order-up-to level"))
 
     # Time policy: period equals the target directly.
-    tp_row = ComparisonRow(label="TP", policy=TimePolicy(spec.target_cycle_length),
-                           order_up_to=None, feasible=True)
-    tp_order = None
-    if elr is not None:
-        tp_order = _round_level(rate * elr - 1.0, tp_row.notes, "order-up-to level")
-    tp_row.order_up_to = tp_order
-    _fill_row(tp_row, rate, tp_row.policy, tp_order, costs)
-    rows.append(tp_row)
+    rows.append(_matched_row("TP", rate, TimePolicy(spec.target_cycle_length), level,
+                             list(level_notes), costs))
 
     # Hybrid policies: match the period for each cap.
     for q_h in qh_list:
-        row = ComparisonRow(label=f"HP(q={q_h})", policy=None, order_up_to=None, feasible=True)
+        label = f"HP(q={q_h})"
         try:
             period = match_consolidation_cycle(rate, spec.target_cycle_length, q_h)
         except MatchInfeasibleError as err:
-            row.feasible = False
-            row.notes.append(str(err))
-            rows.append(row)
+            rows.append(ComparisonRow(label=label, policy=None, order_up_to=None,
+                                      feasible=False, notes=[str(err)]))
             continue
-        policy = HybridPolicy(int(q_h), period)
-        row.policy = policy
-        hp_order = None
-        if elr is not None:
-            hp_order = _round_level(rate * elr - 1.0, row.notes, "order-up-to level")
-        row.order_up_to = hp_order
-        _fill_row(row, rate, policy, hp_order, costs)
-        rows.append(row)
+        rows.append(_matched_row(label, rate, HybridPolicy(int(q_h), period), level,
+                                 list(level_notes), costs))
 
-    verdicts = _verdicts(rows)
-    return CompareResult(rows=rows, verdicts=verdicts)
+    return CompareResult(rows=rows, verdicts=_verdicts(rows))
 
 
 def _verdicts(rows) -> dict:
@@ -298,6 +290,9 @@ def verify_theorems(grid: VerifyGrid | None = None) -> TheoremReport:
     policy's cycle length q/rate; the checks follow the summary in the module
     docstring.  The replenishment-length targets take E[L^R] = n * E[L^C] for
     each multiple n, identifying the time/hybrid order-up-to level nq - 1.
+    Every system is evaluated once: the quantity and time systems of each
+    (rate, q, n) serve all the caps q_H, and one evaluation gives both the
+    inventory rate and the average cost.
     """
     grid = grid if grid is not None else VerifyGrid()
     report = TheoremReport()
@@ -308,6 +303,11 @@ def verify_theorems(grid: VerifyGrid | None = None) -> TheoremReport:
             aod_tp = elc / 2.0
             aosd_qp = (q * q - 1) / (3.0 * rate * rate)
             aosd_tp = elc * elc / 3.0
+            fixed = [(n,
+                      average_cost(SystemConfig.quantity(rate, q, n, grid.costs), "exact"),
+                      average_cost(SystemConfig(rate, TimePolicy(elc), n * q - 1, grid.costs),
+                                   "approx"))
+                     for n in grid.replenish_multiples]
             for extra in grid.qh_extra:
                 q_h = q + extra
                 period = match_consolidation_cycle(rate, elc, q_h)
@@ -329,24 +329,18 @@ def verify_theorems(grid: VerifyGrid | None = None) -> TheoremReport:
                     report.sq_delay_qp_worse += 1
                 elif aosd_qp < aosd_hp:
                     report.sq_delay_hp_worse += 1
-                for n in grid.replenish_multiples:
-                    order_up_to = n * q - 1
+                for n, qp_eval, tp_eval in fixed:
                     report.air_points += 1
-                    qp_cfg = SystemConfig.quantity(rate, q, n, grid.costs)
-                    tp_cfg = SystemConfig(rate, TimePolicy(elc), order_up_to, grid.costs)
-                    hp_cfg = SystemConfig(rate, hp, order_up_to, grid.costs)
-                    air_qp = service_metrics(qp_cfg, "exact").air
-                    air_tp = service_metrics(tp_cfg, "approx").air
-                    air_hp = service_metrics(hp_cfg, "approx").air
+                    hp_eval = average_cost(SystemConfig(rate, hp, n * q - 1, grid.costs),
+                                           "approx")
+                    air_qp, air_hp, air_tp = qp_eval.air, hp_eval.air, tp_eval.air
                     gap = abs(air_tp - air_hp) / air_tp
                     report.air_max_rel_gap = max(report.air_max_rel_gap, gap)
                     if air_hp < air_qp - INTEGER_TOL:
                         report.air_order_violations.append(
                             {**point, "n": n, "air": (air_qp, air_hp, air_tp)}
                         )
-                    ac_qp = average_cost(qp_cfg, "exact").avg_cost
-                    ac_tp = average_cost(tp_cfg, "approx").avg_cost
-                    ac_hp = average_cost(hp_cfg, "approx").avg_cost
+                    ac_qp, ac_hp, ac_tp = qp_eval.avg_cost, hp_eval.avg_cost, tp_eval.avg_cost
                     if (ac_qp > ac_hp + report.cost_slack
                             or ac_hp > ac_tp + report.cost_slack):
                         report.cost_order_violations.append(
@@ -388,9 +382,7 @@ class OptimResult:
             },
             "best_cost": self.best_cost,
             "evaluations": self.evaluations,
-            "bounds": {"q_max": self.bounds.q_max,
-                       "order_up_to_max": self.bounds.order_up_to_max,
-                       "period_max": self.bounds.period_max},
+            "bounds": asdict(self.bounds),
             "warnings": list(self.warnings),
         }
 
@@ -418,19 +410,16 @@ def _golden_min(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
     return (c, fc) if fc <= fd else (d, fd)
 
 
-def _best_period(rate, costs, q, order_up_to, period_max, record) -> tuple[float, float]:
+def _best_period(probe, make_policy, order_up_to, period_max) -> tuple[float, float]:
     """Coarse scan then golden-section refinement over the dispatch period.
 
-    Unimodality of the cost in the period is not guaranteed, so the scan
-    brackets the global pattern first and golden section only polishes the
-    best scan cell.
+    ``make_policy`` builds the family's policy from a period and ``probe``
+    returns the cost of a policy at ``order_up_to``.  Unimodality of the cost
+    in the period is not guaranteed, so the scan brackets the global pattern
+    first and golden section only polishes the best scan cell.
     """
     def evaluate(period: float) -> float:
-        policy = HybridPolicy(q, period) if q is not None else TimePolicy(period)
-        cfg = SystemConfig(rate, policy, order_up_to, costs)
-        ac = average_cost(cfg, "exact").avg_cost
-        record(q, order_up_to, period, ac)
-        return ac
+        return probe(make_policy(period), order_up_to)
 
     step = period_max / _SCAN_POINTS
     grid = [step * (i + 1) for i in range(_SCAN_POINTS)]
@@ -449,65 +438,53 @@ def optimize(demand_rate: float, costs: CostParams, policy_kind: str,
     """Minimize the exact average cost over a policy family within bounds.
 
     Integer dimensions (count cap q, order-up-to level Q) are enumerated
-    exhaustively; the continuous period is searched per integer point.  Every
-    evaluation is recorded so the reported optimum can be certified against
-    the trace.  Ties break toward smaller (Q, q, period).
+    exhaustively, q outermost; the continuous period of the time and hybrid
+    families is searched per integer point.  Every evaluation is recorded so
+    the reported optimum can be certified against the trace.  Ties break
+    toward smaller (Q, q, period).
     """
     if policy_kind not in ("quantity", "time", "hybrid"):
         raise ValueError(f"policy_kind must be quantity|time|hybrid, got {policy_kind!r}")
     bounds = bounds if bounds is not None else SearchBounds()
     trace: list = []
 
-    def record(q, order_up_to, period, ac):
-        trace.append({"q": q, "order_up_to": order_up_to, "period": period, "ac": ac})
+    def probe(policy: Policy, order_up_to: int) -> float:
+        ac = average_cost(SystemConfig(demand_rate, policy, order_up_to, costs), "exact").avg_cost
+        trace.append({"q": getattr(policy, "q", None), "order_up_to": order_up_to,
+                      "period": getattr(policy, "period", None), "ac": ac})
+        return ac
 
-    best: tuple | None = None  # (ac, order_up_to, q, period)
+    # The time family has no cap; a quantity policy needs Q divisible by q.
+    caps = [None] if policy_kind == "time" else range(1, bounds.q_max + 1)
+    best = None  # (key, SystemConfig)
+    for q in caps:
+        for order_up_to in range(0, bounds.order_up_to_max + 1,
+                                 q if policy_kind == "quantity" else 1):
+            if policy_kind == "quantity":
+                policy: Policy = QuantityPolicy(q)
+                ac = probe(policy, order_up_to)
+            else:
+                make_policy = TimePolicy if q is None else partial(HybridPolicy, q)
+                period, ac = _best_period(probe, make_policy, order_up_to, bounds.period_max)
+                policy = make_policy(period)
+            # Within one family q (or the period) is None at every point or at
+            # none, so the key never orders None against a number.
+            key = (ac, order_up_to, getattr(policy, "q", None), getattr(policy, "period", None))
+            if best is None or key < best[0]:
+                best = (key, SystemConfig(demand_rate, policy, order_up_to, costs))
 
-    def consider(ac, order_up_to, q, period):
-        nonlocal best
-        key = (ac, order_up_to, q if q is not None else -1,
-               period if period is not None else -1.0)
-        if best is None or key < best:
-            best = key
-
-    if policy_kind == "quantity":
-        for q in range(1, bounds.q_max + 1):
-            for order_up_to in range(0, bounds.order_up_to_max + 1, q):
-                cfg = SystemConfig(demand_rate, QuantityPolicy(q), order_up_to, costs)
-                ac = average_cost(cfg, "exact").avg_cost
-                record(q, order_up_to, None, ac)
-                consider(ac, order_up_to, q, None)
-    elif policy_kind == "time":
-        for order_up_to in range(0, bounds.order_up_to_max + 1):
-            period, ac = _best_period(demand_rate, costs, None, order_up_to,
-                                      bounds.period_max, record)
-            consider(ac, order_up_to, None, period)
-    else:
-        for q in range(1, bounds.q_max + 1):
-            for order_up_to in range(0, bounds.order_up_to_max + 1):
-                period, ac = _best_period(demand_rate, costs, q, order_up_to,
-                                          bounds.period_max, record)
-                consider(ac, order_up_to, q, period)
-
-    ac, order_up_to, q, period = best
-    if policy_kind == "quantity":
-        policy: Policy = QuantityPolicy(q)
-    elif policy_kind == "time":
-        policy = TimePolicy(period)
-    else:
-        policy = HybridPolicy(q, period)
+    (best_cost, order_up_to, q, period), best_cfg = best
     warnings = []
-    if q is not None and q != -1 and q == bounds.q_max and policy_kind != "time":
+    if q == bounds.q_max:
         warnings.append(f"optimum at q bound {bounds.q_max}")
     if order_up_to == bounds.order_up_to_max:
         warnings.append(f"optimum at order-up-to bound {bounds.order_up_to_max}")
-    if period is not None and period != -1.0 and policy_kind != "quantity":
-        if period > bounds.period_max - bounds.period_max / _SCAN_POINTS:
-            warnings.append(f"optimum near period bound {bounds.period_max}")
+    if period is not None and period > bounds.period_max - bounds.period_max / _SCAN_POINTS:
+        warnings.append(f"optimum near period bound {bounds.period_max}")
     return OptimResult(
         policy_kind=policy_kind,
-        best=SystemConfig(demand_rate, policy, order_up_to, costs),
-        best_cost=ac,
+        best=best_cfg,
+        best_cost=best_cost,
         evaluations=len(trace),
         trace=trace,
         warnings=warnings,

@@ -30,9 +30,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc, gammaln
 
-from .truncated_poisson import poisson_tail
+from .truncated_poisson import _poisson_masses, _poisson_tails, poisson_tail
 
 # The recursion is O(Q * support); reject absurd tables instead of hanging.
 MAX_ORDER_UP_TO = 10_000
@@ -98,12 +97,6 @@ def _load_mean(rate: float, period: float) -> float:
     return mu
 
 
-def _poisson_masses(mu: float, n: int) -> np.ndarray:
-    """P(X = i) for i = 0..n-1, X ~ Poisson(mu), evaluated in log space."""
-    i = np.arange(n, dtype=float)
-    return np.exp(-mu + i * math.log(mu) - gammaln(i + 1.0))
-
-
 def build_increment_hp(rate: float, q: int, period: float) -> IncrementDist:
     """Load distribution under a hybrid policy: min(X, q), X ~ Poisson(rate*period)."""
     mu = _load_mean(rate, period)
@@ -132,15 +125,14 @@ def build_increment_tp(rate: float, period: float,
     lo = max(1, int(mu + 5.0 * root))
     while poisson_tail(mu, hi + 1) >= tail_eps:
         lo, hi = hi, hi + 2 * (hi - lo)
-    tails = gammainc(np.arange(lo + 1, hi + 2, dtype=float), mu)
+    tails = _poisson_tails(mu, lo + 1, hi + 2)
     end = lo + int(np.searchsorted(-tails, -tail_eps, side="right"))
     masses = _poisson_masses(mu, end + 1)
     masses /= masses.sum()
     return IncrementDist(masses)
 
 
-def renewal_table(inc: IncrementDist, order_up_to: int,
-                  max_order_up_to: int = MAX_ORDER_UP_TO) -> RenewalTable:
+def renewal_table(inc: IncrementDist, order_up_to: int) -> RenewalTable:
     """Solve the lattice renewal recursion for m(0..Q) and accumulate M.
 
     M(Q) equals the expected number of consolidation cycles per replenishment
@@ -151,9 +143,9 @@ def renewal_table(inc: IncrementDist, order_up_to: int,
     if order_up_to != int(order_up_to) or order_up_to < 0:
         raise ValueError(f"order-up-to level must be a nonnegative integer, got {order_up_to}")
     order_up_to = int(order_up_to)
-    if order_up_to > max_order_up_to:
+    if order_up_to > MAX_ORDER_UP_TO:
         raise ValueError(
-            f"order-up-to level {order_up_to} exceeds capacity limit {max_order_up_to}"
+            f"order-up-to level {order_up_to} exceeds capacity limit {MAX_ORDER_UP_TO}"
         )
     g = inc.masses
     if g[0] >= 1.0 - 1e-12:

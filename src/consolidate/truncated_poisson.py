@@ -25,7 +25,8 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 
-from scipy.special import gammainc, gammaincc
+import numpy as np
+from scipy.special import gammainc, gammaincc, gammaln
 
 
 class QuadratureError(RuntimeError):
@@ -43,6 +44,13 @@ def _check_level(q: int) -> int:
     if q != int(q) or q < 1:
         raise ValueError(f"truncation level q must be a positive integer, got {q}")
     return int(q)
+
+
+def _check_order(q: int, k: int) -> None:
+    if k not in (1, 2, 3):
+        raise ValueError(f"only factorial moments of order k in {{1,2,3}} are supported, got {k}")
+    if k > q:
+        raise ValueError(f"factorial moment order k={k} requires k <= q, got q={q}")
 
 
 def falling_factorial(x: int, k: int) -> int:
@@ -80,6 +88,17 @@ def poisson_tail(mu: float, x: int) -> float:
     return float(gammainc(x, mu))
 
 
+def _poisson_masses(mu: float, n: int) -> np.ndarray:
+    """P(X = i) for i = 0..n-1, X ~ Poisson(mu), evaluated in log space."""
+    i = np.arange(n, dtype=float)
+    return np.exp(-mu + i * math.log(mu) - gammaln(i + 1.0))
+
+
+def _poisson_tails(mu: float, start: int, stop: int) -> np.ndarray:
+    """P(X >= x) for x = start..stop-1 (start >= 1), X ~ Poisson(mu)."""
+    return gammainc(np.arange(start, stop, dtype=float), mu)
+
+
 def trunc_pmf(mu: float, q: int, i: int) -> float:
     """Mass function of min(X, q): P(X = i) for i < q, P(X >= q) at i = q."""
     mu = _check_mu(mu)
@@ -106,10 +125,7 @@ def trunc_factorial_moment(mu: float, q: int, k: int) -> float:
     """E[X_q^(k)] = E[X_q(X_q-1)...(X_q-k+1)] for X ~ Poisson(mu), 1 <= k <= q."""
     mu = _check_mu(mu)
     q = _check_level(q)
-    if k not in (1, 2, 3):
-        raise ValueError(f"only factorial moments of order k in {{1,2,3}} are supported, got {k}")
-    if k > q:
-        raise ValueError(f"factorial moment order k={k} requires k <= q, got q={q}")
+    _check_order(q, k)
     return _factorial_moment(mu, q, k)
 
 
@@ -131,10 +147,7 @@ def trunc_factorial_moment_dmu(mu: float, q: int, k: int) -> float:
     """d/dmu of ``trunc_factorial_moment``: k mu^(k-1) P(X <= q-k)."""
     mu = _check_mu(mu)
     q = _check_level(q)
-    if k not in (1, 2, 3):
-        raise ValueError(f"only factorial moments of order k in {{1,2,3}} are supported, got {k}")
-    if k > q:
-        raise ValueError(f"factorial moment order k={k} requires k <= q, got q={q}")
+    _check_order(q, k)
     return k * mu ** (k - 1) * poisson_cdf(mu, q - k)
 
 
@@ -148,10 +161,7 @@ def gamma_min_moment(mu: float, q: int, k: int, tol: float = 1e-9) -> float:
     """
     mu = _check_mu(mu)
     q = _check_level(q)
-    if k not in (1, 2, 3):
-        raise ValueError(f"only factorial moments of order k in {{1,2,3}} are supported, got {k}")
-    if k > q:
-        raise ValueError(f"factorial moment order k={k} requires k <= q, got q={q}")
+    _check_order(q, k)
     # Imported here: scipy.integrate pulls scipy.optimize, scipy.linalg and
     # scipy.sparse into every import of the package.
     from scipy.integrate import quad
