@@ -24,7 +24,10 @@ The verified orderings, all at matched frequencies:
 Each system is evaluated once per mode: one ``average_cost`` call carries its
 delay, squared delay, inventory rate and cost.  The optimizer runs one loop
 over the integer points (q, Q) of a family; at each point the quantity family
-evaluates once and the time and hybrid families search the period.
+evaluates once and the time and hybrid families search the period: a
+200-period scan evaluated as one batched exact call (``metrics._period_costs``),
+then golden-section steps, each one scalar ``average_cost`` call.  Every
+period, scanned or stepped, is one entry of the trace.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from .metrics import (
     QuantityPolicy,
     SystemConfig,
     TimePolicy,
+    _period_costs,
     average_cost,
     cycle_metrics,
     match_consolidation_cycle,
@@ -410,20 +414,22 @@ def _golden_min(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
     return (c, fc) if fc <= fd else (d, fd)
 
 
-def _best_period(probe, make_policy, order_up_to, period_max) -> tuple[float, float]:
+def _best_period(scan, probe, make_policy, order_up_to, period_max) -> tuple[float, float]:
     """Coarse scan then golden-section refinement over the dispatch period.
 
-    ``make_policy`` builds the family's policy from a period and ``probe``
-    returns the cost of a policy at ``order_up_to``.  Unimodality of the cost
-    in the period is not guaranteed, so the scan brackets the global pattern
-    first and golden section only polishes the best scan cell.
+    ``scan`` returns the costs of a list of periods at ``order_up_to`` in one
+    batched evaluation; ``make_policy`` builds the family's policy from a
+    period and ``probe`` returns the cost of one policy, for the golden steps.
+    Unimodality of the cost in the period is not guaranteed, so the scan
+    brackets the global pattern first and golden section only polishes the
+    best scan cell.
     """
     def evaluate(period: float) -> float:
         return probe(make_policy(period), order_up_to)
 
     step = period_max / _SCAN_POINTS
     grid = [step * (i + 1) for i in range(_SCAN_POINTS)]
-    values = [evaluate(t) for t in grid]
+    values = scan(grid)
     i = min(range(len(grid)), key=lambda idx: (values[idx], grid[idx]))
     lo = grid[i - 1] if i > 0 else step * 0.05
     hi = grid[i + 1] if i + 1 < len(grid) else grid[-1]
@@ -454,6 +460,13 @@ def optimize(demand_rate: float, costs: CostParams, policy_kind: str,
                       "period": getattr(policy, "period", None), "ac": ac})
         return ac
 
+    def scan(q: int | None, order_up_to: int, periods: list) -> list:
+        # Python floats, as the scalar probe records them
+        values = _period_costs(demand_rate, costs, q, periods, order_up_to).tolist()
+        trace.extend({"q": q, "order_up_to": order_up_to, "period": period, "ac": ac}
+                     for period, ac in zip(periods, values))
+        return values
+
     # The time family has no cap; a quantity policy needs Q divisible by q.
     caps = [None] if policy_kind == "time" else range(1, bounds.q_max + 1)
     best = None  # (key, SystemConfig)
@@ -465,7 +478,8 @@ def optimize(demand_rate: float, costs: CostParams, policy_kind: str,
                 ac = probe(policy, order_up_to)
             else:
                 make_policy = TimePolicy if q is None else partial(HybridPolicy, q)
-                period, ac = _best_period(probe, make_policy, order_up_to, bounds.period_max)
+                period, ac = _best_period(partial(scan, q, order_up_to), probe, make_policy,
+                                          order_up_to, bounds.period_max)
                 policy = make_policy(period)
             # Within one family q (or the period) is None at every point or at
             # none, so the key never orders None against a number.

@@ -27,12 +27,18 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Union
 
+import numpy as np
+
 from . import renewal
 from .truncated_poisson import _factorial_moment, trunc_mean
 
 MATCH_BRACKET_FLOOR = 1e-8
 MATCH_MEAN_TOL = 1e-9
 MATCH_MAX_ITER = 200
+
+# Mass cells (rows x support) that one chunk of ``_period_costs`` holds at
+# most, which bounds its memory when rate * period is large.
+_CHUNK_CELLS = 1 << 19
 
 
 class MatchInfeasibleError(ValueError):
@@ -354,6 +360,66 @@ def average_cost(cfg: SystemConfig, mode: str = "exact", delay: str = "linear") 
         aosd=svc.aosd,
         air=svc.air,
     )
+
+
+def _period_costs(demand_rate: float, costs: CostParams, q: int | None, periods,
+                  order_up_to: int) -> np.ndarray:
+    """Exact linear-delay average cost of one family at many periods and one level.
+
+    Element r is ``average_cost(SystemConfig(demand_rate, policy, order_up_to,
+    costs)).avg_cost`` up to rounding, for the time policy of period
+    ``periods[r]`` when q is None and the hybrid policy (q, periods[r])
+    otherwise.  It uses the same closed forms on arrays, the renewal recursion
+    along the batch axis (certified per row by the Wald bracket) and the
+    expressions of ``average_cost`` for the components, summed in the same
+    order.  It raises where the scalar path raises and never returns inf or
+    nan.  Rows are processed in chunks of at most ``_CHUNK_CELLS`` mass cells.
+    """
+    rate = float(demand_rate)
+    if not rate > 0.0:
+        raise ValueError(f"demand_rate must be positive, got {demand_rate}")
+    order_up_to = renewal._check_order_up_to(order_up_to)
+    t = np.asarray(periods, dtype=float)
+    mu = np.array([renewal._load_mean(rate, period) for period in t.tolist()])
+    # Overflow is detected from the results, not from numpy's warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if q is None:
+            length = t
+            orders = mu
+            delay = rate * t * t / 2.0
+            sq_delay = rate * t**3 / 3.0
+        else:
+            orders = _factorial_moment(mu, q, 1)
+            length = orders / rate
+            delay = _factorial_moment(mu, q, 2) / (2.0 * rate)
+            sq_delay = _factorial_moment(mu, q + 1, 3) / (3.0 * rate**2)
+        if not np.all(np.isfinite(delay) & np.isfinite(sq_delay)):
+            raise OverflowError(f"cycle metrics overflow at a period up to {float(t.max())!r}")
+
+        ends = ([renewal._tp_support_end(m) for m in mu.tolist()] if q is None
+                else [q] * mu.size)
+        rows = max(1, _CHUNK_CELLS // (max(max(ends), order_up_to) + 1))
+        cycles = np.empty(mu.size)
+        holding_sum = np.empty(mu.size)
+        levels = order_up_to - np.arange(order_up_to + 1.0)
+        for start in range(0, mu.size, rows):
+            chunk = slice(start, start + rows)
+            g = (renewal._tp_masses(mu[chunk], ends[chunk]) if q is None
+                 else renewal._hp_masses(mu[chunk], q))
+            m = renewal._renewal_rows(g, order_up_to)
+            cycles[chunk] = m.sum(axis=1)
+            holding_sum[chunk] = m @ levels
+            renewal._check_wald(g, np.array(ends[chunk]), order_up_to, cycles[chunk])
+
+        air = length * holding_sum / (cycles * length)
+        aod = delay / orders
+        cost = (rate * (costs.replenish_fixed / (cycles * orders) + costs.replenish_unit)
+                + costs.holding * air
+                + rate * (costs.dispatch_fixed / orders + costs.dispatch_unit)
+                + costs.wait_linear * rate * aod)
+    if not np.all(np.isfinite(cost)):
+        raise OverflowError("average cost is not finite")
+    return cost
 
 
 def match_consolidation_cycle(demand_rate: float, target_length: float, q: int) -> float:

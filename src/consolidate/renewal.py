@@ -22,6 +22,14 @@ solved and one convolution with the head of ``m``.  Block sizes double from 1
 up to ``BLOCK``, which keeps n within the levels already known.  This is the
 same recursion, O(Q * smax) multiply-adds in O(Q/BLOCK + log2(BLOCK)) numpy
 calls; every term is nonnegative, so nothing cancels.
+
+The optimizer evaluates many periods of one policy family at one level Q.
+For that, the load builders also work on rows: ``_hp_masses`` and
+``_tp_masses`` build one row of masses per load mean, each element by the
+expression the public builder uses, so a row does not depend on the batch
+and equals the public builder's masses bit for bit.  ``_renewal_rows`` runs the
+recursion one level at a time along the batch axis, and ``_check_wald``
+certifies each row's E[K] against Wald's identity.
 """
 
 from __future__ import annotations
@@ -41,6 +49,9 @@ DEFAULT_TAIL_EPS = 1e-12
 
 # Levels solved per block once the doubling warm-up reaches this size.
 BLOCK = 128
+
+# Relative slack of the Wald certificate on E[K], beyond rounding of the inputs.
+WALD_SLACK = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,11 +108,48 @@ def _load_mean(rate: float, period: float) -> float:
     return mu
 
 
+def _hp_masses(mu: np.ndarray, q: int) -> np.ndarray:
+    """Rows of min(X, q) masses on 0..q, X ~ Poisson(mu[r]): ``build_increment_hp``'s
+    expressions, element for element."""
+    masses = _poisson_masses(mu[:, None], q + 1)
+    masses[:, q] = _poisson_tails(mu, q, q + 1)
+    return masses
+
+
+def _tp_support_end(mu: float, tail_eps: float = DEFAULT_TAIL_EPS) -> int:
+    """Smallest point whose residual Poisson(mu) upper tail is below ``tail_eps``."""
+    # The cut lies in (lo, hi]: P(X > hi) < tail_eps <= P(X > lo), or lo = 1.
+    # P(X > mu + 5 sqrt(mu)) is at least 1.9e-7 on mu in [1e-6, 1e8] and tends
+    # to the normal 2.9e-7 above, so lo is below the cut.  The seed of hi is
+    # above it for tail_eps >= 1e-12; a smaller tail_eps walks it up.
+    root = math.sqrt(mu)
+    hi = int(mu + 7.5 * root + 30)
+    lo = max(1, int(mu + 5.0 * root))
+    while poisson_tail(mu, hi + 1) >= tail_eps:
+        lo, hi = hi, hi + 2 * (hi - lo)
+    tails = _poisson_tails(mu, lo + 1, hi + 2)
+    return lo + int(np.searchsorted(-tails, -tail_eps, side="right"))
+
+
+def _tp_masses(mu: np.ndarray, ends: list[int]) -> np.ndarray:
+    """Rows of Poisson(mu[r]) masses cut at ``ends[r]`` and renormalized:
+    ``build_increment_tp``'s expressions, element for element.
+
+    Rows are zero-padded to the widest support.  Each is renormalized by the
+    sum of its own support, the same 1-d sum as the one-row builder's.
+    """
+    masses = _poisson_masses(mu[:, None], max(ends) + 1)
+    for row, end in zip(masses, ends):
+        support = row[:end + 1]
+        support /= support.sum()
+        row[end + 1:] = 0.0
+    return masses
+
+
 def build_increment_hp(rate: float, q: int, period: float) -> IncrementDist:
     """Load distribution under a hybrid policy: min(X, q), X ~ Poisson(rate*period)."""
     mu = _load_mean(rate, period)
-    masses = np.empty(q + 1)
-    masses[:q] = _poisson_masses(mu, q)
+    masses = _poisson_masses(mu, q + 1)
     masses[q] = poisson_tail(mu, q)
     return IncrementDist(masses)
 
@@ -116,20 +164,25 @@ def build_increment_tp(rate: float, period: float,
     mu = _load_mean(rate, period)
     if not 0.0 < tail_eps <= 1e-10:
         raise ValueError(f"tail_eps must be in (0, 1e-10], got {tail_eps}")
-    # The cut lies in (lo, hi]: P(X > hi) < tail_eps <= P(X > lo), or lo = 1.
-    # P(X > mu + 5 sqrt(mu)) is at least 1.9e-7 on mu in [1e-6, 1e8] and tends
-    # to the normal 2.9e-7 above, so lo is below the cut.  The seed of hi is
-    # above it for tail_eps >= 1e-12; a smaller tail_eps walks it up.
-    root = math.sqrt(mu)
-    hi = int(mu + 7.5 * root + 30)
-    lo = max(1, int(mu + 5.0 * root))
-    while poisson_tail(mu, hi + 1) >= tail_eps:
-        lo, hi = hi, hi + 2 * (hi - lo)
-    tails = _poisson_tails(mu, lo + 1, hi + 2)
-    end = lo + int(np.searchsorted(-tails, -tail_eps, side="right"))
-    masses = _poisson_masses(mu, end + 1)
+    masses = _poisson_masses(mu, _tp_support_end(mu, tail_eps) + 1)
     masses /= masses.sum()
     return IncrementDist(masses)
+
+
+def _check_order_up_to(order_up_to) -> int:
+    if order_up_to != int(order_up_to) or order_up_to < 0:
+        raise ValueError(f"order-up-to level must be a nonnegative integer, got {order_up_to}")
+    order_up_to = int(order_up_to)
+    if order_up_to > MAX_ORDER_UP_TO:
+        raise ValueError(
+            f"order-up-to level {order_up_to} exceeds capacity limit {MAX_ORDER_UP_TO}"
+        )
+    return order_up_to
+
+
+def _check_converges(g0: float) -> None:
+    if g0 >= 1.0 - 1e-12:
+        raise ValueError("renewal series diverges: increment mass at zero is too close to 1")
 
 
 def renewal_table(inc: IncrementDist, order_up_to: int) -> RenewalTable:
@@ -140,16 +193,9 @@ def renewal_table(inc: IncrementDist, order_up_to: int) -> RenewalTable:
     geometric number of zero-load cycles precedes each level change), which
     diverges when g(0) -> 1.
     """
-    if order_up_to != int(order_up_to) or order_up_to < 0:
-        raise ValueError(f"order-up-to level must be a nonnegative integer, got {order_up_to}")
-    order_up_to = int(order_up_to)
-    if order_up_to > MAX_ORDER_UP_TO:
-        raise ValueError(
-            f"order-up-to level {order_up_to} exceeds capacity limit {MAX_ORDER_UP_TO}"
-        )
+    order_up_to = _check_order_up_to(order_up_to)
     g = inc.masses
-    if g[0] >= 1.0 - 1e-12:
-        raise ValueError("renewal series diverges: increment mass at zero is too close to 1")
+    _check_converges(g[0])
     smax = inc.support_end
     m = np.empty(order_up_to + 1)
     m[0] = 1.0 / (1.0 - g[0])
@@ -164,6 +210,53 @@ def renewal_table(inc: IncrementDist, order_up_to: int) -> RenewalTable:
         m[b:b + n] = np.convolve(known, m[:n])[:n]
         b += n
     return RenewalTable(m=m, M=np.cumsum(m), order_up_to=order_up_to)
+
+
+def _renewal_rows(g: np.ndarray, order_up_to: int) -> np.ndarray:
+    """m(0..Q) for each row of increment masses g, one level at a time.
+
+    Row r solves the recursion of ``renewal_table`` for masses g[r]; columns
+    of g past Q are not read.
+    """
+    _check_converges(g[:, 0].max())
+    scale = 1.0 / (1.0 - g[:, 0])
+    width = min(g.shape[1] - 1, order_up_to)
+    # g(width), ..., g(1) over (1 - g(0)): level i takes the last min(i, width).
+    kernel = g[:, width:0:-1] * scale[:, None]
+    m = np.empty((g.shape[0], order_up_to + 1))
+    m[:, 0] = scale
+    for i in range(1, order_up_to + 1):
+        j = min(i, width)
+        m[:, i] = np.einsum("rj,rj->r", kernel[:, width - j:], m[:, i - j:i])
+    return m
+
+
+def _check_wald(g: np.ndarray, support_ends: np.ndarray, order_up_to: int,
+                cycles: np.ndarray) -> None:
+    """Certify E[K] = M(Q) of each row of masses g against Wald's identity.
+
+    The load S_K of the cycle that first passes Q lies in [Q + 1, Q + smax],
+    and E[S_K] = E[K] e_n with e_n the row's mean, so
+    (Q + 1)/e_n <= E[K] <= (Q + smax)/e_n.  The recursion sees the masses
+    above zero as a distribution of total mass (sum_{j>=1} g(j))/(1 - g(0)),
+    which rounding moves off 1 by a relative defect d (large when g(0) is
+    near 1); over at most Q + 1 nonzero loads that scales E[K] by up to
+    (1 + d)^(Q+1), so the bracket widens by (Q + 2) d on top of WALD_SLACK.
+    Raises ArithmeticError on a violation.
+    """
+    mean = g @ np.arange(g.shape[1], dtype=float)
+    above = 1.0 - g[:, 0]
+    defect = np.abs(g[:, 1:].sum(axis=1) - above) / above
+    slack = WALD_SLACK + (order_up_to + 2) * defect
+    lower = (order_up_to + 1) / mean * (1.0 - slack)
+    upper = (order_up_to + support_ends) / mean * (1.0 + slack)
+    bad = ~((lower <= cycles) & (cycles <= upper))
+    if bad.any():
+        r = int(np.argmax(bad))
+        raise ArithmeticError(
+            f"renewal E[K] = {float(cycles[r])!r} outside the Wald bracket "
+            f"[{float(lower[r])!r}, {float(upper[r])!r}] at order-up-to level {order_up_to}"
+        )
 
 
 def expected_k(table: RenewalTable) -> float:

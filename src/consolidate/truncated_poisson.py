@@ -88,14 +88,26 @@ def poisson_tail(mu: float, x: int) -> float:
     return float(gammainc(x, mu))
 
 
-def _poisson_masses(mu: float, n: int) -> np.ndarray:
-    """P(X = i) for i = 0..n-1, X ~ Poisson(mu), evaluated in log space."""
+def _poisson_masses(mu, n: int) -> np.ndarray:
+    """P(X = i) for i = 0..n-1, X ~ Poisson(mu), evaluated in log space.
+
+    ``mu`` is a float, or a column of means (shape (B, 1)) for one row of
+    masses each.  Every element is the same expression either way, so a row
+    does not depend on the rows computed with it.
+    """
     i = np.arange(n, dtype=float)
-    return np.exp(-mu + i * math.log(mu) - gammaln(i + 1.0))
+    if isinstance(mu, np.ndarray):
+        log_mu = np.reshape([math.log(m) for m in mu.ravel().tolist()], mu.shape)
+    else:
+        log_mu = math.log(mu)
+    return np.exp(-mu + i * log_mu - gammaln(i + 1.0))
 
 
-def _poisson_tails(mu: float, start: int, stop: int) -> np.ndarray:
-    """P(X >= x) for x = start..stop-1 (start >= 1), X ~ Poisson(mu)."""
+def _poisson_tails(mu, start: int, stop: int) -> np.ndarray:
+    """P(X >= x) for x = start..stop-1 (start >= 1), X ~ Poisson(mu).
+
+    An array mu broadcasts against the points.
+    """
     return gammainc(np.arange(start, stop, dtype=float), mu)
 
 
@@ -111,14 +123,21 @@ def trunc_pmf(mu: float, q: int, i: int) -> float:
     return poisson_pmf(mu, i)
 
 
-def _factorial_moment(mu: float, q: int, k: int) -> float:
-    # Closed form; safe for k > q, where the moment is exactly zero because
-    # min(X, q) <= q < k makes one factor of the falling factorial vanish.
+def _factorial_moment(mu, q: int, k: int):
+    """Closed form of E[X_q^(k)] for a float mu, or elementwise for an array.
+
+    Safe for k > q, where the moment is exactly zero because min(X, q) <= q < k
+    makes one factor of the falling factorial vanish.  A float mu is checked
+    and raises OverflowError where its power overflows; an array is not
+    checked and gets inf or nan there instead.  Both evaluate the same
+    expression, element for element.
+    """
     if k > q:
-        return 0.0
-    head = poisson_cdf(mu, q - k)
-    tail = poisson_tail(mu, q + 1)
-    return mu**k * head + falling_factorial(q, k) * tail
+        return 0.0 * mu
+    if isinstance(mu, np.ndarray):
+        return (mu**k * gammaincc(q - k + 1, mu)
+                + float(falling_factorial(q, k)) * gammainc(q + 1, mu))
+    return mu**k * poisson_cdf(mu, q - k) + falling_factorial(q, k) * poisson_tail(mu, q + 1)
 
 
 def trunc_factorial_moment(mu: float, q: int, k: int) -> float:

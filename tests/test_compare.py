@@ -1,5 +1,8 @@
 """Matched-frequency comparisons, ordering verification, and the optimizer."""
 
+import time
+import tracemalloc
+
 import pytest
 
 from consolidate import (
@@ -158,3 +161,24 @@ def test_optimizer_validation():
         optimize(1.0, REFERENCE_COSTS, "other")
     with pytest.raises(ValueError):
         SearchBounds(q_max=0)
+
+
+@pytest.mark.parametrize("kind", ["hybrid", "time"])
+def test_optimizer_scan_raises_where_the_renewal_series_diverges(kind):
+    # load means down to 2.5e-13: g(0) is within 1e-12 of 1
+    with pytest.raises(ValueError, match="renewal series diverges"):
+        optimize(0.5, REFERENCE_COSTS, kind, SearchBounds(1, 1, 1e-10))
+
+
+def test_optimizer_scan_overflow_is_prompt():
+    # T**3 overflows in the cycle metrics; nothing the size of rate*T is built
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        with pytest.raises(OverflowError):
+            optimize(1.0, REFERENCE_COSTS, "time", SearchBounds(1, 1, 1e300))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 5.0
+    assert peak < 2**20

@@ -1,9 +1,11 @@
 """Policy analytics: closed-form examples, limits, and internal consistency."""
 
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from consolidate import (
@@ -20,8 +22,17 @@ from consolidate import (
     service_metrics,
     trunc_mean,
 )
+from consolidate.compare import _SCAN_POINTS
+from consolidate.metrics import _period_costs
+from consolidate.renewal import MAX_ORDER_UP_TO
 
 REF_COSTS = CostParams(replenish_fixed=25.0, holding=0.4, dispatch_fixed=15.0, wait_linear=0.8)
+
+
+def scan_grid(period_max: float) -> list:
+    """The optimizer's period scan: _SCAN_POINTS equal steps up to period_max."""
+    step = period_max / _SCAN_POINTS
+    return [step * (i + 1) for i in range(_SCAN_POINTS)]
 
 
 # ---------------------------------------------------------------------------
@@ -312,3 +323,62 @@ def test_system_validation():
         CostParams(holding=-0.1)
     with pytest.raises(TypeError):
         SystemConfig(1.0, TimePolicy(1.0), 5).n_dispatches
+
+
+# ---------------------------------------------------------------------------
+# batched period evaluation against the scalar average cost
+
+
+@given(
+    rate=st.floats(0.25, 4.0),
+    costs=st.builds(CostParams, *[st.floats(0.0, 1e3)] * 7),
+    q=st.one_of(st.none(), st.integers(1, 30)),
+    order_up_to=st.integers(0, 200),
+    # down to load means of 2.5e-10, where the Wald bracket is widened by the
+    # rounding of 1 - g(0); below ~1e-12 both paths raise (tested below)
+    periods=st.lists(st.floats(1e-9, 40.0), min_size=1, max_size=50),
+)
+@example(rate=1.0, costs=REF_COSTS, q=None, order_up_to=40, periods=scan_grid(20.0))
+@example(rate=1.0, costs=REF_COSTS, q=10, order_up_to=40, periods=scan_grid(20.0))
+@example(rate=0.5, costs=REF_COSTS, q=1, order_up_to=0, periods=scan_grid(8.0))
+@settings(max_examples=100, deadline=None)
+def test_period_costs_match_scalar_average_cost(rate, costs, q, order_up_to, periods):
+    def scalar(period):
+        policy = TimePolicy(period) if q is None else HybridPolicy(q, period)
+        return average_cost(SystemConfig(rate, policy, order_up_to, costs)).avg_cost
+
+    expected = [scalar(t) for t in periods]
+    got = _period_costs(rate, costs, q, periods, order_up_to)
+    assert got.shape == (len(periods),)
+    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
+
+
+def test_period_costs_raise_where_the_scalar_path_raises():
+    with pytest.raises(ValueError, match="exceeds capacity limit"):
+        _period_costs(1.0, REF_COSTS, 3, [1.0, 2.0], MAX_ORDER_UP_TO + 1)
+    with pytest.raises(ValueError, match="renewal series diverges"):
+        _period_costs(1.0, REF_COSTS, None, [1.0, 1e-13], 3)
+    with pytest.raises(ValueError, match="finite product"):
+        _period_costs(1.0, REF_COSTS, 2, [1.0, math.inf], 3)
+    with pytest.raises(ValueError, match="demand_rate must be positive"):
+        _period_costs(0.0, REF_COSTS, 2, [1.0], 3)
+    with pytest.raises(OverflowError):
+        _period_costs(1.0, REF_COSTS, None, [1e300], 3)
+    with pytest.raises(OverflowError):  # the scalar path returns inf here
+        _period_costs(1.0, CostParams(dispatch_fixed=1e308), 2, [1e-3], 0)
+
+
+def test_time_scan_memory_is_bounded_at_large_load():
+    # rate * period up to 2e5: one row's support alone is ~2e5 masses, so the
+    # 200 rows must not be built at once
+    grid = scan_grid(2e5)
+    tracemalloc.start()
+    try:
+        costs = _period_costs(1.0, REF_COSTS, None, grid, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2**20
+    for i in (0, len(grid) - 1):
+        cfg = SystemConfig(1.0, TimePolicy(grid[i]), 10, REF_COSTS)
+        assert costs[i] == pytest.approx(average_cost(cfg).avg_cost, rel=1e-12)

@@ -34,7 +34,16 @@ from consolidate import (
     renewal_table,
     trunc_pmf,
 )
-from consolidate.renewal import BLOCK, DEFAULT_TAIL_EPS, MAX_ORDER_UP_TO
+from consolidate.renewal import (
+    BLOCK,
+    DEFAULT_TAIL_EPS,
+    MAX_ORDER_UP_TO,
+    _check_wald,
+    _hp_masses,
+    _renewal_rows,
+    _tp_masses,
+    _tp_support_end,
+)
 
 
 def series_oracle(masses, order_up_to, tol=1e-14):
@@ -324,6 +333,56 @@ def test_tp_support_end_far_below_default_tail_eps():
     for mu in (0.5, 40.0, 5000.0):
         end = build_increment_tp(1.0, mu, 1e-200).support_end
         assert poisson_tail(mu, end + 1) < 1e-200 <= poisson_tail(mu, end)
+
+
+@given(mu=st.lists(st.floats(-3.0, 4.0).map(lambda e: 10.0 ** e), min_size=1, max_size=30),
+       q=st.integers(1, 60))
+@settings(max_examples=40, deadline=None)
+def test_batched_masses_do_not_depend_on_the_batch(mu, q):
+    mu = np.array(mu)
+    ends = [_tp_support_end(m) for m in mu.tolist()]
+    hp = _hp_masses(mu, q)
+    tp = _tp_masses(mu, ends)
+    for r, m in enumerate(mu.tolist()):
+        one = _hp_masses(mu[r:r + 1], q)[0]
+        assert np.array_equal(hp[r], one)
+        assert np.array_equal(one, build_increment_hp(1.0, q, m).masses)
+        one = _tp_masses(mu[r:r + 1], ends[r:r + 1])[0]
+        assert one.size == ends[r] + 1
+        assert np.array_equal(tp[r, :one.size], one)
+        assert not tp[r, one.size:].any()
+        inc = build_increment_tp(1.0, m)
+        assert inc.support_end == ends[r]
+        assert np.array_equal(one, inc.masses)
+
+
+@given(incs=st.lists(increments(), min_size=1, max_size=6),
+       order_up_to=st.integers(0, 2 * BLOCK + 5))
+@settings(max_examples=40, deadline=None)
+def test_batched_recursion_matches_loop(incs, order_up_to):
+    width = max(inc.masses.size for inc in incs)
+    g = np.zeros((len(incs), width))
+    for row, inc in zip(g, incs):
+        row[:inc.masses.size] = inc.masses
+    m = _renewal_rows(g, order_up_to)
+    for row, inc in zip(m, incs):
+        np.testing.assert_allclose(row, loop_oracle(inc.masses, order_up_to),
+                                   rtol=1e-12, atol=0.0)
+
+
+def test_wald_certificate():
+    # rows with support end 2 and 3 (one zero-padded), one with mass at zero
+    g = np.array([[0.25, 0.5, 0.25, 0.0], [0.5, 0.0, 0.0, 0.5]])
+    ends = np.array([2, 3])
+    for order_up_to in (0, 1, 6, 40):
+        cycles = _renewal_rows(g, order_up_to).sum(axis=1)
+        _check_wald(g, ends, order_up_to, cycles)
+        mean = g @ np.arange(4.0)
+        # a hand-built E[K] just outside each end of the bracket
+        for bad in ((order_up_to + 1) / mean[1] * (1 - 1e-6),
+                    (order_up_to + 3) / mean[1] * (1 + 1e-6), np.nan):
+            with pytest.raises(ArithmeticError, match="Wald bracket"):
+                _check_wald(g, ends, order_up_to, np.array([cycles[0], bad]))
 
 
 def test_builders_reject_infinite_load_mean():
