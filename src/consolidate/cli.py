@@ -288,17 +288,15 @@ def cmd_optimize(args) -> int:
     kind = _require(spec, "policy_kind", "optimize")
     bounds = compare_mod.SearchBounds()
     if "bounds" in spec:
-        _check_keys(spec["bounds"], BOUND_KEYS, "optimize.bounds")
+        given = spec["bounds"]
+        _check_keys(given, BOUND_KEYS, "optimize.bounds")
+        kwargs = {}
+        for key in compare_mod.SearchBounds.__dataclass_fields__:
+            if key in given:
+                parse = _integer if isinstance(getattr(bounds, key), int) else _number
+                kwargs[key] = parse(given[key], f"optimize.bounds.{key}")
         try:
-            bounds = compare_mod.SearchBounds(
-                q_max=_integer(spec["bounds"].get("q_max", bounds.q_max),
-                               "optimize.bounds.q_max"),
-                order_up_to_max=_integer(spec["bounds"].get("order_up_to_max",
-                                                            bounds.order_up_to_max),
-                                         "optimize.bounds.order_up_to_max"),
-                period_max=_number(spec["bounds"].get("period_max", bounds.period_max),
-                                   "optimize.bounds.period_max"),
-            )
+            bounds = compare_mod.SearchBounds(**kwargs)
         except ValueError as err:
             raise ConfigError(f"optimize.bounds: {err}") from err
     try:

@@ -44,6 +44,7 @@ from .metrics import (
     QuantityPolicy,
     SystemConfig,
     TimePolicy,
+    _per_order,
     _period_costs,
     average_cost,
     cycle_metrics,
@@ -128,9 +129,9 @@ def _matched_row(label: str, rate: float, policy: Policy, order_up_to: int | Non
     """A feasible row; with a level it also carries AIR in both modes and, given
     costs, the exact AC."""
     cyc = cycle_metrics(rate, policy)
+    aod, aosd = _per_order(cyc)
     row = ComparisonRow(label=label, policy=policy, order_up_to=order_up_to, feasible=True,
-                        notes=notes, aod=cyc.delay / cyc.orders,
-                        aosd=cyc.sq_delay / cyc.orders, cycle_length=cyc.length)
+                        notes=notes, aod=aod, aosd=aosd, cycle_length=cyc.length)
     if order_up_to is not None:
         cfg = SystemConfig(rate, policy, order_up_to,
                            costs if costs is not None else CostParams())
@@ -303,10 +304,8 @@ def verify_theorems(grid: VerifyGrid | None = None) -> TheoremReport:
     for rate in grid.demand_rates:
         for q in grid.q_values:
             elc = q / rate
-            aod_qp = (q - 1) / (2.0 * rate)
-            aod_tp = elc / 2.0
-            aosd_qp = (q * q - 1) / (3.0 * rate * rate)
-            aosd_tp = elc * elc / 3.0
+            aod_qp, aosd_qp = _per_order(cycle_metrics(rate, QuantityPolicy(q)))
+            aod_tp, aosd_tp = _per_order(cycle_metrics(rate, TimePolicy(elc)))
             fixed = [(n,
                       average_cost(SystemConfig.quantity(rate, q, n, grid.costs), "exact"),
                       average_cost(SystemConfig(rate, TimePolicy(elc), n * q - 1, grid.costs),
@@ -316,9 +315,7 @@ def verify_theorems(grid: VerifyGrid | None = None) -> TheoremReport:
                 q_h = q + extra
                 period = match_consolidation_cycle(rate, elc, q_h)
                 hp = HybridPolicy(q_h, period)
-                cyc = cycle_metrics(rate, hp)
-                aod_hp = cyc.delay / cyc.orders
-                aosd_hp = cyc.sq_delay / cyc.orders
+                aod_hp, aosd_hp = _per_order(cycle_metrics(rate, hp))
                 report.points += 1
                 point = {"rate": rate, "q": q, "q_h": q_h}
                 if not (aod_qp < aod_hp < aod_tp):

@@ -19,6 +19,13 @@ where AIR is average on-hand inventory per time unit and AOD the average
 delay per order.  Exact mode computes e_k and the holding factor from the
 renewal table of the load distribution; approximate mode treats the cycle
 count as continuous, giving e_k ~ (Q+1)/e_n and the Table-style closed forms.
+
+Each of these expressions is written once, in a function that takes floats or
+arrays alike: the time and hybrid cycle forms (``_cycle_forms``), the exact
+replenishment record (``_renewal_record``), the per-order ratios and AIR
+(``_per_order``, ``_service``) and the four cost components (``_components``).
+The optimizer's period scan ``_period_costs`` calls them on arrays; it owns
+only the mass rows, their batched renewal recursion and its certificate.
 """
 
 from __future__ import annotations
@@ -233,25 +240,29 @@ def cycle_metrics(demand_rate: float, policy: Policy) -> CycleMetrics:
             delay=q * (q - 1) / (2.0 * rate),
             sq_delay=(q**3 - q) / (3.0 * rate**2),
         )
-    if isinstance(policy, TimePolicy):
-        t = policy.period
-        return CycleMetrics(
-            length=t,
-            orders=rate * t,
-            delay=rate * t * t / 2.0,
-            sq_delay=rate * t**3 / 3.0,
-        )
-    if isinstance(policy, HybridPolicy):
-        mu = rate * policy.period
-        q = policy.q
-        orders = _factorial_moment(mu, q, 1)
-        return CycleMetrics(
-            length=orders / rate,
-            orders=orders,
-            delay=_factorial_moment(mu, q, 2) / (2.0 * rate),
-            sq_delay=_factorial_moment(mu, q + 1, 3) / (3.0 * rate**2),
-        )
+    if isinstance(policy, (TimePolicy, HybridPolicy)):
+        return _cycle_forms(rate, getattr(policy, "q", None), policy.period)
     raise TypeError(f"unknown policy type: {policy!r}")
+
+
+def _cycle_forms(rate: float, q: int | None, period) -> CycleMetrics:
+    """Time (q None) or hybrid cycle closed forms at a float period, or
+    elementwise at an array of periods with the same expressions."""
+    if q is None:
+        return CycleMetrics(
+            length=period,
+            orders=rate * period,
+            delay=rate * period * period / 2.0,
+            sq_delay=rate * period**3 / 3.0,
+        )
+    mu = rate * period
+    orders = _factorial_moment(mu, q, 1)
+    return CycleMetrics(
+        length=orders / rate,
+        orders=orders,
+        delay=_factorial_moment(mu, q, 2) / (2.0 * rate),
+        sq_delay=_factorial_moment(mu, q + 1, 3) / (3.0 * rate**2),
+    )
 
 
 @lru_cache(maxsize=512)
@@ -285,27 +296,42 @@ def _replenish(cfg: SystemConfig, mode: str, cyc: CycleMetrics) -> ReplenishMetr
     if isinstance(cfg.policy, QuantityPolicy):
         n = cfg.n_dispatches
         q = cfg.policy.q
-        return ReplenishMetrics(
-            cycles=float(n),
-            length=n * q / rate,
-            holding=n * (n - 1) * q * q / (2.0 * rate),
-            mode=mode,
-        )
+        return ReplenishMetrics(cycles=float(n), length=n * q / rate,
+                                holding=n * (n - 1) * q * q / (2.0 * rate), mode=mode)
     if mode == "approx":
         return ReplenishMetrics(
-            cycles=(q_up + 1) / cyc.orders,
-            length=(q_up + 1) / rate,
-            holding=cyc.orders * q_up / rate + q_up * (q_up + 1) / (2.0 * rate),
-            mode=mode,
-        )
+            cycles=(q_up + 1) / cyc.orders, length=(q_up + 1) / rate,
+            holding=cyc.orders * q_up / rate + q_up * (q_up + 1) / (2.0 * rate), mode=mode)
     table = _policy_table(rate, cfg.policy, q_up)
-    cycles = renewal.expected_k(table)
-    return ReplenishMetrics(
-        cycles=cycles,
-        length=cycles * cyc.length,
-        holding=cyc.length * renewal.holding_sum(table),
-        mode=mode,
-    )
+    return _renewal_record(cyc, renewal.expected_k(table), renewal.holding_sum(table))
+
+
+def _renewal_record(cyc: CycleMetrics, cycles, holding_sum) -> ReplenishMetrics:
+    """Exact record from the renewal table's E[K] and sum_i m(i) (Q - i)."""
+    return ReplenishMetrics(cycles=cycles, length=cycles * cyc.length,
+                            holding=cyc.length * holding_sum, mode="exact")
+
+
+def _per_order(cyc: CycleMetrics) -> tuple:
+    """(AOD, AOSD): the cycle's summed delay and squared delay per order."""
+    return cyc.delay / cyc.orders, cyc.sq_delay / cyc.orders
+
+
+def _service(cyc: CycleMetrics, rep: ReplenishMetrics) -> ServiceMetrics:
+    return ServiceMetrics(*_per_order(cyc), air=rep.holding / rep.length)
+
+
+def _components(rate: float, costs: CostParams, cyc: CycleMetrics, rep: ReplenishMetrics,
+                svc: ServiceMetrics, delay: str) -> dict:
+    """The four cost rates; their sum in this order is the average cost."""
+    return {
+        "replenish": rate * (costs.replenish_fixed / (rep.cycles * cyc.orders)
+                             + costs.replenish_unit),
+        "holding": costs.holding * svc.air,
+        "dispatch": rate * (costs.dispatch_fixed / cyc.orders + costs.dispatch_unit),
+        "waiting": (costs.wait_linear * rate * svc.aod if delay == "linear"
+                    else costs.wait_squared * rate * svc.aosd),
+    }
 
 
 def _assess(cfg: SystemConfig,
@@ -313,12 +339,7 @@ def _assess(cfg: SystemConfig,
     """Cycle, replenishment and service metrics, each computed once."""
     cyc = cycle_metrics(cfg.demand_rate, cfg.policy)
     rep = _replenish(cfg, mode, cyc)
-    svc = ServiceMetrics(
-        aod=cyc.delay / cyc.orders,
-        aosd=cyc.sq_delay / cyc.orders,
-        air=rep.holding / rep.length,
-    )
-    return cyc, rep, svc
+    return cyc, rep, _service(cyc, rep)
 
 
 def service_metrics(cfg: SystemConfig, mode: str = "exact") -> ServiceMetrics:
@@ -342,17 +363,8 @@ def average_cost(cfg: SystemConfig, mode: str = "exact", delay: str = "linear") 
     """
     if delay not in ("linear", "squared"):
         raise ValueError(f"delay must be 'linear' or 'squared', got {delay!r}")
-    rate = cfg.demand_rate
-    costs = cfg.costs
     cyc, rep, svc = _assess(cfg, mode)
-    components = {
-        "replenish": rate * (costs.replenish_fixed / (rep.cycles * cyc.orders)
-                             + costs.replenish_unit),
-        "holding": costs.holding * svc.air,
-        "dispatch": rate * (costs.dispatch_fixed / cyc.orders + costs.dispatch_unit),
-        "waiting": (costs.wait_linear * rate * svc.aod if delay == "linear"
-                    else costs.wait_squared * rate * svc.aosd),
-    }
+    components = _components(cfg.demand_rate, cfg.costs, cyc, rep, svc, delay)
     return Evaluation(
         avg_cost=sum(components.values()),
         components=components,
@@ -369,11 +381,12 @@ def _period_costs(demand_rate: float, costs: CostParams, q: int | None, periods,
     Element r is ``average_cost(SystemConfig(demand_rate, policy, order_up_to,
     costs)).avg_cost`` up to rounding, for the time policy of period
     ``periods[r]`` when q is None and the hybrid policy (q, periods[r])
-    otherwise.  It uses the same closed forms on arrays, the renewal recursion
-    along the batch axis (certified per row by the Wald bracket) and the
-    expressions of ``average_cost`` for the components, summed in the same
-    order.  It raises where the scalar path raises and never returns inf or
-    nan.  Rows are processed in chunks of at most ``_CHUNK_CELLS`` mass cells.
+    otherwise.  The cycle forms, records and cost components are the scalar
+    path's, summed in its order.  This function owns the input checks, the
+    mass rows and their renewal recursion along the batch axis (in chunks of
+    at most ``_CHUNK_CELLS`` mass cells), the per-row Wald certificate and
+    the overflow checks: it raises where the scalar path raises and never
+    returns inf or nan.
     """
     rate = float(demand_rate)
     if not rate > 0.0:
@@ -383,17 +396,8 @@ def _period_costs(demand_rate: float, costs: CostParams, q: int | None, periods,
     mu = np.array([renewal._load_mean(rate, period) for period in t.tolist()])
     # Overflow is detected from the results, not from numpy's warnings.
     with np.errstate(over="ignore", invalid="ignore"):
-        if q is None:
-            length = t
-            orders = mu
-            delay = rate * t * t / 2.0
-            sq_delay = rate * t**3 / 3.0
-        else:
-            orders = _factorial_moment(mu, q, 1)
-            length = orders / rate
-            delay = _factorial_moment(mu, q, 2) / (2.0 * rate)
-            sq_delay = _factorial_moment(mu, q + 1, 3) / (3.0 * rate**2)
-        if not np.all(np.isfinite(delay) & np.isfinite(sq_delay)):
+        cyc = _cycle_forms(rate, q, t)
+        if not np.all(np.isfinite(cyc.delay) & np.isfinite(cyc.sq_delay)):
             raise OverflowError(f"cycle metrics overflow at a period up to {float(t.max())!r}")
 
         ends = ([renewal._tp_support_end(m) for m in mu.tolist()] if q is None
@@ -411,12 +415,8 @@ def _period_costs(demand_rate: float, costs: CostParams, q: int | None, periods,
             holding_sum[chunk] = m @ levels
             renewal._check_wald(g, np.array(ends[chunk]), order_up_to, cycles[chunk])
 
-        air = length * holding_sum / (cycles * length)
-        aod = delay / orders
-        cost = (rate * (costs.replenish_fixed / (cycles * orders) + costs.replenish_unit)
-                + costs.holding * air
-                + rate * (costs.dispatch_fixed / orders + costs.dispatch_unit)
-                + costs.wait_linear * rate * aod)
+        rep = _renewal_record(cyc, cycles, holding_sum)
+        cost = sum(_components(rate, costs, cyc, rep, _service(cyc, rep), "linear").values())
     if not np.all(np.isfinite(cost)):
         raise OverflowError("average cost is not finite")
     return cost

@@ -66,6 +66,10 @@ class SimConfig:
         if self.n_cycles // batch < 2:
             raise ValueError("need at least two batches for a standard error")
         object.__setattr__(self, "batch_size", batch)
+        load = _mean_load(self.system)
+        if load > _GEN_CAP:
+            raise ValueError(f"mean consolidation load {load:g} exceeds the generator cap "
+                             f"{_GEN_CAP} order draws per block")
 
     @property
     def n_batches(self) -> int:

@@ -130,7 +130,9 @@ def _factorial_moment(mu, q: int, k: int):
     makes one factor of the falling factorial vanish.  A float mu is checked
     and raises OverflowError where its power overflows; an array is not
     checked and gets inf or nan there instead.  Both evaluate the same
-    expression, element for element.
+    expression, but not bit for bit: the float ``mu**k`` calls libm ``pow``
+    while numpy squares or cubes, so for k = 2 and 3 the branches can differ
+    by a few ulp (within relative 1e-15).
     """
     if k > q:
         return 0.0 * mu

@@ -131,6 +131,15 @@ def test_simulate_refuses_too_few_cycles(hp_config, capsys):
     assert "99" in err
 
 
+def test_simulate_refuses_load_above_generator_cap(tmp_path, capsys):
+    doc = dict(HP_DOC, policy={"type": "time", "period": 1e6}, order_up_to=0)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run_cli(["simulate", "--config", str(path)], capsys)
+    assert code == 2
+    assert "simulate:" in err and "1e+06" in err and "524288" in err
+
+
 def test_simulate_trace_row_count(hp_config, tmp_path, capsys):
     trace = tmp_path / "trace.csv"
     code, _, _ = run_cli(["simulate", "--config", hp_config, "--cycles", "500",
@@ -196,6 +205,19 @@ def test_optimize_trace_csv_rows_equal_evaluations(tmp_path, capsys):
     with open(out_path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert len(rows) - 1 == evaluations
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("q_max", 2.5, "optimize.bounds.q_max: expected an integer, got 2.5"),
+    ("period_max", "x", "optimize.bounds.period_max: expected a number, got 'x'"),
+])
+def test_optimize_bounds_type_errors(tmp_path, capsys, field, value, message):
+    doc = {"demand_rate": 1.0, "optimize": {"policy_kind": "time", "bounds": {field: value}}}
+    path = tmp_path / "opt.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run_cli(["optimize", "--config", str(path)], capsys)
+    assert code == 2
+    assert err == f"config error: {message}\n"
 
 
 def test_console_entry_point(hp_config):

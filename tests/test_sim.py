@@ -3,6 +3,7 @@ with the closed forms at Monte Carlo scale."""
 
 import io
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -26,7 +27,7 @@ from consolidate import (
     service_metrics,
     simulate,
 )
-from consolidate.sim import TRACE_HEADER, _generate, _simulate_batch, _split
+from consolidate.sim import _GEN_CAP, TRACE_HEADER, _generate, _simulate_batch, _split
 
 REF_COSTS = CostParams(replenish_fixed=25.0, holding=0.4, dispatch_fixed=15.0, wait_linear=0.8)
 
@@ -396,3 +397,12 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SimConfig(system, 1000, seed=1, delay="other")
     assert SimConfig(system, 1000, seed=1).batch_size == 10
+
+
+def test_config_rejects_mean_load_above_generator_cap():
+    # Validation only: a simulation at these loads would build gigabytes.
+    for policy, load in ((TimePolicy(1e6), "1e+06"), (QuantityPolicy(2**19 + 1), "524289")):
+        message = f"load {load} exceeds the generator cap {_GEN_CAP}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SimConfig(SystemConfig(1.0, policy, 0), 1000, seed=1)
+    assert SimConfig(SystemConfig(1.0, TimePolicy(2.0**19), 0), 1000, seed=1).n_batches == 100

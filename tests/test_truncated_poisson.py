@@ -7,6 +7,7 @@ compensation for the tails) so the two routes share no code path.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -27,6 +28,7 @@ from consolidate import (
     trunc_pmf,
     trunc_variance,
 )
+from consolidate.truncated_poisson import _factorial_moment
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -241,6 +243,15 @@ def test_gamma_min_moment_tolerance_error():
 # ratio functions
 
 
+@given(mu=st.floats(1e-6, 1e3), q=st.integers(1, 59), k=st.integers(1, 3))
+@settings(max_examples=300, deadline=None)
+def test_factorial_moment_float_and_array_branches_agree(mu, q, k):
+    # Not bit for bit: the float branch's mu**k is libm pow, numpy's squares or cubes.
+    scalar = _factorial_moment(mu, q, k)
+    batched = _factorial_moment(np.array([mu]), q, k)[0]
+    assert abs(scalar - batched) <= 1e-15 * abs(scalar)
+
+
 def test_squared_mean_ratio_basics():
     assert squared_mean_ratio(1.0, 2) == pytest.approx(1.5203240551585882, rel=1e-12)
     assert squared_mean_ratio(1.0, 2) > 1.0
@@ -258,24 +269,40 @@ def truncation_active(mu, q):
     return poisson_tail(mu, q - 1) > 1e-12
 
 
-# Strict *increase* in mu additionally needs head mass: the ratio derivative
-# carries a P(X <= q-1) factor that underflows when mu >> q.
-def ratio_moves(mu, q):
-    return truncation_active(mu, q) and poisson_cdf(mu, q - 1) > 1e-12
-
-
 ULP_BAND = 1e-14  # rounding noise of the closed forms in the saturated regime
+
+
+def squared_mean_ratio_50_digits(mu, q):
+    """E[X_q]^2 / E[X_q^(2)] from the head masses and the tail P(q, mu) at 50 digits."""
+    with mpmath.workdps(50):
+        mu = mpmath.mpf(mu)
+        tail = mpmath.gammainc(q, 0, mu, regularized=True)
+        head = [mpmath.exp(-mu) * mu**i / mpmath.factorial(i) for i in range(q)]
+        m1 = sum(i * p for i, p in enumerate(head)) + q * tail
+        m2 = sum(i * (i - 1) * p for i, p in enumerate(head)) + q * (q - 1) * tail
+        return m1 * m1 / m2
+
+
+# Strict *increase* in mu is asserted only where the exact increase clears the
+# rounding band: the increase carries a P(X <= q-1) factor and can fall below
+# one ulp of the ratio (1.7e-16 at mu = 39, q = 5) while that head mass is
+# still far above underflow.
+def ratio_moves(mu, q, r):
+    rise = squared_mean_ratio_50_digits(mu + 0.01, q) - squared_mean_ratio_50_digits(mu, q)
+    return rise > 2.0 * ULP_BAND * r
 
 
 @given(mu=st.floats(0.02, 40.0), q=st.integers(2, 30))
 @settings(max_examples=150, deadline=None)
+@example(mu=39.0, q=5)
+@example(mu=33.75, q=3)
 def test_squared_mean_ratio_above_one_and_increasing(mu, q):
     r = squared_mean_ratio(mu, q)
     assert r >= 1.0 - ULP_BAND
     assert squared_mean_ratio(mu + 0.01, q) >= r * (1.0 - ULP_BAND)
     if truncation_active(mu, q):
         assert r > 1.0
-    if ratio_moves(mu, q):
+    if ratio_moves(mu, q, r):
         assert squared_mean_ratio(mu + 0.01, q) > r
 
 
