@@ -2,6 +2,9 @@
 
 A single JSON config document describes the system; each command reads the
 sections it needs and rejects unknown keys with a dotted-path diagnostic.
+The policy, ``costs``, ``match``, ``optimize.bounds`` and ``verify`` sections
+each build a library dataclass: its fields are the keys, its annotations the
+value types, and its ``__post_init__`` checks the ranges.
 Exit codes: 0 success, 2 config error, 3 ordering verification failure.
 """
 
@@ -9,8 +12,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
+from contextlib import contextmanager
 
 from . import compare as compare_mod
 from . import metrics, sim
@@ -20,7 +25,18 @@ class ConfigError(Exception):
     """Invalid configuration; message carries the offending field path."""
 
 
-def _require(mapping: dict, key: str, where: str):
+@contextmanager
+def _at(where: str):
+    """Report a library's ValueError or OverflowError as a config error at ``where``."""
+    try:
+        yield
+    except (ValueError, OverflowError) as err:
+        raise ConfigError(f"{where}: {err}") from err
+
+
+def _require(mapping, key: str, where: str):
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"{where}: expected an object")
     if key not in mapping:
         raise ConfigError(f"{where}.{key}: required key is missing")
     return mapping[key]
@@ -46,15 +62,37 @@ def _integer(value, where: str) -> int:
     return value
 
 
+def _nonempty_list(value, where: str) -> tuple:
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{where}: expected a nonempty list")
+    return tuple(value)
+
+
+# Value parser by field annotation (a string: the library postpones annotations).
+_PARSERS = {"int": _integer, "float": _number, "float | None": _number,
+            "tuple": _nonempty_list}
+
+
+def _section(spec, cls, where: str, **fixed):
+    """``cls`` from the config object ``spec``, whose keys are the fields of ``cls``
+    not in ``fixed``, each parsed by its annotation; ``cls`` checks the ranges."""
+    fields = [f for f in dataclasses.fields(cls) if f.name not in fixed]
+    _check_keys(spec, {f.name for f in fields}, where)
+    for f in fields:
+        if f.name in spec:
+            fixed[f.name] = _PARSERS[f.type](spec[f.name], f"{where}.{f.name}")
+        elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+            raise ConfigError(f"{where}.{f.name}: required key is missing")
+    with _at(where):
+        return cls(**fixed)
+
+
 TOP_KEYS = {"demand_rate", "policy", "order_up_to", "n_dispatches", "costs",
             "simulate", "match", "optimize", "verify"}
-POLICY_KEYS = {"type", "q", "period"}
-COST_KEYS = set(metrics.CostParams.__dataclass_fields__)
+POLICY_TYPES = {"quantity": metrics.QuantityPolicy, "time": metrics.TimePolicy,
+                "hybrid": metrics.HybridPolicy}
 SIM_KEYS = {"cycles", "seed", "batch_size", "delay"}
-MATCH_KEYS = {"target_cycle_length", "target_replenish_length", "qh_list"}
 OPT_KEYS = {"policy_kind", "bounds"}
-BOUND_KEYS = set(compare_mod.SearchBounds.__dataclass_fields__)
-VERIFY_KEYS = set(compare_mod.VerifyGrid.__dataclass_fields__) - {"costs"}
 
 
 def load_config(path: str) -> dict:
@@ -71,37 +109,21 @@ def load_config(path: str) -> dict:
 
 def _parse_policy(doc: dict) -> metrics.Policy:
     spec = _require(doc, "policy", "config")
-    _check_keys(spec, POLICY_KEYS, "policy")
     kind = _require(spec, "type", "policy")
-    try:
-        if kind == "quantity":
-            return metrics.QuantityPolicy(_integer(_require(spec, "q", "policy"), "policy.q"))
-        if kind == "time":
-            return metrics.TimePolicy(_number(_require(spec, "period", "policy"), "policy.period"))
-        if kind == "hybrid":
-            return metrics.HybridPolicy(
-                _integer(_require(spec, "q", "policy"), "policy.q"),
-                _number(_require(spec, "period", "policy"), "policy.period"),
-            )
-    except ValueError as err:
-        raise ConfigError(f"policy: {err}") from err
-    raise ConfigError(f"policy.type: must be quantity|time|hybrid, got {kind!r}")
+    if not isinstance(kind, str) or kind not in POLICY_TYPES:
+        raise ConfigError(f"policy.type: must be quantity|time|hybrid, got {kind!r}")
+    return _section({k: v for k, v in spec.items() if k != "type"}, POLICY_TYPES[kind], "policy")
 
 
 def _parse_costs(doc: dict) -> metrics.CostParams:
-    spec = doc.get("costs", {})
-    _check_keys(spec, COST_KEYS, "costs")
-    try:
-        return metrics.CostParams(**{k: _number(v, f"costs.{k}") for k, v in spec.items()})
-    except ValueError as err:
-        raise ConfigError(f"costs: {err}") from err
+    return _section(doc.get("costs", {}), metrics.CostParams, "costs")
 
 
 def _parse_system(doc: dict) -> metrics.SystemConfig:
     rate = _number(_require(doc, "demand_rate", "config"), "demand_rate")
     policy = _parse_policy(doc)
     costs = _parse_costs(doc)
-    try:
+    with _at("config"):
         if "n_dispatches" in doc:
             if "order_up_to" in doc:
                 raise ConfigError("config.order_up_to: give either order_up_to or n_dispatches")
@@ -111,8 +133,6 @@ def _parse_system(doc: dict) -> metrics.SystemConfig:
                 rate, policy.q, _integer(doc["n_dispatches"], "n_dispatches"), costs)
         order_up_to = _integer(_require(doc, "order_up_to", "config"), "order_up_to")
         return metrics.SystemConfig(rate, policy, order_up_to, costs)
-    except ValueError as err:
-        raise ConfigError(f"config: {err}") from err
 
 
 def _parse_sim(doc: dict, system: metrics.SystemConfig, args) -> sim.SimConfig:
@@ -124,7 +144,7 @@ def _parse_sim(doc: dict, system: metrics.SystemConfig, args) -> sim.SimConfig:
         raise ConfigError("simulate.cycles: required (or pass --cycles)")
     if seed is None:
         raise ConfigError("simulate.seed: required (or pass --seed)")
-    try:
+    with _at("simulate"):
         return sim.SimConfig(
             system=system,
             n_cycles=_integer(cycles, "simulate.cycles"),
@@ -133,8 +153,6 @@ def _parse_sim(doc: dict, system: metrics.SystemConfig, args) -> sim.SimConfig:
                         else _integer(spec["batch_size"], "simulate.batch_size")),
             delay=spec.get("delay", "linear"),
         )
-    except ValueError as err:
-        raise ConfigError(f"simulate: {err}") from err
 
 
 def _fmt(value) -> str:
@@ -161,10 +179,8 @@ def _write_output(payload: dict, csv_rows, args) -> None:
 def cmd_evaluate(args) -> int:
     doc = load_config(args.config)
     system = _parse_system(doc)
-    try:
+    with _at("config"):
         result = metrics.average_cost(system, mode=args.mode, delay=args.delay)
-    except ValueError as err:
-        raise ConfigError(f"config: {err}") from err
     print(f"policy: {system.policy.label()}  order_up_to={system.order_up_to}  "
           f"demand_rate={_fmt(system.demand_rate)}")
     print(f"mode={args.mode} delay={args.delay}")
@@ -207,24 +223,15 @@ def cmd_compare(args) -> int:
     doc = load_config(args.config)
     rate = _number(_require(doc, "demand_rate", "config"), "demand_rate")
     match = _require(doc, "match", "config")
-    _check_keys(match, MATCH_KEYS, "match")
     qh_list = _require(match, "qh_list", "match")
     if (not isinstance(qh_list, list) or not qh_list
             or any(isinstance(q, bool) or not isinstance(q, int) for q in qh_list)):
         raise ConfigError("match.qh_list: expected a nonempty list of integers")
     costs = _parse_costs(doc) if "costs" in doc else None
-    try:
-        spec = compare_mod.MatchSpec(
-            demand_rate=rate,
-            target_cycle_length=_number(_require(match, "target_cycle_length", "match"),
-                                        "match.target_cycle_length"),
-            target_replenish_length=(
-                None if "target_replenish_length" not in match
-                else _number(match["target_replenish_length"], "match.target_replenish_length")),
-        )
+    spec = _section({k: v for k, v in match.items() if k != "qh_list"},
+                    compare_mod.MatchSpec, "match", demand_rate=rate)
+    with _at("match"):
         result = compare_mod.compare_matched(spec, qh_list, costs)
-    except ValueError as err:
-        raise ConfigError(f"match: {err}") from err
     cols = ["label", "feasible", "order_up_to", "cycle_length", "aod", "aosd",
             "air_exact", "air_approx", "ac", "notes"]
     payload = result.to_dict()
@@ -244,20 +251,9 @@ def cmd_compare(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    grid = compare_mod.VerifyGrid()
-    if args.config is not None:
-        doc = load_config(args.config)
-        spec = doc.get("verify", {})
-        _check_keys(spec, VERIFY_KEYS, "verify")
-        kwargs = {}
-        for key in compare_mod.VerifyGrid.__dataclass_fields__:  # costs was rejected above
-            if key in spec:
-                values = spec[key]
-                if not isinstance(values, list) or not values:
-                    raise ConfigError(f"verify.{key}: expected a nonempty list")
-                kwargs[key] = tuple(values)
-        costs = _parse_costs(doc) if "costs" in doc else compare_mod.REFERENCE_COSTS
-        grid = compare_mod.VerifyGrid(costs=costs, **kwargs)
+    doc = load_config(args.config) if args.config is not None else {}
+    costs = _parse_costs(doc) if "costs" in doc else compare_mod.REFERENCE_COSTS
+    grid = _section(doc.get("verify", {}), compare_mod.VerifyGrid, "verify", costs=costs)
     report = compare_mod.verify_theorems(grid)
     print(f"matched points checked: {report.points} "
           f"(plus {report.air_points} with replenishment-length matching)")
@@ -286,23 +282,9 @@ def cmd_optimize(args) -> int:
     spec = _require(doc, "optimize", "config")
     _check_keys(spec, OPT_KEYS, "optimize")
     kind = _require(spec, "policy_kind", "optimize")
-    bounds = compare_mod.SearchBounds()
-    if "bounds" in spec:
-        given = spec["bounds"]
-        _check_keys(given, BOUND_KEYS, "optimize.bounds")
-        kwargs = {}
-        for key in compare_mod.SearchBounds.__dataclass_fields__:
-            if key in given:
-                parse = _integer if isinstance(getattr(bounds, key), int) else _number
-                kwargs[key] = parse(given[key], f"optimize.bounds.{key}")
-        try:
-            bounds = compare_mod.SearchBounds(**kwargs)
-        except ValueError as err:
-            raise ConfigError(f"optimize.bounds: {err}") from err
-    try:
+    bounds = _section(spec.get("bounds", {}), compare_mod.SearchBounds, "optimize.bounds")
+    with _at("optimize"):
         result = compare_mod.optimize(rate, costs, kind, bounds)
-    except ValueError as err:
-        raise ConfigError(f"optimize: {err}") from err
     print(f"best: {result.best.policy.label()}  order_up_to={result.best.order_up_to}")
     print(f"best average cost: {_fmt(result.best_cost)}")
     print(f"evaluations: {result.evaluations}")

@@ -33,8 +33,10 @@ period, scanned or stepped, is one entry of the trace.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass, field
 from functools import partial
+from typing import ClassVar
 
 from .metrics import (
     CostParams,
@@ -231,6 +233,20 @@ class VerifyGrid:
     replenish_multiples: tuple = (2, 4, 8)
     costs: CostParams = REFERENCE_COSTS
 
+    def __post_init__(self):
+        for name in ("demand_rates", "q_values", "qh_extra", "replenish_multiples"):
+            values = tuple(getattr(self, name))
+            if not values:
+                raise ValueError(f"{name} must be nonempty")
+            for v in values:
+                if name == "demand_rates":
+                    if (isinstance(v, bool) or not isinstance(v, numbers.Real)
+                            or not 0.0 < v < math.inf):
+                        raise ValueError(f"demand_rates must be finite numbers > 0, got {v!r}")
+                elif isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < 1:
+                    raise ValueError(f"{name} must be integers >= 1, got {v!r}")
+            object.__setattr__(self, name, values)
+
 
 @dataclass
 class TheoremReport:
@@ -249,10 +265,10 @@ class TheoremReport:
     sq_delay_qp_worse: int = 0
     sq_delay_hp_worse: int = 0
     air_max_rel_gap: float = 0.0
-    air_rel_tol: float = 0.05
     air_order_violations: list = field(default_factory=list)
     cost_order_violations: list = field(default_factory=list)
-    cost_slack: float = 1e-9
+    air_rel_tol: ClassVar[float] = 0.05
+    cost_slack: ClassVar[float] = 1e-9
 
     @property
     def both_squared_delay_signs(self) -> bool:

@@ -30,6 +30,7 @@ only the mass rows, their batched renewal recursion and its certificate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Union
@@ -78,6 +79,8 @@ class TimePolicy:
     def __post_init__(self):
         if not self.period > 0.0:
             raise ValueError(f"period must be positive, got {self.period}")
+        if math.isinf(self.period):
+            raise ValueError(f"period must be finite, got {self.period}")
         object.__setattr__(self, "period", float(self.period))
 
     kind = "TP"
@@ -98,6 +101,8 @@ class HybridPolicy:
             raise ValueError(f"q must be a positive integer, got {self.q}")
         if not self.period > 0.0:
             raise ValueError(f"period must be positive, got {self.period}")
+        if math.isinf(self.period):
+            raise ValueError(f"period must be finite, got {self.period}")
         object.__setattr__(self, "q", int(self.q))
         object.__setattr__(self, "period", float(self.period))
 
@@ -127,6 +132,8 @@ class CostParams:
             value = float(getattr(self, name))
             if value < 0.0:
                 raise ValueError(f"cost coefficient {name} must be nonnegative, got {value}")
+            if not math.isfinite(value):
+                raise ValueError(f"cost coefficient {name} must be finite, got {value}")
             object.__setattr__(self, name, value)
 
 
@@ -142,6 +149,8 @@ class SystemConfig:
     def __post_init__(self):
         if not self.demand_rate > 0.0:
             raise ValueError(f"demand_rate must be positive, got {self.demand_rate}")
+        if math.isinf(self.demand_rate):
+            raise ValueError(f"demand_rate must be finite, got {self.demand_rate}")
         q_up = self.order_up_to
         if q_up != int(q_up) or q_up < 0:
             raise ValueError(f"order_up_to must be a nonnegative integer, got {q_up}")

@@ -232,10 +232,13 @@ def _simulate_batch(rng, system: SystemConfig, n_batch: int, cons_per_cycle: flo
     emitted = 0
     grow = 0
     while emitted < n_batch:
-        # The first block is sized from the hint.  A stream that runs out
-        # mid-cycle keeps its tail and is extended by a block of at least
-        # 4096 cycles (within the cap), doubling each time, then rescanned.
-        want = max(int((n_batch - emitted) * cons_per_cycle * 1.2) + 64, grow)
+        # The first block is sized from the hint, padded by 64 cycles or, when
+        # the cap is below 512 cycles (mean load above 1024), by an eighth of
+        # it: a fixed pad would make a small batch draw a whole capped block.
+        # A stream that runs out mid-cycle keeps its tail and is extended by a
+        # block of at least 4096 cycles (within the cap), doubling each time,
+        # then rescanned.
+        want = max(int((n_batch - emitted) * cons_per_cycle * 1.2) + min(64, cap // 8), grow)
         grow = max(2 * grow, 4096)
         length, loads, delay, sq_delay, audit = _generate(rng, system, min(want, cap))
         lin, sq = per_order_delays(audit[0], audit[1])

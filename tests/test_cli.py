@@ -1,7 +1,9 @@
 """Command-line interface: outputs, exit codes, determinism, round-trips."""
 
+import copy
 import csv
 import json
+import math
 import subprocess
 import sys
 
@@ -218,6 +220,79 @@ def test_optimize_bounds_type_errors(tmp_path, capsys, field, value, message):
     code, _, err = run_cli(["optimize", "--config", str(path)], capsys)
     assert code == 2
     assert err == f"config error: {message}\n"
+
+
+# Every command's sections, small enough that a valid run is quick.
+FULL_DOC = {
+    **HP_DOC,
+    "match": {"target_cycle_length": 5.0, "qh_list": [6]},
+    "optimize": {"policy_kind": "time",
+                 "bounds": {"q_max": 2, "order_up_to_max": 2, "period_max": 2.0}},
+    "verify": {"demand_rates": [1.0], "q_values": [3], "qh_extra": [1],
+               "replenish_multiples": [2]},
+}
+TIME_POLICY = {"type": "time", "period": 5.0}
+
+INVALID_CONFIGS = [
+    ("evaluate", {"demand_rate": "x"}, "demand_rate: expected a number, got 'x'"),
+    ("evaluate", {"demand_rate": math.inf}, "config: demand_rate must be finite, got inf"),
+    ("evaluate", {"order_up_to": -1},
+     "config: order_up_to must be a nonnegative integer, got -1"),
+    ("evaluate", {"policy.q": 2.5}, "policy.q: expected an integer, got 2.5"),
+    ("evaluate", {"policy.q": 0}, "policy: q must be a positive integer, got 0"),
+    ("evaluate", {"policy.period": math.inf}, "policy: period must be finite, got inf"),
+    ("evaluate", {"policy": {**TIME_POLICY, "period": math.inf}},
+     "policy: period must be finite, got inf"),
+    ("evaluate", {"policy": {**TIME_POLICY, "q": 6}}, "policy.q: unknown key"),
+    ("evaluate", {"costs.holding": "x"}, "costs.holding: expected a number, got 'x'"),
+    ("evaluate", {"costs.holding": -1},
+     "costs: cost coefficient holding must be nonnegative, got -1.0"),
+    ("evaluate", {"costs.holding": math.nan},
+     "costs: cost coefficient holding must be finite, got nan"),
+    ("optimize", {"costs.wait_linear": math.inf},
+     "costs: cost coefficient wait_linear must be finite, got inf"),
+    ("simulate", {"simulate.seed": "x"}, "simulate.seed: expected an integer, got 'x'"),
+    ("simulate", {"simulate.cycles": 99},
+     "simulate: n_cycles must be an integer >= 100, got 99"),
+    ("compare", {"match.target_cycle_length": "x"},
+     "match.target_cycle_length: expected a number, got 'x'"),
+    ("compare", {"match.target_replenish_length": 1.0},
+     "match: target_replenish_length must be >= target_cycle_length"),
+    ("optimize", {"optimize.bounds.q_max": True},
+     "optimize.bounds.q_max: expected an integer, got True"),
+    ("optimize", {"optimize.bounds.q_max": 0},
+     "optimize.bounds: bounds must satisfy q_max >= 1, order_up_to_max >= 0, period_max > 0"),
+    ("optimize", {"costs.dispatch_fixed": 1e308, "optimize.bounds": {"period_max": 0.2}},
+     "optimize: average cost is not finite"),
+    ("verify", {"verify.q_values": "x"}, "verify.q_values: expected a nonempty list"),
+    ("verify", {"verify.q_values": ["a"]}, "verify: q_values must be integers >= 1, got 'a'"),
+    ("verify", {"verify.q_values": [2.5]}, "verify: q_values must be integers >= 1, got 2.5"),
+    ("verify", {"verify.qh_extra": [0]}, "verify: qh_extra must be integers >= 1, got 0"),
+    ("verify", {"verify.replenish_multiples": [0]},
+     "verify: replenish_multiples must be integers >= 1, got 0"),
+    ("verify", {"verify.demand_rates": [-1]},
+     "verify: demand_rates must be finite numbers > 0, got -1"),
+    ("verify", {"verify.demand_rates": [True]},
+     "verify: demand_rates must be finite numbers > 0, got True"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, edits, message", INVALID_CONFIGS,
+    ids=[f"{c}-{','.join(f'{k}={v!r}' for k, v in e.items())}" for c, e, _ in INVALID_CONFIGS],
+)
+def test_invalid_config_exits_2_with_one_line(tmp_path, capsys, command, edits, message):
+    doc = copy.deepcopy(FULL_DOC)
+    for dotted, value in edits.items():
+        *parents, key = dotted.split(".")
+        node = doc
+        for parent in parents:
+            node = node[parent]
+        node[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli([command, "--config", str(path)], capsys)
+    assert (code, out, err) == (2, "", f"config error: {message}\n")
 
 
 def test_console_entry_point(hp_config):

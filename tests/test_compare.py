@@ -1,5 +1,7 @@
 """Matched-frequency comparisons, ordering verification, and the optimizer."""
 
+import math
+import re
 import time
 import tracemalloc
 
@@ -9,6 +11,7 @@ from consolidate import (
     CostParams,
     MatchSpec,
     SearchBounds,
+    TheoremReport,
     VerifyGrid,
     compare_matched,
     optimize,
@@ -115,6 +118,38 @@ def test_small_grid_report_shape():
     d = report.to_dict()
     assert d["exact_ok"] is True
     assert set(d) >= {"points", "aod_violations", "cost_order_violations"}
+
+
+@pytest.mark.parametrize("field, values, message", [
+    ("demand_rates", (), "demand_rates must be nonempty"),
+    ("replenish_multiples", [], "replenish_multiples must be nonempty"),
+    ("demand_rates", (-1,), "demand_rates must be finite numbers > 0, got -1"),
+    ("demand_rates", (math.inf,), "demand_rates must be finite numbers > 0, got inf"),
+    ("demand_rates", (math.nan,), "demand_rates must be finite numbers > 0, got nan"),
+    ("demand_rates", (True,), "demand_rates must be finite numbers > 0, got True"),
+    ("demand_rates", ("1",), "demand_rates must be finite numbers > 0, got '1'"),
+    ("q_values", ("a",), "q_values must be integers >= 1, got 'a'"),
+    ("q_values", (2.5,), "q_values must be integers >= 1, got 2.5"),
+    ("q_values", (True,), "q_values must be integers >= 1, got True"),
+    ("qh_extra", (0,), "qh_extra must be integers >= 1, got 0"),
+    ("replenish_multiples", (2, 0), "replenish_multiples must be integers >= 1, got 0"),
+])
+def test_verify_grid_validation(field, values, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        VerifyGrid(**{field: values})
+
+
+def test_verify_grid_stores_tuples():
+    grid = VerifyGrid(demand_rates=[1, 2.5], q_values=range(2, 4))
+    assert grid.demand_rates == (1, 2.5)
+    assert grid.q_values == (2, 3)
+
+
+def test_report_tolerances_are_constants():
+    with pytest.raises(TypeError):
+        TheoremReport(air_rel_tol=0.5)
+    d = TheoremReport().to_dict()
+    assert (d["air_rel_tol"], d["cost_slack"]) == (0.05, 1e-9)
 
 
 # ---------------------------------------------------------------------------

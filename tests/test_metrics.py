@@ -1,6 +1,7 @@
 """Policy analytics: closed-form examples, limits, and internal consistency."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -158,6 +159,26 @@ def test_replenish_mode_validation():
     cfg = SystemConfig(1.0, TimePolicy(2.0), 5)
     with pytest.raises(ValueError):
         replenish_metrics(cfg, "wrong")
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: CostParams(holding=math.nan), "cost coefficient holding must be finite, got nan"),
+    (lambda: CostParams(wait_squared=math.inf),
+     "cost coefficient wait_squared must be finite, got inf"),
+    (lambda: SystemConfig(math.inf, TimePolicy(1.0), 0), "demand_rate must be finite, got inf"),
+    (lambda: TimePolicy(math.inf), "period must be finite, got inf"),
+    (lambda: HybridPolicy(3, math.inf), "period must be finite, got inf"),
+    # the messages for values rejected before finiteness was checked are unchanged
+    (lambda: CostParams(holding=-math.inf),
+     "cost coefficient holding must be nonnegative, got -inf"),
+    (lambda: SystemConfig(math.nan, TimePolicy(1.0), 0), "demand_rate must be positive, got nan"),
+    (lambda: TimePolicy(math.nan), "period must be positive, got nan"),
+    (lambda: HybridPolicy(3, -math.inf), "period must be positive, got -inf"),
+], ids=["cost-nan", "cost-inf", "rate-inf", "tp-inf", "hp-inf", "cost--inf", "rate-nan",
+        "tp-nan", "hp--inf"])
+def test_non_finite_inputs_are_rejected(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 # ---------------------------------------------------------------------------

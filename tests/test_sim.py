@@ -281,6 +281,23 @@ def test_simulation_memory_is_bounded_for_large_q(system, n_cycles, batch_size):
     assert peak < 16 * 2**20
 
 
+def test_capped_blocks_are_not_padded_past_the_batch(monkeypatch):
+    # QP(10 000) caps a block at 2**19 / 10**4 = 52 cycles.  A batch of two
+    # replenishment cycles needs about four; a fixed 64-cycle pad would ask
+    # for a full capped block per batch, 5 200 cycles over the 100 batches.
+    import consolidate.sim as sim_mod
+    asked = []
+
+    def counting(rng, system, count):
+        asked.append(count)
+        return _generate(rng, system, count)
+
+    monkeypatch.setattr(sim_mod, "_generate", counting)
+    system = SystemConfig(1.0, QuantityPolicy(10_000), 10_000)
+    simulate(SimConfig(system, 200, seed=1, batch_size=2))
+    assert sum(asked) <= 1100
+
+
 # ---------------------------------------------------------------------------
 # end-to-end simulation
 
