@@ -204,7 +204,8 @@ def cmd_simulate(args) -> int:
     doc = load_config(args.config)
     system = _parse_system(doc)
     cfg = _parse_sim(doc, system, args)
-    report = sim.simulate(cfg, trace=args.trace)
+    with _at("simulate"):
+        report = sim.simulate(cfg, trace=args.trace)
     print(f"policy: {system.policy.label()}  order_up_to={system.order_up_to}  "
           f"cycles={cfg.n_cycles}  seed={cfg.seed}  batches={cfg.n_batches}")
     for name in ("avg_cost", "aod", "aosd", "air", "cycle_length",

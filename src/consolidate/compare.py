@@ -25,9 +25,10 @@ Each system is evaluated once per mode: one ``average_cost`` call carries its
 delay, squared delay, inventory rate and cost.  The optimizer runs one loop
 over the integer points (q, Q) of a family; at each point the quantity family
 evaluates once and the time and hybrid families search the period: a
-200-period scan evaluated as one batched exact call (``metrics._period_costs``),
-then golden-section steps, each one scalar ``average_cost`` call.  Every
-period, scanned or stepped, is one entry of the trace.
+200-period scan, then golden-section steps, each one scalar ``average_cost``
+call.  The scans of one cap are one batched exact call
+(``metrics._period_costs``) at the order-up-to bound, whose row Q is the scan
+at level Q.  Every period, scanned or stepped, is one entry of the trace.
 """
 
 from __future__ import annotations
@@ -76,6 +77,10 @@ class MatchSpec:
         if (self.target_replenish_length is not None
                 and self.target_replenish_length < self.target_cycle_length):
             raise ValueError("target_replenish_length must be >= target_cycle_length")
+        for name in ("demand_rate", "target_cycle_length", "target_replenish_length"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
 
 
 @dataclass
@@ -427,24 +432,17 @@ def _golden_min(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
     return (c, fc) if fc <= fd else (d, fd)
 
 
-def _best_period(scan, probe, make_policy, order_up_to, period_max) -> tuple[float, float]:
-    """Coarse scan then golden-section refinement over the dispatch period.
+def _best_period(grid: list, values: list, evaluate) -> tuple[float, float]:
+    """Golden-section refinement of the best cell of a coarse period scan.
 
-    ``scan`` returns the costs of a list of periods at ``order_up_to`` in one
-    batched evaluation; ``make_policy`` builds the family's policy from a
-    period and ``probe`` returns the cost of one policy, for the golden steps.
-    Unimodality of the cost in the period is not guaranteed, so the scan
-    brackets the global pattern first and golden section only polishes the
-    best scan cell.
+    ``values`` are the costs of the periods ``grid`` (equal steps from the
+    first), and ``evaluate`` returns the cost of one period, for the golden
+    steps.  Unimodality of the cost in the period is not guaranteed, so the
+    scan brackets the global pattern first and golden section only polishes
+    the best scan cell.
     """
-    def evaluate(period: float) -> float:
-        return probe(make_policy(period), order_up_to)
-
-    step = period_max / _SCAN_POINTS
-    grid = [step * (i + 1) for i in range(_SCAN_POINTS)]
-    values = scan(grid)
     i = min(range(len(grid)), key=lambda idx: (values[idx], grid[idx]))
-    lo = grid[i - 1] if i > 0 else step * 0.05
+    lo = grid[i - 1] if i > 0 else grid[0] * 0.05
     hi = grid[i + 1] if i + 1 < len(grid) else grid[-1]
     t, ac = _golden_min(evaluate, lo, hi, _PERIOD_TOL)
     if values[i] <= ac:
@@ -473,26 +471,27 @@ def optimize(demand_rate: float, costs: CostParams, policy_kind: str,
                       "period": getattr(policy, "period", None), "ac": ac})
         return ac
 
-    def scan(q: int | None, order_up_to: int, periods: list) -> list:
-        # Python floats, as the scalar probe records them
-        values = _period_costs(demand_rate, costs, q, periods, order_up_to).tolist()
-        trace.extend({"q": q, "order_up_to": order_up_to, "period": period, "ac": ac}
-                     for period, ac in zip(periods, values))
-        return values
-
     # The time family has no cap; a quantity policy needs Q divisible by q.
     caps = [None] if policy_kind == "time" else range(1, bounds.q_max + 1)
+    step = bounds.period_max / _SCAN_POINTS
+    grid = [step * (i + 1) for i in range(_SCAN_POINTS)]
     best = None  # (key, SystemConfig)
     for q in caps:
+        if policy_kind != "quantity":
+            make_policy = TimePolicy if q is None else partial(HybridPolicy, q)
+            # One batched scan per cap; row Q holds the grid's costs at level Q.
+            table = _period_costs(demand_rate, costs, q, grid, bounds.order_up_to_max)
         for order_up_to in range(0, bounds.order_up_to_max + 1,
                                  q if policy_kind == "quantity" else 1):
             if policy_kind == "quantity":
                 policy: Policy = QuantityPolicy(q)
                 ac = probe(policy, order_up_to)
             else:
-                make_policy = TimePolicy if q is None else partial(HybridPolicy, q)
-                period, ac = _best_period(partial(scan, q, order_up_to), probe, make_policy,
-                                          order_up_to, bounds.period_max)
+                values = table[order_up_to].tolist()  # Python floats, as probe records
+                trace.extend({"q": q, "order_up_to": order_up_to, "period": period, "ac": ac}
+                             for period, ac in zip(grid, values))
+                period, ac = _best_period(
+                    grid, values, lambda t: probe(make_policy(t), order_up_to))
                 policy = make_policy(period)
             # Within one family q (or the period) is None at every point or at
             # none, so the key never orders None against a number.

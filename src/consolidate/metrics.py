@@ -24,8 +24,9 @@ Each of these expressions is written once, in a function that takes floats or
 arrays alike: the time and hybrid cycle forms (``_cycle_forms``), the exact
 replenishment record (``_renewal_record``), the per-order ratios and AIR
 (``_per_order``, ``_service``) and the four cost components (``_components``).
-The optimizer's period scan ``_period_costs`` calls them on arrays; it owns
-only the mass rows, their batched renewal recursion and its certificate.
+The optimizer's period scan ``_period_costs`` calls them on arrays of
+(level, period) pairs; it owns only the mass rows, their batched renewal
+recursion, the per-level reductions of its masses and its certificate.
 """
 
 from __future__ import annotations
@@ -385,17 +386,23 @@ def average_cost(cfg: SystemConfig, mode: str = "exact", delay: str = "linear") 
 
 def _period_costs(demand_rate: float, costs: CostParams, q: int | None, periods,
                   order_up_to: int) -> np.ndarray:
-    """Exact linear-delay average cost of one family at many periods and one level.
+    """Exact linear-delay average cost of one family at many periods and every
+    level up to ``order_up_to``.
 
-    Element r is ``average_cost(SystemConfig(demand_rate, policy, order_up_to,
+    Element [Q, r] is ``average_cost(SystemConfig(demand_rate, policy, Q,
     costs)).avg_cost`` up to rounding, for the time policy of period
     ``periods[r]`` when q is None and the hybrid policy (q, periods[r])
-    otherwise.  The cycle forms, records and cost components are the scalar
-    path's, summed in its order.  This function owns the input checks, the
-    mass rows and their renewal recursion along the batch axis (in chunks of
-    at most ``_CHUNK_CELLS`` mass cells), the per-row Wald certificate and
-    the overflow checks: it raises where the scalar path raises and never
-    returns inf or nan.
+    otherwise; row Q equals this function's result at level Q bit for bit.
+    The cycle forms, records and cost components are the scalar path's,
+    summed in its order.  This function owns the input checks, the mass rows
+    and their renewal recursion along the batch axis (in chunks of at most
+    ``_CHUNK_CELLS`` mass cells), the Wald certificate of every (level, row)
+    pair and the overflow checks: it raises where the scalar path raises, at
+    the lowest failing level, and never returns inf or nan.
+
+    The renewal masses m(0..Q) do not depend on the level the recursion runs
+    to, so one recursion serves every level; each level's E[K] and holding
+    factor reduce the prefix ``m[:, :Q+1]`` as the one-level scan does.
     """
     rate = float(demand_rate)
     if not rate > 0.0:
@@ -409,25 +416,39 @@ def _period_costs(demand_rate: float, costs: CostParams, q: int | None, periods,
         if not np.all(np.isfinite(cyc.delay) & np.isfinite(cyc.sq_delay)):
             raise OverflowError(f"cycle metrics overflow at a period up to {float(t.max())!r}")
 
-        ends = ([renewal._tp_support_end(m) for m in mu.tolist()] if q is None
-                else [q] * mu.size)
-        rows = max(1, _CHUNK_CELLS // (max(max(ends), order_up_to) + 1))
-        cycles = np.empty(mu.size)
-        holding_sum = np.empty(mu.size)
-        levels = order_up_to - np.arange(order_up_to + 1.0)
+        ends = np.array([renewal._tp_support_end(m) for m in mu.tolist()] if q is None
+                        else [q] * mu.size)
+        rows = max(1, _CHUNK_CELLS // (max(int(ends.max()), order_up_to) + 1))
+        shape = (order_up_to + 1, mu.size)
+        cycles, holding_sum = np.empty(shape), np.empty(shape)
+        mean, defect = np.empty(mu.size), np.empty(mu.size)
+        steps = np.arange(order_up_to + 1.0)
         for start in range(0, mu.size, rows):
             chunk = slice(start, start + rows)
-            g = (renewal._tp_masses(mu[chunk], ends[chunk]) if q is None
+            g = (renewal._tp_masses(mu[chunk], ends[chunk].tolist()) if q is None
                  else renewal._hp_masses(mu[chunk], q))
             m = renewal._renewal_rows(g, order_up_to)
-            cycles[chunk] = m.sum(axis=1)
-            holding_sum[chunk] = m @ levels
-            renewal._check_wald(g, np.array(ends[chunk]), order_up_to, cycles[chunk])
+            for level in range(order_up_to + 1):
+                prefix = m[:, :level + 1]
+                cycles[level, chunk] = prefix.sum(axis=1)
+                holding_sum[level, chunk] = prefix @ (level - steps[:level + 1])
+            mean[chunk], defect[chunk] = renewal._wald_terms(g)
 
-        rep = _renewal_record(cyc, cycles, holding_sum)
-        cost = sum(_components(rate, costs, cyc, rep, _service(cyc, rep), "linear").values())
-    if not np.all(np.isfinite(cost)):
-        raise OverflowError("average cost is not finite")
+        # The costs of blocks of levels, lowest first, at most _CHUNK_CELLS
+        # each; the lowest failing level raises, its Wald violation first.
+        cost = np.empty(shape)
+        block = max(1, _CHUNK_CELLS // mu.size)
+        for lo in range(0, order_up_to + 1, block):
+            at = slice(lo, lo + block)
+            rep = _renewal_record(cyc, cycles[at], holding_sum[at])
+            cost[at] = sum(_components(rate, costs, cyc, rep, _service(cyc, rep),
+                                       "linear").values())
+            failing = ~np.isfinite(cost[at]).all(axis=1)
+            stop = lo + (int(np.argmax(failing)) + 1 if failing.any() else failing.size)
+            renewal._check_wald_bracket(mean, defect, ends, np.arange(lo, stop)[:, None],
+                                        cycles[lo:stop])
+            if failing.any():
+                raise OverflowError("average cost is not finite")
     return cost
 
 

@@ -23,13 +23,15 @@ up to ``BLOCK``, which keeps n within the levels already known.  This is the
 same recursion, O(Q * smax) multiply-adds in O(Q/BLOCK + log2(BLOCK)) numpy
 calls; every term is nonnegative, so nothing cancels.
 
-The optimizer evaluates many periods of one policy family at one level Q.
-For that, the load builders also work on rows: ``_hp_masses`` and
+The optimizer evaluates many periods of one policy family at every level up
+to a bound.  For that, the load builders also work on rows: ``_hp_masses`` and
 ``_tp_masses`` build one row of masses per load mean, each element by the
 expression the public builder uses, so a row does not depend on the batch
 and equals the public builder's masses bit for bit.  ``_renewal_rows`` runs the
-recursion one level at a time along the batch axis, and ``_check_wald``
-certifies each row's E[K] against Wald's identity.
+recursion one level at a time along the batch axis; its prefix m(0..Q) does
+not depend on the level it runs to.  ``_check_wald`` certifies each row's E[K]
+against Wald's identity, at one level or many, from the row terms of
+``_wald_terms``.
 """
 
 from __future__ import annotations
@@ -64,10 +66,13 @@ class IncrementDist:
         masses = np.asarray(self.masses, dtype=float)
         if masses.ndim != 1 or masses.size == 0:
             raise ValueError("masses must be a nonempty 1-d vector")
-        if np.any(masses < 0.0) or np.any(~np.isfinite(masses)):
+        # A NaN or infinite mass makes the sum non-finite; finite masses whose
+        # sum overflows pass here and fail the normalization below.
+        total = masses.sum()
+        if not (math.isfinite(total) or np.isfinite(masses).all()) or masses.min() < 0.0:
             raise ValueError("masses must be finite and nonnegative")
-        if abs(masses.sum() - 1.0) > 1e-10:
-            raise ValueError(f"masses must sum to 1 within 1e-10, got {masses.sum()!r}")
+        if abs(total - 1.0) > 1e-10:
+            raise ValueError(f"masses must sum to 1 within 1e-10, got {total!r}")
         if not masses[0] < 1.0:
             raise ValueError("increment must place positive mass above zero")
         masses = masses.copy()
@@ -231,7 +236,7 @@ def _renewal_rows(g: np.ndarray, order_up_to: int) -> np.ndarray:
     return m
 
 
-def _check_wald(g: np.ndarray, support_ends: np.ndarray, order_up_to: int,
+def _check_wald(g: np.ndarray, support_ends: np.ndarray, order_up_to,
                 cycles: np.ndarray) -> None:
     """Certify E[K] = M(Q) of each row of masses g against Wald's identity.
 
@@ -242,20 +247,34 @@ def _check_wald(g: np.ndarray, support_ends: np.ndarray, order_up_to: int,
     which rounding moves off 1 by a relative defect d (large when g(0) is
     near 1); over at most Q + 1 nonzero loads that scales E[K] by up to
     (1 + d)^(Q+1), so the bracket widens by (Q + 2) d on top of WALD_SLACK.
+    ``order_up_to`` may also be a column of levels, one per row of ``cycles``.
     Raises ArithmeticError on a violation.
     """
+    _check_wald_bracket(*_wald_terms(g), support_ends, order_up_to, cycles)
+
+
+def _wald_terms(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's mean e_n and relative mass defect d (see ``_check_wald``)."""
     mean = g @ np.arange(g.shape[1], dtype=float)
     above = 1.0 - g[:, 0]
     defect = np.abs(g[:, 1:].sum(axis=1) - above) / above
+    return mean, defect
+
+
+def _check_wald_bracket(mean: np.ndarray, defect: np.ndarray, support_ends: np.ndarray,
+                        order_up_to, cycles: np.ndarray) -> None:
+    """``_check_wald`` from the rows' Wald terms; with a column of levels it
+    raises at the lowest failing level, at its first failing row."""
     slack = WALD_SLACK + (order_up_to + 2) * defect
     lower = (order_up_to + 1) / mean * (1.0 - slack)
     upper = (order_up_to + support_ends) / mean * (1.0 + slack)
     bad = ~((lower <= cycles) & (cycles <= upper))
     if bad.any():
-        r = int(np.argmax(bad))
+        at = np.unravel_index(int(np.argmax(bad)), bad.shape)
+        level = np.broadcast_to(order_up_to, bad.shape)[at]
         raise ArithmeticError(
-            f"renewal E[K] = {float(cycles[r])!r} outside the Wald bracket "
-            f"[{float(lower[r])!r}, {float(upper[r])!r}] at order-up-to level {order_up_to}"
+            f"renewal E[K] = {float(cycles[at])!r} outside the Wald bracket "
+            f"[{float(lower[at])!r}, {float(upper[at])!r}] at order-up-to level {int(level)}"
         )
 
 

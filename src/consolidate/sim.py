@@ -33,6 +33,9 @@ TRACE_HEADER = "cycle_index,length,k_cycles,cost,sum_delay,sum_sq_delay,inventor
 # the cap, whatever q, the period and the order-up-to level.
 _GEN_CAP = 1 << 19
 
+# The largest mean numpy's Generator.poisson accepts (numpy/random/_common.pyx).
+_POISSON_LAM_MAX = float(np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10)
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -70,6 +73,10 @@ class SimConfig:
         if load > _GEN_CAP:
             raise ValueError(f"mean consolidation load {load:g} exceeds the generator cap "
                              f"{_GEN_CAP} order draws per block")
+        mu = self.system.demand_rate * getattr(self.system.policy, "period", 0.0)
+        if mu > _POISSON_LAM_MAX:
+            raise ValueError(f"Poisson load mean rate*period {mu:g} "
+                             f"exceeds numpy's limit {_POISSON_LAM_MAX:g}")
 
     @property
     def n_batches(self) -> int:
@@ -297,9 +304,13 @@ def simulate(cfg: SimConfig, trace=None) -> SimReport:
         for b, rng in enumerate(streams):
             rows, observed = _simulate_batch(rng, system, cfg.batch_size, cons_per_cycle)
             cons_per_cycle = max(observed, 1.0)
-            cost = _batch_cost(system, cfg.delay, rows)
-            totals[b, :6] = rows.sum(axis=0)
-            totals[b, 6] = cost.sum()
+            # Overflow is detected from the totals, not from numpy's warnings.
+            with np.errstate(over="ignore", invalid="ignore"):
+                cost = _batch_cost(system, cfg.delay, rows)
+                totals[b, :6] = rows.sum(axis=0)
+                totals[b, 6] = cost.sum()
+            if not np.isfinite(totals[b]).all():
+                raise OverflowError(f"simulated totals of batch {b} are not finite")
             if trace_file is not None:
                 for r, c in zip(rows.tolist(), cost.tolist()):
                     trace_file.write(

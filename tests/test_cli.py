@@ -258,6 +258,15 @@ INVALID_CONFIGS = [
      "match.target_cycle_length: expected a number, got 'x'"),
     ("compare", {"match.target_replenish_length": 1.0},
      "match: target_replenish_length must be >= target_cycle_length"),
+    ("compare", {"demand_rate": math.inf}, "match: demand_rate must be finite, got inf"),
+    ("compare", {"match.target_cycle_length": math.inf},
+     "match: target_cycle_length must be finite, got inf"),
+    ("compare", {"match.target_replenish_length": math.inf},
+     "match: target_replenish_length must be finite, got inf"),
+    ("simulate", {"policy.period": 1e20},
+     "simulate: Poisson load mean rate*period 1e+20 exceeds numpy's limit 9.22337e+18"),
+    ("simulate", {"costs.dispatch_fixed": 1e308},
+     "simulate: simulated totals of batch 0 are not finite"),
     ("optimize", {"optimize.bounds.q_max": True},
      "optimize.bounds.q_max: expected an integer, got True"),
     ("optimize", {"optimize.bounds.q_max": 0},

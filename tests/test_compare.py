@@ -17,7 +17,9 @@ from consolidate import (
     optimize,
     verify_theorems,
 )
+from consolidate import compare
 from consolidate.compare import REFERENCE_COSTS
+from consolidate.metrics import _period_costs
 
 
 def test_matched_rows_reference_example():
@@ -91,6 +93,18 @@ def test_match_spec_validation():
         MatchSpec(0.0, 5.0)
     with pytest.raises(ValueError):
         MatchSpec(1.0, 5.0, target_replenish_length=4.0)
+
+
+@pytest.mark.parametrize("args, message", [
+    ((math.inf, 5.0), "demand_rate must be finite, got inf"),
+    ((1.0, math.inf), "target_cycle_length must be finite, got inf"),
+    ((1.0, 5.0, math.inf), "target_replenish_length must be finite, got inf"),
+    ((1.0, 5.0, math.nan), "target_replenish_length must be finite, got nan"),
+])
+def test_match_spec_rejects_non_finite_values(args, message):
+    with pytest.raises(ValueError) as err:
+        MatchSpec(*args)
+    assert str(err.value) == message
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +194,21 @@ def test_optimizer_certificate_and_trace():
     result = optimize(1.0, costs, "hybrid", bounds)
     assert result.evaluations == len(result.trace)
     assert result.best_cost == min(t["ac"] for t in result.trace)
+
+
+@pytest.mark.parametrize("kind, calls", [("hybrid", 3), ("time", 1), ("quantity", 0)])
+def test_optimizer_scans_once_per_cap(monkeypatch, kind, calls):
+    levels = []
+
+    def counting(demand_rate, costs, q, periods, order_up_to):
+        levels.append(order_up_to)
+        return _period_costs(demand_rate, costs, q, periods, order_up_to)
+
+    monkeypatch.setattr(compare, "_period_costs", counting)
+    bounds = SearchBounds(q_max=3, order_up_to_max=6, period_max=10.0)
+    result = optimize(1.0, REFERENCE_COSTS, kind, bounds)
+    assert levels == [bounds.order_up_to_max] * calls
+    assert result.evaluations == len(result.trace)
 
 
 def test_hybrid_family_beats_time_family():

@@ -23,6 +23,7 @@ from consolidate import (
     service_metrics,
     trunc_mean,
 )
+from consolidate import metrics, renewal
 from consolidate.compare import _SCAN_POINTS
 from consolidate.metrics import _period_costs
 from consolidate.renewal import MAX_ORDER_UP_TO
@@ -364,14 +365,70 @@ def test_system_validation():
 @example(rate=0.5, costs=REF_COSTS, q=1, order_up_to=0, periods=scan_grid(8.0))
 @settings(max_examples=100, deadline=None)
 def test_period_costs_match_scalar_average_cost(rate, costs, q, order_up_to, periods):
-    def scalar(period):
+    def scalar(period, level):
         policy = TimePolicy(period) if q is None else HybridPolicy(q, period)
-        return average_cost(SystemConfig(rate, policy, order_up_to, costs)).avg_cost
+        return average_cost(SystemConfig(rate, policy, level, costs)).avg_cost
 
-    expected = [scalar(t) for t in periods]
+    expected = [[scalar(t, level) for t in periods] for level in range(order_up_to + 1)]
     got = _period_costs(rate, costs, q, periods, order_up_to)
-    assert got.shape == (len(periods),)
+    assert got.shape == (order_up_to + 1, len(periods))
     np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
+
+
+@given(
+    rate=st.floats(0.25, 4.0),
+    q=st.one_of(st.none(), st.integers(1, 30)),
+    levels=st.tuples(st.integers(0, 60), st.integers(0, 60)).map(sorted),
+    periods=st.lists(st.floats(1e-6, 40.0), min_size=1, max_size=50),
+)
+# chunked by the support of a large load, the same chunks at both levels
+@example(rate=1.0, q=None, levels=[7, 40], periods=scan_grid(2e4))
+# one chunk at level 5, two at level 3000
+@example(rate=1.0, q=None, levels=[5, 3000], periods=scan_grid(2.0))
+@example(rate=1.0, q=4, levels=[5, 3000], periods=scan_grid(2.0))
+@settings(max_examples=100, deadline=None)
+def test_period_cost_rows_do_not_depend_on_the_top_level(rate, q, levels, periods):
+    level, top = levels
+    alone = _period_costs(rate, REF_COSTS, q, periods, level)[level]
+    assert np.array_equal(_period_costs(rate, REF_COSTS, q, periods, top)[level], alone)
+    assert np.array_equal(alone, one_level_scan(rate, REF_COSTS, q, periods, level))
+
+
+def one_level_scan(rate, costs, q, periods, level):
+    """The scan at one level by its own recursion to that level and the
+    reductions of the whole of it, all rows at once: the bits the table's
+    rows must reproduce."""
+    t = np.asarray(periods, dtype=float)
+    mu = rate * t
+    if q is None:
+        g = renewal._tp_masses(mu, [renewal._tp_support_end(m) for m in mu.tolist()])
+    else:
+        g = renewal._hp_masses(mu, q)
+    m = renewal._renewal_rows(g, level)
+    cyc = metrics._cycle_forms(rate, q, t)
+    rep = metrics._renewal_record(cyc, m.sum(axis=1), m @ (level - np.arange(level + 1.0)))
+    return sum(metrics._components(rate, costs, cyc, rep, metrics._service(cyc, rep),
+                                   "linear").values())
+
+
+def test_period_costs_raise_at_the_lowest_level_failing_the_wald_check(monkeypatch):
+    solve = renewal._renewal_rows
+
+    def corrupted(g, order_up_to):
+        m = solve(g, order_up_to)
+        m[3:, 5:] *= 100.0  # rows 3 on, from level 5 on
+        return m
+
+    monkeypatch.setattr(renewal, "_renewal_rows", corrupted)
+    grid = scan_grid(20.0)
+    for level in range(5):
+        _period_costs(1.0, REF_COSTS, 3, grid, level)
+    with pytest.raises(ArithmeticError) as alone:
+        _period_costs(1.0, REF_COSTS, 3, grid, 5)
+    with pytest.raises(ArithmeticError) as table:
+        _period_costs(1.0, REF_COSTS, 3, grid, 40)
+    assert str(alone.value).endswith("at order-up-to level 5")
+    assert str(table.value) == str(alone.value)
 
 
 def test_period_costs_raise_where_the_scalar_path_raises():
@@ -402,4 +459,4 @@ def test_time_scan_memory_is_bounded_at_large_load():
     assert peak <= 32 * 2**20
     for i in (0, len(grid) - 1):
         cfg = SystemConfig(1.0, TimePolicy(grid[i]), 10, REF_COSTS)
-        assert costs[i] == pytest.approx(average_cost(cfg).avg_cost, rel=1e-12)
+        assert costs[10, i] == pytest.approx(average_cost(cfg).avg_cost, rel=1e-12)

@@ -232,6 +232,23 @@ def test_increment_validation():
         IncrementDist([-0.1, 1.1])
 
 
+@pytest.mark.parametrize("masses, message", [
+    ([math.nan, 1.0], "masses must be finite and nonnegative"),
+    ([0.0, math.inf], "masses must be finite and nonnegative"),
+    ([-math.inf, 1.0], "masses must be finite and nonnegative"),
+    ([0.5, -0.25, 0.75], "masses must be finite and nonnegative"),
+    # finite masses whose sum overflows fail the normalization, not finiteness
+    ([0.0, 1e308, 1e308], f"masses must sum to 1 within 1e-10, got {np.float64(math.inf)!r}"),
+    ([], "masses must be a nonempty 1-d vector"),
+    ([[0.5, 0.5]], "masses must be a nonempty 1-d vector"),
+    ([1.0], "increment must place positive mass above zero"),
+])
+def test_increment_rejection_messages(masses, message):
+    with pytest.raises(ValueError) as err:
+        IncrementDist(masses)
+    assert str(err.value) == message
+
+
 def test_divergence_error():
     inc = IncrementDist([1.0 - 1e-13, 1e-13])
     with pytest.raises(ValueError, match="diverges"):

@@ -27,7 +27,14 @@ from consolidate import (
     service_metrics,
     simulate,
 )
-from consolidate.sim import _GEN_CAP, TRACE_HEADER, _generate, _simulate_batch, _split
+from consolidate.sim import (
+    _GEN_CAP,
+    _POISSON_LAM_MAX,
+    TRACE_HEADER,
+    _generate,
+    _simulate_batch,
+    _split,
+)
 
 REF_COSTS = CostParams(replenish_fixed=25.0, holding=0.4, dispatch_fixed=15.0, wait_linear=0.8)
 
@@ -423,3 +430,19 @@ def test_config_rejects_mean_load_above_generator_cap():
         with pytest.raises(ValueError, match=re.escape(message)):
             SimConfig(SystemConfig(1.0, policy, 0), 1000, seed=1)
     assert SimConfig(SystemConfig(1.0, TimePolicy(2.0**19), 0), 1000, seed=1).n_batches == 100
+
+
+def test_config_rejects_load_mean_above_numpy_poisson_limit():
+    # Validation only: numpy refuses to draw Poisson variates at this mean.
+    message = f"Poisson load mean rate*period 1e+20 exceeds numpy's limit {_POISSON_LAM_MAX:g}"
+    with pytest.raises(ValueError) as err:
+        SimConfig(SystemConfig(2.0, HybridPolicy(6, 5e19), 14), 200, seed=1)
+    assert str(err.value) == message
+    at_limit = SystemConfig(1.0, HybridPolicy(6, _POISSON_LAM_MAX), 14)
+    assert SimConfig(at_limit, 200, seed=1).n_batches == 100
+
+
+def test_simulate_raises_when_a_finite_cost_overflows():
+    system = SystemConfig(1.0, HybridPolicy(6, 5.9199), 14, CostParams(dispatch_fixed=1e308))
+    with pytest.raises(OverflowError, match="not finite"):
+        simulate(SimConfig(system, 200, seed=0))
