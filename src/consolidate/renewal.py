@@ -18,10 +18,15 @@ The recursion is solved a block of levels at a time.  ``m`` is the power
 series of 1/f with f(z) = (1 - g(0)) - sum_{j>=1} g(j) z^j, so the
 lower-triangular Toeplitz system of any n consecutive levels has the inverse
 Toeplitz(m(0..n-1)): a block is one correlation with the levels already
-solved and one convolution with the head of ``m``.  Block sizes double from 1
-up to ``BLOCK``, which keeps n within the levels already known.  This is the
-same recursion, O(Q * smax) multiply-adds in O(Q/BLOCK + log2(BLOCK)) numpy
-calls; every term is nonnegative, so nothing cancels.
+solved and one convolution with the head of ``m``.  The solve starts at level
+a, the first above zero with g(a) > 0: m(1..a-1) = 0 exactly, so those levels
+are set and skipped.  A wide Poisson load has such a head, since its masses
+below about mu - 30 sqrt(mu) underflow to zero.  Block sizes double from a up
+to ``BLOCK``, which keeps n within the levels already known.  This is the same
+recursion, O((Q - a) * smax) multiply-adds in O(Q/BLOCK + log2(BLOCK)) numpy
+calls; every term is nonnegative and only exact zeros are skipped, so nothing
+cancels.  With a = 1, as for every load with g(1) > 0, each block reads its
+whole window in one correlation.
 
 The optimizer evaluates many periods of one policy family at every level up
 to a bound.  For that, the load builders also work on rows: ``_hp_masses`` and
@@ -67,8 +72,9 @@ class IncrementDist:
         if masses.ndim != 1 or masses.size == 0:
             raise ValueError("masses must be a nonempty 1-d vector")
         # A NaN or infinite mass makes the sum non-finite; finite masses whose
-        # sum overflows pass here and fail the normalization below.
-        total = masses.sum()
+        # sum overflows to inf (silently) pass here and fail the normalization.
+        with np.errstate(over="ignore"):
+            total = masses.sum()
         if not (math.isfinite(total) or np.isfinite(masses).all()) or masses.min() < 0.0:
             raise ValueError("masses must be finite and nonnegative")
         if abs(total - 1.0) > 1e-10:
@@ -207,11 +213,24 @@ def renewal_table(inc: IncrementDist, order_up_to: int) -> RenewalTable:
     # g(j + 1) at index j, zero past the support: the correlation kernel.
     kernel = np.zeros(order_up_to)
     kernel[:min(smax, order_up_to)] = g[1:order_up_to + 1]
-    b = 1
+    # Below the first positive mass g(a) above zero, m(1..a-1) = 0 exactly.
+    a = 1
+    if g[1] == 0.0:
+        nonzero = np.flatnonzero(kernel)
+        a = int(nonzero[0]) + 1 if nonzero.size else order_up_to + 1
+        m[1:a] = 0.0
+    b = a
     while b <= order_up_to:
         n = min(b, BLOCK, order_up_to + 1 - b)
         lo = max(0, b - smax)
-        known = np.correlate(kernel[:b - lo + n - 1], m[lo:b][::-1], "valid")
+        if a == 1 or lo >= a:
+            known = np.correlate(kernel[:b - lo + n - 1], m[lo:b][::-1], "valid")
+        else:
+            # The window [lo, b) less the zero levels: level 0, whose terms
+            # g(b + k) are exact zeros once lo > 0, and the levels [a, b).
+            known = m[0] * kernel[b - 1:b + n - 1]
+            if b > a:
+                known += np.correlate(kernel[:b - a + n - 1], m[a:b][::-1], "valid")
         m[b:b + n] = np.convolve(known, m[:n])[:n]
         b += n
     return RenewalTable(m=m, M=np.cumsum(m), order_up_to=order_up_to)

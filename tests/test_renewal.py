@@ -5,9 +5,14 @@ Two oracles check it: the convolution-series oracle sums k-fold convolutions
 of the increment masses outright until the remaining series contributes less
 than 1e-14, an entirely separate route to the same numbers; the loop oracle
 runs the recursion one level at a time, the way the blocked solve must
-reproduce it at every level up to the capacity limit.  The load builders are
-checked against the per-element mass functions and the quantile-seeded tail
-cut of ``scipy.stats``.
+reproduce it at every level up to the capacity limit.  A third, the blocked
+oracle, is the blocked solve without the skip of a load's zero head: it starts
+every load at level 1, and on every load with g(1) > 0 the library must match
+it bit for bit.  The load builders are checked against the per-element mass
+functions and the quantile-seeded tail cut of ``scipy.stats``.
+
+Every test here fails on a RuntimeWarning, such as numpy's overflow or
+invalid-value warning.
 """
 
 import math
@@ -45,6 +50,8 @@ from consolidate.renewal import (
     _tp_support_end,
 )
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def series_oracle(masses, order_up_to, tol=1e-14):
     """m(i) = sum_k g^(k)(i) by explicit convolution, truncated at tiny tails."""
@@ -73,6 +80,29 @@ def loop_oracle(masses, order_up_to):
         window = m[i - 1:stop if stop >= 0 else None:-1]
         m[i] = scale * float(g[1:j + 1] @ window)
     return m
+
+
+def blocked_oracle(masses, order_up_to):
+    """m(0..Q) by the blocked solve that starts every load at level 1."""
+    g = np.asarray(masses, dtype=float)
+    smax = g.size - 1
+    m = np.empty(order_up_to + 1)
+    m[0] = 1.0 / (1.0 - g[0])
+    kernel = np.zeros(order_up_to)
+    kernel[:min(smax, order_up_to)] = g[1:order_up_to + 1]
+    b = 1
+    while b <= order_up_to:
+        n = min(b, BLOCK, order_up_to + 1 - b)
+        lo = max(0, b - smax)
+        known = np.correlate(kernel[:b - lo + n - 1], m[lo:b][::-1], "valid")
+        m[b:b + n] = np.convolve(known, m[:n])[:n]
+        b += n
+    return m
+
+
+def first_load(masses):
+    """The first load above zero with positive mass."""
+    return int(np.flatnonzero(masses[1:])[0]) + 1
 
 
 def tail_cut_oracle(mu, tail_eps):
@@ -312,6 +342,64 @@ def test_blocked_solve_matches_loop_on_policy_loads(mu, q, order_up_to, time_pol
 ])
 def test_blocked_solve_matches_loop_at_capacity(inc):
     assert_table_matches_loop(inc, MAX_ORDER_UP_TO)
+
+
+@given(mu=st.floats(0.01, 700.0), q=st.integers(1, 300),
+       order_up_to=st.one_of(st.integers(0, 8 * BLOCK), st.integers(8 * BLOCK, 3000)),
+       time_policy=st.booleans())
+@example(mu=3.0, q=5, order_up_to=3000, time_policy=True)
+@example(mu=50.0, q=300, order_up_to=3000, time_policy=False)
+@settings(max_examples=40, deadline=None)
+def test_blocked_solve_keeps_its_bits_when_g1_is_positive(mu, q, order_up_to, time_policy):
+    inc = build_increment_tp(1.0, mu) if time_policy else build_increment_hp(1.0, q, mu)
+    assert inc.masses[1] > 0.0
+    table = renewal_table(inc, order_up_to)
+    assert np.array_equal(table.m, blocked_oracle(inc.masses, order_up_to))
+
+
+@st.composite
+def zero_head_loads(draw):
+    """Loads whose first positive mass above zero sits at some a > 1 (or at 1,
+    near the TP underflow edge), with Q just below or above a, 2a or 3a: wide
+    TP loads, HP loads at rate*T >> q (almost all mass at q) and lattices."""
+    kind = draw(st.sampled_from(["tp", "hp", "lattice"]))
+    if kind == "tp":
+        inc = build_increment_tp(1.0, draw(st.floats(700.0, 2e4)))
+    elif kind == "hp":
+        q = draw(st.integers(2, 400))
+        inc = build_increment_hp(1.0, q, draw(st.floats(1000.0, 2e4)))
+    else:
+        inc = IncrementDist(draw(st.sampled_from([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 0.3, 0.7]])))
+    a = first_load(inc.masses)
+    order_up_to = draw(st.integers(1, 3)) * a + draw(st.integers(-1, 1))
+    return inc, min(max(order_up_to, 0), MAX_ORDER_UP_TO)
+
+
+@given(case=zero_head_loads())
+@example(case=(build_increment_tp(1.0, 1000.0), 70))
+@example(case=(build_increment_tp(1.0, 1000.0), 142))
+@example(case=(build_increment_hp(1.0, 50, 1000.0), 151))
+@example(case=(IncrementDist([0.0, 0.0, 1.0]), 1))
+@example(case=(build_increment_tp(1.0, 700.0), 0))
+@settings(max_examples=40, deadline=None)
+def test_blocked_solve_skips_the_zero_head(case):
+    inc, order_up_to = case
+    assert_table_matches_loop(inc, order_up_to)
+    if order_up_to < first_load(inc.masses):
+        # no load above zero fits under Q, and 1 - g(0) rounds to 1: one
+        # cycle, holding Q
+        table = renewal_table(inc, order_up_to)
+        assert expected_k(table) == 1.0
+        assert holding_sum(table) == order_up_to
+
+
+def test_wide_time_load_at_large_level_stays_in_the_wald_bracket():
+    inc = build_increment_tp(1.0, 5000.0)
+    order_up_to = 8000
+    assert first_load(inc.masses) > 1
+    e_n = inc.mean()
+    value = expected_k(renewal_table(inc, order_up_to))
+    assert (order_up_to + 1) / e_n <= value <= (order_up_to + inc.support_end) / e_n
 
 
 # ---------------------------------------------------------------------------
