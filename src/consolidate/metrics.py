@@ -17,8 +17,11 @@ e_n = rate * e_lc):
 
 where AIR is average on-hand inventory per time unit and AOD the average
 delay per order.  Exact mode computes e_k and the holding factor from the
-renewal table of the load distribution; approximate mode treats the cycle
-count as continuous, giving e_k ~ (Q+1)/e_n and the Table-style closed forms.
+renewal table of the load distribution: the recursion on the load's masses
+for hybrid loads and narrow time-policy loads, the closed form of
+``renewal._tp_renewal_rows`` for time-policy loads of mean rate*T at least
+``renewal.TP_CLOSED_FORM_MU``.  Approximate mode treats the cycle count as
+continuous, giving e_k ~ (Q+1)/e_n and the Table-style closed forms.
 
 Each of these expressions is written once, in a function that takes floats or
 arrays alike: the time and hybrid cycle forms (``_cycle_forms``), the exact
@@ -26,7 +29,8 @@ replenishment record (``_renewal_record``), the per-order ratios and AIR
 (``_per_order``, ``_service``) and the four cost components (``_components``).
 The optimizer's period scan ``_period_costs`` calls them on arrays of
 (level, period) pairs; it owns only the mass rows, their batched renewal
-recursion, the per-level reductions of its masses and its certificate.
+recursion or closed form (by the same load-mean threshold as the scalar
+path), the per-level reductions of its masses and its certificate.
 """
 
 from __future__ import annotations
@@ -278,6 +282,9 @@ def _cycle_forms(rate: float, q: int | None, period) -> CycleMetrics:
 @lru_cache(maxsize=512)
 def _policy_table(demand_rate: float, policy: Policy, order_up_to: int) -> renewal.RenewalTable:
     if isinstance(policy, TimePolicy):
+        mu = renewal._load_mean(demand_rate, policy.period)
+        if mu >= renewal.TP_CLOSED_FORM_MU:
+            return renewal._tp_table(mu, order_up_to)
         inc = renewal.build_increment_tp(demand_rate, policy.period)
     else:
         inc = renewal.build_increment_hp(demand_rate, policy.q, policy.period)
@@ -396,12 +403,14 @@ def _period_costs(demand_rate: float, costs: CostParams, q: int | None, periods,
     The cycle forms, records and cost components are the scalar path's,
     summed in its order.  This function owns the input checks, the mass rows
     and their renewal recursion along the batch axis (in chunks of at most
-    ``_CHUNK_CELLS`` mass cells), the Wald certificate of every (level, row)
-    pair and the overflow checks: it raises where the scalar path raises, at
-    the lowest failing level, and never returns inf or nan.
+    ``_CHUNK_CELLS`` mass cells), the closed-form rows of time-policy loads
+    from ``renewal.TP_CLOSED_FORM_MU`` on, the Wald certificate of every
+    (level, row) pair (Lorden's for closed-form rows) and the overflow
+    checks: it raises where the scalar path raises, at the lowest failing
+    level, and never returns inf or nan.
 
-    The renewal masses m(0..Q) do not depend on the level the recursion runs
-    to, so one recursion serves every level; each level's E[K] and holding
+    The renewal masses m(0..Q) do not depend on the level they are computed
+    to, so one table serves every level; each level's E[K] and holding
     factor reduce the prefix ``m[:, :Q+1]`` as the one-level scan does.
     """
     rate = float(demand_rate)
@@ -416,23 +425,31 @@ def _period_costs(demand_rate: float, costs: CostParams, q: int | None, periods,
         if not np.all(np.isfinite(cyc.delay) & np.isfinite(cyc.sq_delay)):
             raise OverflowError(f"cycle metrics overflow at a period up to {float(t.max())!r}")
 
-        ends = np.array([renewal._tp_support_end(m) for m in mu.tolist()] if q is None
-                        else [q] * mu.size)
-        rows = max(1, _CHUNK_CELLS // (max(int(ends.max()), order_up_to) + 1))
+        # Rows of wide time-policy loads take the closed form and Lorden's
+        # bracket; the others the recursion on their masses and Wald's.
+        closed = mu >= renewal.TP_CLOSED_FORM_MU if q is None else np.zeros(mu.size, bool)
+        cut = np.flatnonzero(~closed)
+        mean, defect, ends = np.empty(mu.size), np.empty(mu.size), np.empty(mu.size)
+        mean[closed], defect[closed], ends[closed] = renewal._lorden_terms(mu[closed])
+        ends[cut] = [renewal._tp_support_end(m) for m in mu[cut].tolist()] if q is None else q
+        rows = max(1, _CHUNK_CELLS // (max(int(ends[cut].max(initial=0)), order_up_to) + 1))
         shape = (order_up_to + 1, mu.size)
         cycles, holding_sum = np.empty(shape), np.empty(shape)
-        mean, defect = np.empty(mu.size), np.empty(mu.size)
         steps = np.arange(order_up_to + 1.0)
-        for start in range(0, mu.size, rows):
-            chunk = slice(start, start + rows)
-            g = (renewal._tp_masses(mu[chunk], ends[chunk].tolist()) if q is None
-                 else renewal._hp_masses(mu[chunk], q))
-            m = renewal._renewal_rows(g, order_up_to)
-            for level in range(order_up_to + 1):
-                prefix = m[:, :level + 1]
-                cycles[level, chunk] = prefix.sum(axis=1)
-                holding_sum[level, chunk] = prefix @ (level - steps[:level + 1])
-            mean[chunk], defect[chunk] = renewal._wald_terms(g)
+        for part in (cut, np.flatnonzero(closed)):
+            for start in range(0, part.size, rows):
+                chunk = part[start:start + rows]
+                if closed[chunk[0]]:
+                    m = renewal._tp_renewal_rows(mu[chunk], order_up_to)
+                else:
+                    g = (renewal._tp_masses(mu[chunk], ends[chunk].astype(int).tolist())
+                         if q is None else renewal._hp_masses(mu[chunk], q))
+                    m = renewal._renewal_rows(g, order_up_to)
+                    mean[chunk], defect[chunk] = renewal._wald_terms(g)
+                for level in range(order_up_to + 1):
+                    prefix = m[:, :level + 1]
+                    cycles[level, chunk] = prefix.sum(axis=1)
+                    holding_sum[level, chunk] = prefix @ (level - steps[:level + 1])
 
         # The costs of blocks of levels, lowest first, at most _CHUNK_CELLS
         # each; the lowest failing level raises, its Wald violation first.

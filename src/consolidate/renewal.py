@@ -13,6 +13,13 @@ an exact finite recursion on 0..Q:
     m(i) (1 - g(0)) = [i == 0] + sum_{j=1..min(i, smax)} g(j) m(i - j),
 
 so no truncation error enters beyond the tail cut of a Poisson increment.
+That holds for hybrid loads and for time-policy loads of mean below
+``TP_CLOSED_FORM_MU``.  From that mean on, a time-policy table does not use
+the recursion: k cycles load Poisson(k mu) exactly, so ``_tp_renewal_rows``
+sums m(i) = sum_k P(Poisson(k mu) = i) over windows of masses whose outside
+mass is below 1e-20 a side, in O(Q) memory for any mu.  ``_tp_table``
+certifies each such table by Lorden's bracket on E[K] (``_lorden_terms``).
+The route depends on mu alone, never on Q.
 
 The recursion is solved a block of levels at a time.  ``m`` is the power
 series of 1/f with f(z) = (1 - g(0)) - sum_{j>=1} g(j) z^j, so the
@@ -46,13 +53,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .truncated_poisson import _poisson_masses, _poisson_tails, poisson_tail
+from .truncated_poisson import _poisson_masses, _poisson_tails, _stirling_gaps, poisson_tail
 
 # The recursion is O(Q * support); reject absurd tables instead of hanging.
 MAX_ORDER_UP_TO = 10_000
 
 # Residual Poisson tail dropped when building a time-policy increment.
 DEFAULT_TAIL_EPS = 1e-12
+
+# Time-policy load means from which the renewal masses come from the closed
+# form (``_tp_renewal_rows``) instead of the recursion on a tail-cut load: the
+# smallest power of two at which the closed form was no slower at any Q in
+# {10, 100, 1000, 10000}.
+TP_CLOSED_FORM_MU = 256.0
+
+# Poisson mass left outside each side of a closed-form window.
+_TP_WINDOW_TAIL = 1e-20
 
 # Levels solved per block once the doubling warm-up reaches this size.
 BLOCK = 128
@@ -71,12 +87,17 @@ class IncrementDist:
         masses = np.asarray(self.masses, dtype=float)
         if masses.ndim != 1 or masses.size == 0:
             raise ValueError("masses must be a nonempty 1-d vector")
-        # A NaN or infinite mass makes the sum non-finite; finite masses whose
-        # sum overflows to inf (silently) pass here and fail the normalization.
-        with np.errstate(over="ignore"):
-            total = masses.sum()
-        if not (math.isfinite(total) or np.isfinite(masses).all()) or masses.min() < 0.0:
+        # A NaN fails both comparisons.  Masses of at most 1 cannot overflow
+        # their sum; larger finite ones may, and then fail the normalization
+        # (silently: the sum's overflow warning is off).
+        lo, hi = np.minimum.reduce(masses), np.maximum.reduce(masses)
+        if not (lo >= 0.0 and hi < math.inf):
             raise ValueError("masses must be finite and nonnegative")
+        if hi <= 1.0:
+            total = np.add.reduce(masses)
+        else:
+            with np.errstate(over="ignore"):
+                total = np.add.reduce(masses)
         if abs(total - 1.0) > 1e-10:
             raise ValueError(f"masses must sum to 1 within 1e-10, got {total!r}")
         if not masses[0] < 1.0:
@@ -255,6 +276,62 @@ def _renewal_rows(g: np.ndarray, order_up_to: int) -> np.ndarray:
     return m
 
 
+def _tp_renewal_rows(mu: np.ndarray, order_up_to: int) -> np.ndarray:
+    """m(0..Q) of the untruncated time-policy load Poisson(mu[r]), per row,
+    for mu >= TP_CLOSED_FORM_MU.
+
+    The load of k cycles is Poisson(k mu), so m(i) = sum_{k>=0} P(Poisson(k mu)
+    = i) exactly, with m(0) = 1/(1 - e^-mu).  Cycle k >= 1 adds its masses on
+    the window lam +- r, lam = k mu, cut at Q, where r solves
+    r^2 = 2 t (lam + r/3), t = -log(_TP_WINDOW_TAIL): by Bernstein's inequality
+    each side outside holds less than _TP_WINDOW_TAIL.  The windows run in
+    order of k until one starts above Q; every window starts above 80 for
+    these means.  A mass is evaluated in the saddle-point form (Loader 2000)
+
+        log P(Poisson(lam) = i) = d - i log1p(d / lam) - gap(i),  d = i - lam,
+
+    with gap(i) = log(i!) - (i log i - i) from ``_stirling_gaps``.  Its terms
+    stay small, while the plain ``-lam + i log(lam) - log(i!)`` cancels terms
+    of size lam log(lam) and errs by up to ~1e-12 per mass.  No mass depends
+    on Q, so a row's prefix m(0..Q') equals the row to Q' bit for bit.  Each
+    row takes O(Q) memory.
+    """
+    t = -math.log(_TP_WINDOW_TAIL)
+    m = np.zeros((mu.size, order_up_to + 1))
+    for row, mean in zip(m, mu.tolist()):
+        row[0] = 1.0 / -math.expm1(-mean)
+        windows = []
+        while True:
+            lam = (len(windows) + 1) * mean
+            r = t / 3.0 + math.sqrt(t * t / 9.0 + 2.0 * t * lam)
+            lo = math.ceil(lam - r)
+            if lo > order_up_to:
+                break
+            windows.append((lam, lo, min(math.floor(lam + r), order_up_to)))
+        if not windows:
+            continue
+        base = windows[0][1]
+        points = np.arange(base, windows[-1][2] + 1.0)
+        gaps = _stirling_gaps(points)
+        for lam, lo, hi in windows:
+            cells = slice(lo - base, hi + 1 - base)
+            i = points[cells]
+            d = i - lam
+            row[lo:hi + 1] += np.exp(d - i * np.log1p(d / lam) - gaps[cells])
+    return m
+
+
+def _tp_table(mu: float, order_up_to) -> RenewalTable:
+    """Renewal table of the time-policy load Poisson(mu) from the closed form;
+    raises ArithmeticError if its E[K] leaves Lorden's bracket."""
+    order_up_to = _check_order_up_to(order_up_to)
+    row = np.array([mu])
+    m = _tp_renewal_rows(row, order_up_to)[0]
+    table = RenewalTable(m=m, M=np.cumsum(m), order_up_to=order_up_to)
+    _check_wald_bracket(*_lorden_terms(row), order_up_to, table.M[-1:])
+    return table
+
+
 def _check_wald(g: np.ndarray, support_ends: np.ndarray, order_up_to,
                 cycles: np.ndarray) -> None:
     """Certify E[K] = M(Q) of each row of masses g against Wald's identity.
@@ -278,6 +355,17 @@ def _wald_terms(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     above = 1.0 - g[:, 0]
     defect = np.abs(g[:, 1:].sum(axis=1) - above) / above
     return mean, defect
+
+
+def _lorden_terms(mu: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Wald terms and bracket end of closed-form time-policy rows.
+
+    Lorden (1970) bounds the mean overshoot of a renewal process past any
+    level by E[X^2]/E[X] = mu + 1 for a Poisson(mu) load, so
+    (Q + 1)/mu <= E[K] <= (Q + mu + 1)/mu: the Wald bracket with mean mu,
+    mass defect 0 and mu + 1 in place of the support end.
+    """
+    return mu, np.zeros(mu.shape), mu + 1.0
 
 
 def _check_wald_bracket(mean: np.ndarray, defect: np.ndarray, support_ends: np.ndarray,

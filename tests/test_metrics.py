@@ -2,6 +2,7 @@
 
 import math
 import re
+import time
 import tracemalloc
 
 import numpy as np
@@ -377,6 +378,28 @@ def test_period_costs_match_scalar_average_cost(rate, costs, q, order_up_to, per
 
 @given(
     rate=st.floats(0.25, 4.0),
+    costs=st.builds(CostParams, *[st.floats(0.0, 1e3)] * 7),
+    levels=st.tuples(st.integers(0, 1500), st.integers(0, 1500)).map(sorted),
+    # rate * period from 1 to 2e4, across the closed-form threshold
+    loads=st.lists(st.floats(0.0, math.log10(2e4)).map(lambda e: 10.0 ** e),
+                   min_size=1, max_size=12),
+)
+@example(rate=1.0, costs=REF_COSTS, levels=[600, 1500],
+         loads=[255.0, renewal.TP_CLOSED_FORM_MU, 257.0, 1e3, 2e4])
+@settings(max_examples=30, deadline=None)
+def test_time_scan_matches_scalar_across_the_closed_form_threshold(rate, costs, levels, loads):
+    level, top = levels
+    periods = [load / rate for load in loads]
+    got = _period_costs(rate, costs, None, periods, top)
+    for at in sorted({0, level, top}):
+        expected = [average_cost(SystemConfig(rate, TimePolicy(t), at, costs)).avg_cost
+                    for t in periods]
+        np.testing.assert_allclose(got[at], expected, rtol=1e-12, atol=0.0)
+    assert np.array_equal(_period_costs(rate, costs, None, periods, level)[level], got[level])
+
+
+@given(
+    rate=st.floats(0.25, 4.0),
     q=st.one_of(st.none(), st.integers(1, 30)),
     levels=st.tuples(st.integers(0, 60), st.integers(0, 60)).map(sorted),
     periods=st.lists(st.floats(1e-6, 40.0), min_size=1, max_size=50),
@@ -386,6 +409,8 @@ def test_period_costs_match_scalar_average_cost(rate, costs, q, order_up_to, per
 # one chunk at level 5, two at level 3000
 @example(rate=1.0, q=None, levels=[5, 3000], periods=scan_grid(2.0))
 @example(rate=1.0, q=4, levels=[5, 3000], periods=scan_grid(2.0))
+# rows on both sides of the closed-form threshold, with windows below both levels
+@example(rate=1.0, q=None, levels=[700, 1500], periods=scan_grid(2000.0))
 @settings(max_examples=100, deadline=None)
 def test_period_cost_rows_do_not_depend_on_the_top_level(rate, q, levels, periods):
     level, top = levels
@@ -395,16 +420,22 @@ def test_period_cost_rows_do_not_depend_on_the_top_level(rate, q, levels, period
 
 
 def one_level_scan(rate, costs, q, periods, level):
-    """The scan at one level by its own recursion to that level and the
+    """The scan at one level by its own renewal masses to that level (the
+    closed form for wide time-policy loads, else the recursion) and the
     reductions of the whole of it, all rows at once: the bits the table's
     rows must reproduce."""
     t = np.asarray(periods, dtype=float)
     mu = rate * t
-    if q is None:
-        g = renewal._tp_masses(mu, [renewal._tp_support_end(m) for m in mu.tolist()])
-    else:
-        g = renewal._hp_masses(mu, q)
-    m = renewal._renewal_rows(g, level)
+    closed = mu >= renewal.TP_CLOSED_FORM_MU if q is None else np.zeros(mu.size, bool)
+    m = np.empty((mu.size, level + 1))
+    m[closed] = renewal._tp_renewal_rows(mu[closed], level)
+    cut = mu[~closed]
+    if cut.size:
+        if q is None:
+            g = renewal._tp_masses(cut, [renewal._tp_support_end(x) for x in cut.tolist()])
+        else:
+            g = renewal._hp_masses(cut, q)
+        m[~closed] = renewal._renewal_rows(g, level)
     cyc = metrics._cycle_forms(rate, q, t)
     rep = metrics._renewal_record(cyc, m.sum(axis=1), m @ (level - np.arange(level + 1.0)))
     return sum(metrics._components(rate, costs, cyc, rep, metrics._service(cyc, rep),
@@ -429,6 +460,20 @@ def test_period_costs_raise_at_the_lowest_level_failing_the_wald_check(monkeypat
         _period_costs(1.0, REF_COSTS, 3, grid, 40)
     assert str(alone.value).endswith("at order-up-to level 5")
     assert str(table.value) == str(alone.value)
+
+
+def test_closed_form_scan_rows_outside_lordens_bracket_raise(monkeypatch):
+    rows = renewal._tp_renewal_rows
+
+    def corrupted(mu, order_up_to):
+        m = rows(mu, order_up_to)
+        m[:, 0] = 2.0  # E[K] >= 2 > (Q + mu + 1)/mu for every Q below mu - 1
+        return m
+
+    monkeypatch.setattr(renewal, "_tp_renewal_rows", corrupted)
+    with pytest.raises(ArithmeticError, match="at order-up-to level 0$"):
+        _period_costs(1.0, REF_COSTS, None, [10.0, 300.0, 400.0], 40)
+    _period_costs(1.0, REF_COSTS, None, [10.0, 200.0], 40)  # no closed-form row
 
 
 def test_period_costs_raise_where_the_scalar_path_raises():
@@ -460,3 +505,24 @@ def test_time_scan_memory_is_bounded_at_large_load():
     for i in (0, len(grid) - 1):
         cfg = SystemConfig(1.0, TimePolicy(grid[i]), 10, REF_COSTS)
         assert costs[10, i] == pytest.approx(average_cost(cfg).avg_cost, rel=1e-12)
+
+
+@pytest.mark.parametrize("load", [1e7, 1e12])
+@pytest.mark.parametrize("order_up_to", [10, MAX_ORDER_UP_TO])
+def test_time_policy_cost_is_small_and_fast_at_huge_load(load, order_up_to):
+    # the closed form never builds the rate * period wide load
+    cfg = SystemConfig(1.0, TimePolicy(load), order_up_to, REF_COSTS)
+    metrics._policy_table.cache_clear()
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        ev = average_cost(cfg)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        metrics._policy_table.cache_clear()
+    assert peak <= 8 * 2**20
+    assert elapsed < 2.0
+    assert math.isfinite(ev.avg_cost)
+    assert replenish_metrics(cfg).cycles == 1.0  # no load fits under Q

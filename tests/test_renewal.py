@@ -9,10 +9,10 @@ reproduce it at every level up to the capacity limit.  A third, the blocked
 oracle, is the blocked solve without the skip of a load's zero head: it starts
 every load at level 1, and on every load with g(1) > 0 the library must match
 it bit for bit.  The load builders are checked against the per-element mass
-functions and the quantile-seeded tail cut of ``scipy.stats``.
-
-Every test here fails on a RuntimeWarning, such as numpy's overflow or
-invalid-value warning.
+functions and the quantile-seeded tail cut of ``scipy.stats``.  The
+closed-form tables of wide time-policy loads are checked against 40-digit
+``mpmath`` sums of their defining series and against the recursion on the
+tail-cut load.
 """
 
 import math
@@ -21,6 +21,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -28,29 +29,36 @@ from hypothesis import strategies as st
 from scipy.stats import poisson
 
 import consolidate
+from consolidate import metrics, renewal
 from consolidate import (
     IncrementDist,
+    SystemConfig,
+    TimePolicy,
+    average_cost,
     build_increment_hp,
     build_increment_tp,
+    cycle_metrics,
     expected_k,
     holding_sum,
     poisson_pmf,
     poisson_tail,
     renewal_table,
+    replenish_metrics,
     trunc_pmf,
 )
 from consolidate.renewal import (
     BLOCK,
     DEFAULT_TAIL_EPS,
     MAX_ORDER_UP_TO,
+    TP_CLOSED_FORM_MU,
     _check_wald,
     _hp_masses,
     _renewal_rows,
     _tp_masses,
+    _tp_renewal_rows,
     _tp_support_end,
+    _tp_table,
 )
-
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def series_oracle(masses, order_up_to, tol=1e-14):
@@ -400,6 +408,107 @@ def test_wide_time_load_at_large_level_stays_in_the_wald_bracket():
     e_n = inc.mean()
     value = expected_k(renewal_table(inc, order_up_to))
     assert (order_up_to + 1) / e_n <= value <= (order_up_to + inc.support_end) / e_n
+
+
+# ---------------------------------------------------------------------------
+# closed-form tables of wide time-policy loads
+
+
+def series_sums(mu, order_up_to):
+    """E[K] = sum_k P(S_k <= Q) and the holding factor sum_k E[(Q - S_k)^+],
+    S_k ~ Poisson(k mu), to 40 digits, with E[(Q - S)^+] = Q P(S <= Q) -
+    lam P(S <= Q - 1) for S ~ Poisson(lam); summed until the terms past Q
+    fall below 1e-45."""
+    with mpmath.workdps(40):
+        mu = mpmath.mpf(mu)
+        cycles, holding = mpmath.mpf(1), mpmath.mpf(order_up_to)
+        lam = mu
+        while True:
+            head = mpmath.gammainc(order_up_to + 1, lam, regularized=True)
+            below = mpmath.gammainc(order_up_to, lam, regularized=True) if order_up_to else 0
+            cycles += head
+            holding += order_up_to * head - lam * below
+            if lam > order_up_to and head < mpmath.mpf(10) ** -45:
+                return float(cycles), float(holding)
+            lam += mu
+
+
+wide_loads = st.floats(math.log(TP_CLOSED_FORM_MU), math.log(2e4)).map(math.exp)
+
+
+@given(mu=wide_loads, order_up_to=st.integers(0, MAX_ORDER_UP_TO))
+@example(mu=TP_CLOSED_FORM_MU, order_up_to=MAX_ORDER_UP_TO)
+@example(mu=3394.2, order_up_to=9288)
+@example(mu=1e4, order_up_to=MAX_ORDER_UP_TO)
+@example(mu=2e4, order_up_to=MAX_ORDER_UP_TO)
+@example(mu=300.0, order_up_to=0)
+@settings(max_examples=30, deadline=None)
+def test_closed_form_table_matches_the_series(mu, order_up_to):
+    table = _tp_table(mu, order_up_to)
+    cycles, holding = series_sums(mu, order_up_to)
+    assert expected_k(table) == pytest.approx(cycles, rel=1e-13, abs=0.0)
+    assert holding_sum(table) == pytest.approx(holding, rel=1e-13, abs=0.0)
+
+
+@given(mu=wide_loads, order_up_to=st.integers(0, MAX_ORDER_UP_TO))
+@example(mu=TP_CLOSED_FORM_MU, order_up_to=MAX_ORDER_UP_TO)
+@example(mu=3394.2, order_up_to=9288)
+@settings(max_examples=20, deadline=None)
+def test_closed_form_table_matches_the_cut_recursion(mu, order_up_to):
+    # the two differ by the recursion's tail cut of the load
+    closed = _tp_table(mu, order_up_to)
+    cut = renewal_table(build_increment_tp(1.0, mu), order_up_to)
+    assert expected_k(closed) == pytest.approx(expected_k(cut), rel=1e-11, abs=0.0)
+    assert holding_sum(closed) == pytest.approx(holding_sum(cut), rel=1e-11, abs=0.0)
+
+
+@given(mu=st.lists(wide_loads, min_size=1, max_size=4),
+       levels=st.tuples(st.integers(0, MAX_ORDER_UP_TO),
+                        st.integers(0, MAX_ORDER_UP_TO)).map(sorted))
+@example(mu=[TP_CLOSED_FORM_MU, 3394.2], levels=[5000, MAX_ORDER_UP_TO])
+@settings(max_examples=20, deadline=None)
+def test_closed_form_rows_do_not_depend_on_the_top_level(mu, levels):
+    level, top = levels
+    mu = np.array(mu)
+    rows = _tp_renewal_rows(mu, top)
+    assert np.array_equal(rows[:, :level + 1], _tp_renewal_rows(mu, level))
+    for row, m in zip(rows, mu.tolist()):
+        assert np.array_equal(row[:level + 1], _tp_table(m, level).m)
+
+
+@pytest.mark.parametrize("rate", [1.0, 0.75, 3.0])
+def test_time_policy_route_switches_at_the_closed_form_threshold(rate):
+    at = TP_CLOSED_FORM_MU / rate
+    below = np.nextafter(at, 0.0)
+    while rate * below >= TP_CLOSED_FORM_MU:
+        below = np.nextafter(below, 0.0)
+    order_up_to = 3000
+    records = []
+    for period in (float(below), at):
+        policy = TimePolicy(period)
+        metrics._policy_table.cache_clear()
+        got = replenish_metrics(SystemConfig(rate, policy, order_up_to))
+        if period < at:  # the recursion on the tail-cut load, bit for bit
+            table = renewal_table(build_increment_tp(rate, period), order_up_to)
+        else:
+            table = _tp_table(rate * period, order_up_to)
+        assert got == metrics._renewal_record(cycle_metrics(rate, policy), expected_k(table),
+                                              holding_sum(table))
+        records.append(got)
+    assert records[1].cycles == pytest.approx(records[0].cycles, rel=1e-11, abs=0.0)
+    assert records[1].holding == pytest.approx(records[0].holding, rel=1e-11, abs=0.0)
+
+
+@pytest.mark.parametrize("scale", [0.5, 2.0])
+def test_closed_form_table_outside_lordens_bracket_raises(monkeypatch, scale):
+    rows = renewal._tp_renewal_rows
+    monkeypatch.setattr(renewal, "_tp_renewal_rows", lambda mu, q: rows(mu, q) * scale)
+    metrics._policy_table.cache_clear()
+    try:
+        with pytest.raises(ArithmeticError, match="Wald bracket"):
+            average_cost(SystemConfig(1.0, TimePolicy(300.0), 3000))
+    finally:
+        metrics._policy_table.cache_clear()
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from consolidate import (
     trunc_pmf,
     trunc_variance,
 )
-from consolidate.truncated_poisson import _factorial_moment
+from consolidate.truncated_poisson import _factorial_moment, _stirling_gaps
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -250,6 +250,15 @@ def test_factorial_moment_float_and_array_branches_agree(mu, q, k):
     scalar = _factorial_moment(mu, q, k)
     batched = _factorial_moment(np.array([mu]), q, k)[0]
     assert abs(scalar - batched) <= 1e-15 * abs(scalar)
+
+
+def test_stirling_gaps_match_log_factorials():
+    # log(i!) - (i log i - i) to 40 digits, from the smallest point the
+    # closed-form renewal windows reach
+    i = np.array([80.0, 87.0, 100.0, 256.0, 1e3, 1e4, 2e4, 1e6])
+    with mpmath.workdps(40):
+        ref = [float(mpmath.loggamma(x + 1) - x * mpmath.log(x) + x) for x in i.tolist()]
+    np.testing.assert_allclose(_stirling_gaps(i), ref, rtol=5e-16, atol=0.0)
 
 
 def test_squared_mean_ratio_basics():
