@@ -43,7 +43,7 @@ from typing import Union
 import numpy as np
 
 from . import renewal
-from .truncated_poisson import _factorial_moment, trunc_mean
+from .truncated_poisson import _factorial_moment
 
 MATCH_BRACKET_FLOOR = 1e-8
 MATCH_MEAN_TOL = 1e-9
@@ -489,11 +489,13 @@ def match_consolidation_cycle(demand_rate: float, target_length: float, q: int) 
         )
     lo = MATCH_BRACKET_FLOOR
     hi = 50.0 * max(1.0, target_mean)
-    while trunc_mean(hi, q) < target_mean:
+    # The bisection stays on positive finite means, where ``trunc_mean`` is
+    # this closed form behind argument checks that q and mu already pass.
+    while _factorial_moment(hi, q, 1) < target_mean:
         hi *= 2.0
     mu = 0.5 * (lo + hi)
     for _ in range(MATCH_MAX_ITER):
-        mean = trunc_mean(mu, q)
+        mean = _factorial_moment(mu, q, 1)
         if abs(mean - target_mean) <= MATCH_MEAN_TOL:
             return mu / rate
         if mean < target_mean:

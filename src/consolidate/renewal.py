@@ -24,16 +24,28 @@ The route depends on mu alone, never on Q.
 The recursion is solved a block of levels at a time.  ``m`` is the power
 series of 1/f with f(z) = (1 - g(0)) - sum_{j>=1} g(j) z^j, so the
 lower-triangular Toeplitz system of any n consecutive levels has the inverse
-Toeplitz(m(0..n-1)): a block is one correlation with the levels already
-solved and one convolution with the head of ``m``.  The solve starts at level
-a, the first above zero with g(a) > 0: m(1..a-1) = 0 exactly, so those levels
-are set and skipped.  A wide Poisson load has such a head, since its masses
-below about mu - 30 sqrt(mu) underflow to zero.  Block sizes double from a up
-to ``BLOCK``, which keeps n within the levels already known.  This is the same
-recursion, O((Q - a) * smax) multiply-adds in O(Q/BLOCK + log2(BLOCK)) numpy
-calls; every term is nonnegative and only exact zeros are skipped, so nothing
-cancels.  With a = 1, as for every load with g(1) > 0, each block reads its
-whole window in one correlation.
+L = Toeplitz(m(0..n-1)): a block is L times what the levels already solved
+add to it, which is one correlation.  The solve starts at level a, the first
+above zero with g(a) > 0: m(1..a-1) = 0 exactly, so those levels are set and
+skipped.  A wide Poisson load has such a head, since its masses below about
+mu - 30 sqrt(mu) underflow to zero.  Block sizes double from a up to
+``BLOCK``, which keeps n within the levels already known.  With a = 1, as for
+every load with g(1) > 0, each block reads its whole window in one
+correlation.
+
+A block's correlation and convolution cost ~10 us whatever the load's
+width, so a table of ``MATVEC_MIN_BLOCKS`` full blocks (Q // BLOCK) or more
+spends a matrix build to make each later block one BLAS matvec.  Once BLOCK
+levels are known, a load of support end w <= BLOCK uses the jump matrix
+P = L H (``_jump_matrix``, BLOCK x w): above level 0 the recursion is
+homogeneous and a block reads only the w levels below it, so
+m(b..b+BLOCK-1) = P m(b-w..b-1), w multiply-adds per level.  A wider load
+keeps its correlation and applies L (``_block_inverse``) in place of the
+convolution.  Every table on this route is certified against Wald's bracket
+(``_check_wald``).  Below the gate every block is a correlation and a
+convolution.  Either way the work is O((Q - a) * smax) multiply-adds, plus
+BLOCK * w^2 for P, in O(Q/BLOCK + log2(BLOCK)) numpy calls; every term is
+nonnegative and only exact zeros are skipped, so nothing cancels.
 
 The optimizer evaluates many periods of one policy family at every level up
 to a bound.  For that, the load builders also work on rows: ``_hp_masses`` and
@@ -72,6 +84,17 @@ _TP_WINDOW_TAIL = 1e-20
 
 # Levels solved per block once the doubling warm-up reaches this size.
 BLOCK = 128
+
+# Full blocks (Q // BLOCK) from which a table's blocks are solved as matvecs
+# against matrices built once per table, instead of a convolution each: the
+# smallest count in {16, 18, ..., 28} from which that route was faster for
+# every support end in {2, 14, 50, 100, 128, 200, 400, 863}, in three runs.
+MATVEC_MIN_BLOCKS = 22
+
+# Multiply-adds of the largest gemm a jump matrix is built from.  OpenBLAS runs
+# a gemm of at most 65536 * 4 multiply-adds on the calling thread; on a busy
+# 2-CPU machine a threaded 128^3 gemm stalled for ~15 ms per call.
+_SERIAL_GEMM = 1 << 18
 
 # Relative slack of the Wald certificate on E[K], beyond rounding of the inputs.
 WALD_SLACK = 1e-9
@@ -240,8 +263,17 @@ def renewal_table(inc: IncrementDist, order_up_to: int) -> RenewalTable:
         nonzero = np.flatnonzero(kernel)
         a = int(nonzero[0]) + 1 if nonzero.size else order_up_to + 1
         m[1:a] = 0.0
+    # From MATVEC_MIN_BLOCKS full blocks on, once BLOCK levels are known, a
+    # narrow load leaves this loop for its jump matrix, and a wide one applies
+    # the block inverse in place of the convolution.
+    matvec = order_up_to // BLOCK >= MATVEC_MIN_BLOCKS
+    lower = None
     b = a
     while b <= order_up_to:
+        if matvec and b >= BLOCK and lower is None:
+            if smax <= BLOCK:
+                break
+            lower = _block_inverse(m, BLOCK)
         n = min(b, BLOCK, order_up_to + 1 - b)
         lo = max(0, b - smax)
         if a == 1 or lo >= a:
@@ -252,9 +284,54 @@ def renewal_table(inc: IncrementDist, order_up_to: int) -> RenewalTable:
             known = m[0] * kernel[b - 1:b + n - 1]
             if b > a:
                 known += np.correlate(kernel[:b - a + n - 1], m[a:b][::-1], "valid")
-        m[b:b + n] = np.convolve(known, m[:n])[:n]
+        if lower is None:
+            m[b:b + n] = np.convolve(known, m[:n])[:n]
+        else:
+            m[b:b + n] = lower[:n, :n] @ known
         b += n
-    return RenewalTable(m=m, M=np.cumsum(m), order_up_to=order_up_to)
+    if not matvec:
+        return RenewalTable(m=m, M=np.cumsum(m), order_up_to=order_up_to)
+    if smax <= BLOCK:
+        jump = _jump_matrix(m, kernel, smax)
+        for b in range(b, order_up_to + 1, BLOCK):
+            n = min(BLOCK, order_up_to + 1 - b)
+            m[b:b + n] = jump[:n] @ m[b - smax:b]
+    table = RenewalTable(m=m, M=np.cumsum(m), order_up_to=order_up_to)
+    _check_wald(g[None], smax, order_up_to, table.M[-1:])
+    return table
+
+
+def _toeplitz(x: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """T[i, j] = x[cols - 1 + i - j], copied from a strided view of x."""
+    view = np.ndarray((rows, cols), x.dtype, buffer=x, offset=(cols - 1) * x.itemsize,
+                      strides=(x.itemsize, -x.itemsize))
+    return view.copy()
+
+
+def _block_inverse(m: np.ndarray, cols: int) -> np.ndarray:
+    """The first ``cols`` columns of L = Toeplitz(m(0..BLOCK-1)), lower
+    triangular: the inverse of every block's system, m(b..b+n-1) =
+    L[:n, :n] @ known."""
+    head = np.zeros(cols - 1 + BLOCK)
+    head[cols - 1:] = m[:BLOCK]
+    return _toeplitz(head, BLOCK, cols)
+
+
+def _jump_matrix(m: np.ndarray, kernel: np.ndarray, width: int) -> np.ndarray:
+    """P = L H for a load of support end ``width`` <= BLOCK, with
+    H[t, c] = g(width + t - c): m(b..b+BLOCK-1) = P @ m(b-width..b-1) for
+    every b >= width, since the recursion is homogeneous above level 0.
+    Only the first ``width`` levels of a block read the window, so H has
+    ``width`` nonzero rows.  P is built in row chunks of gemms of at most
+    _SERIAL_GEMM multiply-adds; a chunk reads L only up to the column of its
+    last row, since L is zero to the right of it."""
+    lower = _block_inverse(m, width)
+    band = _toeplitz(kernel[:2 * width - 1], width, width)
+    jump = np.empty((BLOCK, width))
+    rows = max(1, _SERIAL_GEMM // (width * width))
+    for r in range(0, BLOCK, rows):
+        np.matmul(lower[r:r + rows, :r + rows], band[:r + rows], out=jump[r:r + rows])
+    return jump
 
 
 def _renewal_rows(g: np.ndarray, order_up_to: int) -> np.ndarray:

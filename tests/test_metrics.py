@@ -322,6 +322,34 @@ def test_match_infeasible():
     assert trunc_mean(period, 1) == pytest.approx(0.9999, abs=1e-9)
 
 
+def bisection_oracle(rate, target_length, q):
+    """The matching bisection on the checked public ``trunc_mean``."""
+    target_mean = rate * target_length
+    lo, hi = metrics.MATCH_BRACKET_FLOOR, 50.0 * max(1.0, target_mean)
+    while trunc_mean(hi, q) < target_mean:
+        hi *= 2.0
+    mu = 0.5 * (lo + hi)
+    for _ in range(metrics.MATCH_MAX_ITER):
+        mean = trunc_mean(mu, q)
+        if abs(mean - target_mean) <= metrics.MATCH_MEAN_TOL:
+            return mu / rate
+        if mean < target_mean:
+            lo = mu
+        else:
+            hi = mu
+        mu = 0.5 * (lo + hi)
+    raise RuntimeError("no match")
+
+
+@given(rate=st.floats(0.05, 50.0), q=st.integers(1, 1000), share=st.floats(0.001, 0.999))
+@example(rate=1.0, q=6, share=5.0 / 6.0)
+@settings(max_examples=60, deadline=None)
+def test_match_equals_the_checked_bisection_bit_for_bit(rate, q, share):
+    target_length = share * q / rate
+    assert match_consolidation_cycle(rate, target_length, q) == bisection_oracle(
+        rate, target_length, q)
+
+
 # ---------------------------------------------------------------------------
 # validation
 

@@ -5,11 +5,14 @@ Two oracles check it: the convolution-series oracle sums k-fold convolutions
 of the increment masses outright until the remaining series contributes less
 than 1e-14, an entirely separate route to the same numbers; the loop oracle
 runs the recursion one level at a time, the way the blocked solve must
-reproduce it at every level up to the capacity limit.  A third, the blocked
-oracle, is the blocked solve without the skip of a load's zero head: it starts
-every load at level 1, and on every load with g(1) > 0 the library must match
-it bit for bit.  The load builders are checked against the per-element mass
-functions and the quantile-seeded tail cut of ``scipy.stats``.  The
+reproduce it at every level up to the capacity limit.  Two more pin the
+library's bits.  The convolution oracle solves every block by a correlation
+and a convolution, from the first positive load; below the matvec gate the
+library must match it bit for bit.  The blocked oracle starts every load at
+level 1 and, above the gate, applies the library's jump matrix or block
+inverse; on every load with g(1) > 0 the library must match it bit for bit.
+The load builders are checked against the per-element mass functions and the
+quantile-seeded tail cut of ``scipy.stats``.  The
 closed-form tables of wide time-policy loads are checked against 40-digit
 ``mpmath`` sums of their defining series and against the recursion on the
 tail-cut load.
@@ -19,6 +22,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import mpmath
@@ -49,6 +53,7 @@ from consolidate import (
 from consolidate.renewal import (
     BLOCK,
     DEFAULT_TAIL_EPS,
+    MATVEC_MIN_BLOCKS,
     MAX_ORDER_UP_TO,
     TP_CLOSED_FORM_MU,
     _check_wald,
@@ -90,21 +95,66 @@ def loop_oracle(masses, order_up_to):
     return m
 
 
-def blocked_oracle(masses, order_up_to):
-    """m(0..Q) by the blocked solve that starts every load at level 1."""
+def convolution_blocks(m, kernel, smax, a, stop):
+    """Levels a..stop-1 of m by one correlation and one convolution per
+    block, block sizes doubling from a up to BLOCK: the solve of tables below
+    the matvec gate.  Returns the first level not solved."""
+    b = a
+    while b < stop:
+        n = min(b, BLOCK, stop - b)
+        lo = max(0, b - smax)
+        if a == 1 or lo >= a:
+            known = np.correlate(kernel[:b - lo + n - 1], m[lo:b][::-1], "valid")
+        else:
+            known = m[0] * kernel[b - 1:b + n - 1]
+            if b > a:
+                known += np.correlate(kernel[:b - a + n - 1], m[a:b][::-1], "valid")
+        m[b:b + n] = np.convolve(known, m[:n])[:n]
+        b += n
+    return b
+
+
+def start_table(masses, order_up_to):
+    """m with m(0) set, and the correlation kernel g(1..Q) of the library."""
     g = np.asarray(masses, dtype=float)
-    smax = g.size - 1
     m = np.empty(order_up_to + 1)
     m[0] = 1.0 / (1.0 - g[0])
     kernel = np.zeros(order_up_to)
-    kernel[:min(smax, order_up_to)] = g[1:order_up_to + 1]
-    b = 1
-    while b <= order_up_to:
-        n = min(b, BLOCK, order_up_to + 1 - b)
+    kernel[:min(g.size - 1, order_up_to)] = g[1:order_up_to + 1]
+    return m, kernel
+
+
+def convolution_oracle(masses, order_up_to):
+    """m(0..Q) by convolution blocks alone, from the first positive load."""
+    m, kernel = start_table(masses, order_up_to)
+    nonzero = np.flatnonzero(kernel)
+    a = int(nonzero[0]) + 1 if nonzero.size else order_up_to + 1
+    m[1:a] = 0.0
+    convolution_blocks(m, kernel, len(masses) - 1, a, order_up_to + 1)
+    return m
+
+
+def blocked_oracle(masses, order_up_to):
+    """m(0..Q) by the blocked solve that starts every load at level 1: its
+    convolution blocks, then above the gate the library's matvec kernels."""
+    m, kernel = start_table(masses, order_up_to)
+    smax = len(masses) - 1
+    if order_up_to // BLOCK < MATVEC_MIN_BLOCKS:
+        convolution_blocks(m, kernel, smax, 1, order_up_to + 1)
+        return m
+    convolution_blocks(m, kernel, smax, 1, BLOCK)
+    if smax <= BLOCK:
+        jump = renewal._jump_matrix(m, kernel, smax)
+    else:
+        lower = renewal._block_inverse(m, BLOCK)
+    for b in range(BLOCK, order_up_to + 1, BLOCK):
+        n = min(BLOCK, order_up_to + 1 - b)
         lo = max(0, b - smax)
-        known = np.correlate(kernel[:b - lo + n - 1], m[lo:b][::-1], "valid")
-        m[b:b + n] = np.convolve(known, m[:n])[:n]
-        b += n
+        if smax <= BLOCK:
+            m[b:b + n] = jump[:n] @ m[lo:b]
+        else:
+            m[b:b + n] = lower[:n, :n] @ np.correlate(kernel[:b - lo + n - 1], m[lo:b][::-1],
+                                                      "valid")
     return m
 
 
@@ -353,10 +403,13 @@ def test_blocked_solve_matches_loop_at_capacity(inc):
 
 
 @given(mu=st.floats(0.01, 700.0), q=st.integers(1, 300),
-       order_up_to=st.one_of(st.integers(0, 8 * BLOCK), st.integers(8 * BLOCK, 3000)),
+       order_up_to=st.one_of(st.integers(0, 8 * BLOCK), st.integers(8 * BLOCK, MAX_ORDER_UP_TO)),
        time_policy=st.booleans())
 @example(mu=3.0, q=5, order_up_to=3000, time_policy=True)
 @example(mu=50.0, q=300, order_up_to=3000, time_policy=False)
+@example(mu=3.0, q=5, order_up_to=MAX_ORDER_UP_TO, time_policy=True)
+@example(mu=100.0, q=BLOCK, order_up_to=MATVEC_MIN_BLOCKS * BLOCK, time_policy=False)
+@example(mu=50.0, q=300, order_up_to=MAX_ORDER_UP_TO, time_policy=False)
 @settings(max_examples=40, deadline=None)
 def test_blocked_solve_keeps_its_bits_when_g1_is_positive(mu, q, order_up_to, time_policy):
     inc = build_increment_tp(1.0, mu) if time_policy else build_increment_hp(1.0, q, mu)
@@ -408,6 +461,77 @@ def test_wide_time_load_at_large_level_stays_in_the_wald_bracket():
     e_n = inc.mean()
     value = expected_k(renewal_table(inc, order_up_to))
     assert (order_up_to + 1) / e_n <= value <= (order_up_to + inc.support_end) / e_n
+
+
+# ---------------------------------------------------------------------------
+# matvec blocks at and above the gate
+
+GATE = MATVEC_MIN_BLOCKS * BLOCK
+
+
+@st.composite
+def loads_across_routes(draw):
+    """Random increments narrow and wide, policy loads, and loads with a zero
+    head, narrow (HP at rate*T >> q) or wide (TP)."""
+    kind = draw(st.sampled_from(["random", "hp", "tp", "zero_head"]))
+    if kind == "random":
+        return draw(increments())
+    if kind == "hp":
+        return build_increment_hp(1.0, draw(st.integers(1, 3 * BLOCK)), draw(st.floats(0.01, 600.0)))
+    if kind == "tp":
+        return build_increment_tp(1.0, draw(st.floats(0.01, TP_CLOSED_FORM_MU)))
+    return draw(zero_head_loads())[0]
+
+
+@given(inc=loads_across_routes(), order_up_to=st.integers(GATE - 2 * BLOCK, MAX_ORDER_UP_TO))
+@example(inc=build_increment_hp(1.0, 2, 1.6), order_up_to=GATE - 1)
+@example(inc=build_increment_hp(1.0, 2, 1.6), order_up_to=GATE)
+@example(inc=build_increment_hp(1.0, BLOCK, 100.0), order_up_to=GATE)
+@example(inc=build_increment_hp(1.0, BLOCK + 1, 100.0), order_up_to=GATE + BLOCK - 1)
+@example(inc=build_increment_hp(1.0, 60, 5000.0), order_up_to=MAX_ORDER_UP_TO)
+@example(inc=IncrementDist([0.0, 0.0, 0.0, 0.3, 0.7]), order_up_to=MAX_ORDER_UP_TO)
+@example(inc=build_increment_tp(1.0, 5000.0), order_up_to=MAX_ORDER_UP_TO)
+@settings(max_examples=40, deadline=None)
+def test_matvec_solve_matches_loop(inc, order_up_to):
+    assert_table_matches_loop(inc, order_up_to)
+
+
+@given(inc=loads_across_routes(), order_up_to=st.integers(0, GATE - 1))
+@example(inc=build_increment_hp(1.0, 2, 1.6), order_up_to=GATE - 1)
+@example(inc=build_increment_hp(1.0, 863, 468.0), order_up_to=GATE - 1)
+@example(inc=build_increment_hp(1.0, 60, 5000.0), order_up_to=GATE - 1)
+@example(inc=build_increment_tp(1.0, 1000.0), order_up_to=GATE - 1)
+@settings(max_examples=40, deadline=None)
+def test_tables_below_the_gate_keep_the_convolution_bits(inc, order_up_to):
+    table = renewal_table(inc, order_up_to)
+    assert np.array_equal(table.m, convolution_oracle(inc.masses, order_up_to))
+
+
+@pytest.mark.parametrize("builder, inc", [
+    ("_jump_matrix", build_increment_hp(1.0, 10, 8.0)),
+    ("_block_inverse", build_increment_hp(1.0, 300, 250.0)),
+])
+@pytest.mark.parametrize("scale", [0.5, 2.0])
+def test_matvec_table_outside_walds_bracket_raises(monkeypatch, builder, inc, scale):
+    build = getattr(renewal, builder)
+    monkeypatch.setattr(renewal, builder, lambda *args: scale * build(*args))
+    with pytest.raises(ArithmeticError, match="Wald bracket"):
+        renewal_table(inc, GATE)
+
+
+@pytest.mark.parametrize("inc", [
+    build_increment_hp(1.0, 2, 1.6),
+    build_increment_hp(1.0, BLOCK, 100.0),
+    build_increment_hp(1.0, MAX_ORDER_UP_TO, 5000.0),
+])
+def test_matvec_table_memory_stays_small(inc):
+    tracemalloc.start()
+    try:
+        renewal_table(inc, MAX_ORDER_UP_TO)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 # ---------------------------------------------------------------------------
