@@ -53,6 +53,7 @@ from .metrics import (
     cycle_metrics,
     match_consolidation_cycle,
 )
+from .renewal import MAX_ORDER_UP_TO
 
 INTEGER_TOL = 1e-9
 
@@ -378,8 +379,16 @@ class SearchBounds:
     period_max: float = 20.0
 
     def __post_init__(self):
+        for name in ("q_max", "order_up_to_max"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.q_max < 1 or self.order_up_to_max < 0 or not self.period_max > 0.0:
             raise ValueError("bounds must satisfy q_max >= 1, order_up_to_max >= 0, period_max > 0")
+        if self.order_up_to_max > MAX_ORDER_UP_TO:
+            raise ValueError(f"order_up_to_max {self.order_up_to_max} exceeds capacity limit "
+                             f"{MAX_ORDER_UP_TO}")
 
 
 @dataclass

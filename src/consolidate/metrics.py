@@ -404,14 +404,15 @@ def _period_costs(demand_rate: float, costs: CostParams, q: int | None, periods,
     summed in its order.  This function owns the input checks, the mass rows
     and their renewal recursion along the batch axis (in chunks of at most
     ``_CHUNK_CELLS`` mass cells), the closed-form rows of time-policy loads
-    from ``renewal.TP_CLOSED_FORM_MU`` on, the Wald certificate of every
-    (level, row) pair (Lorden's for closed-form rows) and the overflow
-    checks: it raises where the scalar path raises, at the lowest failing
-    level, and never returns inf or nan.
+    from ``renewal.TP_CLOSED_FORM_MU`` on, Lorden's certificate of every
+    (level, row) pair and the overflow checks: it raises where the scalar
+    path raises, at the lowest failing level, and never returns inf or nan.
 
     The renewal masses m(0..Q) do not depend on the level they are computed
-    to, so one table serves every level; each level's E[K] and holding
-    factor reduce the prefix ``m[:, :Q+1]`` as the one-level scan does.
+    to, so one table serves every level.  With M the running sum of m, level
+    Q reads E[K] = M(Q) and the holding factor sum_{i<=Q} (Q - i) m(i) =
+    sum_{j<Q} M(j), two sequential cumsums along the levels: O(rows * Q) in
+    all, and row Q is the same at any top level.
     """
     rate = float(demand_rate)
     if not rate > 0.0:
@@ -425,34 +426,36 @@ def _period_costs(demand_rate: float, costs: CostParams, q: int | None, periods,
         if not np.all(np.isfinite(cyc.delay) & np.isfinite(cyc.sq_delay)):
             raise OverflowError(f"cycle metrics overflow at a period up to {float(t.max())!r}")
 
-        # Rows of wide time-policy loads take the closed form and Lorden's
-        # bracket; the others the recursion on their masses and Wald's.
+        # Rows of wide time-policy loads take the closed form, the others the
+        # recursion on their masses; each row's Lorden terms come with it.
         closed = mu >= renewal.TP_CLOSED_FORM_MU if q is None else np.zeros(mu.size, bool)
         cut = np.flatnonzero(~closed)
-        mean, defect, ends = np.empty(mu.size), np.empty(mu.size), np.empty(mu.size)
-        mean[closed], defect[closed], ends[closed] = renewal._lorden_terms(mu[closed])
-        ends[cut] = [renewal._tp_support_end(m) for m in mu[cut].tolist()] if q is None else q
-        rows = max(1, _CHUNK_CELLS // (max(int(ends[cut].max(initial=0)), order_up_to) + 1))
+        mean, overshoot, defect = np.empty(mu.size), np.empty(mu.size), np.empty(mu.size)
+        mean[closed], overshoot[closed], defect[closed] = renewal._tp_lorden_terms(mu[closed])
+        ends = np.zeros(mu.size, int)
+        if q is None:
+            ends[cut] = [renewal._tp_support_end(m) for m in mu[cut].tolist()]
+        rows = max(1, _CHUNK_CELLS // (max(int(ends.max(initial=0)), q or 0, order_up_to) + 1))
         shape = (order_up_to + 1, mu.size)
-        cycles, holding_sum = np.empty(shape), np.empty(shape)
-        steps = np.arange(order_up_to + 1.0)
+        cycles, holding_sum = np.empty(shape), np.zeros(shape)
         for part in (cut, np.flatnonzero(closed)):
             for start in range(0, part.size, rows):
                 chunk = part[start:start + rows]
                 if closed[chunk[0]]:
                     m = renewal._tp_renewal_rows(mu[chunk], order_up_to)
                 else:
-                    g = (renewal._tp_masses(mu[chunk], ends[chunk].astype(int).tolist())
+                    g = (renewal._tp_masses(mu[chunk], ends[chunk].tolist())
                          if q is None else renewal._hp_masses(mu[chunk], q))
                     m = renewal._renewal_rows(g, order_up_to)
-                    mean[chunk], defect[chunk] = renewal._wald_terms(g)
-                for level in range(order_up_to + 1):
-                    prefix = m[:, :level + 1]
-                    cycles[level, chunk] = prefix.sum(axis=1)
-                    holding_sum[level, chunk] = prefix @ (level - steps[:level + 1])
+                    mean[chunk], overshoot[chunk], defect[chunk] = renewal._lorden_terms(g)
+                # E[K](Q) = M(Q) and the holding factor sum_{j<Q} M(j), both
+                # sequential sums, so no level depends on the top one.
+                sums = np.cumsum(m, axis=1, out=m)
+                cycles[:, chunk] = sums.T
+                holding_sum[1:, chunk] = np.cumsum(sums[:, :-1], axis=1).T
 
         # The costs of blocks of levels, lowest first, at most _CHUNK_CELLS
-        # each; the lowest failing level raises, its Wald violation first.
+        # each; the lowest failing level raises, its Lorden violation first.
         cost = np.empty(shape)
         block = max(1, _CHUNK_CELLS // mu.size)
         for lo in range(0, order_up_to + 1, block):
@@ -462,8 +465,8 @@ def _period_costs(demand_rate: float, costs: CostParams, q: int | None, periods,
                                        "linear").values())
             failing = ~np.isfinite(cost[at]).all(axis=1)
             stop = lo + (int(np.argmax(failing)) + 1 if failing.any() else failing.size)
-            renewal._check_wald_bracket(mean, defect, ends, np.arange(lo, stop)[:, None],
-                                        cycles[lo:stop])
+            renewal._check_lorden(mean, overshoot, defect, np.arange(lo, stop)[:, None],
+                                  cycles[lo:stop])
             if failing.any():
                 raise OverflowError("average cost is not finite")
     return cost

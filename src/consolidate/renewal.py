@@ -17,21 +17,15 @@ That holds for hybrid loads and for time-policy loads of mean below
 ``TP_CLOSED_FORM_MU``.  From that mean on, a time-policy table does not use
 the recursion: k cycles load Poisson(k mu) exactly, so ``_tp_renewal_rows``
 sums m(i) = sum_k P(Poisson(k mu) = i) over windows of masses whose outside
-mass is below 1e-20 a side, in O(Q) memory for any mu.  ``_tp_table``
-certifies each such table by Lorden's bracket on E[K] (``_lorden_terms``).
-The route depends on mu alone, never on Q.
+mass is below 1e-20 a side, in O(Q) memory for any mu.  The route depends on
+mu alone, never on Q.
 
 The recursion is solved a block of levels at a time.  ``m`` is the power
 series of 1/f with f(z) = (1 - g(0)) - sum_{j>=1} g(j) z^j, so the
 lower-triangular Toeplitz system of any n consecutive levels has the inverse
 L = Toeplitz(m(0..n-1)): a block is L times what the levels already solved
-add to it, which is one correlation.  The solve starts at level a, the first
-above zero with g(a) > 0: m(1..a-1) = 0 exactly, so those levels are set and
-skipped.  A wide Poisson load has such a head, since its masses below about
-mu - 30 sqrt(mu) underflow to zero.  Block sizes double from a up to
-``BLOCK``, which keeps n within the levels already known.  With a = 1, as for
-every load with g(1) > 0, each block reads its whole window in one
-correlation.
+add to it, which is one correlation.  Block sizes double from level 1 up to
+``BLOCK``, which keeps n within the levels already known.
 
 A block's correlation and convolution cost ~10 us whatever the load's
 width, so a table of ``MATVEC_MIN_BLOCKS`` full blocks (Q // BLOCK) or more
@@ -41,11 +35,10 @@ P = L H (``_jump_matrix``, BLOCK x w): above level 0 the recursion is
 homogeneous and a block reads only the w levels below it, so
 m(b..b+BLOCK-1) = P m(b-w..b-1), w multiply-adds per level.  A wider load
 keeps its correlation and applies L (``_block_inverse``) in place of the
-convolution.  Every table on this route is certified against Wald's bracket
-(``_check_wald``).  Below the gate every block is a correlation and a
-convolution.  Either way the work is O((Q - a) * smax) multiply-adds, plus
-BLOCK * w^2 for P, in O(Q/BLOCK + log2(BLOCK)) numpy calls; every term is
-nonnegative and only exact zeros are skipped, so nothing cancels.
+convolution.  Below the gate every block is a correlation and a convolution.
+Either way the work is O(Q * smax) multiply-adds, plus BLOCK * w^2 for P, in
+O(Q/BLOCK + log2(BLOCK)) numpy calls; every term is nonnegative, so nothing
+cancels.
 
 The optimizer evaluates many periods of one policy family at every level up
 to a bound.  For that, the load builders also work on rows: ``_hp_masses`` and
@@ -53,9 +46,11 @@ to a bound.  For that, the load builders also work on rows: ``_hp_masses`` and
 expression the public builder uses, so a row does not depend on the batch
 and equals the public builder's masses bit for bit.  ``_renewal_rows`` runs the
 recursion one level at a time along the batch axis; its prefix m(0..Q) does
-not depend on the level it runs to.  ``_check_wald`` certifies each row's E[K]
-against Wald's identity, at one level or many, from the row terms of
-``_wald_terms``.
+not depend on the level it runs to.
+
+One certificate covers every route: Lorden's bracket on E[K]
+(``_check_lorden``), checked on the matvec tables, the closed-form tables and
+every row of the optimizer's scan.
 """
 
 from __future__ import annotations
@@ -96,7 +91,7 @@ MATVEC_MIN_BLOCKS = 22
 # 2-CPU machine a threaded 128^3 gemm stalled for ~15 ms per call.
 _SERIAL_GEMM = 1 << 18
 
-# Relative slack of the Wald certificate on E[K], beyond rounding of the inputs.
+# Relative slack of the Lorden certificate on E[K], beyond rounding of the inputs.
 WALD_SLACK = 1e-9
 
 
@@ -257,18 +252,12 @@ def renewal_table(inc: IncrementDist, order_up_to: int) -> RenewalTable:
     # g(j + 1) at index j, zero past the support: the correlation kernel.
     kernel = np.zeros(order_up_to)
     kernel[:min(smax, order_up_to)] = g[1:order_up_to + 1]
-    # Below the first positive mass g(a) above zero, m(1..a-1) = 0 exactly.
-    a = 1
-    if g[1] == 0.0:
-        nonzero = np.flatnonzero(kernel)
-        a = int(nonzero[0]) + 1 if nonzero.size else order_up_to + 1
-        m[1:a] = 0.0
     # From MATVEC_MIN_BLOCKS full blocks on, once BLOCK levels are known, a
     # narrow load leaves this loop for its jump matrix, and a wide one applies
     # the block inverse in place of the convolution.
     matvec = order_up_to // BLOCK >= MATVEC_MIN_BLOCKS
     lower = None
-    b = a
+    b = 1
     while b <= order_up_to:
         if matvec and b >= BLOCK and lower is None:
             if smax <= BLOCK:
@@ -276,14 +265,7 @@ def renewal_table(inc: IncrementDist, order_up_to: int) -> RenewalTable:
             lower = _block_inverse(m, BLOCK)
         n = min(b, BLOCK, order_up_to + 1 - b)
         lo = max(0, b - smax)
-        if a == 1 or lo >= a:
-            known = np.correlate(kernel[:b - lo + n - 1], m[lo:b][::-1], "valid")
-        else:
-            # The window [lo, b) less the zero levels: level 0, whose terms
-            # g(b + k) are exact zeros once lo > 0, and the levels [a, b).
-            known = m[0] * kernel[b - 1:b + n - 1]
-            if b > a:
-                known += np.correlate(kernel[:b - a + n - 1], m[a:b][::-1], "valid")
+        known = np.correlate(kernel[:b - lo + n - 1], m[lo:b][::-1], "valid")
         if lower is None:
             m[b:b + n] = np.convolve(known, m[:n])[:n]
         else:
@@ -297,7 +279,7 @@ def renewal_table(inc: IncrementDist, order_up_to: int) -> RenewalTable:
             n = min(BLOCK, order_up_to + 1 - b)
             m[b:b + n] = jump[:n] @ m[b - smax:b]
     table = RenewalTable(m=m, M=np.cumsum(m), order_up_to=order_up_to)
-    _check_wald(g[None], smax, order_up_to, table.M[-1:])
+    _check_lorden(*_lorden_terms(g[None]), order_up_to, table.M[-1:])
     return table
 
 
@@ -405,59 +387,54 @@ def _tp_table(mu: float, order_up_to) -> RenewalTable:
     row = np.array([mu])
     m = _tp_renewal_rows(row, order_up_to)[0]
     table = RenewalTable(m=m, M=np.cumsum(m), order_up_to=order_up_to)
-    _check_wald_bracket(*_lorden_terms(row), order_up_to, table.M[-1:])
+    _check_lorden(*_tp_lorden_terms(row), order_up_to, table.M[-1:])
     return table
 
 
-def _check_wald(g: np.ndarray, support_ends: np.ndarray, order_up_to,
-                cycles: np.ndarray) -> None:
-    """Certify E[K] = M(Q) of each row of masses g against Wald's identity.
-
-    The load S_K of the cycle that first passes Q lies in [Q + 1, Q + smax],
-    and E[S_K] = E[K] e_n with e_n the row's mean, so
-    (Q + 1)/e_n <= E[K] <= (Q + smax)/e_n.  The recursion sees the masses
-    above zero as a distribution of total mass (sum_{j>=1} g(j))/(1 - g(0)),
-    which rounding moves off 1 by a relative defect d (large when g(0) is
-    near 1); over at most Q + 1 nonzero loads that scales E[K] by up to
-    (1 + d)^(Q+1), so the bracket widens by (Q + 2) d on top of WALD_SLACK.
-    ``order_up_to`` may also be a column of levels, one per row of ``cycles``.
-    Raises ArithmeticError on a violation.
-    """
-    _check_wald_bracket(*_wald_terms(g), support_ends, order_up_to, cycles)
-
-
-def _wald_terms(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's mean e_n and relative mass defect d (see ``_check_wald``)."""
-    mean = g @ np.arange(g.shape[1], dtype=float)
+def _lorden_terms(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each row's mean E[X], overshoot bound E[X^2]/E[X] and relative mass
+    defect d (see ``_check_lorden``), from its masses g."""
+    support = np.arange(g.shape[1], dtype=float)
+    mean = g @ support
     above = 1.0 - g[:, 0]
     defect = np.abs(g[:, 1:].sum(axis=1) - above) / above
-    return mean, defect
+    return mean, g @ (support * support) / mean, defect
 
 
-def _lorden_terms(mu: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Wald terms and bracket end of closed-form time-policy rows.
+def _tp_lorden_terms(mu: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The terms of ``_lorden_terms`` for untruncated Poisson(mu) loads, the
+    closed-form rows: E[X] = mu, E[X^2]/E[X] = mu + 1 and no mass defect."""
+    return mu, mu + 1.0, np.zeros(mu.shape)
 
-    Lorden (1970) bounds the mean overshoot of a renewal process past any
-    level by E[X^2]/E[X] = mu + 1 for a Poisson(mu) load, so
-    (Q + 1)/mu <= E[K] <= (Q + mu + 1)/mu: the Wald bracket with mean mu,
-    mass defect 0 and mu + 1 in place of the support end.
+
+def _check_lorden(mean: np.ndarray, overshoot: np.ndarray, defect: np.ndarray,
+                  order_up_to, cycles: np.ndarray) -> None:
+    """Certify E[K] = M(Q) of each row against Lorden's bracket.
+
+    The load S_K of the cycle that first passes Q is at least Q + 1, and
+    Lorden (1970) bounds its mean overshoot past Q by E[X^2]/E[X], so by
+    Wald's identity E[S_K] = E[K] E[X],
+    (Q + 1)/E[X] <= E[K] <= (Q + E[X^2]/E[X])/E[X].  For a Poisson(mu) load
+    the terms are mu and mu + 1 (``_tp_lorden_terms``).  The recursion sees
+    the masses above zero as a distribution of total mass
+    (sum_{j>=1} g(j))/(1 - g(0)), which rounding moves off 1 by a relative
+    defect d (large when g(0) is near 1); over at most Q + 1 nonzero loads
+    that scales E[K] by up to (1 + d)^(Q+1), so the bracket widens by
+    (Q + 2) d on top of WALD_SLACK, a relative slack that keeps the two ends
+    apart at q = 1, where both are equalities.
+    ``order_up_to`` may also be a column of levels, one per row of ``cycles``;
+    then a violation raises at the lowest failing level, at its first failing
+    row.  Raises ArithmeticError on a violation.
     """
-    return mu, np.zeros(mu.shape), mu + 1.0
-
-
-def _check_wald_bracket(mean: np.ndarray, defect: np.ndarray, support_ends: np.ndarray,
-                        order_up_to, cycles: np.ndarray) -> None:
-    """``_check_wald`` from the rows' Wald terms; with a column of levels it
-    raises at the lowest failing level, at its first failing row."""
     slack = WALD_SLACK + (order_up_to + 2) * defect
     lower = (order_up_to + 1) / mean * (1.0 - slack)
-    upper = (order_up_to + support_ends) / mean * (1.0 + slack)
+    upper = (order_up_to + overshoot) / mean * (1.0 + slack)
     bad = ~((lower <= cycles) & (cycles <= upper))
     if bad.any():
         at = np.unravel_index(int(np.argmax(bad)), bad.shape)
         level = np.broadcast_to(order_up_to, bad.shape)[at]
         raise ArithmeticError(
-            f"renewal E[K] = {float(cycles[at])!r} outside the Wald bracket "
+            f"renewal E[K] = {float(cycles[at])!r} outside the Lorden bracket "
             f"[{float(lower[at])!r}, {float(upper[at])!r}] at order-up-to level {int(level)}"
         )
 

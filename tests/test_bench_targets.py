@@ -1,16 +1,22 @@
 """The benchmark's tracer wraps package functions by name.
 
-``bench/tracer.py`` lists them in ``TARGETS``.  A renamed or deleted target
-does not stop a traced run: the layer metrics that need it come out as
-null.  These tests read the list without importing or changing ``bench/``
-and fail as soon as a refactor breaks a name the tracer relies on.
+``bench/tracer.py`` lists them in ``TARGETS``.  A renamed or deleted target,
+or one whose role changes (a cache removed), does not stop a traced run: the
+layer metrics that need it come out as null and the run still exits 0.
+These tests read the list without importing or changing ``bench/``, and run
+the traced benchmark on its tiny sizes, so they fail as soon as a refactor
+breaks a name or a role the tracer relies on.
 """
 
 import ast
 import importlib
+import json
+import subprocess
+import sys
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+TRACER = BENCH / "tracer.py"
 
 
 def tracer_targets():
@@ -42,3 +48,32 @@ def test_the_traced_table_cache_reports_its_hits():
     for module, attr in cached:
         fn = getattr(importlib.import_module(f"consolidate.{module}"), attr)
         assert callable(getattr(fn, "cache_info", None)), f"{module}.{attr} has no cache_info"
+
+
+def strict_json(line: str) -> dict:
+    """The result line, parsed as strict JSON: NaN and Infinity are refused."""
+    def refuse(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+    return json.loads(line, parse_constant=refuse)
+
+
+def test_traced_tiny_runs_report_every_layer_metric():
+    # the two workloads whose layers wrap the evaluator and its table cache,
+    # run side by side: ~5 s each on 2 CPUs
+    runs = {workload: subprocess.Popen(
+        [sys.executable, str(BENCH / "run.py"), "--workload", workload, "--size", "tiny",
+         "--trace", "1"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        for workload in ("optimize", "exact-large")}
+    try:
+        for workload, proc in runs.items():
+            out, err = proc.communicate(timeout=120)
+            assert proc.returncode == 0, err[-2000:]
+            result = strict_json(out.strip().splitlines()[-1])
+            absent = sorted(name for name, metric in result["metrics"].items()
+                            if metric["value"] is None)
+            assert result["metrics"] and not absent, (workload, absent)
+    finally:
+        for proc in runs.values():
+            proc.kill()
+            proc.wait()

@@ -5,6 +5,7 @@ import re
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from consolidate import (
@@ -20,6 +21,7 @@ from consolidate import (
 from consolidate import compare
 from consolidate.compare import REFERENCE_COSTS
 from consolidate.metrics import _period_costs
+from consolidate.renewal import MAX_ORDER_UP_TO
 
 
 def test_matched_rows_reference_example():
@@ -225,6 +227,24 @@ def test_optimizer_validation():
         optimize(1.0, REFERENCE_COSTS, "other")
     with pytest.raises(ValueError):
         SearchBounds(q_max=0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("q_max", 2.5), ("q_max", True), ("q_max", "3"),
+    ("order_up_to_max", 4.0), ("order_up_to_max", False),
+])
+def test_search_bounds_take_integer_levels(field, value):
+    with pytest.raises(ValueError, match=re.escape(f"{field} must be an integer, got {value!r}")):
+        SearchBounds(**{field: value})
+    bounds = SearchBounds(np.int64(3), np.int64(4))
+    assert (type(bounds.q_max), type(bounds.order_up_to_max)) == (int, int)
+
+
+def test_search_bounds_stop_at_the_capacity_limit():
+    # every family: a quantity optimize at this bound once ran for over a minute
+    with pytest.raises(ValueError, match="order_up_to_max 10000000 exceeds capacity limit 10000$"):
+        SearchBounds(1, 10**7)
+    assert SearchBounds(1, MAX_ORDER_UP_TO).order_up_to_max == MAX_ORDER_UP_TO
 
 
 @pytest.mark.parametrize("kind", ["hybrid", "time"])

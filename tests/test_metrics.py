@@ -385,13 +385,15 @@ def test_system_validation():
     costs=st.builds(CostParams, *[st.floats(0.0, 1e3)] * 7),
     q=st.one_of(st.none(), st.integers(1, 30)),
     order_up_to=st.integers(0, 200),
-    # down to load means of 2.5e-10, where the Wald bracket is widened by the
+    # down to load means of 2.5e-10, where the Lorden bracket is widened by the
     # rounding of 1 - g(0); below ~1e-12 both paths raise (tested below)
     periods=st.lists(st.floats(1e-9, 40.0), min_size=1, max_size=50),
 )
 @example(rate=1.0, costs=REF_COSTS, q=None, order_up_to=40, periods=scan_grid(20.0))
 @example(rate=1.0, costs=REF_COSTS, q=10, order_up_to=40, periods=scan_grid(20.0))
 @example(rate=0.5, costs=REF_COSTS, q=1, order_up_to=0, periods=scan_grid(8.0))
+# a deep table: its levels reduce by running sums over 2 000 levels
+@example(rate=1.0, costs=REF_COSTS, q=3, order_up_to=2000, periods=[0.1, 2.5, 20.0])
 @settings(max_examples=100, deadline=None)
 def test_period_costs_match_scalar_average_cost(rate, costs, q, order_up_to, periods):
     def scalar(period, level):
@@ -450,8 +452,9 @@ def test_period_cost_rows_do_not_depend_on_the_top_level(rate, q, levels, period
 def one_level_scan(rate, costs, q, periods, level):
     """The scan at one level by its own renewal masses to that level (the
     closed form for wide time-policy loads, else the recursion) and the
-    reductions of the whole of it, all rows at once: the bits the table's
-    rows must reproduce."""
+    scan's reductions at that level, all rows at once: E[K] = M(Q) and the
+    holding factor sum_{j<Q} M(j), each a sequential sum.  These are the
+    bits the table's rows must reproduce."""
     t = np.asarray(periods, dtype=float)
     mu = rate * t
     closed = mu >= renewal.TP_CLOSED_FORM_MU if q is None else np.zeros(mu.size, bool)
@@ -465,7 +468,9 @@ def one_level_scan(rate, costs, q, periods, level):
             g = renewal._hp_masses(cut, q)
         m[~closed] = renewal._renewal_rows(g, level)
     cyc = metrics._cycle_forms(rate, q, t)
-    rep = metrics._renewal_record(cyc, m.sum(axis=1), m @ (level - np.arange(level + 1.0)))
+    sums = np.cumsum(m, axis=1)
+    holding = np.cumsum(sums[:, :-1], axis=1)[:, -1] if level else np.zeros(mu.size)
+    rep = metrics._renewal_record(cyc, sums[:, -1], holding)
     return sum(metrics._components(rate, costs, cyc, rep, metrics._service(cyc, rep),
                                    "linear").values())
 
@@ -488,6 +493,25 @@ def test_period_costs_raise_at_the_lowest_level_failing_the_wald_check(monkeypat
         _period_costs(1.0, REF_COSTS, 3, grid, 40)
     assert str(alone.value).endswith("at order-up-to level 5")
     assert str(table.value) == str(alone.value)
+
+
+def test_scan_row_between_the_brackets_raises(monkeypatch):
+    # HP(10, 8) to level 40, E[K] scaled to just inside the looser bracket
+    # (Q + smax)/E[X] that the support end gives at every level: Lorden's
+    # upper end (Q + E[X^2]/E[X])/E[X] is below it and fails
+    order_up_to, q, period = 40, 10, 8.0
+    g = renewal._hp_masses(np.array([period]), q)[0]
+    support = np.arange(q + 1.0)
+    mean = g @ support
+    levels = np.arange(order_up_to + 1.0)
+    cycles = np.cumsum(renewal._renewal_rows(g[None], order_up_to)[0])
+    scale = ((levels + q) / mean / cycles).min() * (1.0 - 1e-9)
+    first = int(np.argmax(scale * cycles > (levels + g @ support**2 / mean) / mean))
+    assert scale * cycles[first] > (first + g @ support**2 / mean) / mean * (1.0 + 1e-6)
+    solve = renewal._renewal_rows
+    monkeypatch.setattr(renewal, "_renewal_rows", lambda g, top: scale * solve(g, top))
+    with pytest.raises(ArithmeticError, match=f"Lorden bracket .* level {first}$"):
+        _period_costs(1.0, REF_COSTS, q, [period], order_up_to)
 
 
 def test_closed_form_scan_rows_outside_lordens_bracket_raise(monkeypatch):

@@ -56,7 +56,7 @@ from consolidate.renewal import (
     MATVEC_MIN_BLOCKS,
     MAX_ORDER_UP_TO,
     TP_CLOSED_FORM_MU,
-    _check_wald,
+    _check_lorden,
     _hp_masses,
     _renewal_rows,
     _tp_masses,
@@ -95,23 +95,17 @@ def loop_oracle(masses, order_up_to):
     return m
 
 
-def convolution_blocks(m, kernel, smax, a, stop):
-    """Levels a..stop-1 of m by one correlation and one convolution per
-    block, block sizes doubling from a up to BLOCK: the solve of tables below
-    the matvec gate.  Returns the first level not solved."""
-    b = a
+def convolution_blocks(m, kernel, smax, stop):
+    """Levels 1..stop-1 of m by one correlation and one convolution per
+    block, block sizes doubling from 1 up to BLOCK: the solve of tables below
+    the matvec gate."""
+    b = 1
     while b < stop:
         n = min(b, BLOCK, stop - b)
         lo = max(0, b - smax)
-        if a == 1 or lo >= a:
-            known = np.correlate(kernel[:b - lo + n - 1], m[lo:b][::-1], "valid")
-        else:
-            known = m[0] * kernel[b - 1:b + n - 1]
-            if b > a:
-                known += np.correlate(kernel[:b - a + n - 1], m[a:b][::-1], "valid")
+        known = np.correlate(kernel[:b - lo + n - 1], m[lo:b][::-1], "valid")
         m[b:b + n] = np.convolve(known, m[:n])[:n]
         b += n
-    return b
 
 
 def start_table(masses, order_up_to):
@@ -125,24 +119,21 @@ def start_table(masses, order_up_to):
 
 
 def convolution_oracle(masses, order_up_to):
-    """m(0..Q) by convolution blocks alone, from the first positive load."""
+    """m(0..Q) by convolution blocks alone, from level 1."""
     m, kernel = start_table(masses, order_up_to)
-    nonzero = np.flatnonzero(kernel)
-    a = int(nonzero[0]) + 1 if nonzero.size else order_up_to + 1
-    m[1:a] = 0.0
-    convolution_blocks(m, kernel, len(masses) - 1, a, order_up_to + 1)
+    convolution_blocks(m, kernel, len(masses) - 1, order_up_to + 1)
     return m
 
 
 def blocked_oracle(masses, order_up_to):
-    """m(0..Q) by the blocked solve that starts every load at level 1: its
-    convolution blocks, then above the gate the library's matvec kernels."""
+    """m(0..Q) by the blocked solve: its convolution blocks, then above the
+    gate the library's matvec kernels."""
     m, kernel = start_table(masses, order_up_to)
     smax = len(masses) - 1
     if order_up_to // BLOCK < MATVEC_MIN_BLOCKS:
-        convolution_blocks(m, kernel, smax, 1, order_up_to + 1)
+        convolution_blocks(m, kernel, smax, order_up_to + 1)
         return m
-    convolution_blocks(m, kernel, smax, 1, BLOCK)
+    convolution_blocks(m, kernel, smax, BLOCK)
     if smax <= BLOCK:
         jump = renewal._jump_matrix(m, kernel, smax)
     else:
@@ -410,10 +401,14 @@ def test_blocked_solve_matches_loop_at_capacity(inc):
 @example(mu=3.0, q=5, order_up_to=MAX_ORDER_UP_TO, time_policy=True)
 @example(mu=100.0, q=BLOCK, order_up_to=MATVEC_MIN_BLOCKS * BLOCK, time_policy=False)
 @example(mu=50.0, q=300, order_up_to=MAX_ORDER_UP_TO, time_policy=False)
+# zero heads: g(1) = 0, below and above the gate, narrow and wide
+@example(mu=1000.0, q=5, order_up_to=MATVEC_MIN_BLOCKS * BLOCK - 1, time_policy=True)
+@example(mu=1000.0, q=5, order_up_to=MAX_ORDER_UP_TO, time_policy=True)
+@example(mu=5000.0, q=60, order_up_to=MATVEC_MIN_BLOCKS * BLOCK, time_policy=False)
+@example(mu=5000.0, q=300, order_up_to=MAX_ORDER_UP_TO, time_policy=False)
 @settings(max_examples=40, deadline=None)
 def test_blocked_solve_keeps_its_bits_when_g1_is_positive(mu, q, order_up_to, time_policy):
     inc = build_increment_tp(1.0, mu) if time_policy else build_increment_hp(1.0, q, mu)
-    assert inc.masses[1] > 0.0
     table = renewal_table(inc, order_up_to)
     assert np.array_equal(table.m, blocked_oracle(inc.masses, order_up_to))
 
@@ -443,7 +438,7 @@ def zero_head_loads(draw):
 @example(case=(IncrementDist([0.0, 0.0, 1.0]), 1))
 @example(case=(build_increment_tp(1.0, 700.0), 0))
 @settings(max_examples=40, deadline=None)
-def test_blocked_solve_skips_the_zero_head(case):
+def test_blocked_solve_matches_loop_on_zero_head_loads(case):
     inc, order_up_to = case
     assert_table_matches_loop(inc, order_up_to)
     if order_up_to < first_load(inc.masses):
@@ -515,7 +510,37 @@ def test_tables_below_the_gate_keep_the_convolution_bits(inc, order_up_to):
 def test_matvec_table_outside_walds_bracket_raises(monkeypatch, builder, inc, scale):
     build = getattr(renewal, builder)
     monkeypatch.setattr(renewal, builder, lambda *args: scale * build(*args))
-    with pytest.raises(ArithmeticError, match="Wald bracket"):
+    with pytest.raises(ArithmeticError, match="Lorden bracket"):
+        renewal_table(inc, GATE)
+
+
+def wald_upper(masses, order_up_to):
+    """The looser upper end (Q + smax)/E[X] of E[K] that the support end gives."""
+    masses = np.asarray(masses)
+    return (order_up_to + masses.shape[-1] - 1) / (masses @ np.arange(masses.shape[-1]))
+
+
+def lorden_upper(masses, order_up_to):
+    """Lorden's upper end (Q + E[X^2]/E[X])/E[X] of E[K]."""
+    masses = np.asarray(masses)
+    support = np.arange(masses.shape[-1])
+    mean = masses @ support
+    return (order_up_to + masses @ support**2 / mean) / mean
+
+
+@pytest.mark.parametrize("inc", [build_increment_hp(1.0, 10, 8.0),
+                                 build_increment_hp(1.0, 300, 250.0)])
+def test_matvec_table_between_the_brackets_raises(monkeypatch, inc):
+    # E[K] scaled halfway from Lorden's upper end to the support end's one:
+    # inside the old bracket, outside the certificate's
+    cycles = expected_k(renewal_table(inc, GATE))
+    upper, loose = lorden_upper(inc.masses, GATE), wald_upper(inc.masses, GATE)
+    assert upper * (1.0 + 1e-6) < loose
+    scale = (upper + loose) / 2.0 / cycles
+    table = renewal.RenewalTable
+    monkeypatch.setattr(renewal, "RenewalTable", lambda m, M, order_up_to: table(
+        m=scale * m, M=scale * M, order_up_to=order_up_to))
+    with pytest.raises(ArithmeticError, match="Lorden bracket"):
         renewal_table(inc, GATE)
 
 
@@ -629,7 +654,7 @@ def test_closed_form_table_outside_lordens_bracket_raises(monkeypatch, scale):
     monkeypatch.setattr(renewal, "_tp_renewal_rows", lambda mu, q: rows(mu, q) * scale)
     metrics._policy_table.cache_clear()
     try:
-        with pytest.raises(ArithmeticError, match="Wald bracket"):
+        with pytest.raises(ArithmeticError, match="Lorden bracket"):
             average_cost(SystemConfig(1.0, TimePolicy(300.0), 3000))
     finally:
         metrics._policy_table.cache_clear()
@@ -709,18 +734,24 @@ def test_batched_recursion_matches_loop(incs, order_up_to):
 
 
 def test_wald_certificate():
-    # rows with support end 2 and 3 (one zero-padded), one with mass at zero
+    # rows with support end 2 and 3 (one zero-padded), one with mass at zero;
+    # E[X^2]/E[X] is 1.5 and 3
     g = np.array([[0.25, 0.5, 0.25, 0.0], [0.5, 0.0, 0.0, 0.5]])
-    ends = np.array([2, 3])
+    terms = renewal._lorden_terms(g)
+    np.testing.assert_allclose(terms[0], [1.0, 1.5], rtol=1e-15)
+    np.testing.assert_allclose(terms[1], [1.5, 3.0], rtol=1e-15)
+    assert not terms[2].any()
     for order_up_to in (0, 1, 6, 40):
         cycles = _renewal_rows(g, order_up_to).sum(axis=1)
-        _check_wald(g, ends, order_up_to, cycles)
-        mean = g @ np.arange(4.0)
-        # a hand-built E[K] just outside each end of the bracket
-        for bad in ((order_up_to + 1) / mean[1] * (1 - 1e-6),
-                    (order_up_to + 3) / mean[1] * (1 + 1e-6), np.nan):
-            with pytest.raises(ArithmeticError, match="Wald bracket"):
-                _check_wald(g, ends, order_up_to, np.array([cycles[0], bad]))
+        _check_lorden(*terms, order_up_to, cycles)
+        # a hand-built E[K] just outside each end of each row's bracket
+        for row, bad in ((1, (order_up_to + 1) / 1.5 * (1 - 1e-6)),
+                         (1, (order_up_to + 3) / 1.5 * (1 + 1e-6)),
+                         (0, (order_up_to + 1.5) * (1 + 1e-6)), (1, np.nan)):
+            values = cycles.copy()
+            values[row] = bad
+            with pytest.raises(ArithmeticError, match="Lorden bracket"):
+                _check_lorden(*terms, order_up_to, values)
 
 
 def test_builders_reject_infinite_load_mean():
