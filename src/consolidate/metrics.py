@@ -20,8 +20,15 @@ delay per order.  Exact mode computes e_k and the holding factor from the
 renewal table of the load distribution: the recursion on the load's masses
 for hybrid loads and narrow time-policy loads, the closed form of
 ``renewal._tp_renewal_rows`` for time-policy loads of mean rate*T at least
-``renewal.TP_CLOSED_FORM_MU``.  Approximate mode treats the cycle count as
-continuous, giving e_k ~ (Q+1)/e_n and the Table-style closed forms.
+``renewal.TP_CLOSED_FORM_MU``.  A hybrid load min(X, q) enters its table at
+the cap c = min(q, Q + 1, floor(mu + r)) of ``renewal._hp_cap``, which costs
+at most a Poisson tail of 1e-20 and bounds the table's memory by O(Q) for any
+q; the cycle forms keep the real q.  Approximate mode treats the cycle count
+as continuous, giving e_k ~ (Q+1)/e_n and the Table-style closed forms.
+
+Matched comparisons need the hybrid period whose truncated mean load hits a
+target (``match_consolidation_cycle``): Newton's method on the closed form,
+with bisection as its fallback.
 
 Each of these expressions is written once, in a function that takes floats or
 arrays alike: the time and hybrid cycle forms (``_cycle_forms``), the exact
@@ -43,11 +50,15 @@ from typing import Union
 import numpy as np
 
 from . import renewal
-from .truncated_poisson import _factorial_moment
+from .truncated_poisson import _factorial_moment, trunc_factorial_moment_dmu
 
 MATCH_BRACKET_FLOOR = 1e-8
 MATCH_MEAN_TOL = 1e-9
 MATCH_MAX_ITER = 200
+# Newton steps of the period match before it falls back to bisection.
+MATCH_NEWTON_ITER = 40
+# A Newton match within MATCH_MEAN_TOL stops at a step of at most this many ulps.
+MATCH_POLISH_ULPS = 4
 
 # Mass cells (rows x support) that one chunk of ``_period_costs`` holds at
 # most, which bounds its memory when rate * period is large.
@@ -281,13 +292,15 @@ def _cycle_forms(rate: float, q: int | None, period) -> CycleMetrics:
 
 @lru_cache(maxsize=512)
 def _policy_table(demand_rate: float, policy: Policy, order_up_to: int) -> renewal.RenewalTable:
+    order_up_to = renewal._check_order_up_to(order_up_to)
+    mu = renewal._load_mean(demand_rate, policy.period)
     if isinstance(policy, TimePolicy):
-        mu = renewal._load_mean(demand_rate, policy.period)
         if mu >= renewal.TP_CLOSED_FORM_MU:
             return renewal._tp_table(mu, order_up_to)
         inc = renewal.build_increment_tp(demand_rate, policy.period)
     else:
-        inc = renewal.build_increment_hp(demand_rate, policy.q, policy.period)
+        cap = renewal._hp_cap(mu, policy.q, order_up_to)
+        inc = renewal.build_increment_hp(demand_rate, cap, policy.period)
     return renewal.renewal_table(inc, order_up_to)
 
 
@@ -427,15 +440,18 @@ def _period_costs(demand_rate: float, costs: CostParams, q: int | None, periods,
             raise OverflowError(f"cycle metrics overflow at a period up to {float(t.max())!r}")
 
         # Rows of wide time-policy loads take the closed form, the others the
-        # recursion on their masses; each row's Lorden terms come with it.
+        # recursion on their masses, which end at the time-policy load's cut
+        # or at the hybrid load's cap; each row's Lorden terms come with it.
         closed = mu >= renewal.TP_CLOSED_FORM_MU if q is None else np.zeros(mu.size, bool)
         cut = np.flatnonzero(~closed)
         mean, overshoot, defect = np.empty(mu.size), np.empty(mu.size), np.empty(mu.size)
         mean[closed], overshoot[closed], defect[closed] = renewal._tp_lorden_terms(mu[closed])
-        ends = np.zeros(mu.size, int)
         if q is None:
+            ends = np.zeros(mu.size, int)
             ends[cut] = [renewal._tp_support_end(m) for m in mu[cut].tolist()]
-        rows = max(1, _CHUNK_CELLS // (max(int(ends.max(initial=0)), q or 0, order_up_to) + 1))
+        else:
+            ends = renewal._hp_cap(mu, q, order_up_to)
+        rows = max(1, _CHUNK_CELLS // (max(int(ends.max(initial=0)), order_up_to) + 1))
         shape = (order_up_to + 1, mu.size)
         cycles, holding_sum = np.empty(shape), np.zeros(shape)
         for part in (cut, np.flatnonzero(closed)):
@@ -445,7 +461,7 @@ def _period_costs(demand_rate: float, costs: CostParams, q: int | None, periods,
                     m = renewal._tp_renewal_rows(mu[chunk], order_up_to)
                 else:
                     g = (renewal._tp_masses(mu[chunk], ends[chunk].tolist())
-                         if q is None else renewal._hp_masses(mu[chunk], q))
+                         if q is None else renewal._hp_masses(mu[chunk], ends[chunk]))
                     m = renewal._renewal_rows(g, order_up_to)
                     mean[chunk], overshoot[chunk], defect[chunk] = renewal._lorden_terms(g)
                 # E[K](Q) = M(Q) and the holding factor sum_{j<Q} M(j), both
@@ -475,9 +491,10 @@ def _period_costs(demand_rate: float, costs: CostParams, q: int | None, periods,
 def match_consolidation_cycle(demand_rate: float, target_length: float, q: int) -> float:
     """Hybrid period whose expected consolidation cycle length hits a target.
 
-    Solves E[min(Poisson(rate*T), q)] = rate * target_length for T by
-    bisection; the truncated mean is strictly increasing in T with supremum q,
-    so a solution exists iff rate * target_length < q.
+    Solves f(mu) = E[min(Poisson(mu), q)] = rate * target_length for
+    mu = rate * T.  f is strictly increasing with supremum q, so a solution
+    exists iff rate * target_length < q.  Newton's method finds it
+    (``_newton_match``); bisection is the fallback.
     """
     rate = float(demand_rate)
     if not rate > 0.0 or not target_length > 0.0:
@@ -490,23 +507,72 @@ def match_consolidation_cycle(demand_rate: float, target_length: float, q: int) 
         raise MatchInfeasibleError(
             f"target mean load {target_mean:g} is not reachable below the cap q={q}"
         )
+    mu = _newton_match(target_mean, q)
+    if mu is None:
+        mu = _bisection_match(target_mean, q)
+    if mu is None:
+        raise RuntimeError(
+            f"bisection did not reach mean tolerance {MATCH_MEAN_TOL} "
+            f"for rate={rate}, target_length={target_length}, q={q}"
+        )
+    return mu / rate
+
+
+def _newton_match(target: float, q: int) -> float | None:
+    """Root of f(mu) = E[min(Poisson(mu), q)] = target by Newton's method.
+
+    f' = P(X <= q - 1) > 0 and f'' = -P(X = q - 1) < 0: f is concave, so its
+    tangents lie above it, and f(mu) < mu.  From mu = target the iterates
+    therefore rise monotonically to the root.  Once f is within
+    MATCH_MEAN_TOL of the target, the steps go on until one is at most
+    MATCH_POLISH_ULPS ulps of mu.  An iterate must stay strictly inside the
+    bracket of the iterates on either side of the root so far; when one
+    leaves it, or MATCH_NEWTON_ITER steps run out, the last iterate within
+    tolerance is returned, or None if there is none.
+    """
+    lo, hi = 0.0, math.inf
+    mu, found = target, None
+    for _ in range(MATCH_NEWTON_ITER):
+        # Positive finite iterates, where this is ``trunc_mean`` without its
+        # argument checks.
+        mean = _factorial_moment(mu, q, 1)
+        if mean == target:
+            return mu
+        if abs(mean - target) <= MATCH_MEAN_TOL:
+            found = mu
+        if mean < target:
+            lo = mu
+        else:
+            hi = mu
+        slope = trunc_factorial_moment_dmu(mu, q, 1)
+        if not slope > 0.0:
+            break
+        step = (target - mean) / slope
+        if found is not None and abs(step) <= MATCH_POLISH_ULPS * math.ulp(mu):
+            return mu
+        mu += step
+        if not lo < mu < hi:
+            break
+    return found
+
+
+def _bisection_match(target: float, q: int) -> float | None:
+    """The root of ``_newton_match`` by bisection on [MATCH_BRACKET_FLOOR, hi],
+    hi doubled from 50 max(1, target) until f(hi) >= target; the first
+    midpoint whose mean is within MATCH_MEAN_TOL, or None after
+    MATCH_MAX_ITER steps."""
     lo = MATCH_BRACKET_FLOOR
-    hi = 50.0 * max(1.0, target_mean)
-    # The bisection stays on positive finite means, where ``trunc_mean`` is
-    # this closed form behind argument checks that q and mu already pass.
-    while _factorial_moment(hi, q, 1) < target_mean:
+    hi = 50.0 * max(1.0, target)
+    while _factorial_moment(hi, q, 1) < target:
         hi *= 2.0
     mu = 0.5 * (lo + hi)
     for _ in range(MATCH_MAX_ITER):
         mean = _factorial_moment(mu, q, 1)
-        if abs(mean - target_mean) <= MATCH_MEAN_TOL:
-            return mu / rate
-        if mean < target_mean:
+        if abs(mean - target) <= MATCH_MEAN_TOL:
+            return mu
+        if mean < target:
             lo = mu
         else:
             hi = mu
         mu = 0.5 * (lo + hi)
-    raise RuntimeError(
-        f"bisection did not reach mean tolerance {MATCH_MEAN_TOL} "
-        f"for rate={rate}, target_length={target_length}, q={q}"
-    )
+    return None

@@ -20,6 +20,12 @@ sums m(i) = sum_k P(Poisson(k mu) = i) over windows of masses whose outside
 mass is below 1e-20 a side, in O(Q) memory for any mu.  The route depends on
 mu alone, never on Q.
 
+A table to level Q reads the masses g(0..Q) only.  So the evaluation paths
+build the table of a hybrid load min(X, q), X ~ Poisson(mu), on min(X, c)
+with c = min(q, Q + 1, floor(mu + r)) (``_hp_cap``), where P(X > mu + r) is
+below 1e-20: at most O(Q) masses for any q, the same table bit for bit when
+q > Q + 1, and less than 1e-20 of mass moved down to c when mu + r < q.
+
 The recursion is solved a block of levels at a time.  ``m`` is the power
 series of 1/f with f(z) = (1 - g(0)) - sum_{j>=1} g(j) z^j, so the
 lower-triangular Toeplitz system of any n consecutive levels has the inverse
@@ -42,11 +48,11 @@ cancels.
 
 The optimizer evaluates many periods of one policy family at every level up
 to a bound.  For that, the load builders also work on rows: ``_hp_masses`` and
-``_tp_masses`` build one row of masses per load mean, each element by the
-expression the public builder uses, so a row does not depend on the batch
-and equals the public builder's masses bit for bit.  ``_renewal_rows`` runs the
-recursion one level at a time along the batch axis; its prefix m(0..Q) does
-not depend on the level it runs to.
+``_tp_masses`` build one row of masses per load mean, up to that row's own
+cap or cut, each element by the expression the public builder uses, so a row
+does not depend on the batch and equals the public builder's masses bit for
+bit.  ``_renewal_rows`` runs the recursion one level at a time along the
+batch axis; its prefix m(0..Q) does not depend on the level it runs to.
 
 One certificate covers every route: Lorden's bracket on E[K]
 (``_check_lorden``), checked on the matvec tables, the closed-form tables and
@@ -74,8 +80,11 @@ DEFAULT_TAIL_EPS = 1e-12
 # {10, 100, 1000, 10000}.
 TP_CLOSED_FORM_MU = 256.0
 
-# Poisson mass left outside each side of a closed-form window.
-_TP_WINDOW_TAIL = 1e-20
+# Poisson mass left outside each side of a closed-form window, and above the
+# cap of a hybrid load's table (``_hp_cap``); and its -log, which sets the
+# Bernstein radius (``_bernstein_radius``).
+_WINDOW_TAIL = 1e-20
+_WINDOW_LOG = -math.log(_WINDOW_TAIL)
 
 # Levels solved per block once the doubling warm-up reaches this size.
 BLOCK = 128
@@ -158,11 +167,52 @@ def _load_mean(rate: float, period: float) -> float:
     return mu
 
 
-def _hp_masses(mu: np.ndarray, q: int) -> np.ndarray:
-    """Rows of min(X, q) masses on 0..q, X ~ Poisson(mu[r]): ``build_increment_hp``'s
-    expressions, element for element."""
-    masses = _poisson_masses(mu[:, None], q + 1)
-    masses[:, q] = _poisson_tails(mu, q, q + 1)
+def _bernstein_radius(lam):
+    """r with P(X >= lam + r) and P(X <= lam - r) each below _WINDOW_TAIL,
+    X ~ Poisson(lam): by Bernstein's inequality, the root of
+    r^2 = 2 t (lam + r/3) with t = -log(_WINDOW_TAIL).  For a float lam, or
+    elementwise for an array with the same (correctly rounded) operations."""
+    t = _WINDOW_LOG
+    sqrt = np.sqrt if isinstance(lam, np.ndarray) else math.sqrt
+    return t / 3.0 + sqrt(t * t / 9.0 + 2.0 * t * lam)
+
+
+# floor(r(0)) = floor(2t/3) = 30: mu + r(mu) grows with mu, so floor(mu + r)
+# never binds a cap of ``_hp_cap`` up to this.
+_HP_CAP_MIN = math.floor(_bernstein_radius(0.0))
+
+
+def _hp_cap(mu, q: int, order_up_to: int):
+    """The cap c = min(q, Q + 1, floor(mu + r)) of the load min(X, c) on
+    which the table of the hybrid load min(X, q) to level Q is built,
+    X ~ Poisson(mu), r = ``_bernstein_radius(mu)``; for a float mu, or an
+    integer array of caps for an array of means.
+
+    A table to level Q reads only g(0..Q), and min(X, q) and min(X, Q + 1)
+    agree there when q > Q + 1, so capping at Q + 1 changes no bit.  Capping
+    at floor(mu + r) < q moves the mass P(X > c) < _WINDOW_TAIL down to c.
+    Either way the table needs O(min(Q, mu + r)) masses for any q.
+    """
+    cap = min(q, order_up_to + 1)
+    array = isinstance(mu, np.ndarray)
+    if cap <= _HP_CAP_MIN:
+        return np.full(mu.shape, cap) if array else cap
+    if array:
+        return np.minimum(np.floor(mu + _bernstein_radius(mu)), cap).astype(int)
+    return min(cap, math.floor(mu + _bernstein_radius(mu)))
+
+
+def _hp_masses(mu: np.ndarray, caps: np.ndarray) -> np.ndarray:
+    """Rows of min(X, caps[r]) masses on 0..caps[r], X ~ Poisson(mu[r]),
+    zero-padded to the widest cap: ``build_increment_hp``'s expressions,
+    element for element."""
+    top = int(caps.max())
+    masses = _poisson_masses(mu[:, None], top + 1)
+    if caps.min() == top:  # one cap for every row, the common case
+        masses[:, top] = _poisson_tails(mu, float(top))
+    else:
+        masses[np.arange(top + 1) > caps[:, None]] = 0.0
+        masses[np.arange(mu.size), caps] = _poisson_tails(mu, caps.astype(float))
     return masses
 
 
@@ -177,7 +227,7 @@ def _tp_support_end(mu: float, tail_eps: float = DEFAULT_TAIL_EPS) -> int:
     lo = max(1, int(mu + 5.0 * root))
     while poisson_tail(mu, hi + 1) >= tail_eps:
         lo, hi = hi, hi + 2 * (hi - lo)
-    tails = _poisson_tails(mu, lo + 1, hi + 2)
+    tails = _poisson_tails(mu, np.arange(lo + 1, hi + 2, dtype=float))
     return lo + int(np.searchsorted(-tails, -tail_eps, side="right"))
 
 
@@ -197,7 +247,11 @@ def _tp_masses(mu: np.ndarray, ends: list[int]) -> np.ndarray:
 
 
 def build_increment_hp(rate: float, q: int, period: float) -> IncrementDist:
-    """Load distribution under a hybrid policy: min(X, q), X ~ Poisson(rate*period)."""
+    """Load distribution under a hybrid policy: min(X, q), X ~ Poisson(rate*period).
+
+    It has q + 1 masses.  The evaluation paths build it at the cap of
+    ``_hp_cap`` in place of q, which bounds the masses by the table's level.
+    """
     mu = _load_mean(rate, period)
     masses = _poisson_masses(mu, q + 1)
     masses[q] = poisson_tail(mu, q)
@@ -341,9 +395,8 @@ def _tp_renewal_rows(mu: np.ndarray, order_up_to: int) -> np.ndarray:
 
     The load of k cycles is Poisson(k mu), so m(i) = sum_{k>=0} P(Poisson(k mu)
     = i) exactly, with m(0) = 1/(1 - e^-mu).  Cycle k >= 1 adds its masses on
-    the window lam +- r, lam = k mu, cut at Q, where r solves
-    r^2 = 2 t (lam + r/3), t = -log(_TP_WINDOW_TAIL): by Bernstein's inequality
-    each side outside holds less than _TP_WINDOW_TAIL.  The windows run in
+    the window lam +- r, lam = k mu, cut at Q, with r = ``_bernstein_radius(lam)``:
+    each side outside holds less than _WINDOW_TAIL.  The windows run in
     order of k until one starts above Q; every window starts above 80 for
     these means.  A mass is evaluated in the saddle-point form (Loader 2000)
 
@@ -355,14 +408,13 @@ def _tp_renewal_rows(mu: np.ndarray, order_up_to: int) -> np.ndarray:
     on Q, so a row's prefix m(0..Q') equals the row to Q' bit for bit.  Each
     row takes O(Q) memory.
     """
-    t = -math.log(_TP_WINDOW_TAIL)
     m = np.zeros((mu.size, order_up_to + 1))
     for row, mean in zip(m, mu.tolist()):
         row[0] = 1.0 / -math.expm1(-mean)
         windows = []
         while True:
             lam = (len(windows) + 1) * mean
-            r = t / 3.0 + math.sqrt(t * t / 9.0 + 2.0 * t * lam)
+            r = _bernstein_radius(lam)
             lo = math.ceil(lam - r)
             if lo > order_up_to:
                 break

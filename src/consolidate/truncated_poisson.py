@@ -112,12 +112,13 @@ def _stirling_gaps(i: np.ndarray) -> np.ndarray:
     return 0.5 * np.log(2.0 * math.pi * i) + series
 
 
-def _poisson_tails(mu, start: int, stop: int) -> np.ndarray:
-    """P(X >= x) for x = start..stop-1 (start >= 1), X ~ Poisson(mu).
+def _poisson_tails(mu, points: np.ndarray) -> np.ndarray:
+    """P(X >= x) at each integer point x >= 1, X ~ Poisson(mu).
 
-    An array mu broadcasts against the points.
+    An array mu broadcasts against the points, which are floats: an integer
+    array takes ``gammainc``'s slower casting path.
     """
-    return gammainc(np.arange(start, stop, dtype=float), mu)
+    return gammainc(points, mu)
 
 
 def trunc_pmf(mu: float, q: int, i: int) -> float:

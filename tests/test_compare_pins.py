@@ -72,8 +72,9 @@ COMPARE_CASES = (
 SMALL_GRID = dict(demand_rates=(0.5, 2.0), q_values=(2, 3, 7), qh_extra=(1, 4))
 VERIFY_CASES = (
     ("reference-costs", VerifyGrid(replenish_multiples=(2, 8), **SMALL_GRID)),
-    # costs under which the approximate cost ordering fails at some points,
-    # so the violation records are pinned too
+    # replenishment- and holding-heavy costs, where the approximate HP and TP
+    # costs tie: a match off its root by the 1e-9 mean tolerance once put HP
+    # above TP by more than the cost slack at four points
     ("cost-violations", VerifyGrid(replenish_multiples=(1, 2, 8),
                                    costs=CostParams(replenish_fixed=50.0, holding=2.0),
                                    **SMALL_GRID)),

@@ -5,6 +5,7 @@ import re
 import time
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -323,7 +324,8 @@ def test_match_infeasible():
 
 
 def bisection_oracle(rate, target_length, q):
-    """The matching bisection on the checked public ``trunc_mean``."""
+    """The matching bisection on the checked public ``trunc_mean``: the
+    match's fallback, step for step."""
     target_mean = rate * target_length
     lo, hi = metrics.MATCH_BRACKET_FLOOR, 50.0 * max(1.0, target_mean)
     while trunc_mean(hi, q) < target_mean:
@@ -341,13 +343,88 @@ def bisection_oracle(rate, target_length, q):
     raise RuntimeError("no match")
 
 
+def mpmath_root(rate, target_length, q):
+    """The period T = mu / rate with E[min(Poisson(mu), q)] = rate * target_length
+    (the product rounded as the match rounds it), to 40 digits."""
+    with mpmath.workdps(40):
+        target = mpmath.mpf(rate * target_length)
+
+        def below(mu):  # P(X <= q - 1), the mean's derivative
+            return mpmath.gammainc(q, mu, mpmath.inf, regularized=True)
+
+        def mean(mu):
+            return mu * below(mu) + q * mpmath.gammainc(q + 1, 0, mu, regularized=True)
+
+        start = mpmath.mpf(bisection_oracle(rate, target_length, q) * rate)
+        return mpmath.findroot(lambda mu: mean(mu) - target, start, solver="newton",
+                               df=below) / rate
+
+
 @given(rate=st.floats(0.05, 50.0), q=st.integers(1, 1000), share=st.floats(0.001, 0.999))
 @example(rate=1.0, q=6, share=5.0 / 6.0)
 @settings(max_examples=60, deadline=None)
-def test_match_equals_the_checked_bisection_bit_for_bit(rate, q, share):
+def test_match_meets_the_mean_tolerance(rate, q, share):
     target_length = share * q / rate
-    assert match_consolidation_cycle(rate, target_length, q) == bisection_oracle(
-        rate, target_length, q)
+    period = match_consolidation_cycle(rate, target_length, q)
+    assert abs(trunc_mean(rate * period, q) - rate * target_length) <= metrics.MATCH_MEAN_TOL
+
+
+@pytest.mark.parametrize("q", [1, 2, 6, 17, 100, 436, 1000])
+def test_match_is_at_least_as_close_to_the_root_as_the_bisection(q):
+    for share in (0.001, 0.05, 0.3, 0.5, 5.0 / 6.0, 0.95, 0.999):
+        for rate in (0.05, 1.0, 3.7, 50.0):
+            target_length = share * q / rate
+            root = mpmath_root(rate, target_length, q)
+            newton = abs(match_consolidation_cycle(rate, target_length, q) - root)
+            assert newton <= abs(bisection_oracle(rate, target_length, q) - root), (share, rate)
+
+
+def count_match_steps(monkeypatch):
+    """Counters of the Newton steps (derivative calls) and bisection runs of
+    the match."""
+    steps = {"newton": 0, "bisection": 0}
+    slope, bisection = metrics.trunc_factorial_moment_dmu, metrics._bisection_match
+
+    def counted_slope(*args):
+        steps["newton"] += 1
+        return slope(*args)
+
+    def counted_bisection(*args):
+        steps["bisection"] += 1
+        return bisection(*args)
+
+    monkeypatch.setattr(metrics, "trunc_factorial_moment_dmu", counted_slope)
+    monkeypatch.setattr(metrics, "_bisection_match", counted_bisection)
+    return steps
+
+
+@pytest.mark.parametrize("q", [1, 2, 6, 100, 1000, 10**5, 10**8])
+def test_newton_match_steps_stay_bounded_up_to_the_cap(monkeypatch, q):
+    steps = count_match_steps(monkeypatch)
+    for share in (1e-3, 0.5, 0.9, 0.999, 1.0 - 1e-6, 1.0 - 1e-9):
+        for rate in (0.05, 1.0, 50.0):
+            before = steps["newton"]
+            period = match_consolidation_cycle(rate, share * q / rate, q)
+            assert steps["newton"] - before <= 30, (share, rate)
+            assert abs(trunc_mean(rate * period, q) - share * q) <= metrics.MATCH_MEAN_TOL
+    assert steps["bisection"] == 0
+
+
+@pytest.mark.parametrize("fault", ["no steps", "steep slope"])
+def test_match_falls_back_to_the_bisection(monkeypatch, fault):
+    steps = count_match_steps(monkeypatch)
+    if fault == "no steps":
+        monkeypatch.setattr(metrics, "MATCH_NEWTON_ITER", 0)
+    else:
+        # steps 100 times too long overshoot the root, and the step back
+        # leaves the bracket
+        slope = metrics.trunc_factorial_moment_dmu
+        monkeypatch.setattr(metrics, "trunc_factorial_moment_dmu",
+                            lambda *args: slope(*args) / 100.0)
+    for rate, target_length, q in ((1.0, 5.0, 6), (2.0, 1.5, 5), (0.5, 30.0, 20)):
+        period = match_consolidation_cycle(rate, target_length, q)
+        assert period == bisection_oracle(rate, target_length, q)
+    assert steps["bisection"] == 3
 
 
 # ---------------------------------------------------------------------------
@@ -441,6 +518,8 @@ def test_time_scan_matches_scalar_across_the_closed_form_threshold(rate, costs, 
 @example(rate=1.0, q=4, levels=[5, 3000], periods=scan_grid(2.0))
 # rows on both sides of the closed-form threshold, with windows below both levels
 @example(rate=1.0, q=None, levels=[700, 1500], periods=scan_grid(2000.0))
+# hybrid rows capped at floor(mu + r) < min(q, Q + 1) at both levels
+@example(rate=1.0, q=60, levels=[50, 100], periods=scan_grid(2.0))
 @settings(max_examples=100, deadline=None)
 def test_period_cost_rows_do_not_depend_on_the_top_level(rate, q, levels, periods):
     level, top = levels
@@ -465,7 +544,8 @@ def one_level_scan(rate, costs, q, periods, level):
         if q is None:
             g = renewal._tp_masses(cut, [renewal._tp_support_end(x) for x in cut.tolist()])
         else:
-            g = renewal._hp_masses(cut, q)
+            g = renewal._hp_masses(cut, np.array([renewal._hp_cap(x, q, level)
+                                                  for x in cut.tolist()]))
         m[~closed] = renewal._renewal_rows(g, level)
     cyc = metrics._cycle_forms(rate, q, t)
     sums = np.cumsum(m, axis=1)
@@ -500,7 +580,7 @@ def test_scan_row_between_the_brackets_raises(monkeypatch):
     # (Q + smax)/E[X] that the support end gives at every level: Lorden's
     # upper end (Q + E[X^2]/E[X])/E[X] is below it and fails
     order_up_to, q, period = 40, 10, 8.0
-    g = renewal._hp_masses(np.array([period]), q)[0]
+    g = renewal._hp_masses(np.array([period]), np.array([q]))[0]
     support = np.arange(q + 1.0)
     mean = g @ support
     levels = np.arange(order_up_to + 1.0)
@@ -557,6 +637,30 @@ def test_time_scan_memory_is_bounded_at_large_load():
     for i in (0, len(grid) - 1):
         cfg = SystemConfig(1.0, TimePolicy(grid[i]), 10, REF_COSTS)
         assert costs[10, i] == pytest.approx(average_cost(cfg).avg_cost, rel=1e-12)
+
+
+@pytest.mark.parametrize("q", [10**7, 10**9])
+@pytest.mark.parametrize("order_up_to", [10, MAX_ORDER_UP_TO])
+def test_hybrid_cost_is_small_and_fast_at_huge_caps(q, order_up_to):
+    # the table's load is capped at min(Q + 1, mu + r), never at q
+    metrics._policy_table.cache_clear()
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        for period in (5.0, 5e6):
+            ev = average_cost(SystemConfig(1.0, HybridPolicy(q, period), order_up_to, REF_COSTS))
+            assert math.isfinite(ev.avg_cost)
+        elapsed = time.perf_counter() - start
+        scan = _period_costs(1.0, REF_COSTS, q, [0.5, 5.0, 5e6], order_up_to)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        metrics._policy_table.cache_clear()
+    assert peak <= 8 * 2**20
+    assert elapsed < 2.0
+    assert scan[-1, 1] == pytest.approx(
+        average_cost(SystemConfig(1.0, HybridPolicy(q, 5.0), order_up_to, REF_COSTS)).avg_cost,
+        rel=1e-12)
 
 
 @pytest.mark.parametrize("load", [1e7, 1e12])

@@ -15,7 +15,8 @@ The load builders are checked against the per-element mass functions and the
 quantile-seeded tail cut of ``scipy.stats``.  The
 closed-form tables of wide time-policy loads are checked against 40-digit
 ``mpmath`` sums of their defining series and against the recursion on the
-tail-cut load.
+tail-cut load.  The tables of hybrid loads, built on the capped load, are
+checked against the tables of the full load.
 """
 
 import math
@@ -35,6 +36,7 @@ from scipy.stats import poisson
 import consolidate
 from consolidate import metrics, renewal
 from consolidate import (
+    HybridPolicy,
     IncrementDist,
     SystemConfig,
     TimePolicy,
@@ -567,12 +569,21 @@ def series_sums(mu, order_up_to):
     """E[K] = sum_k P(S_k <= Q) and the holding factor sum_k E[(Q - S_k)^+],
     S_k ~ Poisson(k mu), to 40 digits, with E[(Q - S)^+] = Q P(S <= Q) -
     lam P(S <= Q - 1) for S ~ Poisson(lam); summed until the terms past Q
-    fall below 1e-45."""
+    fall below 1e-45.  A term past Q whose Chernoff bound
+    exp(-lam + Q + Q log(lam/Q)) on P(S <= Q) is below 1e-60 ends the sum
+    before it is evaluated: the terms from there on are decreasing and
+    negligible, and mpmath's incomplete gamma does not converge on some of
+    them (Q = 8192 at lam = e^9.75, where P(S <= Q) is about 1e-1266)."""
     with mpmath.workdps(40):
         mu = mpmath.mpf(mu)
         cycles, holding = mpmath.mpf(1), mpmath.mpf(order_up_to)
         lam = mu
         while True:
+            if lam > order_up_to:
+                chernoff = -lam + order_up_to * (1 + mpmath.log(lam / order_up_to)) \
+                    if order_up_to else -lam
+                if chernoff < math.log(1e-60):
+                    return float(cycles), float(holding)
             head = mpmath.gammainc(order_up_to + 1, lam, regularized=True)
             below = mpmath.gammainc(order_up_to, lam, regularized=True) if order_up_to else 0
             cycles += head
@@ -591,6 +602,9 @@ wide_loads = st.floats(math.log(TP_CLOSED_FORM_MU), math.log(2e4)).map(math.exp)
 @example(mu=1e4, order_up_to=MAX_ORDER_UP_TO)
 @example(mu=2e4, order_up_to=MAX_ORDER_UP_TO)
 @example(mu=300.0, order_up_to=0)
+# the oracle's incomplete gamma does not converge on these loads' first term
+@example(mu=math.exp(9.75), order_up_to=8192)
+@example(mu=math.exp(9.797), order_up_to=8192)
 @settings(max_examples=30, deadline=None)
 def test_closed_form_table_matches_the_series(mu, order_up_to):
     table = _tp_table(mu, order_up_to)
@@ -661,6 +675,43 @@ def test_closed_form_table_outside_lordens_bracket_raises(monkeypatch, scale):
 
 
 # ---------------------------------------------------------------------------
+# hybrid tables on the capped load min(X, c), c = min(q, Q + 1, floor(mu + r))
+
+
+@given(mu=st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e),
+       order_up_to=st.integers(0, GATE + 2 * BLOCK), extra=st.integers(1, 500))
+@example(mu=5.0, order_up_to=100, extra=99)
+@example(mu=2000.0, order_up_to=GATE, extra=1)
+@settings(max_examples=40, deadline=None)
+def test_hybrid_table_past_the_level_equals_the_table_capped_at_q_plus_one(mu, order_up_to,
+                                                                           extra):
+    # a table to level Q reads g(0..Q) only, where min(X, q) and min(X, Q + 1) agree
+    q = order_up_to + 1 + extra
+    full = renewal_table(build_increment_hp(1.0, q, mu), order_up_to)
+    capped = renewal_table(build_increment_hp(1.0, order_up_to + 1, mu), order_up_to)
+    assert np.array_equal(full.m, capped.m) and np.array_equal(full.M, capped.M)
+
+
+@given(mu=st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e), q=st.integers(1, 1000),
+       order_up_to=st.integers(0, MAX_ORDER_UP_TO))
+@example(mu=5.3, q=436, order_up_to=7330)       # capped at 47, on the jump matrix
+@example(mu=5.0, q=200, order_up_to=100)        # capped at 46
+@example(mu=1e-3, q=1000, order_up_to=MAX_ORDER_UP_TO)
+@example(mu=1e3, q=1000, order_up_to=MAX_ORDER_UP_TO)
+@settings(max_examples=60, deadline=None)
+def test_capped_hybrid_table_matches_the_table_of_the_full_load(mu, q, order_up_to):
+    cap = renewal._hp_cap(mu, q, order_up_to)
+    assert cap == min(q, order_up_to + 1, math.floor(mu + renewal._bernstein_radius(mu)))
+    assert renewal._hp_cap(np.array([mu, 2.0 * mu]), q, order_up_to)[0] == cap  # the scan's
+    assert poisson_tail(mu, cap + 1) < 1e-20 or cap == min(q, order_up_to + 1)
+    table = metrics._policy_table(1.0, HybridPolicy(q, mu), order_up_to)
+    assert table.m.size == order_up_to + 1
+    full = renewal_table(build_increment_hp(1.0, q, mu), order_up_to)
+    assert expected_k(table) == pytest.approx(expected_k(full), rel=1e-13, abs=0.0)
+    assert holding_sum(table) == pytest.approx(holding_sum(full), rel=1e-13, abs=0.0)
+
+
+# ---------------------------------------------------------------------------
 # load builders against per-element masses and the quantile-seeded cut
 
 
@@ -698,18 +749,21 @@ def test_tp_support_end_far_below_default_tail_eps():
         assert poisson_tail(mu, end + 1) < 1e-200 <= poisson_tail(mu, end)
 
 
-@given(mu=st.lists(st.floats(-3.0, 4.0).map(lambda e: 10.0 ** e), min_size=1, max_size=30),
-       q=st.integers(1, 60))
+@given(rows=st.lists(st.tuples(st.floats(-3.0, 4.0).map(lambda e: 10.0 ** e),
+                                st.integers(1, 60)), min_size=1, max_size=30))
 @settings(max_examples=40, deadline=None)
-def test_batched_masses_do_not_depend_on_the_batch(mu, q):
-    mu = np.array(mu)
+def test_batched_masses_do_not_depend_on_the_batch(rows):
+    mu = np.array([m for m, _ in rows])
+    caps = np.array([cap for _, cap in rows])
     ends = [_tp_support_end(m) for m in mu.tolist()]
-    hp = _hp_masses(mu, q)
+    hp = _hp_masses(mu, caps)
     tp = _tp_masses(mu, ends)
     for r, m in enumerate(mu.tolist()):
-        one = _hp_masses(mu[r:r + 1], q)[0]
-        assert np.array_equal(hp[r], one)
-        assert np.array_equal(one, build_increment_hp(1.0, q, m).masses)
+        one = _hp_masses(mu[r:r + 1], caps[r:r + 1])[0]
+        assert one.size == caps[r] + 1
+        assert np.array_equal(hp[r, :one.size], one)
+        assert not hp[r, one.size:].any()
+        assert np.array_equal(one, build_increment_hp(1.0, int(caps[r]), m).masses)
         one = _tp_masses(mu[r:r + 1], ends[r:r + 1])[0]
         assert one.size == ends[r] + 1
         assert np.array_equal(tp[r, :one.size], one)
