@@ -57,6 +57,12 @@ from .renewal import MAX_ORDER_UP_TO
 
 INTEGER_TOL = 1e-9
 
+# Relative slack within which a matched hybrid row's delay or squared delay
+# counts as not above the time row's (``_verdicts``): HP tends to TP as q_H
+# grows, and for caps far above the mean load the two differ below double
+# precision.
+TIE_SLACK = 1e-12
+
 # Default cost vector for ordering verification; any nonnegative costs work,
 # this one exercises every component.
 REFERENCE_COSTS = CostParams(
@@ -204,6 +210,14 @@ def compare_matched(spec: MatchSpec, qh_list, costs: CostParams | None = None) -
 
 
 def _verdicts(rows) -> dict:
+    """Ordering verdicts of matched rows.
+
+    The HP-vs-TP verdicts ``aod_hp_lt_tp`` and ``aosd_hp_lt_tp`` hold when
+    every feasible hybrid row's value is at most the time row's times
+    (1 + TIE_SLACK): the paper's HP < TP, with a tie rule for caps at which
+    the two differ by less than rounding (at q_H = 50 and mean load 5, by
+    P(X >= 50) ~ 1e-32).  The other verdicts are strict.
+    """
     qp = rows[0]
     tp = rows[1]
     hps = [r for r in rows[2:] if r.feasible]
@@ -214,8 +228,8 @@ def _verdicts(rows) -> dict:
             {"QP>HP" if qp.aosd > r.aosd else "QP<HP" for r in hps}
         )
     if hps:
-        verdicts["aod_hp_lt_tp"] = all(r.aod < tp.aod for r in hps)
-        verdicts["aosd_hp_lt_tp"] = all(r.aosd < tp.aosd for r in hps)
+        verdicts["aod_hp_lt_tp"] = all(r.aod <= tp.aod * (1.0 + TIE_SLACK) for r in hps)
+        verdicts["aosd_hp_lt_tp"] = all(r.aosd <= tp.aosd * (1.0 + TIE_SLACK) for r in hps)
     if qp.feasible:
         verdicts["aosd_qp_lt_tp"] = qp.aosd < tp.aosd
     if tp.order_up_to is not None and hps:

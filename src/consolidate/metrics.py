@@ -20,9 +20,11 @@ delay per order.  Exact mode computes e_k and the holding factor from the
 renewal table of the load distribution: the recursion on the load's masses
 for hybrid loads and narrow time-policy loads, the closed form of
 ``renewal._tp_renewal_rows`` for time-policy loads of mean rate*T at least
-``renewal.TP_CLOSED_FORM_MU``.  A hybrid load min(X, q) enters its table at
-the cap c = min(q, Q + 1, floor(mu + r)) of ``renewal._hp_cap``, which costs
-at most a Poisson tail of 1e-20 and bounds the table's memory by O(Q) for any
+``renewal.TP_CLOSED_FORM_MU``.  A hybrid load min(X, q) enters its table on
+the window min(max(X, a), c) of ``renewal._hp_window``, with the cap
+c = min(q, Q + 1, floor(mu + r)) and, from mu ~ 122.8 on, the floor
+a = ceil(mu - r): each costs at most a Poisson tail of 1e-20, and together
+they bound the table's memory by O(Q) and its work by O(Q (c - a)) for any
 q; the cycle forms keep the real q.  Approximate mode treats the cycle count
 as continuous, giving e_k ~ (Q+1)/e_n and the Table-style closed forms.
 
@@ -299,8 +301,9 @@ def _policy_table(demand_rate: float, policy: Policy, order_up_to: int) -> renew
             return renewal._tp_table(mu, order_up_to)
         inc = renewal.build_increment_tp(demand_rate, policy.period)
     else:
-        cap = renewal._hp_cap(mu, policy.q, order_up_to)
-        inc = renewal.build_increment_hp(demand_rate, cap, policy.period)
+        floor, cap = renewal._hp_window(mu, policy.q, order_up_to)
+        inc = (renewal._hp_window_increment(mu, floor, cap) if floor
+               else renewal.build_increment_hp(demand_rate, cap, policy.period))
     return renewal.renewal_table(inc, order_up_to)
 
 
@@ -450,7 +453,7 @@ def _period_costs(demand_rate: float, costs: CostParams, q: int | None, periods,
             ends = np.zeros(mu.size, int)
             ends[cut] = [renewal._tp_support_end(m) for m in mu[cut].tolist()]
         else:
-            ends = renewal._hp_cap(mu, q, order_up_to)
+            floors, ends = renewal._hp_window(mu, q, order_up_to)
         rows = max(1, _CHUNK_CELLS // (max(int(ends.max(initial=0)), order_up_to) + 1))
         shape = (order_up_to + 1, mu.size)
         cycles, holding_sum = np.empty(shape), np.zeros(shape)
@@ -460,8 +463,8 @@ def _period_costs(demand_rate: float, costs: CostParams, q: int | None, periods,
                 if closed[chunk[0]]:
                     m = renewal._tp_renewal_rows(mu[chunk], order_up_to)
                 else:
-                    g = (renewal._tp_masses(mu[chunk], ends[chunk].tolist())
-                         if q is None else renewal._hp_masses(mu[chunk], ends[chunk]))
+                    g = (renewal._tp_masses(mu[chunk], ends[chunk].tolist()) if q is None
+                         else renewal._hp_masses(mu[chunk], floors[chunk], ends[chunk]))
                     m = renewal._renewal_rows(g, order_up_to)
                     mean[chunk], overshoot[chunk], defect[chunk] = renewal._lorden_terms(g)
                 # E[K](Q) = M(Q) and the holding factor sum_{j<Q} M(j), both

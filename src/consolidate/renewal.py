@@ -21,17 +21,25 @@ mass is below 1e-20 a side, in O(Q) memory for any mu.  The route depends on
 mu alone, never on Q.
 
 A table to level Q reads the masses g(0..Q) only.  So the evaluation paths
-build the table of a hybrid load min(X, q), X ~ Poisson(mu), on min(X, c)
-with c = min(q, Q + 1, floor(mu + r)) (``_hp_cap``), where P(X > mu + r) is
-below 1e-20: at most O(Q) masses for any q, the same table bit for bit when
-q > Q + 1, and less than 1e-20 of mass moved down to c when mu + r < q.
+build the table of a hybrid load min(X, q), X ~ Poisson(mu), on the window
+min(max(X, a), c) (``_hp_window``): the cap c = min(q, Q + 1, floor(mu + r))
+and the floor a = min(ceil(mu - r), c), where P(X > mu + r) and
+P(X < mu - r) are each below 1e-20 (Bernstein).  The cap Q + 1 changes no
+bit when q > Q + 1; the cap mu + r moves less than 1e-20 of mass down to c,
+and the floor less than 1e-20 up to a.  mu - r > 0 only for mu > 8t/3 ~ 122.8
+(t = -log 1e-20), so below that a = 0 and nothing moves.  A table takes at
+most O(Q) masses for any q, and for a > Q it is m(0) and then zeros, with
+no block solved.
 
 The recursion is solved a block of levels at a time.  ``m`` is the power
 series of 1/f with f(z) = (1 - g(0)) - sum_{j>=1} g(j) z^j, so the
 lower-triangular Toeplitz system of any n consecutive levels has the inverse
 L = Toeplitz(m(0..n-1)): a block is L times what the levels already solved
 add to it, which is one correlation.  Block sizes double from level 1 up to
-``BLOCK``, which keeps n within the levels already known.
+``BLOCK``, which keeps n within the levels already known.  A load with no
+mass on 1..a-1, a >= BLOCK (a floored hybrid load), needs no inverse: the
+levels of a block of up to a levels read only levels below it, so each block
+is one correlation of the window g(a..c) (``_explicit_solve``).
 
 A block's correlation and convolution cost ~10 us whatever the load's
 width, so a table of ``MATVEC_MIN_BLOCKS`` full blocks (Q // BLOCK) or more
@@ -42,20 +50,45 @@ homogeneous and a block reads only the w levels below it, so
 m(b..b+BLOCK-1) = P m(b-w..b-1), w multiply-adds per level.  A wider load
 keeps its correlation and applies L (``_block_inverse``) in place of the
 convolution.  Below the gate every block is a correlation and a convolution.
-Either way the work is O(Q * smax) multiply-adds, plus BLOCK * w^2 for P, in
-O(Q/BLOCK + log2(BLOCK)) numpy calls; every term is nonnegative, so nothing
-cancels.
+Every term is nonnegative, so nothing cancels.
+
+By the key renewal theorem m(i) settles to (1 - g(0))/E[X] on an aperiodic
+load, so the solve stops once its state settles (``_settled``).  At each
+block start b = 2^k >= 2 * BLOCK (the first block start past it on the
+explicit route) with b >= w and at least ``SETTLE_SKIP`` = 2 * BLOCK levels
+above it, the state m(b-w..b-1) is tested.  Above level 0,
+m(i) = sum_{j=1..w} h(j) m(i-j) with h(j) = g(j)/(1 - g(0)) >= 0, and the
+weights h sum to 1 within the load's defect d (see ``_check_lorden``).  So
+every later level is a convex combination of the w levels below it, scaled
+by at most (1 + d), and by induction lies in the state's range [lo, hi]
+widened by (1 + d)^(Q-b+1).  Once hi - lo <= SETTLE_TOL hi with
+SETTLE_TOL = 1e-14, and d <= SETTLE_TOL, the levels from b on are set to
+(lo + hi)/2: each is within SETTLE_TOL of the exact continuation of the
+state, up to that (1 + d) drift, which is part of the (Q + 2) d slack
+Lorden's bracket already grants the table.  The continuation on the weights
+h/sum(h) (the load the masses stand for) stays inside [lo, hi] exactly, so
+the stop also drops the solve's own drift of up to ~(Q - b) d/E[X], which
+rounding of the masses puts there.  The stop never fires on a periodic load
+(its levels keep a zero in every window), while the state still spreads, or
+on a load of defect above SETTLE_TOL.  A table then takes
+O(min(Q, b) * w) multiply-adds (plus BLOCK * w^2 for P), or
+O(min(Q, b) * (c - a)) on the explicit route, in O(min(Q, b)/BLOCK +
+log2(BLOCK)) numpy calls, plus O(Q) to fill and sum it.  A stop that skipped fewer than
+SETTLE_SKIP levels would cost more in its test and certificate than it saves,
+so tables below 4 * BLOCK levels run the solve to Q.
 
 The optimizer evaluates many periods of one policy family at every level up
 to a bound.  For that, the load builders also work on rows: ``_hp_masses`` and
-``_tp_masses`` build one row of masses per load mean, up to that row's own
-cap or cut, each element by the expression the public builder uses, so a row
-does not depend on the batch and equals the public builder's masses bit for
-bit.  ``_renewal_rows`` runs the recursion one level at a time along the
-batch axis; its prefix m(0..Q) does not depend on the level it runs to.
+``_tp_masses`` build one row of masses per load mean, on that row's own
+window or up to its cut, each element by the expression the scalar builder
+uses, so a row does not depend on the batch and equals the scalar builder's
+masses bit for bit.  ``_renewal_rows`` runs the recursion one level at a
+time along the batch axis, to Q and without the stop; its prefix m(0..Q)
+does not depend on the level it runs to.
 
 One certificate covers every route: Lorden's bracket on E[K]
-(``_check_lorden``), checked on the matvec tables, the closed-form tables and
+(``_check_lorden``, or ``_check_lorden_row`` for one table), checked on every
+stopped table, every table above the matvec gate, the closed-form tables and
 every row of the optimizer's scan.
 """
 
@@ -66,7 +99,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .truncated_poisson import _poisson_masses, _poisson_tails, _stirling_gaps, poisson_tail
+from .truncated_poisson import (_poisson_masses, _poisson_tails, _stirling_gaps, poisson_cdf,
+                               poisson_tail)
 
 # The recursion is O(Q * support); reject absurd tables instead of hanging.
 MAX_ORDER_UP_TO = 10_000
@@ -81,8 +115,8 @@ DEFAULT_TAIL_EPS = 1e-12
 TP_CLOSED_FORM_MU = 256.0
 
 # Poisson mass left outside each side of a closed-form window, and above the
-# cap of a hybrid load's table (``_hp_cap``); and its -log, which sets the
-# Bernstein radius (``_bernstein_radius``).
+# cap and below the floor of a hybrid load's table (``_hp_window``); and its
+# -log, which sets the Bernstein radius (``_bernstein_radius``).
 _WINDOW_TAIL = 1e-20
 _WINDOW_LOG = -math.log(_WINDOW_TAIL)
 
@@ -102,6 +136,16 @@ _SERIAL_GEMM = 1 << 18
 
 # Relative slack of the Lorden certificate on E[K], beyond rounding of the inputs.
 WALD_SLACK = 1e-9
+
+# Relative spread of a table's state m(b-w..b-1) at or below which the solve
+# stops and fills the levels from b on (``_settled``); also the largest load
+# defect d (see ``_check_lorden``) at which it may stop.
+SETTLE_TOL = 1e-14
+
+# Levels a test of the state must leave above it (``renewal_table``): a stop
+# that skips fewer does not pay for the test and the certificate of a
+# stopped table.
+SETTLE_SKIP = 2 * BLOCK
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,34 +222,50 @@ def _bernstein_radius(lam):
 
 
 # floor(r(0)) = floor(2t/3) = 30: mu + r(mu) grows with mu, so floor(mu + r)
-# never binds a cap of ``_hp_cap`` up to this.
+# never binds a cap of ``_hp_window`` up to this.
 _HP_CAP_MIN = math.floor(_bernstein_radius(0.0))
 
+# mu - r(mu) > 0 iff mu > 8t/3 (~122.8), t = _WINDOW_LOG: up to this load mean
+# a hybrid window starts at 0.
+_HP_FLOOR_MU = 8.0 * _WINDOW_LOG / 3.0
 
-def _hp_cap(mu, q: int, order_up_to: int):
-    """The cap c = min(q, Q + 1, floor(mu + r)) of the load min(X, c) on
-    which the table of the hybrid load min(X, q) to level Q is built,
-    X ~ Poisson(mu), r = ``_bernstein_radius(mu)``; for a float mu, or an
-    integer array of caps for an array of means.
+
+def _hp_window(mu, q: int, order_up_to: int):
+    """The window (a, c) of the load min(max(X, a), c) on which the table of
+    the hybrid load min(X, q) to level Q is built, X ~ Poisson(mu):
+    c = min(q, Q + 1, floor(mu + r)) and a = min(ceil(mu - r), c), or a = 0
+    for mu <= 8t/3, with r = ``_bernstein_radius(mu)``.  For a float mu, or
+    integer arrays of floors and caps for an array of means.
 
     A table to level Q reads only g(0..Q), and min(X, q) and min(X, Q + 1)
     agree there when q > Q + 1, so capping at Q + 1 changes no bit.  Capping
-    at floor(mu + r) < q moves the mass P(X > c) < _WINDOW_TAIL down to c.
-    Either way the table needs O(min(Q, mu + r)) masses for any q.
+    at floor(mu + r) < q moves the mass P(X > c) < _WINDOW_TAIL down to c,
+    and the floor moves P(X < a) < _WINDOW_TAIL up to a.  Either way the
+    table needs O(min(Q, mu + r)) masses for any q, at most c - a + 1 of
+    them nonzero, and no block solved when a > Q.
     """
     cap = min(q, order_up_to + 1)
-    array = isinstance(mu, np.ndarray)
-    if cap <= _HP_CAP_MIN:
-        return np.full(mu.shape, cap) if array else cap
-    if array:
-        return np.minimum(np.floor(mu + _bernstein_radius(mu)), cap).astype(int)
-    return min(cap, math.floor(mu + _bernstein_radius(mu)))
+    if isinstance(mu, np.ndarray):
+        if cap <= _HP_CAP_MIN and not (mu > _HP_FLOOR_MU).any():
+            return np.zeros(mu.shape, int), np.full(mu.shape, cap)
+        r = _bernstein_radius(mu)
+        caps = np.minimum(np.floor(mu + r), cap).astype(int)
+        floors = np.where(mu > _HP_FLOOR_MU, np.maximum(np.ceil(mu - r), 0.0), 0.0)
+        return np.minimum(floors.astype(int), caps), caps
+    if mu <= _HP_FLOOR_MU:
+        if cap <= _HP_CAP_MIN:
+            return 0, cap
+        return 0, min(cap, math.floor(mu + _bernstein_radius(mu)))
+    r = _bernstein_radius(mu)
+    cap = min(cap, math.floor(mu + r))
+    return min(max(math.ceil(mu - r), 0), cap), cap
 
 
-def _hp_masses(mu: np.ndarray, caps: np.ndarray) -> np.ndarray:
-    """Rows of min(X, caps[r]) masses on 0..caps[r], X ~ Poisson(mu[r]),
-    zero-padded to the widest cap: ``build_increment_hp``'s expressions,
-    element for element."""
+def _hp_masses(mu: np.ndarray, floors: np.ndarray, caps: np.ndarray) -> np.ndarray:
+    """Rows of min(max(X, floors[r]), caps[r]) masses on 0..caps[r],
+    X ~ Poisson(mu[r]), zero-padded to the widest cap: the expressions of
+    ``build_increment_hp`` and ``_hp_window_increment``, element for
+    element."""
     top = int(caps.max())
     masses = _poisson_masses(mu[:, None], top + 1)
     if caps.min() == top:  # one cap for every row, the common case
@@ -213,7 +273,24 @@ def _hp_masses(mu: np.ndarray, caps: np.ndarray) -> np.ndarray:
     else:
         masses[np.arange(top + 1) > caps[:, None]] = 0.0
         masses[np.arange(mu.size), caps] = _poisson_tails(mu, caps.astype(float))
+    for r in np.flatnonzero(floors).tolist():
+        row, a = masses[r], int(floors[r])
+        row[:a] = 0.0
+        row[a] = 1.0 if a == caps[r] else poisson_cdf(float(mu[r]), a)
     return masses
+
+
+def _hp_window_increment(mu: float, a: int, c: int) -> IncrementDist:
+    """The load min(max(X, a), c), X ~ Poisson(mu), 1 <= a <= c: masses on
+    0..c, zero below a, with P(X <= a) at a and P(X >= c) at c."""
+    masses = np.zeros(c + 1)
+    if a == c:
+        masses[c] = 1.0
+    else:
+        masses[a + 1:c] = _poisson_masses(mu, c, start=a + 1)
+        masses[a] = poisson_cdf(mu, a)
+        masses[c] = poisson_tail(mu, c)
+    return IncrementDist(masses)
 
 
 def _tp_support_end(mu: float, tail_eps: float = DEFAULT_TAIL_EPS) -> int:
@@ -250,7 +327,8 @@ def build_increment_hp(rate: float, q: int, period: float) -> IncrementDist:
     """Load distribution under a hybrid policy: min(X, q), X ~ Poisson(rate*period).
 
     It has q + 1 masses.  The evaluation paths build it at the cap of
-    ``_hp_cap`` in place of q, which bounds the masses by the table's level.
+    ``_hp_window`` in place of q, which bounds the masses by the table's
+    level, and from a load mean of ~122.8 on take ``_hp_window_increment``.
     """
     mu = _load_mean(rate, period)
     masses = _poisson_masses(mu, q + 1)
@@ -295,24 +373,84 @@ def renewal_table(inc: IncrementDist, order_up_to: int) -> RenewalTable:
     M(Q) equals the expected number of consolidation cycles per replenishment
     cycle.  Zero-mass increments are absorbed by the 1/(1 - g(0)) factor (a
     geometric number of zero-load cycles precedes each level change), which
-    diverges when g(0) -> 1.
+    diverges when g(0) -> 1.  The solve stops once its state settles
+    (``_settled``), tested at block starts b = 2^k >= 2 * BLOCK that leave
+    at least SETTLE_SKIP levels above them; a stopped table and a table
+    above the matvec gate carry Lorden's certificate.
     """
     order_up_to = _check_order_up_to(order_up_to)
     g = inc.masses
     _check_converges(g[0])
-    smax = inc.support_end
     m = np.empty(order_up_to + 1)
     m[0] = 1.0 / (1.0 - g[0])
+    settle = (order_up_to + 1 >= 2 * BLOCK + SETTLE_SKIP
+              and _mass_defect(g) <= SETTLE_TOL)
+    matvec = order_up_to // BLOCK >= MATVEC_MIN_BLOCKS
+    if g[1] == 0.0 and (first := _first_load(g, order_up_to)) >= BLOCK:
+        stop = _explicit_solve(m, g, first, settle)
+    else:
+        stop = _blocked_solve(m, g, settle, matvec)
+    if stop > order_up_to:
+        M = np.cumsum(m)
+    else:
+        # M(b + k) = M(b - 1) + (k + 1) m(b) on the filled levels: a running
+        # sum of one repeated value would round the same way at every level.
+        M = np.empty(order_up_to + 1)
+        np.cumsum(m[:stop], out=M[:stop])
+        M[stop:] = M[stop - 1] + m[stop] * np.arange(1.0, order_up_to + 2 - stop)
+    table = RenewalTable(m=m, M=M, order_up_to=order_up_to)
+    if matvec or stop <= order_up_to:
+        _check_lorden_row(*_lorden_row(g), order_up_to, float(table.M[-1]))
+    return table
+
+
+def _first_load(g: np.ndarray, order_up_to: int) -> int:
+    """The first load in 1..Q with positive mass, or Q + 1 if there is none."""
+    loads = np.flatnonzero(g[1:order_up_to + 1])
+    return int(loads[0]) + 1 if loads.size else order_up_to + 1
+
+
+def _settled(m: np.ndarray, b: int, width: int):
+    """The value at which the levels from b on are filled, given the state
+    m(b-w..b-1) of a load of support end w <= b, or None.
+
+    Above level 0 a level is sum_j h(j) m(i - j), h(j) = g(j)/(1 - g(0)),
+    over the w levels below it, and the weights sum to 1 within the load's
+    defect d.  So once the state spans at most SETTLE_TOL of its largest
+    level, every later level lies in its range, to within the drift
+    (1 + d)^(Q - b + 1) that Lorden's slack already grants, and the midpoint
+    of that range stands for all of them.  Two levels of the state that
+    differ by more rule it out before the state is scanned."""
+    x, y = m[b - 1], m[b - 1 - width // 2]
+    if abs(x - y) > SETTLE_TOL * max(x, y):
+        return None
+    state = m[b - width:b]
+    lo, hi = np.minimum.reduce(state), np.maximum.reduce(state)
+    return 0.5 * (lo + hi) if hi - lo <= SETTLE_TOL * hi else None
+
+
+def _blocked_solve(m: np.ndarray, g: np.ndarray, settle: bool, matvec: bool) -> int:
+    """m(1..Q) in blocks: a correlation and a convolution each, doubling from
+    level 1 up to BLOCK; with ``matvec`` (from MATVEC_MIN_BLOCKS full blocks
+    on), BLAS matvecs from level BLOCK (the jump matrix of a narrow load, the
+    block inverse of a wide one).  With ``settle``, the state is tested at
+    each block start 2^k >= 2 * BLOCK with SETTLE_SKIP levels above it.
+    Returns the level from which the levels are filled, or Q + 1."""
+    order_up_to = m.size - 1
+    smax = g.size - 1
     # g(j + 1) at index j, zero past the support: the correlation kernel.
     kernel = np.zeros(order_up_to)
     kernel[:min(smax, order_up_to)] = g[1:order_up_to + 1]
-    # From MATVEC_MIN_BLOCKS full blocks on, once BLOCK levels are known, a
-    # narrow load leaves this loop for its jump matrix, and a wide one applies
-    # the block inverse in place of the convolution.
-    matvec = order_up_to // BLOCK >= MATVEC_MIN_BLOCKS
+    check = 2 * BLOCK
     lower = None
     b = 1
     while b <= order_up_to:
+        if settle and b == check:
+            check *= 2
+            if (b + SETTLE_SKIP <= order_up_to + 1 and b >= smax
+                    and (value := _settled(m, b, smax)) is not None):
+                m[b:] = value
+                return b
         if matvec and b >= BLOCK and lower is None:
             if smax <= BLOCK:
                 break
@@ -325,16 +463,52 @@ def renewal_table(inc: IncrementDist, order_up_to: int) -> RenewalTable:
         else:
             m[b:b + n] = lower[:n, :n] @ known
         b += n
-    if not matvec:
-        return RenewalTable(m=m, M=np.cumsum(m), order_up_to=order_up_to)
-    if smax <= BLOCK:
-        jump = _jump_matrix(m, kernel, smax)
-        for b in range(b, order_up_to + 1, BLOCK):
-            n = min(BLOCK, order_up_to + 1 - b)
-            m[b:b + n] = jump[:n] @ m[b - smax:b]
-    table = RenewalTable(m=m, M=np.cumsum(m), order_up_to=order_up_to)
-    _check_lorden(*_lorden_terms(g[None]), order_up_to, table.M[-1:])
-    return table
+    if b > order_up_to:
+        return b
+    jump = _jump_matrix(m, kernel, smax)
+    for b in range(b, order_up_to + 1, BLOCK):
+        if settle and b == check:
+            check *= 2
+            if (b + SETTLE_SKIP <= order_up_to + 1
+                    and (value := _settled(m, b, smax)) is not None):
+                m[b:] = value
+                return b
+        n = min(BLOCK, order_up_to + 1 - b)
+        m[b:b + n] = jump[:n] @ m[b - smax:b]
+    return order_up_to + 1
+
+
+def _explicit_solve(m: np.ndarray, g: np.ndarray, first: int, settle: bool) -> int:
+    """m(1..Q) of a load with no mass on 1..first-1, first >= BLOCK: the
+    levels of a block of up to ``first`` levels read only levels below it,
+    so each block is one correlation of the load's window g(first..w),
+    w = min(smax, Q), with no block inverse.  With ``settle``, the state is
+    tested at the first block start past each 2^k >= 2 * BLOCK, if it has
+    SETTLE_SKIP levels above it.  Returns the level from which the levels
+    are filled, or Q + 1."""
+    order_up_to = m.size - 1
+    smax = g.size - 1
+    width = min(smax, order_up_to)
+    window = g[first:width + 1][::-1]    # g(w), ..., g(first)
+    # m(-w..Q), zero below level 0, so that every block reads a whole window
+    ext = np.zeros(width + order_up_to + 1)
+    ext[width] = m[0]
+    check = 2 * BLOCK
+    b = first
+    while b <= order_up_to:
+        if b >= check:
+            while check <= b:
+                check *= 2
+            if (settle and b + SETTLE_SKIP <= order_up_to + 1 and b >= smax
+                    and (value := _settled(ext, width + b, width)) is not None):
+                ext[width + b:] = value
+                break
+        n = min(first, order_up_to + 1 - b)
+        ext[width + b:width + b + n] = np.correlate(ext[b:b + n - first + width], window,
+                                                    "valid") * m[0]
+        b += n
+    m[1:] = ext[width + 1:]
+    return b
 
 
 def _toeplitz(x: np.ndarray, rows: int, cols: int) -> np.ndarray:
@@ -436,10 +610,9 @@ def _tp_table(mu: float, order_up_to) -> RenewalTable:
     """Renewal table of the time-policy load Poisson(mu) from the closed form;
     raises ArithmeticError if its E[K] leaves Lorden's bracket."""
     order_up_to = _check_order_up_to(order_up_to)
-    row = np.array([mu])
-    m = _tp_renewal_rows(row, order_up_to)[0]
+    m = _tp_renewal_rows(np.array([mu]), order_up_to)[0]
     table = RenewalTable(m=m, M=np.cumsum(m), order_up_to=order_up_to)
-    _check_lorden(*_tp_lorden_terms(row), order_up_to, table.M[-1:])
+    _check_lorden_row(*_tp_lorden_terms(mu), order_up_to, float(table.M[-1]))
     return table
 
 
@@ -453,10 +626,40 @@ def _lorden_terms(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return mean, g @ (support * support) / mean, defect
 
 
-def _tp_lorden_terms(mu: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _lorden_row(g: np.ndarray) -> tuple[float, float, float]:
+    """``_lorden_terms`` of one load's masses g, as floats."""
+    support = np.arange(g.size, dtype=float)
+    weighted = g * support
+    mean = float(np.add.reduce(weighted))
+    return mean, float(weighted @ support) / mean, _mass_defect(g)
+
+
+def _mass_defect(g: np.ndarray) -> float:
+    """The relative mass defect d of one load's masses (``_check_lorden``)."""
+    above = 1.0 - float(g[0])
+    return abs(float(np.add.reduce(g[1:])) - above) / above
+
+
+def _tp_lorden_terms(mu):
     """The terms of ``_lorden_terms`` for untruncated Poisson(mu) loads, the
-    closed-form rows: E[X] = mu, E[X^2]/E[X] = mu + 1 and no mass defect."""
-    return mu, mu + 1.0, np.zeros(mu.shape)
+    closed-form rows: E[X] = mu, E[X^2]/E[X] = mu + 1 and no mass defect;
+    for an array of means or a float."""
+    return mu, mu + 1.0, 0.0 * mu
+
+
+def _lorden_bracket(mean, overshoot, defect, order_up_to):
+    """Lorden's bracket on E[K] with its slack (see ``_check_lorden``), for
+    floats or elementwise for arrays."""
+    slack = WALD_SLACK + (order_up_to + 2) * defect
+    return ((order_up_to + 1) / mean * (1.0 - slack),
+            (order_up_to + overshoot) / mean * (1.0 + slack))
+
+
+def _lorden_error(cycles: float, lower: float, upper: float, level: int) -> ArithmeticError:
+    return ArithmeticError(
+        f"renewal E[K] = {cycles!r} outside the Lorden bracket "
+        f"[{lower!r}, {upper!r}] at order-up-to level {level}"
+    )
 
 
 def _check_lorden(mean: np.ndarray, overshoot: np.ndarray, defect: np.ndarray,
@@ -476,19 +679,23 @@ def _check_lorden(mean: np.ndarray, overshoot: np.ndarray, defect: np.ndarray,
     apart at q = 1, where both are equalities.
     ``order_up_to`` may also be a column of levels, one per row of ``cycles``;
     then a violation raises at the lowest failing level, at its first failing
-    row.  Raises ArithmeticError on a violation.
+    row.  Raises ArithmeticError on a violation.  ``_check_lorden_row`` is
+    the same check for one table, on floats.
     """
-    slack = WALD_SLACK + (order_up_to + 2) * defect
-    lower = (order_up_to + 1) / mean * (1.0 - slack)
-    upper = (order_up_to + overshoot) / mean * (1.0 + slack)
+    lower, upper = _lorden_bracket(mean, overshoot, defect, order_up_to)
     bad = ~((lower <= cycles) & (cycles <= upper))
     if bad.any():
         at = np.unravel_index(int(np.argmax(bad)), bad.shape)
         level = np.broadcast_to(order_up_to, bad.shape)[at]
-        raise ArithmeticError(
-            f"renewal E[K] = {float(cycles[at])!r} outside the Lorden bracket "
-            f"[{float(lower[at])!r}, {float(upper[at])!r}] at order-up-to level {int(level)}"
-        )
+        raise _lorden_error(float(cycles[at]), float(lower[at]), float(upper[at]), int(level))
+
+
+def _check_lorden_row(mean: float, overshoot: float, defect: float, order_up_to: int,
+                      cycles: float) -> None:
+    """``_check_lorden`` of one table's E[K] at level Q, on floats."""
+    lower, upper = _lorden_bracket(mean, overshoot, defect, order_up_to)
+    if not lower <= cycles <= upper:
+        raise _lorden_error(cycles, lower, upper, order_up_to)
 
 
 def expected_k(table: RenewalTable) -> float:

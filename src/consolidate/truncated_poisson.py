@@ -88,14 +88,14 @@ def poisson_tail(mu: float, x: int) -> float:
     return float(gammainc(x, mu))
 
 
-def _poisson_masses(mu, n: int) -> np.ndarray:
-    """P(X = i) for i = 0..n-1, X ~ Poisson(mu), evaluated in log space.
+def _poisson_masses(mu, n: int, start: int = 0) -> np.ndarray:
+    """P(X = i) for i = start..n-1, X ~ Poisson(mu), evaluated in log space.
 
     ``mu`` is a float, or a column of means (shape (B, 1)) for one row of
     masses each.  Every element is the same expression either way, so a row
     does not depend on the rows computed with it.
     """
-    i = np.arange(n, dtype=float)
+    i = np.arange(start, n, dtype=float)
     if isinstance(mu, np.ndarray):
         log_mu = np.reshape([math.log(m) for m in mu.ravel().tolist()], mu.shape)
     else:

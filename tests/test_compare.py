@@ -56,6 +56,26 @@ def test_matched_sign_flips_for_large_cap():
     assert result.verdicts["aosd_qp_vs_hp_signs"] == ["QP<HP"]
 
 
+def test_hybrid_verdicts_count_a_tie_below_double_precision_as_not_above():
+    # at q_H = 50 and mean load 5, HP differs from TP by P(X >= 50) ~ 1e-32
+    result = compare_matched(MatchSpec(1.0, 5.0), qh_list=[6, 50])
+    tp, hp = result.rows[1], result.rows[3]
+    assert (hp.aod, hp.aosd) == (tp.aod, tp.aosd)
+    assert result.verdicts["aod_hp_lt_tp"] is True
+    assert result.verdicts["aosd_hp_lt_tp"] is True
+
+
+@pytest.mark.parametrize("share, verdict", [(0.0, True), (0.5, True), (2.0, False)])
+def test_hybrid_verdicts_tie_within_the_relative_slack(share, verdict):
+    tp = compare.ComparisonRow("TP", None, None, True, aod=2.5, aosd=25.0 / 3.0)
+    above = 1.0 + share * compare.TIE_SLACK
+    hp = compare.ComparisonRow("HP", None, None, True, aod=2.5 * above, aosd=25.0 / 3.0 * above)
+    qp = compare.ComparisonRow("QP", None, None, False)
+    verdicts = compare._verdicts([qp, tp, hp])
+    assert verdicts["aod_hp_lt_tp"] is verdict
+    assert verdicts["aosd_hp_lt_tp"] is verdict
+
+
 def test_matched_replenishment_levels():
     spec = MatchSpec(demand_rate=1.0, target_cycle_length=5.0, target_replenish_length=20.0)
     result = compare_matched(spec, qh_list=[6], costs=REFERENCE_COSTS)

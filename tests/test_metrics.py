@@ -471,6 +471,10 @@ def test_system_validation():
 @example(rate=0.5, costs=REF_COSTS, q=1, order_up_to=0, periods=scan_grid(8.0))
 # a deep table: its levels reduce by running sums over 2 000 levels
 @example(rate=1.0, costs=REF_COSTS, q=3, order_up_to=2000, periods=[0.1, 2.5, 20.0])
+# hybrid windows that start above zero (load means from 8t/3 ~ 122.8 on), one
+# of them with all its mass at the cap
+@example(rate=1.0, costs=REF_COSTS, q=400, order_up_to=40, periods=[5.0, 150.0, 300.0])
+@example(rate=2.0, costs=REF_COSTS, q=30, order_up_to=40, periods=[100.0])
 @settings(max_examples=100, deadline=None)
 def test_period_costs_match_scalar_average_cost(rate, costs, q, order_up_to, periods):
     def scalar(period, level):
@@ -544,8 +548,8 @@ def one_level_scan(rate, costs, q, periods, level):
         if q is None:
             g = renewal._tp_masses(cut, [renewal._tp_support_end(x) for x in cut.tolist()])
         else:
-            g = renewal._hp_masses(cut, np.array([renewal._hp_cap(x, q, level)
-                                                  for x in cut.tolist()]))
+            floors, caps = zip(*(renewal._hp_window(x, q, level) for x in cut.tolist()))
+            g = renewal._hp_masses(cut, np.array(floors), np.array(caps))
         m[~closed] = renewal._renewal_rows(g, level)
     cyc = metrics._cycle_forms(rate, q, t)
     sums = np.cumsum(m, axis=1)
@@ -580,7 +584,7 @@ def test_scan_row_between_the_brackets_raises(monkeypatch):
     # (Q + smax)/E[X] that the support end gives at every level: Lorden's
     # upper end (Q + E[X^2]/E[X])/E[X] is below it and fails
     order_up_to, q, period = 40, 10, 8.0
-    g = renewal._hp_masses(np.array([period]), np.array([q]))[0]
+    g = renewal._hp_masses(np.array([period]), np.array([0]), np.array([q]))[0]
     support = np.arange(q + 1.0)
     mean = g @ support
     levels = np.arange(order_up_to + 1.0)

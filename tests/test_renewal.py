@@ -21,6 +21,7 @@ checked against the tables of the full load.
 
 import math
 import os
+from fractions import Fraction
 import subprocess
 import sys
 import tracemalloc
@@ -29,7 +30,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import poisson
 
@@ -46,6 +47,7 @@ from consolidate import (
     cycle_metrics,
     expected_k,
     holding_sum,
+    poisson_cdf,
     poisson_pmf,
     poisson_tail,
     renewal_table,
@@ -57,6 +59,8 @@ from consolidate.renewal import (
     DEFAULT_TAIL_EPS,
     MATVEC_MIN_BLOCKS,
     MAX_ORDER_UP_TO,
+    SETTLE_SKIP,
+    SETTLE_TOL,
     TP_CLOSED_FORM_MU,
     _check_lorden,
     _hp_masses,
@@ -120,16 +124,38 @@ def start_table(masses, order_up_to):
     return m, kernel
 
 
+def explicit_oracle(masses, order_up_to):
+    """m(0..Q) of a load whose first positive load a is at least BLOCK: the
+    library's explicit blocks of a levels, one correlation of the window
+    g(a..w) each over the levels zero-extended below 0, to Q."""
+    g = np.asarray(masses, dtype=float)
+    a = first_load(g, order_up_to)
+    width = min(g.size - 1, order_up_to)
+    ext = np.zeros(width + order_up_to + 1)
+    ext[width] = 1.0 / (1.0 - g[0])
+    for b in range(a, order_up_to + 1, a):
+        n = min(a, order_up_to + 1 - b)
+        ext[width + b:width + b + n] = np.correlate(ext[b:b + n - a + width],
+                                                    g[a:width + 1][::-1], "valid") * ext[width]
+    return ext[width:]
+
+
 def convolution_oracle(masses, order_up_to):
-    """m(0..Q) by convolution blocks alone, from level 1."""
+    """m(0..Q) by convolution blocks alone, from level 1, to Q; a load whose
+    first positive load is at least BLOCK by ``explicit_oracle``."""
+    if first_load(masses, order_up_to) >= BLOCK:
+        return explicit_oracle(masses, order_up_to)
     m, kernel = start_table(masses, order_up_to)
     convolution_blocks(m, kernel, len(masses) - 1, order_up_to + 1)
     return m
 
 
 def blocked_oracle(masses, order_up_to):
-    """m(0..Q) by the blocked solve: its convolution blocks, then above the
-    gate the library's matvec kernels."""
+    """m(0..Q) by the blocked solve, to Q: its convolution blocks, then above
+    the gate the library's matvec kernels; a load whose first positive load
+    is at least BLOCK by ``explicit_oracle``."""
+    if first_load(masses, order_up_to) >= BLOCK:
+        return explicit_oracle(masses, order_up_to)
     m, kernel = start_table(masses, order_up_to)
     smax = len(masses) - 1
     if order_up_to // BLOCK < MATVEC_MIN_BLOCKS:
@@ -151,9 +177,52 @@ def blocked_oracle(masses, order_up_to):
     return m
 
 
-def first_load(masses):
-    """The first load above zero with positive mass."""
-    return int(np.flatnonzero(masses[1:])[0]) + 1
+def stop_level(masses, order_up_to, ref):
+    """The level at which the library's solve stops, by its rule applied to
+    the levels ``ref`` of the solve run to Q (the solve's own levels up to
+    there), or None: the first block start b = 2^k >= 2 * BLOCK (for a load
+    whose first positive load a is at least BLOCK, the first multiple of a at
+    or past each 2^k) with b >= w and SETTLE_SKIP levels above it whose state
+    m(b-w..b-1) spans at most SETTLE_TOL of its largest level, on a load of
+    defect at most SETTLE_TOL."""
+    g = np.asarray(masses, dtype=float)
+    smax = g.size - 1
+    if renewal._mass_defect(g) > SETTLE_TOL:
+        return None
+    a = first_load(g, order_up_to)
+    starts = range(a, order_up_to + 1, a) if a >= BLOCK else [
+        2 ** k for k in range(8, 14) if 2 ** k <= order_up_to]
+    check = 2 * BLOCK
+    for b in starts:
+        if b < check:
+            continue
+        while check <= b:
+            check *= 2
+        if b >= smax and b + SETTLE_SKIP <= order_up_to + 1:
+            state = ref[b - smax:b]
+            if state.max() - state.min() <= SETTLE_TOL * state.max():
+                return b
+    return None
+
+
+def assert_stopped_table_keeps_the_bits(table, masses, ref):
+    """Levels below the stop equal ``ref`` bit for bit; from the stop on,
+    every level is the midpoint of the state's range."""
+    order_up_to = table.order_up_to
+    b = stop_level(masses, order_up_to, ref)
+    if b is None:
+        assert np.array_equal(table.m, ref)
+        return
+    assert np.array_equal(table.m[:b], ref[:b])
+    state = ref[b - (len(masses) - 1):b]
+    assert (table.m[b:] == 0.5 * (state.min() + state.max())).all()
+
+
+def first_load(masses, order_up_to=None):
+    """The first load above zero with positive mass; up to Q, or Q + 1 if no
+    load in 1..Q has mass."""
+    loads = np.flatnonzero(np.asarray(masses)[1:None if order_up_to is None else order_up_to + 1])
+    return int(loads[0]) + 1 if loads.size else order_up_to + 1
 
 
 def tail_cut_oracle(mu, tail_eps):
@@ -412,7 +481,7 @@ def test_blocked_solve_matches_loop_at_capacity(inc):
 def test_blocked_solve_keeps_its_bits_when_g1_is_positive(mu, q, order_up_to, time_policy):
     inc = build_increment_tp(1.0, mu) if time_policy else build_increment_hp(1.0, q, mu)
     table = renewal_table(inc, order_up_to)
-    assert np.array_equal(table.m, blocked_oracle(inc.masses, order_up_to))
+    assert_stopped_table_keeps_the_bits(table, inc.masses, blocked_oracle(inc.masses, order_up_to))
 
 
 @st.composite
@@ -501,7 +570,8 @@ def test_matvec_solve_matches_loop(inc, order_up_to):
 @settings(max_examples=40, deadline=None)
 def test_tables_below_the_gate_keep_the_convolution_bits(inc, order_up_to):
     table = renewal_table(inc, order_up_to)
-    assert np.array_equal(table.m, convolution_oracle(inc.masses, order_up_to))
+    assert_stopped_table_keeps_the_bits(table, inc.masses,
+                                        convolution_oracle(inc.masses, order_up_to))
 
 
 @pytest.mark.parametrize("builder, inc", [
@@ -700,15 +770,212 @@ def test_hybrid_table_past_the_level_equals_the_table_capped_at_q_plus_one(mu, o
 @example(mu=1e3, q=1000, order_up_to=MAX_ORDER_UP_TO)
 @settings(max_examples=60, deadline=None)
 def test_capped_hybrid_table_matches_the_table_of_the_full_load(mu, q, order_up_to):
-    cap = renewal._hp_cap(mu, q, order_up_to)
+    floor, cap = renewal._hp_window(mu, q, order_up_to)
     assert cap == min(q, order_up_to + 1, math.floor(mu + renewal._bernstein_radius(mu)))
-    assert renewal._hp_cap(np.array([mu, 2.0 * mu]), q, order_up_to)[0] == cap  # the scan's
+    floors, caps = renewal._hp_window(np.array([mu, 2.0 * mu]), q, order_up_to)
+    assert (floors[0], caps[0]) == (floor, cap)  # the scan's
     assert poisson_tail(mu, cap + 1) < 1e-20 or cap == min(q, order_up_to + 1)
     table = metrics._policy_table(1.0, HybridPolicy(q, mu), order_up_to)
     assert table.m.size == order_up_to + 1
-    full = renewal_table(build_increment_hp(1.0, q, mu), order_up_to)
-    assert expected_k(table) == pytest.approx(expected_k(full), rel=1e-13, abs=0.0)
-    assert holding_sum(table) == pytest.approx(holding_sum(full), rel=1e-13, abs=0.0)
+    masses = (renewal._hp_window_increment(mu, floor, cap) if floor
+              else build_increment_hp(1.0, cap, mu)).masses
+    capped = blocked_oracle(masses, order_up_to)
+    assert_stopped_table_keeps_the_bits(table, masses, capped)
+    # the capped and the full load, each solved to Q
+    full = blocked_oracle(build_increment_hp(1.0, q, mu).masses, order_up_to)
+    q_levels = order_up_to - np.arange(order_up_to + 1)
+    assert capped.sum() == pytest.approx(full.sum(), rel=1e-13, abs=0.0)
+    assert q_levels @ capped == pytest.approx(q_levels @ full, rel=1e-13, abs=0.0)
+
+
+# ---------------------------------------------------------------------------
+# the settled stop and the Bernstein floor
+
+
+def exact_sums(masses, order_up_to, bits=180):
+    """E[K] = M(Q) and the holding factor sum_i (Q - i) m(i) of a load by
+    the renewal recursion in fixed-point integers of 2^-bits (~54 digits),
+    from masses given as mpmath numbers or Fractions; the rounding of a
+    level is below 2^-bits, so the sums carry well over 40 digits."""
+    scale = 1 << bits
+    with mpmath.workprec(2 * bits):
+        g = [x.numerator * scale // x.denominator if isinstance(x, Fraction)
+             else int(mpmath.nint(x * scale)) for x in masses]
+    above = scale - g[0]
+    m = [scale * scale // above]
+    for i in range(1, order_up_to + 1):
+        m.append(sum(g[j] * m[i - j] for j in range(1, min(i, len(g) - 1) + 1)) // above)
+    with mpmath.workdps(60):
+        cycles = mpmath.mpf(sum(m)) / scale
+        holding = mpmath.mpf(sum((order_up_to - i) * x for i, x in enumerate(m))) / scale
+    return float(cycles), float(holding)
+
+
+def exact_hp_masses(mu, q, order_up_to, floor=0):
+    """The masses of min(max(X, floor), min(q, Q + 1)), X ~ Poisson(mu), to 60
+    digits; masses past the mode below 1e-60 end the list (the mass they and
+    the tail drop is below 1e-58)."""
+    cap = min(q, order_up_to + 1)
+    with mpmath.workdps(60):
+        mu = mpmath.mpf(mu)
+        p = [mpmath.exp(-mu)]
+        for j in range(1, cap):
+            p.append(p[-1] * mu / j)
+            if j > mu and p[-1] < mpmath.mpf(10) ** -60:
+                break
+        else:
+            p.append(1 - mpmath.fsum(p))
+        if floor:
+            p = [mpmath.mpf(0)] * floor + [mpmath.fsum(p[:floor + 1])] + p[floor + 1:]
+        return p
+
+
+def stopped_and_drifting(inc, order_up_to):
+    """The table and the solve run to Q; asserts that the table stopped."""
+    table = renewal_table(inc, order_up_to)
+    ref = blocked_oracle(inc.masses, order_up_to)
+    assert stop_level(inc.masses, order_up_to, ref) is not None
+    assert_stopped_table_keeps_the_bits(table, inc.masses, ref)
+    return table, ref
+
+
+@given(mu=st.floats(math.log(1.0), math.log(6.0)).map(math.exp), q=st.integers(2, 300),
+       order_up_to=st.integers(2 * BLOCK + SETTLE_SKIP, MAX_ORDER_UP_TO))
+@example(mu=5.3, q=436, order_up_to=7330)       # the drift of the parent's solve: 3.5e-13
+@example(mu=2.0, q=2, order_up_to=2 * BLOCK + SETTLE_SKIP)
+@example(mu=6.0, q=2, order_up_to=MAX_ORDER_UP_TO)     # near-lattice: stops at 4096
+@example(mu=4.0, q=60, order_up_to=MAX_ORDER_UP_TO)
+@settings(max_examples=12, deadline=None)
+def test_stopped_hybrid_tables_match_the_40_digit_recursion(mu, q, order_up_to):
+    # The levels below the stop carry the drift of the masses' defect d, about
+    # b d / E[X] at the stop level b; here d <= ~3e-16.  Where d b / E[X] is
+    # larger (q = 1 at small mu, whose only jump has a rounded weight, or
+    # mu ~ 10 with a late stop) a stopped table errs by up to ~1.3e-13, where
+    # the full solve errs by 1.9e-13 to 1.2e-12.
+    table = metrics._policy_table(1.0, HybridPolicy(q, mu), order_up_to)
+    masses = build_increment_hp(1.0, renewal._hp_window(mu, q, order_up_to)[1], mu).masses
+    assume(stop_level(masses, order_up_to, blocked_oracle(masses, order_up_to)) is not None)
+    cycles, holding = exact_sums(exact_hp_masses(mu, q, order_up_to), order_up_to)
+    assert expected_k(table) == pytest.approx(cycles, rel=1e-13, abs=0.0)
+    assert holding_sum(table) == pytest.approx(holding, rel=1e-13, abs=0.0)
+
+
+@given(mu=st.floats(math.log(1.0), math.log(6.0)).map(math.exp),
+       order_up_to=st.integers(2 * BLOCK + SETTLE_SKIP, MAX_ORDER_UP_TO))
+@example(mu=2.0, order_up_to=MAX_ORDER_UP_TO)
+@example(mu=6.0, order_up_to=7330)
+@settings(max_examples=8, deadline=None)
+def test_stopped_time_tables_match_the_40_digit_recursion_on_their_load(mu, order_up_to):
+    # The load is the tail-cut one, whose cut alone moves E[K] by 1e-12 to
+    # 5e-12 at these means against ``series_sums``; the oracle is the exact
+    # recursion on its masses, normalized to total 1.  As for hybrid loads,
+    # the levels below the stop carry the drift of the masses' defect, which
+    # reaches ~1.2e-13 at mu = 0.35 (stop at 256).
+    inc = build_increment_tp(1.0, mu)
+    table, drifting = stopped_and_drifting(inc, order_up_to)
+    masses = [Fraction(float(x)) for x in inc.masses]
+    total = sum(masses)
+    cycles, holding = exact_sums([x / total for x in masses], order_up_to)
+    assert expected_k(table) == pytest.approx(cycles, rel=1e-13, abs=0.0)
+    assert holding_sum(table) == pytest.approx(holding, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("inc", [
+    IncrementDist([0.0, 0.0, 0.5, 0.0, 0.5]),   # mass on even loads only
+    IncrementDist([0.0, 0.0, 0.0, 1.0]),        # a lattice
+    build_increment_hp(1.0, 5, 60.0),           # near-lattice: mu >> q
+    build_increment_hp(1.0, 40, 400.0),
+    # one load, defect d = 1e-12 > SETTLE_TOL > SETTLE_TOL / (Q + 2): the
+    # state is one level, which never spreads, yet m(i) = m(0) (1 + d)^i
+    IncrementDist([0.5, 0.5 * (1.0 + 1e-12)]),
+])
+@pytest.mark.parametrize("order_up_to", [2 * BLOCK + SETTLE_SKIP, 3000,
+                                         MAX_ORDER_UP_TO])
+def test_stop_never_fires_on_loads_that_do_not_settle(inc, order_up_to):
+    table = renewal_table(inc, order_up_to)
+    ref = blocked_oracle(inc.masses, order_up_to)
+    assert stop_level(inc.masses, order_up_to, ref) is None
+    assert np.array_equal(table.m, ref)
+
+
+def test_stop_fires_on_a_settled_load_without_defect():
+    table = renewal_table(IncrementDist([0.5, 0.5]), MAX_ORDER_UP_TO)
+    assert (table.m == 2.0).all()
+
+
+@given(mu=st.floats(math.log(123.0), math.log(1e7)).map(math.exp),
+       q=st.integers(1, 3 * MAX_ORDER_UP_TO), order_up_to=st.integers(0, MAX_ORDER_UP_TO))
+@example(mu=700.0, q=10**4, order_up_to=6000)
+@example(mu=5e6, q=10**7, order_up_to=MAX_ORDER_UP_TO)
+@example(mu=5e6, q=20_000, order_up_to=MAX_ORDER_UP_TO)
+@example(mu=9000.0, q=10**6, order_up_to=MAX_ORDER_UP_TO)
+@example(mu=150.0, q=300, order_up_to=BLOCK)
+@example(mu=400.0, q=150, order_up_to=3000)      # floor above q: all mass at the cap
+@settings(max_examples=25, deadline=None)
+def test_floored_tables_match_the_unfloored_ones(mu, q, order_up_to):
+    floor, cap = renewal._hp_window(mu, q, order_up_to)
+    assert 1 <= floor <= cap
+    assert floor == min(math.ceil(mu - renewal._bernstein_radius(mu)), cap)
+    assert floor == cap or poisson_cdf(mu, floor - 1) < 1e-20
+    inc = renewal._hp_window_increment(mu, floor, cap)
+    assert not inc.masses[:floor].any()
+    table = metrics._policy_table(1.0, HybridPolicy(q, mu), order_up_to)
+    assert_stopped_table_keeps_the_bits(table, inc.masses, blocked_oracle(inc.masses, order_up_to))
+    unfloored = renewal_table(build_increment_hp(1.0, cap, mu), order_up_to)
+    assert expected_k(table) == pytest.approx(expected_k(unfloored), rel=1e-13, abs=0.0)
+    assert holding_sum(table) == pytest.approx(holding_sum(unfloored), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("mu", [0.5, 50.0, 122.0, renewal._HP_FLOOR_MU])
+def test_no_window_starts_above_zero_below_the_floor_mean(mu):
+    assert renewal._hp_window(mu, 10**6, MAX_ORDER_UP_TO)[0] == 0
+    assert renewal._hp_window(np.array([mu]), 10**6, MAX_ORDER_UP_TO)[0][0] == 0
+
+
+@pytest.mark.parametrize("mu, q", [(5e6, 10**7), (5e6, 20_000), (2e4, 10**7), (5000.0, 10**7),
+                                   (700.0, 10**4)])
+def test_floored_solve_work_is_bounded(monkeypatch, mu, q):
+    # multiply-adds of every correlation, convolution and matrix product
+    calls = []
+
+    def counted(name, fn, work):
+        def wrapper(*args, **kwargs):
+            calls.append((name, work(*args)))
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(np if hasattr(np, name) else renewal, name, wrapper)
+
+    counted("correlate", np.correlate, lambda a, v, mode: (len(a) - len(v) + 1) * len(v))
+    counted("convolve", np.convolve, lambda a, v: len(a) * len(v))
+    counted("matmul", np.matmul, lambda a, b, **kw: a.size * b.shape[-1])
+    counted("_jump_matrix", renewal._jump_matrix, lambda m, kernel, width: math.inf)
+    counted("_block_inverse", renewal._block_inverse, lambda m, cols: math.inf)
+    metrics._policy_table.cache_clear()
+    average_cost(SystemConfig(1.0, HybridPolicy(q, mu), MAX_ORDER_UP_TO))
+    floor, cap = renewal._hp_window(mu, q, MAX_ORDER_UP_TO)
+    blocks = max(0, math.ceil((MAX_ORDER_UP_TO + 1 - floor) / floor))
+    assert all(name == "correlate" for name, _ in calls)
+    assert len(calls) <= blocks
+    assert sum(work for _, work in calls) <= max(0, MAX_ORDER_UP_TO + 1 - floor) * (cap - floor + 1)
+
+
+def test_one_row_lorden_check_is_the_array_check():
+    rng = np.random.default_rng(5)
+    for width in (1, 2, 30, 400):
+        g = rng.random(width + 1)
+        g /= g.sum()
+        row = renewal._lorden_row(g)
+        np.testing.assert_allclose(row, [t[0] for t in renewal._lorden_terms(g[None])],
+                                   rtol=1e-14, atol=1e-30)
+        for order_up_to in (0, 300):
+            cycles = float(np.cumsum(renewal._renewal_rows(g[None], order_up_to)[0])[-1])
+            renewal._check_lorden_row(*row, order_up_to, cycles)
+            lower, upper = renewal._lorden_bracket(*row, order_up_to)
+            for bad in (lower * (1 - 1e-6), upper * (1 + 1e-6), math.nan):
+                with pytest.raises(ArithmeticError) as one:
+                    renewal._check_lorden_row(*row, order_up_to, bad)
+                with pytest.raises(ArithmeticError) as rows:
+                    _check_lorden(*(np.array([t]) for t in row), order_up_to, np.array([bad]))
+                assert str(one.value) == str(rows.value)
 
 
 # ---------------------------------------------------------------------------
@@ -756,10 +1023,11 @@ def test_batched_masses_do_not_depend_on_the_batch(rows):
     mu = np.array([m for m, _ in rows])
     caps = np.array([cap for _, cap in rows])
     ends = [_tp_support_end(m) for m in mu.tolist()]
-    hp = _hp_masses(mu, caps)
+    floors = np.zeros(mu.size, int)
+    hp = _hp_masses(mu, floors, caps)
     tp = _tp_masses(mu, ends)
     for r, m in enumerate(mu.tolist()):
-        one = _hp_masses(mu[r:r + 1], caps[r:r + 1])[0]
+        one = _hp_masses(mu[r:r + 1], floors[r:r + 1], caps[r:r + 1])[0]
         assert one.size == caps[r] + 1
         assert np.array_equal(hp[r, :one.size], one)
         assert not hp[r, one.size:].any()
@@ -771,6 +1039,24 @@ def test_batched_masses_do_not_depend_on_the_batch(rows):
         inc = build_increment_tp(1.0, m)
         assert inc.support_end == ends[r]
         assert np.array_equal(one, inc.masses)
+
+
+@given(rows=st.lists(st.tuples(st.floats(math.log(50.0), math.log(1e6)).map(math.exp),
+                                st.integers(1, 3000)), min_size=1, max_size=8),
+       order_up_to=st.integers(0, 2000))
+@example(rows=[(150.0, 3000), (400.0, 150), (5.0, 3000)], order_up_to=2000)
+@settings(max_examples=30, deadline=None)
+def test_floored_scan_rows_equal_the_window_increment(rows, order_up_to):
+    mu = np.array([m for m, _ in rows])
+    floors, caps = renewal._hp_window(mu, max(q for _, q in rows), order_up_to)
+    g = _hp_masses(mu, floors, caps)
+    for r, m in enumerate(mu.tolist()):
+        floor, cap = int(floors[r]), int(caps[r])
+        assert (floor, cap) == renewal._hp_window(m, max(q for _, q in rows), order_up_to)
+        one = (renewal._hp_window_increment(m, floor, cap) if floor
+               else build_increment_hp(1.0, cap, m)).masses
+        assert np.array_equal(g[r, :cap + 1], one)
+        assert not g[r, cap + 1:].any()
 
 
 @given(incs=st.lists(increments(), min_size=1, max_size=6),
