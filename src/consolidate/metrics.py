@@ -65,6 +65,10 @@ MATCH_POLISH_ULPS = 4
 # Mass cells (rows x support) that one chunk of ``_period_costs`` holds at
 # most, which bounds its memory when rate * period is large.
 _CHUNK_CELLS = 1 << 19
+# (level, period) cells that one cost block of ``_period_costs`` holds at
+# most.  Each block keeps about ten temporaries of its size alive, so the
+# blocks are kept far smaller than the mass chunks.
+_COST_CELLS = 1 << 15
 
 
 class MatchInfeasibleError(ValueError):
@@ -473,10 +477,10 @@ def _period_costs(demand_rate: float, costs: CostParams, q: int | None, periods,
                 cycles[:, chunk] = sums.T
                 holding_sum[1:, chunk] = np.cumsum(sums[:, :-1], axis=1).T
 
-        # The costs of blocks of levels, lowest first, at most _CHUNK_CELLS
+        # The costs of blocks of levels, lowest first, at most _COST_CELLS
         # each; the lowest failing level raises, its Lorden violation first.
         cost = np.empty(shape)
-        block = max(1, _CHUNK_CELLS // mu.size)
+        block = max(1, _COST_CELLS // mu.size)
         for lo in range(0, order_up_to + 1, block):
             at = slice(lo, lo + block)
             rep = _renewal_record(cyc, cycles[at], holding_sum[at])

@@ -18,6 +18,14 @@ Head and tail probabilities are computed through the regularized incomplete
 gamma functions (P(X <= k) = Q(k+1, mu), P(X >= m) = P(m, mu)), which keep
 full relative accuracy in both tails; mass functions are evaluated in log
 space so that means up to ~1e4 do not overflow.
+
+``scipy.special`` supplies those functions and ``gammaln``, and it is
+imported on the first Poisson tail or mass, not with this module: the
+quantity policy and the simulator never need one, and the import is most of
+the package's start-up time.  The first call of ``gammainc``, ``gammaincc``
+or ``gammaln`` rebinds all three module names to scipy's ufuncs, so every
+later call reaches the ufunc directly.  Other modules call this module's
+functions and never import those three names, which would stay stubs there.
 """
 
 from __future__ import annotations
@@ -26,7 +34,27 @@ import math
 from collections.abc import Iterable
 
 import numpy as np
-from scipy.special import gammainc, gammaincc, gammaln
+
+
+def _bind_special() -> None:
+    """Replace the three stubs below by scipy's ufuncs of the same names."""
+    global gammainc, gammaincc, gammaln
+    from scipy.special import gammainc, gammaincc, gammaln
+
+
+def gammainc(*args, **kwargs):
+    _bind_special()
+    return gammainc(*args, **kwargs)
+
+
+def gammaincc(*args, **kwargs):
+    _bind_special()
+    return gammaincc(*args, **kwargs)
+
+
+def gammaln(*args, **kwargs):
+    _bind_special()
+    return gammaln(*args, **kwargs)
 
 
 class QuadratureError(RuntimeError):

@@ -306,6 +306,38 @@ def test_invalid_config_exits_2_with_one_line(tmp_path, capsys, command, edits, 
     assert (code, out, err) == (2, "", f"config error: {message}\n")
 
 
+COLD_MAIN = """
+import json, sys
+from consolidate import truncated_poisson
+from consolidate.cli import main
+
+code = main(sys.argv[1:])
+special = sys.modules.get("scipy.special")
+print(json.dumps([code, sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")),
+                  special is not None and truncated_poisson.gammainc is special.gammainc]),
+      file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("policy, args, loads_special", [
+    ({"type": "quantity", "q": 7}, ["evaluate"], False),
+    (HP_DOC["policy"], ["simulate", "--cycles", "500", "--seed", "3"], False),
+    ({"type": "time", "period": 4.5}, ["evaluate"], True),
+])
+def test_cold_start_loads_scipy_only_for_poisson_tails(policy, args, loads_special, tmp_path,
+                                                       capsys, fresh_python):
+    # the quantity policy and the simulator need no Poisson tail; a time or
+    # hybrid evaluation binds scipy.special on its first one
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(HP_DOC, policy=policy)))
+    command = [args[0], "--config", str(path), *args[1:]]
+    proc = fresh_python(COLD_MAIN, *command)
+    code, loaded, bound = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert code == 0
+    assert (bool(loaded), bound) == (loads_special, loads_special)
+    assert proc.stdout == run_cli(command, capsys)[1]
+
+
 def test_console_entry_point(hp_config):
     proc = subprocess.run(
         [sys.executable, "-m", "consolidate.cli", "evaluate", "--config", hp_config],

@@ -643,9 +643,25 @@ def test_time_scan_memory_is_bounded_at_large_load():
         assert costs[10, i] == pytest.approx(average_cost(cfg).avg_cost, rel=1e-12)
 
 
+@pytest.mark.parametrize("q", [3, None])
+def test_scan_cost_blocks_bound_memory_and_keep_the_rows(q, monkeypatch, special_bound):
+    # 2 001 levels x 200 periods: the cost phase works in blocks of levels
+    # smaller than the mass chunks, each cell costed as in one block
+    grid = scan_grid(20.0)
+    tracemalloc.start()
+    try:
+        blocked = _period_costs(1.0, REF_COSTS, q, grid, 2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
+    monkeypatch.setattr(metrics, "_COST_CELLS", blocked.size)
+    assert np.array_equal(blocked, _period_costs(1.0, REF_COSTS, q, grid, 2000))
+
+
 @pytest.mark.parametrize("q", [10**7, 10**9])
 @pytest.mark.parametrize("order_up_to", [10, MAX_ORDER_UP_TO])
-def test_hybrid_cost_is_small_and_fast_at_huge_caps(q, order_up_to):
+def test_hybrid_cost_is_small_and_fast_at_huge_caps(q, order_up_to, special_bound):
     # the table's load is capped at min(Q + 1, mu + r), never at q
     metrics._policy_table.cache_clear()
     tracemalloc.start()

@@ -5,6 +5,7 @@ functions; the oracles here sum the mass function directly (with Kahan
 compensation for the tails) so the two routes share no code path.
 """
 
+import json
 import math
 
 import mpmath
@@ -118,6 +119,45 @@ def test_domain_errors():
         poisson_cdf(0.0, 3)
     with pytest.raises(ValueError):
         poisson_pmf(1.0, -1)
+
+
+FIRST_CALLS = """
+import json, sys
+import numpy as np
+from consolidate import truncated_poisson as tp
+
+NAMES = ("gammainc", "gammaincc", "gammaln")
+stubs = [getattr(tp, name) for name in NAMES]
+column = np.array([[0.5], [7.5], [300.0]])
+calls = [
+    lambda: tp.poisson_tail(7.5, 12),
+    lambda: tp.poisson_cdf(7.5, 12),
+    lambda: tp._poisson_masses(7.5, 40),
+    lambda: tp._poisson_masses(column, 60, 5),
+    lambda: tp._poisson_tails(column, np.arange(1.0, 40.0)),
+    lambda: tp._factorial_moment(column.ravel(), 12, 2),
+]
+report = []
+for call in calls:
+    for name, stub in zip(NAMES, stubs):
+        setattr(tp, name, stub)
+    first = np.asarray(call())
+    special = sys.modules["scipy.special"]
+    bound = all(getattr(tp, name) is getattr(special, name) for name in NAMES)
+    direct = np.asarray(call())
+    report.append([bound, (first.dtype, first.shape) == (direct.dtype, direct.shape)
+                   and first.tobytes() == direct.tobytes()])
+print(json.dumps(report))
+"""
+
+
+def test_first_calls_bind_scipy_special_and_keep_its_bits(fresh_python):
+    # Each call runs once through the unbound stubs, then once more with the
+    # module names bound, which is a direct scipy.special call: the two agree
+    # bit for bit, and the first leaves scipy's ufuncs themselves in place,
+    # with no forwarding layer left on the hot path.
+    report = json.loads(fresh_python(FIRST_CALLS).stdout)
+    assert report == [[True, True]] * 6
 
 
 # ---------------------------------------------------------------------------
