@@ -22,13 +22,15 @@ The verified orderings, all at matched frequencies:
   * average cost:       QP <~ HP <~ TP (linear delay, approximate regime).
 
 Each system is evaluated once per mode: one ``average_cost`` call carries its
-delay, squared delay, inventory rate and cost.  The optimizer runs one loop
-over the integer points (q, Q) of a family; at each point the quantity family
+delay, squared delay, inventory rate and cost.  The optimizer enumerates the
+integer points (q, Q) of a family; at each point the quantity family
 evaluates once and the time and hybrid families search the period: a
-200-period scan, then golden-section steps, each one scalar ``average_cost``
-call.  The scans of one cap are one batched exact call
-(``metrics._period_costs``) at the order-up-to bound, whose row Q is the scan
-at level Q.  Every period, scanned or stepped, is one entry of the trace.
+200-period scan, then golden-section steps.  The scans of one cap are one
+batched exact call (``metrics._period_costs``) at the order-up-to bound,
+whose row Q is the scan at level Q.  The golden searches of all points of a
+family run in lockstep, one batched exact call (``metrics._row_costs``) per
+step for every running point.  Every period, scanned or stepped, is one
+entry of the trace, in the order of a search one point at a time.
 """
 
 from __future__ import annotations
@@ -36,8 +38,9 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import asdict, dataclass, field
-from functools import partial
 from typing import ClassVar
+
+import numpy as np
 
 from .metrics import (
     CostParams,
@@ -49,6 +52,7 @@ from .metrics import (
     TimePolicy,
     _per_order,
     _period_costs,
+    _row_costs,
     average_cost,
     cycle_metrics,
     match_consolidation_cycle,
@@ -437,40 +441,126 @@ _SCAN_POINTS = 200
 _PERIOD_TOL = 1e-8
 
 
-def _golden_min(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    """Golden-section minimum of f on [lo, hi] to width tol; returns (x, f(x))."""
+def _golden_steps(lo: float, hi: float):
+    """Golden-section search of a minimum on [lo, hi] to width _PERIOD_TOL,
+    as a generator: it yields each point to probe, is sent that point's
+    value, and returns (x, f(x)) of the better of its last two points."""
     a, b = lo, hi
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
+    fc = yield c
+    fd = yield d
+    while b - a > _PERIOD_TOL:
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)
-            fc = f(c)
+            fc = yield c
         else:
             a, c, fc = c, d, fd
             d = a + _GOLDEN * (b - a)
-            fd = f(d)
+            fd = yield d
     return (c, fc) if fc <= fd else (d, fd)
 
 
-def _best_period(grid: list, values: list, evaluate) -> tuple[float, float]:
-    """Golden-section refinement of the best cell of a coarse period scan.
+def _golden_searches(evaluate, lo: list, hi: list, rank: list):
+    """The golden searches (``_golden_steps``) of many rows in lockstep.
 
-    ``values`` are the costs of the periods ``grid`` (equal steps from the
-    first), and ``evaluate`` returns the cost of one period, for the golden
-    steps.  Unimodality of the cost in the period is not guaranteed, so the
-    scan brackets the global pattern first and golden section only polishes
-    the best scan cell.
+    Each step probes the next point of every running row in one call
+    ``evaluate(rows, points)``, which returns the values and {index into
+    rows: error}: one call for the first points, one for the second, then
+    one per step.  ``rank`` orders the rows as searches run one at a time
+    would.  A row stops at its first error, and so do the rows ranked after
+    the first failed row, which such searches would never reach.
+
+    Returns each row's probes [(x, f(x)), ...] in order, each row's minimum
+    (x, f(x)), and the error of the first failed row or None.
     """
-    i = min(range(len(grid)), key=lambda idx: (values[idx], grid[idx]))
-    lo = grid[i - 1] if i > 0 else grid[0] * 0.05
-    hi = grid[i + 1] if i + 1 < len(grid) else grid[-1]
-    t, ac = _golden_min(evaluate, lo, hi, _PERIOD_TOL)
-    if values[i] <= ac:
-        return grid[i], values[i]
-    return t, ac
+    searches = [_golden_steps(a, b) for a, b in zip(lo, hi)]
+    probes = [[] for _ in searches]
+    best = [None] * len(searches)
+    running = list(range(len(searches)))
+    points = [search.send(None) for search in searches]
+    failed, error = len(searches), None
+    while running:
+        values, errors = evaluate(np.array(running), np.array(points))
+        for k, err in errors.items():
+            if rank[running[k]] < failed:
+                failed, error = rank[running[k]], err
+        going, following = [], []
+        for row, point, value in zip(running, points, values.tolist()):
+            if rank[row] >= failed:
+                continue
+            probes[row].append((point, value))
+            try:
+                following.append(searches[row].send(value))
+            except StopIteration as done:
+                best[row] = done.value
+                continue
+            going.append(row)
+        running, points = going, following
+    return probes, best, error
+
+
+def _period_points(demand_rate: float, costs: CostParams, policy_kind: str,
+                   bounds: SearchBounds, trace: list) -> list:
+    """(policy, level, cost) of the best period at each (q, Q) point of the
+    time or hybrid family, q outermost, with every period evaluated appended
+    to ``trace``: per point, its scan, then its golden probes.
+
+    The scans of one cap are one batched call (``_period_costs``) at the
+    order-up-to bound, whose row Q is the scan at level Q.  The best scan
+    cell of each point brackets a golden search, which only polishes it,
+    since the cost need not be unimodal in the period; the scan's cell wins
+    a tie.  The searches of every point run in lockstep, highest levels
+    first, each step one call of ``_row_costs``.  Errors are raised in the
+    order of a search one point at a time: a scan that fails is raised after
+    the searches of the caps before it.
+    """
+    caps = [None] if policy_kind == "time" else list(range(1, bounds.q_max + 1))
+    step = bounds.period_max / _SCAN_POINTS
+    grid = [step * (i + 1) for i in range(_SCAN_POINTS)]
+    levels = bounds.order_up_to_max + 1
+    tables, failure = [], None
+    for q in caps:
+        try:
+            tables.append(_period_costs(demand_rate, costs, q, grid, bounds.order_up_to_max))
+        except (ValueError, ArithmeticError) as err:
+            failure = err
+            break
+    caps = caps[:len(tables)]
+    values = np.concatenate(tables) if tables else np.empty((0, _SCAN_POINTS))
+    cells = np.argmin(values, axis=1).tolist()
+    # point r = (caps[r // levels], r % levels), searched highest level first
+    order = sorted(range(len(cells)), key=lambda r: -(r % levels))
+    row_caps = None if policy_kind == "time" else np.array([caps[r // levels] for r in order])
+    row_levels = np.array([r % levels for r in order])
+
+    def evaluate(rows, points):
+        return _row_costs(demand_rate, costs, None if row_caps is None else row_caps[rows],
+                          row_levels[rows], points)
+
+    probes, best, error = _golden_searches(
+        evaluate, [grid[cells[r] - 1] if cells[r] else grid[0] * 0.05 for r in order],
+        [grid[min(cells[r] + 1, _SCAN_POINTS - 1)] for r in order], order)
+    if error is not None:
+        raise error
+    if failure is not None:
+        raise failure
+    searched = dict(zip(order, zip(probes, best)))
+    points = []
+    for r, cell in enumerate(cells):
+        q, order_up_to = caps[r // levels], r % levels
+        scan = values[r].tolist()  # Python floats, as the trace records
+        trace.extend({"q": q, "order_up_to": order_up_to, "period": period, "ac": ac}
+                     for period, ac in zip(grid, scan))
+        steps, (period, ac) = searched[r]
+        trace.extend({"q": q, "order_up_to": order_up_to, "period": t, "ac": cost}
+                     for t, cost in steps)
+        if scan[cell] <= ac:
+            period, ac = grid[cell], scan[cell]
+        points.append((TimePolicy(period) if q is None else HybridPolicy(q, period),
+                       order_up_to, ac))
+    return points
 
 
 def optimize(demand_rate: float, costs: CostParams, policy_kind: str,
@@ -479,48 +569,33 @@ def optimize(demand_rate: float, costs: CostParams, policy_kind: str,
 
     Integer dimensions (count cap q, order-up-to level Q) are enumerated
     exhaustively, q outermost; the continuous period of the time and hybrid
-    families is searched per integer point.  Every evaluation is recorded so
-    the reported optimum can be certified against the trace.  Ties break
-    toward smaller (Q, q, period).
+    families is searched per integer point (``_period_points``).  Every
+    evaluation is recorded so the reported optimum can be certified against
+    the trace.  Ties break toward smaller (Q, q, period).
     """
     if policy_kind not in ("quantity", "time", "hybrid"):
         raise ValueError(f"policy_kind must be quantity|time|hybrid, got {policy_kind!r}")
     bounds = bounds if bounds is not None else SearchBounds()
     trace: list = []
-
-    def probe(policy: Policy, order_up_to: int) -> float:
-        ac = average_cost(SystemConfig(demand_rate, policy, order_up_to, costs), "exact").avg_cost
-        trace.append({"q": getattr(policy, "q", None), "order_up_to": order_up_to,
-                      "period": getattr(policy, "period", None), "ac": ac})
-        return ac
-
-    # The time family has no cap; a quantity policy needs Q divisible by q.
-    caps = [None] if policy_kind == "time" else range(1, bounds.q_max + 1)
-    step = bounds.period_max / _SCAN_POINTS
-    grid = [step * (i + 1) for i in range(_SCAN_POINTS)]
+    if policy_kind == "quantity":
+        # a quantity policy needs Q divisible by q
+        points = []
+        for q in range(1, bounds.q_max + 1):
+            for order_up_to in range(0, bounds.order_up_to_max + 1, q):
+                policy = QuantityPolicy(q)
+                ac = average_cost(SystemConfig(demand_rate, policy, order_up_to, costs),
+                                  "exact").avg_cost
+                trace.append({"q": q, "order_up_to": order_up_to, "period": None, "ac": ac})
+                points.append((policy, order_up_to, ac))
+    else:
+        points = _period_points(demand_rate, costs, policy_kind, bounds, trace)
     best = None  # (key, SystemConfig)
-    for q in caps:
-        if policy_kind != "quantity":
-            make_policy = TimePolicy if q is None else partial(HybridPolicy, q)
-            # One batched scan per cap; row Q holds the grid's costs at level Q.
-            table = _period_costs(demand_rate, costs, q, grid, bounds.order_up_to_max)
-        for order_up_to in range(0, bounds.order_up_to_max + 1,
-                                 q if policy_kind == "quantity" else 1):
-            if policy_kind == "quantity":
-                policy: Policy = QuantityPolicy(q)
-                ac = probe(policy, order_up_to)
-            else:
-                values = table[order_up_to].tolist()  # Python floats, as probe records
-                trace.extend({"q": q, "order_up_to": order_up_to, "period": period, "ac": ac}
-                             for period, ac in zip(grid, values))
-                period, ac = _best_period(
-                    grid, values, lambda t: probe(make_policy(t), order_up_to))
-                policy = make_policy(period)
-            # Within one family q (or the period) is None at every point or at
-            # none, so the key never orders None against a number.
-            key = (ac, order_up_to, getattr(policy, "q", None), getattr(policy, "period", None))
-            if best is None or key < best[0]:
-                best = (key, SystemConfig(demand_rate, policy, order_up_to, costs))
+    for policy, order_up_to, ac in points:
+        # Within one family q (or the period) is None at every point or at
+        # none, so the key never orders None against a number.
+        key = (ac, order_up_to, getattr(policy, "q", None), getattr(policy, "period", None))
+        if best is None or key < best[0]:
+            best = (key, SystemConfig(demand_rate, policy, order_up_to, costs))
 
     (best_cost, order_up_to, q, period), best_cfg = best
     warnings = []

@@ -39,7 +39,9 @@ replenishment record (``_renewal_record``), the per-order ratios and AIR
 The optimizer's period scan ``_period_costs`` calls them on arrays of
 (level, period) pairs; it owns only the mass rows, their batched renewal
 recursion or closed form (by the same load-mean threshold as the scalar
-path), the per-level reductions of its masses and its certificate.
+path), the per-level reductions of its masses and its certificate.  Its
+golden steps ``_row_costs`` price rows of independent systems, each at its
+own level, with the float path's cycle forms row by row (``_cycle_rows``).
 """
 
 from __future__ import annotations
@@ -52,7 +54,8 @@ from typing import Union
 import numpy as np
 
 from . import renewal
-from .truncated_poisson import _factorial_moment, trunc_factorial_moment_dmu
+from .truncated_poisson import (_factorial_moment, _poisson_heads, _poisson_tails, poisson_cdf,
+                               poisson_tail, trunc_factorial_moment_dmu)
 
 MATCH_BRACKET_FLOOR = 1e-8
 MATCH_MEAN_TOL = 1e-9
@@ -287,13 +290,64 @@ def _cycle_forms(rate: float, q: int | None, period) -> CycleMetrics:
             sq_delay=rate * period**3 / 3.0,
         )
     mu = rate * period
-    orders = _factorial_moment(mu, q, 1)
+    if isinstance(mu, np.ndarray):
+        orders = _factorial_moment(mu, q, 1)
+        pairs = _factorial_moment(mu, q, 2)
+        triples = _factorial_moment(mu, q + 1, 3)
+    else:
+        # ``_factorial_moment``'s float expressions on four tails, not six:
+        # P(X >= q+1) serves k = 1 and 2, P(X <= q-2) k = 2 and (q+1, 3).
+        above = poisson_tail(mu, q + 1)
+        orders = mu * poisson_cdf(mu, q - 1) + q * above
+        if q < 2:
+            pairs = triples = 0.0 * mu
+        else:
+            below = poisson_cdf(mu, q - 2)
+            pairs = mu**2 * below + q * (q - 1) * above
+            triples = mu**3 * below + (q + 1) * q * (q - 1) * poisson_tail(mu, q + 2)
     return CycleMetrics(
         length=orders / rate,
         orders=orders,
-        delay=_factorial_moment(mu, q, 2) / (2.0 * rate),
-        sq_delay=_factorial_moment(mu, q + 1, 3) / (3.0 * rate**2),
+        delay=pairs / (2.0 * rate),
+        sq_delay=triples / (3.0 * rate**2),
     )
+
+
+def _cycle_rows(rate: float, q, period: np.ndarray) -> CycleMetrics:
+    """``_cycle_forms`` at each float period of an array, bit for bit: the
+    time forms when q is None, else the hybrid forms of cap q[r] at row r.
+
+    These are the float path's expressions with its powers (``_float_powers``)
+    and tails.  At q = 1, P(X <= q-2) is 0, as are the falling factorials, so
+    that row's pairs and triples are the float path's k > q zeros.
+    """
+    if q is None:
+        return CycleMetrics(length=period, orders=rate * period,
+                            delay=rate * period * period / 2.0,
+                            sq_delay=rate * _float_powers(period, 3) / 3.0)
+    mu = rate * period
+    cap = q.astype(float)
+    above = _poisson_tails(mu, cap + 1.0)
+    orders = mu * _poisson_heads(mu, cap) + cap * above
+    below = _poisson_heads(mu, cap - 1.0)
+    caps = q.tolist()    # the falling factorials as the float path's integers
+    pairs = np.fromiter((c * (c - 1) for c in caps), float, len(caps))
+    triples = np.fromiter(((c + 1) * c * (c - 1) for c in caps), float, len(caps))
+    return CycleMetrics(
+        length=orders / rate,
+        orders=orders,
+        delay=(_float_powers(mu, 2) * below + pairs * above) / (2.0 * rate),
+        sq_delay=(_float_powers(mu, 3) * below
+                  + triples * _poisson_tails(mu, cap + 2.0)) / (3.0 * rate**2),
+    )
+
+
+def _float_powers(x: np.ndarray, k: int) -> np.ndarray:
+    """x**k, k <= 3, per element of x >= 0 by Python's float power: the float
+    paths' libm ``pow``, which numpy's SIMD power does not match in the last
+    bit.  inf from x = 1e100 on, where the float path's cube may raise
+    OverflowError."""
+    return np.fromiter((v**k if v < 1e100 else math.inf for v in x.tolist()), float, x.size)
 
 
 @lru_cache(maxsize=512)
@@ -455,7 +509,7 @@ def _period_costs(demand_rate: float, costs: CostParams, q: int | None, periods,
         mean[closed], overshoot[closed], defect[closed] = renewal._tp_lorden_terms(mu[closed])
         if q is None:
             ends = np.zeros(mu.size, int)
-            ends[cut] = [renewal._tp_support_end(m) for m in mu[cut].tolist()]
+            ends[cut] = renewal._tp_support_ends(mu[cut])
         else:
             floors, ends = renewal._hp_window(mu, q, order_up_to)
         rows = max(1, _CHUNK_CELLS // (max(int(ends.max(initial=0)), order_up_to) + 1))
@@ -493,6 +547,83 @@ def _period_costs(demand_rate: float, costs: CostParams, q: int | None, periods,
             if failing.any():
                 raise OverflowError("average cost is not finite")
     return cost
+
+
+def _row_costs(demand_rate: float, costs: CostParams, q, levels: np.ndarray,
+               periods: np.ndarray) -> tuple[np.ndarray, dict]:
+    """Exact linear-delay average cost of independent rows, each its own
+    system: the optimizer's golden steps, every (q, Q) point of a family in
+    one call.
+
+    Row r is ``average_cost(SystemConfig(demand_rate, policy, levels[r],
+    costs)).avg_cost`` for the time policy of period ``periods[r]`` when q is
+    None, and the hybrid policy (q[r], periods[r]) otherwise; the levels must
+    not increase along the rows.  Each row takes the scalar path's cycle
+    forms bit for bit (``_cycle_rows``), its table to its own level only
+    (``_row_tables``), and the scalar record, service and components.  So a
+    row at a level up to 2 equals the scalar cost bit for bit, and higher
+    levels agree within rounding.
+
+    A row that ``_row_tables`` leaves to the scalar path or that fails a
+    check (a cycle form or cost that is not finite, a series that diverges,
+    Lorden's bracket) is priced by ``average_cost`` itself, which raises
+    where the scalar path raises.  Returns the costs and {row: the error its
+    ``average_cost`` raised}.
+    """
+    rate = float(demand_rate)
+    with np.errstate(all="ignore"):
+        cyc = _cycle_rows(rate, q, periods)
+        cycles, holding_sum, held = _row_tables(rate * periods, q, levels)
+        rep = _renewal_record(cyc, cycles, holding_sum)
+        cost = sum(_components(rate, costs, cyc, rep, _service(cyc, rep), "linear").values())
+        # finite iff all three are, or a false alarm where their sum overflows
+        held &= np.isfinite(cost + cyc.delay + cyc.sq_delay)
+    errors = {}
+    for r in ([] if held.all() else np.flatnonzero(~held).tolist()):
+        try:
+            policy = (TimePolicy(periods[r]) if q is None
+                      else HybridPolicy(int(q[r]), periods[r]))
+            cost[r] = average_cost(SystemConfig(rate, policy, int(levels[r]), costs)).avg_cost
+        except (ValueError, ArithmeticError) as err:
+            errors[r] = err
+    return cost, errors
+
+
+def _row_tables(mu: np.ndarray, q, levels: np.ndarray):
+    """E[K], the holding factor and a solved-and-checked mask of each row of
+    ``_row_costs``: a time load (q None) or the hybrid load of cap q[r], of
+    mean mu[r], at level levels[r].
+
+    Rows take the row builders' masses and ``renewal._renewal_sums``, with
+    the scalar path's divergence check and Lorden's certificate, in chunks of
+    at most ``_CHUNK_CELLS`` cells of masses, kernel and window of levels.
+    Time loads from ``renewal.TP_CLOSED_FORM_MU`` on, whose closed-form
+    tables are one per row anyway, and means that are not positive and
+    finite are left to the scalar path.
+    """
+    top = math.inf if q is not None else renewal.TP_CLOSED_FORM_MU
+    solved = (mu > 0.0) & (mu < top)
+    rows = None if solved.all() else np.flatnonzero(solved)   # None: every row
+    sub, level = (mu, levels) if rows is None else (mu[rows], levels[rows])
+    if q is None:
+        ends = renewal._tp_support_ends(sub)
+    else:
+        floors, ends = renewal._hp_window(sub, q if rows is None else q[rows], level)
+    size = max(1, _CHUNK_CELLS // (2 * int(ends.max(initial=0)) + renewal.BLOCK + 2))
+    parts = []
+    for part in (slice(start, start + size) for start in range(0, level.size, size)):
+        g = (renewal._tp_masses(sub[part], ends[part].tolist()) if q is None
+             else renewal._hp_masses(sub[part], floors[part], ends[part]))
+        k, h = renewal._renewal_sums(g, level[part])
+        lower, upper = renewal._lorden_bracket(*renewal._lorden_terms(g), level[part])
+        parts.append((k, h, (g[:, 0] < 1.0 - 1e-12) & (lower <= k) & (k <= upper)))
+    cycles, holding_sum, checked = (np.concatenate(arrays) for arrays in zip(
+        *parts, (np.empty(0), np.empty(0), np.empty(0, bool))))
+    if rows is None:
+        return cycles, holding_sum, checked
+    every = np.full(mu.size, np.nan), np.full(mu.size, np.nan), np.zeros(mu.size, bool)
+    every[0][rows], every[1][rows], every[2][rows] = cycles, holding_sum, checked
+    return every
 
 
 def match_consolidation_cycle(demand_rate: float, target_length: float, q: int) -> float:

@@ -84,7 +84,9 @@ window or up to its cut, each element by the expression the scalar builder
 uses, so a row does not depend on the batch and equals the scalar builder's
 masses bit for bit.  ``_renewal_rows`` runs the recursion one level at a
 time along the batch axis, to Q and without the stop; its prefix m(0..Q)
-does not depend on the level it runs to.
+does not depend on the level it runs to.  ``_renewal_sums`` runs each row
+to its own level and keeps only E[K] and the holding factor, for the
+optimizer's golden steps; ``_tp_support_ends`` finds the rows' cuts.
 
 One certificate covers every route: Lorden's bracket on E[K]
 (``_check_lorden``, or ``_check_lorden_row`` for one table), checked on every
@@ -119,6 +121,9 @@ TP_CLOSED_FORM_MU = 256.0
 # -log, which sets the Bernstein radius (``_bernstein_radius``).
 _WINDOW_TAIL = 1e-20
 _WINDOW_LOG = -math.log(_WINDOW_TAIL)
+
+# z with P(N(0, 1) > z) = DEFAULT_TAIL_EPS: the seed of ``_tp_support_ends``.
+_TAIL_Z = 7.034483825301131
 
 # Levels solved per block once the doubling warm-up reaches this size.
 BLOCK = 128
@@ -235,7 +240,8 @@ def _hp_window(mu, q: int, order_up_to: int):
     the hybrid load min(X, q) to level Q is built, X ~ Poisson(mu):
     c = min(q, Q + 1, floor(mu + r)) and a = min(ceil(mu - r), c), or a = 0
     for mu <= 8t/3, with r = ``_bernstein_radius(mu)``.  For a float mu, or
-    integer arrays of floors and caps for an array of means.
+    integer arrays of floors and caps for an array of means, where q and Q
+    may be arrays too, one per mean.
 
     A table to level Q reads only g(0..Q), and min(X, q) and min(X, Q + 1)
     agree there when q > Q + 1, so capping at Q + 1 changes no bit.  Capping
@@ -244,14 +250,15 @@ def _hp_window(mu, q: int, order_up_to: int):
     table needs O(min(Q, mu + r)) masses for any q, at most c - a + 1 of
     them nonzero, and no block solved when a > Q.
     """
-    cap = min(q, order_up_to + 1)
     if isinstance(mu, np.ndarray):
-        if cap <= _HP_CAP_MIN and not (mu > _HP_FLOOR_MU).any():
+        cap = np.minimum(q, np.add(order_up_to, 1))
+        if (cap <= _HP_CAP_MIN).all() and not (mu > _HP_FLOOR_MU).any():
             return np.zeros(mu.shape, int), np.full(mu.shape, cap)
         r = _bernstein_radius(mu)
         caps = np.minimum(np.floor(mu + r), cap).astype(int)
         floors = np.where(mu > _HP_FLOOR_MU, np.maximum(np.ceil(mu - r), 0.0), 0.0)
-        return np.minimum(floors.astype(int), caps), caps
+        return np.minimum(floors, caps).astype(int), caps
+    cap = min(q, order_up_to + 1)
     if mu <= _HP_FLOOR_MU:
         if cap <= _HP_CAP_MIN:
             return 0, cap
@@ -273,7 +280,7 @@ def _hp_masses(mu: np.ndarray, floors: np.ndarray, caps: np.ndarray) -> np.ndarr
     else:
         masses[np.arange(top + 1) > caps[:, None]] = 0.0
         masses[np.arange(mu.size), caps] = _poisson_tails(mu, caps.astype(float))
-    for r in np.flatnonzero(floors).tolist():
+    for r in (np.flatnonzero(floors).tolist() if floors.any() else []):
         row, a = masses[r], int(floors[r])
         row[:a] = 0.0
         row[a] = 1.0 if a == caps[r] else poisson_cdf(float(mu[r]), a)
@@ -299,13 +306,39 @@ def _tp_support_end(mu: float, tail_eps: float = DEFAULT_TAIL_EPS) -> int:
     # P(X > mu + 5 sqrt(mu)) is at least 1.9e-7 on mu in [1e-6, 1e8] and tends
     # to the normal 2.9e-7 above, so lo is below the cut.  The seed of hi is
     # above it for tail_eps >= 1e-12; a smaller tail_eps walks it up.
+    # One sweep of P(X > x) over lo..hi; its last tail is P(X > hi).
     root = math.sqrt(mu)
     hi = int(mu + 7.5 * root + 30)
     lo = max(1, int(mu + 5.0 * root))
-    while poisson_tail(mu, hi + 1) >= tail_eps:
+    while (tails := _poisson_tails(mu, np.arange(lo + 1, hi + 2, dtype=float)))[-1] >= tail_eps:
         lo, hi = hi, hi + 2 * (hi - lo)
-    tails = _poisson_tails(mu, np.arange(lo + 1, hi + 2, dtype=float))
     return lo + int(np.searchsorted(-tails, -tail_eps, side="right"))
+
+
+def _tp_support_ends(mu: np.ndarray) -> np.ndarray:
+    """``_tp_support_end`` of each mean at DEFAULT_TAIL_EPS, as integers.
+
+    The scalar search returns the first x >= 1 with P(X > x) below the tail,
+    and 1 if there is none below its bracket.  Each row here sweeps
+    P(X > x) on the eight points x = s - 6..s + 1, raised to start at 1 if
+    need be, in one 2-d tail evaluation: s is the Cornish-Fisher quantile
+    mu + z sqrt(mu) + (z^2 - 1)/6 of the tail, which puts the cut in that
+    window for mu in [1e-3, 256].  Near the cut the tails fall by far more
+    than their rounding from point to point.  The window holds the cut when
+    its last tail is below the tail and its first is not, or it starts at 1;
+    then the cut is its start plus the count of tails at or above the tail,
+    as the scalar ``searchsorted`` finds it.  Other rows take the scalar
+    search.
+    """
+    seed = (mu + _TAIL_Z * np.sqrt(mu) + (_TAIL_Z * _TAIL_Z - 1.0) / 6.0).astype(int)
+    start = np.maximum(seed - 6, 1)
+    tails = _poisson_tails(mu[:, None], start[:, None] + np.arange(1.0, 9.0))
+    count = np.add.reduce(tails >= DEFAULT_TAIL_EPS, axis=1)
+    ends = start + count
+    missed = (count == 8) | ((count == 0) & (start > 1))
+    for r in (np.flatnonzero(missed).tolist() if missed.any() else []):
+        ends[r] = _tp_support_end(float(mu[r]))
+    return ends
 
 
 def _tp_masses(mu: np.ndarray, ends: list[int]) -> np.ndarray:
@@ -316,10 +349,8 @@ def _tp_masses(mu: np.ndarray, ends: list[int]) -> np.ndarray:
     sum of its own support, the same 1-d sum as the one-row builder's.
     """
     masses = _poisson_masses(mu[:, None], max(ends) + 1)
-    for row, end in zip(masses, ends):
-        support = row[:end + 1]
-        support /= support.sum()
-        row[end + 1:] = 0.0
+    masses[np.arange(masses.shape[1]) > np.array(ends)[:, None]] = 0.0
+    masses /= np.array([np.add.reduce(row[:end + 1]) for row, end in zip(masses, ends)])[:, None]
     return masses
 
 
@@ -443,7 +474,11 @@ def _blocked_solve(m: np.ndarray, g: np.ndarray, settle: bool, matvec: bool) -> 
     kernel[:min(smax, order_up_to)] = g[1:order_up_to + 1]
     check = 2 * BLOCK
     lower = None
-    b = 1
+    # The first block is level 1 alone: (g(1) m(0)) m(0), its convolution's
+    # only product.
+    if order_up_to:
+        m[1] = kernel[0] * m[0] * m[0]
+    b = 2
     while b <= order_up_to:
         if settle and b == check:
             check *= 2
@@ -458,13 +493,15 @@ def _blocked_solve(m: np.ndarray, g: np.ndarray, settle: bool, matvec: bool) -> 
         n = min(b, BLOCK, order_up_to + 1 - b)
         lo = max(0, b - smax)
         known = np.correlate(kernel[:b - lo + n - 1], m[lo:b][::-1], "valid")
-        if lower is None:
+        if n == 1:
+            m[b] = known[0] * m[0]   # one level: the convolution's (or L's) only product
+        elif lower is None:
             m[b:b + n] = np.convolve(known, m[:n])[:n]
         else:
             m[b:b + n] = lower[:n, :n] @ known
         b += n
     if b > order_up_to:
-        return b
+        return order_up_to + 1
     jump = _jump_matrix(m, kernel, smax)
     for b in range(b, order_up_to + 1, BLOCK):
         if settle and b == check:
@@ -563,6 +600,49 @@ def _renewal_rows(g: np.ndarray, order_up_to: int) -> np.ndarray:
     return m
 
 
+def _renewal_sums(g: np.ndarray, levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """E[K] = M(Q) and the holding factor sum_{i<=Q} (Q - i) m(i) of each row
+    of increment masses g, each at its own level Q = levels[r].
+
+    Levels must not increase along the rows, so the rows that reach a level
+    are a prefix.  Row r's recursion runs to its own level only, with
+    ``renewal_table``'s association m(i) = (sum_{j=1..i} g(j) m(i-j)) m(0),
+    and both sums are taken in level order, as ``expected_k`` and
+    ``holding_sum`` take them.  So a row at a level up to 2, whose table is
+    the blocked solve's single-product blocks and a sum of at most two terms,
+    equals those functions bit for bit; above that they agree within
+    rounding.  A row does not depend on the rows solved with it.  The levels
+    are kept level-major in a window of the last w + BLOCK of them, w the
+    support end, so memory is O(rows * (w + BLOCK)) at any level.  Columns
+    of g past a row's level are not read; the divergence check is the
+    caller's.
+    """
+    start = 1.0 / (1.0 - g[:, 0])
+    cycles, holding = start.copy(), levels * start
+    reach = levels.tolist()
+    top = reach[0] if reach else 0
+    width = min(g.shape[1] - 1, top)
+    if not width:
+        return cycles, holding
+    kernel = g[:, 1:width + 1].T    # g(1), ..., g(width)
+    span = min(top + 1, width + BLOCK)
+    m = np.empty((span, g.shape[0]))    # level base + k at row k
+    m[0], base, n = start, 0, len(reach)
+    for i in range(1, top + 1):
+        if i - base == span:
+            m[:width] = m[span - width:]
+            base = i - width
+        while reach[n - 1] < i:    # the rows whose level is at least i
+            n -= 1
+        at, j = i - base, min(i, width)
+        # a running sum over j = 1, 2, ...: a reduction would sum one row pairwise
+        terms = np.add.accumulate(kernel[:j, :n] * m[at - j:at, :n][::-1], axis=0)
+        level = np.multiply(terms[-1], start[:n], out=m[at, :n])
+        cycles[:n] += level
+        holding[:n] += (levels[:n] - i) * level
+    return cycles, holding
+
+
 def _tp_renewal_rows(mu: np.ndarray, order_up_to: int) -> np.ndarray:
     """m(0..Q) of the untruncated time-policy load Poisson(mu[r]), per row,
     for mu >= TP_CLOSED_FORM_MU.
@@ -622,7 +702,7 @@ def _lorden_terms(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     support = np.arange(g.shape[1], dtype=float)
     mean = g @ support
     above = 1.0 - g[:, 0]
-    defect = np.abs(g[:, 1:].sum(axis=1) - above) / above
+    defect = np.abs(np.add.reduce(g[:, 1:], axis=1) - above) / above
     return mean, g @ (support * support) / mean, defect
 
 

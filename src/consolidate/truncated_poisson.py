@@ -125,7 +125,7 @@ def _poisson_masses(mu, n: int, start: int = 0) -> np.ndarray:
     """
     i = np.arange(start, n, dtype=float)
     if isinstance(mu, np.ndarray):
-        log_mu = np.reshape([math.log(m) for m in mu.ravel().tolist()], mu.shape)
+        log_mu = np.fromiter(map(math.log, mu.ravel().tolist()), float, mu.size).reshape(mu.shape)
     else:
         log_mu = math.log(mu)
     return np.exp(-mu + i * log_mu - gammaln(i + 1.0))
@@ -138,6 +138,13 @@ def _stirling_gaps(i: np.ndarray) -> np.ndarray:
     inv = 1.0 / (i * i)
     series = (1 / 12 - (1 / 360 - (1 / 1260 - inv / 1680) * inv) * inv) / i
     return 0.5 * np.log(2.0 * math.pi * i) + series
+
+
+def _poisson_heads(mu, points: np.ndarray) -> np.ndarray:
+    """P(X < x) at each integer point x >= 0, X ~ Poisson(mu): the complement
+    of ``_poisson_tails``, with its conventions; ``poisson_cdf(mu, x - 1)``
+    elementwise, and 0 at x = 0."""
+    return gammaincc(points, mu)
 
 
 def _poisson_tails(mu, points: np.ndarray) -> np.ndarray:

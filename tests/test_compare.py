@@ -7,10 +7,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from consolidate import (
     CostParams,
+    HybridPolicy,
     MatchSpec,
+    QuantityPolicy,
+    SystemConfig,
+    TimePolicy,
+    average_cost,
     SearchBounds,
     TheoremReport,
     VerifyGrid,
@@ -18,7 +25,7 @@ from consolidate import (
     optimize,
     verify_theorems,
 )
-from consolidate import compare
+from consolidate import compare, metrics
 from consolidate.compare import REFERENCE_COSTS
 from consolidate.metrics import _period_costs
 from consolidate.renewal import MAX_ORDER_UP_TO
@@ -286,3 +293,195 @@ def test_optimizer_scan_overflow_is_prompt():
         tracemalloc.stop()
     assert time.perf_counter() - start < 5.0
     assert peak < 2**20
+
+
+# ---------------------------------------------------------------------------
+# the lockstep golden searches against searches one point at a time
+
+
+def scalar_golden_min(f, lo, hi, tol):
+    """Golden-section minimum of f on [lo, hi] to width tol; returns (x, f(x))."""
+    a, b = lo, hi
+    c = b - compare._GOLDEN * (b - a)
+    d = a + compare._GOLDEN * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > tol:
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - compare._GOLDEN * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + compare._GOLDEN * (b - a)
+            fd = f(d)
+    return (c, fc) if fc <= fd else (d, fd)
+
+
+def scalar_optimize(demand_rate, costs, policy_kind, bounds):
+    """The optimizer with one scalar ``average_cost`` per golden step, point
+    after point: the oracle of the lockstep searches.  Returns the result's
+    dict, its trace and its best cost."""
+    trace = []
+
+    def probe(policy, order_up_to):
+        ac = average_cost(SystemConfig(demand_rate, policy, order_up_to, costs)).avg_cost
+        trace.append({"q": getattr(policy, "q", None), "order_up_to": order_up_to,
+                      "period": getattr(policy, "period", None), "ac": ac})
+        return ac
+
+    caps = [None] if policy_kind == "time" else range(1, bounds.q_max + 1)
+    step = bounds.period_max / compare._SCAN_POINTS
+    grid = [step * (i + 1) for i in range(compare._SCAN_POINTS)]
+    best = None
+    for q in caps:
+        if policy_kind != "quantity":
+            make = TimePolicy if q is None else (lambda t, q=q: HybridPolicy(q, t))
+            table = _period_costs(demand_rate, costs, q, grid, bounds.order_up_to_max)
+        for order_up_to in range(0, bounds.order_up_to_max + 1,
+                                 q if policy_kind == "quantity" else 1):
+            if policy_kind == "quantity":
+                policy = QuantityPolicy(q)
+                ac = probe(policy, order_up_to)
+            else:
+                values = table[order_up_to].tolist()
+                trace.extend({"q": q, "order_up_to": order_up_to, "period": t, "ac": v}
+                             for t, v in zip(grid, values))
+                i = min(range(len(grid)), key=lambda k: (values[k], grid[k]))
+                lo = grid[i - 1] if i > 0 else grid[0] * 0.05
+                hi = grid[i + 1] if i + 1 < len(grid) else grid[-1]
+                period, ac = scalar_golden_min(lambda t: probe(make(t), order_up_to), lo, hi,
+                                               compare._PERIOD_TOL)
+                if values[i] <= ac:
+                    period, ac = grid[i], values[i]
+                policy = make(period)
+            key = (ac, order_up_to, getattr(policy, "q", None), getattr(policy, "period", None))
+            if best is None or key < best[0]:
+                best = (key, SystemConfig(demand_rate, policy, order_up_to, costs))
+    (best_cost, order_up_to, q, period), cfg = best
+    warnings = []
+    if q == bounds.q_max:
+        warnings.append(f"optimum at q bound {bounds.q_max}")
+    if order_up_to == bounds.order_up_to_max:
+        warnings.append(f"optimum at order-up-to bound {bounds.order_up_to_max}")
+    if period is not None and period > bounds.period_max - step:
+        warnings.append(f"optimum near period bound {bounds.period_max}")
+    result = compare.OptimResult(policy_kind, cfg, best_cost, len(trace), trace, warnings, bounds)
+    return result.to_dict(), trace, best_cost
+
+
+COSTS = st.builds(CostParams, *[st.floats(0.0, 100.0)] * 7)
+
+
+@given(rate=st.floats(0.25, 4.0), costs=COSTS, kind=st.sampled_from(["time", "hybrid"]),
+       bounds=st.builds(SearchBounds, st.integers(1, 3), st.integers(0, 2),
+                        st.floats(0.5, 30.0)))
+@example(rate=1.0, costs=REFERENCE_COSTS, kind="hybrid", bounds=SearchBounds(2, 1, 20.0))
+@example(rate=1.0, costs=REFERENCE_COSTS, kind="time", bounds=SearchBounds(1, 2, 20.0))
+@example(rate=1.0, costs=CostParams(), kind="hybrid", bounds=SearchBounds(2, 1, 3.0))
+@settings(max_examples=25, deadline=None)
+def test_lockstep_optimize_is_the_scalar_search_bit_for_bit_up_to_level_two(rate, costs, kind,
+                                                                             bounds):
+    expected, trace, best_cost = scalar_optimize(rate, costs, kind, bounds)
+    result = optimize(rate, costs, kind, bounds)
+    assert result.to_dict() == expected
+    assert result.best_cost == best_cost
+    assert result.trace == trace
+
+
+@pytest.mark.parametrize("rate, kind, bounds", [
+    (1.0, "hybrid", SearchBounds(4, 8, 10.0)),
+    (0.7, "time", SearchBounds(1, 12, 30.0)),
+    (2.5, "hybrid", SearchBounds(3, 6, 8.0)),
+])
+def test_lockstep_optimize_matches_the_scalar_search_above_level_two(rate, kind, bounds):
+    # above level 2 a golden row may differ from the scalar cost in the last
+    # bits, and a step between two costs that tie within them may turn the
+    # other way: the points agree to the search's tolerance
+    expected, trace, best_cost = scalar_optimize(rate, REFERENCE_COSTS, kind, bounds)
+    result = optimize(rate, REFERENCE_COSTS, kind, bounds)
+    got = result.to_dict()
+    assert (got["best"]["q"], got["best"]["order_up_to"], got["warnings"]) == (
+        expected["best"]["q"], expected["best"]["order_up_to"], expected["warnings"])
+    assert got["best"]["period"] == pytest.approx(expected["best"]["period"],
+                                                  abs=10 * compare._PERIOD_TOL)
+    assert result.best_cost == pytest.approx(best_cost, rel=1e-12, abs=0.0)
+    low = [t for t in trace if t["order_up_to"] <= 2]
+    assert [t for t in result.trace if t["order_up_to"] <= 2] == low
+    for t in result.trace:
+        cfg = SystemConfig(rate, TimePolicy(t["period"]) if t["q"] is None
+                           else HybridPolicy(t["q"], t["period"]), t["order_up_to"],
+                           REFERENCE_COSTS)
+        assert t["ac"] == pytest.approx(average_cost(cfg).avg_cost, rel=1e-13, abs=0.0)
+
+
+def raised(call):
+    with pytest.raises((ValueError, ArithmeticError)) as err:
+        call()
+    return type(err.value), str(err.value)
+
+
+@pytest.mark.parametrize("kind", ["time", "hybrid"])
+def test_lockstep_optimize_raises_the_scalar_search_error_where_a_step_diverges(kind):
+    # the scans start at load mean 1.1e-12; the first golden probe of a point
+    # whose cost rises with the period is at ~0.8e-12, where the renewal
+    # series diverges
+    bounds = SearchBounds(2, 2, 2.2e-10)
+    for q in [None] if kind == "time" else [1, 2]:
+        _period_costs(1.0, CostParams(wait_linear=1.0), q, [1.1e-12 * (i + 1) for i in range(200)],
+                      2)
+    args = (1.0, CostParams(wait_linear=1.0), kind, bounds)
+    error = raised(lambda: optimize(*args))
+    assert error == raised(lambda: scalar_optimize(*args))
+    assert "renewal series diverges" in error[1]
+
+
+def test_lockstep_optimize_raises_at_the_first_failing_point_in_search_order(monkeypatch):
+    # closed-form time tables fail their check from level 2 on: points 2 and
+    # 3 fail, and point 2, searched first one point at a time, is raised
+    check = metrics.renewal._check_lorden_row
+
+    def failing(mean, overshoot, defect, order_up_to, cycles):
+        if order_up_to >= 2:
+            raise metrics.renewal._lorden_error(cycles, 0.0, 0.0, order_up_to)
+        check(mean, overshoot, defect, order_up_to, cycles)
+
+    monkeypatch.setattr(metrics.renewal, "_check_lorden_row", failing)
+    args = (1e5, REFERENCE_COSTS, "time", SearchBounds(1, 3, 20.0))  # load means >= 500
+    error = raised(lambda: optimize(*args))
+    assert error == raised(lambda: scalar_optimize(*args))
+    assert error[1].endswith("at order-up-to level 2")
+
+
+@pytest.mark.parametrize("kind, bounds", [
+    ("hybrid", SearchBounds(3, 5, 10.0)), ("time", SearchBounds(1, 7, 10.0)),
+])
+def test_lockstep_calls_the_row_evaluator_once_per_step_per_family(monkeypatch, kind, bounds):
+    calls = []
+
+    def counting(*args):
+        calls.append(len(args[3]))
+        return metrics._row_costs(*args)
+
+    monkeypatch.setattr(compare, "_row_costs", counting)
+    result = optimize(1.0, REFERENCE_COSTS, kind, bounds)
+    probes = {}
+    for t in result.trace:
+        key = (t["q"], t["order_up_to"])
+        probes[key] = probes.get(key, 0) + 1
+    steps = [count - compare._SCAN_POINTS for count in probes.values()]
+    # the first points, the second points, then one call per golden step
+    assert len(calls) == max(steps)
+    assert calls[0] == calls[1] == len(probes)
+    assert sum(calls) == sum(steps)
+
+
+def test_default_hybrid_optimize_memory_is_bounded(special_bound):
+    # ~97 000 trace entries of ~240 bytes each; the searches add little
+    tracemalloc.start()
+    try:
+        result = optimize(1.0, REFERENCE_COSTS, "hybrid")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.evaluations == len(result.trace) == 96905
+    assert peak < 32 * 2**20

@@ -28,6 +28,7 @@ from consolidate import (
 from consolidate import metrics, renewal
 from consolidate.compare import _SCAN_POINTS
 from consolidate.metrics import _period_costs
+from consolidate.truncated_poisson import _factorial_moment
 from consolidate.renewal import MAX_ORDER_UP_TO
 
 REF_COSTS = CostParams(replenish_fixed=25.0, holding=0.4, dispatch_fixed=15.0, wait_linear=0.8)
@@ -625,6 +626,164 @@ def test_period_costs_raise_where_the_scalar_path_raises():
         _period_costs(1.0, REF_COSTS, None, [1e300], 3)
     with pytest.raises(OverflowError):  # the scalar path returns inf here
         _period_costs(1.0, CostParams(dispatch_fixed=1e308), 2, [1e-3], 0)
+
+
+# ---------------------------------------------------------------------------
+# the optimizer's golden-step rows against the scalar path
+
+
+@given(rate=st.floats(0.05, 50.0), q=st.integers(1, 400),
+       period=st.floats(-4.0, 3.0).map(lambda e: 10.0 ** e))
+@example(rate=1.0, q=1, period=3.3)
+@example(rate=1.0, q=2, period=1e-4)
+@settings(max_examples=100, deadline=None)
+def test_hybrid_cycle_forms_are_the_factorial_moments_bit_for_bit(rate, q, period):
+    mu = rate * period
+    cyc = metrics._cycle_forms(rate, q, period)
+    assert cyc.orders == _factorial_moment(mu, q, 1)
+    assert cyc.length == _factorial_moment(mu, q, 1) / rate
+    assert cyc.delay == _factorial_moment(mu, q, 2) / (2.0 * rate)
+    assert cyc.sq_delay == _factorial_moment(mu, q + 1, 3) / (3.0 * rate**2)
+
+
+@given(rate=st.floats(0.05, 50.0), hybrid=st.booleans(),
+       rows=st.lists(st.tuples(st.integers(1, 400),
+                               st.floats(-4.0, 3.0).map(lambda e: 10.0 ** e)),
+                     min_size=1, max_size=20))
+@example(rate=1.0, hybrid=True, rows=[(1, 1 + 2.0**-27), (2, 1 + 2.0**-27), (3, 1e-300)])
+@settings(max_examples=100, deadline=None)
+def test_cycle_rows_are_the_float_path_bit_for_bit(rate, hybrid, rows):
+    q = np.array([cap for cap, _ in rows]) if hybrid else None
+    periods = np.array([t for _, t in rows])
+    got = metrics._cycle_rows(rate, q, periods)
+    for r, t in enumerate(periods.tolist()):
+        one = metrics._cycle_forms(rate, None if q is None else int(q[r]), t)
+        assert (got.length[r], got.orders[r], got.delay[r], got.sq_delay[r]) == (
+            one.length, one.orders, one.delay, one.sq_delay)
+
+
+@st.composite
+def golden_rows(draw, top):
+    """Rows of one family for ``_row_costs``, levels not increasing: time
+    loads below and above the closed-form threshold, or hybrid loads whose
+    windows are capped below q and floored above 0."""
+    n = draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        q = None
+        loads = st.one_of(st.floats(-3.0, 2.0).map(lambda e: 10.0 ** e),
+                          st.floats(math.log10(renewal.TP_CLOSED_FORM_MU), 4.0)
+                          .map(lambda e: 10.0 ** e))
+    else:
+        q = np.array(draw(st.lists(st.one_of(st.integers(1, 3), st.integers(1, 2000)),
+                                   min_size=n, max_size=n)))
+        loads = st.floats(-3.0, math.log10(3e3)).map(lambda e: 10.0 ** e)
+    rate = draw(st.floats(0.25, 4.0))
+    periods = np.array([load / rate for load in draw(st.lists(loads, min_size=n, max_size=n))])
+    levels = np.array(sorted(draw(st.lists(st.integers(0, top), min_size=n, max_size=n)),
+                             reverse=True))
+    return rate, q, levels, periods
+
+
+def scalar_rows(rate, costs, q, levels, periods):
+    return [average_cost(SystemConfig(rate, TimePolicy(t) if q is None
+                                      else HybridPolicy(int(q[r]), t), int(levels[r]),
+                                      costs)).avg_cost
+            for r, t in enumerate(periods.tolist())]
+
+
+@given(rows=golden_rows(2), costs=st.builds(CostParams, *[st.floats(0.0, 1e3)] * 7))
+@example(rows=(1.0, np.array([1, 2, 1, 2]), np.array([1, 1, 0, 0]),
+               np.array([3.3, 7.1, 2.2, 19.5])), costs=REF_COSTS)
+@example(rows=(1.0, None, np.array([2, 1, 0]), np.array([0.005, 7.1, 300.0])), costs=REF_COSTS)
+@example(rows=(1.0, np.array([500, 500]), np.array([2, 0]), np.array([400.0, 2e3])),
+         costs=REF_COSTS)
+@settings(max_examples=100, deadline=None)
+def test_golden_rows_equal_average_cost_bit_for_bit_up_to_level_two(rows, costs):
+    rate, q, levels, periods = rows
+    cost, errors = metrics._row_costs(rate, costs, q, levels, periods)
+    assert not errors
+    assert cost.tolist() == scalar_rows(rate, costs, q, levels, periods)
+
+
+@given(rows=golden_rows(300), costs=st.builds(CostParams, *[st.floats(0.0, 1e3)] * 7))
+@settings(max_examples=60, deadline=None)
+def test_golden_rows_match_average_cost_to_level_300(rows, costs):
+    rate, q, levels, periods = rows
+    cost, errors = metrics._row_costs(rate, costs, q, levels, periods)
+    assert not errors
+    np.testing.assert_allclose(cost, scalar_rows(rate, costs, q, levels, periods),
+                               rtol=1e-13, atol=0.0)
+
+
+@given(rows=golden_rows(60))
+@settings(max_examples=30, deadline=None)
+def test_golden_rows_do_not_depend_on_their_chunks(rows):
+    rate, q, levels, periods = rows
+    whole = metrics._row_costs(rate, REF_COSTS, q, levels, periods)[0]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(metrics, "_CHUNK_CELLS", 1)  # one row per chunk
+        assert np.array_equal(metrics._row_costs(rate, REF_COSTS, q, levels, periods)[0], whole)
+
+
+def scalar_error(rate, costs, policy, level):
+    with pytest.raises((ValueError, ArithmeticError)) as err:
+        average_cost(SystemConfig(rate, policy, level, costs))
+    return err.value
+
+
+@pytest.mark.parametrize("q, levels, periods, failing", [
+    # the series diverges: 1 - g(0) = 1 - e^-mu within 1e-12 of 0
+    (None, [3, 2, 0], [1.0, 1e-13, 2.0], [1]),
+    (np.array([2, 1, 4]), [2, 2, 1], [1e-14, 1.0, 1e-13], [0, 2]),
+    # mu^3 overflows in the cycle forms; mu^2 of cap 1 is not used
+    (np.array([2, 1, 3]), [1, 1, 0], [1e103, 1e103, 2.0], [0]),
+    (None, [1, 0], [2.0, 1e103], [1]),
+])
+def test_golden_rows_raise_where_average_cost_raises(q, levels, periods, failing):
+    levels, periods = np.array(levels), np.array(periods)
+    cost, errors = metrics._row_costs(1.0, REF_COSTS, q, levels, periods)
+    assert sorted(errors) == failing
+    for r, err in errors.items():
+        policy = TimePolicy(periods[r]) if q is None else HybridPolicy(int(q[r]), periods[r])
+        expected = scalar_error(1.0, REF_COSTS, policy, int(levels[r]))
+        assert (type(err), str(err)) == (type(expected), str(expected))
+    kept = [r for r in range(len(periods)) if r not in errors]
+    assert cost[kept].tolist() == scalar_rows(1.0, REF_COSTS, None if q is None else q[kept],
+                                              levels[kept], periods[kept])
+
+
+def test_golden_rows_raise_where_lordens_check_fails(monkeypatch):
+    # closed-form time tables certify E[K] on the scalar path; a check that
+    # fails from level 2 on fails there and in the rows
+    check = renewal._check_lorden_row
+
+    def failing(mean, overshoot, defect, order_up_to, cycles):
+        if order_up_to >= 2:
+            raise renewal._lorden_error(cycles, 0.0, 0.0, order_up_to)
+        check(mean, overshoot, defect, order_up_to, cycles)
+
+    monkeypatch.setattr(renewal, "_check_lorden_row", failing)
+    levels, periods = np.array([5, 2, 1, 0]), np.array([300.0, 400.0, 500.0, 2.0])
+    cost, errors = metrics._row_costs(1.0, REF_COSTS, None, levels, periods)
+    assert sorted(errors) == [0, 1]
+    for r, err in errors.items():
+        expected = scalar_error(1.0, REF_COSTS, TimePolicy(periods[r]), int(levels[r]))
+        assert isinstance(err, ArithmeticError) and str(err) == str(expected)
+    assert cost[2:].tolist() == scalar_rows(1.0, REF_COSTS, None, levels[2:], periods[2:])
+
+
+def test_golden_rows_take_bounded_memory_at_the_level_limit(special_bound):
+    # level-major windows of the last w + BLOCK levels, not rows x levels
+    levels = np.full(40, MAX_ORDER_UP_TO)
+    periods = np.linspace(0.5, 20.0, 40)
+    tracemalloc.start()
+    try:
+        metrics._row_costs(1.0, REF_COSTS, np.full(40, 3), levels, periods)
+        metrics._row_costs(1.0, REF_COSTS, None, levels, periods)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_time_scan_memory_is_bounded_at_large_load():

@@ -1004,6 +1004,17 @@ def test_tp_support_end_matches_quantile_seeded_search(mu, tail_eps):
     assert build_increment_tp(1.0, mu, tail_eps).support_end == tail_cut_oracle(mu, tail_eps)
 
 
+@given(mu=st.lists(st.floats(-9.0, math.log10(TP_CLOSED_FORM_MU)).map(lambda e: 10.0 ** e),
+                   min_size=1, max_size=40))
+# below ~1.8e-4 the seeded window misses and rows take the scalar search
+@example(mu=[1e-9, 1e-6, 1.8e-4, 1e-3, 0.05, 1.0, 20.0, 255.9])
+@example(mu=[0.005 * k for k in range(1, 200)])
+@settings(max_examples=100, deadline=None)
+def test_tp_support_ends_match_the_scalar_search(mu):
+    ends = renewal._tp_support_ends(np.array(mu))
+    assert ends.tolist() == [_tp_support_end(m) for m in mu]
+
+
 def test_tp_support_end_far_below_default_tail_eps():
     # The seed guess is below the cut here; the upward walk must find it.
     for mu in (0.5, 40.0, 5000.0):
@@ -1052,6 +1063,45 @@ def test_floored_scan_rows_equal_the_window_increment(rows, order_up_to):
                else build_increment_hp(1.0, cap, m)).masses
         assert np.array_equal(g[r, :cap + 1], one)
         assert not g[r, cap + 1:].any()
+
+
+@st.composite
+def leveled_loads(draw, top):
+    """Rows of TP or HP load masses, zero-padded, with levels in 0..top that
+    do not increase along the rows, and each row's own increment."""
+    incs = [build_increment_tp(1.0, draw(st.floats(0.01, 60.0))) if draw(st.booleans())
+            else build_increment_hp(1.0, draw(st.integers(1, 40)), draw(st.floats(0.01, 60.0)))
+            for _ in range(draw(st.integers(1, 6)))]
+    levels = sorted(draw(st.lists(st.integers(0, top), min_size=len(incs),
+                                  max_size=len(incs))), reverse=True)
+    g = np.zeros((len(incs), max(inc.masses.size for inc in incs)))
+    for row, inc in zip(g, incs):
+        row[:inc.masses.size] = inc.masses
+    return g, np.array(levels), incs
+
+
+@given(rows=leveled_loads(2))
+@settings(max_examples=60, deadline=None)
+def test_renewal_sums_keep_the_table_bits_up_to_level_two(rows):
+    g, levels, incs = rows
+    cycles, holding = renewal._renewal_sums(g, levels)
+    for inc, level, k, h in zip(incs, levels.tolist(), cycles.tolist(), holding.tolist()):
+        table = renewal_table(inc, level)
+        assert (k, h) == (expected_k(table), holding_sum(table))
+
+
+@given(rows=leveled_loads(300))
+# levels past the window of BLOCK levels above the support end
+@example(rows=(np.array([[0.2, 0.5, 0.3], [0.6, 0.4, 0.0]]), np.array([300, 7]),
+               [IncrementDist([0.2, 0.5, 0.3]), IncrementDist([0.6, 0.4])]))
+@settings(max_examples=40, deadline=None)
+def test_renewal_sums_match_the_table_to_level_300(rows):
+    g, levels, incs = rows
+    cycles, holding = renewal._renewal_sums(g, levels)
+    for inc, level, k, h in zip(incs, levels.tolist(), cycles.tolist(), holding.tolist()):
+        table = renewal_table(inc, level)
+        assert k == pytest.approx(expected_k(table), rel=1e-13, abs=0.0)
+        assert h == pytest.approx(holding_sum(table), rel=1e-13, abs=1e-300)
 
 
 @given(incs=st.lists(increments(), min_size=1, max_size=6),
