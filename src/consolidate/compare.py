@@ -28,9 +28,13 @@ evaluates once and the time and hybrid families search the period: a
 200-period scan, then golden-section steps.  The scans of one cap are one
 batched exact call (``metrics._period_costs``) at the order-up-to bound,
 whose row Q is the scan at level Q.  The golden searches of all points of a
-family run in lockstep, one batched exact call (``metrics._row_costs``) per
-step for every running point.  Every period, scanned or stepped, is one
-entry of the trace, in the order of a search one point at a time.
+family run in lockstep rounds of one batched exact call
+(``metrics._row_costs``).  A call costs about the same up to some 60 rows,
+so a round evaluates, within a budget of 64 rows, every period the next
+steps of each running search could probe; only the periods a search walks
+are its probes.  Rows do not depend on their batch, so costs keep their
+bits.  Every period scanned or probed is one entry of the trace, in the
+order of a search one point at a time.
 """
 
 from __future__ import annotations
@@ -57,7 +61,7 @@ from .metrics import (
     cycle_metrics,
     match_consolidation_cycle,
 )
-from .renewal import MAX_ORDER_UP_TO
+from .renewal import MAX_ORDER_UP_TO, TP_CLOSED_FORM_MU
 
 INTEGER_TOL = 1e-9
 
@@ -439,66 +443,89 @@ class OptimResult:
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _SCAN_POINTS = 200
 _PERIOD_TOL = 1e-8
+# Points per golden round: an evaluator call costs about the same from 3 to 60 rows.
+_ROW_BUDGET = 64
 
 
-def _golden_steps(lo: float, hi: float):
-    """Golden-section search of a minimum on [lo, hi] to width _PERIOD_TOL,
-    as a generator: it yields each point to probe, is sent that point's
-    value, and returns (x, f(x)) of the better of its last two points."""
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc = yield c
-    fd = yield d
-    while b - a > _PERIOD_TOL:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = yield c
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = yield d
-    return (c, fc) if fc <= fd else (d, fd)
+def _golden_searches(evaluate, lo: list, hi: list, rank: list, budget: int = _ROW_BUDGET):
+    """Golden-section searches of a minimum on [lo[r], hi[r]] to width
+    _PERIOD_TOL, in lockstep rounds of one call ``evaluate(rows, points)``
+    each, which returns the values and {index into points: error}.
 
-
-def _golden_searches(evaluate, lo: list, hi: list, rank: list):
-    """The golden searches (``_golden_steps``) of many rows in lockstep.
-
-    Each step probes the next point of every running row in one call
-    ``evaluate(rows, points)``, which returns the values and {index into
-    rows: error}: one call for the first points, one for the second, then
-    one per step.  ``rank`` orders the rows as searches run one at a time
-    would.  A row stops at its first error, and so do the rows ranked after
-    the first failed row, which such searches would never reach.
+    The first call takes the first two points of every row.  A row's next
+    point is then known, and where it goes after that depends only on
+    whether the pending value is at most the kept one.  So with n rows
+    running, a row puts the points of its next depth steps, 2^depth - 1 at
+    most, at the largest depth >= 1 with n * (2^depth - 1) <= budget.  The
+    points are float for float those of one search at a time, only walked
+    points are probes, and a row stops at its first walked error.
 
     Returns each row's probes [(x, f(x)), ...] in order, each row's minimum
-    (x, f(x)), and the error of the first failed row or None.
+    (x, f(x)), and the error of the failed row first in ``rank``, or None.
     """
-    searches = [_golden_steps(a, b) for a, b in zip(lo, hi)]
-    probes = [[] for _ in searches]
-    best = [None] * len(searches)
-    running = list(range(len(searches)))
-    points = [search.send(None) for search in searches]
-    failed, error = len(searches), None
+    probes = [[] for _ in lo]
+    best = [None] * len(lo)
+    failed = {}  # row: its error
+    rows, points, depth = [], [], 1
+
+    def search(row, a, b):
+        # one row's search: it yields for the values of the points it put
+        c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+        k = len(points)
+        rows.extend((row, row))
+        points.extend((c, d))
+        yield
+        fc, fd = values[k], values[k + 1]
+        probes[row] += ((c, fc), (d, fd))
+        k = k if k in errors else k + 1
+        ahead = {}  # point: index in values, from the last put at depth > 1
+        while k not in errors and b - a > _PERIOD_TOL:
+            low = fc <= fd
+            if low:
+                b, d, fd = d, c, fc
+                c = x = b - _GOLDEN * (b - a)
+            else:
+                a, c, fc = c, d, fd
+                d = x = a + _GOLDEN * (b - a)
+            if depth == 1 or x not in ahead:
+                k = len(points)
+                points.append(x)
+                if depth == 1:
+                    rows.append(row)
+                else:
+                    # the states after the next steps, level by level, each
+                    # new at c or d (depth never falls: ahead is fresh)
+                    level = [(a, b, c, d)]
+                    while len(level) < 2 ** (depth - 1) and any(
+                            b - a > _PERIOD_TOL for a, b, _, _ in level):
+                        level = [node for a, b, c, d in level for node in (
+                            (a, d, d - _GOLDEN * (d - a), c), (c, b, d, c + _GOLDEN * (b - c)))]
+                        points.extend(node[2 + i % 2] for i, node in enumerate(level))
+                    ahead = dict(zip(points[k:], range(k, len(points))))
+                    rows.extend([row] * (len(points) - k))
+                yield
+            else:
+                k = ahead[x]
+            if low:
+                fc = values[k]
+            else:
+                fd = values[k]
+            probes[row].append((x, values[k]))
+        if k in errors:
+            failed[row] = errors[k]
+        else:
+            best[row] = (c, fc) if fc <= fd else (d, fd)
+
+    running = [search(row, a, b) for row, (a, b) in enumerate(zip(lo, hi))]
+    for walk in running:
+        next(walk)
     while running:
-        values, errors = evaluate(np.array(running), np.array(points))
-        for k, err in errors.items():
-            if rank[running[k]] < failed:
-                failed, error = rank[running[k]], err
-        going, following = [], []
-        for row, point, value in zip(running, points, values.tolist()):
-            if rank[row] >= failed:
-                continue
-            probes[row].append((point, value))
-            try:
-                following.append(searches[row].send(value))
-            except StopIteration as done:
-                best[row] = done.value
-                continue
-            going.append(row)
-        running, points = going, following
-    return probes, best, error
+        depth = max(1, (budget // len(running) + 1).bit_length() - 1)
+        values, errors = evaluate(np.array(rows), np.array(points))
+        values, rows, points = values.tolist(), [], []
+        running = [walk for walk in running if next(walk, True) is None]
+    first = min(failed, key=rank.__getitem__, default=None)
+    return probes, best, failed.get(first)
 
 
 def _period_points(demand_rate: float, costs: CostParams, policy_kind: str,
@@ -512,7 +539,7 @@ def _period_points(demand_rate: float, costs: CostParams, policy_kind: str,
     cell of each point brackets a golden search, which only polishes it,
     since the cost need not be unimodal in the period; the scan's cell wins
     a tie.  The searches of every point run in lockstep, highest levels
-    first, each step one call of ``_row_costs``.  Errors are raised in the
+    first, each round one call of ``_row_costs``.  Errors are raised in the
     order of a search one point at a time: a scan that fails is raised after
     the searches of the caps before it.
     """
@@ -539,9 +566,12 @@ def _period_points(demand_rate: float, costs: CostParams, policy_kind: str,
         return _row_costs(demand_rate, costs, None if row_caps is None else row_caps[rows],
                           row_levels[rows], points)
 
+    # rows of closed-form time tables are scalar evaluations: no speculation
+    closed = policy_kind == "time" and demand_rate * bounds.period_max >= TP_CLOSED_FORM_MU
     probes, best, error = _golden_searches(
         evaluate, [grid[cells[r] - 1] if cells[r] else grid[0] * 0.05 for r in order],
-        [grid[min(cells[r] + 1, _SCAN_POINTS - 1)] for r in order], order)
+        [grid[min(cells[r] + 1, _SCAN_POINTS - 1)] for r in order], order,
+        0 if closed else _ROW_BUDGET)
     if error is not None:
         raise error
     if failure is not None:

@@ -5,7 +5,8 @@ or one whose role changes (a cache removed), does not stop a traced run: the
 layer metrics that need it come out as null and the run still exits 0.
 These tests read the list without importing or changing ``bench/``, and run
 the traced benchmark on its tiny sizes, so they fail as soon as a refactor
-breaks a name or a role the tracer relies on.
+breaks a name or a role the tracer relies on, or moves an output the
+benchmark checks.
 """
 
 import ast
@@ -73,6 +74,9 @@ def test_traced_tiny_runs_report_every_layer_metric():
             absent = sorted(name for name, metric in result["metrics"].items()
                             if metric["value"] is None)
             assert result["metrics"] and not absent, (workload, absent)
+            # the seed-0 references: best points and costs of optimize,
+            # outputs of exact-large
+            assert result["correct"] and result["failed"] == 0, (workload, result["failed"])
     finally:
         for proc in runs.values():
             proc.kill()

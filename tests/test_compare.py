@@ -378,6 +378,14 @@ COSTS = st.builds(CostParams, *[st.floats(0.0, 100.0)] * 7)
 @example(rate=1.0, costs=REFERENCE_COSTS, kind="hybrid", bounds=SearchBounds(2, 1, 20.0))
 @example(rate=1.0, costs=REFERENCE_COSTS, kind="time", bounds=SearchBounds(1, 2, 20.0))
 @example(rate=1.0, costs=CostParams(), kind="hybrid", bounds=SearchBounds(2, 1, 3.0))
+# one point, the deepest rounds
+@example(rate=1.0, costs=REFERENCE_COSTS, kind="hybrid", bounds=SearchBounds(1, 0, 20.0))
+# 27 points run at depth 1 until 6 stop, then 21 at depth 2
+@example(rate=0.5, costs=CostParams(0.0, 76.3, 0.0, 31.2, 84.9, 16.5, 0.0), kind="hybrid",
+         bounds=SearchBounds(9, 2, 5.1))
+# the point at level 1 has its best scan cell at 0 and stops a step early
+@example(rate=0.77, costs=CostParams(98.3, 39.8, 0.0, 0.0, 17.8, 50.1, 0.0), kind="time",
+         bounds=SearchBounds(2, 1, 20.9))
 @settings(max_examples=25, deadline=None)
 def test_lockstep_optimize_is_the_scalar_search_bit_for_bit_up_to_level_two(rate, costs, kind,
                                                                              bounds):
@@ -452,27 +460,90 @@ def test_lockstep_optimize_raises_at_the_first_failing_point_in_search_order(mon
     assert error[1].endswith("at order-up-to level 2")
 
 
+def golden_probes(trace):
+    """{(q, Q): the periods its golden search probed, in order}."""
+    entries = {}
+    for t in trace:
+        entries.setdefault((t["q"], t["order_up_to"]), []).append(t["period"])
+    return {key: periods[compare._SCAN_POINTS:] for key, periods in entries.items()}
+
+
 @pytest.mark.parametrize("kind, bounds", [
     ("hybrid", SearchBounds(3, 5, 10.0)), ("time", SearchBounds(1, 7, 10.0)),
+    ("hybrid", SearchBounds(3, 30, 10.0)),
 ])
-def test_lockstep_calls_the_row_evaluator_once_per_step_per_family(monkeypatch, kind, bounds):
-    calls = []
+def test_lockstep_rounds_stay_within_the_row_budget(monkeypatch, kind, bounds):
+    calls = []  # the (q, Q, period) of each row, per call
 
-    def counting(*args):
-        calls.append(len(args[3]))
-        return metrics._row_costs(*args)
+    def recording(demand_rate, costs, q, levels, periods):
+        caps = [None] * len(levels) if q is None else q.tolist()
+        calls.append(list(zip(caps, levels.tolist(), periods.tolist())))
+        return metrics._row_costs(demand_rate, costs, q, levels, periods)
 
-    monkeypatch.setattr(compare, "_row_costs", counting)
+    monkeypatch.setattr(compare, "_row_costs", recording)
     result = optimize(1.0, REFERENCE_COSTS, kind, bounds)
-    probes = {}
-    for t in result.trace:
-        key = (t["q"], t["order_up_to"])
-        probes[key] = probes.get(key, 0) + 1
-    steps = [count - compare._SCAN_POINTS for count in probes.values()]
-    # the first points, the second points, then one call per golden step
-    assert len(calls) == max(steps)
-    assert calls[0] == calls[1] == len(probes)
-    assert sum(calls) == sum(steps)
+    probes = golden_probes(result.trace)
+    steps = max(len(periods) for periods in probes.values())
+    budget = compare._ROW_BUDGET
+    # the first two points of every search in one call
+    assert len(calls[0]) == 2 * len(probes)
+    assert sorted(calls[0]) == sorted((q, level, t) for (q, level), periods in probes.items()
+                                      for t in periods[:2])
+    running = [len({(q, level) for q, level, _ in call}) for call in calls]
+    assert all(len(call) <= max(n, budget) for call, n in zip(calls[1:], running[1:]))
+    if 3 * len(probes) > budget:
+        # a family above the budget: one call per step, one point per search
+        assert len(calls) == steps - 1
+        assert [len(call) for call in calls[1:]] == running[1:]
+    else:
+        depth = max(d for d in range(1, 8) if len(probes) * (2**d - 1) <= budget)
+        assert depth > 1
+        assert len(calls) <= math.ceil(steps / depth) + 1
+    evaluated = {row for call in calls for row in call}
+    assert all((q, level, t) in evaluated for (q, level), periods in probes.items()
+               for t in periods)
+
+
+@pytest.mark.parametrize("kind, bounds", [
+    ("hybrid", SearchBounds(2, 1, 20.0)), ("time", SearchBounds(1, 7, 10.0)),
+    ("hybrid", SearchBounds(1, 0, 20.0)),
+])
+def test_speculative_points_leave_no_trace(monkeypatch, kind, bounds):
+    # an error on every row a search does not probe changes nothing
+    args = (1.0, REFERENCE_COSTS, kind, bounds)
+    expected = optimize(*args)
+    probed = {(t["q"], t["order_up_to"], t["period"]) for t in expected.trace}
+    flagged = []
+
+    def failing_off_the_path(demand_rate, costs, q, levels, periods):
+        cost, errors = metrics._row_costs(demand_rate, costs, q, levels, periods)
+        caps = [None] * len(levels) if q is None else q.tolist()
+        for r, row in enumerate(zip(caps, levels.tolist(), periods.tolist())):
+            if row not in probed:
+                errors[r] = ValueError(f"speculative row {row} was read")
+                flagged.append(row)
+        return cost, errors
+
+    monkeypatch.setattr(compare, "_row_costs", failing_off_the_path)
+    result = optimize(*args)
+    assert flagged
+    assert result.to_dict() == expected.to_dict()
+    assert result.best_cost == expected.best_cost
+    assert result.trace == expected.trace
+
+
+def test_rows_priced_one_by_one_are_not_speculated(monkeypatch):
+    # load means >= 500: every golden row is a scalar ``average_cost``
+    calls = []
+    scalar = metrics.average_cost
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return scalar(*args, **kwargs)
+
+    monkeypatch.setattr(metrics, "average_cost", counting)
+    result = optimize(1e5, REFERENCE_COSTS, "time", SearchBounds(1, 3, 20.0))
+    assert len(calls) == sum(len(periods) for periods in golden_probes(result.trace).values())
 
 
 def test_default_hybrid_optimize_memory_is_bounded(special_bound):
