@@ -37,11 +37,11 @@ arrays alike: the time and hybrid cycle forms (``_cycle_forms``), the exact
 replenishment record (``_renewal_record``), the per-order ratios and AIR
 (``_per_order``, ``_service``) and the four cost components (``_components``).
 The optimizer's period scan ``_period_costs`` calls them on arrays of
-(level, period) pairs; it owns only the mass rows, their batched renewal
-recursion or closed form (by the same load-mean threshold as the scalar
-path), the per-level reductions of its masses and its certificate.  Its
-golden steps ``_row_costs`` price rows of independent systems, each at its
-own level, with the float path's cycle forms row by row (``_cycle_rows``).
+(level, period) pairs; it owns only the mass rows, their levels
+(``renewal._renewal_levels``) or closed form (by the same load-mean
+threshold as the scalar path), the per-level reductions and its certificate.
+Its golden steps ``_row_costs`` price rows of independent systems, each at
+its own level, with the float path's cycle forms row by row (``_cycle_rows``).
 """
 
 from __future__ import annotations
@@ -476,17 +476,17 @@ def _period_costs(demand_rate: float, costs: CostParams, q: int | None, periods,
     otherwise; row Q equals this function's result at level Q bit for bit.
     The cycle forms, records and cost components are the scalar path's,
     summed in its order.  This function owns the input checks, the mass rows
-    and their renewal recursion along the batch axis (in chunks of at most
+    and their levels (``renewal._renewal_levels``, in chunks of at most
     ``_CHUNK_CELLS`` mass cells), the closed-form rows of time-policy loads
     from ``renewal.TP_CLOSED_FORM_MU`` on, Lorden's certificate of every
     (level, row) pair and the overflow checks: it raises where the scalar
     path raises, at the lowest failing level, and never returns inf or nan.
 
     The renewal masses m(0..Q) do not depend on the level they are computed
-    to, so one table serves every level.  With M the running sum of m, level
-    Q reads E[K] = M(Q) and the holding factor sum_{i<=Q} (Q - i) m(i) =
-    sum_{j<Q} M(j), two sequential cumsums along the levels: O(rows * Q) in
-    all, and row Q is the same at any top level.
+    to, so one level-major table serves every level.  With M the running sum
+    of m, level Q reads E[K] = M(Q) and the holding factor
+    sum_{i<=Q} (Q - i) m(i) = sum_{j<Q} M(j), two sequential cumsums along
+    the levels: O(rows * Q) in all, and row Q is the same at any top level.
     """
     rate = float(demand_rate)
     if not rate > 0.0:
@@ -519,17 +519,19 @@ def _period_costs(demand_rate: float, costs: CostParams, q: int | None, periods,
             for start in range(0, part.size, rows):
                 chunk = part[start:start + rows]
                 if closed[chunk[0]]:
-                    m = renewal._tp_renewal_rows(mu[chunk], order_up_to)
-                else:
-                    g = (renewal._tp_masses(mu[chunk], ends[chunk].tolist()) if q is None
-                         else renewal._hp_masses(mu[chunk], floors[chunk], ends[chunk]))
-                    m = renewal._renewal_rows(g, order_up_to)
-                    mean[chunk], overshoot[chunk], defect[chunk] = renewal._lorden_terms(g)
-                # E[K](Q) = M(Q) and the holding factor sum_{j<Q} M(j), both
-                # sequential sums, so no level depends on the top one.
-                sums = np.cumsum(m, axis=1, out=m)
-                cycles[:, chunk] = sums.T
-                holding_sum[1:, chunk] = np.cumsum(sums[:, :-1], axis=1).T
+                    cycles[:, chunk] = renewal._tp_renewal_rows(mu[chunk], order_up_to).T
+                    continue
+                g = (renewal._tp_masses(mu[chunk], ends[chunk].tolist()) if q is None
+                     else renewal._hp_masses(mu[chunk], floors[chunk], ends[chunk]))
+                renewal._check_converges(g[:, 0].max())
+                mean[chunk], overshoot[chunk], defect[chunk] = renewal._lorden_terms(g)
+                top = np.full(chunk.size, order_up_to)
+                for i, level in enumerate(renewal._renewal_levels(g, top)):
+                    cycles[i, chunk] = level
+        # E[K](Q) = M(Q) and the holding factor sum_{j<Q} M(j), both
+        # sequential sums, so no level depends on the top one.
+        np.cumsum(cycles, axis=0, out=cycles)
+        np.cumsum(cycles[:-1], axis=0, out=holding_sum[1:])
 
         # The costs of blocks of levels, lowest first, at most _COST_CELLS
         # each; the lowest failing level raises, its Lorden violation first.
@@ -594,12 +596,13 @@ def _row_tables(mu: np.ndarray, q, levels: np.ndarray):
     ``_row_costs``: a time load (q None) or the hybrid load of cap q[r], of
     mean mu[r], at level levels[r].
 
-    Rows take the row builders' masses and ``renewal._renewal_sums``, with
-    the scalar path's divergence check and Lorden's certificate, in chunks of
-    at most ``_CHUNK_CELLS`` cells of masses, kernel and window of levels.
-    Time loads from ``renewal.TP_CLOSED_FORM_MU`` on, whose closed-form
-    tables are one per row anyway, and means that are not positive and
-    finite are left to the scalar path.
+    Rows take the row builders' masses and the levels of
+    ``renewal._renewal_levels``, summed in level order, with the scalar
+    path's divergence check and Lorden's certificate, in chunks of at most
+    ``_CHUNK_CELLS`` cells of masses, kernel and window of levels.  Time
+    loads from ``renewal.TP_CLOSED_FORM_MU`` on, whose closed-form tables are
+    one per row anyway, and means that are not positive and finite are left
+    to the scalar path.
     """
     top = math.inf if q is not None else renewal.TP_CLOSED_FORM_MU
     solved = (mu > 0.0) & (mu < top)
@@ -614,8 +617,22 @@ def _row_tables(mu: np.ndarray, q, levels: np.ndarray):
     for part in (slice(start, start + size) for start in range(0, level.size, size)):
         g = (renewal._tp_masses(sub[part], ends[part].tolist()) if q is None
              else renewal._hp_masses(sub[part], floors[part], ends[part]))
-        k, h = renewal._renewal_sums(g, level[part])
-        lower, upper = renewal._lorden_bracket(*renewal._lorden_terms(g), level[part])
+        reach = level[part]
+        solve = renewal._renewal_levels(g, reach)
+        m = next(solve)
+        # sums over blocks of BLOCK levels, then over the blocks: one running sum
+        # would round a stopped row's repeated level the same way 10^4 times
+        k, h = m.copy(), reach * m
+        done = np.zeros((2, k.size))    # the blocks before the current one
+        for i, m in enumerate(solve, 1):
+            n = m.size
+            if not i % renewal.BLOCK:
+                done[:, :n] += (k[:n], h[:n])
+                k[:n] = h[:n] = 0.0
+            k[:n] += m
+            h[:n] += (reach[:n] - i) * m
+        k, h = k + done[0], h + done[1]
+        lower, upper = renewal._lorden_bracket(*renewal._lorden_terms(g), reach)
         parts.append((k, h, (g[:, 0] < 1.0 - 1e-12) & (lower <= k) & (k <= upper)))
     cycles, holding_sum, checked = (np.concatenate(arrays) for arrays in zip(
         *parts, (np.empty(0), np.empty(0), np.empty(0, bool))))

@@ -55,9 +55,8 @@ Every term is nonnegative, so nothing cancels.
 By the key renewal theorem m(i) settles to (1 - g(0))/E[X] on an aperiodic
 load, so the solve stops once its state settles (``_settled``).  At each
 block start b = 2^k >= 2 * BLOCK (the first block start past it on the
-explicit route) with b >= w and at least ``SETTLE_SKIP`` = 2 * BLOCK levels
-above it, the state m(b-w..b-1) is tested.  Above level 0,
-m(i) = sum_{j=1..w} h(j) m(i-j) with h(j) = g(j)/(1 - g(0)) >= 0, and the
+explicit route) with b >= w, the state m(b-w..b-1) is tested.  Above level
+0, m(i) = sum_{j=1..w} h(j) m(i-j) with h(j) = g(j)/(1 - g(0)) >= 0, and the
 weights h sum to 1 within the load's defect d (see ``_check_lorden``).  So
 every later level is a convex combination of the w levels below it, scaled
 by at most (1 + d), and by induction lies in the state's range [lo, hi]
@@ -73,20 +72,16 @@ rounding of the masses puts there.  The stop never fires on a periodic load
 on a load of defect above SETTLE_TOL.  A table then takes
 O(min(Q, b) * w) multiply-adds (plus BLOCK * w^2 for P), or
 O(min(Q, b) * (c - a)) on the explicit route, in O(min(Q, b)/BLOCK +
-log2(BLOCK)) numpy calls, plus O(Q) to fill and sum it.  A stop that skipped fewer than
-SETTLE_SKIP levels would cost more in its test and certificate than it saves,
-so tables below 4 * BLOCK levels run the solve to Q.
+log2(BLOCK)) numpy calls, plus O(Q) to fill and sum it.
 
 The optimizer evaluates many periods of one policy family at every level up
 to a bound.  For that, the load builders also work on rows: ``_hp_masses`` and
 ``_tp_masses`` build one row of masses per load mean, on that row's own
 window or up to its cut, each element by the expression the scalar builder
 uses, so a row does not depend on the batch and equals the scalar builder's
-masses bit for bit.  ``_renewal_rows`` runs the recursion one level at a
-time along the batch axis, to Q and without the stop; its prefix m(0..Q)
-does not depend on the level it runs to.  ``_renewal_sums`` runs each row
-to its own level and keeps only E[K] and the holding factor, for the
-optimizer's golden steps; ``_tp_support_ends`` finds the rows' cuts.
+masses bit for bit.  ``_renewal_levels`` solves rows of masses, each to its
+own level and one level at a time along the batch axis, with the scalar
+table's association and stop; ``_tp_support_ends`` finds the rows' cuts.
 
 One certificate covers every route: Lorden's bracket on E[K]
 (``_check_lorden``, or ``_check_lorden_row`` for one table), checked on every
@@ -146,11 +141,6 @@ WALD_SLACK = 1e-9
 # stops and fills the levels from b on (``_settled``); also the largest load
 # defect d (see ``_check_lorden``) at which it may stop.
 SETTLE_TOL = 1e-14
-
-# Levels a test of the state must leave above it (``renewal_table``): a stop
-# that skips fewer does not pay for the test and the certificate of a
-# stopped table.
-SETTLE_SKIP = 2 * BLOCK
 
 
 @dataclass(frozen=True, eq=False)
@@ -405,17 +395,15 @@ def renewal_table(inc: IncrementDist, order_up_to: int) -> RenewalTable:
     cycle.  Zero-mass increments are absorbed by the 1/(1 - g(0)) factor (a
     geometric number of zero-load cycles precedes each level change), which
     diverges when g(0) -> 1.  The solve stops once its state settles
-    (``_settled``), tested at block starts b = 2^k >= 2 * BLOCK that leave
-    at least SETTLE_SKIP levels above them; a stopped table and a table
-    above the matvec gate carry Lorden's certificate.
+    (``_settled``), tested at block starts b = 2^k >= 2 * BLOCK; a stopped
+    table and a table above the matvec gate carry Lorden's certificate.
     """
     order_up_to = _check_order_up_to(order_up_to)
     g = inc.masses
     _check_converges(g[0])
     m = np.empty(order_up_to + 1)
     m[0] = 1.0 / (1.0 - g[0])
-    settle = (order_up_to + 1 >= 2 * BLOCK + SETTLE_SKIP
-              and _mass_defect(g) <= SETTLE_TOL)
+    settle = order_up_to >= 2 * BLOCK and _mass_defect(g) <= SETTLE_TOL
     matvec = order_up_to // BLOCK >= MATVEC_MIN_BLOCKS
     if g[1] == 0.0 and (first := _first_load(g, order_up_to)) >= BLOCK:
         stop = _explicit_solve(m, g, first, settle)
@@ -443,14 +431,9 @@ def _first_load(g: np.ndarray, order_up_to: int) -> int:
 
 def _settled(m: np.ndarray, b: int, width: int):
     """The value at which the levels from b on are filled, given the state
-    m(b-w..b-1) of a load of support end w <= b, or None.
-
-    Above level 0 a level is sum_j h(j) m(i - j), h(j) = g(j)/(1 - g(0)),
-    over the w levels below it, and the weights sum to 1 within the load's
-    defect d.  So once the state spans at most SETTLE_TOL of its largest
-    level, every later level lies in its range, to within the drift
-    (1 + d)^(Q - b + 1) that Lorden's slack already grants, and the midpoint
-    of that range stands for all of them.  Two levels of the state that
+    m(b-w..b-1) of a load of support end w <= b: the midpoint of the state's
+    range once it spans at most SETTLE_TOL of its largest level (see the
+    module's stop paragraph), else None.  Two levels of the state that
     differ by more rule it out before the state is scanned."""
     x, y = m[b - 1], m[b - 1 - width // 2]
     if abs(x - y) > SETTLE_TOL * max(x, y):
@@ -465,7 +448,7 @@ def _blocked_solve(m: np.ndarray, g: np.ndarray, settle: bool, matvec: bool) -> 
     level 1 up to BLOCK; with ``matvec`` (from MATVEC_MIN_BLOCKS full blocks
     on), BLAS matvecs from level BLOCK (the jump matrix of a narrow load, the
     block inverse of a wide one).  With ``settle``, the state is tested at
-    each block start 2^k >= 2 * BLOCK with SETTLE_SKIP levels above it.
+    each block start 2^k >= 2 * BLOCK.
     Returns the level from which the levels are filled, or Q + 1."""
     order_up_to = m.size - 1
     smax = g.size - 1
@@ -482,8 +465,7 @@ def _blocked_solve(m: np.ndarray, g: np.ndarray, settle: bool, matvec: bool) -> 
     while b <= order_up_to:
         if settle and b == check:
             check *= 2
-            if (b + SETTLE_SKIP <= order_up_to + 1 and b >= smax
-                    and (value := _settled(m, b, smax)) is not None):
+            if b >= smax and (value := _settled(m, b, smax)) is not None:
                 m[b:] = value
                 return b
         if matvec and b >= BLOCK and lower is None:
@@ -506,8 +488,7 @@ def _blocked_solve(m: np.ndarray, g: np.ndarray, settle: bool, matvec: bool) -> 
     for b in range(b, order_up_to + 1, BLOCK):
         if settle and b == check:
             check *= 2
-            if (b + SETTLE_SKIP <= order_up_to + 1
-                    and (value := _settled(m, b, smax)) is not None):
+            if (value := _settled(m, b, smax)) is not None:
                 m[b:] = value
                 return b
         n = min(BLOCK, order_up_to + 1 - b)
@@ -520,9 +501,8 @@ def _explicit_solve(m: np.ndarray, g: np.ndarray, first: int, settle: bool) -> i
     levels of a block of up to ``first`` levels read only levels below it,
     so each block is one correlation of the load's window g(first..w),
     w = min(smax, Q), with no block inverse.  With ``settle``, the state is
-    tested at the first block start past each 2^k >= 2 * BLOCK, if it has
-    SETTLE_SKIP levels above it.  Returns the level from which the levels
-    are filled, or Q + 1."""
+    tested at the first block start past each 2^k >= 2 * BLOCK.  Returns the
+    level from which the levels are filled, or Q + 1."""
     order_up_to = m.size - 1
     smax = g.size - 1
     width = min(smax, order_up_to)
@@ -536,7 +516,7 @@ def _explicit_solve(m: np.ndarray, g: np.ndarray, first: int, settle: bool) -> i
         if b >= check:
             while check <= b:
                 check *= 2
-            if (settle and b + SETTLE_SKIP <= order_up_to + 1 and b >= smax
+            if (settle and b >= smax
                     and (value := _settled(ext, width + b, width)) is not None):
                 ext[width + b:] = value
                 break
@@ -581,66 +561,70 @@ def _jump_matrix(m: np.ndarray, kernel: np.ndarray, width: int) -> np.ndarray:
     return jump
 
 
-def _renewal_rows(g: np.ndarray, order_up_to: int) -> np.ndarray:
-    """m(0..Q) for each row of increment masses g, one level at a time.
+def _renewal_levels(g: np.ndarray, levels: np.ndarray):
+    """Yield m(i), i = 0, 1, ..., levels[0], of each row of increment masses
+    g to its own level levels[r], not increasing along the rows: at level i,
+    an array of the rows that reach it, valid until the next is taken.
 
-    Row r solves the recursion of ``renewal_table`` for masses g[r]; columns
-    of g past Q are not read.
-    """
-    _check_converges(g[:, 0].max())
-    scale = 1.0 / (1.0 - g[:, 0])
-    width = min(g.shape[1] - 1, order_up_to)
-    # g(width), ..., g(1) over (1 - g(0)): level i takes the last min(i, width).
-    kernel = g[:, width:0:-1] * scale[:, None]
-    m = np.empty((g.shape[0], order_up_to + 1))
-    m[:, 0] = scale
-    for i in range(1, order_up_to + 1):
-        j = min(i, width)
-        m[:, i] = np.einsum("rj,rj->r", kernel[:, width - j:], m[:, i - j:i])
-    return m
-
-
-def _renewal_sums(g: np.ndarray, levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """E[K] = M(Q) and the holding factor sum_{i<=Q} (Q - i) m(i) of each row
-    of increment masses g, each at its own level Q = levels[r].
-
-    Levels must not increase along the rows, so the rows that reach a level
-    are a prefix.  Row r's recursion runs to its own level only, with
-    ``renewal_table``'s association m(i) = (sum_{j=1..i} g(j) m(i-j)) m(0),
-    and both sums are taken in level order, as ``expected_k`` and
-    ``holding_sum`` take them.  So a row at a level up to 2, whose table is
-    the blocked solve's single-product blocks and a sum of at most two terms,
-    equals those functions bit for bit; above that they agree within
-    rounding.  A row does not depend on the rows solved with it.  The levels
-    are kept level-major in a window of the last w + BLOCK of them, w the
-    support end, so memory is O(rows * (w + BLOCK)) at any level.  Columns
-    of g past a row's level are not read; the divergence check is the
-    caller's.
+    A level is summed as ``renewal_table`` sums it, (sum_{j=1..i} g(j)
+    m(i-j), in j order) m(0): bit for bit up to level 2, within rounding
+    above.  A row stops by the table's rule, at each b = 2^k >= 2 * BLOCK up
+    to its level once b is at least its support end w, its defect at most
+    SETTLE_TOL and its state passes ``_settled``, so it depends neither on
+    the rows solved with it nor on the top level.  The live rows' last
+    w + BLOCK levels are kept level-major; the stop's support ends, defects
+    and live index are built at its first test.  Columns of g past a row's
+    level are not read; the divergence check is the caller's.
     """
     start = 1.0 / (1.0 - g[:, 0])
-    cycles, holding = start.copy(), levels * start
+    yield start
     reach = levels.tolist()
     top = reach[0] if reach else 0
     width = min(g.shape[1] - 1, top)
-    if not width:
-        return cycles, holding
-    kernel = g[:, 1:width + 1].T    # g(1), ..., g(width)
+    kernel = np.ascontiguousarray(g[:, 1:width + 1].T)    # g(1), ..., g(width)
     span = min(top + 1, width + BLOCK)
     m = np.empty((span, g.shape[0]))    # level base + k at row k
     m[0], base, n = start, 0, len(reach)
+    check, ends, out = 2 * BLOCK, None, None
     for i in range(1, top + 1):
         if i - base == span:
             m[:width] = m[span - width:]
             base = i - width
-        while reach[n - 1] < i:    # the rows whose level is at least i
+        while n and reach[n - 1] < i:    # the live rows whose level is at least i
             n -= 1
-        at, j = i - base, min(i, width)
-        # a running sum over j = 1, 2, ...: a reduction would sum one row pairwise
-        terms = np.add.accumulate(kernel[:j, :n] * m[at - j:at, :n][::-1], axis=0)
-        level = np.multiply(terms[-1], start[:n], out=m[at, :n])
-        cycles[:n] += level
-        holding[:n] += (levels[:n] - i) * level
-    return cycles, holding
+        at = i - base
+        if i == check and n:
+            check *= 2
+            if ends is None:
+                ends = g.shape[1] - 1 - np.argmax(g[:, :0:-1] > 0.0, axis=1)
+                steady = _mass_defect(g) <= SETTLE_TOL
+                live, every, total = np.arange(g.shape[0]), reach, n
+            keep = np.ones(n, bool)
+            for r in np.flatnonzero(steady[live[:n]] & (ends[live[:n]] <= i)).tolist():
+                if (value := _settled(m[:at, r], at, int(ends[live[r]]))) is not None:
+                    if out is None:
+                        out = np.empty(g.shape[0])
+                    out[live[r]], keep[r] = value, False
+            if not keep.all():
+                live, start = live[:n][keep], start[:n][keep]
+                m, kernel = m[:, :n].compress(keep, 1), kernel[:, :n].compress(keep, 1)
+                reach = [reach[k] for k in np.flatnonzero(keep).tolist()]
+                n = len(reach)
+        if n:
+            j = min(i, width)
+            terms = kernel[:j, :n] * m[at - j:at, :n][::-1]
+            # sums over j = 1, 2, ... in order: numpy reduces a C-ordered batch
+            # across its rows in order, but a single row pairwise
+            sums = np.add.reduce(terms, axis=0) if n > 1 else np.add.accumulate(terms, axis=0)[-1]
+            level = np.multiply(sums, start[:n], out=m[at, :n])
+        if out is None:
+            yield level
+            continue
+        while every[total - 1] < i:    # every row whose level is at least i
+            total -= 1
+        if n:
+            out[live[:n]] = level
+        yield out[:total]
 
 
 def _tp_renewal_rows(mu: np.ndarray, order_up_to: int) -> np.ndarray:
@@ -701,9 +685,7 @@ def _lorden_terms(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     defect d (see ``_check_lorden``), from its masses g."""
     support = np.arange(g.shape[1], dtype=float)
     mean = g @ support
-    above = 1.0 - g[:, 0]
-    defect = np.abs(np.add.reduce(g[:, 1:], axis=1) - above) / above
-    return mean, g @ (support * support) / mean, defect
+    return mean, g @ (support * support) / mean, _mass_defect(g)
 
 
 def _lorden_row(g: np.ndarray) -> tuple[float, float, float]:
@@ -711,13 +693,13 @@ def _lorden_row(g: np.ndarray) -> tuple[float, float, float]:
     support = np.arange(g.size, dtype=float)
     weighted = g * support
     mean = float(np.add.reduce(weighted))
-    return mean, float(weighted @ support) / mean, _mass_defect(g)
+    return mean, float(weighted @ support) / mean, float(_mass_defect(g))
 
 
-def _mass_defect(g: np.ndarray) -> float:
-    """The relative mass defect d of one load's masses (``_check_lorden``)."""
-    above = 1.0 - float(g[0])
-    return abs(float(np.add.reduce(g[1:])) - above) / above
+def _mass_defect(g: np.ndarray):
+    """The relative mass defect d (``_check_lorden``) of load masses g, per row."""
+    above = 1.0 - g[..., 0]
+    return abs(np.add.reduce(g[..., 1:], axis=-1) - above) / above
 
 
 def _tp_lorden_terms(mu):

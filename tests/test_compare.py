@@ -25,7 +25,7 @@ from consolidate import (
     optimize,
     verify_theorems,
 )
-from consolidate import compare, metrics
+from consolidate import compare, metrics, renewal
 from consolidate.compare import REFERENCE_COSTS
 from consolidate.metrics import _period_costs
 from consolidate.renewal import MAX_ORDER_UP_TO
@@ -317,6 +317,17 @@ def scalar_golden_min(f, lo, hi, tol):
     return (c, fc) if fc <= fd else (d, fd)
 
 
+def scalar_point(f, values, grid):
+    """(period, cost) of one point's scalar search: the golden search of f
+    around the best cell of its scan ``values`` on ``grid``, which wins a
+    tie."""
+    i = min(range(len(grid)), key=lambda k: (values[k], grid[k]))
+    lo = grid[i - 1] if i > 0 else grid[0] * 0.05
+    hi = grid[i + 1] if i + 1 < len(grid) else grid[-1]
+    period, ac = scalar_golden_min(f, lo, hi, compare._PERIOD_TOL)
+    return (grid[i], values[i]) if values[i] <= ac else (period, ac)
+
+
 def scalar_optimize(demand_rate, costs, policy_kind, bounds):
     """The optimizer with one scalar ``average_cost`` per golden step, point
     after point: the oracle of the lockstep searches.  Returns the result's
@@ -346,13 +357,7 @@ def scalar_optimize(demand_rate, costs, policy_kind, bounds):
                 values = table[order_up_to].tolist()
                 trace.extend({"q": q, "order_up_to": order_up_to, "period": t, "ac": v}
                              for t, v in zip(grid, values))
-                i = min(range(len(grid)), key=lambda k: (values[k], grid[k]))
-                lo = grid[i - 1] if i > 0 else grid[0] * 0.05
-                hi = grid[i + 1] if i + 1 < len(grid) else grid[-1]
-                period, ac = scalar_golden_min(lambda t: probe(make(t), order_up_to), lo, hi,
-                                               compare._PERIOD_TOL)
-                if values[i] <= ac:
-                    period, ac = grid[i], values[i]
+                period, ac = scalar_point(lambda t: probe(make(t), order_up_to), values, grid)
                 policy = make(period)
             key = (ac, order_up_to, getattr(policy, "q", None), getattr(policy, "period", None))
             if best is None or key < best[0]:
@@ -420,6 +425,33 @@ def test_lockstep_optimize_matches_the_scalar_search_above_level_two(rate, kind,
                            else HybridPolicy(t["q"], t["period"]), t["order_up_to"],
                            REFERENCE_COSTS)
         assert t["ac"] == pytest.approx(average_cost(cfg).avg_cost, rel=1e-13, abs=0.0)
+
+
+def test_lockstep_rows_that_stop_match_the_scalar_search(monkeypatch):
+    # levels past 2 * BLOCK, where the golden rows stop once their state
+    # settles: every point's best period and cost against its scalar search
+    rate, bounds = 1.0, SearchBounds(1, 300, 5.0)
+    settled = renewal._settled
+    stops = []
+
+    def counted(m, b, width):
+        value = settled(m, b, width)
+        stops.append(value is not None)
+        return value
+
+    golden = compare._row_costs    # marks the end of the scan with a None
+    monkeypatch.setattr(renewal, "_settled", counted)
+    monkeypatch.setattr(compare, "_row_costs", lambda *args: (stops.append(None), golden(*args))[1])
+    points = compare._period_points(rate, REFERENCE_COSTS, "time", bounds, [])
+    assert any(stops[stops.index(None):])
+    step = bounds.period_max / compare._SCAN_POINTS
+    grid = [step * (i + 1) for i in range(compare._SCAN_POINTS)]
+    table = _period_costs(rate, REFERENCE_COSTS, None, grid, bounds.order_up_to_max)
+    for policy, level, ac in points[2 * renewal.BLOCK:]:
+        period, cost = scalar_point(lambda t: average_cost(SystemConfig(
+            rate, TimePolicy(t), level, REFERENCE_COSTS)).avg_cost, table[level].tolist(), grid)
+        assert policy.period == pytest.approx(period, abs=10 * compare._PERIOD_TOL)
+        assert ac == pytest.approx(cost, rel=1e-13, abs=0.0)
 
 
 def raised(call):

@@ -551,7 +551,7 @@ def one_level_scan(rate, costs, q, periods, level):
         else:
             floors, caps = zip(*(renewal._hp_window(x, q, level) for x in cut.tolist()))
             g = renewal._hp_masses(cut, np.array(floors), np.array(caps))
-        m[~closed] = renewal._renewal_rows(g, level)
+        m[~closed] = level_rows(g, level)
     cyc = metrics._cycle_forms(rate, q, t)
     sums = np.cumsum(m, axis=1)
     holding = np.cumsum(sums[:, :-1], axis=1)[:, -1] if level else np.zeros(mu.size)
@@ -560,15 +560,26 @@ def one_level_scan(rate, costs, q, periods, level):
                                    "linear").values())
 
 
+def level_rows(g, level):
+    """m(0..Q) of each row of masses g by ``renewal._renewal_levels``, one
+    row per load."""
+    m = np.empty((g.shape[0], level + 1))
+    for i, values in enumerate(renewal._renewal_levels(g, np.full(g.shape[0], level))):
+        m[:, i] = values
+    return m
+
+
 def test_period_costs_raise_at_the_lowest_level_failing_the_wald_check(monkeypatch):
-    solve = renewal._renewal_rows
+    solve = renewal._renewal_levels
 
-    def corrupted(g, order_up_to):
-        m = solve(g, order_up_to)
-        m[3:, 5:] *= 100.0  # rows 3 on, from level 5 on
-        return m
+    def corrupted(g, levels):
+        for i, m in enumerate(solve(g, levels)):
+            if i >= 5:  # rows 3 on, from level 5 on
+                m = m.copy()
+                m[3:] *= 100.0
+            yield m
 
-    monkeypatch.setattr(renewal, "_renewal_rows", corrupted)
+    monkeypatch.setattr(renewal, "_renewal_levels", corrupted)
     grid = scan_grid(20.0)
     for level in range(5):
         _period_costs(1.0, REF_COSTS, 3, grid, level)
@@ -589,12 +600,13 @@ def test_scan_row_between_the_brackets_raises(monkeypatch):
     support = np.arange(q + 1.0)
     mean = g @ support
     levels = np.arange(order_up_to + 1.0)
-    cycles = np.cumsum(renewal._renewal_rows(g[None], order_up_to)[0])
+    cycles = np.cumsum(level_rows(g[None], order_up_to)[0])
     scale = ((levels + q) / mean / cycles).min() * (1.0 - 1e-9)
     first = int(np.argmax(scale * cycles > (levels + g @ support**2 / mean) / mean))
     assert scale * cycles[first] > (first + g @ support**2 / mean) / mean * (1.0 + 1e-6)
-    solve = renewal._renewal_rows
-    monkeypatch.setattr(renewal, "_renewal_rows", lambda g, top: scale * solve(g, top))
+    solve = renewal._renewal_levels
+    monkeypatch.setattr(renewal, "_renewal_levels",
+                        lambda g, levels: (scale * m for m in solve(g, levels)))
     with pytest.raises(ArithmeticError, match=f"Lorden bracket .* level {first}$"):
         _period_costs(1.0, REF_COSTS, q, [period], order_up_to)
 
@@ -716,6 +728,9 @@ def test_golden_rows_match_average_cost_to_level_300(rows, costs):
 
 
 @given(rows=golden_rows(60))
+# rows that stop at 256 and later, down to one row per level from 300 on
+@example(rows=(1.0, None, np.array([1500, 700, 300, 5]), np.array([0.5, 2.0, 7.0, 1.0])))
+@example(rows=(1.0, np.array([3, 40, 2]), np.array([1200, 600, 256]), np.array([1.0, 5.0, 0.3])))
 @settings(max_examples=30, deadline=None)
 def test_golden_rows_do_not_depend_on_their_chunks(rows):
     rate, q, levels, periods = rows
@@ -784,6 +799,21 @@ def test_golden_rows_take_bounded_memory_at_the_level_limit(special_bound):
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+@pytest.mark.parametrize("q", [None, 3])
+def test_deep_scan_memory_is_bounded(special_bound, q):
+    # the level-major E[K], holding and cost tables at Q = 2000 and 200
+    # periods (3.05 MiB each) and one cost block, but no rows x levels table
+    # of renewal masses: 11.02 MiB (time) and 10.94 MiB (q = 3), where such
+    # a table took the peak to 14.07 and 13.99 MiB
+    tracemalloc.start()
+    try:
+        _period_costs(1.0, REF_COSTS, q, scan_grid(20.0), 2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 11.25 * 2**20
 
 
 def test_time_scan_memory_is_bounded_at_large_load():

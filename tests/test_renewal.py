@@ -54,12 +54,11 @@ from consolidate.renewal import (
     DEFAULT_TAIL_EPS,
     MATVEC_MIN_BLOCKS,
     MAX_ORDER_UP_TO,
-    SETTLE_SKIP,
     SETTLE_TOL,
     TP_CLOSED_FORM_MU,
     _check_lorden,
     _hp_masses,
-    _renewal_rows,
+    _renewal_levels,
     _tp_masses,
     _tp_renewal_rows,
     _tp_support_end,
@@ -177,9 +176,9 @@ def stop_level(masses, order_up_to, ref):
     the levels ``ref`` of the solve run to Q (the solve's own levels up to
     there), or None: the first block start b = 2^k >= 2 * BLOCK (for a load
     whose first positive load a is at least BLOCK, the first multiple of a at
-    or past each 2^k) with b >= w and SETTLE_SKIP levels above it whose state
-    m(b-w..b-1) spans at most SETTLE_TOL of its largest level, on a load of
-    defect at most SETTLE_TOL."""
+    or past each 2^k) with b >= w whose state m(b-w..b-1) spans at most
+    SETTLE_TOL of its largest level, on a load of defect at most
+    SETTLE_TOL."""
     g = np.asarray(masses, dtype=float)
     smax = g.size - 1
     if renewal._mass_defect(g) > SETTLE_TOL:
@@ -193,7 +192,7 @@ def stop_level(masses, order_up_to, ref):
             continue
         while check <= b:
             check *= 2
-        if b >= smax and b + SETTLE_SKIP <= order_up_to + 1:
+        if b >= smax:
             state = ref[b - smax:b]
             if state.max() - state.min() <= SETTLE_TOL * state.max():
                 return b
@@ -230,9 +229,25 @@ def tail_cut_oracle(mu, tail_eps):
     return end
 
 
+def drift_free_oracle(masses, order_up_to):
+    """m(0..Q) as a stopped table stands for them: ``loop_oracle`` up to the
+    table's stop level b (``stop_level``), and from b on the recursion on the
+    masses above zero rescaled to total 1 - g(0), the load the masses stand
+    for, whose levels do not take the drift of the masses' rounded total."""
+    g = np.array(masses, dtype=float)
+    m = loop_oracle(g, order_up_to)
+    b = stop_level(g, order_up_to, m)
+    if b is not None:
+        g[1:] *= (1.0 - g[0]) / g[1:].sum()
+        scale, smax = 1.0 / (1.0 - g[0]), g.size - 1
+        for i in range(b, order_up_to + 1):
+            m[i] = scale * float(g[1:min(i, smax) + 1] @ m[i - 1::-1][:smax])
+    return m
+
+
 def assert_table_matches_loop(inc, order_up_to):
     table = renewal_table(inc, order_up_to)
-    ref = loop_oracle(inc.masses, order_up_to)
+    ref = drift_free_oracle(inc.masses, order_up_to)
     big = ref > 1e-300
     assert np.abs(table.m[~big] - ref[~big]).max(initial=0.0) <= 1e-300
     rel = np.abs(table.m[big] - ref[big]) / ref[big]
@@ -552,6 +567,10 @@ def loads_across_routes(draw):
 @example(inc=build_increment_hp(1.0, 60, 5000.0), order_up_to=MAX_ORDER_UP_TO)
 @example(inc=IncrementDist([0.0, 0.0, 0.0, 0.3, 0.7]), order_up_to=MAX_ORDER_UP_TO)
 @example(inc=build_increment_tp(1.0, 5000.0), order_up_to=MAX_ORDER_UP_TO)
+# defect 8.0e-15: the table stops, while the loop on these masses drifts by
+# ~d Q / 2 to E[K] 1.4e-11 above it
+@example(inc=IncrementDist([0.98834965, (1.0 - 0.98834965) * (1.0 + 8e-15)]),
+         order_up_to=4027)
 @settings(max_examples=40, deadline=None)
 def test_matvec_solve_matches_loop(inc, order_up_to):
     assert_table_matches_loop(inc, order_up_to)
@@ -835,9 +854,9 @@ def stopped_and_drifting(inc, order_up_to):
 
 
 @given(mu=st.floats(math.log(1.0), math.log(6.0)).map(math.exp), q=st.integers(2, 300),
-       order_up_to=st.integers(2 * BLOCK + SETTLE_SKIP, MAX_ORDER_UP_TO))
+       order_up_to=st.integers(2 * BLOCK, MAX_ORDER_UP_TO))
 @example(mu=5.3, q=436, order_up_to=7330)       # the drift of the parent's solve: 3.5e-13
-@example(mu=2.0, q=2, order_up_to=2 * BLOCK + SETTLE_SKIP)
+@example(mu=2.0, q=2, order_up_to=2 * BLOCK)
 @example(mu=6.0, q=2, order_up_to=MAX_ORDER_UP_TO)     # near-lattice: stops at 4096
 @example(mu=4.0, q=60, order_up_to=MAX_ORDER_UP_TO)
 @settings(max_examples=12, deadline=None)
@@ -856,7 +875,7 @@ def test_stopped_hybrid_tables_match_the_40_digit_recursion(mu, q, order_up_to):
 
 
 @given(mu=st.floats(math.log(1.0), math.log(6.0)).map(math.exp),
-       order_up_to=st.integers(2 * BLOCK + SETTLE_SKIP, MAX_ORDER_UP_TO))
+       order_up_to=st.integers(2 * BLOCK, MAX_ORDER_UP_TO))
 @example(mu=2.0, order_up_to=MAX_ORDER_UP_TO)
 @example(mu=6.0, order_up_to=7330)
 @settings(max_examples=8, deadline=None)
@@ -884,13 +903,31 @@ def test_stopped_time_tables_match_the_40_digit_recursion_on_their_load(mu, orde
     # state is one level, which never spreads, yet m(i) = m(0) (1 + d)^i
     IncrementDist([0.5, 0.5 * (1.0 + 1e-12)]),
 ])
-@pytest.mark.parametrize("order_up_to", [2 * BLOCK + SETTLE_SKIP, 3000,
-                                         MAX_ORDER_UP_TO])
+# 2 * BLOCK and 4 * BLOCK: the first two levels the stop tests
+@pytest.mark.parametrize("order_up_to", [2 * BLOCK, 4 * BLOCK, 3000, MAX_ORDER_UP_TO])
 def test_stop_never_fires_on_loads_that_do_not_settle(inc, order_up_to):
     table = renewal_table(inc, order_up_to)
     ref = blocked_oracle(inc.masses, order_up_to)
     assert stop_level(inc.masses, order_up_to, ref) is None
     assert np.array_equal(table.m, ref)
+    assert_row_never_stops(inc.masses, order_up_to)
+
+
+def assert_row_never_stops(masses, order_up_to):
+    """The load's row of ``_renewal_levels`` to Q equals its solve with the
+    stop switched off, bit for bit."""
+    row = level_rows(np.asarray(masses)[None], [order_up_to])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(renewal, "SETTLE_TOL", -1.0)
+        assert np.array_equal(level_rows(np.asarray(masses)[None], [order_up_to]), row)
+
+
+def test_a_row_whose_state_keeps_spreading_never_stops():
+    # HP(300, 10): the defect's drift across its window of 59 levels keeps
+    # the state's spread at 1.2e-14 to 1.8e-14 at every test up to 10^4
+    mu = np.array([10.0])
+    assert_row_never_stops(_hp_masses(mu, *renewal._hp_window(mu, 300, MAX_ORDER_UP_TO))[0],
+                           MAX_ORDER_UP_TO)
 
 
 def test_stop_fires_on_a_settled_load_without_defect():
@@ -962,7 +999,7 @@ def test_one_row_lorden_check_is_the_array_check():
         np.testing.assert_allclose(row, [t[0] for t in renewal._lorden_terms(g[None])],
                                    rtol=1e-14, atol=1e-30)
         for order_up_to in (0, 300):
-            cycles = float(np.cumsum(renewal._renewal_rows(g[None], order_up_to)[0])[-1])
+            cycles = float(np.cumsum(level_rows(g[None], [order_up_to])[0])[-1])
             renewal._check_lorden_row(*row, order_up_to, cycles)
             lower, upper = renewal._lorden_bracket(*row, order_up_to)
             for bad in (lower * (1 - 1e-6), upper * (1 + 1e-6), math.nan):
@@ -1066,25 +1103,49 @@ def test_floored_scan_rows_equal_the_window_increment(rows, order_up_to):
 
 
 @st.composite
-def leveled_loads(draw, top):
+def leveled_loads(draw, top, loads=st.floats(0.01, 60.0)):
     """Rows of TP or HP load masses, zero-padded, with levels in 0..top that
     do not increase along the rows, and each row's own increment."""
-    incs = [build_increment_tp(1.0, draw(st.floats(0.01, 60.0))) if draw(st.booleans())
-            else build_increment_hp(1.0, draw(st.integers(1, 40)), draw(st.floats(0.01, 60.0)))
+    incs = [build_increment_tp(1.0, draw(loads)) if draw(st.booleans())
+            else build_increment_hp(1.0, draw(st.integers(1, 40)), draw(loads))
             for _ in range(draw(st.integers(1, 6)))]
     levels = sorted(draw(st.lists(st.integers(0, top), min_size=len(incs),
                                   max_size=len(incs))), reverse=True)
+    return padded(incs), np.array(levels), incs
+
+
+def padded(incs):
+    """The increments' masses as rows, zero-padded to the widest."""
     g = np.zeros((len(incs), max(inc.masses.size for inc in incs)))
     for row, inc in zip(g, incs):
         row[:inc.masses.size] = inc.masses
-    return g, np.array(levels), incs
+    return g
+
+
+def level_rows(g, levels):
+    """m(0..levels[r]) of each row of masses g by ``_renewal_levels``, one
+    row per load, NaN past its level."""
+    m = np.full((g.shape[0], max(levels, default=-1) + 1), np.nan)
+    for i, values in enumerate(_renewal_levels(g, np.asarray(levels))):
+        m[:values.size, i] = values
+    return m
+
+
+def level_sums(g, levels):
+    """E[K] = M(Q) and the holding factor sum_{i<=Q} (Q - i) m(i) of each row
+    of ``level_rows``, each a running sum in level order, as
+    ``expected_k`` and ``holding_sum`` take them."""
+    sums = [(np.cumsum(row[:level + 1])[-1],
+             np.cumsum((level - np.arange(level + 1)) * row[:level + 1])[-1])
+            for row, level in zip(level_rows(g, levels), levels.tolist())]
+    return np.array(sums).T
 
 
 @given(rows=leveled_loads(2))
 @settings(max_examples=60, deadline=None)
 def test_renewal_sums_keep_the_table_bits_up_to_level_two(rows):
     g, levels, incs = rows
-    cycles, holding = renewal._renewal_sums(g, levels)
+    cycles, holding = level_sums(g, levels)
     for inc, level, k, h in zip(incs, levels.tolist(), cycles.tolist(), holding.tolist()):
         table = renewal_table(inc, level)
         assert (k, h) == (expected_k(table), holding_sum(table))
@@ -1097,22 +1158,75 @@ def test_renewal_sums_keep_the_table_bits_up_to_level_two(rows):
 @settings(max_examples=40, deadline=None)
 def test_renewal_sums_match_the_table_to_level_300(rows):
     g, levels, incs = rows
-    cycles, holding = renewal._renewal_sums(g, levels)
+    cycles, holding = level_sums(g, levels)
     for inc, level, k, h in zip(incs, levels.tolist(), cycles.tolist(), holding.tolist()):
         table = renewal_table(inc, level)
         assert k == pytest.approx(expected_k(table), rel=1e-13, abs=0.0)
         assert h == pytest.approx(holding_sum(table), rel=1e-13, abs=1e-300)
 
 
+def row_stop(row, level):
+    """The level 2^k >= 2 * BLOCK from which a row of ``level_rows`` is one
+    value, or None."""
+    return next((b for b in (2 ** k for k in range(8, 14))
+                 if b <= level and (row[b:level + 1] == row[b]).all()), None)
+
+
+def stopped_rows(g, levels):
+    """Which rows of ``level_rows`` stopped."""
+    return [row_stop(row, level) is not None
+            for row, level in zip(level_rows(g, levels), levels.tolist())]
+
+
+@given(rows=leveled_loads(MAX_ORDER_UP_TO, st.floats(math.log(0.01), math.log(TP_CLOSED_FORM_MU),
+                                                      exclude_max=True).map(math.exp)))
+@example(rows=(padded(SETTLING := [build_increment_tp(1.0, 2.0), build_increment_hp(1.0, 40, 5.0),
+                                   build_increment_tp(1.0, 0.3), build_increment_hp(1.0, 3, 1.0)]),
+               np.array([MAX_ORDER_UP_TO, 5000, 2000, 2 * BLOCK]), SETTLING))
+# the row stops at 2048 and the table at 256, and the row at 256 where the
+# table does not stop: each keeps the drift of the masses' defect past the
+# other's stop, 1.4e-12 and 1.1e-12 on E[K] at these levels
+@example(rows=(padded(DRIFTING := [build_increment_hp(1.0, 13, 0.04539393592590817),
+                                   build_increment_hp(1.0, 39, 0.13237108936574424)]),
+               np.array([5903, 5903]), DRIFTING))
+@settings(max_examples=15, deadline=None)
+def test_stopped_rows_match_the_table(rows):
+    # Each stopped row's E[K] and holding factor, summed exactly over its
+    # levels, agree within 1e-13 with the table's where the table stops at
+    # the same level b.  Every stopped row agrees within 1e-13 with the load
+    # the masses stand for: the per-level loop below b, and from b on a
+    # continuation that stays inside the range [lo, hi] of the loop's state.
+    g, levels, incs = rows
+    for inc, level, row in zip(incs, levels.tolist(), level_rows(g, levels)):
+        b = row_stop(row, level)
+        if b is None:
+            continue
+        m, weights = row[:level + 1], level - np.arange(level + 1.0)
+        sums = math.fsum(m), math.fsum(weights * m)
+        table = renewal_table(inc, level)
+        if table.m[b - 1] != table.m[b] and row_stop(table.m, level) == b:
+            assert sums[0] == pytest.approx(expected_k(table), rel=1e-13, abs=0.0)
+            assert sums[1] == pytest.approx(holding_sum(table), rel=1e-13, abs=0.0)
+        ref = loop_oracle(inc.masses, b - 1)
+        state = ref[b - (inc.masses.size - 1):]
+        for total, weight in zip(sums, (np.ones(level + 1), weights)):
+            head = math.fsum(weight[:b] * ref)
+            tail = weight[b:].sum()
+            assert head + tail * state.min() <= total * (1.0 + 1e-13)
+            assert total <= (head + tail * state.max()) * (1.0 + 1e-13)
+
+
+def test_rows_stop_where_their_state_settles():
+    incs = [*SETTLING, build_increment_hp(1.0, 5, 60.0)]    # near-lattice: does not settle
+    levels = np.array([MAX_ORDER_UP_TO, 5000, 2000, 2 * BLOCK, 700])
+    assert stopped_rows(padded(incs), levels) == [True, True, True, True, False]
+
+
 @given(incs=st.lists(increments(), min_size=1, max_size=6),
        order_up_to=st.integers(0, 2 * BLOCK + 5))
 @settings(max_examples=40, deadline=None)
 def test_batched_recursion_matches_loop(incs, order_up_to):
-    width = max(inc.masses.size for inc in incs)
-    g = np.zeros((len(incs), width))
-    for row, inc in zip(g, incs):
-        row[:inc.masses.size] = inc.masses
-    m = _renewal_rows(g, order_up_to)
+    m = level_rows(padded(incs), [order_up_to] * len(incs))
     for row, inc in zip(m, incs):
         np.testing.assert_allclose(row, loop_oracle(inc.masses, order_up_to),
                                    rtol=1e-12, atol=0.0)
@@ -1127,7 +1241,7 @@ def test_wald_certificate():
     np.testing.assert_allclose(terms[1], [1.5, 3.0], rtol=1e-15)
     assert not terms[2].any()
     for order_up_to in (0, 1, 6, 40):
-        cycles = _renewal_rows(g, order_up_to).sum(axis=1)
+        cycles = level_rows(g, [order_up_to] * 2).sum(axis=1)
         _check_lorden(*terms, order_up_to, cycles)
         # a hand-built E[K] just outside each end of each row's bracket
         for row, bad in ((1, (order_up_to + 1) / 1.5 * (1 - 1e-6)),
