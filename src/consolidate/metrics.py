@@ -525,9 +525,11 @@ def _period_costs(demand_rate: float, costs: CostParams, q: int | None, periods,
                      else renewal._hp_masses(mu[chunk], floors[chunk], ends[chunk]))
                 renewal._check_converges(g[:, 0].max())
                 mean[chunk], overshoot[chunk], defect[chunk] = renewal._lorden_terms(g)
-                top = np.full(chunk.size, order_up_to)
-                for i, level in enumerate(renewal._renewal_levels(g, top)):
-                    cycles[i, chunk] = level
+                top, stops = np.full(chunk.size, order_up_to), {}
+                for i, (live, level) in enumerate(renewal._renewal_levels(g, top, stops)):
+                    cycles[i, chunk[live]] = level
+                for r, (b, value) in stops.items():
+                    cycles[b:, chunk[r]] = value
         # E[K](Q) = M(Q) and the holding factor sum_{j<Q} M(j), both
         # sequential sums, so no level depends on the top one.
         np.cumsum(cycles, axis=0, out=cycles)
@@ -597,50 +599,43 @@ def _row_tables(mu: np.ndarray, q, levels: np.ndarray):
     mean mu[r], at level levels[r].
 
     Rows take the row builders' masses and the levels of
-    ``renewal._renewal_levels``, summed in level order, with the scalar
-    path's divergence check and Lorden's certificate, in chunks of at most
-    ``_CHUNK_CELLS`` cells of masses, kernel and window of levels.  Time
+    ``renewal._renewal_levels``, summed in level order up to a row's stop
+    and in closed form from there, with the scalar path's divergence check
+    and Lorden's certificate, in chunks of at most ``_CHUNK_CELLS`` cells of
+    masses, kernel and window of levels.  Time
     loads from ``renewal.TP_CLOSED_FORM_MU`` on, whose closed-form tables are
     one per row anyway, and means that are not positive and finite are left
     to the scalar path.
     """
     top = math.inf if q is not None else renewal.TP_CLOSED_FORM_MU
-    solved = (mu > 0.0) & (mu < top)
-    rows = None if solved.all() else np.flatnonzero(solved)   # None: every row
-    sub, level = (mu, levels) if rows is None else (mu[rows], levels[rows])
+    rows = ((mu > 0.0) & (mu < top)).nonzero()[0]
+    sub, level = mu[rows], levels[rows]
     if q is None:
         ends = renewal._tp_support_ends(sub)
     else:
-        floors, ends = renewal._hp_window(sub, q if rows is None else q[rows], level)
+        floors, ends = renewal._hp_window(sub, q[rows], level)
     size = max(1, _CHUNK_CELLS // (2 * int(ends.max(initial=0)) + renewal.BLOCK + 2))
-    parts = []
+    cycles, holding_sum = np.full((2, mu.size), np.nan)
+    checked = np.zeros(mu.size, bool)
     for part in (slice(start, start + size) for start in range(0, level.size, size)):
         g = (renewal._tp_masses(sub[part], ends[part].tolist()) if q is None
              else renewal._hp_masses(sub[part], floors[part], ends[part]))
-        reach = level[part]
-        solve = renewal._renewal_levels(g, reach)
-        m = next(solve)
-        # sums over blocks of BLOCK levels, then over the blocks: one running sum
-        # would round a stopped row's repeated level the same way 10^4 times
+        reach, stops = level[part], {}
+        solve = renewal._renewal_levels(g, reach, stops)
+        m = next(solve)[1]    # level 0, of every row
         k, h = m.copy(), reach * m
-        done = np.zeros((2, k.size))    # the blocks before the current one
-        for i, m in enumerate(solve, 1):
-            n = m.size
-            if not i % renewal.BLOCK:
-                done[:, :n] += (k[:n], h[:n])
-                k[:n] = h[:n] = 0.0
-            k[:n] += m
-            h[:n] += (reach[:n] - i) * m
-        k, h = k + done[0], h + done[1]
+        for i, (live, m) in enumerate(solve, 1):
+            k[live] += m
+            h[live] += (reach[live] - i) * m
+        # a stopped row's levels b..L are one value, of weights L - b, ..., 0
+        for r, (b, value) in stops.items():
+            k[r] += (reach[r] - b + 1) * value
+            h[r] += (reach[r] - b) * (reach[r] - b + 1) // 2 * value
         lower, upper = renewal._lorden_bracket(*renewal._lorden_terms(g), reach)
-        parts.append((k, h, (g[:, 0] < 1.0 - 1e-12) & (lower <= k) & (k <= upper)))
-    cycles, holding_sum, checked = (np.concatenate(arrays) for arrays in zip(
-        *parts, (np.empty(0), np.empty(0), np.empty(0, bool))))
-    if rows is None:
-        return cycles, holding_sum, checked
-    every = np.full(mu.size, np.nan), np.full(mu.size, np.nan), np.zeros(mu.size, bool)
-    every[0][rows], every[1][rows], every[2][rows] = cycles, holding_sum, checked
-    return every
+        at = rows[part]
+        cycles[at], holding_sum[at] = k, h
+        checked[at] = (g[:, 0] < 1.0 - 1e-12) & (lower <= k) & (k <= upper)
+    return cycles, holding_sum, checked
 
 
 def match_consolidation_cycle(demand_rate: float, target_length: float, q: int) -> float:

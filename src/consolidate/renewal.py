@@ -81,7 +81,8 @@ window or up to its cut, each element by the expression the scalar builder
 uses, so a row does not depend on the batch and equals the scalar builder's
 masses bit for bit.  ``_renewal_levels`` solves rows of masses, each to its
 own level and one level at a time along the batch axis, with the scalar
-table's association and stop; ``_tp_support_ends`` finds the rows' cuts.
+table's association and stop, and reports where each row stops.
+``_tp_support_ends`` finds the rows' cuts.
 
 One certificate covers every route: Lorden's bracket on E[K]
 (``_check_lorden``, or ``_check_lorden_row`` for one table), checked on every
@@ -403,7 +404,8 @@ def renewal_table(inc: IncrementDist, order_up_to: int) -> RenewalTable:
     _check_converges(g[0])
     m = np.empty(order_up_to + 1)
     m[0] = 1.0 / (1.0 - g[0])
-    settle = order_up_to >= 2 * BLOCK and _mass_defect(g) <= SETTLE_TOL
+    defect = _mass_defect(g) if order_up_to >= 2 * BLOCK else math.inf
+    settle = defect <= SETTLE_TOL
     matvec = order_up_to // BLOCK >= MATVEC_MIN_BLOCKS
     if g[1] == 0.0 and (first := _first_load(g, order_up_to)) >= BLOCK:
         stop = _explicit_solve(m, g, first, settle)
@@ -419,7 +421,7 @@ def renewal_table(inc: IncrementDist, order_up_to: int) -> RenewalTable:
         M[stop:] = M[stop - 1] + m[stop] * np.arange(1.0, order_up_to + 2 - stop)
     table = RenewalTable(m=m, M=M, order_up_to=order_up_to)
     if matvec or stop <= order_up_to:
-        _check_lorden_row(*_lorden_row(g), order_up_to, float(table.M[-1]))
+        _check_lorden_row(*_lorden_row(g), defect, order_up_to, float(table.M[-1]))
     return table
 
 
@@ -431,9 +433,14 @@ def _first_load(g: np.ndarray, order_up_to: int) -> int:
 
 def _settled(m: np.ndarray, b: int, width: int):
     """The value at which the levels from b on are filled, given the state
-    m(b-w..b-1) of a load of support end w <= b: the midpoint of the state's
-    range once it spans at most SETTLE_TOL of its largest level (see the
-    module's stop paragraph), else None.  Two levels of the state that
+    m(b-w..b-1) of a load of support end w <= b, or None.
+
+    Above level 0 a level is sum_j h(j) m(i - j), h(j) = g(j)/(1 - g(0)),
+    over the w levels below it, and the weights sum to 1 within the load's
+    defect d.  So once the state spans at most SETTLE_TOL of its largest
+    level, every later level lies in its range, to within the drift
+    (1 + d)^(Q - b + 1) that Lorden's slack already grants, and the midpoint
+    of that range stands for all of them.  Two levels of the state that
     differ by more rule it out before the state is scanned."""
     x, y = m[b - 1], m[b - 1 - width // 2]
     if abs(x - y) > SETTLE_TOL * max(x, y):
@@ -561,23 +568,27 @@ def _jump_matrix(m: np.ndarray, kernel: np.ndarray, width: int) -> np.ndarray:
     return jump
 
 
-def _renewal_levels(g: np.ndarray, levels: np.ndarray):
-    """Yield m(i), i = 0, 1, ..., levels[0], of each row of increment masses
-    g to its own level levels[r], not increasing along the rows: at level i,
-    an array of the rows that reach it, valid until the next is taken.
+def _renewal_levels(g: np.ndarray, levels: np.ndarray, stops: dict):
+    """Yield (rows, m(i)), i = 0, 1, ..., of the live rows of increment
+    masses g, each to its own level levels[r], not increasing along the
+    rows: at level i, the array of m(i) of the live rows that reach it, and
+    their indices in g (a slice until a row stops), valid until the next is
+    taken.
 
     A level is summed as ``renewal_table`` sums it, (sum_{j=1..i} g(j)
     m(i-j), in j order) m(0): bit for bit up to level 2, within rounding
     above.  A row stops by the table's rule, at each b = 2^k >= 2 * BLOCK up
     to its level once b is at least its support end w, its defect at most
     SETTLE_TOL and its state passes ``_settled``, so it depends neither on
-    the rows solved with it nor on the top level.  The live rows' last
-    w + BLOCK levels are kept level-major; the stop's support ends, defects
-    and live index are built at its first test.  Columns of g past a row's
-    level are not read; the divergence check is the caller's.
+    the rows solved with it nor on the top level.  A row r that stops
+    leaves the live rows, and stops[r] = (b, value) records that its levels
+    from b on are all that value; the solve ends when no live row is left.
+    The live rows' last w + BLOCK levels are kept level-major; the stop's
+    support ends and defects are built at its first test.  Columns of g past
+    a row's level are not read; the divergence check is the caller's.
     """
     start = 1.0 / (1.0 - g[:, 0])
-    yield start
+    yield slice(None), start
     reach = levels.tolist()
     top = reach[0] if reach else 0
     width = min(g.shape[1] - 1, top)
@@ -585,7 +596,7 @@ def _renewal_levels(g: np.ndarray, levels: np.ndarray):
     span = min(top + 1, width + BLOCK)
     m = np.empty((span, g.shape[0]))    # level base + k at row k
     m[0], base, n = start, 0, len(reach)
-    check, ends, out = 2 * BLOCK, None, None
+    check, ends, live = 2 * BLOCK, None, None
     for i in range(1, top + 1):
         if i - base == span:
             m[:width] = m[span - width:]
@@ -597,34 +608,26 @@ def _renewal_levels(g: np.ndarray, levels: np.ndarray):
             check *= 2
             if ends is None:
                 ends = g.shape[1] - 1 - np.argmax(g[:, :0:-1] > 0.0, axis=1)
-                steady = _mass_defect(g) <= SETTLE_TOL
-                live, every, total = np.arange(g.shape[0]), reach, n
+                steady = _lorden_terms(g)[2] <= SETTLE_TOL
+            rows = np.arange(n) if live is None else live[:n]
             keep = np.ones(n, bool)
-            for r in np.flatnonzero(steady[live[:n]] & (ends[live[:n]] <= i)).tolist():
-                if (value := _settled(m[:at, r], at, int(ends[live[r]]))) is not None:
-                    if out is None:
-                        out = np.empty(g.shape[0])
-                    out[live[r]], keep[r] = value, False
+            for r in np.flatnonzero(steady[rows] & (ends[rows] <= i)).tolist():
+                if (value := _settled(m[:at, r], at, int(ends[rows[r]]))) is not None:
+                    stops[int(rows[r])], keep[r] = (i, value), False
             if not keep.all():
-                live, start = live[:n][keep], start[:n][keep]
+                live, start = rows[keep], start[:n][keep]
                 m, kernel = m[:, :n].compress(keep, 1), kernel[:, :n].compress(keep, 1)
                 reach = [reach[k] for k in np.flatnonzero(keep).tolist()]
                 n = len(reach)
-        if n:
-            j = min(i, width)
-            terms = kernel[:j, :n] * m[at - j:at, :n][::-1]
-            # sums over j = 1, 2, ... in order: numpy reduces a C-ordered batch
-            # across its rows in order, but a single row pairwise
-            sums = np.add.reduce(terms, axis=0) if n > 1 else np.add.accumulate(terms, axis=0)[-1]
-            level = np.multiply(sums, start[:n], out=m[at, :n])
-        if out is None:
-            yield level
-            continue
-        while every[total - 1] < i:    # every row whose level is at least i
-            total -= 1
-        if n:
-            out[live[:n]] = level
-        yield out[:total]
+        if not n:
+            return
+        j = min(i, width)
+        terms = kernel[:j, :n] * m[at - j:at, :n][::-1]
+        # sums over j = 1, 2, ... in order: numpy reduces a C-ordered batch
+        # across its rows in order, but a single row pairwise
+        sums = np.add.reduce(terms, axis=0) if n > 1 else np.add.accumulate(terms, axis=0)[-1]
+        level = np.multiply(sums, start[:n], out=m[at, :n])
+        yield (slice(0, n) if live is None else live[:n]), level
 
 
 def _tp_renewal_rows(mu: np.ndarray, order_up_to: int) -> np.ndarray:
@@ -685,21 +688,23 @@ def _lorden_terms(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     defect d (see ``_check_lorden``), from its masses g."""
     support = np.arange(g.shape[1], dtype=float)
     mean = g @ support
-    return mean, g @ (support * support) / mean, _mass_defect(g)
+    above = 1.0 - g[:, 0]
+    defect = np.abs(np.add.reduce(g[:, 1:], axis=1) - above) / above
+    return mean, g @ (support * support) / mean, defect
 
 
-def _lorden_row(g: np.ndarray) -> tuple[float, float, float]:
-    """``_lorden_terms`` of one load's masses g, as floats."""
+def _lorden_row(g: np.ndarray) -> tuple[float, float]:
+    """The mean and overshoot of ``_lorden_terms`` for one load's masses g, as floats."""
     support = np.arange(g.size, dtype=float)
     weighted = g * support
     mean = float(np.add.reduce(weighted))
-    return mean, float(weighted @ support) / mean, float(_mass_defect(g))
+    return mean, float(weighted @ support) / mean
 
 
-def _mass_defect(g: np.ndarray):
-    """The relative mass defect d (``_check_lorden``) of load masses g, per row."""
-    above = 1.0 - g[..., 0]
-    return abs(np.add.reduce(g[..., 1:], axis=-1) - above) / above
+def _mass_defect(g: np.ndarray) -> float:
+    """The relative mass defect d of one load's masses (``_check_lorden``)."""
+    above = 1.0 - float(g[0])
+    return abs(float(np.add.reduce(g[1:])) - above) / above
 
 
 def _tp_lorden_terms(mu):

@@ -563,21 +563,24 @@ def one_level_scan(rate, costs, q, periods, level):
 def level_rows(g, level):
     """m(0..Q) of each row of masses g by ``renewal._renewal_levels``, one
     row per load."""
-    m = np.empty((g.shape[0], level + 1))
-    for i, values in enumerate(renewal._renewal_levels(g, np.full(g.shape[0], level))):
-        m[:, i] = values
+    m, stops = np.empty((g.shape[0], level + 1)), {}
+    for i, (live, values) in enumerate(renewal._renewal_levels(g, np.full(g.shape[0], level),
+                                                               stops)):
+        m[live, i] = values
+    for r, (b, value) in stops.items():
+        m[r, b:] = value
     return m
 
 
 def test_period_costs_raise_at_the_lowest_level_failing_the_wald_check(monkeypatch):
     solve = renewal._renewal_levels
 
-    def corrupted(g, levels):
-        for i, m in enumerate(solve(g, levels)):
+    def corrupted(g, levels, stops):
+        for i, (live, m) in enumerate(solve(g, levels, stops)):
             if i >= 5:  # rows 3 on, from level 5 on
                 m = m.copy()
                 m[3:] *= 100.0
-            yield m
+            yield live, m
 
     monkeypatch.setattr(renewal, "_renewal_levels", corrupted)
     grid = scan_grid(20.0)
@@ -606,7 +609,8 @@ def test_scan_row_between_the_brackets_raises(monkeypatch):
     assert scale * cycles[first] > (first + g @ support**2 / mean) / mean * (1.0 + 1e-6)
     solve = renewal._renewal_levels
     monkeypatch.setattr(renewal, "_renewal_levels",
-                        lambda g, levels: (scale * m for m in solve(g, levels)))
+                        lambda g, levels, stops: ((live, scale * m)
+                                                  for live, m in solve(g, levels, stops)))
     with pytest.raises(ArithmeticError, match=f"Lorden bracket .* level {first}$"):
         _period_costs(1.0, REF_COSTS, q, [period], order_up_to)
 

@@ -874,6 +874,17 @@ def test_stopped_hybrid_tables_match_the_40_digit_recursion(mu, q, order_up_to):
     assert holding_sum(table) == pytest.approx(holding, rel=1e-13, abs=0.0)
 
 
+@pytest.mark.xfail(strict=True, reason="m(0) = 1/(1 - g(0)) is rounded, and the blocked solve "
+                   "carries that rounding into every level: E[K] is 1.0e-13 low")
+def test_a_near_lattice_table_stopped_at_2048_matches_the_40_digit_recursion():
+    # A known defect, in the domain of the test above: the near-lattice
+    # HP(2, 5.2508) stops at 2048 and drifts by ~u/E[X] a level until then
+    mu, q, order_up_to = 5.250798954463693, 2, 4266
+    table = metrics._policy_table(1.0, HybridPolicy(q, mu), order_up_to)
+    cycles, _ = exact_sums(exact_hp_masses(mu, q, order_up_to), order_up_to)
+    assert expected_k(table) == pytest.approx(cycles, rel=1e-13, abs=0.0)
+
+
 @given(mu=st.floats(math.log(1.0), math.log(6.0)).map(math.exp),
        order_up_to=st.integers(2 * BLOCK, MAX_ORDER_UP_TO))
 @example(mu=2.0, order_up_to=MAX_ORDER_UP_TO)
@@ -995,7 +1006,7 @@ def test_one_row_lorden_check_is_the_array_check():
     for width in (1, 2, 30, 400):
         g = rng.random(width + 1)
         g /= g.sum()
-        row = renewal._lorden_row(g)
+        row = (*renewal._lorden_row(g), renewal._mass_defect(g))
         np.testing.assert_allclose(row, [t[0] for t in renewal._lorden_terms(g[None])],
                                    rtol=1e-14, atol=1e-30)
         for order_up_to in (0, 300):
@@ -1125,42 +1136,50 @@ def padded(incs):
 def level_rows(g, levels):
     """m(0..levels[r]) of each row of masses g by ``_renewal_levels``, one
     row per load, NaN past its level."""
-    m = np.full((g.shape[0], max(levels, default=-1) + 1), np.nan)
-    for i, values in enumerate(_renewal_levels(g, np.asarray(levels))):
-        m[:values.size, i] = values
+    m, stops = np.full((g.shape[0], max(levels, default=-1) + 1), np.nan), {}
+    for i, (live, values) in enumerate(_renewal_levels(g, np.asarray(levels), stops)):
+        m[live, i] = values
+    for r, (b, value) in stops.items():
+        m[r, b:levels[r] + 1] = value
     return m
 
 
-def level_sums(g, levels):
-    """E[K] = M(Q) and the holding factor sum_{i<=Q} (Q - i) m(i) of each row
-    of ``level_rows``, each a running sum in level order, as
-    ``expected_k`` and ``holding_sum`` take them."""
-    sums = [(np.cumsum(row[:level + 1])[-1],
-             np.cumsum((level - np.arange(level + 1)) * row[:level + 1])[-1])
-            for row, level in zip(level_rows(g, levels), levels.tolist())]
-    return np.array(sums).T
+@st.composite
+def leveled_systems(draw, top):
+    """Rows of one family for ``metrics._row_tables`` at rate 1: time loads
+    (q None) or hybrid loads of caps q[r], means in 0.01..60, levels in
+    0..top that do not increase along the rows."""
+    n = draw(st.integers(1, 6))
+    q = None if draw(st.booleans()) else np.array(draw(st.lists(st.integers(1, 40), min_size=n,
+                                                                max_size=n)))
+    mu = np.array(draw(st.lists(st.floats(0.01, 60.0), min_size=n, max_size=n)))
+    levels = sorted(draw(st.lists(st.integers(0, top), min_size=n, max_size=n)), reverse=True)
+    return mu, q, np.array(levels)
 
 
-@given(rows=leveled_loads(2))
+def system_tables(mu, q, levels):
+    """The scalar path's table of each row of ``leveled_systems``."""
+    return [metrics._policy_table(1.0, TimePolicy(m) if q is None else HybridPolicy(int(q[r]), m),
+                                  int(levels[r])) for r, m in enumerate(mu.tolist())]
+
+
+@given(rows=leveled_systems(2))
 @settings(max_examples=60, deadline=None)
 def test_renewal_sums_keep_the_table_bits_up_to_level_two(rows):
-    g, levels, incs = rows
-    cycles, holding = level_sums(g, levels)
-    for inc, level, k, h in zip(incs, levels.tolist(), cycles.tolist(), holding.tolist()):
-        table = renewal_table(inc, level)
+    cycles, holding, checked = metrics._row_tables(*rows)
+    assert checked.all()
+    for table, k, h in zip(system_tables(*rows), cycles.tolist(), holding.tolist()):
         assert (k, h) == (expected_k(table), holding_sum(table))
 
 
-@given(rows=leveled_loads(300))
+@given(rows=leveled_systems(300))
 # levels past the window of BLOCK levels above the support end
-@example(rows=(np.array([[0.2, 0.5, 0.3], [0.6, 0.4, 0.0]]), np.array([300, 7]),
-               [IncrementDist([0.2, 0.5, 0.3]), IncrementDist([0.6, 0.4])]))
+@example(rows=(np.array([1.0, 0.7]), np.array([2, 1]), np.array([300, 7])))
 @settings(max_examples=40, deadline=None)
 def test_renewal_sums_match_the_table_to_level_300(rows):
-    g, levels, incs = rows
-    cycles, holding = level_sums(g, levels)
-    for inc, level, k, h in zip(incs, levels.tolist(), cycles.tolist(), holding.tolist()):
-        table = renewal_table(inc, level)
+    cycles, holding, checked = metrics._row_tables(*rows)
+    assert checked.all()
+    for table, k, h in zip(system_tables(*rows), cycles.tolist(), holding.tolist()):
         assert k == pytest.approx(expected_k(table), rel=1e-13, abs=0.0)
         assert h == pytest.approx(holding_sum(table), rel=1e-13, abs=1e-300)
 
