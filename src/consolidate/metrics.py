@@ -71,7 +71,7 @@ _CHUNK_CELLS = 1 << 19
 # (level, period) cells that one cost block of ``_period_costs`` holds at
 # most.  Each block keeps about ten temporaries of its size alive, so the
 # blocks are kept far smaller than the mass chunks.
-_COST_CELLS = 1 << 15
+_COST_CELLS = 1 << 14
 
 
 class MatchInfeasibleError(ValueError):
@@ -514,7 +514,7 @@ def _period_costs(demand_rate: float, costs: CostParams, q: int | None, periods,
             floors, ends = renewal._hp_window(mu, q, order_up_to)
         rows = max(1, _CHUNK_CELLS // (max(int(ends.max(initial=0)), order_up_to) + 1))
         shape = (order_up_to + 1, mu.size)
-        cycles, holding_sum = np.empty(shape), np.zeros(shape)
+        cycles = np.empty(shape)
         for part in (cut, np.flatnonzero(closed)):
             for start in range(0, part.size, rows):
                 chunk = part[start:start + rows]
@@ -530,18 +530,22 @@ def _period_costs(demand_rate: float, costs: CostParams, q: int | None, periods,
                     cycles[i, chunk[live]] = level
                 for r, (b, value) in stops.items():
                     cycles[b:, chunk[r]] = value
-        # E[K](Q) = M(Q) and the holding factor sum_{j<Q} M(j), both
-        # sequential sums, so no level depends on the top one.
+        # E[K](Q) = M(Q), a sequential sum, so no level depends on the top one.
         np.cumsum(cycles, axis=0, out=cycles)
-        np.cumsum(cycles[:-1], axis=0, out=holding_sum[1:])
 
         # The costs of blocks of levels, lowest first, at most _COST_CELLS
         # each; the lowest failing level raises, its Lorden violation first.
+        # The holding factor sum_{j<Q} M(j) is the same sequential sum, taken
+        # per block from the one the block below carries up in row 0.
         cost = np.empty(shape)
         block = max(1, _COST_CELLS // mu.size)
+        holding_sum = np.zeros((min(block, order_up_to + 1), mu.size))
         for lo in range(0, order_up_to + 1, block):
             at = slice(lo, lo + block)
-            rep = _renewal_record(cyc, cycles[at], holding_sum[at])
+            held = holding_sum[:len(cycles[at])]
+            held[1:] = cycles[lo:lo + len(held) - 1]
+            np.cumsum(held, axis=0, out=held)
+            rep = _renewal_record(cyc, cycles[at], held)
             cost[at] = sum(_components(rate, costs, cyc, rep, _service(cyc, rep),
                                        "linear").values())
             failing = ~np.isfinite(cost[at]).all(axis=1)
@@ -550,6 +554,7 @@ def _period_costs(demand_rate: float, costs: CostParams, q: int | None, periods,
                                   cycles[lo:stop])
             if failing.any():
                 raise OverflowError("average cost is not finite")
+            holding_sum[0] = held[-1] + cycles[lo + len(held) - 1]
     return cost
 
 

@@ -12,9 +12,11 @@ memoryless across dispatch epochs).  ``_generate`` draws each cycle's length
 and load, then its orders' epochs as uniforms on the cycle (Poisson order
 statistics): its cost grows with the load, not with q.  ``_split`` cuts the
 stream where the running load first exceeds its value at the previous cut
-plus the order-up-to level, one ``searchsorted`` giving the next cut from
-every cycle.  Each batch draws from its own seeded stream, so reports are
-bit-identical for a given seed regardless of how work is scheduled.
+plus the order-up-to level, one integer table of the running load giving the
+next cut from every cycle.  A run draws loads, lengths and order epochs from
+three seeded generators, each consumed in cycle order, and a batch starts
+with the cycles the previous one left: every row sums its own draws, so a
+report does not depend on the sizes of the generated blocks.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import HybridPolicy, QuantityPolicy, SystemConfig
+from .metrics import HybridPolicy, QuantityPolicy, SystemConfig, TimePolicy
 
 TRACE_HEADER = "cycle_index,length,k_cycles,cost,sum_delay,sum_sq_delay,inventory_integral"
 
@@ -139,50 +141,51 @@ def per_order_delays(arrival_times, dispatch_time: float) -> tuple[float, float]
     return linear, squared
 
 
-def _generate(rng, system: SystemConfig, count: int):
-    """Draw ``count`` consolidation cycles: (length, load), then the orders
-    as uniforms on [0, length], save one at the epoch if it set off the dispatch.
+def _generate(rngs, system: SystemConfig, count: int):
+    """Draw the next ``count`` consolidation cycles from the generators
+    ``rngs`` of loads, lengths and order epochs: (length, load), then the
+    orders as uniforms on [0, length], save one at the epoch if it set off the
+    dispatch.
 
     * time policy: load ~ Poisson(rate T), length T;
     * quantity policy: length ~ Gamma(q, 1/rate), load q;
     * hybrid policy: N ~ Poisson(rate T); a cycle with N < q is
       time-triggered, otherwise length = T Beta(q, N - q + 1) and load q.
 
-    Returns (length, load, delay sum, squared-delay sum) arrays and the first
-    cycle's (arrival epochs, dispatch epoch) for the per-order audit.
+    A cycle's draws and sums do not depend on how cycles are grouped into
+    calls.  Returns (length, load, delay sum, squared-delay sum) arrays and
+    the first cycle's (arrival epochs, dispatch epoch) for the per-order audit.
     """
+    load_rng, length_rng, epoch_rng = rngs
     policy = system.policy
     rate = system.demand_rate
     if isinstance(policy, QuantityPolicy):
-        length = rng.gamma(policy.q, 1.0 / rate, size=count)
+        length = length_rng.gamma(policy.q, 1.0 / rate, size=count)
         loads = np.full(count, policy.q, dtype=np.int64)
         by_count = np.ones(count, dtype=bool)
     else:
-        loads = rng.poisson(rate * policy.period, size=count).astype(np.int64)
+        loads = load_rng.poisson(rate * policy.period, size=count)
         length = np.full(count, policy.period)
         by_count = np.zeros(count, dtype=bool)
         if isinstance(policy, HybridPolicy):
             np.greater_equal(loads, policy.q, out=by_count)
-            length[by_count] = policy.period * rng.beta(policy.q, loads[by_count] - policy.q + 1)
+            length[by_count] = policy.period * length_rng.beta(policy.q,
+                                                               loads[by_count] - policy.q + 1)
             loads[by_count] = policy.q
     spread = loads - by_count
-    ends = np.cumsum(spread)
-    starts = ends - spread
-    # w[0] = 0 pads the running sums, so a cycle's sum is w[end] - w[start].
-    w = np.zeros(int(ends[-1]) + 1)
-    span = np.repeat(length, spread)
-    arrivals = w[1:]
-    rng.random(out=arrivals)
-    arrivals *= span
-    first = arrivals[:spread[0]]
+    span = policy.period if isinstance(policy, TimePolicy) else np.repeat(length, spread)
+    waits = epoch_rng.random(int(spread.sum()))
+    waits *= span
+    first = waits[:spread[0]]
     audit = (np.append(first, length[0]) if by_count[0] else first.copy(), float(length[0]))
-    np.subtract(span, arrivals, out=arrivals)
-    np.multiply(arrivals, arrivals, out=span)
-    np.cumsum(w, out=w)
-    delay = w[ends] - w[starts]
-    w[1:] = span
-    np.cumsum(w, out=w)
-    sq_delay = w[ends] - w[starts]
+    np.subtract(span, waits, out=waits)
+    # Sums over each cycle's own orders: reduceat over the cycles that have any.
+    delay, sq_delay = np.zeros(count), np.zeros(count)
+    some = spread > 0
+    starts = (np.cumsum(spread) - spread)[some]
+    delay[some] = np.add.reduceat(waits, starts)
+    waits *= waits
+    sq_delay[some] = np.add.reduceat(waits, starts)
     return length, loads, delay, sq_delay, audit
 
 
@@ -193,73 +196,68 @@ def _mean_load(system: SystemConfig) -> float:
                system.demand_rate * getattr(policy, "period", math.inf))
 
 
-def _split(length, loads, delay, sq_delay, order_up_to: float, need: int):
+def _split(length, loads, delay, sq_delay, order_up_to: int, need: int):
     """Rows (length, k, load, delay, sq_delay, holding) of at most ``need``
     replenishment cycles cut from a consolidation-cycle stream, and the index
     of the first consolidation cycle they leave unconsumed.
+
+    A cycle ends at the first consolidation cycle whose load exceeds what was
+    on hand; each row sums its own consolidation cycles.
     """
-    cum_load = np.cumsum(loads, dtype=np.float64)
-    nxt = cum_load.searchsorted(cum_load + order_up_to, side="right").tolist()
-    n = len(nxt)
-    ends = []
-    j = int(cum_load.searchsorted(order_up_to, side="right"))
-    while j < n and len(ends) < need:
-        ends.append(j)
-        j = nxt[j]
-    # Running sums padded with a leading 0, read one past each cycle's end
-    # (hi) and one past the previous cycle's end (lo).
-    hi = np.array(ends, dtype=np.intp) + 1
-    lo = np.concatenate(([0], hi))[:-1]
-    pad_load = np.concatenate(([0.0], cum_load))
-    pad_len, pad_d, pad_s, pad_lw = (
-        np.concatenate(([0.0], np.cumsum(x)))
-        for x in (length, delay, sq_delay, length * pad_load[:-1])
-    )
-
-    def seg(pad):
-        return pad[hi] - pad[lo]
-
-    seg_len = seg(pad_len)
-    holding = order_up_to * seg_len - (seg(pad_lw) - pad_load[lo] * seg_len)
-    rows = np.column_stack((seg_len, hi - lo, seg(pad_load), seg(pad_d), seg(pad_s), holding))
-    return rows, int(hi[-1]) if ends else 0
+    n = len(loads)
+    cum = np.cumsum(loads)
+    total = int(cum[-1]) if n else 0
+    # at[v]: the first cycle whose running load exceeds v (n past the end).
+    at = np.repeat(np.arange(n + 1), np.append(loads, 1))
+    q = min(order_up_to, total)
+    # The walk from each cut to the next; n, past the end, leads to itself.
+    nxt = memoryview(at[np.minimum(np.append(cum, total) + q, total)])
+    j = int(at[q])
+    ends = np.array([j] + [j := nxt[j] for _ in range(min(need, n) - 1)], dtype=np.intp)
+    hi = ends[:np.searchsorted(ends, n)] + 1
+    k = np.diff(hi, prepend=0)
+    lo, used = hi - k, hi.max(initial=0)
+    before = cum[:used] - loads[:used]
+    on_hand = float(order_up_to) - (before - np.repeat(before[lo], k))
+    seg_len, seg_d, seg_s, holding = (np.add.reduceat(x[:used], lo) for x in (
+        length, delay, sq_delay, on_hand * length[:used]))
+    rows = np.column_stack((seg_len, k, cum[hi - 1] - before[lo], seg_d, seg_s, holding))
+    return rows, int(used)
 
 
-def _simulate_batch(rng, system: SystemConfig, n_batch: int, cons_per_cycle: float):
-    """Simulate one batch of replenishment cycles.
+def _simulate_batch(rngs, system: SystemConfig, n_batch: int, cons_per_cycle: float,
+                    stream=None):
+    """Cut one batch of replenishment cycles from the run's streams, starting
+    with the consolidation cycles ``stream`` that the previous batch left.
 
-    Returns per-cycle arrays (length, k, load, delay, sq_delay, holding) and
-    the observed consolidation-cycles-per-replenishment-cycle ratio for block
-    sizing of subsequent batches.
+    Returns per-cycle arrays (length, k, load, delay, sq_delay, holding), the
+    observed consolidation-cycles-per-replenishment-cycle ratio for block
+    sizing of subsequent batches, and the unconsumed tail of the stream.
     """
-    order_up_to = float(system.order_up_to)
     cap = max(1, int(_GEN_CAP / max(_mean_load(system), 1.0)))
-    stream = (np.empty(0), np.empty(0, dtype=np.int64), np.empty(0), np.empty(0))
+    stream = stream or (np.empty(0), np.empty(0, dtype=np.int64), np.empty(0), np.empty(0))
     parts = []
-    emitted = 0
-    grow = 0
+    emitted, grow = 0, 1
     while emitted < n_batch:
-        # The first block is sized from the hint, padded by 64 cycles or, when
-        # the cap is below 512 cycles (mean load above 1024), by an eighth of
-        # it: a fixed pad would make a small batch draw a whole capped block.
-        # A stream that runs out mid-cycle keeps its tail and is extended by a
-        # block of at least 4096 cycles (within the cap), doubling each time,
-        # then rescanned.
-        want = max(int((n_batch - emitted) * cons_per_cycle * 1.2) + min(64, cap // 8), grow)
-        grow = max(2 * grow, 4096)
-        length, loads, delay, sq_delay, audit = _generate(rng, system, min(want, cap))
-        lin, sq = per_order_delays(audit[0], audit[1])
-        if (abs(lin - delay[0]) > 1e-9 * max(1.0, lin)
-                or abs(sq - sq_delay[0]) > 1e-9 * max(1.0, sq)):
+        # A block covers the estimated need past the tail, padded by 16
+        # cycles or, within a small cap, an eighth of it: a fixed pad would
+        # make a small batch draw a whole capped block.  A stream that runs
+        # out mid-batch is extended and rescanned, each extension at least
+        # twice the floor of the one before.
+        want = int(((n_batch - emitted) * cons_per_cycle - len(stream[0])) * 1.02)
+        block = _generate(rngs, system, min(max(want + min(16, cap // 8), grow), cap))
+        grow *= 2
+        lin, sq = per_order_delays(*block[4])
+        if (abs(lin - block[2][0]) > 1e-9 * max(1.0, lin)
+                or abs(sq - block[3][0]) > 1e-9 * max(1.0, sq)):
             raise AssertionError("vectorized cycle delays disagree with per-order recomputation")
-        stream = [np.concatenate(pair) for pair in zip(stream, (length, loads, delay, sq_delay))]
-        rows, start = _split(*stream, order_up_to, n_batch - emitted)
+        stream = [np.concatenate(pair) for pair in zip(stream, block[:4])]
+        rows, start = _split(*stream, system.order_up_to, n_batch - emitted)
         parts.append(rows)
         emitted += len(rows)
         stream = [col[start:] for col in stream]
     out = np.concatenate(parts)
-    observed = float(out[:, 1].sum()) / n_batch
-    return out, observed
+    return out, float(out[:, 1].sum()) / n_batch, stream
 
 
 def _batch_cost(system: SystemConfig, delay_mode: str, rows: np.ndarray) -> np.ndarray:
@@ -285,7 +283,7 @@ def simulate(cfg: SimConfig, trace=None) -> SimReport:
     """
     system = cfg.system
     n_batches = cfg.n_batches
-    streams = [np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(n_batches)]
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(3)]
 
     close_trace = False
     trace_file = None
@@ -300,9 +298,11 @@ def simulate(cfg: SimConfig, trace=None) -> SimReport:
     totals = np.zeros((n_batches, 7))  # length, k, load, delay, sq, hold, cost
     cons_per_cycle = system.order_up_to / max(_mean_load(system), 0.25) + 1.5
     cycle_index = 0
+    stream = None
     try:
-        for b, rng in enumerate(streams):
-            rows, observed = _simulate_batch(rng, system, cfg.batch_size, cons_per_cycle)
+        for b in range(n_batches):
+            rows, observed, stream = _simulate_batch(rngs, system, cfg.batch_size,
+                                                     cons_per_cycle, stream)
             cons_per_cycle = max(observed, 1.0)
             # Overflow is detected from the totals, not from numpy's warnings.
             with np.errstate(over="ignore", invalid="ignore"):

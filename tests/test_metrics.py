@@ -572,6 +572,32 @@ def level_rows(g, level):
     return m
 
 
+@pytest.mark.parametrize("q", [None, 2])
+def test_period_costs_keep_their_bits_in_any_cost_blocks(q, monkeypatch):
+    # The holding factor is a cumsum per cost block carried from the block
+    # below; one block over all levels is the full cumsum of the levels.
+    grid = scan_grid(20.0)
+    got = _period_costs(1.0, REF_COSTS, q, grid, 2000)
+    for cells in (1 << 40, len(grid), 3 * len(grid) + 1):
+        monkeypatch.setattr(metrics, "_COST_CELLS", cells)
+        assert np.array_equal(_period_costs(1.0, REF_COSTS, q, grid, 2000), got)
+
+
+@pytest.mark.parametrize("q", [None, 2])
+def test_period_costs_memory_at_level_2000(q):
+    # The E[K] and cost tables, 3.05 MiB each, and one cost block's
+    # temporaries; no level-major holding table.
+    grid = scan_grid(20.0)
+    _period_costs(1.0, REF_COSTS, q, grid, 2000)  # binds the lazy imports
+    tracemalloc.start()
+    try:
+        _period_costs(1.0, REF_COSTS, q, grid, 2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
+
+
 def test_period_costs_raise_at_the_lowest_level_failing_the_wald_check(monkeypatch):
     solve = renewal._renewal_levels
 

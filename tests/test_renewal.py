@@ -862,8 +862,10 @@ def stopped_and_drifting(inc, order_up_to):
 @settings(max_examples=12, deadline=None)
 def test_stopped_hybrid_tables_match_the_40_digit_recursion(mu, q, order_up_to):
     # The levels below the stop carry the drift of the masses' defect d, about
-    # b d / E[X] at the stop level b; here d <= ~3e-16.  Where d b / E[X] is
-    # larger (q = 1 at small mu, whose only jump has a rounded weight, or
+    # b d / E[X] at the stop level b; here d <= ~1.1e-15 (1 - g(0)), as the
+    # cap's mass comes from the Poisson tail apart from the head masses
+    # (test_hybrid_masses_sum_to_one_within_their_tail_rounding).  Where
+    # d b / E[X] is larger (q = 1 at small mu, whose only jump has a rounded weight, or
     # mu ~ 10 with a late stop) a stopped table errs by up to ~1.3e-13, where
     # the full solve errs by 1.9e-13 to 1.2e-12.
     table = metrics._policy_table(1.0, HybridPolicy(q, mu), order_up_to)
@@ -872,6 +874,18 @@ def test_stopped_hybrid_tables_match_the_40_digit_recursion(mu, q, order_up_to):
     cycles, holding = exact_sums(exact_hp_masses(mu, q, order_up_to), order_up_to)
     assert expected_k(table) == pytest.approx(cycles, rel=1e-13, abs=0.0)
     assert holding_sum(table) == pytest.approx(holding, rel=1e-13, abs=0.0)
+
+
+def test_hybrid_masses_sum_to_one_within_their_tail_rounding():
+    # The exact sum of the float masses misses 1 by the rounding of the cap's
+    # tail mass against the head's: up to ~1.1e-15 of 1 - g(0) over 3 000
+    # random loads of the same range.
+    rng = np.random.default_rng(2027)
+    for _ in range(200):
+        mu, q = float(rng.uniform(1.0, 6.0)), int(rng.integers(2, 301))
+        masses = build_increment_hp(1.0, q, mu).masses.tolist()
+        defect = abs(sum(map(Fraction, masses)) - 1)
+        assert defect <= Fraction(2e-15) * (1 - Fraction(masses[0])), (mu, q)
 
 
 @pytest.mark.xfail(strict=True, reason="m(0) = 1/(1 - g(0)) is rounded, and the blocked solve "

@@ -39,6 +39,11 @@ from consolidate.sim import (
 REF_COSTS = CostParams(replenish_fixed=25.0, holding=0.4, dispatch_fixed=15.0, wait_linear=0.8)
 
 
+def streams(seed):
+    """The three generators (loads, lengths, order epochs) of a run."""
+    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(3)]
+
+
 # ---------------------------------------------------------------------------
 # per-order delays
 
@@ -101,42 +106,38 @@ def reference_partition(length, loads, delay, sq_delay, order_up_to, n_cycles):
     raise RuntimeError("stream too short")
 
 
+def own_sum(x):
+    """A cycle's sum over its own elements, in ``np.add.reduceat``'s order."""
+    return np.add.reduceat(x, [0])[0]
+
+
 def loop_split(length, loads, delay, sq_delay, order_up_to, need):
     """The per-replenishment-cycle loop ``_split`` replaced: one
-    ``searchsorted`` and one row assembly per cycle, same float expressions."""
-    order_up_to = float(order_up_to)
+    ``searchsorted`` per cycle, and each row summed over its own
+    consolidation cycles."""
     n = len(length)
     out = np.empty((need, 6))
     emitted = 0
     cum_load = np.cumsum(loads, dtype=np.float64)
-    load_before = np.concatenate(([0.0], cum_load[:-1]))
-    cum_len = np.cumsum(length)
-    cum_d = np.cumsum(delay)
-    cum_s = np.cumsum(sq_delay)
-    cum_lw = np.cumsum(length * load_before)
     start = 0
-    base_load = base_len = base_d = base_s = base_lw = 0.0
+    base_load = 0.0
     while emitted < need:
         j = int(cum_load.searchsorted(base_load + order_up_to, side="right"))
         if j >= n:
             break
-        seg_len = cum_len[j] - base_len
-        holding = order_up_to * seg_len - (cum_lw[j] - base_lw - base_load * seg_len)
+        own = slice(start, j + 1)
+        on_hand = order_up_to - (cum_load[own] - loads[own] - base_load)
         out[emitted] = (
-            seg_len,
+            own_sum(length[own]),
             j - start + 1,
             cum_load[j] - base_load,
-            cum_d[j] - base_d,
-            cum_s[j] - base_s,
-            holding,
+            own_sum(delay[own]),
+            own_sum(sq_delay[own]),
+            own_sum(on_hand * length[own]),
         )
         emitted += 1
         start = j + 1
         base_load = cum_load[j]
-        base_len = cum_len[j]
-        base_d = cum_d[j]
-        base_s = cum_s[j]
-        base_lw = cum_lw[j]
     return out[:emitted], start
 
 
@@ -194,11 +195,11 @@ def test_partition_matches_reference(system):
     n_cycles = 300
     seed = 20240
     cons_per_cycle = 4000 / (n_cycles * 1.2)
-    # same block size the implementation will request, so the streams align
+    # one block as long as the batch's first request; the stream does not
+    # depend on how it is cut into blocks
     want = int(n_cycles * cons_per_cycle * 1.2) + 64
-    rows, _ = _simulate_batch(np.random.default_rng(seed), system, n_cycles,
-                              cons_per_cycle)
-    stream = _generate(np.random.default_rng(seed), system, want)
+    rows = _simulate_batch(streams(seed), system, n_cycles, cons_per_cycle)[0]
+    stream = _generate(streams(seed), system, want)
     ref = reference_partition(stream[0], stream[1], stream[2], stream[3],
                               system.order_up_to, n_cycles)
     assert rows.shape == ref.shape
@@ -225,7 +226,7 @@ GEN_SYSTEMS = [
 @pytest.mark.parametrize("system", GEN_SYSTEMS, ids=lambda s: s.policy.label())
 def test_generated_loads_follow_increment_masses(system):
     n = 200_000
-    loads = _generate(np.random.default_rng(8), system, n)[1]
+    loads = _generate(streams(8), system, n)[1]
     policy = system.policy
     if isinstance(policy, QuantityPolicy):
         assert np.all(loads == policy.q)
@@ -247,7 +248,7 @@ def test_generated_loads_follow_increment_masses(system):
 @pytest.mark.parametrize("system", GEN_SYSTEMS, ids=lambda s: s.policy.label())
 def test_generated_cycle_means_match_cycle_metrics(system):
     n = 200_000
-    length, loads, delay, sq_delay, _ = _generate(np.random.default_rng(9), system, n)
+    length, loads, delay, sq_delay, _ = _generate(streams(9), system, n)
     exact = cycle_metrics(system.demand_rate, system.policy)
     for sample, truth in ((length, exact.length), (loads, exact.orders),
                           (delay, exact.delay), (sq_delay, exact.sq_delay)):
@@ -256,20 +257,78 @@ def test_generated_cycle_means_match_cycle_metrics(system):
 
 
 def test_time_policy_report_is_unchanged():
-    # Stored from the per-cycle-loop simulator that this one replaced: the
-    # time-policy stream draws the same numbers and sums them the same way.
+    # Stored when each run took three seeded streams (loads, lengths, order
+    # epochs) cut batch after batch.  A report does not depend on block
+    # sizing (test_reports_do_not_depend_on_block_sizing), so it moves only
+    # with the draws or with the sums taken over them.
     system = SystemConfig(2.0, TimePolicy(1.5), 8, REF_COSTS)
     report = simulate(SimConfig(system, 2000, seed=4))
     assert {k: (v["mean"], v["se"]) for k, v in report.to_dict().items()} == {
-        "avg_cost": (17.72380413044671, 0.048496394015859215),
-        "aod": (0.7479713352506163, 0.003137916759616971),
-        "aosd": (0.7472773270718017, 0.004712838089621724),
-        "air": (4.65035849852383, 0.01824912895898212),
+        "avg_cost": (17.7622560957944, 0.03828298537570461),
+        "aod": (0.7538638747926286, 0.003249855027075089),
+        "aosd": (0.7557600147277982, 0.004957770190536095),
+        "air": (4.632182281347297, 0.019432503677293465),
         "cycle_length": (1.5, 0.0),
-        "replenish_length": (5.33475, 0.03985278306695553),
-        "cycles_per_replenish": (3.5565, 0.026568522044637027),
-        "orders_per_cycle": (2.9514972585407, 0.02349194918455509),
+        "replenish_length": (5.2995, 0.032161170828981164),
+        "cycles_per_replenish": (3.533, 0.021440780552654113),
+        "orders_per_cycle": (2.964619303707897, 0.019319832953147178),
     }
+
+
+INVARIANCE_SYSTEMS = [
+    SystemConfig.quantity(1.0, 5, 3, REF_COSTS),
+    SystemConfig(1.0, TimePolicy(5.0), 14, REF_COSTS),
+    SystemConfig(1.0, HybridPolicy(6, 5.9199), 14, REF_COSTS),
+    SystemConfig(1.0, HybridPolicy(200, 5.0), 100, REF_COSTS),
+]
+
+
+@pytest.mark.parametrize("system", INVARIANCE_SYSTEMS, ids=lambda s: s.policy.label())
+def test_reports_do_not_depend_on_block_sizing(system, monkeypatch):
+    # Each stream is consumed in cycle order and each row sums its own
+    # draws, so the cap and the sizing rule move no bit of the report: here
+    # blocks of a third or twice and a bit of what the batch asks for, under
+    # caps down to tens of cycles.
+    import consolidate.sim as sim_mod
+    cfg = SimConfig(system, 4000, seed=12, batch_size=400)
+    base = simulate(cfg)
+    for scale in (lambda c: c // 3 + 1, lambda c: 2 * c + 7):
+        monkeypatch.setattr(sim_mod, "_generate",
+                            lambda rngs, system, count: _generate(rngs, system, scale(count)))
+        assert simulate(cfg) == base
+    monkeypatch.setattr(sim_mod, "_generate", _generate)
+    for cap in (2**12, 300):
+        monkeypatch.setattr(sim_mod, "_GEN_CAP", cap)
+        assert simulate(cfg) == base
+
+
+@pytest.mark.parametrize("system", INVARIANCE_SYSTEMS, ids=lambda s: s.policy.label())
+def test_means_do_not_depend_on_batch_size(system):
+    # The rows are the same stream at any batch size; only the order of the
+    # grand sums changes.
+    small = simulate(SimConfig(system, 4000, seed=6, batch_size=100))
+    large = simulate(SimConfig(system, 4000, seed=6, batch_size=400))
+    for name in ("avg_cost", "aod", "air"):
+        assert getattr(small, name).mean == pytest.approx(getattr(large, name).mean,
+                                                          rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("system", INVARIANCE_SYSTEMS[:3], ids=lambda s: s.policy.label())
+def test_runs_consume_almost_every_generated_cycle(system, monkeypatch):
+    # A batch starts with the cycles the previous one left, so only the run's
+    # last block is drawn past its need.  Cutting a fresh stream per batch
+    # consumed 79 % of the cycles on these systems.
+    import consolidate.sim as sim_mod
+    drawn = []
+
+    def counting(rngs, system, count):
+        drawn.append(count)
+        return _generate(rngs, system, count)
+
+    monkeypatch.setattr(sim_mod, "_generate", counting)
+    report = simulate(SimConfig(system, 8000, seed=3, batch_size=2000))
+    consumed = report.cycles_per_replenish.mean * 8000
+    assert consumed >= 0.95 * sum(drawn)
 
 
 @pytest.mark.parametrize("system, n_cycles, batch_size", [
@@ -321,9 +380,9 @@ def test_partition_survives_buffer_regrowth(monkeypatch):
     system = SystemConfig(1.0, HybridPolicy(3, 2.0), 8)
     n_cycles = 100
     seed = 777
-    rows, _ = _simulate_batch(np.random.default_rng(seed), system, n_cycles, 5.0)
-    ref_rng = np.random.default_rng(seed)
-    blocks = [_generate(ref_rng, system, 50)[:4] for _ in range(30)]
+    rows = _simulate_batch(streams(seed), system, n_cycles, 5.0)[0]
+    ref_rngs = streams(seed)
+    blocks = [_generate(ref_rngs, system, 50)[:4] for _ in range(30)]
     stream = [np.concatenate([b[i] for b in blocks]) for i in range(4)]
     ref = reference_partition(stream[0], stream[1], stream[2], stream[3],
                               system.order_up_to, n_cycles)
