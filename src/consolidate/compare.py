@@ -406,6 +406,10 @@ class SearchBounds:
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))
+        period_max = self.period_max
+        if (isinstance(period_max, bool) or not isinstance(period_max, numbers.Real)
+                or not math.isfinite(period_max)):
+            raise ValueError(f"period_max must be a finite real number, got {period_max!r}")
         if self.q_max < 1 or self.order_up_to_max < 0 or not self.period_max > 0.0:
             raise ValueError("bounds must satisfy q_max >= 1, order_up_to_max >= 0, period_max > 0")
         if self.order_up_to_max > MAX_ORDER_UP_TO:

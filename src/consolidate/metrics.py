@@ -18,10 +18,9 @@ e_n = rate * e_lc):
 where AIR is average on-hand inventory per time unit and AOD the average
 delay per order.  Exact mode computes e_k and the holding factor from the
 renewal table of the load distribution: the recursion on the load's masses
-for hybrid loads and narrow time-policy loads, the closed form of
-``renewal._tp_renewal_rows`` for time-policy loads of mean rate*T at least
-``renewal.TP_CLOSED_FORM_MU``.  A hybrid load min(X, q) enters its table on
-the window min(max(X, a), c) of ``renewal._hp_window``, with the cap
+for hybrid loads and narrow time-policy loads, a closed form for time-policy
+loads of mean rate*T at least ``renewal.TP_CLOSED_FORM_MU``.  A hybrid load
+min(X, q) enters its table on the window min(max(X, a), c), with the cap
 c = min(q, Q + 1, floor(mu + r)) and, from mu ~ 122.8 on, the floor
 a = ceil(mu - r): each costs at most a Poisson tail of 1e-20, and together
 they bound the table's memory by O(Q) and its work by O(Q (c - a)) for any
@@ -33,15 +32,15 @@ target (``match_consolidation_cycle``): Newton's method on the closed form,
 with bisection as its fallback.
 
 Each of these expressions is written once, in a function that takes floats or
-arrays alike: the time and hybrid cycle forms (``_cycle_forms``), the exact
-replenishment record (``_renewal_record``), the per-order ratios and AIR
-(``_per_order``, ``_service``) and the four cost components (``_components``).
-The optimizer's period scan ``_period_costs`` calls them on arrays of
-(level, period) pairs; it owns only the mass rows, their levels
-(``renewal._renewal_levels``) or closed form (by the same load-mean
-threshold as the scalar path), the per-level reductions and its certificate.
-Its golden steps ``_row_costs`` price rows of independent systems, each at
-its own level, with the float path's cycle forms row by row (``_cycle_rows``).
+arrays alike: the exact replenishment record (``_renewal_record``), the
+per-order ratios and AIR (``_per_order``, ``_service``) and the four cost
+components (``_components``); the cycle forms have a float route
+(``_cycle_forms``) and an array route with its bits (``_cycle_rows``).  Every
+renewal route is chosen in ``renewal``: a system's table comes from
+``renewal.load_table``, the optimizer's period scan ``_period_costs`` takes
+its levels from ``renewal._level_table``, and its golden steps ``_row_costs``
+their sums from ``renewal._row_sums``.  Those two own the cycle forms, the
+per-level reductions, the costs and the order in which errors are raised.
 """
 
 from __future__ import annotations
@@ -65,12 +64,9 @@ MATCH_NEWTON_ITER = 40
 # A Newton match within MATCH_MEAN_TOL stops at a step of at most this many ulps.
 MATCH_POLISH_ULPS = 4
 
-# Mass cells (rows x support) that one chunk of ``_period_costs`` holds at
-# most, which bounds its memory when rate * period is large.
-_CHUNK_CELLS = 1 << 19
 # (level, period) cells that one cost block of ``_period_costs`` holds at
 # most.  Each block keeps about ten temporaries of its size alive, so the
-# blocks are kept far smaller than the mass chunks.
+# blocks are kept far smaller than the mass chunks of ``renewal._mass_rows``.
 _COST_CELLS = 1 << 14
 
 
@@ -279,9 +275,9 @@ def cycle_metrics(demand_rate: float, policy: Policy) -> CycleMetrics:
     raise TypeError(f"unknown policy type: {policy!r}")
 
 
-def _cycle_forms(rate: float, q: int | None, period) -> CycleMetrics:
-    """Time (q None) or hybrid cycle closed forms at a float period, or
-    elementwise at an array of periods with the same expressions."""
+def _cycle_forms(rate: float, q: int | None, period: float) -> CycleMetrics:
+    """Time (q None) or hybrid cycle closed forms at a float period; arrays of
+    periods take ``_cycle_rows``."""
     if q is None:
         return CycleMetrics(
             length=period,
@@ -290,21 +286,16 @@ def _cycle_forms(rate: float, q: int | None, period) -> CycleMetrics:
             sq_delay=rate * period**3 / 3.0,
         )
     mu = rate * period
-    if isinstance(mu, np.ndarray):
-        orders = _factorial_moment(mu, q, 1)
-        pairs = _factorial_moment(mu, q, 2)
-        triples = _factorial_moment(mu, q + 1, 3)
+    # ``_factorial_moment``'s expressions on four tails, not six:
+    # P(X >= q+1) serves k = 1 and 2, P(X <= q-2) k = 2 and (q+1, 3).
+    above = poisson_tail(mu, q + 1)
+    orders = mu * poisson_cdf(mu, q - 1) + q * above
+    if q < 2:
+        pairs = triples = 0.0 * mu
     else:
-        # ``_factorial_moment``'s float expressions on four tails, not six:
-        # P(X >= q+1) serves k = 1 and 2, P(X <= q-2) k = 2 and (q+1, 3).
-        above = poisson_tail(mu, q + 1)
-        orders = mu * poisson_cdf(mu, q - 1) + q * above
-        if q < 2:
-            pairs = triples = 0.0 * mu
-        else:
-            below = poisson_cdf(mu, q - 2)
-            pairs = mu**2 * below + q * (q - 1) * above
-            triples = mu**3 * below + (q + 1) * q * (q - 1) * poisson_tail(mu, q + 2)
+        below = poisson_cdf(mu, q - 2)
+        pairs = mu**2 * below + q * (q - 1) * above
+        triples = mu**3 * below + (q + 1) * q * (q - 1) * poisson_tail(mu, q + 2)
     return CycleMetrics(
         length=orders / rate,
         orders=orders,
@@ -318,8 +309,9 @@ def _cycle_rows(rate: float, q, period: np.ndarray) -> CycleMetrics:
     time forms when q is None, else the hybrid forms of cap q[r] at row r.
 
     These are the float path's expressions with its powers (``_float_powers``)
-    and tails.  At q = 1, P(X <= q-2) is 0, as are the falling factorials, so
-    that row's pairs and triples are the float path's k > q zeros.
+    and tails.  At q = 1, P(X <= q-2) is 0, as are the falling factorials,
+    and that row's powers are taken as 0, so its pairs and triples are the
+    float path's k > q zeros even where a power overflows.
     """
     if q is None:
         return CycleMetrics(length=period, orders=rate * period,
@@ -333,36 +325,40 @@ def _cycle_rows(rate: float, q, period: np.ndarray) -> CycleMetrics:
     caps = q.tolist()    # the falling factorials as the float path's integers
     pairs = np.fromiter((c * (c - 1) for c in caps), float, len(caps))
     triples = np.fromiter(((c + 1) * c * (c - 1) for c in caps), float, len(caps))
+    square, cube = _float_powers(mu, 2), _float_powers(mu, 3)
+    if min(caps, default=2) < 2:
+        square[q < 2] = cube[q < 2] = 0.0
     return CycleMetrics(
         length=orders / rate,
         orders=orders,
-        delay=(_float_powers(mu, 2) * below + pairs * above) / (2.0 * rate),
-        sq_delay=(_float_powers(mu, 3) * below
-                  + triples * _poisson_tails(mu, cap + 2.0)) / (3.0 * rate**2),
+        delay=(square * below + pairs * above) / (2.0 * rate),
+        sq_delay=(cube * below + triples * _poisson_tails(mu, cap + 2.0)) / (3.0 * rate**2),
     )
 
 
 def _float_powers(x: np.ndarray, k: int) -> np.ndarray:
     """x**k, k <= 3, per element of x >= 0 by Python's float power: the float
     paths' libm ``pow``, which numpy's SIMD power does not match in the last
-    bit.  inf from x = 1e100 on, where the float path's cube may raise
+    bit.  inf where that power overflows, and the float path raises
     OverflowError."""
-    return np.fromiter((v**k if v < 1e100 else math.inf for v in x.tolist()), float, x.size)
+    return np.fromiter((v**k if v < 1e100 else _power_or_inf(v, k) for v in x.tolist()),
+                       float, x.size)
 
 
-@lru_cache(maxsize=512)
+def _power_or_inf(x: float, k: int) -> float:
+    try:
+        return x**k
+    except OverflowError:
+        return math.inf
+
+
+# A cache that holds nothing: no evaluation path asks twice for one table,
+# and a kept table of a large Q costs ~80 kB.  The wrapper stays for its
+# ``cache_info``, which the benchmark's tracer reads as its table-cache count.
+@lru_cache(maxsize=0)
 def _policy_table(demand_rate: float, policy: Policy, order_up_to: int) -> renewal.RenewalTable:
-    order_up_to = renewal._check_order_up_to(order_up_to)
-    mu = renewal._load_mean(demand_rate, policy.period)
-    if isinstance(policy, TimePolicy):
-        if mu >= renewal.TP_CLOSED_FORM_MU:
-            return renewal._tp_table(mu, order_up_to)
-        inc = renewal.build_increment_tp(demand_rate, policy.period)
-    else:
-        floor, cap = renewal._hp_window(mu, policy.q, order_up_to)
-        inc = (renewal._hp_window_increment(mu, floor, cap) if floor
-               else renewal.build_increment_hp(demand_rate, cap, policy.period))
-    return renewal.renewal_table(inc, order_up_to)
+    return renewal.load_table(renewal._load_mean(demand_rate, policy.period),
+                              getattr(policy, "q", None), order_up_to)
 
 
 def replenish_metrics(cfg: SystemConfig, mode: str = "exact") -> ReplenishMetrics:
@@ -475,18 +471,16 @@ def _period_costs(demand_rate: float, costs: CostParams, q: int | None, periods,
     ``periods[r]`` when q is None and the hybrid policy (q, periods[r])
     otherwise; row Q equals this function's result at level Q bit for bit.
     The cycle forms, records and cost components are the scalar path's,
-    summed in its order.  This function owns the input checks, the mass rows
-    and their levels (``renewal._renewal_levels``, in chunks of at most
-    ``_CHUNK_CELLS`` mass cells), the closed-form rows of time-policy loads
-    from ``renewal.TP_CLOSED_FORM_MU`` on, Lorden's certificate of every
-    (level, row) pair and the overflow checks: it raises where the scalar
-    path raises, at the lowest failing level, and never returns inf or nan.
+    summed in its order; the table of E[K] at every level and the rows'
+    Lorden terms are ``renewal._level_table``'s.  This function owns the
+    input checks, Lorden's certificate of every (level, row) pair and the
+    overflow checks: it raises where the scalar path raises, at the lowest
+    failing level, and never returns inf or nan.
 
-    The renewal masses m(0..Q) do not depend on the level they are computed
-    to, so one level-major table serves every level.  With M the running sum
-    of m, level Q reads E[K] = M(Q) and the holding factor
-    sum_{i<=Q} (Q - i) m(i) = sum_{j<Q} M(j), two sequential cumsums along
-    the levels: O(rows * Q) in all, and row Q is the same at any top level.
+    Level Q reads E[K] = M(Q) and the holding factor
+    sum_{i<=Q} (Q - i) m(i) = sum_{j<Q} M(j), a sequential cumsum of the
+    table along the levels: O(rows * Q) in all, and row Q is the same at any
+    top level.
     """
     rate = float(demand_rate)
     if not rate > 0.0:
@@ -496,48 +490,16 @@ def _period_costs(demand_rate: float, costs: CostParams, q: int | None, periods,
     mu = np.array([renewal._load_mean(rate, period) for period in t.tolist()])
     # Overflow is detected from the results, not from numpy's warnings.
     with np.errstate(over="ignore", invalid="ignore"):
-        cyc = _cycle_forms(rate, q, t)
+        cyc = _cycle_rows(rate, None if q is None else np.full(t.size, q), t)
         if not np.all(np.isfinite(cyc.delay) & np.isfinite(cyc.sq_delay)):
             raise OverflowError(f"cycle metrics overflow at a period up to {float(t.max())!r}")
-
-        # Rows of wide time-policy loads take the closed form, the others the
-        # recursion on their masses, which end at the time-policy load's cut
-        # or at the hybrid load's cap; each row's Lorden terms come with it.
-        closed = mu >= renewal.TP_CLOSED_FORM_MU if q is None else np.zeros(mu.size, bool)
-        cut = np.flatnonzero(~closed)
-        mean, overshoot, defect = np.empty(mu.size), np.empty(mu.size), np.empty(mu.size)
-        mean[closed], overshoot[closed], defect[closed] = renewal._tp_lorden_terms(mu[closed])
-        if q is None:
-            ends = np.zeros(mu.size, int)
-            ends[cut] = renewal._tp_support_ends(mu[cut])
-        else:
-            floors, ends = renewal._hp_window(mu, q, order_up_to)
-        rows = max(1, _CHUNK_CELLS // (max(int(ends.max(initial=0)), order_up_to) + 1))
-        shape = (order_up_to + 1, mu.size)
-        cycles = np.empty(shape)
-        for part in (cut, np.flatnonzero(closed)):
-            for start in range(0, part.size, rows):
-                chunk = part[start:start + rows]
-                if closed[chunk[0]]:
-                    cycles[:, chunk] = renewal._tp_renewal_rows(mu[chunk], order_up_to).T
-                    continue
-                g = (renewal._tp_masses(mu[chunk], ends[chunk].tolist()) if q is None
-                     else renewal._hp_masses(mu[chunk], floors[chunk], ends[chunk]))
-                renewal._check_converges(g[:, 0].max())
-                mean[chunk], overshoot[chunk], defect[chunk] = renewal._lorden_terms(g)
-                top, stops = np.full(chunk.size, order_up_to), {}
-                for i, (live, level) in enumerate(renewal._renewal_levels(g, top, stops)):
-                    cycles[i, chunk[live]] = level
-                for r, (b, value) in stops.items():
-                    cycles[b:, chunk[r]] = value
-        # E[K](Q) = M(Q), a sequential sum, so no level depends on the top one.
-        np.cumsum(cycles, axis=0, out=cycles)
+        cycles, terms = renewal._level_table(mu, q, order_up_to)
 
         # The costs of blocks of levels, lowest first, at most _COST_CELLS
         # each; the lowest failing level raises, its Lorden violation first.
         # The holding factor sum_{j<Q} M(j) is the same sequential sum, taken
         # per block from the one the block below carries up in row 0.
-        cost = np.empty(shape)
+        cost = np.empty_like(cycles)
         block = max(1, _COST_CELLS // mu.size)
         holding_sum = np.zeros((min(block, order_up_to + 1), mu.size))
         for lo in range(0, order_up_to + 1, block):
@@ -550,8 +512,7 @@ def _period_costs(demand_rate: float, costs: CostParams, q: int | None, periods,
                                        "linear").values())
             failing = ~np.isfinite(cost[at]).all(axis=1)
             stop = lo + (int(np.argmax(failing)) + 1 if failing.any() else failing.size)
-            renewal._check_lorden(mean, overshoot, defect, np.arange(lo, stop)[:, None],
-                                  cycles[lo:stop])
+            renewal._check_lorden(*terms, np.arange(lo, stop)[:, None], cycles[lo:stop])
             if failing.any():
                 raise OverflowError("average cost is not finite")
             holding_sum[0] = held[-1] + cycles[lo + len(held) - 1]
@@ -569,11 +530,11 @@ def _row_costs(demand_rate: float, costs: CostParams, q, levels: np.ndarray,
     None, and the hybrid policy (q[r], periods[r]) otherwise; the levels must
     not increase along the rows.  Each row takes the scalar path's cycle
     forms bit for bit (``_cycle_rows``), its table to its own level only
-    (``_row_tables``), and the scalar record, service and components.  So a
-    row at a level up to 2 equals the scalar cost bit for bit, and higher
-    levels agree within rounding.
+    (``renewal._row_sums``), and the scalar record, service and components.
+    So a row at a level up to 2 equals the scalar cost bit for bit, and
+    higher levels agree within rounding.
 
-    A row that ``_row_tables`` leaves to the scalar path or that fails a
+    A row that ``renewal._row_sums`` leaves to the scalar path or that fails a
     check (a cycle form or cost that is not finite, a series that diverges,
     Lorden's bracket) is priced by ``average_cost`` itself, which raises
     where the scalar path raises.  Returns the costs and {row: the error its
@@ -582,7 +543,7 @@ def _row_costs(demand_rate: float, costs: CostParams, q, levels: np.ndarray,
     rate = float(demand_rate)
     with np.errstate(all="ignore"):
         cyc = _cycle_rows(rate, q, periods)
-        cycles, holding_sum, held = _row_tables(rate * periods, q, levels)
+        cycles, holding_sum, held = renewal._row_sums(rate * periods, q, levels)
         rep = _renewal_record(cyc, cycles, holding_sum)
         cost = sum(_components(rate, costs, cyc, rep, _service(cyc, rep), "linear").values())
         # finite iff all three are, or a false alarm where their sum overflows
@@ -596,51 +557,6 @@ def _row_costs(demand_rate: float, costs: CostParams, q, levels: np.ndarray,
         except (ValueError, ArithmeticError) as err:
             errors[r] = err
     return cost, errors
-
-
-def _row_tables(mu: np.ndarray, q, levels: np.ndarray):
-    """E[K], the holding factor and a solved-and-checked mask of each row of
-    ``_row_costs``: a time load (q None) or the hybrid load of cap q[r], of
-    mean mu[r], at level levels[r].
-
-    Rows take the row builders' masses and the levels of
-    ``renewal._renewal_levels``, summed in level order up to a row's stop
-    and in closed form from there, with the scalar path's divergence check
-    and Lorden's certificate, in chunks of at most ``_CHUNK_CELLS`` cells of
-    masses, kernel and window of levels.  Time
-    loads from ``renewal.TP_CLOSED_FORM_MU`` on, whose closed-form tables are
-    one per row anyway, and means that are not positive and finite are left
-    to the scalar path.
-    """
-    top = math.inf if q is not None else renewal.TP_CLOSED_FORM_MU
-    rows = ((mu > 0.0) & (mu < top)).nonzero()[0]
-    sub, level = mu[rows], levels[rows]
-    if q is None:
-        ends = renewal._tp_support_ends(sub)
-    else:
-        floors, ends = renewal._hp_window(sub, q[rows], level)
-    size = max(1, _CHUNK_CELLS // (2 * int(ends.max(initial=0)) + renewal.BLOCK + 2))
-    cycles, holding_sum = np.full((2, mu.size), np.nan)
-    checked = np.zeros(mu.size, bool)
-    for part in (slice(start, start + size) for start in range(0, level.size, size)):
-        g = (renewal._tp_masses(sub[part], ends[part].tolist()) if q is None
-             else renewal._hp_masses(sub[part], floors[part], ends[part]))
-        reach, stops = level[part], {}
-        solve = renewal._renewal_levels(g, reach, stops)
-        m = next(solve)[1]    # level 0, of every row
-        k, h = m.copy(), reach * m
-        for i, (live, m) in enumerate(solve, 1):
-            k[live] += m
-            h[live] += (reach[live] - i) * m
-        # a stopped row's levels b..L are one value, of weights L - b, ..., 0
-        for r, (b, value) in stops.items():
-            k[r] += (reach[r] - b + 1) * value
-            h[r] += (reach[r] - b) * (reach[r] - b + 1) // 2 * value
-        lower, upper = renewal._lorden_bracket(*renewal._lorden_terms(g), reach)
-        at = rows[part]
-        cycles[at], holding_sum[at] = k, h
-        checked[at] = (g[:, 0] < 1.0 - 1e-12) & (lower <= k) & (k <= upper)
-    return cycles, holding_sum, checked
 
 
 def match_consolidation_cycle(demand_rate: float, target_length: float, q: int) -> float:

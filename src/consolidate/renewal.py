@@ -74,15 +74,16 @@ O(min(Q, b) * w) multiply-adds (plus BLOCK * w^2 for P), or
 O(min(Q, b) * (c - a)) on the explicit route, in O(min(Q, b)/BLOCK +
 log2(BLOCK)) numpy calls, plus O(Q) to fill and sum it.
 
-The optimizer evaluates many periods of one policy family at every level up
-to a bound.  For that, the load builders also work on rows: ``_hp_masses`` and
-``_tp_masses`` build one row of masses per load mean, on that row's own
-window or up to its cut, each element by the expression the scalar builder
-uses, so a row does not depend on the batch and equals the scalar builder's
-masses bit for bit.  ``_renewal_levels`` solves rows of masses, each to its
-own level and one level at a time along the batch axis, with the scalar
-table's association and stop, and reports where each row stops.
-``_tp_support_ends`` finds the rows' cuts.
+Three entry points choose every route: ``load_table`` builds one system's
+table, ``_level_table`` the optimizer's scan (E[K] at every level up to a
+bound for many loads of one family) and ``_row_sums`` the sums of its golden
+rows, each at its own level.  The batched two share one prologue,
+``_mass_rows``: each row's cut (``_tp_support_ends``) or window, then the
+rows of masses (``_tp_masses``, ``_hp_masses``) in chunks of bounded memory,
+each element by the scalar builder's expression, so a row equals the scalar
+masses bit for bit whatever its chunk.  ``_renewal_levels`` solves the rows,
+one level at a time along the batch axis, with the scalar table's
+association and stop, and reports where each row stops.
 
 One certificate covers every route: Lorden's bracket on E[K]
 (``_check_lorden``, or ``_check_lorden_row`` for one table), checked on every
@@ -120,6 +121,10 @@ _WINDOW_LOG = -math.log(_WINDOW_TAIL)
 
 # z with P(N(0, 1) > z) = DEFAULT_TAIL_EPS: the seed of ``_tp_support_ends``.
 _TAIL_Z = 7.034483825301131
+
+# Cells of masses, kernel and window of levels that one chunk of rows holds
+# (``_mass_rows``), which bounds its memory when rate * period is large.
+_CHUNK_CELLS = 1 << 19
 
 # Levels solved per block once the doubling warm-up reaches this size.
 BLOCK = 128
@@ -262,10 +267,14 @@ def _hp_window(mu, q: int, order_up_to: int):
 def _hp_masses(mu: np.ndarray, floors: np.ndarray, caps: np.ndarray) -> np.ndarray:
     """Rows of min(max(X, floors[r]), caps[r]) masses on 0..caps[r],
     X ~ Poisson(mu[r]), zero-padded to the widest cap: the expressions of
-    ``build_increment_hp`` and ``_hp_window_increment``, element for
-    element."""
-    top = int(caps.max())
-    masses = _poisson_masses(mu[:, None], top + 1)
+    ``build_increment_hp`` element for element, with P(X <= a) at a floor
+    a = floors[r] > 0 and zeros below it."""
+    top, low = int(caps.max()), int(floors.min())
+    if low:    # every row is zero below its floor
+        masses = np.zeros((mu.size, top + 1))
+        masses[:, low:] = _poisson_masses(mu[:, None], top + 1, low)
+    else:
+        masses = _poisson_masses(mu[:, None], top + 1)
     if caps.min() == top:  # one cap for every row, the common case
         masses[:, top] = _poisson_tails(mu, float(top))
     else:
@@ -276,19 +285,6 @@ def _hp_masses(mu: np.ndarray, floors: np.ndarray, caps: np.ndarray) -> np.ndarr
         row[:a] = 0.0
         row[a] = 1.0 if a == caps[r] else poisson_cdf(float(mu[r]), a)
     return masses
-
-
-def _hp_window_increment(mu: float, a: int, c: int) -> IncrementDist:
-    """The load min(max(X, a), c), X ~ Poisson(mu), 1 <= a <= c: masses on
-    0..c, zero below a, with P(X <= a) at a and P(X >= c) at c."""
-    masses = np.zeros(c + 1)
-    if a == c:
-        masses[c] = 1.0
-    else:
-        masses[a + 1:c] = _poisson_masses(mu, c, start=a + 1)
-        masses[a] = poisson_cdf(mu, a)
-        masses[c] = poisson_tail(mu, c)
-    return IncrementDist(masses)
 
 
 def _tp_support_end(mu: float, tail_eps: float = DEFAULT_TAIL_EPS) -> int:
@@ -350,7 +346,8 @@ def build_increment_hp(rate: float, q: int, period: float) -> IncrementDist:
 
     It has q + 1 masses.  The evaluation paths build it at the cap of
     ``_hp_window`` in place of q, which bounds the masses by the table's
-    level, and from a load mean of ~122.8 on take ``_hp_window_increment``.
+    level, and from a load mean of ~122.8 on take the floored row of
+    ``_hp_masses`` (``load_table``).
     """
     mu = _load_mean(rate, period)
     masses = _poisson_masses(mu, q + 1)
@@ -673,14 +670,103 @@ def _tp_renewal_rows(mu: np.ndarray, order_up_to: int) -> np.ndarray:
     return m
 
 
-def _tp_table(mu: float, order_up_to) -> RenewalTable:
-    """Renewal table of the time-policy load Poisson(mu) from the closed form;
-    raises ArithmeticError if its E[K] leaves Lorden's bracket."""
+def load_table(mu: float, q: int | None, order_up_to) -> RenewalTable:
+    """The renewal table to level Q of one system's load of mean mu: the time
+    load Poisson(mu) when q is None, else the hybrid load min(X, q).
+
+    A time load takes the closed form from TP_CLOSED_FORM_MU on, certified
+    by Lorden's bracket, and below it the recursion on its tail-cut load.  A
+    hybrid load takes the recursion on its window (``_hp_window``), from
+    ``build_increment_hp`` at the cap or, once floored, from its row of
+    ``_hp_masses``.  The route depends on mu alone, never on Q.
+    """
     order_up_to = _check_order_up_to(order_up_to)
-    m = _tp_renewal_rows(np.array([mu]), order_up_to)[0]
-    table = RenewalTable(m=m, M=np.cumsum(m), order_up_to=order_up_to)
-    _check_lorden_row(*_tp_lorden_terms(mu), order_up_to, float(table.M[-1]))
-    return table
+    if q is None and mu >= TP_CLOSED_FORM_MU:
+        m = _tp_renewal_rows(np.array([mu]), order_up_to)[0]
+        table = RenewalTable(m=m, M=np.cumsum(m), order_up_to=order_up_to)
+        _check_lorden_row(*_tp_lorden_terms(mu), order_up_to, float(table.M[-1]))
+        return table
+    if q is None:
+        inc = build_increment_tp(1.0, mu)
+    else:
+        floor, cap = _hp_window(mu, q, order_up_to)
+        inc = (IncrementDist(_hp_masses(np.array([mu]), np.array([floor]), np.array([cap]))[0])
+               if floor else build_increment_hp(1.0, cap, mu))
+    return renewal_table(inc, order_up_to)
+
+
+def _mass_rows(mu: np.ndarray, q, levels: np.ndarray):
+    """Yield (part, g), slices part of the rows and the masses g of the loads
+    mu[part] by their scalar builders' expressions: time loads (q None) cut
+    at their support ends, or hybrid loads of cap q (or q[r]) on their
+    windows to the levels.  A chunk holds about _CHUNK_CELLS cells, 2 w +
+    BLOCK + 2 a row for w the widest support end; no row depends on it."""
+    if q is None:
+        ends = _tp_support_ends(mu)
+    else:
+        floors, ends = _hp_window(mu, q, levels)
+    size = max(1, _CHUNK_CELLS // (2 * int(ends.max(initial=0)) + BLOCK + 2))
+    for part in (slice(start, start + size) for start in range(0, mu.size, size)):
+        yield part, (_tp_masses(mu[part], ends[part].tolist()) if q is None
+                     else _hp_masses(mu[part], floors[part], ends[part]))
+
+
+def _level_table(mu: np.ndarray, q: int | None, order_up_to: int):
+    """E[K] = M(Q) at each level Q (row) of the time (q None) or cap-q hybrid
+    load of each mean (column), and the columns' ``_lorden_terms`` as three
+    rows.  The masses m(0..Q) do not depend on the level they are solved to,
+    so M, their running sum down the levels, serves every level.  Raises
+    where the scalar table's divergence check raises; Lorden's check is the
+    caller's."""
+    closed = mu >= TP_CLOSED_FORM_MU if q is None else np.zeros(mu.size, bool)
+    cycles = np.empty((order_up_to + 1, mu.size))
+    terms = np.empty((3, mu.size))
+    terms[:, closed] = _tp_lorden_terms(mu[closed])
+    for r in np.flatnonzero(closed).tolist():
+        cycles[:, r] = _tp_renewal_rows(mu[r:r + 1], order_up_to)[0]
+    cut = np.flatnonzero(~closed)
+    for part, g in _mass_rows(mu[cut], q, np.full(cut.size, order_up_to)):
+        _check_converges(g[:, 0].max())
+        rows, stops = cut[part], {}
+        terms[:, rows] = _lorden_terms(g)
+        solve = _renewal_levels(g, np.full(rows.size, order_up_to), stops)
+        for i, (live, level) in enumerate(solve):
+            cycles[i, rows[live]] = level
+        for r, (b, value) in stops.items():
+            cycles[b:, rows[r]] = value
+    np.cumsum(cycles, axis=0, out=cycles)
+    return cycles, terms
+
+
+def _row_sums(mu: np.ndarray, q, levels: np.ndarray):
+    """E[K], the holding factor and a solved-and-checked mask of independent
+    rows: the time load (q None) or cap-q[r] hybrid load of mean mu[r] at
+    level levels[r], not increasing along the rows.  A row's levels are
+    summed in order up to its stop and in closed form from there.  Time
+    loads from TP_CLOSED_FORM_MU on and means that are not positive and
+    finite are left unchecked, for the scalar path."""
+    top = math.inf if q is not None else TP_CLOSED_FORM_MU
+    rows = ((mu > 0.0) & (mu < top)).nonzero()[0]
+    level = levels[rows]
+    cycles, holding_sum = np.full((2, mu.size), np.nan)
+    checked = np.zeros(mu.size, bool)
+    for part, g in _mass_rows(mu[rows], None if q is None else q[rows], level):
+        reach, stops = level[part], {}
+        solve = _renewal_levels(g, reach, stops)
+        m = next(solve)[1]    # level 0, of every row
+        k, h = m.copy(), reach * m
+        for i, (live, m) in enumerate(solve, 1):
+            k[live] += m
+            h[live] += (reach[live] - i) * m
+        # a stopped row's levels b..L are one value, of weights L - b, ..., 0
+        for r, (b, value) in stops.items():
+            k[r] += (reach[r] - b + 1) * value
+            h[r] += (reach[r] - b) * (reach[r] - b + 1) // 2 * value
+        lower, upper = _lorden_bracket(*_lorden_terms(g), reach)
+        at = rows[part]
+        cycles[at], holding_sum[at] = k, h
+        checked[at] = (g[:, 0] < 1.0 - 1e-12) & (lower <= k) & (k <= upper)
+    return cycles, holding_sum, checked
 
 
 def _lorden_terms(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -168,22 +168,15 @@ def trunc_pmf(mu: float, q: int, i: int) -> float:
     return poisson_pmf(mu, i)
 
 
-def _factorial_moment(mu, q: int, k: int):
-    """Closed form of E[X_q^(k)] for a float mu, or elementwise for an array.
+def _factorial_moment(mu: float, q: int, k: int) -> float:
+    """Closed form of E[X_q^(k)] at a float mu, unchecked.
 
     Safe for k > q, where the moment is exactly zero because min(X, q) <= q < k
-    makes one factor of the falling factorial vanish.  A float mu is checked
-    and raises OverflowError where its power overflows; an array is not
-    checked and gets inf or nan there instead.  Both evaluate the same
-    expression, but not bit for bit: the float ``mu**k`` calls libm ``pow``
-    while numpy squares or cubes, so for k = 2 and 3 the branches can differ
-    by a few ulp (within relative 1e-15).
+    makes one factor of the falling factorial vanish.  Raises OverflowError
+    where ``mu**k`` overflows.
     """
     if k > q:
         return 0.0 * mu
-    if isinstance(mu, np.ndarray):
-        return (mu**k * gammaincc(q - k + 1, mu)
-                + float(falling_factorial(q, k)) * gammainc(q + 1, mu))
     return mu**k * poisson_cdf(mu, q - k) + falling_factorial(q, k) * poisson_tail(mu, q + 1)
 
 

@@ -273,6 +273,8 @@ INVALID_CONFIGS = [
      "optimize.bounds: bounds must satisfy q_max >= 1, order_up_to_max >= 0, period_max > 0"),
     ("optimize", {"optimize.bounds.order_up_to_max": 10001},
      "optimize.bounds: order_up_to_max 10001 exceeds capacity limit 10000"),
+    ("optimize", {"optimize.bounds.period_max": math.inf},
+     "optimize.bounds: period_max must be a finite real number, got inf"),
     ("optimize", {"costs.dispatch_fixed": 1e308, "optimize.bounds": {"period_max": 0.2}},
      "optimize: average cost is not finite"),
     ("verify", {"verify.q_values": "x"}, "verify.q_values: expected a nonempty list"),

@@ -267,6 +267,15 @@ def test_search_bounds_take_integer_levels(field, value):
     assert (type(bounds.q_max), type(bounds.order_up_to_max)) == (int, int)
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, "20", True, None])
+def test_search_bounds_take_a_finite_real_period_max(value):
+    # an infinite bound once failed deep inside the scan, at its load means
+    with pytest.raises(ValueError, match=re.escape(f"period_max must be a finite real number, "
+                                                   f"got {value!r}")):
+        SearchBounds(1, 1, value)
+    assert SearchBounds(1, 1, np.float64(2.5)).period_max == 2.5
+
+
 def test_search_bounds_stop_at_the_capacity_limit():
     # every family: a quantity optimize at this bound once ran for over a minute
     with pytest.raises(ValueError, match="order_up_to_max 10000000 exceeds capacity limit 10000$"):

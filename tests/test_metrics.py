@@ -1,5 +1,7 @@
 """Policy analytics: closed-form examples, limits, and internal consistency."""
 
+import ast
+import inspect
 import math
 import re
 import time
@@ -552,7 +554,7 @@ def one_level_scan(rate, costs, q, periods, level):
             floors, caps = zip(*(renewal._hp_window(x, q, level) for x in cut.tolist()))
             g = renewal._hp_masses(cut, np.array(floors), np.array(caps))
         m[~closed] = level_rows(g, level)
-    cyc = metrics._cycle_forms(rate, q, t)
+    cyc = metrics._cycle_rows(rate, None if q is None else np.full(t.size, q), t)
     sums = np.cumsum(m, axis=1)
     holding = np.cumsum(sums[:, :-1], axis=1)[:, -1] if level else np.zeros(mu.size)
     rep = metrics._renewal_record(cyc, sums[:, -1], holding)
@@ -670,6 +672,28 @@ def test_period_costs_raise_where_the_scalar_path_raises():
         _period_costs(1.0, CostParams(dispatch_fixed=1e308), 2, [1e-3], 0)
 
 
+@pytest.mark.parametrize("q, period, priced", [
+    (2, 2e100, True), (2, 5.6e102, True), (2, 5.7e102, False),   # mu^3 overflows from ~5.64e102
+    (1, 1e200, True),                                            # mu^2 of cap 1 is not used
+    (None, 5.6e102, True), (None, 5.7e102, False),
+])
+def test_scan_raises_exactly_where_the_cubes_overflow(q, period, priced):
+    policy = TimePolicy(period) if q is None else HybridPolicy(q, period)
+    cfg = SystemConfig(1.0, policy, 0, CostParams(dispatch_fixed=3.0))
+    if priced:
+        cost = average_cost(cfg).avg_cost
+        assert _period_costs(1.0, cfg.costs, q, [period], 0)[0, 0] == cost
+        if q is not None:
+            rows, errors = metrics._row_costs(1.0, cfg.costs, np.array([q]), np.array([0]),
+                                              np.array([period]))
+            assert (rows.tolist(), errors) == ([cost], {})
+    else:
+        with pytest.raises(OverflowError):
+            average_cost(cfg)
+        with pytest.raises(OverflowError, match="cycle metrics overflow"):
+            _period_costs(1.0, cfg.costs, q, [period], 0)
+
+
 # ---------------------------------------------------------------------------
 # the optimizer's golden-step rows against the scalar path
 
@@ -766,7 +790,7 @@ def test_golden_rows_do_not_depend_on_their_chunks(rows):
     rate, q, levels, periods = rows
     whole = metrics._row_costs(rate, REF_COSTS, q, levels, periods)[0]
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(metrics, "_CHUNK_CELLS", 1)  # one row per chunk
+        patch.setattr(renewal, "_CHUNK_CELLS", 1)  # one row per chunk
         assert np.array_equal(metrics._row_costs(rate, REF_COSTS, q, levels, periods)[0], whole)
 
 
@@ -921,3 +945,40 @@ def test_time_policy_cost_is_small_and_fast_at_huge_load(load, order_up_to):
     assert elapsed < 2.0
     assert math.isfinite(ev.avg_cost)
     assert replenish_metrics(cfg).cycles == 1.0  # no load fits under Q
+
+
+def test_the_table_cache_keeps_no_table(special_bound):
+    # 16 distinct systems at the level limit: a table there holds m and M,
+    # 160 kB, and none may outlive its evaluation
+    average_cost(SystemConfig(1.0, TimePolicy(1.0), 10, REF_COSTS))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        for period in (0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 300.0, 500.0):
+            for policy in (TimePolicy(period), HybridPolicy(7, period)):
+                average_cost(SystemConfig(1.0, policy, MAX_ORDER_UP_TO, REF_COSTS))
+        held = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert held < 2**16
+    assert metrics._policy_table.cache_info().currsize == 0
+
+
+# ---------------------------------------------------------------------------
+# the boundary between the cost paths and the renewal routes
+
+RENEWAL_ENTRY_POINTS = {"load_table", "_level_table", "_row_sums", "_check_lorden", "_load_mean",
+                        "_check_order_up_to", "expected_k", "holding_sum", "RenewalTable"}
+
+
+def test_metrics_reaches_renewal_only_through_its_entry_points():
+    # every route choice for a load is renewal's: metrics asks for a table,
+    # a level table or row sums, and names no builder, window or constant
+    tree = ast.parse(inspect.getsource(metrics))
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "renewal"}
+    read |= {alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "renewal"
+             for alias in node.names}
+    assert {"load_table", "_level_table", "_row_sums"} <= read
+    assert read <= RENEWAL_ENTRY_POINTS, sorted(read - RENEWAL_ENTRY_POINTS)

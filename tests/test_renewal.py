@@ -62,8 +62,9 @@ from consolidate.renewal import (
     _tp_masses,
     _tp_renewal_rows,
     _tp_support_end,
-    _tp_table,
+    load_table,
 )
+from consolidate.truncated_poisson import _poisson_masses
 
 
 def series_oracle(masses, order_up_to, tol=1e-14):
@@ -677,7 +678,9 @@ def series_sums(mu, order_up_to):
             lam += mu
 
 
-wide_loads = st.floats(math.log(TP_CLOSED_FORM_MU), math.log(2e4)).map(math.exp)
+# exp(log(256)) rounds below 256, where ``load_table`` takes the cut route
+wide_loads = st.floats(math.log(TP_CLOSED_FORM_MU), math.log(2e4)).map(
+    lambda e: max(math.exp(e), TP_CLOSED_FORM_MU))
 
 
 @given(mu=wide_loads, order_up_to=st.integers(0, MAX_ORDER_UP_TO))
@@ -691,7 +694,7 @@ wide_loads = st.floats(math.log(TP_CLOSED_FORM_MU), math.log(2e4)).map(math.exp)
 @example(mu=math.exp(9.797), order_up_to=8192)
 @settings(max_examples=30, deadline=None)
 def test_closed_form_table_matches_the_series(mu, order_up_to):
-    table = _tp_table(mu, order_up_to)
+    table = load_table(mu, None, order_up_to)
     cycles, holding = series_sums(mu, order_up_to)
     assert expected_k(table) == pytest.approx(cycles, rel=1e-13, abs=0.0)
     assert holding_sum(table) == pytest.approx(holding, rel=1e-13, abs=0.0)
@@ -703,7 +706,7 @@ def test_closed_form_table_matches_the_series(mu, order_up_to):
 @settings(max_examples=20, deadline=None)
 def test_closed_form_table_matches_the_cut_recursion(mu, order_up_to):
     # the two differ by the recursion's tail cut of the load
-    closed = _tp_table(mu, order_up_to)
+    closed = load_table(mu, None, order_up_to)
     cut = renewal_table(build_increment_tp(1.0, mu), order_up_to)
     assert expected_k(closed) == pytest.approx(expected_k(cut), rel=1e-11, abs=0.0)
     assert holding_sum(closed) == pytest.approx(holding_sum(cut), rel=1e-11, abs=0.0)
@@ -720,7 +723,7 @@ def test_closed_form_rows_do_not_depend_on_the_top_level(mu, levels):
     rows = _tp_renewal_rows(mu, top)
     assert np.array_equal(rows[:, :level + 1], _tp_renewal_rows(mu, level))
     for row, m in zip(rows, mu.tolist()):
-        assert np.array_equal(row[:level + 1], _tp_table(m, level).m)
+        assert np.array_equal(row[:level + 1], load_table(m, None, level).m)
 
 
 @pytest.mark.parametrize("rate", [1.0, 0.75, 3.0])
@@ -738,7 +741,7 @@ def test_time_policy_route_switches_at_the_closed_form_threshold(rate):
         if period < at:  # the recursion on the tail-cut load, bit for bit
             table = renewal_table(build_increment_tp(rate, period), order_up_to)
         else:
-            table = _tp_table(rate * period, order_up_to)
+            table = load_table(rate * period, None, order_up_to)
         assert got == metrics._renewal_record(cycle_metrics(rate, policy), expected_k(table),
                                               holding_sum(table))
         records.append(got)
@@ -760,6 +763,48 @@ def test_closed_form_table_outside_lordens_bracket_raises(monkeypatch, scale):
 
 # ---------------------------------------------------------------------------
 # hybrid tables on the capped load min(X, c), c = min(q, Q + 1, floor(mu + r))
+
+
+def window_masses(mu, a, c):
+    """The load min(max(X, a), c), X ~ Poisson(mu), 1 <= a <= c: masses on
+    0..c, zero below a, with P(X <= a) at a and P(X >= c) at c, by the mass
+    function of ``build_increment_hp``.  The floored rows of ``_hp_masses``
+    must equal it element for element."""
+    masses = np.zeros(c + 1)
+    if a == c:
+        masses[c] = 1.0
+    else:
+        masses[a + 1:c] = _poisson_masses(mu, c, start=a + 1)
+        masses[a] = poisson_cdf(mu, a)
+        masses[c] = poisson_tail(mu, c)
+    return masses
+
+
+@pytest.mark.parametrize("route, mu, q, order_up_to", [
+    ("cut", 0.05, None, 40), ("cut", 6.0, None, MAX_ORDER_UP_TO), ("cut", 255.9, None, 3000),
+    ("closed", 256.0, None, 3000), ("closed", 1e4, None, MAX_ORDER_UP_TO),
+    ("window", 5.0, 200, 100), ("window", 5.3, 436, 7330), ("window", 60.0, 5, 300),
+    ("floor <= Q", 700.0, 10**4, 6000), ("floor <= Q", 400.0, 150, 3000),
+    ("floor > Q", 5e6, 10**7, MAX_ORDER_UP_TO), ("floor > Q", 2e4, 10**7, 50),
+])
+def test_load_table_takes_the_table_of_its_route(route, mu, q, order_up_to):
+    table = load_table(mu, q, order_up_to)
+    if q is None:
+        assert route == ("closed" if mu >= TP_CLOSED_FORM_MU else "cut")
+        if route == "closed":
+            m = _tp_renewal_rows(np.array([mu]), order_up_to)[0]
+            expected = renewal.RenewalTable(m=m, M=np.cumsum(m), order_up_to=order_up_to)
+        else:
+            expected = renewal_table(build_increment_tp(1.0, mu), order_up_to)
+    else:
+        floor, cap = renewal._hp_window(mu, q, order_up_to)
+        assert route == ("window" if not floor else "floor <= Q" if floor <= order_up_to
+                         else "floor > Q")
+        masses = (window_masses(mu, floor, cap) if floor
+                  else build_increment_hp(1.0, cap, mu).masses)
+        expected = renewal_table(IncrementDist(masses), order_up_to)
+    assert table.order_up_to == expected.order_up_to == order_up_to
+    assert np.array_equal(table.m, expected.m) and np.array_equal(table.M, expected.M)
 
 
 @given(mu=st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e),
@@ -791,8 +836,8 @@ def test_capped_hybrid_table_matches_the_table_of_the_full_load(mu, q, order_up_
     assert poisson_tail(mu, cap + 1) < 1e-20 or cap == min(q, order_up_to + 1)
     table = metrics._policy_table(1.0, HybridPolicy(q, mu), order_up_to)
     assert table.m.size == order_up_to + 1
-    masses = (renewal._hp_window_increment(mu, floor, cap) if floor
-              else build_increment_hp(1.0, cap, mu)).masses
+    masses = (window_masses(mu, floor, cap) if floor
+              else build_increment_hp(1.0, cap, mu).masses)
     capped = blocked_oracle(masses, order_up_to)
     assert_stopped_table_keeps_the_bits(table, masses, capped)
     # the capped and the full load, each solved to Q
@@ -974,7 +1019,7 @@ def test_floored_tables_match_the_unfloored_ones(mu, q, order_up_to):
     assert 1 <= floor <= cap
     assert floor == min(math.ceil(mu - renewal._bernstein_radius(mu)), cap)
     assert floor == cap or poisson_cdf(mu, floor - 1) < 1e-20
-    inc = renewal._hp_window_increment(mu, floor, cap)
+    inc = IncrementDist(window_masses(mu, floor, cap))
     assert not inc.masses[:floor].any()
     table = metrics._policy_table(1.0, HybridPolicy(q, mu), order_up_to)
     assert_stopped_table_keeps_the_bits(table, inc.masses, blocked_oracle(inc.masses, order_up_to))
@@ -1121,8 +1166,8 @@ def test_floored_scan_rows_equal_the_window_increment(rows, order_up_to):
     for r, m in enumerate(mu.tolist()):
         floor, cap = int(floors[r]), int(caps[r])
         assert (floor, cap) == renewal._hp_window(m, max(q for _, q in rows), order_up_to)
-        one = (renewal._hp_window_increment(m, floor, cap) if floor
-               else build_increment_hp(1.0, cap, m)).masses
+        one = (window_masses(m, floor, cap) if floor
+               else build_increment_hp(1.0, cap, m).masses)
         assert np.array_equal(g[r, :cap + 1], one)
         assert not g[r, cap + 1:].any()
 
@@ -1160,7 +1205,7 @@ def level_rows(g, levels):
 
 @st.composite
 def leveled_systems(draw, top):
-    """Rows of one family for ``metrics._row_tables`` at rate 1: time loads
+    """Rows of one family for ``renewal._row_sums`` at rate 1: time loads
     (q None) or hybrid loads of caps q[r], means in 0.01..60, levels in
     0..top that do not increase along the rows."""
     n = draw(st.integers(1, 6))
@@ -1180,7 +1225,7 @@ def system_tables(mu, q, levels):
 @given(rows=leveled_systems(2))
 @settings(max_examples=60, deadline=None)
 def test_renewal_sums_keep_the_table_bits_up_to_level_two(rows):
-    cycles, holding, checked = metrics._row_tables(*rows)
+    cycles, holding, checked = renewal._row_sums(*rows)
     assert checked.all()
     for table, k, h in zip(system_tables(*rows), cycles.tolist(), holding.tolist()):
         assert (k, h) == (expected_k(table), holding_sum(table))
@@ -1191,7 +1236,7 @@ def test_renewal_sums_keep_the_table_bits_up_to_level_two(rows):
 @example(rows=(np.array([1.0, 0.7]), np.array([2, 1]), np.array([300, 7])))
 @settings(max_examples=40, deadline=None)
 def test_renewal_sums_match_the_table_to_level_300(rows):
-    cycles, holding, checked = metrics._row_tables(*rows)
+    cycles, holding, checked = renewal._row_sums(*rows)
     assert checked.all()
     for table, k, h in zip(system_tables(*rows), cycles.tolist(), holding.tolist()):
         assert k == pytest.approx(expected_k(table), rel=1e-13, abs=0.0)

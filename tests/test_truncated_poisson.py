@@ -29,6 +29,7 @@ from consolidate import (
     trunc_pmf,
     trunc_variance,
 )
+from consolidate.metrics import _cycle_rows
 from consolidate.truncated_poisson import _factorial_moment, _stirling_gaps
 
 # ---------------------------------------------------------------------------
@@ -135,7 +136,7 @@ calls = [
     lambda: tp._poisson_masses(7.5, 40),
     lambda: tp._poisson_masses(column, 60, 5),
     lambda: tp._poisson_tails(column, np.arange(1.0, 40.0)),
-    lambda: tp._factorial_moment(column.ravel(), 12, 2),
+    lambda: tp._poisson_heads(column.ravel(), np.arange(1.0, 40.0)[:, None]),
 ]
 report = []
 for call in calls:
@@ -286,10 +287,16 @@ def test_gamma_min_moment_tolerance_error():
 @given(mu=st.floats(1e-6, 1e3), q=st.integers(1, 59), k=st.integers(1, 3))
 @settings(max_examples=300, deadline=None)
 def test_factorial_moment_float_and_array_branches_agree(mu, q, k):
-    # Not bit for bit: the float branch's mu**k is libm pow, numpy's squares or cubes.
+    # The array branch is the optimizer's cycle rows, which take the float
+    # branch's powers and tails: at rate 1 the orders, delay and squared
+    # delay of cap c are E[X_c], E[X_c^(2)]/2 and E[X_{c+1}^(3)]/3, bit for bit.
     scalar = _factorial_moment(mu, q, k)
-    batched = _factorial_moment(np.array([mu]), q, k)[0]
-    assert abs(scalar - batched) <= 1e-15 * abs(scalar)
+    if k == 3 and q == 1:
+        assert scalar == 0.0
+        return
+    cyc = _cycle_rows(1.0, np.array([q - 1 if k == 3 else q]), np.array([mu]))
+    batched = (cyc.orders, cyc.delay, cyc.sq_delay)[k - 1][0]
+    assert batched == scalar / k
 
 
 def test_stirling_gaps_match_log_factorials():
