@@ -291,9 +291,10 @@ def cmd_optimize(args) -> int:
     print(f"evaluations: {result.evaluations}")
     for warning in result.warnings:
         print(f"warning: {warning}")
-    rows = [[("" if t["q"] is None else t["q"]), t["order_up_to"],
+    # streamed: the trace's rows are built only as the CSV writer takes them
+    rows = ([("" if t["q"] is None else t["q"]), t["order_up_to"],
              ("" if t["period"] is None else repr(t["period"])), repr(t["ac"])]
-            for t in result.trace]
+            for t in result.trace)
     _write_output(result.to_dict(), (["q", "order_up_to", "period", "ac"], rows), args)
     return 0
 

@@ -34,13 +34,19 @@ so a round evaluates, within a budget of 64 rows, every period the next
 steps of each running search could probe; only the periods a search walks
 are its probes.  Rows do not depend on their batch, so costs keep their
 bits.  Every period scanned or probed is one entry of the trace, in the
-order of a search one point at a time.
+order of a search one point at a time.  The trace (``OptimTrace``) is
+columnar: each point keeps its row of the scan table and its probes' periods
+and costs in two float arrays, and an entry's dict is built only when it is
+read.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
+import operator
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
 from typing import ClassVar
 
@@ -417,13 +423,74 @@ class SearchBounds:
                              f"{MAX_ORDER_UP_TO}")
 
 
+class OptimTrace(Sequence):
+    """Every policy an optimizer evaluated, in the order of a search one point
+    at a time, as a read-only sequence of dicts {"q", "order_up_to",
+    "period", "ac"}.
+
+    It is columnar.  Point p, of cap caps[p] (None for the time family) and
+    level levels[p], owns len(grid) scan entries, the shared grid's periods
+    with the costs scans[p], then counts[p] probes, the next ones of the flat
+    arrays ``periods`` and ``costs``; ``periods`` is None for the quantity
+    family, whose points have no scan and one probe each, of period None.
+    An entry's dict is built when it is read, by iteration or by index, and
+    is not kept.  Its periods are the grid's own floats and its numbers come
+    from ``tolist``, so they keep their bits.  About 8 bytes are kept per
+    scan entry and 16 per probe.  It equals any sequence of the same dicts.
+    """
+
+    def __init__(self, caps, levels, grid: list, scans: np.ndarray, counts: np.ndarray,
+                 periods, costs: np.ndarray):
+        self._caps, self._levels, self._grid, self._scans = caps, levels, grid, scans
+        self._periods, self._costs = periods, costs
+        self._starts = np.concatenate([[0], np.cumsum(counts)])  # each point's first probe
+        self._ends = np.cumsum(counts + len(grid))  # each point's last entry, plus one
+        self._size = int(self._ends[-1]) if self._ends.size else 0
+
+    def __len__(self) -> int:
+        return self._size
+
+    def _entry(self, p: int, period, ac: float) -> dict:
+        return {"q": None if self._caps is None else int(self._caps[p]),
+                "order_up_to": int(self._levels[p]), "period": period, "ac": ac}
+
+    def __getitem__(self, index) -> dict:
+        i = operator.index(index)
+        i += self._size if i < 0 else 0
+        if not 0 <= i < self._size:
+            raise IndexError("trace index out of range")
+        p = int(np.searchsorted(self._ends, i, side="right"))
+        j = i - (int(self._ends[p - 1]) if p else 0)
+        if j < len(self._grid):
+            return self._entry(p, self._grid[j], self._scans[p, j].item())
+        k = int(self._starts[p]) + j - len(self._grid)
+        return self._entry(p, None if self._periods is None else self._periods[k].item(),
+                           self._costs[k].item())
+
+    def __iter__(self):
+        caps = (itertools.repeat(None) if self._caps is None else self._caps.tolist())
+        starts = self._starts.tolist()
+        for p, (q, order_up_to) in enumerate(zip(caps, self._levels.tolist())):
+            lo, hi = starts[p], starts[p + 1]
+            periods = (itertools.repeat(None) if self._periods is None
+                       else self._periods[lo:hi].tolist())
+            for period, ac in itertools.chain(zip(self._grid, self._scans[p].tolist()),
+                                              zip(periods, self._costs[lo:hi].tolist())):
+                yield {"q": q, "order_up_to": order_up_to, "period": period, "ac": ac}
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+
 @dataclass
 class OptimResult:
     policy_kind: str
     best: SystemConfig
     best_cost: float
     evaluations: int
-    trace: list
+    trace: Sequence
     warnings: list
     bounds: "SearchBounds"
 
@@ -533,10 +600,10 @@ def _golden_searches(evaluate, lo: list, hi: list, rank: list, budget: int = _RO
 
 
 def _period_points(demand_rate: float, costs: CostParams, policy_kind: str,
-                   bounds: SearchBounds, trace: list) -> list:
+                   bounds: SearchBounds) -> tuple[list, OptimTrace]:
     """(policy, level, cost) of the best period at each (q, Q) point of the
-    time or hybrid family, q outermost, with every period evaluated appended
-    to ``trace``: per point, its scan, then its golden probes.
+    time or hybrid family, q outermost, and the trace of every period
+    evaluated: per point, its scan, then its golden probes.
 
     The scans of one cap are one batched call (``_period_costs``) at the
     order-up-to bound, whose row Q is the scan at level Q.  The best scan
@@ -581,20 +648,22 @@ def _period_points(demand_rate: float, costs: CostParams, policy_kind: str,
     if failure is not None:
         raise failure
     searched = dict(zip(order, zip(probes, best)))
-    points = []
+    points, steps = [], []
     for r, cell in enumerate(cells):
         q, order_up_to = caps[r // levels], r % levels
-        scan = values[r].tolist()  # Python floats, as the trace records
-        trace.extend({"q": q, "order_up_to": order_up_to, "period": period, "ac": ac}
-                     for period, ac in zip(grid, scan))
-        steps, (period, ac) = searched[r]
-        trace.extend({"q": q, "order_up_to": order_up_to, "period": t, "ac": cost}
-                     for t, cost in steps)
-        if scan[cell] <= ac:
-            period, ac = grid[cell], scan[cell]
+        probed, (period, ac) = searched[r]
+        steps.append(probed)
+        scan = values[r, cell].item()
+        if scan <= ac:
+            period, ac = grid[cell], scan
         points.append((TimePolicy(period) if q is None else HybridPolicy(q, period),
                        order_up_to, ac))
-    return points
+    pairs = np.fromiter(itertools.chain.from_iterable(itertools.chain.from_iterable(steps)),
+                        float).reshape(-1, 2)
+    trace = OptimTrace(None if policy_kind == "time" else np.repeat(caps, levels),
+                       np.tile(np.arange(levels), len(caps)), grid, values,
+                       np.array([len(p) for p in steps], int), pairs[:, 0], pairs[:, 1])
+    return points, trace
 
 
 def optimize(demand_rate: float, costs: CostParams, policy_kind: str,
@@ -610,7 +679,6 @@ def optimize(demand_rate: float, costs: CostParams, policy_kind: str,
     if policy_kind not in ("quantity", "time", "hybrid"):
         raise ValueError(f"policy_kind must be quantity|time|hybrid, got {policy_kind!r}")
     bounds = bounds if bounds is not None else SearchBounds()
-    trace: list = []
     if policy_kind == "quantity":
         # a quantity policy needs Q divisible by q
         points = []
@@ -619,10 +687,13 @@ def optimize(demand_rate: float, costs: CostParams, policy_kind: str,
                 policy = QuantityPolicy(q)
                 ac = average_cost(SystemConfig(demand_rate, policy, order_up_to, costs),
                                   "exact").avg_cost
-                trace.append({"q": q, "order_up_to": order_up_to, "period": None, "ac": ac})
                 points.append((policy, order_up_to, ac))
+        trace = OptimTrace(np.array([p.q for p, _, _ in points]),
+                           np.array([level for _, level, _ in points]), [],
+                           np.empty((len(points), 0)), np.ones(len(points), int), None,
+                           np.array([ac for _, _, ac in points]))
     else:
-        points = _period_points(demand_rate, costs, policy_kind, bounds, trace)
+        points, trace = _period_points(demand_rate, costs, policy_kind, bounds)
     best = None  # (key, SystemConfig)
     for policy, order_up_to, ac in points:
         # Within one family q (or the period) is None at every point or at

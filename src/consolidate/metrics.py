@@ -308,10 +308,11 @@ def _cycle_rows(rate: float, q, period: np.ndarray) -> CycleMetrics:
     """``_cycle_forms`` at each float period of an array, bit for bit: the
     time forms when q is None, else the hybrid forms of cap q[r] at row r.
 
-    These are the float path's expressions with its powers (``_float_powers``)
-    and tails.  At q = 1, P(X <= q-2) is 0, as are the falling factorials,
-    and that row's powers are taken as 0, so its pairs and triples are the
-    float path's k > q zeros even where a power overflows.
+    These are the float path's expressions and tails, with its powers by the
+    same libm ``pow`` (``_float_powers``).  At q = 1, P(X <= q-2) is 0, as
+    are the falling factorials, and that row's powers are taken as 0, so its
+    pairs and triples are the float path's k > q zeros even where a power
+    overflows.
     """
     if q is None:
         return CycleMetrics(length=period, orders=rate * period,
@@ -337,19 +338,17 @@ def _cycle_rows(rate: float, q, period: np.ndarray) -> CycleMetrics:
 
 
 def _float_powers(x: np.ndarray, k: int) -> np.ndarray:
-    """x**k, k <= 3, per element of x >= 0 by Python's float power: the float
-    paths' libm ``pow``, which numpy's SIMD power does not match in the last
-    bit.  inf where that power overflows, and the float path raises
-    OverflowError."""
-    return np.fromiter((v**k if v < 1e100 else _power_or_inf(v, k) for v in x.tolist()),
-                       float, x.size)
+    """x**k, k <= 3, per element of x >= 0 by the float paths' libm ``pow``,
+    and inf where Python's float power raises OverflowError.
 
-
-def _power_or_inf(x: float, k: int) -> float:
-    try:
-        return x**k
-    except OverflowError:
-        return math.inf
+    ``np.float_power``'s float64 loop calls ``npy_pow``, the C library's
+    ``pow`` that Python's float ``**`` calls too, so each element is Python's
+    bit for bit.  ``np.power`` is not: on CPUs with AVX-512 it dispatches to a
+    SIMD power that differs from ``pow`` in the last bit of some squares and
+    cubes.
+    """
+    with np.errstate(over="ignore"):
+        return np.float_power(x, float(k))
 
 
 # A cache that holds nothing: no evaluation path asks twice for one table,
@@ -487,9 +486,12 @@ def _period_costs(demand_rate: float, costs: CostParams, q: int | None, periods,
         raise ValueError(f"demand_rate must be positive, got {demand_rate}")
     order_up_to = renewal._check_order_up_to(order_up_to)
     t = np.asarray(periods, dtype=float)
-    mu = np.array([renewal._load_mean(rate, period) for period in t.tolist()])
     # Overflow is detected from the results, not from numpy's warnings.
     with np.errstate(over="ignore", invalid="ignore"):
+        mu = rate * t    # the scalar path's products, bit for bit
+        if not (np.all(t > 0.0) and np.isfinite(mu).all()):
+            for period in t.tolist():    # raises at the first failing period
+                renewal._load_mean(rate, period)
         cyc = _cycle_rows(rate, None if q is None else np.full(t.size, q), t)
         if not np.all(np.isfinite(cyc.delay) & np.isfinite(cyc.sq_delay)):
             raise OverflowError(f"cycle metrics overflow at a period up to {float(t.max())!r}")

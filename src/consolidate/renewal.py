@@ -328,16 +328,27 @@ def _tp_support_ends(mu: np.ndarray) -> np.ndarray:
     return ends
 
 
-def _tp_masses(mu: np.ndarray, ends: list[int]) -> np.ndarray:
+def _tp_masses(mu: np.ndarray, ends) -> np.ndarray:
     """Rows of Poisson(mu[r]) masses cut at ``ends[r]`` and renormalized:
     ``build_increment_tp``'s expressions, element for element.
 
     Rows are zero-padded to the widest support.  Each is renormalized by the
-    sum of its own support, the same 1-d sum as the one-row builder's.
+    sum of its own support, the same sum as the one-row builder's: a copy of
+    the rows sorted by end (one stable argsort) is summed one run of equal
+    ends at a time, by a reduction over the last axis, which runs numpy's
+    pairwise sum on each row's contiguous support as on the 1-d one.
     """
-    masses = _poisson_masses(mu[:, None], max(ends) + 1)
-    masses[np.arange(masses.shape[1]) > np.array(ends)[:, None]] = 0.0
-    masses /= np.array([np.add.reduce(row[:end + 1]) for row, end in zip(masses, ends)])[:, None]
+    ends = np.asarray(ends)
+    masses = _poisson_masses(mu[:, None], int(ends.max()) + 1)
+    masses[np.arange(masses.shape[1]) > ends[:, None]] = 0.0
+    order = np.argsort(ends, kind="stable")
+    ranked, rows = ends[order], masses[order]
+    starts = (np.flatnonzero(np.diff(ranked)) + 1).tolist()
+    totals = np.empty(mu.size)
+    totals[order] = np.concatenate([
+        np.add.reduce(rows[lo:hi, :end + 1], axis=1)
+        for lo, hi, end in zip([0, *starts], [*starts, mu.size], ranked[[0, *starts]].tolist())])
+    masses /= totals[:, None]
     return masses
 
 
@@ -707,7 +718,7 @@ def _mass_rows(mu: np.ndarray, q, levels: np.ndarray):
         floors, ends = _hp_window(mu, q, levels)
     size = max(1, _CHUNK_CELLS // (2 * int(ends.max(initial=0)) + BLOCK + 2))
     for part in (slice(start, start + size) for start in range(0, mu.size, size)):
-        yield part, (_tp_masses(mu[part], ends[part].tolist()) if q is None
+        yield part, (_tp_masses(mu[part], ends[part]) if q is None
                      else _hp_masses(mu[part], floors[part], ends[part]))
 
 

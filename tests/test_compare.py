@@ -1,5 +1,6 @@
 """Matched-frequency comparisons, ordering verification, and the optimizer."""
 
+import json
 import math
 import re
 import time
@@ -223,6 +224,80 @@ def test_optimizer_certificate_and_trace():
     result = optimize(1.0, costs, "hybrid", bounds)
     assert result.evaluations == len(result.trace)
     assert result.best_cost == min(t["ac"] for t in result.trace)
+
+
+def listed_trace(monkeypatch, kind, bounds):
+    """``optimize``'s result and its trace as a list of dicts, built from the
+    scan tables and the golden probes of the run: per point, q outermost,
+    its scan then its probes."""
+    tables, searches = [], []
+    scan, search = compare._period_costs, compare._golden_searches
+
+    def scanning(demand_rate, costs, q, periods, order_up_to):
+        tables.append((q, scan(demand_rate, costs, q, periods, order_up_to)))
+        return tables[-1][1]
+
+    def searching(evaluate, lo, hi, rank, budget):
+        found = search(evaluate, lo, hi, rank, budget)
+        searches.append((rank, found[0]))
+        return found
+
+    monkeypatch.setattr(compare, "_period_costs", scanning)
+    monkeypatch.setattr(compare, "_golden_searches", searching)
+    result = optimize(1.0, REFERENCE_COSTS, kind, bounds)
+    if kind == "quantity":
+        return result, [{"q": q, "order_up_to": level, "period": None,
+                         "ac": average_cost(SystemConfig(1.0, QuantityPolicy(q), level,
+                                                         REFERENCE_COSTS)).avg_cost}
+                        for q in range(1, bounds.q_max + 1)
+                        for level in range(0, bounds.order_up_to_max + 1, q)]
+    (rank, probes), = searches
+    probes = dict(zip(rank, probes))
+    step = bounds.period_max / compare._SCAN_POINTS
+    grid = [step * (i + 1) for i in range(compare._SCAN_POINTS)]
+    trace = []
+    for i, (q, table) in enumerate(tables):
+        for level, costs in enumerate(table.tolist()):
+            for steps in (zip(grid, costs), probes[i * len(table) + level]):
+                trace += [{"q": q, "order_up_to": level, "period": t, "ac": ac} for t, ac in steps]
+    return result, trace
+
+
+@pytest.mark.parametrize("kind, bounds", [
+    ("hybrid", SearchBounds(2, 3, 10.0)), ("time", SearchBounds(1, 3, 10.0)),
+    ("quantity", SearchBounds(2, 4)),
+])
+def test_columnar_trace_is_the_list_of_its_entries(monkeypatch, kind, bounds):
+    result, listed = listed_trace(monkeypatch, kind, bounds)
+    trace = result.trace
+    assert len(trace) == result.evaluations == len(listed)
+    assert trace == listed and listed == trace and not trace != listed
+    assert trace != listed[:-1] and trace != listed[::-1]
+    assert list(trace) == listed == [trace[i] for i in range(len(trace))]
+    assert [trace[-1], trace[-len(trace)]] == [listed[-1], listed[0]]
+    # the same Python types and floats, bit for bit
+    assert json.dumps(list(trace)) == json.dumps(listed)
+    for index in (len(trace), -len(trace) - 1):
+        with pytest.raises(IndexError):
+            trace[index]
+    # read-only, and an entry read is the caller's own dict
+    with pytest.raises(TypeError):
+        trace[0] = listed[0]
+    trace[0]["ac"] = None
+    assert trace[0] == listed[0]
+
+
+def test_columnar_trace_memory_per_entry():
+    # the scan table's row per point and two floats per golden probe
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = optimize(1.0, REFERENCE_COSTS, "time", SearchBounds(1, 300, 20.0))
+        held = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert len(result.trace) > 300 * compare._SCAN_POINTS
+    assert held <= 40 * len(result.trace)
 
 
 @pytest.mark.parametrize("kind, calls", [("hybrid", 3), ("time", 1), ("quantity", 0)])
@@ -451,7 +526,7 @@ def test_lockstep_rows_that_stop_match_the_scalar_search(monkeypatch):
     golden = compare._row_costs    # marks the end of the scan with a None
     monkeypatch.setattr(renewal, "_settled", counted)
     monkeypatch.setattr(compare, "_row_costs", lambda *args: (stops.append(None), golden(*args))[1])
-    points = compare._period_points(rate, REFERENCE_COSTS, "time", bounds, [])
+    points, _ = compare._period_points(rate, REFERENCE_COSTS, "time", bounds)
     assert any(stops[stops.index(None):])
     step = bounds.period_max / compare._SCAN_POINTS
     grid = [step * (i + 1) for i in range(compare._SCAN_POINTS)]
@@ -588,7 +663,7 @@ def test_rows_priced_one_by_one_are_not_speculated(monkeypatch):
 
 
 def test_default_hybrid_optimize_memory_is_bounded(special_bound):
-    # ~97 000 trace entries of ~240 bytes each; the searches add little
+    # ~97 000 trace entries in a columnar trace; the searches add little
     tracemalloc.start()
     try:
         result = optimize(1.0, REFERENCE_COSTS, "hybrid")

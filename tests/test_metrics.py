@@ -6,6 +6,7 @@ import math
 import re
 import time
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -664,6 +665,9 @@ def test_period_costs_raise_where_the_scalar_path_raises():
         _period_costs(1.0, REF_COSTS, None, [1.0, 1e-13], 3)
     with pytest.raises(ValueError, match="finite product"):
         _period_costs(1.0, REF_COSTS, 2, [1.0, math.inf], 3)
+    for bad in (0.0, -1.0, math.nan, 1e308):   # 1e308 overflows the product rate * T
+        with pytest.raises(ValueError, match="finite product"):
+            _period_costs(4.0, REF_COSTS, None, [1.0, bad], 3)
     with pytest.raises(ValueError, match="demand_rate must be positive"):
         _period_costs(0.0, REF_COSTS, 2, [1.0], 3)
     with pytest.raises(OverflowError):
@@ -692,6 +696,46 @@ def test_scan_raises_exactly_where_the_cubes_overflow(q, period, priced):
             average_cost(cfg)
         with pytest.raises(OverflowError, match="cycle metrics overflow"):
             _period_costs(1.0, cfg.costs, q, [period], 0)
+
+
+CUBE_EDGE = 5.643803094122362e102   # about the largest float whose cube is finite
+
+
+def python_powers(x: list, k: int) -> list:
+    """v**k by Python's float power, inf where it raises OverflowError."""
+    out = []
+    for v in x:
+        try:
+            out.append(v**k)
+        except OverflowError:
+            out.append(math.inf)
+    return out
+
+
+@given(x=st.lists(st.floats(0.0, 1e160), min_size=1, max_size=40), k=st.sampled_from([2, 3]))
+@example(x=[1e100], k=3)
+@example(x=[CUBE_EDGE, math.nextafter(CUBE_EDGE, 0.0), math.nextafter(CUBE_EDGE, math.inf)], k=3)
+@example(x=[CUBE_EDGE, math.nextafter(CUBE_EDGE, 0.0), math.nextafter(CUBE_EDGE, math.inf)], k=2)
+@example(x=[5e-324, 1e-310, 2.2250738585072014e-308, 0.0], k=2)
+@example(x=[5e-324, 1e-310, 2.2250738585072014e-308, 0.0], k=3)
+@settings(max_examples=200, deadline=None)
+def test_float_powers_are_pythons_bit_for_bit(x, k):
+    # a SIMD power (np.power) differs from libm's pow in the last bit of some
+    # cubes; the cycle rows must equal the float path's v**k
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = metrics._float_powers(np.array(x), k)
+    assert np.array(python_powers(x, k)).view(np.int64).tolist() == got.view(np.int64).tolist()
+
+
+def test_cost_paths_call_no_simd_power():
+    # np.power dispatches to SIMD code that does not match the scalar path's
+    # libm pow bit for bit; metrics and renewal must not call it
+    for module in (metrics, renewal):
+        tree = ast.parse(inspect.getsource(module))
+        read = {ast.unparse(node) for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr == "power"}
+        assert not read & {"np.power", "numpy.power"}, module.__name__
 
 
 # ---------------------------------------------------------------------------

@@ -1131,6 +1131,11 @@ def test_tp_support_end_far_below_default_tail_eps():
 
 @given(rows=st.lists(st.tuples(st.floats(-3.0, 4.0).map(lambda e: 10.0 ** e),
                                 st.integers(1, 60)), min_size=1, max_size=30))
+@example(rows=[(3.0, 5)])
+# 40 rows on the support ends 20, 30 and 92, in shuffled order
+@example(rows=[((2.5, 6.0, 40.0)[i % 3] + 0.01 * (i * 7 % 13), 8) for i in range(40)])
+# ends 6..9 and 126..129, where numpy's pairwise sum changes form
+@example(rows=[(m, 8) for m in (0.15, 63.1, 0.1, 63.8, 0.2, 62.4, 0.05, 64.5)])
 @settings(max_examples=40, deadline=None)
 def test_batched_masses_do_not_depend_on_the_batch(rows):
     mu = np.array([m for m, _ in rows])
