@@ -146,10 +146,10 @@ class CompareResult:
 
 
 def _round_level(value: float, notes: list, what: str) -> int:
-    level = round(value)
+    level = max(round(value), 0)
     if abs(value - level) > INTEGER_TOL:
         notes.append(f"{what} {value:g} rounded to {level}")
-    return max(int(level), 0)
+    return level
 
 
 def _matched_row(label: str, rate: float, policy: Policy, order_up_to: int | None,
@@ -230,7 +230,8 @@ def _verdicts(rows) -> dict:
     every feasible hybrid row's value is at most the time row's times
     (1 + TIE_SLACK): the paper's HP < TP, with a tie rule for caps at which
     the two differ by less than rounding (at q_H = 50 and mean load 5, by
-    P(X >= 50) ~ 1e-32).  The other verdicts are strict.
+    P(X >= 50) ~ 1e-32).  The other verdicts are strict.  At order-up-to
+    level 0 no policy holds inventory, so the AIR gap is None.
     """
     qp = rows[0]
     tp = rows[1]
@@ -248,7 +249,7 @@ def _verdicts(rows) -> dict:
         verdicts["aosd_qp_lt_tp"] = qp.aosd < tp.aosd
     if tp.order_up_to is not None and hps:
         gaps = [abs(tp.air_approx - r.air_approx) / tp.air_approx for r in hps
-                if r.air_approx is not None]
+                if tp.order_up_to and r.air_approx is not None]
         verdicts["air_tp_hp_max_rel_gap"] = max(gaps) if gaps else None
         if qp.feasible and qp.air_approx is not None:
             verdicts["air_hp_ge_qp"] = all(
@@ -385,8 +386,9 @@ def verify_theorems(grid: VerifyGrid | None = None) -> TheoremReport:
                     hp_eval = average_cost(SystemConfig(rate, hp, n * q - 1, grid.costs),
                                            "approx")
                     air_qp, air_hp, air_tp = qp_eval.air, hp_eval.air, tp_eval.air
-                    gap = abs(air_tp - air_hp) / air_tp
-                    report.air_max_rel_gap = max(report.air_max_rel_gap, gap)
+                    if n * q > 1:    # at Q = 0 no policy holds inventory
+                        gap = abs(air_tp - air_hp) / air_tp
+                        report.air_max_rel_gap = max(report.air_max_rel_gap, gap)
                     if air_hp < air_qp - INTEGER_TOL:
                         report.air_order_violations.append(
                             {**point, "n": n, "air": (air_qp, air_hp, air_tp)}

@@ -50,27 +50,31 @@ homogeneous and a block reads only the w levels below it, so
 m(b..b+BLOCK-1) = P m(b-w..b-1), w multiply-adds per level.  A wider load
 keeps its correlation and applies L (``_block_inverse``) in place of the
 convolution.  Below the gate every block is a correlation and a convolution.
-Every term is nonnegative, so nothing cancels.
+The gate picks the kernel only; the stop and the certificate below do not
+read it.  Every term is nonnegative, so nothing cancels.
 
 By the key renewal theorem m(i) settles to (1 - g(0))/E[X] on an aperiodic
-load, so the solve stops once its state settles (``_settled``).  At each
-block start b = 2^k >= 2 * BLOCK (the first block start past it on the
-explicit route) with b >= w, the state m(b-w..b-1) is tested.  Above level
-0, m(i) = sum_{j=1..w} h(j) m(i-j) with h(j) = g(j)/(1 - g(0)) >= 0, and the
+load, so the solve stops once its state settles.  One schedule serves every
+route (``_scheduled``, through ``_stop`` for the tables): the state
+m(b-w..b-1) is tested at a block start b >= 2 * BLOCK, b >= w, whose block
+below it reached a power of two, that is at b = 2^k on the blocked routes
+and the rows (blocks of BLOCK levels, or one level), and at the first block
+start at or past each 2^k on the explicit route.  Above level 0,
+m(i) = sum_{j=1..w} h(j) m(i-j) with h(j) = g(j)/(1 - g(0)) >= 0, and the
 weights h sum to 1 within the load's defect d (see ``_check_lorden``).  So
 every later level is a convex combination of the w levels below it, scaled
 by at most (1 + d), and by induction lies in the state's range [lo, hi]
 widened by (1 + d)^(Q-b+1).  Once hi - lo <= SETTLE_TOL hi with
 SETTLE_TOL = 1e-14, and d <= SETTLE_TOL, the levels from b on are set to
-(lo + hi)/2: each is within SETTLE_TOL of the exact continuation of the
-state, up to that (1 + d) drift, which is part of the (Q + 2) d slack
-Lorden's bracket already grants the table.  The continuation on the weights
-h/sum(h) (the load the masses stand for) stays inside [lo, hi] exactly, so
-the stop also drops the solve's own drift of up to ~(Q - b) d/E[X], which
-rounding of the masses puts there.  The stop never fires on a periodic load
-(its levels keep a zero in every window), while the state still spreads, or
-on a load of defect above SETTLE_TOL.  A table then takes
-O(min(Q, b) * w) multiply-adds (plus BLOCK * w^2 for P), or
+(lo + hi)/2 (``_settled``): each is within SETTLE_TOL of the exact
+continuation of the state, up to that (1 + d) drift, which is part of the
+(Q + 2) d slack Lorden's bracket already grants the table.  The continuation
+on the weights h/sum(h) (the load the masses stand for) stays inside
+[lo, hi] exactly, so the stop also drops the solve's own drift of up to
+~(Q - b) d/E[X], which rounding of the masses puts there.  The stop never
+fires on a periodic load (its levels keep a zero in every window), while
+the state still spreads, or on a load of defect above SETTLE_TOL.  A table
+then takes O(min(Q, b) * w) multiply-adds (plus BLOCK * w^2 for P), or
 O(min(Q, b) * (c - a)) on the explicit route, in O(min(Q, b)/BLOCK +
 log2(BLOCK)) numpy calls, plus O(Q) to fill and sum it.
 
@@ -87,8 +91,10 @@ association and stop, and reports where each row stops.
 
 One certificate covers every route: Lorden's bracket on E[K]
 (``_check_lorden``, or ``_check_lorden_row`` for one table), checked on every
-stopped table, every table above the matvec gate, the closed-form tables and
-every row of the optimizer's scan.
+table to a level Q >= 2 * BLOCK, stopped or not and on any kernel, on the
+closed-form tables and on every row of the optimizer's scan.  A table below
+2 * BLOCK carries none: most are the optimizer's scalar probes, where the
+terms would cost ~5-10 % of a table, 2-3 % of the median optimize probe.
 """
 
 from __future__ import annotations
@@ -222,10 +228,6 @@ def _bernstein_radius(lam):
     return t / 3.0 + sqrt(t * t / 9.0 + 2.0 * t * lam)
 
 
-# floor(r(0)) = floor(2t/3) = 30: mu + r(mu) grows with mu, so floor(mu + r)
-# never binds a cap of ``_hp_window`` up to this.
-_HP_CAP_MIN = math.floor(_bernstein_radius(0.0))
-
 # mu - r(mu) > 0 iff mu > 8t/3 (~122.8), t = _WINDOW_LOG: up to this load mean
 # a hybrid window starts at 0.
 _HP_FLOOR_MU = 8.0 * _WINDOW_LOG / 3.0
@@ -246,22 +248,14 @@ def _hp_window(mu, q: int, order_up_to: int):
     table needs O(min(Q, mu + r)) masses for any q, at most c - a + 1 of
     them nonzero, and no block solved when a > Q.
     """
-    if isinstance(mu, np.ndarray):
-        cap = np.minimum(q, np.add(order_up_to, 1))
-        if (cap <= _HP_CAP_MIN).all() and not (mu > _HP_FLOOR_MU).any():
-            return np.zeros(mu.shape, int), np.full(mu.shape, cap)
-        r = _bernstein_radius(mu)
-        caps = np.minimum(np.floor(mu + r), cap).astype(int)
-        floors = np.where(mu > _HP_FLOOR_MU, np.maximum(np.ceil(mu - r), 0.0), 0.0)
-        return np.minimum(floors, caps).astype(int), caps
-    cap = min(q, order_up_to + 1)
-    if mu <= _HP_FLOOR_MU:
-        if cap <= _HP_CAP_MIN:
-            return 0, cap
-        return 0, min(cap, math.floor(mu + _bernstein_radius(mu)))
     r = _bernstein_radius(mu)
-    cap = min(cap, math.floor(mu + r))
-    return min(max(math.ceil(mu - r), 0), cap), cap
+    if isinstance(mu, np.ndarray):
+        # the casts floor mu + r > 0 and take ceil(mu - r) >= -0.0 to >= 0
+        caps = np.minimum(mu + r, np.minimum(q, np.add(order_up_to, 1))).astype(int)
+        floors = np.where(mu > _HP_FLOOR_MU, np.ceil(mu - r), 0.0)
+        return np.minimum(floors, caps).astype(int), caps
+    cap = min(q, order_up_to + 1, math.floor(mu + r))
+    return (min(max(math.ceil(mu - r), 0), cap) if mu > _HP_FLOOR_MU else 0), cap
 
 
 def _hp_masses(mu: np.ndarray, floors: np.ndarray, caps: np.ndarray) -> np.ndarray:
@@ -403,22 +397,22 @@ def renewal_table(inc: IncrementDist, order_up_to: int) -> RenewalTable:
     M(Q) equals the expected number of consolidation cycles per replenishment
     cycle.  Zero-mass increments are absorbed by the 1/(1 - g(0)) factor (a
     geometric number of zero-load cycles precedes each level change), which
-    diverges when g(0) -> 1.  The solve stops once its state settles
-    (``_settled``), tested at block starts b = 2^k >= 2 * BLOCK; a stopped
-    table and a table above the matvec gate carry Lorden's certificate.
+    diverges when g(0) -> 1.  A table to Q >= 2 * BLOCK carries Lorden's
+    certificate, and its solve stops once its state settles (``_stop``) if
+    the load's defect is at most SETTLE_TOL; a smaller table solves every
+    level and carries no certificate.
     """
     order_up_to = _check_order_up_to(order_up_to)
     g = inc.masses
     _check_converges(g[0])
     m = np.empty(order_up_to + 1)
     m[0] = 1.0 / (1.0 - g[0])
-    defect = _mass_defect(g) if order_up_to >= 2 * BLOCK else math.inf
-    settle = defect <= SETTLE_TOL
-    matvec = order_up_to // BLOCK >= MATVEC_MIN_BLOCKS
+    terms = (*_lorden_row(g), _mass_defect(g)) if order_up_to >= 2 * BLOCK else None
+    settle = terms is not None and terms[2] <= SETTLE_TOL
     if g[1] == 0.0 and (first := _first_load(g, order_up_to)) >= BLOCK:
         stop = _explicit_solve(m, g, first, settle)
     else:
-        stop = _blocked_solve(m, g, settle, matvec)
+        stop = _blocked_solve(m, g, settle)
     if stop > order_up_to:
         M = np.cumsum(m)
     else:
@@ -428,8 +422,8 @@ def renewal_table(inc: IncrementDist, order_up_to: int) -> RenewalTable:
         np.cumsum(m[:stop], out=M[:stop])
         M[stop:] = M[stop - 1] + m[stop] * np.arange(1.0, order_up_to + 2 - stop)
     table = RenewalTable(m=m, M=M, order_up_to=order_up_to)
-    if matvec or stop <= order_up_to:
-        _check_lorden_row(*_lorden_row(g), defect, order_up_to, float(table.M[-1]))
+    if terms is not None:
+        _check_lorden_row(*terms, order_up_to, float(table.M[-1]))
     return table
 
 
@@ -440,16 +434,10 @@ def _first_load(g: np.ndarray, order_up_to: int) -> int:
 
 
 def _settled(m: np.ndarray, b: int, width: int):
-    """The value at which the levels from b on are filled, given the state
-    m(b-w..b-1) of a load of support end w <= b, or None.
-
-    Above level 0 a level is sum_j h(j) m(i - j), h(j) = g(j)/(1 - g(0)),
-    over the w levels below it, and the weights sum to 1 within the load's
-    defect d.  So once the state spans at most SETTLE_TOL of its largest
-    level, every later level lies in its range, to within the drift
-    (1 + d)^(Q - b + 1) that Lorden's slack already grants, and the midpoint
-    of that range stands for all of them.  Two levels of the state that
-    differ by more rule it out before the state is scanned."""
+    """The midpoint of the state m(b-w..b-1) of a load of support end
+    w <= b if the state spans at most SETTLE_TOL of its largest level (the
+    module docstring shows it stands for every later level), else None.  Two
+    levels of the state that differ by more rule it out before the scan."""
     x, y = m[b - 1], m[b - 1 - width // 2]
     if abs(x - y) > SETTLE_TOL * max(x, y):
         return None
@@ -458,31 +446,46 @@ def _settled(m: np.ndarray, b: int, width: int):
     return 0.5 * (lo + hi) if hi - lo <= SETTLE_TOL * hi else None
 
 
-def _blocked_solve(m: np.ndarray, g: np.ndarray, settle: bool, matvec: bool) -> int:
+def _scheduled(b: int, n: int) -> bool:
+    """Whether a solve tests its state at the block start b, after a block
+    of n levels: b >= 2 * BLOCK and the levels b - n + 1..b hold a power of
+    two.  That is b = 2^k itself when the blocks are BLOCK levels or one,
+    and otherwise the first block start at or past each 2^k: the one stop
+    schedule of every route."""
+    return b >= 2 * BLOCK and (b - n).bit_length() < b.bit_length()
+
+
+def _stop(m: np.ndarray, b: int, n: int, w: int):
+    """The value that fills a solve's levels from b on, or None: ``_settled``
+    on the levels m of a load of support end w at b >= w, if ``_scheduled``."""
+    return _settled(m, b, w) if b >= w and _scheduled(b, n) else None
+
+
+def _blocked_solve(m: np.ndarray, g: np.ndarray, settle: bool) -> int:
     """m(1..Q) in blocks: a correlation and a convolution each, doubling from
-    level 1 up to BLOCK; with ``matvec`` (from MATVEC_MIN_BLOCKS full blocks
-    on), BLAS matvecs from level BLOCK (the jump matrix of a narrow load, the
-    block inverse of a wide one).  With ``settle``, the state is tested at
-    each block start 2^k >= 2 * BLOCK.
-    Returns the level from which the levels are filled, or Q + 1."""
+    level 1 up to BLOCK.  A table of MATVEC_MIN_BLOCKS full blocks or more
+    solves its blocks from level BLOCK on as BLAS matvecs (the jump matrix of
+    a narrow load, the block inverse of a wide one): the gate picks the
+    kernel, nothing else.  With ``settle``, every block start past the
+    doubling warm-up goes to ``_stop``.  Returns the level from which the
+    levels are filled, or Q + 1."""
     order_up_to = m.size - 1
     smax = g.size - 1
+    matvec = order_up_to // BLOCK >= MATVEC_MIN_BLOCKS
     # g(j + 1) at index j, zero past the support: the correlation kernel.
     kernel = np.zeros(order_up_to)
     kernel[:min(smax, order_up_to)] = g[1:order_up_to + 1]
-    check = 2 * BLOCK
     lower = None
     # The first block is level 1 alone: (g(1) m(0)) m(0), its convolution's
     # only product.
     if order_up_to:
         m[1] = kernel[0] * m[0] * m[0]
-    b = 2
+    b, n = 2, 1
     while b <= order_up_to:
-        if settle and b == check:
-            check *= 2
-            if b >= smax and (value := _settled(m, b, smax)) is not None:
-                m[b:] = value
-                return b
+        # no test falls in the doubling warm-up, which ends at b = BLOCK
+        if settle and n == BLOCK and (value := _stop(m, b, n, smax)) is not None:
+            m[b:] = value
+            return b
         if matvec and b >= BLOCK and lower is None:
             if smax <= BLOCK:
                 break
@@ -493,21 +496,20 @@ def _blocked_solve(m: np.ndarray, g: np.ndarray, settle: bool, matvec: bool) -> 
         if n == 1:
             m[b] = known[0] * m[0]   # one level: the convolution's (or L's) only product
         elif lower is None:
-            m[b:b + n] = np.convolve(known, m[:n])[:n]
+            # np.convolve(known, m[:n]) bit for bit, without its argument checks
+            m[b:b + n] = np.correlate(known, m[n - 1::-1], "full")[:n]
         else:
-            m[b:b + n] = lower[:n, :n] @ known
+            np.matmul(lower[:n, :n], known, out=m[b:b + n])
         b += n
     if b > order_up_to:
         return order_up_to + 1
     jump = _jump_matrix(m, kernel, smax)
     for b in range(b, order_up_to + 1, BLOCK):
-        if settle and b == check:
-            check *= 2
-            if (value := _settled(m, b, smax)) is not None:
-                m[b:] = value
-                return b
+        if settle and (value := _stop(m, b, BLOCK, smax)) is not None:
+            m[b:] = value
+            return b
         n = min(BLOCK, order_up_to + 1 - b)
-        m[b:b + n] = jump[:n] @ m[b - smax:b]
+        np.matmul(jump[:n], m[b - smax:b], out=m[b:b + n])
     return order_up_to + 1
 
 
@@ -515,9 +517,9 @@ def _explicit_solve(m: np.ndarray, g: np.ndarray, first: int, settle: bool) -> i
     """m(1..Q) of a load with no mass on 1..first-1, first >= BLOCK: the
     levels of a block of up to ``first`` levels read only levels below it,
     so each block is one correlation of the load's window g(first..w),
-    w = min(smax, Q), with no block inverse.  With ``settle``, the state is
-    tested at the first block start past each 2^k >= 2 * BLOCK.  Returns the
-    level from which the levels are filled, or Q + 1."""
+    w = min(smax, Q), with no block inverse.  With ``settle``, every block
+    start goes to ``_stop``; levels 0..first-1 count as the first block.
+    Returns the level from which the levels are filled, or Q + 1."""
     order_up_to = m.size - 1
     smax = g.size - 1
     width = min(smax, order_up_to)
@@ -525,16 +527,12 @@ def _explicit_solve(m: np.ndarray, g: np.ndarray, first: int, settle: bool) -> i
     # m(-w..Q), zero below level 0, so that every block reads a whole window
     ext = np.zeros(width + order_up_to + 1)
     ext[width] = m[0]
-    check = 2 * BLOCK
-    b = first
+    levels = ext[width:]    # m(0..Q), indexed by level
+    b = n = first
     while b <= order_up_to:
-        if b >= check:
-            while check <= b:
-                check *= 2
-            if (settle and b >= smax
-                    and (value := _settled(ext, width + b, width)) is not None):
-                ext[width + b:] = value
-                break
+        if settle and (value := _stop(levels, b, n, smax)) is not None:
+            ext[width + b:] = value
+            break
         n = min(first, order_up_to + 1 - b)
         ext[width + b:width + b + n] = np.correlate(ext[b:b + n - first + width], window,
                                                     "valid") * m[0]
@@ -585,15 +583,16 @@ def _renewal_levels(g: np.ndarray, levels: np.ndarray, stops: dict):
 
     A level is summed as ``renewal_table`` sums it, (sum_{j=1..i} g(j)
     m(i-j), in j order) m(0): bit for bit up to level 2, within rounding
-    above.  A row stops by the table's rule, at each b = 2^k >= 2 * BLOCK up
-    to its level once b is at least its support end w, its defect at most
-    SETTLE_TOL and its state passes ``_settled``, so it depends neither on
-    the rows solved with it nor on the top level.  A row r that stops
-    leaves the live rows, and stops[r] = (b, value) records that its levels
-    from b on are all that value; the solve ends when no live row is left.
-    The live rows' last w + BLOCK levels are kept level-major; the stop's
-    support ends and defects are built at its first test.  Columns of g past
-    a row's level are not read; the divergence check is the caller's.
+    above.  A row stops by the table's rule: at the levels b of
+    ``_scheduled`` (blocks of one level) up to its level once b is at least
+    its support end w, its defect at most SETTLE_TOL and its state passes
+    ``_settled``, so it depends neither on the rows solved with it nor on
+    the top level.  A row r that stops leaves the live rows, and
+    stops[r] = (b, value) records that its levels from b on are all that
+    value; the solve ends when no live row is left.  The live rows' last
+    w + BLOCK levels are kept level-major; the stop's support ends and
+    defects are built at its first test.  Columns of g past a row's level
+    are not read; the divergence check is the caller's.
     """
     start = 1.0 / (1.0 - g[:, 0])
     yield slice(None), start
@@ -604,7 +603,7 @@ def _renewal_levels(g: np.ndarray, levels: np.ndarray, stops: dict):
     span = min(top + 1, width + BLOCK)
     m = np.empty((span, g.shape[0]))    # level base + k at row k
     m[0], base, n = start, 0, len(reach)
-    check, ends, live = 2 * BLOCK, None, None
+    ends = live = None
     for i in range(1, top + 1):
         if i - base == span:
             m[:width] = m[span - width:]
@@ -612,8 +611,7 @@ def _renewal_levels(g: np.ndarray, levels: np.ndarray, stops: dict):
         while n and reach[n - 1] < i:    # the live rows whose level is at least i
             n -= 1
         at = i - base
-        if i == check and n:
-            check *= 2
+        if n and _scheduled(i, 1):
             if ends is None:
                 ends = g.shape[1] - 1 - np.argmax(g[:, :0:-1] > 0.0, axis=1)
                 steady = _lorden_terms(g)[2] <= SETTLE_TOL
@@ -793,9 +791,8 @@ def _lorden_terms(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _lorden_row(g: np.ndarray) -> tuple[float, float]:
     """The mean and overshoot of ``_lorden_terms`` for one load's masses g, as floats."""
     support = np.arange(g.size, dtype=float)
-    weighted = g * support
-    mean = float(np.add.reduce(weighted))
-    return mean, float(weighted @ support) / mean
+    mean = float(np.dot(g, support))
+    return mean, float(np.dot(g, support * support)) / mean
 
 
 def _mass_defect(g: np.ndarray) -> float:
@@ -844,7 +841,8 @@ def _check_lorden(mean: np.ndarray, overshoot: np.ndarray, defect: np.ndarray,
     ``order_up_to`` may also be a column of levels, one per row of ``cycles``;
     then a violation raises at the lowest failing level, at its first failing
     row.  Raises ArithmeticError on a violation.  ``_check_lorden_row`` is
-    the same check for one table, on floats.
+    the same check for one table, on floats, which ``renewal_table`` runs on
+    every table to Q >= 2 * BLOCK, whatever its kernel and its stop.
     """
     lower, upper = _lorden_bracket(mean, overshoot, defect, order_up_to)
     bad = ~((lower <= cycles) & (cycles <= upper))

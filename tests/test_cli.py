@@ -180,6 +180,19 @@ def test_compare_csv_output(tmp_path, capsys):
     assert len(rows) == 1 + 4  # QP, TP, two HP rows
 
 
+def test_compare_at_order_up_to_level_zero_exits_zero(tmp_path, capsys):
+    doc = {"demand_rate": 1.0,
+           "match": {"target_cycle_length": 1.0, "target_replenish_length": 1.0,
+                     "qh_list": [2]}}
+    path = tmp_path / "cmp.json"
+    path.write_text(json.dumps(doc))
+    out_path = tmp_path / "cmp_out.json"
+    code, out, _ = run_cli(["compare", "--config", str(path), "--out", str(out_path)], capsys)
+    assert code == 0
+    assert "verdict air_tp_hp_max_rel_gap: None" in out
+    assert '"air_tp_hp_max_rel_gap": null' in out_path.read_text()
+
+
 def test_verify_small_grid_exit_zero(tmp_path, capsys):
     doc = {"verify": {"demand_rates": [1.0], "q_values": [3, 5],
                       "qh_extra": [1, 3], "replenish_multiples": [2]}}

@@ -118,6 +118,22 @@ def test_hp_row_infeasible_when_cap_too_small():
     assert result.rows[3].feasible
 
 
+@pytest.mark.parametrize("rate", [1.0, 0.1, 0.4])
+def test_matched_rows_at_order_up_to_level_zero_report_no_air_gap(rate):
+    # rate * E[L^R] - 1 rounds to level 0, where no policy holds inventory:
+    # the TP~HP AIR gap is 0/0 and reads None, and the orderings still hold
+    result = compare_matched(MatchSpec(rate, 1.0, 1.0), [2])
+    tp, hp = result.rows[1:]
+    assert tp.order_up_to == hp.order_up_to == 0
+    assert tp.air_approx == hp.air_approx == 0.0
+    assert result.verdicts["air_tp_hp_max_rel_gap"] is None
+    assert result.verdicts["aod_hp_lt_tp"] and result.verdicts["aosd_hp_lt_tp"]
+    assert result.verdicts.get("air_hp_ge_qp", True)
+    # the note names the level used, not the -1 that rounding gave
+    notes = [] if rate == 1.0 else [f"order-up-to level {rate - 1.0:g} rounded to 0"]
+    assert tp.notes == hp.notes == notes
+
+
 def test_match_spec_validation():
     with pytest.raises(ValueError):
         MatchSpec(0.0, 5.0)
@@ -151,6 +167,21 @@ def test_default_grid_fully_verifies():
     assert report.air_order_violations == []
     assert report.cost_order_violations == []
     assert report.exact_ok and report.approx_ok
+
+
+def test_verify_grid_at_order_up_to_level_zero_skips_the_air_gap():
+    # n q - 1 = 0 at n = 1: every AIR is 0, so that point adds no gap, and its
+    # orderings are still checked
+    def report(multiples):
+        return verify_theorems(VerifyGrid(demand_rates=(1.0,), q_values=(1, 2), qh_extra=(1,),
+                                          replenish_multiples=multiples))
+
+    both, above = report((1, 2)), report((2,))
+    assert (both.points, both.air_points) == (2, 4)
+    assert both.exact_ok and both.approx_ok
+    assert both.air_max_rel_gap == above.air_max_rel_gap
+    assert both.air_order_violations == both.cost_order_violations == []
+    assert report((1,)).air_max_rel_gap == 0.0
 
 
 def test_small_grid_report_shape():

@@ -1026,3 +1026,19 @@ def test_metrics_reaches_renewal_only_through_its_entry_points():
              for alias in node.names}
     assert {"load_table", "_level_table", "_row_sums"} <= read
     assert read <= RENEWAL_ENTRY_POINTS, sorted(read - RENEWAL_ENTRY_POINTS)
+
+
+def test_renewal_keeps_its_kernel_gate_and_its_stop_schedule_in_one_place():
+    # the matvec gate picks one solve's kernel and nothing else, and every
+    # route tests its state on the one schedule: the solves reach ``_settled``
+    # through ``_stop``, and the rows on ``_scheduled`` at blocks of one level
+    tree = ast.parse(inspect.getsource(renewal))
+
+    def readers(name):
+        return {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                for node in ast.walk(fn) if isinstance(node, ast.Name) and node.id == name}
+
+    assert readers("MATVEC_MIN_BLOCKS") == {"_blocked_solve"}
+    assert readers("_settled") == {"_stop", "_renewal_levels"}
+    assert readers("_scheduled") == {"_stop", "_renewal_levels"}
+    assert readers("_stop") == {"_blocked_solve", "_explicit_solve"}

@@ -615,20 +615,35 @@ def lorden_upper(masses, order_up_to):
     return (order_up_to + masses @ support**2 / mean) / mean
 
 
-@pytest.mark.parametrize("inc", [build_increment_hp(1.0, 10, 8.0),
-                                 build_increment_hp(1.0, 300, 250.0)])
-def test_matvec_table_between_the_brackets_raises(monkeypatch, inc):
-    # E[K] scaled halfway from Lorden's upper end to the support end's one:
-    # inside the old bracket, outside the certificate's
-    cycles = expected_k(renewal_table(inc, GATE))
-    upper, loose = lorden_upper(inc.masses, GATE), wald_upper(inc.masses, GATE)
+# loads 2 and 4: periodic, so the solve never stops (every odd level is 0),
+# and with a gap between Lorden's upper end and the support end's one
+PERIODIC = IncrementDist([0.0, 0.0, 0.5, 0.0, 0.5])
+
+
+@pytest.mark.parametrize("inc, order_up_to", [
+    pytest.param(PERIODIC, 2 * BLOCK, id="periodic-256"),
+    pytest.param(PERIODIC, 1000, id="periodic-1000"),
+    pytest.param(PERIODIC, GATE - 1, id="periodic-gate-1"),
+    pytest.param(PERIODIC, GATE, id="periodic-gate"),
+    pytest.param(build_increment_hp(1.0, 10, 8.0), GATE, id="jump-gate"),
+    pytest.param(build_increment_hp(1.0, 300, 250.0), GATE, id="inverse-gate"),
+])
+def test_table_between_the_brackets_raises(monkeypatch, inc, order_up_to):
+    # every table to Q >= 2 * BLOCK is certified, stopped or not, on either
+    # side of the matvec gate: E[K] scaled halfway from Lorden's upper end to
+    # the support end's one, inside the loose bracket, must fail the check
+    solved = renewal_table(inc, order_up_to)
+    if inc is PERIODIC:
+        assert not solved.m[1::2].any()    # no level was filled by a stop
+    cycles = expected_k(solved)
+    upper, loose = lorden_upper(inc.masses, order_up_to), wald_upper(inc.masses, order_up_to)
     assert upper * (1.0 + 1e-6) < loose
     scale = (upper + loose) / 2.0 / cycles
     table = renewal.RenewalTable
     monkeypatch.setattr(renewal, "RenewalTable", lambda m, M, order_up_to: table(
         m=scale * m, M=scale * M, order_up_to=order_up_to))
     with pytest.raises(ArithmeticError, match="Lorden bracket"):
-        renewal_table(inc, GATE)
+        renewal_table(inc, order_up_to)
 
 
 @pytest.mark.parametrize("inc", [
