@@ -17,10 +17,11 @@ e_n = rate * e_lc):
 
 where AIR is average on-hand inventory per time unit and AOD the average
 delay per order.  Exact mode computes e_k and the holding factor from the
-renewal table of the load distribution: the recursion on the load's masses
-for hybrid loads and narrow time-policy loads, a closed form for time-policy
-loads of mean rate*T at least ``renewal.TP_CLOSED_FORM_MU``.  A hybrid load
-min(X, q) enters its table on the window min(max(X, a), c), with the cap
+renewal masses of the load distribution: the recursion on the load's masses
+for hybrid loads, the recursion on a head of levels and the load's poles past
+it for time-policy loads of mean rate*T below ``renewal.TP_CLOSED_FORM_MU``,
+and a closed form from that mean on.  A hybrid load min(X, q) enters its
+table on the window min(max(X, a), c), with the cap
 c = min(q, Q + 1, floor(mu + r)) and, from mu ~ 122.8 on, the floor
 a = ceil(mu - r): each costs at most a Poisson tail of 1e-20, and together
 they bound the table's memory by O(Q) and its work by O(Q (c - a)) for any
@@ -36,8 +37,8 @@ arrays alike: the exact replenishment record (``_renewal_record``), the
 per-order ratios and AIR (``_per_order``, ``_service``) and the four cost
 components (``_components``); the cycle forms have a float route
 (``_cycle_forms``) and an array route with its bits (``_cycle_rows``).  Every
-renewal route is chosen in ``renewal``: a system's table comes from
-``renewal.load_table``, the optimizer's period scan ``_period_costs`` takes
+renewal route is chosen in ``renewal``: a system's sums come from
+``renewal.load_sums``, the optimizer's period scan ``_period_costs`` takes
 its levels from ``renewal._level_table``, and its golden steps ``_row_costs``
 their sums from ``renewal._row_sums``.  Those two own the cycle forms, the
 per-level reductions, the costs and the order in which errors are raised.
@@ -351,13 +352,14 @@ def _float_powers(x: np.ndarray, k: int) -> np.ndarray:
         return np.float_power(x, float(k))
 
 
-# A cache that holds nothing: no evaluation path asks twice for one table,
-# and a kept table of a large Q costs ~80 kB.  The wrapper stays for its
-# ``cache_info``, which the benchmark's tracer reads as its table-cache count.
+# A cache that holds nothing: no evaluation path asks twice for one system's
+# sums.  The wrapper stays for its ``cache_info``, which the benchmark's
+# tracer reads as its table-cache count.
 @lru_cache(maxsize=0)
-def _policy_table(demand_rate: float, policy: Policy, order_up_to: int) -> renewal.RenewalTable:
-    return renewal.load_table(renewal._load_mean(demand_rate, policy.period),
-                              getattr(policy, "q", None), order_up_to)
+def _policy_table(demand_rate: float, policy: Policy, order_up_to: int) -> tuple[float, float]:
+    """E[K] and the holding factor of one system (``renewal.load_sums``)."""
+    return renewal.load_sums(renewal._load_mean(demand_rate, policy.period),
+                             getattr(policy, "q", None), order_up_to)
 
 
 def replenish_metrics(cfg: SystemConfig, mode: str = "exact") -> ReplenishMetrics:
@@ -388,8 +390,7 @@ def _replenish(cfg: SystemConfig, mode: str, cyc: CycleMetrics) -> ReplenishMetr
         return ReplenishMetrics(
             cycles=(q_up + 1) / cyc.orders, length=(q_up + 1) / rate,
             holding=cyc.orders * q_up / rate + q_up * (q_up + 1) / (2.0 * rate), mode=mode)
-    table = _policy_table(rate, cfg.policy, q_up)
-    return _renewal_record(cyc, renewal.expected_k(table), renewal.holding_sum(table))
+    return _renewal_record(cyc, *_policy_table(rate, cfg.policy, q_up))
 
 
 def _renewal_record(cyc: CycleMetrics, cycles, holding_sum) -> ReplenishMetrics:

@@ -17,8 +17,19 @@ That holds for hybrid loads and for time-policy loads of mean below
 ``TP_CLOSED_FORM_MU``.  From that mean on, a time-policy table does not use
 the recursion: k cycles load Poisson(k mu) exactly, so ``_tp_renewal_rows``
 sums m(i) = sum_k P(Poisson(k mu) = i) over windows of masses whose outside
-mass is below 1e-20 a side, in O(Q) memory for any mu.  The route depends on
-mu alone, never on Q.
+mass is below 1e-20 a side, in O(Q) memory for any mu.  The table's route
+depends on mu alone, never on Q.
+
+The sums E[K] and sum_i (Q - i) m(i) of a time load of mean mu in
+[_POLE_MIN_MU, TP_CLOSED_FORM_MU) take the recursion only on a head: levels
+below i0 = max(ceil(2 mu), 32) (``_pole_head``).  The renewal function
+1/(1 - e^{mu (z - 1)}) of Poisson(mu) has simple poles z_k = 1 + 2 pi i k/mu
+of weight 1/mu, so m(i) = (1/mu)(1 + 2 Re sum_{k>=1} z_k^-(i+1)) exactly for
+i >= 1, and over levels i0..Q the sums are geometric in closed form
+(``_pole_tail``).  K pairs, with |z_K|^-(i0+1) <= 1e-18 (``_pole_pairs``, at
+most 18), leave out less than 1e-18 of m(i) a level.  The pole levels carry
+no tail cut; the head keeps the cut load's levels, bit for bit, so below i0
+nothing moves.
 
 A table to level Q reads the masses g(0..Q) only.  So the evaluation paths
 build the table of a hybrid load min(X, q), X ~ Poisson(mu), on the window
@@ -78,27 +89,35 @@ then takes O(min(Q, b) * w) multiply-adds (plus BLOCK * w^2 for P), or
 O(min(Q, b) * (c - a)) on the explicit route, in O(min(Q, b)/BLOCK +
 log2(BLOCK)) numpy calls, plus O(Q) to fill and sum it.
 
-Three entry points choose every route: ``load_table`` builds one system's
-table, ``_level_table`` the optimizer's scan (E[K] at every level up to a
-bound for many loads of one family) and ``_row_sums`` the sums of its golden
-rows, each at its own level.  The batched two share one prologue,
-``_mass_rows``: each row's cut (``_tp_support_ends``) or window, then the
-rows of masses (``_tp_masses``, ``_hp_masses``) in chunks of bounded memory,
-each element by the scalar builder's expression, so a row equals the scalar
-masses bit for bit whatever its chunk.  ``_renewal_levels`` solves the rows,
-one level at a time along the batch axis, with the scalar table's
-association and stop, and reports where each row stops.
+Four entry points choose every route: ``load_table`` builds one system's
+table and ``load_sums`` its E[K] and holding factor, ``_level_table`` the
+optimizer's scan (E[K] at every level up to a bound for many loads of one
+family) and ``_row_sums`` the sums of its golden rows, each at its own level.
+The three sums take the same head and poles: ``load_sums`` the table to
+i0 - 1 (``load_table``) and ``_pole_tail`` in Python complex, the rows their
+heads and ``_pole_tail`` over the rows, the scan its heads and m(i0..Q)
+from ``_pole_masses`` under its running sum.  The batched two share one
+prologue, ``_mass_rows``: each row's cut (``_tp_support_ends``) or window,
+then the rows of masses (``_tp_masses``, ``_hp_masses``) in chunks of
+bounded memory, each element by the scalar builder's expression, so a row
+equals the scalar masses bit for bit whatever its chunk.
+``_renewal_levels`` solves the rows, each to its head or level
+(``_heads``), one level at a time along the batch axis, with the scalar
+table's association and stop, and reports where each row stops.
 
 One certificate covers every route: Lorden's bracket on E[K]
 (``_check_lorden``, or ``_check_lorden_row`` for one table), checked on every
 table to a level Q >= 2 * BLOCK, stopped or not and on any kernel, on the
-closed-form tables and on every row of the optimizer's scan.  A table below
-2 * BLOCK carries none: most are the optimizer's scalar probes, where the
-terms would cost ~5-10 % of a table, 2-3 % of the median optimize probe.
+closed-form tables, on every sum that took poles (on the untruncated load's
+terms, ``_tp_lorden_terms``) and on every row of the optimizer's scan.  A
+table below 2 * BLOCK carries none: most are the optimizer's scalar probes,
+where the terms would cost ~5-10 % of a table, 2-3 % of the median optimize
+probe.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -118,6 +137,25 @@ DEFAULT_TAIL_EPS = 1e-12
 # smallest power of two at which the closed form was no slower at any Q in
 # {10, 100, 1000, 10000}.
 TP_CLOSED_FORM_MU = 256.0
+
+# The head of a time load's pole route (``load_sums``): levels below
+# i0 = max(ceil(2 mu), _POLE_HEAD) come from the recursion, levels from i0 on
+# from the poles of its renewal function, the pairs k = 1..K with
+# |z_K|^-(i0+1) <= e^-_POLE_LOG = 1e-18 (``_pole_pairs``).  The pinned
+# matched comparisons (``tests/data/compare_pins.json``) evaluate time loads
+# of mean ~5 at levels 18 and 19, so the head reaches past them.
+_POLE_HEAD = 32
+_POLE_LOG = -math.log(1e-18)
+
+# Time-load means from which the pole route applies.  The head solves the
+# cut load, whose renormalization moves 1 - g(0) ~ mu by the dropped tail:
+# by ~mu/2 relative where the cut keeps one mass above zero (mu below
+# ~1.4e-6).  At mu = 1.2e-7 the head's E[K] then reads ~31 high at i0 = 32,
+# past Lorden's bracket on the untruncated load, whose upper end lies ~1/2
+# above E[K] at small means.  From 1e-4 to 1e-2 the head erred by at most
+# 1/300 of that margin (against a 40-digit recursion at i0).  The loads
+# below the floor settle by level 2 * BLOCK anyway.
+_POLE_MIN_MU = 1e-4
 
 # Poisson mass left outside each side of a closed-form window, and above the
 # cap and below the floor of a hybrid load's table (``_hp_window``); and its
@@ -349,15 +387,12 @@ def _tp_masses(mu: np.ndarray, ends) -> np.ndarray:
 def build_increment_hp(rate: float, q: int, period: float) -> IncrementDist:
     """Load distribution under a hybrid policy: min(X, q), X ~ Poisson(rate*period).
 
-    It has q + 1 masses.  The evaluation paths build it at the cap of
-    ``_hp_window`` in place of q, which bounds the masses by the table's
-    level, and from a load mean of ~122.8 on take the floored row of
-    ``_hp_masses`` (``load_table``).
+    It has q + 1 masses.  The evaluation paths build its masses, unchecked
+    (``_hp_load``), at the cap of ``_hp_window`` in place of q, which bounds
+    them by the table's level, and from a load mean of ~122.8 on take the
+    floored row of ``_hp_masses`` (``load_table``).
     """
-    mu = _load_mean(rate, period)
-    masses = _poisson_masses(mu, q + 1)
-    masses[q] = poisson_tail(mu, q)
-    return IncrementDist(masses)
+    return IncrementDist(_hp_load(_load_mean(rate, period), q))
 
 
 def build_increment_tp(rate: float, period: float,
@@ -370,9 +405,21 @@ def build_increment_tp(rate: float, period: float,
     mu = _load_mean(rate, period)
     if not 0.0 < tail_eps <= 1e-10:
         raise ValueError(f"tail_eps must be in (0, 1e-10], got {tail_eps}")
+    return IncrementDist(_tp_load(mu, tail_eps))
+
+
+def _hp_load(mu: float, q: int) -> np.ndarray:
+    """The masses of ``build_increment_hp`` at the load mean mu, unchecked."""
+    masses = _poisson_masses(mu, q + 1)
+    masses[q] = poisson_tail(mu, q)
+    return masses
+
+
+def _tp_load(mu: float, tail_eps: float = DEFAULT_TAIL_EPS) -> np.ndarray:
+    """The masses of ``build_increment_tp`` at the load mean mu, unchecked."""
     masses = _poisson_masses(mu, _tp_support_end(mu, tail_eps) + 1)
     masses /= masses.sum()
-    return IncrementDist(masses)
+    return masses
 
 
 def _check_order_up_to(order_up_to) -> int:
@@ -402,8 +449,12 @@ def renewal_table(inc: IncrementDist, order_up_to: int) -> RenewalTable:
     the load's defect is at most SETTLE_TOL; a smaller table solves every
     level and carries no certificate.
     """
-    order_up_to = _check_order_up_to(order_up_to)
-    g = inc.masses
+    return _table(inc.masses, _check_order_up_to(order_up_to))
+
+
+def _table(g: np.ndarray, order_up_to: int) -> RenewalTable:
+    """``renewal_table`` on the masses g of a load, which the caller built or
+    checked, to a checked level Q."""
     _check_converges(g[0])
     m = np.empty(order_up_to + 1)
     m[0] = 1.0 / (1.0 - g[0])
@@ -686,8 +737,9 @@ def load_table(mu: float, q: int | None, order_up_to) -> RenewalTable:
     A time load takes the closed form from TP_CLOSED_FORM_MU on, certified
     by Lorden's bracket, and below it the recursion on its tail-cut load.  A
     hybrid load takes the recursion on its window (``_hp_window``), from
-    ``build_increment_hp`` at the cap or, once floored, from its row of
-    ``_hp_masses``.  The route depends on mu alone, never on Q.
+    ``build_increment_hp``'s masses at the cap (``_hp_load``) or, once
+    floored, from its row of ``_hp_masses``; no mass is checked again.  The
+    route depends on mu alone, never on Q.
     """
     order_up_to = _check_order_up_to(order_up_to)
     if q is None and mu >= TP_CLOSED_FORM_MU:
@@ -695,13 +747,105 @@ def load_table(mu: float, q: int | None, order_up_to) -> RenewalTable:
         table = RenewalTable(m=m, M=np.cumsum(m), order_up_to=order_up_to)
         _check_lorden_row(*_tp_lorden_terms(mu), order_up_to, float(table.M[-1]))
         return table
+    mu = _load_mean(1.0, mu)
     if q is None:
-        inc = build_increment_tp(1.0, mu)
-    else:
-        floor, cap = _hp_window(mu, q, order_up_to)
-        inc = (IncrementDist(_hp_masses(np.array([mu]), np.array([floor]), np.array([cap]))[0])
-               if floor else build_increment_hp(1.0, cap, mu))
-    return renewal_table(inc, order_up_to)
+        return _table(_tp_load(mu), order_up_to)
+    floor, cap = _hp_window(mu, q, order_up_to)
+    return _table(_hp_masses(np.array([mu]), np.array([floor]), np.array([cap]))[0]
+                  if floor else _hp_load(mu, cap), order_up_to)
+
+
+def load_sums(mu: float, q: int | None, order_up_to) -> tuple[float, float]:
+    """E[K] = M(Q) and the holding factor sum_{i<=Q} (Q - i) m(i) of the
+    load of ``load_table``.  A time load of mean in [_POLE_MIN_MU,
+    TP_CLOSED_FORM_MU) at a level Q >= i0 = ``_pole_head(mu)`` sums its table
+    to i0 - 1 and adds levels i0..Q from its poles (``_pole_tail``),
+    certified by Lorden's bracket on the untruncated load.  Below i0, and for
+    every other load, the sums are those of ``load_table``, bit for bit."""
+    order_up_to = _check_order_up_to(order_up_to)
+    if (q is None and _POLE_MIN_MU <= mu < TP_CLOSED_FORM_MU
+            and order_up_to >= (head := _pole_head(mu))):
+        table = load_table(mu, None, head - 1)
+        n = order_up_to - head + 1
+        cycles, holding = _pole_tail(mu, head, n)
+        cycles += expected_k(table)
+        _check_lorden_row(*_tp_lorden_terms(mu), order_up_to, cycles)
+        return cycles, holding_sum(table) + n * expected_k(table) + holding
+    table = load_table(mu, q, order_up_to)
+    return expected_k(table), holding_sum(table)
+
+
+def _pole_head(mu):
+    """The first level i0 = max(ceil(2 mu), _POLE_HEAD) that a time load of
+    mean mu takes from its poles; for a float, or elementwise as integers."""
+    if isinstance(mu, np.ndarray):
+        return np.maximum(np.ceil(2.0 * mu), _POLE_HEAD).astype(int)
+    return max(math.ceil(2.0 * mu), _POLE_HEAD)
+
+
+def _pole_pairs(mu, head):
+    """K = ceil(mu/(2 pi) sqrt(expm1(2 _POLE_LOG/(i0 + 1)))), the pole pairs
+    of a pole sum from level i0 on: |z_k|^2 = 1 + (2 pi k/mu)^2, so
+    |z_K|^-(i0+1) <= 1e-18, and every later pair is smaller.  K <= 18 below
+    TP_CLOSED_FORM_MU.  For floats, or elementwise as integers."""
+    if isinstance(mu, np.ndarray):
+        return np.ceil(mu / (2.0 * math.pi)
+                       * np.sqrt(np.expm1(2.0 * _POLE_LOG / (head + 1)))).astype(int)
+    return math.ceil(mu / (2.0 * math.pi) * math.sqrt(math.expm1(2.0 * _POLE_LOG / (head + 1))))
+
+
+def _pole_tail(mu, head, n):
+    """The levels i0..Q, i0 = head and n = Q - i0 + 1, of the renewal masses
+    of the untruncated load Poisson(mu), summed in closed form:
+    (sum_i m(i), sum_i (Q - i) m(i)).  For floats, in Python complex, or
+    elementwise for arrays, where a row's pairs past its own K weigh 0.
+
+    1/(1 - e^{mu (z - 1)}) has simple poles z_k = 1 + 2 pi i k/mu of weight
+    1/mu, so for i >= 1, m(i) = (1/mu)(1 + 2 Re sum_{k>=1} w_k^(i+1)),
+    w_k = 1/z_k.  Over the n levels from i0 the sums are geometric:
+
+        sum m(i) = n/mu + (2/mu) Re sum_k w^(i0+1) (1 - w^n)/(1 - w),
+        sum (Q - i) m(i) = n (n - 1)/(2 mu)
+            + (2/mu) Re sum_k w^(i0+1) [(n - 1)(1 - w) - (w - w^n)]/(1 - w)^2,
+
+    over the ``_pole_pairs`` pairs, added in order of k.  Each power is
+    exp(p log w) with log w = -log1p(t^2)/2 - i atan(t), t = 2 pi k/mu, and
+    1 - w = i t/(1 + i t): neither cancels when t is small."""
+    rows = isinstance(mu, np.ndarray)
+    log1p, atan, exp = (np.log1p, np.arctan, np.exp) if rows else (math.log1p, math.atan,
+                                                                     cmath.exp)
+    pairs = _pole_pairs(mu, head)
+    cycles = holding = 0j
+    for k in range(1, (pairs.max() if rows else pairs) + 1):
+        t = 2.0 * math.pi * k / mu
+        radius, angle = -0.5 * log1p(t * t), -atan(t)
+        lead = exp((head + 1) * radius + 1j * ((head + 1) * angle))
+        last = exp(n * radius + 1j * (n * angle))
+        z = 1.0 + 1j * t
+        gap = 1j * t / z
+        more = lead * (1.0 - last) / gap, lead * ((n - 1) * gap - (1.0 / z - last)) / (gap * gap)
+        if rows:
+            more = np.where(k <= pairs, more, 0.0)
+        cycles, holding = cycles + more[0], holding + more[1]
+    return (n + 2.0 * cycles.real) / mu, (n * (n - 1) / 2 + 2.0 * holding.real) / mu
+
+
+def _pole_masses(mu: float, head: int, top: int) -> np.ndarray:
+    """m(i0..Q), i0 = head and Q = top, of the untruncated load Poisson(mu)
+    from its ``_pole_pairs`` pole pairs (see ``_pole_tail``), added in order
+    of k.  The power w^(i+1) of a level i = i0 + b BLOCK + j is
+    w^(i0+1+b BLOCK) w^j: (BLOCK + (Q - i0)/BLOCK) K exponentials and K outer
+    products.  No level depends on Q."""
+    count = top - head + 1
+    j = np.arange(min(count, BLOCK))
+    p = head + 1 + BLOCK * np.arange(-(-count // BLOCK))
+    powers = np.zeros((p.size, j.size))
+    for k in range(1, _pole_pairs(mu, head) + 1):
+        t = 2.0 * math.pi * k / mu
+        radius, angle = -0.5 * math.log1p(t * t), -math.atan(t)
+        steps = np.exp(j * radius + 1j * (j * angle))
+        powers += (np.exp(p * radius + 1j * (p * angle))[:, None] * steps).real
+    return (1.0 + 2.0 * powers.ravel()[:count]) / mu
 
 
 def _mass_rows(mu: np.ndarray, q, levels: np.ndarray):
@@ -724,55 +868,86 @@ def _level_table(mu: np.ndarray, q: int | None, order_up_to: int):
     """E[K] = M(Q) at each level Q (row) of the time (q None) or cap-q hybrid
     load of each mean (column), and the columns' ``_lorden_terms`` as three
     rows.  The masses m(0..Q) do not depend on the level they are solved to,
-    so M, their running sum down the levels, serves every level.  Raises
-    where the scalar table's divergence check raises; Lorden's check is the
-    caller's."""
+    so M, their running sum down the levels, serves every level.  A time
+    column past its head i0 (``_heads``) is solved to i0 - 1 and takes
+    m(i0..Q) from its poles (``_pole_masses``) and the untruncated load's
+    terms.  Raises where the scalar table's divergence check raises;
+    Lorden's check is the caller's."""
     closed = mu >= TP_CLOSED_FORM_MU if q is None else np.zeros(mu.size, bool)
     cycles = np.empty((order_up_to + 1, mu.size))
     terms = np.empty((3, mu.size))
     terms[:, closed] = _tp_lorden_terms(mu[closed])
     for r in np.flatnonzero(closed).tolist():
         cycles[:, r] = _tp_renewal_rows(mu[r:r + 1], order_up_to)[0]
-    cut = np.flatnonzero(~closed)
+    cut, head, reach = _heads(np.flatnonzero(~closed), mu, q, np.full(mu.size, order_up_to))
     for part, g in _mass_rows(mu[cut], q, np.full(cut.size, order_up_to)):
         _check_converges(g[:, 0].max())
         rows, stops = cut[part], {}
         terms[:, rows] = _lorden_terms(g)
-        solve = _renewal_levels(g, np.full(rows.size, order_up_to), stops)
-        for i, (live, level) in enumerate(solve):
+        for i, (live, level) in enumerate(_renewal_levels(g, reach[part], stops)):
             cycles[i, rows[live]] = level
         for r, (b, value) in stops.items():
-            cycles[b:, rows[r]] = value
+            cycles[b:reach[part][r] + 1, rows[r]] = value
+    for r, i0 in zip(cut[reach < order_up_to].tolist(), head[reach < order_up_to].tolist()):
+        cycles[i0:, r] = _pole_masses(float(mu[r]), i0, order_up_to)
+        terms[:, r] = _tp_lorden_terms(mu[r])
     np.cumsum(cycles, axis=0, out=cycles)
     return cycles, terms
+
+
+def _heads(rows: np.ndarray, mu: np.ndarray, q, levels: np.ndarray):
+    """The rows, their heads i0 and the levels min(L, i0 - 1) their
+    recursion reaches, sorted by reach, highest first (stably): a time row
+    (q None) of mean from _POLE_MIN_MU on takes levels i0..L from its poles,
+    i0 = ``_pole_head``; any other row reaches its level L, as its head is
+    L + 1."""
+    level = levels[rows]
+    if q is None:
+        head = np.where(mu[rows] >= _POLE_MIN_MU, _pole_head(mu[rows]), level + 1)
+        if (level >= head).any():
+            reach = np.minimum(level, head - 1)
+            order = np.argsort(-reach, kind="stable")
+            return rows[order], head[order], reach[order]
+        return rows, head, level
+    return rows, level + 1, level
 
 
 def _row_sums(mu: np.ndarray, q, levels: np.ndarray):
     """E[K], the holding factor and a solved-and-checked mask of independent
     rows: the time load (q None) or cap-q[r] hybrid load of mean mu[r] at
     level levels[r], not increasing along the rows.  A row's levels are
-    summed in order up to its stop and in closed form from there.  Time
-    loads from TP_CLOSED_FORM_MU on and means that are not positive and
-    finite are left unchecked, for the scalar path."""
+    summed in order up to its stop and in closed form from there; a time
+    row past its head i0 (``_heads``) sums its levels to i0 - 1 so, and adds
+    the rest from its poles (``_pole_tail``), certified on the untruncated
+    load's terms.  Time loads from TP_CLOSED_FORM_MU on and means that are
+    not positive and finite are left unchecked, for the scalar path."""
     top = math.inf if q is not None else TP_CLOSED_FORM_MU
-    rows = ((mu > 0.0) & (mu < top)).nonzero()[0]
-    level = levels[rows]
+    rows, head, reach = _heads(((mu > 0.0) & (mu < top)).nonzero()[0], mu, q, levels)
     cycles, holding_sum = np.full((2, mu.size), np.nan)
     checked = np.zeros(mu.size, bool)
-    for part, g in _mass_rows(mu[rows], None if q is None else q[rows], level):
-        reach, stops = level[part], {}
-        solve = _renewal_levels(g, reach, stops)
+    for part, g in _mass_rows(mu[rows], None if q is None else q[rows], levels[rows]):
+        at, stops = rows[part], {}
+        level, solved = levels[at], reach[part]
+        solve = _renewal_levels(g, solved, stops)
         m = next(solve)[1]    # level 0, of every row
-        k, h = m.copy(), reach * m
+        k, h = m.copy(), level * m
         for i, (live, m) in enumerate(solve, 1):
             k[live] += m
-            h[live] += (reach[live] - i) * m
-        # a stopped row's levels b..L are one value, of weights L - b, ..., 0
+            h[live] += (level[live] - i) * m
+        # a stopped row's levels b..R are one value, of weights L - b, ..., L - R
         for r, (b, value) in stops.items():
-            k[r] += (reach[r] - b + 1) * value
-            h[r] += (reach[r] - b) * (reach[r] - b + 1) // 2 * value
-        lower, upper = _lorden_bracket(*_lorden_terms(g), reach)
-        at = rows[part]
+            k[r] += (solved[r] - b + 1) * value
+            h[r] += ((solved[r] - b + 1) * (level[r] - solved[r])
+                     + (solved[r] - b) * (solved[r] - b + 1) // 2) * value
+        terms = _lorden_terms(g)
+        if q is None and (tail := solved < level).any():
+            start = head[part][tail]
+            more = _pole_tail(mu[at][tail], start, level[tail] - start + 1)
+            k[tail] += more[0]
+            h[tail] += more[1]
+            terms = np.stack(terms)
+            terms[:, tail] = _tp_lorden_terms(mu[at][tail])
+        lower, upper = _lorden_bracket(*terms, level)
         cycles[at], holding_sum[at] = k, h
         checked[at] = (g[:, 0] < 1.0 - 1e-12) & (lower <= k) & (k <= upper)
     return cycles, holding_sum, checked

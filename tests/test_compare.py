@@ -544,8 +544,10 @@ def test_lockstep_optimize_matches_the_scalar_search_above_level_two(rate, kind,
 
 def test_lockstep_rows_that_stop_match_the_scalar_search(monkeypatch):
     # levels past 2 * BLOCK, where the golden rows stop once their state
-    # settles: every point's best period and cost against its scalar search
-    rate, bounds = 1.0, SearchBounds(1, 300, 5.0)
+    # settles: every point's best period and cost against its scalar search.
+    # Hybrid rows, as time rows take the levels past their head from the
+    # poles and stop no solve there.
+    rate, bounds = 1.0, SearchBounds(2, 300, 5.0)
     settled = renewal._settled
     stops = []
 
@@ -557,14 +559,18 @@ def test_lockstep_rows_that_stop_match_the_scalar_search(monkeypatch):
     golden = compare._row_costs    # marks the end of the scan with a None
     monkeypatch.setattr(renewal, "_settled", counted)
     monkeypatch.setattr(compare, "_row_costs", lambda *args: (stops.append(None), golden(*args))[1])
-    points, _ = compare._period_points(rate, REFERENCE_COSTS, "time", bounds)
+    points, _ = compare._period_points(rate, REFERENCE_COSTS, "hybrid", bounds)
     assert any(stops[stops.index(None):])
     step = bounds.period_max / compare._SCAN_POINTS
     grid = [step * (i + 1) for i in range(compare._SCAN_POINTS)]
-    table = _period_costs(rate, REFERENCE_COSTS, None, grid, bounds.order_up_to_max)
-    for policy, level, ac in points[2 * renewal.BLOCK:]:
+    tables = {q: _period_costs(rate, REFERENCE_COSTS, q, grid, bounds.order_up_to_max)
+              for q in range(1, bounds.q_max + 1)}
+    deep = [point for point in points if point[1] >= 2 * renewal.BLOCK]
+    assert len(deep) == bounds.q_max * (bounds.order_up_to_max + 1 - 2 * renewal.BLOCK)
+    for policy, level, ac in deep:
         period, cost = scalar_point(lambda t: average_cost(SystemConfig(
-            rate, TimePolicy(t), level, REFERENCE_COSTS)).avg_cost, table[level].tolist(), grid)
+            rate, HybridPolicy(policy.q, t), level, REFERENCE_COSTS)).avg_cost,
+            tables[policy.q][level].tolist(), grid)
         assert policy.period == pytest.approx(period, abs=10 * compare._PERIOD_TOL)
         assert ac == pytest.approx(cost, rel=1e-13, abs=0.0)
 

@@ -538,10 +538,11 @@ def test_period_cost_rows_do_not_depend_on_the_top_level(rate, q, levels, period
 
 def one_level_scan(rate, costs, q, periods, level):
     """The scan at one level by its own renewal masses to that level (the
-    closed form for wide time-policy loads, else the recursion) and the
-    scan's reductions at that level, all rows at once: E[K] = M(Q) and the
-    holding factor sum_{j<Q} M(j), each a sequential sum.  These are the
-    bits the table's rows must reproduce."""
+    closed form for wide time-policy loads, else the recursion, and the
+    poles past the head of a time load on the pole route) and the scan's
+    reductions at that level, all rows at once: E[K] = M(Q) and the holding
+    factor sum_{j<Q} M(j), each a sequential sum.  These are the bits the
+    table's rows must reproduce."""
     t = np.asarray(periods, dtype=float)
     mu = rate * t
     closed = mu >= renewal.TP_CLOSED_FORM_MU if q is None else np.zeros(mu.size, bool)
@@ -555,6 +556,10 @@ def one_level_scan(rate, costs, q, periods, level):
             floors, caps = zip(*(renewal._hp_window(x, q, level) for x in cut.tolist()))
             g = renewal._hp_masses(cut, np.array(floors), np.array(caps))
         m[~closed] = level_rows(g, level)
+    for r in np.flatnonzero(~closed).tolist() if q is None else []:
+        head = renewal._pole_head(mu[r])
+        if mu[r] >= renewal._POLE_MIN_MU and head <= level:
+            m[r, head:] = renewal._pole_masses(float(mu[r]), head, level)
     cyc = metrics._cycle_rows(rate, None if q is None else np.full(t.size, q), t)
     sums = np.cumsum(m, axis=1)
     holding = np.cumsum(sums[:, :-1], axis=1)[:, -1] if level else np.zeros(mu.size)
@@ -1011,7 +1016,7 @@ def test_the_table_cache_keeps_no_table(special_bound):
 # ---------------------------------------------------------------------------
 # the boundary between the cost paths and the renewal routes
 
-RENEWAL_ENTRY_POINTS = {"load_table", "_level_table", "_row_sums", "_check_lorden", "_load_mean",
+RENEWAL_ENTRY_POINTS = {"load_sums", "_level_table", "_row_sums", "_check_lorden", "_load_mean",
                         "_check_order_up_to", "expected_k", "holding_sum", "RenewalTable"}
 
 
@@ -1024,7 +1029,7 @@ def test_metrics_reaches_renewal_only_through_its_entry_points():
     read |= {alias.name for node in ast.walk(tree)
              if isinstance(node, ast.ImportFrom) and node.module == "renewal"
              for alias in node.names}
-    assert {"load_table", "_level_table", "_row_sums"} <= read
+    assert {"load_sums", "_level_table", "_row_sums"} <= read
     assert read <= RENEWAL_ENTRY_POINTS, sorted(read - RENEWAL_ENTRY_POINTS)
 
 

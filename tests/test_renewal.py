@@ -15,8 +15,10 @@ The load builders are checked against the per-element mass functions and the
 quantile-seeded tail cut of ``scipy.stats``.  The
 closed-form tables of wide time-policy loads are checked against 40-digit
 ``mpmath`` sums of their defining series and against the recursion on the
-tail-cut load.  The tables of hybrid loads, built on the capped load, are
-checked against the tables of the full load.
+tail-cut load.  The sums of narrower time-policy loads past their head,
+from the poles of Poisson(mu), are checked against the same 40-digit sums,
+and below their head against the table's bits.  The tables of hybrid loads,
+built on the capped load, are checked against the tables of the full load.
 """
 
 import math
@@ -62,6 +64,7 @@ from consolidate.renewal import (
     _tp_masses,
     _tp_renewal_rows,
     _tp_support_end,
+    load_sums,
     load_table,
 )
 from consolidate.truncated_poisson import _poisson_masses
@@ -753,12 +756,12 @@ def test_time_policy_route_switches_at_the_closed_form_threshold(rate):
         policy = TimePolicy(period)
         metrics._policy_table.cache_clear()
         got = replenish_metrics(SystemConfig(rate, policy, order_up_to))
-        if period < at:  # the recursion on the tail-cut load, bit for bit
-            table = renewal_table(build_increment_tp(rate, period), order_up_to)
+        if period < at:  # the pole route past the head of the tail-cut load, bit for bit
+            sums = load_sums(rate * period, None, order_up_to)
         else:
             table = load_table(rate * period, None, order_up_to)
-        assert got == metrics._renewal_record(cycle_metrics(rate, policy), expected_k(table),
-                                              holding_sum(table))
+            sums = expected_k(table), holding_sum(table)
+        assert got == metrics._renewal_record(cycle_metrics(rate, policy), *sums)
         records.append(got)
     assert records[1].cycles == pytest.approx(records[0].cycles, rel=1e-11, abs=0.0)
     assert records[1].holding == pytest.approx(records[0].holding, rel=1e-11, abs=0.0)
@@ -774,6 +777,120 @@ def test_closed_form_table_outside_lordens_bracket_raises(monkeypatch, scale):
             average_cost(SystemConfig(1.0, TimePolicy(300.0), 3000))
     finally:
         metrics._policy_table.cache_clear()
+
+
+# ---------------------------------------------------------------------------
+# time-load sums past their head from the poles of Poisson(mu)
+
+
+def route_sums(mu, order_up_to):
+    """(E[K], holding factor) of the time load of mean mu at level Q by each
+    route: the scalar sums, a golden row and a scan cell, whose holding
+    factor is the scan's running sum sum_{j<Q} M(j)."""
+    cycles, holding, checked = renewal._row_sums(np.array([mu]), None, np.array([order_up_to]))
+    assert checked.all()
+    scan, terms = renewal._level_table(np.array([mu]), None, order_up_to)
+    held = np.cumsum(scan[:order_up_to, 0])[-1] if order_up_to else 0.0
+    return {"scalar": load_sums(mu, None, order_up_to), "row": (cycles[0], holding[0]),
+            "scan": (scan[order_up_to, 0], held)}
+
+
+# series_sums takes ~1 ms a term, ~Q/mu terms: levels up to 800 mu, from i0
+# (i0/mu <= 800 from mu = 0.04 on; smaller means by an example)
+pole_points = st.floats(math.log(0.04), math.log(TP_CLOSED_FORM_MU), exclude_max=True).map(
+    math.exp).flatmap(lambda mu: st.tuples(st.just(mu), st.integers(
+        renewal._pole_head(mu), max(renewal._pole_head(mu),
+                                    min(MAX_ORDER_UP_TO, int(800 * mu))))))
+
+
+@given(point=pole_points)
+@example(point=(5.0, 3000))
+@example(point=(70.0, MAX_ORDER_UP_TO))
+@example(point=(2.0, 3000))
+@example(point=(0.01, 32))       # the smallest mean at its head
+@example(point=(255.9, MAX_ORDER_UP_TO))
+@example(point=(255.9, 512))
+@example(point=(math.exp(5.5), 611))     # the table's errors partly cancel
+@settings(max_examples=8, deadline=None)
+def test_pole_sums_are_no_less_accurate_than_the_table(point):
+    # Against the 40-digit series, each route errs by at most what the
+    # table on the tail-cut load errs, or what its head carries in (the cut
+    # table's levels from i0 on can offset the head's error: 2.13e-13 against
+    # the head's 2.25e-13 at mu = e^5.5, Q = 611), plus 1e-14: past the head
+    # the pole levels carry no cut (4.6e-12 -> 3e-14 at mu = 5, Q = 3000)
+    mu, order_up_to = point
+    head = renewal._pole_head(mu)
+    n = order_up_to - head + 1
+    exact, below = series_sums(mu, order_up_to), series_sums(mu, head - 1)
+    table, start = load_table(mu, None, order_up_to), load_table(mu, None, head - 1)
+    table_error = (expected_k(table) - exact[0], holding_sum(table) - exact[1])
+    carried = (expected_k(start) - below[0],
+               holding_sum(start) + n * expected_k(start) - below[1] - n * below[0])
+    slack = [max(abs(a), abs(b)) + 1e-14 * ref
+             for a, b, ref in zip(table_error, carried, exact)]
+    for route, sums in route_sums(mu, order_up_to).items():
+        for got, ref, bound in zip(sums, exact, slack):
+            assert abs(got - ref) <= bound, (route, got, ref, bound)
+
+
+@given(mu=st.floats(math.log(1e-4), math.log(TP_CLOSED_FORM_MU), exclude_max=True).map(math.exp),
+       data=st.data())
+@example(mu=5.0, data=None)
+@example(mu=255.9, data=None)
+@settings(max_examples=25, deadline=None)
+def test_pole_routes_keep_every_bit_below_the_head(mu, data):
+    # below i0 every route sums the table's levels as without poles
+    head = renewal._pole_head(mu)
+    levels = [0, 1, 2, head - 1] if data is None else [
+        data.draw(st.integers(0, head - 1)) for _ in range(2)]
+    got = {level: route_sums(mu, level) for level in levels}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(renewal, "_POLE_MIN_MU", math.inf)
+        without = {level: route_sums(mu, level) for level in levels}
+    for level in levels:
+        assert got[level] == without[level]
+        table = load_table(mu, None, level)
+        assert got[level]["scalar"] == (expected_k(table), holding_sum(table))
+
+
+# 1.2e-7: below the pole route's floor the cut keeps one mass above zero,
+# the head's E[K] errs by ~0.5 and the whole table is solved (it stops at 256)
+@pytest.mark.parametrize("period", [1.2e-7, 1e-4, 0.02, 1.0, 5.0, 70.0, 255.9])
+def test_a_time_evaluation_at_the_capacity_solves_only_its_head(monkeypatch, period):
+    solved = []
+    table = renewal._table
+    monkeypatch.setattr(renewal, "_table", lambda g, level: (solved.append(level),
+                                                            table(g, level))[1])
+    monkeypatch.setattr(renewal, "_renewal_levels", None)
+    metrics._policy_table.cache_clear()
+    average_cost(SystemConfig(1.0, TimePolicy(period), MAX_ORDER_UP_TO))
+    poles = period >= renewal._POLE_MIN_MU
+    assert solved == [renewal._pole_head(period) - 1 if poles else MAX_ORDER_UP_TO]
+
+
+def test_loads_below_the_pole_floor_would_fail_the_untruncated_certificate(monkeypatch):
+    # mu = 1.2e-7: the cut keeps one mass above zero, renormalizing it moves
+    # 1 - g(0) by ~mu/2 relative, and the head's E[K] reads ~31 high at i0,
+    # past Lorden's bracket on Poisson(mu), ~1/2 above E[K]
+    mu = 1.2e-7
+    assert renewal._tp_support_end(mu) == 1 and mu < renewal._POLE_MIN_MU
+    table = load_table(mu, None, renewal._pole_head(mu))
+    assert load_sums(mu, None, table.order_up_to) == (expected_k(table), holding_sum(table))
+    monkeypatch.setattr(renewal, "_POLE_MIN_MU", 0.0)
+    with pytest.raises(ArithmeticError, match="Lorden bracket"):
+        load_sums(mu, None, table.order_up_to)
+
+
+def test_pole_pairs_stay_few_below_the_closed_form():
+    mu = np.exp(np.linspace(math.log(1e-4), math.log(TP_CLOSED_FORM_MU), 4001))[:-1]
+    head = renewal._pole_head(mu)
+    pairs = renewal._pole_pairs(mu, head)
+    assert pairs.max() == 18
+    # the last pair's modulus at i0 + 1 is at most 1e-18, the one before above it
+    t = 2.0 * np.pi * pairs / mu
+    assert np.all(0.5 * (head + 1) * np.log1p(t * t) >= -math.log(1e-18))
+    t = 2.0 * np.pi * (pairs - 1) / mu
+    assert np.all(0.5 * (head + 1) * np.log1p(t * t) < -math.log(1e-18))
 
 
 # ---------------------------------------------------------------------------
@@ -849,7 +966,7 @@ def test_capped_hybrid_table_matches_the_table_of_the_full_load(mu, q, order_up_
     floors, caps = renewal._hp_window(np.array([mu, 2.0 * mu]), q, order_up_to)
     assert (floors[0], caps[0]) == (floor, cap)  # the scan's
     assert poisson_tail(mu, cap + 1) < 1e-20 or cap == min(q, order_up_to + 1)
-    table = metrics._policy_table(1.0, HybridPolicy(q, mu), order_up_to)
+    table = load_table(mu, q, order_up_to)
     assert table.m.size == order_up_to + 1
     masses = (window_masses(mu, floor, cap) if floor
               else build_increment_hp(1.0, cap, mu).masses)
@@ -928,7 +1045,7 @@ def test_stopped_hybrid_tables_match_the_40_digit_recursion(mu, q, order_up_to):
     # d b / E[X] is larger (q = 1 at small mu, whose only jump has a rounded weight, or
     # mu ~ 10 with a late stop) a stopped table errs by up to ~1.3e-13, where
     # the full solve errs by 1.9e-13 to 1.2e-12.
-    table = metrics._policy_table(1.0, HybridPolicy(q, mu), order_up_to)
+    table = load_table(mu, q, order_up_to)
     masses = build_increment_hp(1.0, renewal._hp_window(mu, q, order_up_to)[1], mu).masses
     assume(stop_level(masses, order_up_to, blocked_oracle(masses, order_up_to)) is not None)
     cycles, holding = exact_sums(exact_hp_masses(mu, q, order_up_to), order_up_to)
@@ -954,7 +1071,7 @@ def test_a_near_lattice_table_stopped_at_2048_matches_the_40_digit_recursion():
     # A known defect, in the domain of the test above: the near-lattice
     # HP(2, 5.2508) stops at 2048 and drifts by ~u/E[X] a level until then
     mu, q, order_up_to = 5.250798954463693, 2, 4266
-    table = metrics._policy_table(1.0, HybridPolicy(q, mu), order_up_to)
+    table = load_table(mu, q, order_up_to)
     cycles, _ = exact_sums(exact_hp_masses(mu, q, order_up_to), order_up_to)
     assert expected_k(table) == pytest.approx(cycles, rel=1e-13, abs=0.0)
 
@@ -1036,7 +1153,7 @@ def test_floored_tables_match_the_unfloored_ones(mu, q, order_up_to):
     assert floor == cap or poisson_cdf(mu, floor - 1) < 1e-20
     inc = IncrementDist(window_masses(mu, floor, cap))
     assert not inc.masses[:floor].any()
-    table = metrics._policy_table(1.0, HybridPolicy(q, mu), order_up_to)
+    table = load_table(mu, q, order_up_to)
     assert_stopped_table_keeps_the_bits(table, inc.masses, blocked_oracle(inc.masses, order_up_to))
     unfloored = renewal_table(build_increment_hp(1.0, cap, mu), order_up_to)
     assert expected_k(table) == pytest.approx(expected_k(unfloored), rel=1e-13, abs=0.0)
@@ -1236,8 +1353,9 @@ def leveled_systems(draw, top):
     return mu, q, np.array(levels)
 
 
-def system_tables(mu, q, levels):
-    """The scalar path's table of each row of ``leveled_systems``."""
+def system_sums(mu, q, levels):
+    """The scalar path's E[K] and holding factor of each row of
+    ``leveled_systems``."""
     return [metrics._policy_table(1.0, TimePolicy(m) if q is None else HybridPolicy(int(q[r]), m),
                                   int(levels[r])) for r, m in enumerate(mu.tolist())]
 
@@ -1247,8 +1365,8 @@ def system_tables(mu, q, levels):
 def test_renewal_sums_keep_the_table_bits_up_to_level_two(rows):
     cycles, holding, checked = renewal._row_sums(*rows)
     assert checked.all()
-    for table, k, h in zip(system_tables(*rows), cycles.tolist(), holding.tolist()):
-        assert (k, h) == (expected_k(table), holding_sum(table))
+    for sums, k, h in zip(system_sums(*rows), cycles.tolist(), holding.tolist()):
+        assert (k, h) == sums
 
 
 @given(rows=leveled_systems(300))
@@ -1258,9 +1376,10 @@ def test_renewal_sums_keep_the_table_bits_up_to_level_two(rows):
 def test_renewal_sums_match_the_table_to_level_300(rows):
     cycles, holding, checked = renewal._row_sums(*rows)
     assert checked.all()
-    for table, k, h in zip(system_tables(*rows), cycles.tolist(), holding.tolist()):
-        assert k == pytest.approx(expected_k(table), rel=1e-13, abs=0.0)
-        assert h == pytest.approx(holding_sum(table), rel=1e-13, abs=1e-300)
+    for (cycles_ref, holding_ref), k, h in zip(system_sums(*rows), cycles.tolist(),
+                                                holding.tolist()):
+        assert k == pytest.approx(cycles_ref, rel=1e-13, abs=0.0)
+        assert h == pytest.approx(holding_ref, rel=1e-13, abs=1e-300)
 
 
 def row_stop(row, level):
