@@ -29,15 +29,15 @@ evaluates once and the time and hybrid families search the period: a
 batched exact call (``metrics._period_costs``) at the order-up-to bound,
 whose row Q is the scan at level Q.  The golden searches of all points of a
 family run in lockstep rounds of one batched exact call
-(``metrics._row_costs``).  A call costs about the same up to some 60 rows,
-so a round evaluates, within a budget of 64 rows, every period the next
-steps of each running search could probe; only the periods a search walks
-are its probes.  Rows do not depend on their batch, so costs keep their
-bits.  Every period scanned or probed is one entry of the trace, in the
-order of a search one point at a time.  The trace (``OptimTrace``) is
-columnar: each point keeps its row of the scan table and its probes' periods
-and costs in two float arrays, and an entry's dict is built only when it is
-read.
+(``metrics._row_costs``); ``renewal`` picks each row's route, so no family
+is special here.  A call costs about the same up to some 60 rows, so a
+round evaluates, within a budget of 64 rows, every period the next steps of
+each running search could probe; only the periods a search walks are its
+probes.  Rows do not depend on their batch, so costs keep their bits.
+Every period scanned or probed is one entry of the trace, in the order of a
+search one point at a time.  The trace (``OptimTrace``) is columnar: each
+point keeps its row of the scan table and its probes' periods and costs in
+two float arrays, and an entry's dict is built only when it is read.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ from .metrics import (
     cycle_metrics,
     match_consolidation_cycle,
 )
-from .renewal import MAX_ORDER_UP_TO, TP_CLOSED_FORM_MU
+from .renewal import MAX_ORDER_UP_TO
 
 INTEGER_TOL = 1e-9
 
@@ -520,7 +520,7 @@ _PERIOD_TOL = 1e-8
 _ROW_BUDGET = 64
 
 
-def _golden_searches(evaluate, lo: list, hi: list, rank: list, budget: int = _ROW_BUDGET):
+def _golden_searches(evaluate, lo: list, hi: list, rank: list):
     """Golden-section searches of a minimum on [lo[r], hi[r]] to width
     _PERIOD_TOL, in lockstep rounds of one call ``evaluate(rows, points)``
     each, which returns the values and {index into points: error}.
@@ -529,9 +529,9 @@ def _golden_searches(evaluate, lo: list, hi: list, rank: list, budget: int = _RO
     point is then known, and where it goes after that depends only on
     whether the pending value is at most the kept one.  So with n rows
     running, a row puts the points of its next depth steps, 2^depth - 1 at
-    most, at the largest depth >= 1 with n * (2^depth - 1) <= budget.  The
-    points are float for float those of one search at a time, only walked
-    points are probes, and a row stops at its first walked error.
+    most, at the largest depth >= 1 with n * (2^depth - 1) <= _ROW_BUDGET.
+    The points are float for float those of one search at a time, only
+    walked points are probes, and a row stops at its first walked error.
 
     Returns each row's probes [(x, f(x)), ...] in order, each row's minimum
     (x, f(x)), and the error of the failed row first in ``rank``, or None.
@@ -593,7 +593,7 @@ def _golden_searches(evaluate, lo: list, hi: list, rank: list, budget: int = _RO
     for walk in running:
         next(walk)
     while running:
-        depth = max(1, (budget // len(running) + 1).bit_length() - 1)
+        depth = max(1, (_ROW_BUDGET // len(running) + 1).bit_length() - 1)
         values, errors = evaluate(np.array(rows), np.array(points))
         values, rows, points = values.tolist(), [], []
         running = [walk for walk in running if next(walk, True) is None]
@@ -639,12 +639,9 @@ def _period_points(demand_rate: float, costs: CostParams, policy_kind: str,
         return _row_costs(demand_rate, costs, None if row_caps is None else row_caps[rows],
                           row_levels[rows], points)
 
-    # rows of closed-form time tables are scalar evaluations: no speculation
-    closed = policy_kind == "time" and demand_rate * bounds.period_max >= TP_CLOSED_FORM_MU
     probes, best, error = _golden_searches(
         evaluate, [grid[cells[r] - 1] if cells[r] else grid[0] * 0.05 for r in order],
-        [grid[min(cells[r] + 1, _SCAN_POINTS - 1)] for r in order], order,
-        0 if closed else _ROW_BUDGET)
+        [grid[min(cells[r] + 1, _SCAN_POINTS - 1)] for r in order], order)
     if error is not None:
         raise error
     if failure is not None:

@@ -532,16 +532,17 @@ def _row_costs(demand_rate: float, costs: CostParams, q, levels: np.ndarray,
     costs)).avg_cost`` for the time policy of period ``periods[r]`` when q is
     None, and the hybrid policy (q[r], periods[r]) otherwise; the levels must
     not increase along the rows.  Each row takes the scalar path's cycle
-    forms bit for bit (``_cycle_rows``), its table to its own level only
-    (``renewal._row_sums``), and the scalar record, service and components.
-    So a row at a level up to 2 equals the scalar cost bit for bit, and
-    higher levels agree within rounding.
+    forms bit for bit (``_cycle_rows``), its sums on its load's route at its
+    own level only (``renewal._row_sums``), and the scalar record, service
+    and components.  So a closed-form time row, whose sums are the scalar
+    ones, and any row at a level up to 2 equal the scalar cost bit for bit,
+    and higher levels agree within rounding.
 
-    A row that ``renewal._row_sums`` leaves to the scalar path or that fails a
-    check (a cycle form or cost that is not finite, a series that diverges,
-    Lorden's bracket) is priced by ``average_cost`` itself, which raises
-    where the scalar path raises.  Returns the costs and {row: the error its
-    ``average_cost`` raised}.
+    ``average_cost`` itself only raises the errors: a row whose mean is not
+    positive and finite, or that fails a check (a cycle form or cost that is
+    not finite, a series that diverges, Lorden's bracket), is priced by it,
+    which raises where the scalar path raises.  Returns the costs and
+    {row: the error its ``average_cost`` raised}.
     """
     rate = float(demand_rate)
     with np.errstate(all="ignore"):

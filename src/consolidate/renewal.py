@@ -93,17 +93,20 @@ Four entry points choose every route: ``load_table`` builds one system's
 table and ``load_sums`` its E[K] and holding factor, ``_level_table`` the
 optimizer's scan (E[K] at every level up to a bound for many loads of one
 family) and ``_row_sums`` the sums of its golden rows, each at its own level.
-The three sums take the same head and poles: ``load_sums`` the table to
-i0 - 1 (``load_table``) and ``_pole_tail`` in Python complex, the rows their
-heads and ``_pole_tail`` over the rows, the scan its heads and m(i0..Q)
-from ``_pole_masses`` under its running sum.  The batched two share one
-prologue, ``_mass_rows``: each row's cut (``_tp_support_ends``) or window,
-then the rows of masses (``_tp_masses``, ``_hp_masses``) in chunks of
-bounded memory, each element by the scalar builder's expression, so a row
-equals the scalar masses bit for bit whatever its chunk.
-``_renewal_levels`` solves the rows, each to its head or level
-(``_heads``), one level at a time along the batch axis, with the scalar
-table's association and stop, and reports where each row stops.
+The batched two split their loads by route in one function, ``_heads``: the
+closed-form time loads, and the head i0 of every other load.  A closed-form
+row is ``load_sums`` itself, bit for bit; the scan takes its table.  The
+three sums take the same head and poles: ``load_sums`` the table to i0 - 1
+(``load_table``) and ``_pole_tail`` in Python complex, the rows their heads
+and ``_pole_tail`` over the rows, the scan its heads and, at each level L
+from i0 on, M(i0 - 1) plus the same geometric sums to L (``_pole_cycles``).
+The batched two share one prologue, ``_mass_rows``: each row's cut
+(``_tp_support_ends``) or window, then the rows of masses (``_tp_masses``,
+``_hp_masses``) in chunks of bounded memory, each element by the scalar
+builder's expression, so a row equals the scalar masses bit for bit
+whatever its chunk.  ``_renewal_levels`` solves the rows, each to its head
+or level, one level at a time along the batch axis, with the scalar table's
+association and stop, and reports where each row stops.
 
 One certificate covers every route: Lorden's bracket on E[K]
 (``_check_lorden``, or ``_check_lorden_row`` for one table), checked on every
@@ -830,22 +833,27 @@ def _pole_tail(mu, head, n):
     return (n + 2.0 * cycles.real) / mu, (n * (n - 1) / 2 + 2.0 * holding.real) / mu
 
 
-def _pole_masses(mu: float, head: int, top: int) -> np.ndarray:
-    """m(i0..Q), i0 = head and Q = top, of the untruncated load Poisson(mu)
-    from its ``_pole_pairs`` pole pairs (see ``_pole_tail``), added in order
-    of k.  The power w^(i+1) of a level i = i0 + b BLOCK + j is
-    w^(i0+1+b BLOCK) w^j: (BLOCK + (Q - i0)/BLOCK) K exponentials and K outer
-    products.  No level depends on Q."""
+def _pole_cycles(mu: float, head: int, top: int) -> np.ndarray:
+    """sum_{i=i0..L} m(i) at each level L = i0..Q, i0 = head and Q = top, of
+    the untruncated load Poisson(mu): ``_pole_tail``'s geometric sum
+    (n + 2 Re sum_k w^(i0+1) (1 - w^n)/(1 - w))/mu at n = L - i0 + 1, over
+    its ``_pole_pairs`` pairs, added in order of k.  The power
+    w^(i0+1+n)/(1 - w) of a level L = i0 + b BLOCK + j is
+    (w^(i0+2+b BLOCK)/(1 - w)) w^j, one complex product: (BLOCK +
+    (Q - i0)/BLOCK) K exponentials and K outer products.  No level depends
+    on Q."""
     count = top - head + 1
     j = np.arange(min(count, BLOCK))
-    p = head + 1 + BLOCK * np.arange(-(-count // BLOCK))
-    powers = np.zeros((p.size, j.size))
+    p = head + 2 + BLOCK * np.arange(-(-count // BLOCK))
+    lead, powers = 0.0, np.zeros((p.size, j.size))
     for k in range(1, _pole_pairs(mu, head) + 1):
         t = 2.0 * math.pi * k / mu
         radius, angle = -0.5 * math.log1p(t * t), -math.atan(t)
+        gap = 1j * t / (1.0 + 1j * t)
+        lead += (cmath.exp((head + 1) * radius + 1j * ((head + 1) * angle)) / gap).real
         steps = np.exp(j * radius + 1j * (j * angle))
-        powers += (np.exp(p * radius + 1j * (p * angle))[:, None] * steps).real
-    return (1.0 + 2.0 * powers.ravel()[:count]) / mu
+        powers += ((np.exp(p * radius + 1j * (p * angle)) / gap)[:, None] * steps).real
+    return (np.arange(1.0, count + 1) + 2.0 * (lead - powers.ravel()[:count])) / mu
 
 
 def _mass_rows(mu: np.ndarray, q, levels: np.ndarray):
@@ -868,18 +876,18 @@ def _level_table(mu: np.ndarray, q: int | None, order_up_to: int):
     """E[K] = M(Q) at each level Q (row) of the time (q None) or cap-q hybrid
     load of each mean (column), and the columns' ``_lorden_terms`` as three
     rows.  The masses m(0..Q) do not depend on the level they are solved to,
-    so M, their running sum down the levels, serves every level.  A time
-    column past its head i0 (``_heads``) is solved to i0 - 1 and takes
-    m(i0..Q) from its poles (``_pole_masses``) and the untruncated load's
-    terms.  Raises where the scalar table's divergence check raises;
-    Lorden's check is the caller's."""
-    closed = mu >= TP_CLOSED_FORM_MU if q is None else np.zeros(mu.size, bool)
+    so M, their running sum down the levels, serves every level.  ``_heads``
+    splits the columns by route: a closed-form column takes
+    ``_tp_renewal_rows``, and a time column past its head i0 is solved to
+    i0 - 1 and adds the sums of m(i0..Q) from its poles (``_pole_cycles``)
+    to M(i0 - 1), with the untruncated load's terms.  Raises where the
+    scalar table's divergence check raises; Lorden's check is the caller's."""
+    closed, cut, head, reach = _heads(np.arange(mu.size), mu, q, np.full(mu.size, order_up_to))
     cycles = np.empty((order_up_to + 1, mu.size))
     terms = np.empty((3, mu.size))
     terms[:, closed] = _tp_lorden_terms(mu[closed])
-    for r in np.flatnonzero(closed).tolist():
+    for r in closed.tolist():
         cycles[:, r] = _tp_renewal_rows(mu[r:r + 1], order_up_to)[0]
-    cut, head, reach = _heads(np.flatnonzero(~closed), mu, q, np.full(mu.size, order_up_to))
     for part, g in _mass_rows(mu[cut], q, np.full(cut.size, order_up_to)):
         _check_converges(g[:, 0].max())
         rows, stops = cut[part], {}
@@ -888,43 +896,57 @@ def _level_table(mu: np.ndarray, q: int | None, order_up_to: int):
             cycles[i, rows[live]] = level
         for r, (b, value) in stops.items():
             cycles[b:reach[part][r] + 1, rows[r]] = value
-    for r, i0 in zip(cut[reach < order_up_to].tolist(), head[reach < order_up_to].tolist()):
-        cycles[i0:, r] = _pole_masses(float(mu[r]), i0, order_up_to)
-        terms[:, r] = _tp_lorden_terms(mu[r])
+    poles = list(zip(cut[reach < order_up_to].tolist(), head[reach < order_up_to].tolist()))
+    for r, i0 in poles:
+        cycles[i0:, r] = 0.0
     np.cumsum(cycles, axis=0, out=cycles)
+    for r, i0 in poles:
+        cycles[i0:, r] = cycles[i0 - 1, r] + _pole_cycles(float(mu[r]), i0, order_up_to)
+        terms[:, r] = _tp_lorden_terms(mu[r])
     return cycles, terms
 
 
 def _heads(rows: np.ndarray, mu: np.ndarray, q, levels: np.ndarray):
-    """The rows, their heads i0 and the levels min(L, i0 - 1) their
-    recursion reaches, sorted by reach, highest first (stably): a time row
-    (q None) of mean from _POLE_MIN_MU on takes levels i0..L from its poles,
-    i0 = ``_pole_head``; any other row reaches its level L, as its head is
-    L + 1."""
+    """The rows split by route: the time rows (q None) of mean from
+    TP_CLOSED_FORM_MU on, which take the closed form, then the other rows,
+    their heads i0 and the levels min(L, i0 - 1) their recursion reaches,
+    sorted by reach, highest first (stably).  A time row of mean from
+    _POLE_MIN_MU on takes levels i0..L from its poles, i0 = ``_pole_head``;
+    any other row reaches its level L, as its head is L + 1."""
+    if q is not None:
+        level = levels[rows]
+        return rows[:0], rows, level + 1, level
+    wide = mu[rows] >= TP_CLOSED_FORM_MU
+    closed, rows = rows[wide], rows[~wide]
     level = levels[rows]
-    if q is None:
-        head = np.where(mu[rows] >= _POLE_MIN_MU, _pole_head(mu[rows]), level + 1)
-        if (level >= head).any():
-            reach = np.minimum(level, head - 1)
-            order = np.argsort(-reach, kind="stable")
-            return rows[order], head[order], reach[order]
-        return rows, head, level
-    return rows, level + 1, level
+    head = np.where(mu[rows] >= _POLE_MIN_MU, _pole_head(mu[rows]), level + 1)
+    if (level >= head).any():
+        reach = np.minimum(level, head - 1)
+        order = np.argsort(-reach, kind="stable")
+        return closed, rows[order], head[order], reach[order]
+    return closed, rows, head, level
 
 
 def _row_sums(mu: np.ndarray, q, levels: np.ndarray):
     """E[K], the holding factor and a solved-and-checked mask of independent
     rows: the time load (q None) or cap-q[r] hybrid load of mean mu[r] at
-    level levels[r], not increasing along the rows.  A row's levels are
+    level levels[r], not increasing along the rows.  ``_heads`` splits the
+    rows by route.  A closed-form row takes ``load_sums``, bit for bit, and
+    stays unchecked if its certificate raises.  Any other row's levels are
     summed in order up to its stop and in closed form from there; a time
-    row past its head i0 (``_heads``) sums its levels to i0 - 1 so, and adds
-    the rest from its poles (``_pole_tail``), certified on the untruncated
-    load's terms.  Time loads from TP_CLOSED_FORM_MU on and means that are
-    not positive and finite are left unchecked, for the scalar path."""
-    top = math.inf if q is not None else TP_CLOSED_FORM_MU
-    rows, head, reach = _heads(((mu > 0.0) & (mu < top)).nonzero()[0], mu, q, levels)
+    row past its head i0 sums its levels to i0 - 1 so, and adds the rest
+    from its poles (``_pole_tail``), certified on the untruncated load's
+    terms.  Means that are not positive and finite are left unchecked."""
+    closed, rows, head, reach = _heads(((mu > 0.0) & (mu < math.inf)).nonzero()[0], mu, q,
+                                       levels)
     cycles, holding_sum = np.full((2, mu.size), np.nan)
     checked = np.zeros(mu.size, bool)
+    for r in closed.tolist():
+        try:
+            cycles[r], holding_sum[r] = load_sums(float(mu[r]), None, int(levels[r]))
+        except ArithmeticError:
+            continue
+        checked[r] = True
     for part, g in _mass_rows(mu[rows], None if q is None else q[rows], levels[rows]):
         at, stops = rows[part], {}
         level, solved = levels[at], reach[part]

@@ -268,8 +268,8 @@ def listed_trace(monkeypatch, kind, bounds):
         tables.append((q, scan(demand_rate, costs, q, periods, order_up_to)))
         return tables[-1][1]
 
-    def searching(evaluate, lo, hi, rank, budget):
-        found = search(evaluate, lo, hi, rank, budget)
+    def searching(evaluate, lo, hi, rank):
+        found = search(evaluate, lo, hi, rank)
         searches.append((rank, found[0]))
         return found
 
@@ -685,18 +685,27 @@ def test_speculative_points_leave_no_trace(monkeypatch, kind, bounds):
     assert result.trace == expected.trace
 
 
-def test_rows_priced_one_by_one_are_not_speculated(monkeypatch):
-    # load means >= 500: every golden row is a scalar ``average_cost``
-    calls = []
-    scalar = metrics.average_cost
+def test_closed_form_time_rows_are_priced_in_lockstep_and_speculated(monkeypatch):
+    # load means >= 500: every golden row takes the closed form, inside
+    # ``_row_costs``, with the scalar path's bits, in rounds that look ahead
+    args = (1e5, REFERENCE_COSTS, "time", SearchBounds(1, 3, 20.0))
+    expected, trace, best_cost = scalar_optimize(*args)
+    calls, scalar = [], []
+    rows = metrics._row_costs
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return scalar(*args, **kwargs)
+    def recording(demand_rate, costs, q, levels, periods):
+        calls.append((len(set(levels.tolist())), len(levels)))
+        return rows(demand_rate, costs, q, levels, periods)
 
-    monkeypatch.setattr(metrics, "average_cost", counting)
-    result = optimize(1e5, REFERENCE_COSTS, "time", SearchBounds(1, 3, 20.0))
-    assert len(calls) == sum(len(periods) for periods in golden_probes(result.trace).values())
+    monkeypatch.setattr(compare, "_row_costs", recording)
+    monkeypatch.setattr(metrics, "average_cost", lambda *a, **k: scalar.append(a))
+    result = optimize(*args)
+    assert not scalar
+    assert result.to_dict() == expected
+    assert result.best_cost == best_cost
+    assert result.trace == trace
+    # after the first call, a round of n running points puts more than n rows
+    assert any(size > points for points, size in calls[1:])
 
 
 def test_default_hybrid_optimize_memory_is_bounded(special_bound):

@@ -28,7 +28,7 @@ from consolidate import (
     service_metrics,
     trunc_mean,
 )
-from consolidate import metrics, renewal
+from consolidate import compare, metrics, renewal
 from consolidate.compare import _SCAN_POINTS
 from consolidate.metrics import _period_costs
 from consolidate.truncated_poisson import _factorial_moment
@@ -538,11 +538,12 @@ def test_period_cost_rows_do_not_depend_on_the_top_level(rate, q, levels, period
 
 def one_level_scan(rate, costs, q, periods, level):
     """The scan at one level by its own renewal masses to that level (the
-    closed form for wide time-policy loads, else the recursion, and the
-    poles past the head of a time load on the pole route) and the scan's
-    reductions at that level, all rows at once: E[K] = M(Q) and the holding
-    factor sum_{j<Q} M(j), each a sequential sum.  These are the bits the
-    table's rows must reproduce."""
+    closed form for wide time-policy loads, else the recursion) and the
+    scan's reductions at that level, all rows at once: E[K] = M(Q) and the
+    holding factor sum_{j<Q} M(j), each a sequential sum, where a time load
+    on the pole route adds the sums of its levels past the head i0 from its
+    poles to M(i0 - 1).  These are the bits the table's rows must
+    reproduce."""
     t = np.asarray(periods, dtype=float)
     mu = rate * t
     closed = mu >= renewal.TP_CLOSED_FORM_MU if q is None else np.zeros(mu.size, bool)
@@ -556,12 +557,12 @@ def one_level_scan(rate, costs, q, periods, level):
             floors, caps = zip(*(renewal._hp_window(x, q, level) for x in cut.tolist()))
             g = renewal._hp_masses(cut, np.array(floors), np.array(caps))
         m[~closed] = level_rows(g, level)
+    sums = np.cumsum(m, axis=1)
     for r in np.flatnonzero(~closed).tolist() if q is None else []:
         head = renewal._pole_head(mu[r])
         if mu[r] >= renewal._POLE_MIN_MU and head <= level:
-            m[r, head:] = renewal._pole_masses(float(mu[r]), head, level)
+            sums[r, head:] = sums[r, head - 1] + renewal._pole_cycles(float(mu[r]), head, level)
     cyc = metrics._cycle_rows(rate, None if q is None else np.full(t.size, q), t)
-    sums = np.cumsum(m, axis=1)
     holding = np.cumsum(sums[:, :-1], axis=1)[:, -1] if level else np.zeros(mu.size)
     rep = metrics._renewal_record(cyc, sums[:, -1], holding)
     return sum(metrics._components(rate, costs, cyc, rep, metrics._service(cyc, rep),
@@ -830,6 +831,28 @@ def test_golden_rows_match_average_cost_to_level_300(rows, costs):
                                rtol=1e-13, atol=0.0)
 
 
+closed_loads = st.floats(math.log10(renewal.TP_CLOSED_FORM_MU), math.log10(2e4)).map(
+    lambda e: max(10.0 ** e, renewal.TP_CLOSED_FORM_MU))
+
+
+@given(rate=st.floats(0.25, 4.0), costs=st.builds(CostParams, *[st.floats(0.0, 1e3)] * 7),
+       loads=st.lists(closed_loads, min_size=1, max_size=4),
+       levels=st.lists(st.integers(0, MAX_ORDER_UP_TO), min_size=4, max_size=4))
+# three levels past their load's first window, one below every window
+@example(rate=1.0, costs=REF_COSTS, loads=[renewal.TP_CLOSED_FORM_MU, 1e4, 3394.2, 2e4],
+         levels=[MAX_ORDER_UP_TO, MAX_ORDER_UP_TO, 9288, 300])
+@settings(max_examples=30, deadline=None)
+def test_closed_form_golden_rows_are_the_scalar_path_bit_for_bit(rate, costs, loads, levels):
+    periods = np.array([load / rate for load in loads])
+    levels = np.array(sorted(levels[:len(loads)], reverse=True))
+    expected = scalar_rows(rate, costs, None, levels, periods)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(metrics, "average_cost", None)    # no row falls back to the scalar path
+        cost, errors = metrics._row_costs(rate, costs, None, levels, periods)
+    assert not errors
+    assert cost.tolist() == expected
+
+
 @given(rows=golden_rows(60))
 # rows that stop at 256 and later, down to one row per level from 300 on
 @example(rows=(1.0, None, np.array([1500, 700, 300, 5]), np.array([0.5, 2.0, 7.0, 1.0])))
@@ -1020,30 +1043,47 @@ RENEWAL_ENTRY_POINTS = {"load_sums", "_level_table", "_row_sums", "_check_lorden
                         "_check_order_up_to", "expected_k", "holding_sum", "RenewalTable"}
 
 
+def renewal_names(module):
+    """The names of ``renewal`` that ``module`` reads, as attributes or by import."""
+    tree = ast.parse(inspect.getsource(module))
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "renewal"}
+    return read | {alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.module == "renewal"
+                   for alias in node.names}
+
+
 def test_metrics_reaches_renewal_only_through_its_entry_points():
     # every route choice for a load is renewal's: metrics asks for a table,
     # a level table or row sums, and names no builder, window or constant
-    tree = ast.parse(inspect.getsource(metrics))
-    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
-            and isinstance(node.value, ast.Name) and node.value.id == "renewal"}
-    read |= {alias.name for node in ast.walk(tree)
-             if isinstance(node, ast.ImportFrom) and node.module == "renewal"
-             for alias in node.names}
+    read = renewal_names(metrics)
     assert {"load_sums", "_level_table", "_row_sums"} <= read
     assert read <= RENEWAL_ENTRY_POINTS, sorted(read - RENEWAL_ENTRY_POINTS)
+
+
+def test_compare_reads_no_renewal_route():
+    # the optimizer's rows are priced on renewal's routes; compare names
+    # only the level limit its bounds check
+    assert renewal_names(compare) == {"MAX_ORDER_UP_TO"}
+
+
+def renewal_readers(name):
+    """The functions of ``renewal`` that read the global ``name``."""
+    tree = ast.parse(inspect.getsource(renewal))
+    return {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+            for node in ast.walk(fn) if isinstance(node, ast.Name) and node.id == name}
+
+
+def test_renewal_splits_time_loads_at_the_closed_form_in_one_place():
+    # the two scalar entry points, and ``_heads`` for the scan and the rows
+    assert renewal_readers("TP_CLOSED_FORM_MU") == {"load_table", "load_sums", "_heads"}
 
 
 def test_renewal_keeps_its_kernel_gate_and_its_stop_schedule_in_one_place():
     # the matvec gate picks one solve's kernel and nothing else, and every
     # route tests its state on the one schedule: the solves reach ``_settled``
     # through ``_stop``, and the rows on ``_scheduled`` at blocks of one level
-    tree = ast.parse(inspect.getsource(renewal))
-
-    def readers(name):
-        return {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
-                for node in ast.walk(fn) if isinstance(node, ast.Name) and node.id == name}
-
-    assert readers("MATVEC_MIN_BLOCKS") == {"_blocked_solve"}
-    assert readers("_settled") == {"_stop", "_renewal_levels"}
-    assert readers("_scheduled") == {"_stop", "_renewal_levels"}
-    assert readers("_stop") == {"_blocked_solve", "_explicit_solve"}
+    assert renewal_readers("MATVEC_MIN_BLOCKS") == {"_blocked_solve"}
+    assert renewal_readers("_settled") == {"_stop", "_renewal_levels"}
+    assert renewal_readers("_scheduled") == {"_stop", "_renewal_levels"}
+    assert renewal_readers("_stop") == {"_blocked_solve", "_explicit_solve"}
