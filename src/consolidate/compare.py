@@ -29,7 +29,8 @@ evaluates once and the time and hybrid families search the period: a
 batched exact call (``metrics._period_costs``) at the order-up-to bound,
 whose row Q is the scan at level Q.  The golden searches of all points of a
 family run in lockstep rounds of one batched exact call
-(``metrics._row_costs``); ``renewal`` picks each row's route, so no family
+(``metrics._row_costs``), the points in their own order; ``renewal`` picks
+each row's route and orders the rows for its solve, so no family or level
 is special here.  A call costs about the same up to some 60 rows, so a
 round evaluates, within a budget of 64 rows, every period the next steps of
 each running search could probe; only the periods a search walks are its
@@ -520,7 +521,7 @@ _PERIOD_TOL = 1e-8
 _ROW_BUDGET = 64
 
 
-def _golden_searches(evaluate, lo: list, hi: list, rank: list):
+def _golden_searches(evaluate, lo: list, hi: list):
     """Golden-section searches of a minimum on [lo[r], hi[r]] to width
     _PERIOD_TOL, in lockstep rounds of one call ``evaluate(rows, points)``
     each, which returns the values and {index into points: error}.
@@ -534,7 +535,7 @@ def _golden_searches(evaluate, lo: list, hi: list, rank: list):
     walked points are probes, and a row stops at its first walked error.
 
     Returns each row's probes [(x, f(x)), ...] in order, each row's minimum
-    (x, f(x)), and the error of the failed row first in ``rank``, or None.
+    (x, f(x)), and the error of the lowest failed row, or None.
     """
     probes = [[] for _ in lo]
     best = [None] * len(lo)
@@ -597,8 +598,7 @@ def _golden_searches(evaluate, lo: list, hi: list, rank: list):
         values, errors = evaluate(np.array(rows), np.array(points))
         values, rows, points = values.tolist(), [], []
         running = [walk for walk in running if next(walk, True) is None]
-    first = min(failed, key=rank.__getitem__, default=None)
-    return probes, best, failed.get(first)
+    return probes, best, failed[min(failed)] if failed else None
 
 
 def _period_points(demand_rate: float, costs: CostParams, policy_kind: str,
@@ -611,8 +611,8 @@ def _period_points(demand_rate: float, costs: CostParams, policy_kind: str,
     order-up-to bound, whose row Q is the scan at level Q.  The best scan
     cell of each point brackets a golden search, which only polishes it,
     since the cost need not be unimodal in the period; the scan's cell wins
-    a tie.  The searches of every point run in lockstep, highest levels
-    first, each round one call of ``_row_costs``.  Errors are raised in the
+    a tie.  The searches of every point run in lockstep, in the points'
+    order, each round one call of ``_row_costs``.  Errors are raised in the
     order of a search one point at a time: a scan that fails is raised after
     the searches of the caps before it.
     """
@@ -630,38 +630,34 @@ def _period_points(demand_rate: float, costs: CostParams, policy_kind: str,
     caps = caps[:len(tables)]
     values = np.concatenate(tables) if tables else np.empty((0, _SCAN_POINTS))
     cells = np.argmin(values, axis=1).tolist()
-    # point r = (caps[r // levels], r % levels), searched highest level first
-    order = sorted(range(len(cells)), key=lambda r: -(r % levels))
-    row_caps = None if policy_kind == "time" else np.array([caps[r // levels] for r in order])
-    row_levels = np.array([r % levels for r in order])
+    # point r = (caps[r // levels], r % levels)
+    row_caps = None if policy_kind == "time" else np.repeat(caps, levels)
+    row_levels = np.tile(np.arange(levels), len(caps))
 
     def evaluate(rows, points):
         return _row_costs(demand_rate, costs, None if row_caps is None else row_caps[rows],
                           row_levels[rows], points)
 
     probes, best, error = _golden_searches(
-        evaluate, [grid[cells[r] - 1] if cells[r] else grid[0] * 0.05 for r in order],
-        [grid[min(cells[r] + 1, _SCAN_POINTS - 1)] for r in order], order)
+        evaluate, [grid[cell - 1] if cell else grid[0] * 0.05 for cell in cells],
+        [grid[min(cell + 1, _SCAN_POINTS - 1)] for cell in cells])
     if error is not None:
         raise error
     if failure is not None:
         raise failure
-    searched = dict(zip(order, zip(probes, best)))
-    points, steps = [], []
+    points = []
     for r, cell in enumerate(cells):
         q, order_up_to = caps[r // levels], r % levels
-        probed, (period, ac) = searched[r]
-        steps.append(probed)
+        period, ac = best[r]
         scan = values[r, cell].item()
         if scan <= ac:
             period, ac = grid[cell], scan
         points.append((TimePolicy(period) if q is None else HybridPolicy(q, period),
                        order_up_to, ac))
-    pairs = np.fromiter(itertools.chain.from_iterable(itertools.chain.from_iterable(steps)),
+    pairs = np.fromiter(itertools.chain.from_iterable(itertools.chain.from_iterable(probes)),
                         float).reshape(-1, 2)
-    trace = OptimTrace(None if policy_kind == "time" else np.repeat(caps, levels),
-                       np.tile(np.arange(levels), len(caps)), grid, values,
-                       np.array([len(p) for p in steps], int), pairs[:, 0], pairs[:, 1])
+    trace = OptimTrace(row_caps, row_levels, grid, values,
+                       np.array([len(p) for p in probes], int), pairs[:, 0], pairs[:, 1])
     return points, trace
 
 

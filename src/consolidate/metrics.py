@@ -530,13 +530,13 @@ def _row_costs(demand_rate: float, costs: CostParams, q, levels: np.ndarray,
 
     Row r is ``average_cost(SystemConfig(demand_rate, policy, levels[r],
     costs)).avg_cost`` for the time policy of period ``periods[r]`` when q is
-    None, and the hybrid policy (q[r], periods[r]) otherwise; the levels must
-    not increase along the rows.  Each row takes the scalar path's cycle
-    forms bit for bit (``_cycle_rows``), its sums on its load's route at its
-    own level only (``renewal._row_sums``), and the scalar record, service
-    and components.  So a closed-form time row, whose sums are the scalar
-    ones, and any row at a level up to 2 equal the scalar cost bit for bit,
-    and higher levels agree within rounding.
+    None, and the hybrid policy (q[r], periods[r]) otherwise, the rows in
+    any order.  Each row takes the scalar path's cycle forms bit for bit
+    (``_cycle_rows``), its sums on its load's route at its own level only
+    (``renewal._row_sums``), and the scalar record, service and components.
+    So a closed-form time row, whose sums are the scalar ones, and any row
+    at a level up to 2 equal the scalar cost bit for bit, and higher levels
+    agree within rounding.
 
     ``average_cost`` itself only raises the errors: a row whose mean is not
     positive and finite, or that fails a check (a cycle form or cost that is

@@ -15,7 +15,7 @@ an exact finite recursion on 0..Q:
 so no truncation error enters beyond the tail cut of a Poisson increment.
 That holds for hybrid loads and for time-policy loads of mean below
 ``TP_CLOSED_FORM_MU``.  From that mean on, a time-policy table does not use
-the recursion: k cycles load Poisson(k mu) exactly, so ``_tp_renewal_rows``
+the recursion: k cycles load Poisson(k mu) exactly, so ``_tp_renewal_row``
 sums m(i) = sum_k P(Poisson(k mu) = i) over windows of masses whose outside
 mass is below 1e-20 a side, in O(Q) memory for any mu.  The table's route
 depends on mu alone, never on Q.
@@ -93,8 +93,9 @@ Four entry points choose every route: ``load_table`` builds one system's
 table and ``load_sums`` its E[K] and holding factor, ``_level_table`` the
 optimizer's scan (E[K] at every level up to a bound for many loads of one
 family) and ``_row_sums`` the sums of its golden rows, each at its own level.
-The batched two split their loads by route in one function, ``_heads``: the
-closed-form time loads, and the head i0 of every other load.  A closed-form
+The batched two take their rows in any order and split them by route in one
+function, ``_heads``: the closed-form time loads, and the head i0 of every
+other load, sorted as ``_renewal_levels`` solves them.  A closed-form
 row is ``load_sums`` itself, bit for bit; the scan takes its table.  The
 three sums take the same head and poles: ``load_sums`` the table to i0 - 1
 (``load_table``) and ``_pole_tail`` in Python complex, the rows their heads
@@ -136,7 +137,7 @@ MAX_ORDER_UP_TO = 10_000
 DEFAULT_TAIL_EPS = 1e-12
 
 # Time-policy load means from which the renewal masses come from the closed
-# form (``_tp_renewal_rows``) instead of the recursion on a tail-cut load: the
+# form (``_tp_renewal_row``) instead of the recursion on a tail-cut load: the
 # smallest power of two at which the closed form was no slower at any Q in
 # {10, 100, 1000, 10000}.
 TP_CLOSED_FORM_MU = 256.0
@@ -461,7 +462,7 @@ def _table(g: np.ndarray, order_up_to: int) -> RenewalTable:
     _check_converges(g[0])
     m = np.empty(order_up_to + 1)
     m[0] = 1.0 / (1.0 - g[0])
-    terms = (*_lorden_row(g), _mass_defect(g)) if order_up_to >= 2 * BLOCK else None
+    terms = _lorden_row(g) if order_up_to >= 2 * BLOCK else None
     settle = terms is not None and terms[2] <= SETTLE_TOL
     if g[1] == 0.0 and (first := _first_load(g, order_up_to)) >= BLOCK:
         stop = _explicit_solve(m, g, first, settle)
@@ -630,10 +631,9 @@ def _jump_matrix(m: np.ndarray, kernel: np.ndarray, width: int) -> np.ndarray:
 
 def _renewal_levels(g: np.ndarray, levels: np.ndarray, stops: dict):
     """Yield (rows, m(i)), i = 0, 1, ..., of the live rows of increment
-    masses g, each to its own level levels[r], not increasing along the
-    rows: at level i, the array of m(i) of the live rows that reach it, and
-    their indices in g (a slice until a row stops), valid until the next is
-    taken.
+    masses g, each to its own level levels[r], in the order of ``_heads``:
+    at level i, the array of m(i) of the live rows that reach it, and their
+    indices in g (a slice until a row stops), valid until the next is taken.
 
     A level is summed as ``renewal_table`` sums it, (sum_{j=1..i} g(j)
     m(i-j), in j order) m(0): bit for bit up to level 2, within rounding
@@ -690,9 +690,9 @@ def _renewal_levels(g: np.ndarray, levels: np.ndarray, stops: dict):
         yield (slice(0, n) if live is None else live[:n]), level
 
 
-def _tp_renewal_rows(mu: np.ndarray, order_up_to: int) -> np.ndarray:
-    """m(0..Q) of the untruncated time-policy load Poisson(mu[r]), per row,
-    for mu >= TP_CLOSED_FORM_MU.
+def _tp_renewal_row(mu: float, order_up_to: int) -> np.ndarray:
+    """m(0..Q) of the untruncated time-policy load Poisson(mu), for
+    mu >= TP_CLOSED_FORM_MU.
 
     The load of k cycles is Poisson(k mu), so m(i) = sum_{k>=0} P(Poisson(k mu)
     = i) exactly, with m(0) = 1/(1 - e^-mu).  Cycle k >= 1 adds its masses on
@@ -706,30 +706,29 @@ def _tp_renewal_rows(mu: np.ndarray, order_up_to: int) -> np.ndarray:
     with gap(i) = log(i!) - (i log i - i) from ``_stirling_gaps``.  Its terms
     stay small, while the plain ``-lam + i log(lam) - log(i!)`` cancels terms
     of size lam log(lam) and errs by up to ~1e-12 per mass.  No mass depends
-    on Q, so a row's prefix m(0..Q') equals the row to Q' bit for bit.  Each
-    row takes O(Q) memory.
+    on Q, so the prefix m(0..Q') equals the row to Q' bit for bit.  It
+    takes O(Q) memory.
     """
-    m = np.zeros((mu.size, order_up_to + 1))
-    for row, mean in zip(m, mu.tolist()):
-        row[0] = 1.0 / -math.expm1(-mean)
-        windows = []
-        while True:
-            lam = (len(windows) + 1) * mean
-            r = _bernstein_radius(lam)
-            lo = math.ceil(lam - r)
-            if lo > order_up_to:
-                break
-            windows.append((lam, lo, min(math.floor(lam + r), order_up_to)))
-        if not windows:
-            continue
-        base = windows[0][1]
-        points = np.arange(base, windows[-1][2] + 1.0)
-        gaps = _stirling_gaps(points)
-        for lam, lo, hi in windows:
-            cells = slice(lo - base, hi + 1 - base)
-            i = points[cells]
-            d = i - lam
-            row[lo:hi + 1] += np.exp(d - i * np.log1p(d / lam) - gaps[cells])
+    m = np.zeros(order_up_to + 1)
+    m[0] = 1.0 / -math.expm1(-mu)
+    windows = []
+    while True:
+        lam = (len(windows) + 1) * mu
+        r = _bernstein_radius(lam)
+        lo = math.ceil(lam - r)
+        if lo > order_up_to:
+            break
+        windows.append((lam, lo, min(math.floor(lam + r), order_up_to)))
+    if not windows:
+        return m
+    base = windows[0][1]
+    points = np.arange(base, windows[-1][2] + 1.0)
+    gaps = _stirling_gaps(points)
+    for lam, lo, hi in windows:
+        cells = slice(lo - base, hi + 1 - base)
+        i = points[cells]
+        d = i - lam
+        m[lo:hi + 1] += np.exp(d - i * np.log1p(d / lam) - gaps[cells])
     return m
 
 
@@ -746,7 +745,7 @@ def load_table(mu: float, q: int | None, order_up_to) -> RenewalTable:
     """
     order_up_to = _check_order_up_to(order_up_to)
     if q is None and mu >= TP_CLOSED_FORM_MU:
-        m = _tp_renewal_rows(np.array([mu]), order_up_to)[0]
+        m = _tp_renewal_row(mu, order_up_to)
         table = RenewalTable(m=m, M=np.cumsum(m), order_up_to=order_up_to)
         _check_lorden_row(*_tp_lorden_terms(mu), order_up_to, float(table.M[-1]))
         return table
@@ -878,7 +877,7 @@ def _level_table(mu: np.ndarray, q: int | None, order_up_to: int):
     rows.  The masses m(0..Q) do not depend on the level they are solved to,
     so M, their running sum down the levels, serves every level.  ``_heads``
     splits the columns by route: a closed-form column takes
-    ``_tp_renewal_rows``, and a time column past its head i0 is solved to
+    ``_tp_renewal_row``, and a time column past its head i0 is solved to
     i0 - 1 and adds the sums of m(i0..Q) from its poles (``_pole_cycles``)
     to M(i0 - 1), with the untruncated load's terms.  Raises where the
     scalar table's divergence check raises; Lorden's check is the caller's."""
@@ -887,7 +886,7 @@ def _level_table(mu: np.ndarray, q: int | None, order_up_to: int):
     terms = np.empty((3, mu.size))
     terms[:, closed] = _tp_lorden_terms(mu[closed])
     for r in closed.tolist():
-        cycles[:, r] = _tp_renewal_rows(mu[r:r + 1], order_up_to)[0]
+        cycles[:, r] = _tp_renewal_row(float(mu[r]), order_up_to)
     for part, g in _mass_rows(mu[cut], q, np.full(cut.size, order_up_to)):
         _check_converges(g[:, 0].max())
         rows, stops = cut[part], {}
@@ -910,33 +909,31 @@ def _heads(rows: np.ndarray, mu: np.ndarray, q, levels: np.ndarray):
     """The rows split by route: the time rows (q None) of mean from
     TP_CLOSED_FORM_MU on, which take the closed form, then the other rows,
     their heads i0 and the levels min(L, i0 - 1) their recursion reaches,
-    sorted by reach, highest first (stably).  A time row of mean from
-    _POLE_MIN_MU on takes levels i0..L from its poles, i0 = ``_pole_head``;
-    any other row reaches its level L, as its head is L + 1."""
-    if q is not None:
-        level = levels[rows]
-        return rows[:0], rows, level + 1, level
-    wide = mu[rows] >= TP_CLOSED_FORM_MU
-    closed, rows = rows[wide], rows[~wide]
-    level = levels[rows]
-    head = np.where(mu[rows] >= _POLE_MIN_MU, _pole_head(mu[rows]), level + 1)
-    if (level >= head).any():
-        reach = np.minimum(level, head - 1)
-        order = np.argsort(-reach, kind="stable")
-        return closed, rows[order], head[order], reach[order]
-    return closed, rows, head, level
+    sorted by reach, highest first (stably), the order ``_renewal_levels``
+    solves them in.  A time row of mean from _POLE_MIN_MU on takes levels
+    i0..L from its poles, i0 = ``_pole_head``; any other row reaches its
+    level L, as its head is L + 1.  The rows come in any order."""
+    closed, level = rows[:0], levels[rows]
+    head = level + 1
+    if q is None:
+        wide = mu[rows] >= TP_CLOSED_FORM_MU
+        closed, rows, level = rows[wide], rows[~wide], level[~wide]
+        head = np.where(mu[rows] >= _POLE_MIN_MU, _pole_head(mu[rows]), level + 1)
+    reach = np.minimum(level, head - 1)
+    order = np.argsort(-reach, kind="stable")
+    return closed, rows[order], head[order], reach[order]
 
 
 def _row_sums(mu: np.ndarray, q, levels: np.ndarray):
     """E[K], the holding factor and a solved-and-checked mask of independent
-    rows: the time load (q None) or cap-q[r] hybrid load of mean mu[r] at
-    level levels[r], not increasing along the rows.  ``_heads`` splits the
-    rows by route.  A closed-form row takes ``load_sums``, bit for bit, and
-    stays unchecked if its certificate raises.  Any other row's levels are
-    summed in order up to its stop and in closed form from there; a time
-    row past its head i0 sums its levels to i0 - 1 so, and adds the rest
-    from its poles (``_pole_tail``), certified on the untruncated load's
-    terms.  Means that are not positive and finite are left unchecked."""
+    rows, in any order: the time load (q None) or cap-q[r] hybrid load of
+    mean mu[r] at level levels[r].  ``_heads`` splits the rows by route.  A
+    closed-form row takes ``load_sums``, bit for bit, and stays unchecked if
+    its certificate raises.  Any other row's levels are summed in order up
+    to its stop and in closed form from there; a time row past its head i0
+    sums its levels to i0 - 1 so, and adds the rest from its poles
+    (``_pole_tail``), certified on the untruncated load's terms.  Means that
+    are not positive and finite are left unchecked."""
     closed, rows, head, reach = _heads(((mu > 0.0) & (mu < math.inf)).nonzero()[0], mu, q,
                                        levels)
     cycles, holding_sum = np.full((2, mu.size), np.nan)
@@ -985,17 +982,14 @@ def _lorden_terms(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return mean, g @ (support * support) / mean, defect
 
 
-def _lorden_row(g: np.ndarray) -> tuple[float, float]:
-    """The mean and overshoot of ``_lorden_terms`` for one load's masses g, as floats."""
+def _lorden_row(g: np.ndarray) -> tuple[float, float, float]:
+    """``_lorden_terms`` of one load's masses g, as floats: its mean,
+    overshoot bound and relative mass defect d (``_check_lorden``)."""
     support = np.arange(g.size, dtype=float)
     mean = float(np.dot(g, support))
-    return mean, float(np.dot(g, support * support)) / mean
-
-
-def _mass_defect(g: np.ndarray) -> float:
-    """The relative mass defect d of one load's masses (``_check_lorden``)."""
     above = 1.0 - float(g[0])
-    return abs(float(np.add.reduce(g[1:])) - above) / above
+    return (mean, float(np.dot(g, support * support)) / mean,
+            abs(float(np.add.reduce(g[1:])) - above) / above)
 
 
 def _tp_lorden_terms(mu):

@@ -268,9 +268,9 @@ def listed_trace(monkeypatch, kind, bounds):
         tables.append((q, scan(demand_rate, costs, q, periods, order_up_to)))
         return tables[-1][1]
 
-    def searching(evaluate, lo, hi, rank):
-        found = search(evaluate, lo, hi, rank)
-        searches.append((rank, found[0]))
+    def searching(evaluate, lo, hi):
+        found = search(evaluate, lo, hi)
+        searches.append(found[0])
         return found
 
     monkeypatch.setattr(compare, "_period_costs", scanning)
@@ -282,8 +282,7 @@ def listed_trace(monkeypatch, kind, bounds):
                                                          REFERENCE_COSTS)).avg_cost}
                         for q in range(1, bounds.q_max + 1)
                         for level in range(0, bounds.order_up_to_max + 1, q)]
-    (rank, probes), = searches
-    probes = dict(zip(rank, probes))
+    probes, = searches
     step = bounds.period_max / compare._SCAN_POINTS
     grid = [step * (i + 1) for i in range(compare._SCAN_POINTS)]
     trace = []
@@ -680,6 +679,28 @@ def test_speculative_points_leave_no_trace(monkeypatch, kind, bounds):
     monkeypatch.setattr(compare, "_row_costs", failing_off_the_path)
     result = optimize(*args)
     assert flagged
+    assert result.to_dict() == expected.to_dict()
+    assert result.best_cost == expected.best_cost
+    assert result.trace == expected.trace
+
+
+@pytest.mark.parametrize("kind, bounds", [
+    ("time", SearchBounds(1, 7, 10.0)), ("hybrid", SearchBounds(3, 5, 10.0)),
+])
+def test_golden_rows_in_reverse_order_change_nothing(monkeypatch, kind, bounds):
+    # every call prices its rows in reverse order and returns them in their
+    # own order: no cost depends on the order of the rows
+    args = (1.0, REFERENCE_COSTS, kind, bounds)
+    expected = optimize(*args)
+
+    def reversed_rows(demand_rate, costs, q, levels, periods):
+        last = len(levels) - 1
+        cost, errors = metrics._row_costs(demand_rate, costs, None if q is None else q[::-1],
+                                          levels[::-1], periods[::-1])
+        return cost[::-1], {last - r: err for r, err in errors.items()}
+
+    monkeypatch.setattr(compare, "_row_costs", reversed_rows)
+    result = optimize(*args)
     assert result.to_dict() == expected.to_dict()
     assert result.best_cost == expected.best_cost
     assert result.trace == expected.trace

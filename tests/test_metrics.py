@@ -548,7 +548,8 @@ def one_level_scan(rate, costs, q, periods, level):
     mu = rate * t
     closed = mu >= renewal.TP_CLOSED_FORM_MU if q is None else np.zeros(mu.size, bool)
     m = np.empty((mu.size, level + 1))
-    m[closed] = renewal._tp_renewal_rows(mu[closed], level)
+    for r in np.flatnonzero(closed).tolist():
+        m[r] = renewal._tp_renewal_row(float(mu[r]), level)
     cut = mu[~closed]
     if cut.size:
         if q is None:
@@ -651,14 +652,14 @@ def test_scan_row_between_the_brackets_raises(monkeypatch):
 
 
 def test_closed_form_scan_rows_outside_lordens_bracket_raise(monkeypatch):
-    rows = renewal._tp_renewal_rows
+    row = renewal._tp_renewal_row
 
     def corrupted(mu, order_up_to):
-        m = rows(mu, order_up_to)
-        m[:, 0] = 2.0  # E[K] >= 2 > (Q + mu + 1)/mu for every Q below mu - 1
+        m = row(mu, order_up_to)
+        m[0] = 2.0  # E[K] >= 2 > (Q + mu + 1)/mu for every Q below mu - 1
         return m
 
-    monkeypatch.setattr(renewal, "_tp_renewal_rows", corrupted)
+    monkeypatch.setattr(renewal, "_tp_renewal_row", corrupted)
     with pytest.raises(ArithmeticError, match="at order-up-to level 0$"):
         _period_costs(1.0, REF_COSTS, None, [10.0, 300.0, 400.0], 40)
     _period_costs(1.0, REF_COSTS, None, [10.0, 200.0], 40)  # no closed-form row
@@ -780,7 +781,7 @@ def test_cycle_rows_are_the_float_path_bit_for_bit(rate, hybrid, rows):
 
 @st.composite
 def golden_rows(draw, top):
-    """Rows of one family for ``_row_costs``, levels not increasing: time
+    """Rows of one family for ``_row_costs``, levels in any order: time
     loads below and above the closed-form threshold, or hybrid loads whose
     windows are capped below q and floored above 0."""
     n = draw(st.integers(1, 8))
@@ -795,8 +796,7 @@ def golden_rows(draw, top):
         loads = st.floats(-3.0, math.log10(3e3)).map(lambda e: 10.0 ** e)
     rate = draw(st.floats(0.25, 4.0))
     periods = np.array([load / rate for load in draw(st.lists(loads, min_size=n, max_size=n))])
-    levels = np.array(sorted(draw(st.lists(st.integers(0, top), min_size=n, max_size=n)),
-                             reverse=True))
+    levels = np.array(draw(st.lists(st.integers(0, top), min_size=n, max_size=n)))
     return rate, q, levels, periods
 
 
@@ -813,6 +813,8 @@ def scalar_rows(rate, costs, q, levels, periods):
 @example(rows=(1.0, None, np.array([2, 1, 0]), np.array([0.005, 7.1, 300.0])), costs=REF_COSTS)
 @example(rows=(1.0, np.array([500, 500]), np.array([2, 0]), np.array([400.0, 2e3])),
          costs=REF_COSTS)
+# levels increasing along the rows
+@example(rows=(1.0, None, np.array([1, 2]), np.array([3.0, 3.0])), costs=REF_COSTS)
 @settings(max_examples=100, deadline=None)
 def test_golden_rows_equal_average_cost_bit_for_bit_up_to_level_two(rows, costs):
     rate, q, levels, periods = rows
@@ -835,16 +837,28 @@ closed_loads = st.floats(math.log10(renewal.TP_CLOSED_FORM_MU), math.log10(2e4))
     lambda e: max(10.0 ** e, renewal.TP_CLOSED_FORM_MU))
 
 
+def period_of(rate, load):
+    """load / rate, raised by ulps until the mean rate * period is at least
+    the load, which load / rate itself may round below."""
+    period = load / rate
+    while rate * period < load:
+        period = math.nextafter(period, math.inf)
+    return period
+
+
 @given(rate=st.floats(0.25, 4.0), costs=st.builds(CostParams, *[st.floats(0.0, 1e3)] * 7),
        loads=st.lists(closed_loads, min_size=1, max_size=4),
        levels=st.lists(st.integers(0, MAX_ORDER_UP_TO), min_size=4, max_size=4))
 # three levels past their load's first window, one below every window
 @example(rate=1.0, costs=REF_COSTS, loads=[renewal.TP_CLOSED_FORM_MU, 1e4, 3394.2, 2e4],
          levels=[MAX_ORDER_UP_TO, MAX_ORDER_UP_TO, 9288, 300])
+# 1.9 * (256 / 1.9) rounds below 256, to a row of the recursion
+@example(rate=1.9, costs=REF_COSTS, loads=[renewal.TP_CLOSED_FORM_MU], levels=[145, 0, 0, 0])
 @settings(max_examples=30, deadline=None)
 def test_closed_form_golden_rows_are_the_scalar_path_bit_for_bit(rate, costs, loads, levels):
-    periods = np.array([load / rate for load in loads])
-    levels = np.array(sorted(levels[:len(loads)], reverse=True))
+    periods = np.array([period_of(rate, load) for load in loads])
+    assert (rate * periods >= renewal.TP_CLOSED_FORM_MU).all()
+    levels = np.array(levels[:len(loads)])
     expected = scalar_rows(rate, costs, None, levels, periods)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(metrics, "average_cost", None)    # no row falls back to the scalar path

@@ -62,7 +62,7 @@ from consolidate.renewal import (
     _hp_masses,
     _renewal_levels,
     _tp_masses,
-    _tp_renewal_rows,
+    _tp_renewal_row,
     _tp_support_end,
     load_sums,
     load_table,
@@ -185,7 +185,7 @@ def stop_level(masses, order_up_to, ref):
     SETTLE_TOL."""
     g = np.asarray(masses, dtype=float)
     smax = g.size - 1
-    if renewal._mass_defect(g) > SETTLE_TOL:
+    if renewal._lorden_row(g)[2] > SETTLE_TOL:
         return None
     a = first_load(g, order_up_to)
     starts = range(a, order_up_to + 1, a) if a >= BLOCK else [
@@ -737,10 +737,9 @@ def test_closed_form_table_matches_the_cut_recursion(mu, order_up_to):
 @settings(max_examples=20, deadline=None)
 def test_closed_form_rows_do_not_depend_on_the_top_level(mu, levels):
     level, top = levels
-    mu = np.array(mu)
-    rows = _tp_renewal_rows(mu, top)
-    assert np.array_equal(rows[:, :level + 1], _tp_renewal_rows(mu, level))
-    for row, m in zip(rows, mu.tolist()):
+    for m in mu:
+        row = _tp_renewal_row(m, top)
+        assert np.array_equal(row[:level + 1], _tp_renewal_row(m, level))
         assert np.array_equal(row[:level + 1], load_table(m, None, level).m)
 
 
@@ -769,8 +768,8 @@ def test_time_policy_route_switches_at_the_closed_form_threshold(rate):
 
 @pytest.mark.parametrize("scale", [0.5, 2.0])
 def test_closed_form_table_outside_lordens_bracket_raises(monkeypatch, scale):
-    rows = renewal._tp_renewal_rows
-    monkeypatch.setattr(renewal, "_tp_renewal_rows", lambda mu, q: rows(mu, q) * scale)
+    row = renewal._tp_renewal_row
+    monkeypatch.setattr(renewal, "_tp_renewal_row", lambda mu, q: row(mu, q) * scale)
     metrics._policy_table.cache_clear()
     try:
         with pytest.raises(ArithmeticError, match="Lorden bracket"):
@@ -924,7 +923,7 @@ def test_load_table_takes_the_table_of_its_route(route, mu, q, order_up_to):
     if q is None:
         assert route == ("closed" if mu >= TP_CLOSED_FORM_MU else "cut")
         if route == "closed":
-            m = _tp_renewal_rows(np.array([mu]), order_up_to)[0]
+            m = _tp_renewal_row(mu, order_up_to)
             expected = renewal.RenewalTable(m=m, M=np.cumsum(m), order_up_to=order_up_to)
         else:
             expected = renewal_table(build_increment_tp(1.0, mu), order_up_to)
@@ -1197,7 +1196,7 @@ def test_one_row_lorden_check_is_the_array_check():
     for width in (1, 2, 30, 400):
         g = rng.random(width + 1)
         g /= g.sum()
-        row = (*renewal._lorden_row(g), renewal._mass_defect(g))
+        row = renewal._lorden_row(g)
         np.testing.assert_allclose(row, [t[0] for t in renewal._lorden_terms(g[None])],
                                    rtol=1e-14, atol=1e-30)
         for order_up_to in (0, 300):
@@ -1344,12 +1343,12 @@ def level_rows(g, levels):
 def leveled_systems(draw, top):
     """Rows of one family for ``renewal._row_sums`` at rate 1: time loads
     (q None) or hybrid loads of caps q[r], means in 0.01..60, levels in
-    0..top that do not increase along the rows."""
+    0..top in any order."""
     n = draw(st.integers(1, 6))
     q = None if draw(st.booleans()) else np.array(draw(st.lists(st.integers(1, 40), min_size=n,
                                                                 max_size=n)))
     mu = np.array(draw(st.lists(st.floats(0.01, 60.0), min_size=n, max_size=n)))
-    levels = sorted(draw(st.lists(st.integers(0, top), min_size=n, max_size=n)), reverse=True)
+    levels = draw(st.lists(st.integers(0, top), min_size=n, max_size=n))
     return mu, q, np.array(levels)
 
 
