@@ -17,16 +17,18 @@ e_n = rate * e_lc):
 
 where AIR is average on-hand inventory per time unit and AOD the average
 delay per order.  Exact mode computes e_k and the holding factor from the
-renewal masses of the load distribution: the recursion on the load's masses
-for hybrid loads, the recursion on a head of levels and the load's poles past
-it for time-policy loads of mean rate*T below ``renewal.TP_CLOSED_FORM_MU``,
-and a closed form from that mean on.  A hybrid load min(X, q) enters its
-table on the window min(max(X, a), c), with the cap
-c = min(q, Q + 1, floor(mu + r)) and, from mu ~ 122.8 on, the floor
-a = ceil(mu - r): each costs at most a Poisson tail of 1e-20, and together
-they bound the table's memory by O(Q) and its work by O(Q (c - a)) for any
-q; the cycle forms keep the real q.  Approximate mode treats the cycle count
-as continuous, giving e_k ~ (Q+1)/e_n and the Table-style closed forms.
+renewal masses of the load distribution.  A load of Poisson(mu), mu = rate*T
+(a time load, or a hybrid load whose cap q lies past floor(mu + r) below),
+takes the recursion on a head of levels and its poles past it for mu in
+[1e-4, ``renewal.TP_CLOSED_FORM_MU``), and a closed form from that mean on;
+other loads take the recursion on their masses.  The route depends on
+(mu, q), never on Q.  A hybrid load min(X, q) enters its table on the
+window min(max(X, a), c), with the cap c = min(q, Q + 1, floor(mu + r)) and,
+from mu ~ 122.8 on, the floor a = ceil(mu - r): each costs at most a Poisson
+tail of 1e-20, and together they bound the table's memory by O(Q) and its
+work by O(Q (c - a)) for any q; the cycle forms keep the real q.
+Approximate mode treats the cycle count as continuous, giving
+e_k ~ (Q+1)/e_n and the Table-style closed forms.
 
 Matched comparisons need the hybrid period whose truncated mean load hits a
 target (``match_consolidation_cycle``): Newton's method on the closed form,

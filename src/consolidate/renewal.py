@@ -13,23 +13,25 @@ an exact finite recursion on 0..Q:
     m(i) (1 - g(0)) = [i == 0] + sum_{j=1..min(i, smax)} g(j) m(i - j),
 
 so no truncation error enters beyond the tail cut of a Poisson increment.
-That holds for hybrid loads and for time-policy loads of mean below
-``TP_CLOSED_FORM_MU``.  From that mean on, a time-policy table does not use
-the recursion: k cycles load Poisson(k mu) exactly, so ``_tp_renewal_row``
-sums m(i) = sum_k P(Poisson(k mu) = i) over windows of masses whose outside
-mass is below 1e-20 a side, in O(Q) memory for any mu.  The table's route
-depends on mu alone, never on Q.
+The Poisson routes below serve the loads of Poisson(mu): time loads, and
+hybrid loads min(X, q) with q > floor(mu + r) (``_bernstein_cap``), whose
+window moves less than 1e-20 of the mass.  The recursion serves the others,
+and every load of mean below ``TP_CLOSED_FORM_MU``.  From that mean on, the
+table of Poisson(mu) does not use it: k cycles load Poisson(k mu) exactly,
+so ``_tp_renewal_row`` sums m(i) = sum_k P(Poisson(k mu) = i) over windows
+of masses whose outside mass is below 1e-20 a side, in O(Q) memory for any
+mu.  The route depends on (mu, q), never on Q.
 
-The sums E[K] and sum_i (Q - i) m(i) of a time load of mean mu in
-[_POLE_MIN_MU, TP_CLOSED_FORM_MU) take the recursion only on a head: levels
+The sums E[K] and sum_i (Q - i) m(i) of a load of Poisson(mu), mu in
+[_POLE_MIN_MU, TP_CLOSED_FORM_MU), take the recursion only on a head: levels
 below i0 = max(ceil(2 mu), 32) (``_pole_head``).  The renewal function
 1/(1 - e^{mu (z - 1)}) of Poisson(mu) has simple poles z_k = 1 + 2 pi i k/mu
 of weight 1/mu, so m(i) = (1/mu)(1 + 2 Re sum_{k>=1} z_k^-(i+1)) exactly for
 i >= 1, and over levels i0..Q the sums are geometric in closed form
 (``_pole_tail``).  K pairs, with |z_K|^-(i0+1) <= 1e-18 (``_pole_pairs``, at
 most 18), leave out less than 1e-18 of m(i) a level.  The pole levels carry
-no tail cut; the head keeps the cut load's levels, bit for bit, so below i0
-nothing moves.
+no tail cut; the head keeps the levels of its load's table (the cut time
+load, the hybrid window), bit for bit, so below i0 nothing moves.
 
 A table to level Q reads the masses g(0..Q) only.  So the evaluation paths
 build the table of a hybrid load min(X, q), X ~ Poisson(mu), on the window
@@ -89,25 +91,25 @@ then takes O(min(Q, b) * w) multiply-adds (plus BLOCK * w^2 for P), or
 O(min(Q, b) * (c - a)) on the explicit route, in O(min(Q, b)/BLOCK +
 log2(BLOCK)) numpy calls, plus O(Q) to fill and sum it.
 
-Four entry points choose every route: ``load_table`` builds one system's
-table and ``load_sums`` its E[K] and holding factor, ``_level_table`` the
+Four entry points choose every route: ``load_table`` builds one system's table
+and ``load_sums`` its E[K] and holding factor, ``_level_table`` the
 optimizer's scan (E[K] at every level up to a bound for many loads of one
 family) and ``_row_sums`` the sums of its golden rows, each at its own level.
-The batched two take their rows in any order and split them by route in one
-function, ``_heads``: the closed-form time loads, and the head i0 of every
-other load, sorted as ``_renewal_levels`` solves them.  A closed-form
-row is ``load_sums`` itself, bit for bit; the scan takes its table.  The
-three sums take the same head and poles: ``load_sums`` the table to i0 - 1
-(``load_table``) and ``_pole_tail`` in Python complex, the rows their heads
-and ``_pole_tail`` over the rows, the scan its heads and, at each level L
-from i0 on, M(i0 - 1) plus the same geometric sums to L (``_pole_cycles``).
-The batched two share one prologue, ``_mass_rows``: each row's cut
-(``_tp_support_ends``) or window, then the rows of masses (``_tp_masses``,
-``_hp_masses``) in chunks of bounded memory, each element by the scalar
-builder's expression, so a row equals the scalar masses bit for bit
-whatever its chunk.  ``_renewal_levels`` solves the rows, each to its head
-or level, one level at a time along the batch axis, with the scalar table's
-association and stop, and reports where each row stops.
+The batched two take their rows in any order and split them by route, on mu
+and q alone, in one function, ``_heads``: the closed-form loads of
+Poisson(mu), and the head i0 of every other load, sorted as
+``_renewal_levels`` solves them.  A closed-form row is ``load_sums`` itself,
+bit for bit; the scan takes its table.  The three sums take the same head and
+poles: ``load_sums`` the table to i0 - 1 (``load_table``) and ``_pole_tail``
+in Python complex, the rows their heads and ``_pole_tail`` over the rows, the
+scan its heads and, at each level L from i0 on, M(i0 - 1) plus the same
+geometric sums to L (``_pole_cycles``).  The batched two share one prologue,
+``_mass_rows``: each row's cut (``_tp_support_ends``) or window, then the rows
+of masses (``_tp_masses``, ``_hp_masses``) in chunks of bounded memory, each
+element by the scalar builder's expression, so a row equals the scalar masses
+bit for bit whatever its chunk.  ``_renewal_levels`` solves the rows, each to
+its head or level, one level at a time along the batch axis, with the scalar
+table's association and stop, and reports where each row stops.
 
 One certificate covers every route: Lorden's bracket on E[K]
 (``_check_lorden``, or ``_check_lorden_row`` for one table), checked on every
@@ -274,6 +276,14 @@ def _bernstein_radius(lam):
 # a hybrid window starts at 0.
 _HP_FLOOR_MU = 8.0 * _WINDOW_LOG / 3.0
 
+# r(mu) >= r(0) = 2t/3 (~30.7): a cap up to mu + r(0) binds at the mean mu.
+_HP_MIN_RADIUS = _bernstein_radius(0.0)
+
+
+def _bernstein_cap(mu):
+    """floor(mu + r), r = ``_bernstein_radius(mu)``, for a float or elementwise:
+    a cap past it leaves Poisson(mu), less _WINDOW_TAIL, on every table."""
+    return (mu + _bernstein_radius(mu)) // 1.0
 
 def _hp_window(mu, q: int, order_up_to: int):
     """The window (a, c) of the load min(max(X, a), c) on which the table of
@@ -736,20 +746,21 @@ def load_table(mu: float, q: int | None, order_up_to) -> RenewalTable:
     """The renewal table to level Q of one system's load of mean mu: the time
     load Poisson(mu) when q is None, else the hybrid load min(X, q).
 
-    A time load takes the closed form from TP_CLOSED_FORM_MU on, certified
-    by Lorden's bracket, and below it the recursion on its tail-cut load.  A
-    hybrid load takes the recursion on its window (``_hp_window``), from
-    ``build_increment_hp``'s masses at the cap (``_hp_load``) or, once
+    A time load, or a hybrid load of cap q > ``_bernstein_cap(mu)``, takes
+    the closed form from TP_CLOSED_FORM_MU on, certified by Lorden's
+    bracket.  Below it a time load takes the recursion on its tail-cut load,
+    and any other hybrid load the recursion on its window (``_hp_window``),
+    from ``build_increment_hp``'s masses at the cap (``_hp_load``) or, once
     floored, from its row of ``_hp_masses``; no mass is checked again.  The
-    route depends on mu alone, never on Q.
+    route depends on (mu, q), never on Q.
     """
     order_up_to = _check_order_up_to(order_up_to)
-    if q is None and mu >= TP_CLOSED_FORM_MU:
+    mu = _load_mean(1.0, mu)
+    if mu >= TP_CLOSED_FORM_MU and (q is None or q > _bernstein_cap(mu)):
         m = _tp_renewal_row(mu, order_up_to)
         table = RenewalTable(m=m, M=np.cumsum(m), order_up_to=order_up_to)
         _check_lorden_row(*_tp_lorden_terms(mu), order_up_to, float(table.M[-1]))
         return table
-    mu = _load_mean(1.0, mu)
     if q is None:
         return _table(_tp_load(mu), order_up_to)
     floor, cap = _hp_window(mu, q, order_up_to)
@@ -759,15 +770,17 @@ def load_table(mu: float, q: int | None, order_up_to) -> RenewalTable:
 
 def load_sums(mu: float, q: int | None, order_up_to) -> tuple[float, float]:
     """E[K] = M(Q) and the holding factor sum_{i<=Q} (Q - i) m(i) of the
-    load of ``load_table``.  A time load of mean in [_POLE_MIN_MU,
+    load of ``load_table``.  A load of Poisson(mu) (a time load, or a hybrid
+    load of cap q > ``_bernstein_cap(mu)``) of mean in [_POLE_MIN_MU,
     TP_CLOSED_FORM_MU) at a level Q >= i0 = ``_pole_head(mu)`` sums its table
     to i0 - 1 and adds levels i0..Q from its poles (``_pole_tail``),
     certified by Lorden's bracket on the untruncated load.  Below i0, and for
     every other load, the sums are those of ``load_table``, bit for bit."""
     order_up_to = _check_order_up_to(order_up_to)
-    if (q is None and _POLE_MIN_MU <= mu < TP_CLOSED_FORM_MU
-            and order_up_to >= (head := _pole_head(mu))):
-        table = load_table(mu, None, head - 1)
+    mu = _load_mean(1.0, mu)
+    free = q is None or q > mu + _HP_MIN_RADIUS and q > _bernstein_cap(mu)
+    if free and _POLE_MIN_MU <= mu < TP_CLOSED_FORM_MU and order_up_to >= (head := _pole_head(mu)):
+        table = load_table(mu, q, head - 1)
         n = order_up_to - head + 1
         cycles, holding = _pole_tail(mu, head, n)
         cycles += expected_k(table)
@@ -877,10 +890,11 @@ def _level_table(mu: np.ndarray, q: int | None, order_up_to: int):
     rows.  The masses m(0..Q) do not depend on the level they are solved to,
     so M, their running sum down the levels, serves every level.  ``_heads``
     splits the columns by route: a closed-form column takes
-    ``_tp_renewal_row``, and a time column past its head i0 is solved to
-    i0 - 1 and adds the sums of m(i0..Q) from its poles (``_pole_cycles``)
-    to M(i0 - 1), with the untruncated load's terms.  Raises where the
-    scalar table's divergence check raises; Lorden's check is the caller's."""
+    ``_tp_renewal_row``, and a column of Poisson(mu) past its head i0 is
+    solved to i0 - 1 and adds the sums of m(i0..Q) from its poles
+    (``_pole_cycles``) to M(i0 - 1), with the untruncated load's terms.
+    Raises where the scalar table's divergence check raises; Lorden's check
+    is the caller's."""
     closed, cut, head, reach = _heads(np.arange(mu.size), mu, q, np.full(mu.size, order_up_to))
     cycles = np.empty((order_up_to + 1, mu.size))
     terms = np.empty((3, mu.size))
@@ -895,7 +909,8 @@ def _level_table(mu: np.ndarray, q: int | None, order_up_to: int):
             cycles[i, rows[live]] = level
         for r, (b, value) in stops.items():
             cycles[b:reach[part][r] + 1, rows[r]] = value
-    poles = list(zip(cut[reach < order_up_to].tolist(), head[reach < order_up_to].tolist()))
+    poles = [] if head is None else list(zip(cut[reach < order_up_to].tolist(),
+                                             head[reach < order_up_to].tolist()))
     for r, i0 in poles:
         cycles[i0:, r] = 0.0
     np.cumsum(cycles, axis=0, out=cycles)
@@ -906,19 +921,29 @@ def _level_table(mu: np.ndarray, q: int | None, order_up_to: int):
 
 
 def _heads(rows: np.ndarray, mu: np.ndarray, q, levels: np.ndarray):
-    """The rows split by route: the time rows (q None) of mean from
-    TP_CLOSED_FORM_MU on, which take the closed form, then the other rows,
-    their heads i0 and the levels min(L, i0 - 1) their recursion reaches,
+    """The rows split by route: the rows of Poisson(mu) (q None, or a cap q[r]
+    or q past ``_bernstein_cap``) of mean from TP_CLOSED_FORM_MU on, which take
+    the closed form, then the other rows, their heads i0 (None if no cap of the
+    batch exceeds r(0)) and the levels min(L, i0 - 1) their recursion reaches,
     sorted by reach, highest first (stably), the order ``_renewal_levels``
-    solves them in.  A time row of mean from _POLE_MIN_MU on takes levels
-    i0..L from its poles, i0 = ``_pole_head``; any other row reaches its
+    solves them in.  A row of Poisson(mu) of mean from _POLE_MIN_MU on takes
+    levels i0..L from its poles, i0 = ``_pole_head``; any other row reaches its
     level L, as its head is L + 1.  The rows come in any order."""
-    closed, level = rows[:0], levels[rows]
-    head = level + 1
-    if q is None:
-        wide = mu[rows] >= TP_CLOSED_FORM_MU
-        closed, rows, level = rows[wide], rows[~wide], level[~wide]
-        head = np.where(mu[rows] >= _POLE_MIN_MU, _pole_head(mu[rows]), level + 1)
+    level, batch = levels[rows], isinstance(q, np.ndarray)
+    if q is not None and (q.max() if batch else q) <= _HP_MIN_RADIUS:
+        order = np.argsort(-level, kind="stable")
+        return rows[:0], rows[order], None, level[order]
+    means = mu[rows]
+    wide = means >= TP_CLOSED_FORM_MU
+    if q is not None:
+        free = (q[rows] if batch else q) > _bernstein_cap(means)
+        wide &= free
+    narrow = ~wide
+    closed, rows, level, means = rows[wide], rows[narrow], level[narrow], means[narrow]
+    poles = means >= _POLE_MIN_MU
+    if q is not None:
+        poles &= free[narrow]
+    head = np.where(poles, _pole_head(means), level + 1)
     reach = np.minimum(level, head - 1)
     order = np.argsort(-reach, kind="stable")
     return closed, rows[order], head[order], reach[order]
@@ -928,12 +953,12 @@ def _row_sums(mu: np.ndarray, q, levels: np.ndarray):
     """E[K], the holding factor and a solved-and-checked mask of independent
     rows, in any order: the time load (q None) or cap-q[r] hybrid load of
     mean mu[r] at level levels[r].  ``_heads`` splits the rows by route.  A
-    closed-form row takes ``load_sums``, bit for bit, and stays unchecked if
-    its certificate raises.  Any other row's levels are summed in order up
-    to its stop and in closed form from there; a time row past its head i0
-    sums its levels to i0 - 1 so, and adds the rest from its poles
-    (``_pole_tail``), certified on the untruncated load's terms.  Means that
-    are not positive and finite are left unchecked."""
+    closed-form row takes ``load_sums`` of its time load, bit for bit, and
+    stays unchecked if its certificate raises.  Any other row's levels are
+    summed in order up to its stop and in closed form from there; a row of
+    Poisson(mu) past its head i0 sums its levels to i0 - 1 so, and adds the
+    rest from its poles (``_pole_tail``), certified on the untruncated load's
+    terms.  Means that are not positive and finite are left unchecked."""
     closed, rows, head, reach = _heads(((mu > 0.0) & (mu < math.inf)).nonzero()[0], mu, q,
                                        levels)
     cycles, holding_sum = np.full((2, mu.size), np.nan)
@@ -959,7 +984,7 @@ def _row_sums(mu: np.ndarray, q, levels: np.ndarray):
             h[r] += ((solved[r] - b + 1) * (level[r] - solved[r])
                      + (solved[r] - b) * (solved[r] - b + 1) // 2) * value
         terms = _lorden_terms(g)
-        if q is None and (tail := solved < level).any():
+        if head is not None and (tail := solved < level).any():
             start = head[part][tail]
             more = _pole_tail(mu[at][tail], start, level[tail] - start + 1)
             k[tail] += more[0]

@@ -479,6 +479,9 @@ def test_system_validation():
 # of them with all its mass at the cap
 @example(rate=1.0, costs=REF_COSTS, q=400, order_up_to=40, periods=[5.0, 150.0, 300.0])
 @example(rate=2.0, costs=REF_COSTS, q=30, order_up_to=40, periods=[100.0])
+# a cap past every load's Bernstein cap: the poles from mu = 5 and 63.6, the
+# closed form at 300
+@example(rate=1.0, costs=REF_COSTS, q=1000, order_up_to=200, periods=[5.0, 63.6, 150.0, 300.0])
 @settings(max_examples=100, deadline=None)
 def test_period_costs_match_scalar_average_cost(rate, costs, q, order_up_to, periods):
     def scalar(period, level):
@@ -538,15 +541,18 @@ def test_period_cost_rows_do_not_depend_on_the_top_level(rate, q, levels, period
 
 def one_level_scan(rate, costs, q, periods, level):
     """The scan at one level by its own renewal masses to that level (the
-    closed form for wide time-policy loads, else the recursion) and the
+    closed form for wide loads of Poisson(mu), else the recursion) and the
     scan's reductions at that level, all rows at once: E[K] = M(Q) and the
-    holding factor sum_{j<Q} M(j), each a sequential sum, where a time load
-    on the pole route adds the sums of its levels past the head i0 from its
-    poles to M(i0 - 1).  These are the bits the table's rows must
+    holding factor sum_{j<Q} M(j), each a sequential sum, where a load of
+    Poisson(mu) on the pole route adds the sums of its levels past the head
+    i0 from its poles to M(i0 - 1).  A hybrid load of cap q > floor(mu + r)
+    is one of Poisson(mu).  These are the bits the table's rows must
     reproduce."""
     t = np.asarray(periods, dtype=float)
     mu = rate * t
-    closed = mu >= renewal.TP_CLOSED_FORM_MU if q is None else np.zeros(mu.size, bool)
+    free = np.array([q is None or q > math.floor(x + renewal._bernstein_radius(x))
+                     for x in mu.tolist()], bool)
+    closed = free & (mu >= renewal.TP_CLOSED_FORM_MU)
     m = np.empty((mu.size, level + 1))
     for r in np.flatnonzero(closed).tolist():
         m[r] = renewal._tp_renewal_row(float(mu[r]), level)
@@ -559,7 +565,7 @@ def one_level_scan(rate, costs, q, periods, level):
             g = renewal._hp_masses(cut, np.array(floors), np.array(caps))
         m[~closed] = level_rows(g, level)
     sums = np.cumsum(m, axis=1)
-    for r in np.flatnonzero(~closed).tolist() if q is None else []:
+    for r in np.flatnonzero(free & ~closed).tolist():
         head = renewal._pole_head(mu[r])
         if mu[r] >= renewal._POLE_MIN_MU and head <= level:
             sums[r, head:] = sums[r, head - 1] + renewal._pole_cycles(float(mu[r]), head, level)

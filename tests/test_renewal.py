@@ -782,74 +782,142 @@ def test_closed_form_table_outside_lordens_bracket_raises(monkeypatch, scale):
 # time-load sums past their head from the poles of Poisson(mu)
 
 
-def route_sums(mu, order_up_to):
-    """(E[K], holding factor) of the time load of mean mu at level Q by each
-    route: the scalar sums, a golden row and a scan cell, whose holding
-    factor is the scan's running sum sum_{j<Q} M(j)."""
-    cycles, holding, checked = renewal._row_sums(np.array([mu]), None, np.array([order_up_to]))
+def route_sums(mu, order_up_to, q=None):
+    """(E[K], holding factor) of the time load (q None) or cap-q hybrid load
+    of mean mu at level Q by each route: the scalar sums, a golden row and a
+    scan cell, whose holding factor is the scan's running sum
+    sum_{j<Q} M(j)."""
+    caps = None if q is None else np.array([q])
+    cycles, holding, checked = renewal._row_sums(np.array([mu]), caps, np.array([order_up_to]))
     assert checked.all()
-    scan, terms = renewal._level_table(np.array([mu]), None, order_up_to)
+    scan, terms = renewal._level_table(np.array([mu]), q, order_up_to)
     held = np.cumsum(scan[:order_up_to, 0])[-1] if order_up_to else 0.0
-    return {"scalar": load_sums(mu, None, order_up_to), "row": (cycles[0], holding[0]),
+    return {"scalar": load_sums(mu, q, order_up_to), "row": (cycles[0], holding[0]),
             "scan": (scan[order_up_to, 0], held)}
 
 
+def bernstein_cap(mu):
+    """floor(mu + r): a hybrid load of a cap above it is Poisson(mu) on every
+    table, within less than 1e-20 of its mass."""
+    return math.floor(mu + renewal._bernstein_radius(mu))
+
+
 # series_sums takes ~1 ms a term, ~Q/mu terms: levels up to 800 mu, from i0
-# (i0/mu <= 800 from mu = 0.04 on; smaller means by an example)
+# (i0/mu <= 800 from mu = 0.04 on; smaller means by an example); a time load
+# or a hybrid load whose cap lies past its Bernstein cap
 pole_points = st.floats(math.log(0.04), math.log(TP_CLOSED_FORM_MU), exclude_max=True).map(
-    math.exp).flatmap(lambda mu: st.tuples(st.just(mu), st.integers(
-        renewal._pole_head(mu), max(renewal._pole_head(mu),
-                                    min(MAX_ORDER_UP_TO, int(800 * mu))))))
+    math.exp).flatmap(lambda mu: st.tuples(
+        st.just(mu),
+        st.one_of(st.none(), st.integers(bernstein_cap(mu) + 1, bernstein_cap(mu) + 2000)),
+        st.integers(renewal._pole_head(mu), max(renewal._pole_head(mu),
+                                                min(MAX_ORDER_UP_TO, int(800 * mu))))))
 
 
 @given(point=pole_points)
-@example(point=(5.0, 3000))
-@example(point=(70.0, MAX_ORDER_UP_TO))
-@example(point=(2.0, 3000))
-@example(point=(0.01, 32))       # the smallest mean at its head
-@example(point=(255.9, MAX_ORDER_UP_TO))
-@example(point=(255.9, 512))
-@example(point=(math.exp(5.5), 611))     # the table's errors partly cancel
+@example(point=(5.0, None, 3000))
+@example(point=(70.0, None, MAX_ORDER_UP_TO))
+@example(point=(2.0, None, 3000))
+@example(point=(0.01, None, 32))       # the smallest mean at its head
+@example(point=(255.9, None, MAX_ORDER_UP_TO))
+@example(point=(255.9, None, 512))
+@example(point=(math.exp(5.5), None, 611))     # the table's errors partly cancel
+@example(point=(5.0, 200, 3000))
+@example(point=(20.0, 100, 3000))
+@example(point=(63.6, 736, 3000))
+@example(point=(150.0, 400, 2000))
 @settings(max_examples=8, deadline=None)
 def test_pole_sums_are_no_less_accurate_than_the_table(point):
     # Against the 40-digit series, each route errs by at most what the
-    # table on the tail-cut load errs, or what its head carries in (the cut
-    # table's levels from i0 on can offset the head's error: 2.13e-13 against
-    # the head's 2.25e-13 at mu = e^5.5, Q = 611), plus 1e-14: past the head
-    # the pole levels carry no cut (4.6e-12 -> 3e-14 at mu = 5, Q = 3000)
-    mu, order_up_to = point
+    # table on the tail-cut (or hybrid window) load errs, or what its head
+    # carries in (the cut table's levels from i0 on can offset the head's
+    # error: 2.13e-13 against the head's 2.25e-13 at mu = e^5.5, Q = 611),
+    # plus 1e-14: past the head the pole levels carry no cut (4.6e-12 ->
+    # 3e-14 at mu = 5, Q = 3000).  A hybrid load's head is its window table,
+    # which carries no cut either: its routes are within 1e-13 (the window
+    # table errs by 4.3e-13 at mu = 150, q = 400, Q = 2000).
+    mu, q, order_up_to = point
     head = renewal._pole_head(mu)
     n = order_up_to - head + 1
     exact, below = series_sums(mu, order_up_to), series_sums(mu, head - 1)
-    table, start = load_table(mu, None, order_up_to), load_table(mu, None, head - 1)
+    table, start = load_table(mu, q, order_up_to), load_table(mu, q, head - 1)
     table_error = (expected_k(table) - exact[0], holding_sum(table) - exact[1])
     carried = (expected_k(start) - below[0],
                holding_sum(start) + n * expected_k(start) - below[1] - n * below[0])
     slack = [max(abs(a), abs(b)) + 1e-14 * ref
              for a, b, ref in zip(table_error, carried, exact)]
-    for route, sums in route_sums(mu, order_up_to).items():
+    for route, sums in route_sums(mu, order_up_to, q).items():
         for got, ref, bound in zip(sums, exact, slack):
             assert abs(got - ref) <= bound, (route, got, ref, bound)
+            assert q is None or abs(got - ref) <= 1e-13 * ref, (route, got, ref)
 
 
 @given(mu=st.floats(math.log(1e-4), math.log(TP_CLOSED_FORM_MU), exclude_max=True).map(math.exp),
-       data=st.data())
-@example(mu=5.0, data=None)
-@example(mu=255.9, data=None)
+       past=st.one_of(st.none(), st.integers(1, 2000)), data=st.data())
+@example(mu=5.0, past=None, data=None)
+@example(mu=255.9, past=None, data=None)
+@example(mu=5.0, past=200 - bernstein_cap(5.0), data=None)
+@example(mu=63.6, past=736 - bernstein_cap(63.6), data=None)
+@example(mu=150.0, past=400 - bernstein_cap(150.0), data=None)
 @settings(max_examples=25, deadline=None)
-def test_pole_routes_keep_every_bit_below_the_head(mu, data):
-    # below i0 every route sums the table's levels as without poles
+def test_pole_routes_keep_every_bit_below_the_head(mu, past, data):
+    # below i0 every route sums the table's levels as without poles; a
+    # hybrid load of cap q = floor(mu + r) + past keeps its window table's
     head = renewal._pole_head(mu)
+    q = None if past is None else bernstein_cap(mu) + past
     levels = [0, 1, 2, head - 1] if data is None else [
         data.draw(st.integers(0, head - 1)) for _ in range(2)]
-    got = {level: route_sums(mu, level) for level in levels}
+    got = {level: route_sums(mu, level, q) for level in levels}
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(renewal, "_POLE_MIN_MU", math.inf)
-        without = {level: route_sums(mu, level) for level in levels}
+        without = {level: route_sums(mu, level, q) for level in levels}
     for level in levels:
         assert got[level] == without[level]
-        table = load_table(mu, None, level)
+        table = load_table(mu, q, level)
         assert got[level]["scalar"] == (expected_k(table), holding_sum(table))
+
+
+@pytest.mark.parametrize("mu, order_up_to", [(5.0, 3000), (63.6, 3000), (150.0, 2000),
+                                             (300.0, 3000)])
+def test_only_a_cap_past_the_bernstein_cap_takes_the_poisson_routes(monkeypatch, mu,
+                                                                    order_up_to):
+    # q = floor(mu + r) and q + 1 build the same window, but only the load of
+    # cap q + 1 is Poisson(mu) on every table: the poles below
+    # TP_CLOSED_FORM_MU, the closed form from it
+    edge = bernstein_cap(mu)
+    assert renewal._hp_window(mu, edge, order_up_to) == renewal._hp_window(mu, edge + 1,
+                                                                           order_up_to)
+    taken = []
+    for name in ("_pole_tail", "_pole_cycles", "_tp_renewal_row"):
+        monkeypatch.setattr(renewal, name, lambda *args, fn=getattr(renewal, name), name=name: (
+            taken.append(name), fn(*args))[1])
+    at = route_sums(mu, order_up_to, edge)
+    assert taken == []
+    table = load_table(mu, edge, order_up_to)
+    assert at["scalar"] == (expected_k(table), holding_sum(table))
+    past = route_sums(mu, order_up_to, edge + 1)
+    assert sorted(set(taken)) == (["_tp_renewal_row"] if mu >= TP_CLOSED_FORM_MU
+                                  else ["_pole_cycles", "_pole_tail"])
+    exact = series_sums(mu, order_up_to)
+    for route, sums in past.items():
+        for got, ref in zip(sums, exact):
+            assert got == pytest.approx(ref, rel=1e-13, abs=0.0), route
+
+
+def test_a_binding_cap_keeps_the_window_tables_bits():
+    # HP(363, mu = 254.5) at Q = 8 490, an exact-large system: its cap binds
+    mu, q, order_up_to = 254.5, 363, 8490
+    floor, cap = renewal._hp_window(mu, q, order_up_to)
+    assert cap == q <= bernstein_cap(mu)
+    table = renewal_table(IncrementDist(window_masses(mu, floor, cap)), order_up_to)
+    assert load_sums(mu, q, order_up_to) == (expected_k(table), holding_sum(table))
+
+
+@pytest.mark.parametrize("q", [None, 5])
+@pytest.mark.parametrize("mu", [math.inf, math.nan, 0.0, -1.0])
+def test_load_entry_points_reject_a_mean_that_is_not_positive_and_finite(mu, q):
+    for entry in (load_table, load_sums):
+        with pytest.raises(ValueError, match="rate and period must be positive"):
+            entry(mu, q, 10)
 
 
 # 1.2e-7: below the pole route's floor the cut keeps one mass above zero,
@@ -915,18 +983,21 @@ def window_masses(mu, a, c):
     ("cut", 0.05, None, 40), ("cut", 6.0, None, MAX_ORDER_UP_TO), ("cut", 255.9, None, 3000),
     ("closed", 256.0, None, 3000), ("closed", 1e4, None, MAX_ORDER_UP_TO),
     ("window", 5.0, 200, 100), ("window", 5.3, 436, 7330), ("window", 60.0, 5, 300),
-    ("floor <= Q", 700.0, 10**4, 6000), ("floor <= Q", 400.0, 150, 3000),
-    ("floor > Q", 5e6, 10**7, MAX_ORDER_UP_TO), ("floor > Q", 2e4, 10**7, 50),
+    ("closed", 700.0, 10**4, 6000), ("floor <= Q", 700.0, 800, 6000),
+    ("floor <= Q", 400.0, 150, 3000),
+    ("closed", 5e6, 10**7, MAX_ORDER_UP_TO), ("floor > Q", 5e6, 5 * 10**6, MAX_ORDER_UP_TO),
+    ("closed", 2e4, 10**7, 50), ("floor > Q", 2e4, 20_100, 50),
 ])
 def test_load_table_takes_the_table_of_its_route(route, mu, q, order_up_to):
+    # a hybrid load whose cap lies past floor(mu + r) takes the time load's table
     table = load_table(mu, q, order_up_to)
-    if q is None:
-        assert route == ("closed" if mu >= TP_CLOSED_FORM_MU else "cut")
-        if route == "closed":
-            m = _tp_renewal_row(mu, order_up_to)
-            expected = renewal.RenewalTable(m=m, M=np.cumsum(m), order_up_to=order_up_to)
-        else:
-            expected = renewal_table(build_increment_tp(1.0, mu), order_up_to)
+    if mu >= TP_CLOSED_FORM_MU and (q is None or q > bernstein_cap(mu)):
+        assert route == "closed"
+        m = _tp_renewal_row(mu, order_up_to)
+        expected = renewal.RenewalTable(m=m, M=np.cumsum(m), order_up_to=order_up_to)
+    elif q is None:
+        assert route == "cut"
+        expected = renewal_table(build_increment_tp(1.0, mu), order_up_to)
     else:
         floor, cap = renewal._hp_window(mu, q, order_up_to)
         assert route == ("window" if not floor else "floor <= Q" if floor <= order_up_to
@@ -970,7 +1041,10 @@ def test_capped_hybrid_table_matches_the_table_of_the_full_load(mu, q, order_up_
     masses = (window_masses(mu, floor, cap) if floor
               else build_increment_hp(1.0, cap, mu).masses)
     capped = blocked_oracle(masses, order_up_to)
-    assert_stopped_table_keeps_the_bits(table, masses, capped)
+    if mu >= TP_CLOSED_FORM_MU and q > bernstein_cap(mu):    # the closed form
+        assert np.array_equal(table.m, _tp_renewal_row(mu, order_up_to))
+    else:
+        assert_stopped_table_keeps_the_bits(table, masses, capped)
     # the capped and the full load, each solved to Q
     full = blocked_oracle(build_increment_hp(1.0, q, mu).masses, order_up_to)
     q_levels = order_up_to - np.arange(order_up_to + 1)
@@ -1139,6 +1213,7 @@ def test_stop_fires_on_a_settled_load_without_defect():
 @given(mu=st.floats(math.log(123.0), math.log(1e7)).map(math.exp),
        q=st.integers(1, 3 * MAX_ORDER_UP_TO), order_up_to=st.integers(0, MAX_ORDER_UP_TO))
 @example(mu=700.0, q=10**4, order_up_to=6000)
+@example(mu=700.0, q=800, order_up_to=6000)
 @example(mu=5e6, q=10**7, order_up_to=MAX_ORDER_UP_TO)
 @example(mu=5e6, q=20_000, order_up_to=MAX_ORDER_UP_TO)
 @example(mu=9000.0, q=10**6, order_up_to=MAX_ORDER_UP_TO)
@@ -1153,10 +1228,18 @@ def test_floored_tables_match_the_unfloored_ones(mu, q, order_up_to):
     inc = IncrementDist(window_masses(mu, floor, cap))
     assert not inc.masses[:floor].any()
     table = load_table(mu, q, order_up_to)
-    assert_stopped_table_keeps_the_bits(table, inc.masses, blocked_oracle(inc.masses, order_up_to))
-    unfloored = renewal_table(build_increment_hp(1.0, cap, mu), order_up_to)
-    assert expected_k(table) == pytest.approx(expected_k(unfloored), rel=1e-13, abs=0.0)
-    assert holding_sum(table) == pytest.approx(holding_sum(unfloored), rel=1e-13, abs=0.0)
+    if mu >= TP_CLOSED_FORM_MU and q > bernstein_cap(mu):
+        # Poisson(mu) on every table: the closed form, against its series
+        m = _tp_renewal_row(mu, order_up_to)
+        assert np.array_equal(table.m, m) and np.array_equal(table.M, np.cumsum(m))
+        reference = series_sums(mu, order_up_to)
+    else:
+        assert_stopped_table_keeps_the_bits(table, inc.masses,
+                                            blocked_oracle(inc.masses, order_up_to))
+        unfloored = renewal_table(build_increment_hp(1.0, cap, mu), order_up_to)
+        reference = expected_k(unfloored), holding_sum(unfloored)
+    assert expected_k(table) == pytest.approx(reference[0], rel=1e-13, abs=0.0)
+    assert holding_sum(table) == pytest.approx(reference[1], rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("mu", [0.5, 50.0, 122.0, renewal._HP_FLOOR_MU])
@@ -1165,8 +1248,9 @@ def test_no_window_starts_above_zero_below_the_floor_mean(mu):
     assert renewal._hp_window(np.array([mu]), 10**6, MAX_ORDER_UP_TO)[0][0] == 0
 
 
-@pytest.mark.parametrize("mu, q", [(5e6, 10**7), (5e6, 20_000), (2e4, 10**7), (5000.0, 10**7),
-                                   (700.0, 10**4)])
+# binding caps, and one load past its Bernstein cap, which takes the closed form
+@pytest.mark.parametrize("mu, q", [(5e6, 5 * 10**6), (5e6, 20_000), (2e4, 20_100), (5000.0, 5100),
+                                   (700.0, 800), (700.0, 10**4)])
 def test_floored_solve_work_is_bounded(monkeypatch, mu, q):
     # multiply-adds of every correlation, convolution and matrix product
     calls = []
@@ -1184,6 +1268,9 @@ def test_floored_solve_work_is_bounded(monkeypatch, mu, q):
     counted("_block_inverse", renewal._block_inverse, lambda m, cols: math.inf)
     metrics._policy_table.cache_clear()
     average_cost(SystemConfig(1.0, HybridPolicy(q, mu), MAX_ORDER_UP_TO))
+    if q > bernstein_cap(mu):
+        assert calls == []
+        return
     floor, cap = renewal._hp_window(mu, q, MAX_ORDER_UP_TO)
     blocks = max(0, math.ceil((MAX_ORDER_UP_TO + 1 - floor) / floor))
     assert all(name == "correlate" for name, _ in calls)
