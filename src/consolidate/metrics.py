@@ -17,11 +17,12 @@ e_n = rate * e_lc):
 
 where AIR is average on-hand inventory per time unit and AOD the average
 delay per order.  Exact mode computes e_k and the holding factor from the
-renewal masses of the load distribution.  A load of Poisson(mu), mu = rate*T
-(a time load, or a hybrid load whose cap q lies past floor(mu + r) below),
-takes the recursion on a head of levels and its poles past it for mu in
-[1e-4, ``renewal.TP_CLOSED_FORM_MU``), and a closed form from that mean on;
-other loads take the recursion on their masses.  The route depends on
+renewal masses of the load distribution.  The sums of a load of
+Poisson(mu), mu = rate*T (a time load, or a hybrid load whose cap q lies
+past floor(mu + r) below), take a head of levels and its poles past it from
+mu = 1e-4 on: the recursion's head below ``renewal.TP_CLOSED_FORM_MU``, the
+closed form's from that mean on, where the optimizer's scan takes the
+closed-form table; other loads take the recursion on their masses.  The route depends on
 (mu, q), never on Q.  A hybrid load min(X, q) enters its table on the
 window min(max(X, a), c), with the cap c = min(q, Q + 1, floor(mu + r)) and,
 from mu ~ 122.8 on, the floor a = ceil(mu - r): each costs at most a Poisson

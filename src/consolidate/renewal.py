@@ -22,16 +22,20 @@ so ``_tp_renewal_row`` sums m(i) = sum_k P(Poisson(k mu) = i) over windows
 of masses whose outside mass is below 1e-20 a side, in O(Q) memory for any
 mu.  The route depends on (mu, q), never on Q.
 
-The sums E[K] and sum_i (Q - i) m(i) of a load of Poisson(mu), mu in
-[_POLE_MIN_MU, TP_CLOSED_FORM_MU), take the recursion only on a head: levels
-below i0 = max(ceil(2 mu), 32) (``_pole_head``).  The renewal function
-1/(1 - e^{mu (z - 1)}) of Poisson(mu) has simple poles z_k = 1 + 2 pi i k/mu
-of weight 1/mu, so m(i) = (1/mu)(1 + 2 Re sum_{k>=1} z_k^-(i+1)) exactly for
-i >= 1, and over levels i0..Q the sums are geometric in closed form
-(``_pole_tail``).  K pairs, with |z_K|^-(i0+1) <= 1e-18 (``_pole_pairs``, at
-most 18), leave out less than 1e-18 of m(i) a level.  The pole levels carry
-no tail cut; the head keeps the levels of its load's table (the cut time
-load, the hybrid window), bit for bit, so below i0 nothing moves.
+The sums E[K] and sum_i (Q - i) m(i) of a load of Poisson(mu), mu from
+_POLE_MIN_MU on, take a table only on a head, the levels below i0
+(``_pole_head``): the recursion below i0 = max(ceil(2 mu), 32), for mu below
+TP_CLOSED_FORM_MU, and from that mean on the closed form below the floor
+i0 = ceil(mu - r) of its first window, where it is m(0) and zeros.  The
+renewal function 1/(1 - e^{mu (z - 1)}) of Poisson(mu) has simple poles
+z_k = 1 + 2 pi i k/mu of weight 1/mu (Feller, Vol. 1, ch. XI), so
+m(i) = (1/mu)(1 + 2 Re sum_{k>=1} z_k^-(i+1)) exactly for i >= 1, and over
+levels i0..Q the sums are geometric in closed form (``_pole_tail``).  K
+pairs, with |z_K|^-(i0+1) <= 1e-18 (``_pole_pairs``: at most 18 below
+TP_CLOSED_FORM_MU, 47-160 from it on at Q <= MAX_ORDER_UP_TO), leave out
+less than 1e-18 of m(i) a level.  The pole levels carry no tail cut; below
+TP_CLOSED_FORM_MU the head keeps the levels of its load's table (the cut
+time load, the hybrid window), bit for bit, so below i0 nothing moves.
 
 A table to level Q reads the masses g(0..Q) only.  So the evaluation paths
 build the table of a hybrid load min(X, q), X ~ Poisson(mu), on the window
@@ -56,12 +60,13 @@ is one correlation of the window g(a..c) (``_explicit_solve``).
 
 A block's correlation and convolution cost ~10 us whatever the load's
 width, so a table of ``MATVEC_MIN_BLOCKS`` full blocks (Q // BLOCK) or more
-spends a matrix build to make each later block one BLAS matvec.  Once BLOCK
-levels are known, a load of support end w <= BLOCK uses the jump matrix
-P = L H (``_jump_matrix``, BLOCK x w): above level 0 the recursion is
-homogeneous and a block reads only the w levels below it, so
-m(b..b+BLOCK-1) = P m(b-w..b-1), w multiply-adds per level.  A wider load
-keeps its correlation and applies L (``_block_inverse``) in place of the
+spends a matrix build to make each later block one BLAS matvec.  Once
+2 * BLOCK levels are known, past the first stop test, a load of support end
+w <= BLOCK uses the jump matrix P = L H (``_jump_matrix``, BLOCK x w): above
+level 0 the recursion is homogeneous and a block reads only the w levels
+below it, so m(b..b+BLOCK-1) = P m(b-w..b-1), w multiply-adds per level.  A
+table that stops there builds no P.  A wider load keeps its correlation and,
+once BLOCK levels are known, applies L (``_block_inverse``) in place of the
 convolution.  Below the gate every block is a correlation and a convolution.
 The gate picks the kernel only; the stop and the certificate below do not
 read it.  Every term is nonnegative, so nothing cancels.
@@ -86,10 +91,12 @@ on the weights h/sum(h) (the load the masses stand for) stays inside
 [lo, hi] exactly, so the stop also drops the solve's own drift of up to
 ~(Q - b) d/E[X], which rounding of the masses puts there.  The stop never
 fires on a periodic load (its levels keep a zero in every window), while
-the state still spreads, or on a load of defect above SETTLE_TOL.  A table
+the state still spreads, or on a load of defect above SETTLE_TOL.  A solve
 then takes O(min(Q, b) * w) multiply-adds (plus BLOCK * w^2 for P), or
 O(min(Q, b) * (c - a)) on the explicit route, in O(min(Q, b)/BLOCK +
-log2(BLOCK)) numpy calls, plus O(Q) to fill and sum it.
+log2(BLOCK)) numpy calls (``_solve``).  It has two finishes: a table
+(``_table``) fills and sums its levels in O(Q), and a system's sums
+(``_sums``) add the Q + 1 - b levels from b on in closed form, in O(1).
 
 Four entry points choose every route: ``load_table`` builds one system's table
 and ``load_sums`` its E[K] and holding factor, ``_level_table`` the
@@ -99,11 +106,12 @@ The batched two take their rows in any order and split them by route, on mu
 and q alone, in one function, ``_heads``: the closed-form loads of
 Poisson(mu), and the head i0 of every other load, sorted as
 ``_renewal_levels`` solves them.  A closed-form row is ``load_sums`` itself,
-bit for bit; the scan takes its table.  The three sums take the same head and
-poles: ``load_sums`` the table to i0 - 1 (``load_table``) and ``_pole_tail``
-in Python complex, the rows their heads and ``_pole_tail`` over the rows, the
-scan its heads and, at each level L from i0 on, M(i0 - 1) plus the same
-geometric sums to L (``_pole_cycles``).  The batched two share one prologue,
+bit for bit, on the poles; the scan takes the closed-form table.  Below
+TP_CLOSED_FORM_MU the three sums take the same head and poles: ``load_sums``
+the sums of the solve to i0 - 1 (``_sums``) and ``_pole_tail`` in Python
+complex, the rows their heads and ``_pole_tail`` over the rows, the scan its
+heads and, at each level L from i0 on, M(i0 - 1) plus the same geometric
+sums to L (``_pole_cycles``).  The batched two share one prologue,
 ``_mass_rows``: each row's cut (``_tp_support_ends``) or window, then the rows
 of masses (``_tp_masses``, ``_hp_masses``) in chunks of bounded memory, each
 element by the scalar builder's expression, so a row equals the scalar masses
@@ -138,18 +146,22 @@ MAX_ORDER_UP_TO = 10_000
 # Residual Poisson tail dropped when building a time-policy increment.
 DEFAULT_TAIL_EPS = 1e-12
 
-# Time-policy load means from which the renewal masses come from the closed
-# form (``_tp_renewal_row``) instead of the recursion on a tail-cut load: the
+# Load means of Poisson(mu) from which a table (``load_table``, and the
+# optimizer's scan) takes its renewal masses from the closed form
+# (``_tp_renewal_row``) instead of the recursion on a tail-cut load: the
 # smallest power of two at which the closed form was no slower at any Q in
-# {10, 100, 1000, 10000}.
+# {10, 100, 1000, 10000}.  The sums (``load_sums``) take the poles on both
+# sides; from this mean on their head is the closed form's m(0) and zeros,
+# and their pole pairs, 47-160, are one numpy pass (``_pole_tail``).
 TP_CLOSED_FORM_MU = 256.0
 
-# The head of a time load's pole route (``load_sums``): levels below
-# i0 = max(ceil(2 mu), _POLE_HEAD) come from the recursion, levels from i0 on
-# from the poles of its renewal function, the pairs k = 1..K with
-# |z_K|^-(i0+1) <= e^-_POLE_LOG = 1e-18 (``_pole_pairs``).  The pinned
-# matched comparisons (``tests/data/compare_pins.json``) evaluate time loads
-# of mean ~5 at levels 18 and 19, so the head reaches past them.
+# The head of a time load's pole route (``load_sums``) below
+# TP_CLOSED_FORM_MU: levels below i0 = max(ceil(2 mu), _POLE_HEAD) come from
+# the recursion, levels from i0 on from the poles of its renewal function,
+# the pairs k = 1..K with |z_K|^-(i0+1) <= e^-_POLE_LOG = 1e-18
+# (``_pole_pairs``).  The pinned matched comparisons
+# (``tests/data/compare_pins.json``) evaluate time loads of mean ~5 at levels
+# 18 and 19, so the head reaches past them.
 _POLE_HEAD = 32
 _POLE_LOG = -math.log(1e-18)
 
@@ -466,9 +478,12 @@ def renewal_table(inc: IncrementDist, order_up_to: int) -> RenewalTable:
     return _table(inc.masses, _check_order_up_to(order_up_to))
 
 
-def _table(g: np.ndarray, order_up_to: int) -> RenewalTable:
-    """``renewal_table`` on the masses g of a load, which the caller built or
-    checked, to a checked level Q."""
+def _solve(g: np.ndarray, order_up_to: int):
+    """The one solve behind ``_table`` and ``_sums``, on the masses g of a
+    load, which the caller built or checked, to a checked level Q: the levels
+    m, solved up to the stop b, and m(b) the value of every level from b on
+    (b = Q + 1 if the solve did not stop); b; and the load's Lorden terms,
+    or None below 2 * BLOCK."""
     _check_converges(g[0])
     m = np.empty(order_up_to + 1)
     m[0] = 1.0 / (1.0 - g[0])
@@ -478,9 +493,17 @@ def _table(g: np.ndarray, order_up_to: int) -> RenewalTable:
         stop = _explicit_solve(m, g, first, settle)
     else:
         stop = _blocked_solve(m, g, settle)
+    return m, stop, terms
+
+
+def _table(g: np.ndarray, order_up_to: int) -> RenewalTable:
+    """``renewal_table`` on the masses g of a load, which the caller built or
+    checked, to a checked level Q."""
+    m, stop, terms = _solve(g, order_up_to)
     if stop > order_up_to:
         M = np.cumsum(m)
     else:
+        m[stop + 1:] = m[stop]
         # M(b + k) = M(b - 1) + (k + 1) m(b) on the filled levels: a running
         # sum of one repeated value would round the same way at every level.
         M = np.empty(order_up_to + 1)
@@ -490,6 +513,26 @@ def _table(g: np.ndarray, order_up_to: int) -> RenewalTable:
     if terms is not None:
         _check_lorden_row(*terms, order_up_to, float(table.M[-1]))
     return table
+
+
+def _sums(g: np.ndarray, order_up_to: int) -> tuple[float, float]:
+    """``expected_k`` and ``holding_sum`` of ``_table(g, Q)``, from the levels
+    its solve reached: below the stop b as the table sums them, and the
+    Q + 1 - b levels from b on, all the value v, in closed form.  E[K] =
+    M(b - 1) + (Q + 1 - b) v is the table's, bit for bit; the holding factor
+    adds v (Q - b)(Q - b + 1)/2 to the dot product of the solved levels, so
+    it is the table's bit for bit only on a solve that did not stop."""
+    m, stop, terms = _solve(g, order_up_to)
+    solved = m[:stop]
+    cycles = float(np.cumsum(solved)[-1])
+    holding = float((order_up_to - np.arange(stop)) @ solved)
+    if stop <= order_up_to:
+        value, rest = float(m[stop]), order_up_to + 1 - stop
+        cycles += value * rest
+        holding += value * (rest * (rest - 1) // 2)
+    if terms is not None:
+        _check_lorden_row(*terms, order_up_to, cycles)
+    return cycles, holding
 
 
 def _first_load(g: np.ndarray, order_up_to: int) -> int:
@@ -529,18 +572,21 @@ def _stop(m: np.ndarray, b: int, n: int, w: int):
 def _blocked_solve(m: np.ndarray, g: np.ndarray, settle: bool) -> int:
     """m(1..Q) in blocks: a correlation and a convolution each, doubling from
     level 1 up to BLOCK.  A table of MATVEC_MIN_BLOCKS full blocks or more
-    solves its blocks from level BLOCK on as BLAS matvecs (the jump matrix of
-    a narrow load, the block inverse of a wide one): the gate picks the
-    kernel, nothing else.  With ``settle``, every block start past the
-    doubling warm-up goes to ``_stop``.  Returns the level from which the
-    levels are filled, or Q + 1."""
+    solves its later blocks as BLAS matvecs: a wide load (w > BLOCK) applies
+    its block inverse from level BLOCK on, a narrow one its jump matrix from
+    level 2 * BLOCK on, past its first stop test, so that a table that stops
+    there builds none.  The gate picks the kernel, nothing else.  With
+    ``settle``, every block start past the doubling warm-up goes to
+    ``_stop``.  Returns the level b from which every level is m(b), or Q + 1;
+    levels past b are not written."""
     order_up_to = m.size - 1
     smax = g.size - 1
     matvec = order_up_to // BLOCK >= MATVEC_MIN_BLOCKS
-    # g(j + 1) at index j, zero past the support: the correlation kernel.
-    kernel = np.zeros(order_up_to)
+    # g(j + 1) at index j, zero past the support: the correlation kernel, as
+    # far as a block reads it (smax + BLOCK - 1 values)
+    kernel = np.zeros(min(order_up_to, smax + BLOCK - 1))
     kernel[:min(smax, order_up_to)] = g[1:order_up_to + 1]
-    lower = None
+    lower = jump = None
     # The first block is level 1 alone: (g(1) m(0)) m(0), its convolution's
     # only product.
     if order_up_to:
@@ -549,13 +595,18 @@ def _blocked_solve(m: np.ndarray, g: np.ndarray, settle: bool) -> int:
     while b <= order_up_to:
         # no test falls in the doubling warm-up, which ends at b = BLOCK
         if settle and n == BLOCK and (value := _stop(m, b, n, smax)) is not None:
-            m[b:] = value
+            m[b] = value
             return b
-        if matvec and b >= BLOCK and lower is None:
-            if smax <= BLOCK:
-                break
-            lower = _block_inverse(m, BLOCK)
+        if matvec and b >= BLOCK:
+            if smax > BLOCK and lower is None:
+                lower = _block_inverse(m, BLOCK)
+            elif smax <= BLOCK and b >= 2 * BLOCK and jump is None:
+                jump = _jump_matrix(m, kernel, smax)
         n = min(b, BLOCK, order_up_to + 1 - b)
+        if jump is not None:
+            np.matmul(jump[:n], m[b - smax:b], out=m[b:b + n])
+            b += n
+            continue
         lo = max(0, b - smax)
         known = np.correlate(kernel[:b - lo + n - 1], m[lo:b][::-1], "valid")
         if n == 1:
@@ -566,15 +617,6 @@ def _blocked_solve(m: np.ndarray, g: np.ndarray, settle: bool) -> int:
         else:
             np.matmul(lower[:n, :n], known, out=m[b:b + n])
         b += n
-    if b > order_up_to:
-        return order_up_to + 1
-    jump = _jump_matrix(m, kernel, smax)
-    for b in range(b, order_up_to + 1, BLOCK):
-        if settle and (value := _stop(m, b, BLOCK, smax)) is not None:
-            m[b:] = value
-            return b
-        n = min(BLOCK, order_up_to + 1 - b)
-        np.matmul(jump[:n], m[b - smax:b], out=m[b:b + n])
     return order_up_to + 1
 
 
@@ -584,7 +626,8 @@ def _explicit_solve(m: np.ndarray, g: np.ndarray, first: int, settle: bool) -> i
     so each block is one correlation of the load's window g(first..w),
     w = min(smax, Q), with no block inverse.  With ``settle``, every block
     start goes to ``_stop``; levels 0..first-1 count as the first block.
-    Returns the level from which the levels are filled, or Q + 1."""
+    Returns the level b from which every level is m(b), or Q + 1; levels
+    past b are not written."""
     order_up_to = m.size - 1
     smax = g.size - 1
     width = min(smax, order_up_to)
@@ -596,13 +639,14 @@ def _explicit_solve(m: np.ndarray, g: np.ndarray, first: int, settle: bool) -> i
     b = n = first
     while b <= order_up_to:
         if settle and (value := _stop(levels, b, n, smax)) is not None:
-            ext[width + b:] = value
-            break
+            m[1:b] = levels[1:b]
+            m[b] = value
+            return b
         n = min(first, order_up_to + 1 - b)
         ext[width + b:width + b + n] = np.correlate(ext[b:b + n - first + width], window,
                                                     "valid") * m[0]
         b += n
-    m[1:] = ext[width + 1:]
+    m[1:] = levels[1:]
     return b
 
 
@@ -749,10 +793,8 @@ def load_table(mu: float, q: int | None, order_up_to) -> RenewalTable:
     A time load, or a hybrid load of cap q > ``_bernstein_cap(mu)``, takes
     the closed form from TP_CLOSED_FORM_MU on, certified by Lorden's
     bracket.  Below it a time load takes the recursion on its tail-cut load,
-    and any other hybrid load the recursion on its window (``_hp_window``),
-    from ``build_increment_hp``'s masses at the cap (``_hp_load``) or, once
-    floored, from its row of ``_hp_masses``; no mass is checked again.  The
-    route depends on (mu, q), never on Q.
+    and any other hybrid load the recursion on its window (``_load_masses``).
+    The route depends on (mu, q), never on Q.
     """
     order_up_to = _check_order_up_to(order_up_to)
     mu = _load_mean(1.0, mu)
@@ -761,48 +803,81 @@ def load_table(mu: float, q: int | None, order_up_to) -> RenewalTable:
         table = RenewalTable(m=m, M=np.cumsum(m), order_up_to=order_up_to)
         _check_lorden_row(*_tp_lorden_terms(mu), order_up_to, float(table.M[-1]))
         return table
+    return _table(_load_masses(mu, q, order_up_to), order_up_to)
+
+
+def _load_masses(mu: float, q: int | None, order_up_to: int) -> np.ndarray:
+    """The masses of the recursion's load for ``load_table``: a time load
+    cut at its tail (``_tp_load``), or a hybrid load on its window
+    (``_hp_window``), from ``build_increment_hp``'s masses at the cap
+    (``_hp_load``) or, once floored, from its row of ``_hp_masses``; no mass
+    is checked again."""
     if q is None:
-        return _table(_tp_load(mu), order_up_to)
+        return _tp_load(mu)
     floor, cap = _hp_window(mu, q, order_up_to)
-    return _table(_hp_masses(np.array([mu]), np.array([floor]), np.array([cap]))[0]
-                  if floor else _hp_load(mu, cap), order_up_to)
+    return (_hp_masses(np.array([mu]), np.array([floor]), np.array([cap]))[0] if floor
+            else _hp_load(mu, cap))
 
 
 def load_sums(mu: float, q: int | None, order_up_to) -> tuple[float, float]:
     """E[K] = M(Q) and the holding factor sum_{i<=Q} (Q - i) m(i) of the
-    load of ``load_table``.  A load of Poisson(mu) (a time load, or a hybrid
-    load of cap q > ``_bernstein_cap(mu)``) of mean in [_POLE_MIN_MU,
-    TP_CLOSED_FORM_MU) at a level Q >= i0 = ``_pole_head(mu)`` sums its table
-    to i0 - 1 and adds levels i0..Q from its poles (``_pole_tail``),
-    certified by Lorden's bracket on the untruncated load.  Below i0, and for
-    every other load, the sums are those of ``load_table``, bit for bit."""
+    load of ``load_table``, from the levels a solve reaches (``_sums``): up
+    to its stop, and the levels from the stop on in closed form, so E[K] is
+    the table's bit for bit, and so is the holding factor if the solve does
+    not stop.  A load of Poisson(mu) (a time load, or a hybrid load of cap
+    q > ``_bernstein_cap(mu)``) of mean from _POLE_MIN_MU on solves only its
+    head, the levels below i0 = ``_pole_head(mu)``, and adds levels i0..Q
+    from its poles (``_pole_tail``), certified by Lorden's bracket on the
+    untruncated load.  Below TP_CLOSED_FORM_MU the head's solve never stops:
+    up to i0 = 2 * BLOCK it takes no stop test, and past it (mu > 128) it
+    ends at 2 mu - 1, far below the ~1.6 mu^2 levels at which the
+    oscillation |z_1|^-(i+1) of m(i) falls below SETTLE_TOL; so below i0 the
+    sums are those of ``load_table``, bit for bit.  From TP_CLOSED_FORM_MU on
+    the head is the closed form's m(0) and zeros: no work or memory grows
+    with Q, and the sums are certified at every level, as the closed-form
+    table is."""
     order_up_to = _check_order_up_to(order_up_to)
     mu = _load_mean(1.0, mu)
-    free = q is None or q > mu + _HP_MIN_RADIUS and q > _bernstein_cap(mu)
-    if free and _POLE_MIN_MU <= mu < TP_CLOSED_FORM_MU and order_up_to >= (head := _pole_head(mu)):
-        table = load_table(mu, q, head - 1)
-        n = order_up_to - head + 1
-        cycles, holding = _pole_tail(mu, head, n)
-        cycles += expected_k(table)
-        _check_lorden_row(*_tp_lorden_terms(mu), order_up_to, cycles)
-        return cycles, holding_sum(table) + n * expected_k(table) + holding
-    table = load_table(mu, q, order_up_to)
-    return expected_k(table), holding_sum(table)
+    poles = mu >= _POLE_MIN_MU and (q is None or q > mu + _HP_MIN_RADIUS
+                                    and q > _bernstein_cap(mu))
+    head = _pole_head(mu) if poles else order_up_to + 1
+    level = min(order_up_to, head - 1)
+    if not poles or mu < TP_CLOSED_FORM_MU:
+        cycles, holding = _sums(_load_masses(mu, q, level), level)
+        if level == order_up_to:
+            return cycles, holding
+    else:    # the closed form below i0: m(0) and zeros
+        cycles = float(_tp_renewal_row(mu, 0)[0])
+        holding = level * cycles
+    if level < order_up_to:
+        n = order_up_to - level
+        more = _pole_tail(mu, head, n)
+        holding = holding + n * cycles + more[1]
+        cycles = more[0] + cycles
+    _check_lorden_row(*_tp_lorden_terms(mu), order_up_to, cycles)
+    return cycles, holding
 
 
 def _pole_head(mu):
-    """The first level i0 = max(ceil(2 mu), _POLE_HEAD) that a time load of
-    mean mu takes from its poles; for a float, or elementwise as integers."""
+    """The first level i0 that a load of Poisson(mu) takes from its poles:
+    max(ceil(2 mu), _POLE_HEAD) below TP_CLOSED_FORM_MU, and from it
+    max(ceil(mu - r), _POLE_HEAD), r = ``_bernstein_radius(mu)``, the floor
+    of the closed form's first window, below which the table is m(0) and
+    zeros.  For a float, or elementwise as integers below
+    TP_CLOSED_FORM_MU."""
     if isinstance(mu, np.ndarray):
         return np.maximum(np.ceil(2.0 * mu), _POLE_HEAD).astype(int)
-    return max(math.ceil(2.0 * mu), _POLE_HEAD)
+    if mu < TP_CLOSED_FORM_MU:
+        return max(math.ceil(2.0 * mu), _POLE_HEAD)
+    return max(math.ceil(mu - _bernstein_radius(mu)), _POLE_HEAD)
 
 
 def _pole_pairs(mu, head):
     """K = ceil(mu/(2 pi) sqrt(expm1(2 _POLE_LOG/(i0 + 1)))), the pole pairs
     of a pole sum from level i0 on: |z_k|^2 = 1 + (2 pi k/mu)^2, so
     |z_K|^-(i0+1) <= 1e-18, and every later pair is smaller.  K <= 18 below
-    TP_CLOSED_FORM_MU.  For floats, or elementwise as integers."""
+    TP_CLOSED_FORM_MU; from it on, at the head of ``_pole_head``, 47-160
+    at Q <= MAX_ORDER_UP_TO.  For floats, or elementwise as integers."""
     if isinstance(mu, np.ndarray):
         return np.ceil(mu / (2.0 * math.pi)
                        * np.sqrt(np.expm1(2.0 * _POLE_LOG / (head + 1)))).astype(int)
@@ -812,8 +887,8 @@ def _pole_pairs(mu, head):
 def _pole_tail(mu, head, n):
     """The levels i0..Q, i0 = head and n = Q - i0 + 1, of the renewal masses
     of the untruncated load Poisson(mu), summed in closed form:
-    (sum_i m(i), sum_i (Q - i) m(i)).  For floats, in Python complex, or
-    elementwise for arrays, where a row's pairs past its own K weigh 0.
+    (sum_i m(i), sum_i (Q - i) m(i)).  For floats, or elementwise for
+    arrays, where a row's pairs past its own K weigh 0.
 
     1/(1 - e^{mu (z - 1)}) has simple poles z_k = 1 + 2 pi i k/mu of weight
     1/mu, so for i >= 1, m(i) = (1/mu)(1 + 2 Re sum_{k>=1} w_k^(i+1)),
@@ -823,15 +898,19 @@ def _pole_tail(mu, head, n):
         sum (Q - i) m(i) = n (n - 1)/(2 mu)
             + (2/mu) Re sum_k w^(i0+1) [(n - 1)(1 - w) - (w - w^n)]/(1 - w)^2,
 
-    over the ``_pole_pairs`` pairs, added in order of k.  Each power is
-    exp(p log w) with log w = -log1p(t^2)/2 - i atan(t), t = 2 pi k/mu, and
-    1 - w = i t/(1 + i t): neither cancels when t is small."""
+    over the ``_pole_pairs`` pairs.  Each power is exp(p log w) with
+    log w = -log1p(t^2)/2 - i atan(t), t = 2 pi k/mu, and 1 - w = i t/(1 + i t):
+    neither cancels when t is small.  Below TP_CLOSED_FORM_MU, K <= 18, and
+    the pairs are added in order of k, in Python complex for a float; from it
+    on, the 47-160 pairs of a float are one numpy pass, over every k at once."""
     rows = isinstance(mu, np.ndarray)
-    log1p, atan, exp = (np.log1p, np.arctan, np.exp) if rows else (math.log1p, math.atan,
-                                                                     cmath.exp)
     pairs = _pole_pairs(mu, head)
+    one_pass = not rows and mu >= TP_CLOSED_FORM_MU
+    log1p, atan, exp = ((np.log1p, np.arctan, np.exp) if rows or one_pass
+                        else (math.log1p, math.atan, cmath.exp))
     cycles = holding = 0j
-    for k in range(1, (pairs.max() if rows else pairs) + 1):
+    for k in ([np.arange(1, pairs + 1)] if one_pass
+              else range(1, (pairs.max() if rows else pairs) + 1)):
         t = 2.0 * math.pi * k / mu
         radius, angle = -0.5 * log1p(t * t), -atan(t)
         lead = exp((head + 1) * radius + 1j * ((head + 1) * angle))
@@ -841,6 +920,8 @@ def _pole_tail(mu, head, n):
         more = lead * (1.0 - last) / gap, lead * ((n - 1) * gap - (1.0 / z - last)) / (gap * gap)
         if rows:
             more = np.where(k <= pairs, more, 0.0)
+        elif one_pass:
+            more = complex(np.add.reduce(more[0])), complex(np.add.reduce(more[1]))
         cycles, holding = cycles + more[0], holding + more[1]
     return (n + 2.0 * cycles.real) / mu, (n * (n - 1) / 2 + 2.0 * holding.real) / mu
 
@@ -922,11 +1003,11 @@ def _level_table(mu: np.ndarray, q: int | None, order_up_to: int):
 
 def _heads(rows: np.ndarray, mu: np.ndarray, q, levels: np.ndarray):
     """The rows split by route: the rows of Poisson(mu) (q None, or a cap q[r]
-    or q past ``_bernstein_cap``) of mean from TP_CLOSED_FORM_MU on, which take
-    the closed form, then the other rows, their heads i0 (None if no cap of the
-    batch exceeds r(0)) and the levels min(L, i0 - 1) their recursion reaches,
-    sorted by reach, highest first (stably), the order ``_renewal_levels``
-    solves them in.  A row of Poisson(mu) of mean from _POLE_MIN_MU on takes
+    or q past ``_bernstein_cap``) of mean from TP_CLOSED_FORM_MU on, whose
+    table is the closed form (the scan's; the rows take ``load_sums``), then
+    the other rows, their heads i0 (None if no cap of the batch exceeds r(0))
+    and the levels min(L, i0 - 1) their recursion reaches, sorted by reach,
+    highest first (stably), the order ``_renewal_levels`` solves them in.  A row of Poisson(mu) of mean from _POLE_MIN_MU on takes
     levels i0..L from its poles, i0 = ``_pole_head``; any other row reaches its
     level L, as its head is L + 1.  The rows come in any order."""
     level, batch = levels[rows], isinstance(q, np.ndarray)
@@ -953,12 +1034,13 @@ def _row_sums(mu: np.ndarray, q, levels: np.ndarray):
     """E[K], the holding factor and a solved-and-checked mask of independent
     rows, in any order: the time load (q None) or cap-q[r] hybrid load of
     mean mu[r] at level levels[r].  ``_heads`` splits the rows by route.  A
-    closed-form row takes ``load_sums`` of its time load, bit for bit, and
-    stays unchecked if its certificate raises.  Any other row's levels are
-    summed in order up to its stop and in closed form from there; a row of
-    Poisson(mu) past its head i0 sums its levels to i0 - 1 so, and adds the
-    rest from its poles (``_pole_tail``), certified on the untruncated load's
-    terms.  Means that are not positive and finite are left unchecked."""
+    closed-form row takes ``load_sums`` of its time load (its poles), bit
+    for bit, and stays unchecked if its certificate raises.  Any other row's
+    levels are summed in order up to its stop and in closed form from there;
+    a row of Poisson(mu) past its head i0 sums its levels to i0 - 1 so, and
+    adds the rest from its poles (``_pole_tail``), certified on the
+    untruncated load's terms.  Means that are not positive and finite are
+    left unchecked."""
     closed, rows, head, reach = _heads(((mu > 0.0) & (mu < math.inf)).nonzero()[0], mu, q,
                                        levels)
     cycles, holding_sum = np.full((2, mu.size), np.nan)

@@ -1095,8 +1095,12 @@ def renewal_readers(name):
 
 
 def test_renewal_splits_time_loads_at_the_closed_form_in_one_place():
-    # the two scalar entry points, and ``_heads`` for the scan and the rows
-    assert renewal_readers("TP_CLOSED_FORM_MU") == {"load_table", "load_sums", "_heads"}
+    # the tables split in ``load_table`` and in ``_heads`` for the scan and
+    # the rows (whose closed-form rows take ``load_sums``); the pole sums
+    # take their head in ``load_sums`` and ``_pole_head``, and their pairs
+    # in ``_pole_tail``
+    assert renewal_readers("TP_CLOSED_FORM_MU") == {"load_table", "load_sums", "_heads",
+                                                    "_pole_head", "_pole_tail"}
 
 
 def test_renewal_keeps_its_kernel_gate_and_its_stop_schedule_in_one_place():

@@ -15,10 +15,12 @@ The load builders are checked against the per-element mass functions and the
 quantile-seeded tail cut of ``scipy.stats``.  The
 closed-form tables of wide time-policy loads are checked against 40-digit
 ``mpmath`` sums of their defining series and against the recursion on the
-tail-cut load.  The sums of narrower time-policy loads past their head,
-from the poles of Poisson(mu), are checked against the same 40-digit sums,
-and below their head against the table's bits.  The tables of hybrid loads,
-built on the capped load, are checked against the tables of the full load.
+tail-cut load.  The sums of time-policy loads past their head, from the
+poles of Poisson(mu), are checked against the same 40-digit sums, and below
+their head against the table's bits.  The sums of a system whose solve
+stops are checked against the table's E[K] bit for bit and against the
+exact sum of its levels.  The tables of hybrid loads, built on the capped
+load, are checked against the tables of the full load.
 """
 
 import math
@@ -150,8 +152,10 @@ def convolution_oracle(masses, order_up_to):
 
 def blocked_oracle(masses, order_up_to):
     """m(0..Q) by the blocked solve, to Q: its convolution blocks, then above
-    the gate the library's matvec kernels; a load whose first positive load
-    is at least BLOCK by ``explicit_oracle``."""
+    the gate the library's matvec kernels, the jump matrix of a narrow load
+    (w <= BLOCK) from level 2 * BLOCK on, the block inverse of a wide one
+    from BLOCK on; a load whose first positive load is at least BLOCK by
+    ``explicit_oracle``."""
     if first_load(masses, order_up_to) >= BLOCK:
         return explicit_oracle(masses, order_up_to)
     m, kernel = start_table(masses, order_up_to)
@@ -159,12 +163,13 @@ def blocked_oracle(masses, order_up_to):
     if order_up_to // BLOCK < MATVEC_MIN_BLOCKS:
         convolution_blocks(m, kernel, smax, order_up_to + 1)
         return m
-    convolution_blocks(m, kernel, smax, BLOCK)
+    start = 2 * BLOCK if smax <= BLOCK else BLOCK
+    convolution_blocks(m, kernel, smax, start)
     if smax <= BLOCK:
         jump = renewal._jump_matrix(m, kernel, smax)
     else:
         lower = renewal._block_inverse(m, BLOCK)
-    for b in range(BLOCK, order_up_to + 1, BLOCK):
+    for b in range(start, order_up_to + 1, BLOCK):
         n = min(BLOCK, order_up_to + 1 - b)
         lo = max(0, b - smax)
         if smax <= BLOCK:
@@ -214,6 +219,20 @@ def assert_stopped_table_keeps_the_bits(table, masses, ref):
     assert np.array_equal(table.m[:b], ref[:b])
     state = ref[b - (len(masses) - 1):b]
     assert (table.m[b:] == 0.5 * (state.min() + state.max())).all()
+
+
+def stopped_sums(table, masses):
+    """(E[K], holding factor) of a table as ``load_sums`` takes them from its
+    solve: at a stop b (``stop_level`` on the table's own levels below it),
+    the levels below b as the table sums them and the Q + 1 - b levels from
+    b on, all m(b), in closed form; the table's sums if it did not stop."""
+    order_up_to = table.order_up_to
+    b = stop_level(masses, order_up_to, table.m)
+    if b is None:
+        return expected_k(table), holding_sum(table)
+    value, rest = float(table.m[b]), order_up_to + 1 - b
+    return (float(table.M[b - 1]) + value * rest,
+            float((order_up_to - np.arange(b)) @ table.m[:b]) + value * (rest * (rest - 1) // 2))
 
 
 def first_load(masses, order_up_to=None):
@@ -649,6 +668,40 @@ def test_table_between_the_brackets_raises(monkeypatch, inc, order_up_to):
         renewal_table(inc, order_up_to)
 
 
+@pytest.mark.parametrize("inc, jumps", [
+    pytest.param(build_increment_hp(1.0, 2, 1.6), 0, id="stops-at-256"),
+    pytest.param(build_increment_tp(1.0, 5.0), 0, id="time-stops-at-256"),
+    pytest.param(build_increment_hp(1.0, 10, 8.0), 1, id="stops-at-512"),
+    pytest.param(PERIODIC, 1, id="periodic"),
+    pytest.param(build_increment_hp(1.0, BLOCK, 100.0), 1, id="defect-above-tol"),
+])
+@pytest.mark.parametrize("order_up_to", [GATE, MAX_ORDER_UP_TO])
+def test_a_narrow_table_builds_its_jump_matrix_past_its_first_stop_test(monkeypatch, inc, jumps,
+                                                                        order_up_to):
+    # past the gate a load of support end w <= BLOCK solves levels up to
+    # 2 * BLOCK by convolution and builds its jump matrix only if the stop
+    # test there fails, once; its bits are the blocked oracle's either way
+    built = []
+    jump = renewal._jump_matrix
+    monkeypatch.setattr(renewal, "_jump_matrix", lambda *args: (built.append(1), jump(*args))[1])
+    table = renewal_table(inc, order_up_to)
+    assert len(built) == jumps
+    assert_stopped_table_keeps_the_bits(table, inc.masses,
+                                        blocked_oracle(inc.masses, order_up_to))
+
+
+def test_a_wide_table_builds_its_block_inverse_at_block(monkeypatch):
+    # support end w > BLOCK: one block inverse, applied from level BLOCK on
+    inc = build_increment_hp(1.0, 300, 250.0)
+    built = []
+    for name in ("_block_inverse", "_jump_matrix"):
+        monkeypatch.setattr(renewal, name, lambda *args, fn=getattr(renewal, name), name=name: (
+            built.append(name), fn(*args))[1])
+    table = renewal_table(inc, GATE)
+    assert built == ["_block_inverse"]
+    assert_stopped_table_keeps_the_bits(table, inc.masses, blocked_oracle(inc.masses, GATE))
+
+
 @pytest.mark.parametrize("inc", [
     build_increment_hp(1.0, 2, 1.6),
     build_increment_hp(1.0, BLOCK, 100.0),
@@ -745,6 +798,9 @@ def test_closed_form_rows_do_not_depend_on_the_top_level(mu, levels):
 
 @pytest.mark.parametrize("rate", [1.0, 0.75, 3.0])
 def test_time_policy_route_switches_at_the_closed_form_threshold(rate):
+    # the sums take the poles on both sides, past the head i0 = ceil(2 mu)
+    # below the threshold and the floor of the closed form's first window
+    # from it on; from it on the table takes the closed form
     at = TP_CLOSED_FORM_MU / rate
     below = np.nextafter(at, 0.0)
     while rate * below >= TP_CLOSED_FORM_MU:
@@ -755,21 +811,25 @@ def test_time_policy_route_switches_at_the_closed_form_threshold(rate):
         policy = TimePolicy(period)
         metrics._policy_table.cache_clear()
         got = replenish_metrics(SystemConfig(rate, policy, order_up_to))
-        if period < at:  # the pole route past the head of the tail-cut load, bit for bit
-            sums = load_sums(rate * period, None, order_up_to)
-        else:
-            table = load_table(rate * period, None, order_up_to)
-            sums = expected_k(table), holding_sum(table)
+        sums = load_sums(rate * period, None, order_up_to)
         assert got == metrics._renewal_record(cycle_metrics(rate, policy), *sums)
         records.append(got)
+    table = load_table(rate * at, None, order_up_to)
+    assert sums == pytest.approx((expected_k(table), holding_sum(table)), rel=1e-13, abs=0.0)
     assert records[1].cycles == pytest.approx(records[0].cycles, rel=1e-11, abs=0.0)
     assert records[1].holding == pytest.approx(records[0].holding, rel=1e-11, abs=0.0)
 
 
 @pytest.mark.parametrize("scale", [0.5, 2.0])
 def test_closed_form_table_outside_lordens_bracket_raises(monkeypatch, scale):
-    row = renewal._tp_renewal_row
-    monkeypatch.setattr(renewal, "_tp_renewal_row", lambda mu, q: row(mu, q) * scale)
+    # from the threshold on a table takes the closed form and its sums the
+    # poles: each is certified
+    row, tail = renewal._tp_renewal_row, renewal._pole_tail
+    with monkeypatch.context() as patch:
+        patch.setattr(renewal, "_tp_renewal_row", lambda mu, q: row(mu, q) * scale)
+        with pytest.raises(ArithmeticError, match="Lorden bracket"):
+            load_table(300.0, None, 3000)
+    monkeypatch.setattr(renewal, "_pole_tail", lambda *args: tuple(scale * x for x in tail(*args)))
     metrics._policy_table.cache_clear()
     try:
         with pytest.raises(ArithmeticError, match="Lorden bracket"):
@@ -803,14 +863,16 @@ def bernstein_cap(mu):
 
 
 # series_sums takes ~1 ms a term, ~Q/mu terms: levels up to 800 mu, from i0
-# (i0/mu <= 800 from mu = 0.04 on; smaller means by an example); a time load
+# (i0/mu <= 800 from mu = 0.04 on; smaller means by an example), or from
+# Q = MAX_ORDER_UP_TO where i0 lies past it (mu above ~10 800); a time load
 # or a hybrid load whose cap lies past its Bernstein cap
-pole_points = st.floats(math.log(0.04), math.log(TP_CLOSED_FORM_MU), exclude_max=True).map(
-    math.exp).flatmap(lambda mu: st.tuples(
+pole_points = st.floats(math.log(0.04), math.log(2e4)).map(math.exp).flatmap(
+    lambda mu: st.tuples(
         st.just(mu),
         st.one_of(st.none(), st.integers(bernstein_cap(mu) + 1, bernstein_cap(mu) + 2000)),
-        st.integers(renewal._pole_head(mu), max(renewal._pole_head(mu),
-                                                min(MAX_ORDER_UP_TO, int(800 * mu))))))
+        st.integers(min(renewal._pole_head(mu), MAX_ORDER_UP_TO),
+                    max(min(renewal._pole_head(mu), MAX_ORDER_UP_TO),
+                        min(MAX_ORDER_UP_TO, int(800 * mu))))))
 
 
 @given(point=pole_points)
@@ -825,6 +887,18 @@ pole_points = st.floats(math.log(0.04), math.log(TP_CLOSED_FORM_MU), exclude_max
 @example(point=(20.0, 100, 3000))
 @example(point=(63.6, 736, 3000))
 @example(point=(150.0, 400, 2000))
+# from the threshold on: the head is m(0) and zeros, up to i0 - 1 = 86 at
+# mu = 256, and 48-150 pole pairs
+@example(point=(256.0, None, MAX_ORDER_UP_TO))
+@example(point=(256.0, None, 86))
+@example(point=(256.0, None, 87))
+@example(point=(353.74, None, 8697))
+@example(point=(353.74, 1000, 8697))
+@example(point=(4999.0, None, MAX_ORDER_UP_TO))
+@example(point=(4999.0, 6000, MAX_ORDER_UP_TO))
+@example(point=(9000.0, None, MAX_ORDER_UP_TO))
+@example(point=(9000.0, None, 8074))
+@example(point=(9000.0, None, 8075))
 @settings(max_examples=8, deadline=None)
 def test_pole_sums_are_no_less_accurate_than_the_table(point):
     # Against the 40-digit series, each route errs by at most what the
@@ -834,21 +908,29 @@ def test_pole_sums_are_no_less_accurate_than_the_table(point):
     # plus 1e-14: past the head the pole levels carry no cut (4.6e-12 ->
     # 3e-14 at mu = 5, Q = 3000).  A hybrid load's head is its window table,
     # which carries no cut either: its routes are within 1e-13 (the window
-    # table errs by 4.3e-13 at mu = 150, q = 400, Q = 2000).
+    # table errs by 4.3e-13 at mu = 150, q = 400, Q = 2000).  From the
+    # threshold on, every route (the poles, and the scan's closed form) is
+    # within 1e-13.
     mu, q, order_up_to = point
-    head = renewal._pole_head(mu)
-    n = order_up_to - head + 1
-    exact, below = series_sums(mu, order_up_to), series_sums(mu, head - 1)
-    table, start = load_table(mu, q, order_up_to), load_table(mu, q, head - 1)
-    table_error = (expected_k(table) - exact[0], holding_sum(table) - exact[1])
-    carried = (expected_k(start) - below[0],
-               holding_sum(start) + n * expected_k(start) - below[1] - n * below[0])
-    slack = [max(abs(a), abs(b)) + 1e-14 * ref
-             for a, b, ref in zip(table_error, carried, exact)]
-    for route, sums in route_sums(mu, order_up_to, q).items():
-        for got, ref, bound in zip(sums, exact, slack):
-            assert abs(got - ref) <= bound, (route, got, ref, bound)
-            assert q is None or abs(got - ref) <= 1e-13 * ref, (route, got, ref)
+    exact = series_sums(mu, order_up_to)
+    routes = route_sums(mu, order_up_to, q)
+    if mu < TP_CLOSED_FORM_MU:
+        head = renewal._pole_head(mu)
+        n = order_up_to - head + 1
+        below = series_sums(mu, head - 1)
+        table, start = load_table(mu, q, order_up_to), load_table(mu, q, head - 1)
+        table_error = (expected_k(table) - exact[0], holding_sum(table) - exact[1])
+        carried = (expected_k(start) - below[0],
+                   holding_sum(start) + n * expected_k(start) - below[1] - n * below[0])
+        slack = [max(abs(a), abs(b)) + 1e-14 * ref
+                 for a, b, ref in zip(table_error, carried, exact)]
+        for route, sums in routes.items():
+            for got, ref, bound in zip(sums, exact, slack):
+                assert abs(got - ref) <= bound, (route, got, ref, bound)
+    if q is not None or mu >= TP_CLOSED_FORM_MU:
+        for route, sums in routes.items():
+            for got, ref in zip(sums, exact):
+                assert abs(got - ref) <= 1e-13 * ref, (route, got, ref)
 
 
 @given(mu=st.floats(math.log(1e-4), math.log(TP_CLOSED_FORM_MU), exclude_max=True).map(math.exp),
@@ -893,9 +975,11 @@ def test_only_a_cap_past_the_bernstein_cap_takes_the_poisson_routes(monkeypatch,
     at = route_sums(mu, order_up_to, edge)
     assert taken == []
     table = load_table(mu, edge, order_up_to)
-    assert at["scalar"] == (expected_k(table), holding_sum(table))
+    assert at["scalar"] == stopped_sums(table, renewal._load_masses(mu, edge, order_up_to))
     past = route_sums(mu, order_up_to, edge + 1)
-    assert sorted(set(taken)) == (["_tp_renewal_row"] if mu >= TP_CLOSED_FORM_MU
+    # from the threshold on the sums take the poles (past a head of the
+    # closed form's m(0) and zeros), and the scan the closed form
+    assert sorted(set(taken)) == (["_pole_tail", "_tp_renewal_row"] if mu >= TP_CLOSED_FORM_MU
                                   else ["_pole_cycles", "_pole_tail"])
     exact = series_sums(mu, order_up_to)
     for route, sums in past.items():
@@ -921,18 +1005,49 @@ def test_load_entry_points_reject_a_mean_that_is_not_positive_and_finite(mu, q):
 
 
 # 1.2e-7: below the pole route's floor the cut keeps one mass above zero,
-# the head's E[K] errs by ~0.5 and the whole table is solved (it stops at 256)
-@pytest.mark.parametrize("period", [1.2e-7, 1e-4, 0.02, 1.0, 5.0, 70.0, 255.9])
+# the head's E[K] errs by ~0.5 and the whole table is solved (it stops at
+# 256); from the threshold on the head is the closed form's m(0), and zeros
+# up to i0 - 1
+@pytest.mark.parametrize("period", [1.2e-7, 1e-4, 0.02, 1.0, 5.0, 70.0, 255.9, 256.0, 600.0,
+                                    9000.0])
 def test_a_time_evaluation_at_the_capacity_solves_only_its_head(monkeypatch, period):
     solved = []
-    table = renewal._table
-    monkeypatch.setattr(renewal, "_table", lambda g, level: (solved.append(level),
-                                                            table(g, level))[1])
+    for name in ("_solve", "_tp_renewal_row"):
+        monkeypatch.setattr(renewal, name, lambda a, level, fn=getattr(renewal, name): (
+            solved.append(level), fn(a, level))[1])
     monkeypatch.setattr(renewal, "_renewal_levels", None)
     metrics._policy_table.cache_clear()
     average_cost(SystemConfig(1.0, TimePolicy(period), MAX_ORDER_UP_TO))
     poles = period >= renewal._POLE_MIN_MU
-    assert solved == [renewal._pole_head(period) - 1 if poles else MAX_ORDER_UP_TO]
+    assert solved == [0 if period >= TP_CLOSED_FORM_MU else
+                      renewal._pole_head(period) - 1 if poles else MAX_ORDER_UP_TO]
+
+
+@pytest.mark.parametrize("mu, q, order_up_to", [
+    (256.0, None, MAX_ORDER_UP_TO), (353.74, None, 8697), (353.74, 1000, 8697),
+    (4999.0, None, MAX_ORDER_UP_TO), (9000.0, None, MAX_ORDER_UP_TO), (9000.0, None, 8075)])
+def test_pole_sums_from_the_threshold_build_no_level_past_their_head(monkeypatch, mu, q,
+                                                                     order_up_to):
+    # below i0 the closed form is m(0) and zeros, so its table is built to
+    # level 0 alone, and the K pairs are one pass: the memory is O(K), and
+    # far below the 8 Q bytes of one row of levels
+    head = renewal._pole_head(mu)
+    pairs = renewal._pole_pairs(mu, head)
+    assert head <= order_up_to and 40 <= pairs <= 160
+    levels = []
+    row = renewal._tp_renewal_row
+    monkeypatch.setattr(renewal, "_tp_renewal_row", lambda mu, level: (levels.append(level),
+                                                                      row(mu, level))[1])
+    monkeypatch.setattr(renewal, "_solve", None)
+    load_sums(mu, q, order_up_to)
+    assert levels == [0]
+    tracemalloc.start()
+    try:
+        load_sums(mu, q, order_up_to)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 256 * pairs + 4096 < 8 * order_up_to
 
 
 def test_loads_below_the_pole_floor_would_fail_the_untruncated_certificate(monkeypatch):
@@ -1208,6 +1323,47 @@ def test_a_row_whose_state_keeps_spreading_never_stops():
 def test_stop_fires_on_a_settled_load_without_defect():
     table = renewal_table(IncrementDist([0.5, 0.5]), MAX_ORDER_UP_TO)
     assert (table.m == 2.0).all()
+
+
+# time loads of mean below the threshold, and hybrid loads whose cap binds
+# (q <= floor(mu + r)); a time load's sums past the pole floor take the
+# poles, so its solve's sums are taken as ``load_sums`` takes the others'
+summed_loads = st.one_of(
+    st.tuples(st.floats(math.log(1e-6), math.log(TP_CLOSED_FORM_MU), exclude_max=True).map(
+        math.exp), st.none()),
+    st.floats(math.log(0.5), math.log(2e4)).map(math.exp).flatmap(
+        lambda mu: st.tuples(st.just(mu), st.integers(1, bernstein_cap(mu)))))
+
+
+@given(load=summed_loads, order_up_to=st.integers(2 * BLOCK, MAX_ORDER_UP_TO))
+@example(load=(5.9199, 6), order_up_to=405)          # stops at 256
+@example(load=(5.3, 47), order_up_to=7330)           # on the jump matrix
+@example(load=(6.0, 2), order_up_to=MAX_ORDER_UP_TO)     # near-lattice: stops at 4096
+@example(load=(254.5, 363), order_up_to=8490)        # defect above SETTLE_TOL: no stop
+@example(load=(700.0, 800), order_up_to=6000)        # floored, on the explicit route
+@example(load=(10.496286259834529, 25), order_up_to=4739)   # the table's dot errs 1.1e-15
+@example(load=(5.0, None), order_up_to=3000)
+@example(load=(1e-5, None), order_up_to=5000)        # below the pole floor
+@settings(max_examples=30, deadline=None)
+def test_sums_take_the_tables_levels_to_its_stop(load, order_up_to):
+    # E[K] is the table's bit for bit.  The holding factor sums the table's
+    # levels to the stop and the rest in closed form: within 1e-15 of the
+    # exact sum of the table's levels (the table's own dot product of all
+    # Q + 1 levels errs by up to 1.1e-15), and the table's bit for bit if
+    # the solve does not stop
+    mu, q = load
+    table = load_table(mu, q, order_up_to)
+    masses = renewal._load_masses(mu, q, order_up_to)
+    poles = q is None and mu >= renewal._POLE_MIN_MU
+    cycles, holding = (renewal._sums(masses, order_up_to) if poles
+                       else load_sums(mu, q, order_up_to))
+    assert cycles == expected_k(table)
+    exact = float(sum(Fraction(order_up_to - i) * Fraction(x)
+                      for i, x in enumerate(table.m.tolist())))
+    assert abs(holding - exact) <= 1e-15 * exact
+    if stop_level(masses, order_up_to, table.m) is None:
+        assert holding == holding_sum(table)
+    assert (cycles, holding) == stopped_sums(table, masses)
 
 
 @given(mu=st.floats(math.log(123.0), math.log(1e7)).map(math.exp),
