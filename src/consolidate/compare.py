@@ -436,7 +436,7 @@ class OptimTrace(Sequence):
     with the costs scans[p], then counts[p] probes, the next ones of the flat
     arrays ``periods`` and ``costs``; ``periods`` is None for the quantity
     family, whose points have no scan and one probe each, of period None.
-    An entry's dict is built when it is read, by iteration or by index, and
+    An entry's dict is built when it is read, by iteration, index or slice, and
     is not kept.  Its periods are the grid's own floats and its numbers come
     from ``tolist``, so they keep their bits.  About 8 bytes are kept per
     scan entry and 16 per probe.  It equals any sequence of the same dicts.
@@ -457,7 +457,9 @@ class OptimTrace(Sequence):
         return {"q": None if self._caps is None else int(self._caps[p]),
                 "order_up_to": int(self._levels[p]), "period": period, "ac": ac}
 
-    def __getitem__(self, index) -> dict:
+    def __getitem__(self, index):
+        if isinstance(index, slice):    # a list of the entries, as a list slices
+            return [self[i] for i in range(*index.indices(self._size))]
         i = operator.index(index)
         i += self._size if i < 0 else 0
         if not 0 <= i < self._size:

@@ -17,17 +17,19 @@ e_n = rate * e_lc):
 
 where AIR is average on-hand inventory per time unit and AOD the average
 delay per order.  Exact mode computes e_k and the holding factor from the
-renewal masses of the load distribution.  The sums of a load of
+renewal masses of the load distribution.  One decision in ``renewal``
+picks a load's route, on (mu, q) and never on Q.  The sums of a load of
 Poisson(mu), mu = rate*T (a time load, or a hybrid load whose cap q lies
 past floor(mu + r) below), take a head of levels and its poles past it from
-mu = 1e-4 on: the recursion's head below ``renewal.TP_CLOSED_FORM_MU``, the
-closed form's from that mean on, where the optimizer's scan takes the
-closed-form table; other loads take the recursion on their masses.  The route depends on
-(mu, q), never on Q.  A hybrid load min(X, q) enters its table on the
-window min(max(X, a), c), with the cap c = min(q, Q + 1, floor(mu + r)) and,
-from mu ~ 122.8 on, the floor a = ceil(mu - r): each costs at most a Poisson
-tail of 1e-20, and together they bound the table's memory by O(Q) and its
-work by O(Q (c - a)) for any q; the cycle forms keep the real q.
+mu = 1e-4 on, in one pass over the pole pairs added in pair order: the
+recursion's head below ``renewal.TP_CLOSED_FORM_MU``, the closed form's
+m(0) and zeros from that mean on, where the optimizer's scan takes the
+closed-form table; other loads take the recursion on their masses.  A
+hybrid load min(X, q) enters its table on the window min(max(X, a), c),
+with the cap c = min(q, Q + 1, floor(mu + r)) and, from mu ~ 122.8 on, the
+floor a = ceil(mu - r): each costs at most a Poisson tail of 1e-20, and
+together they bound the table's memory by O(Q) and its work by
+O(Q (c - a)) for any q; the cycle forms keep the real q.
 Approximate mode treats the cycle count as continuous, giving
 e_k ~ (Q+1)/e_n and the Table-style closed forms.
 

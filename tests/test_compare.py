@@ -305,6 +305,10 @@ def test_columnar_trace_is_the_list_of_its_entries(monkeypatch, kind, bounds):
     assert trace != listed[:-1] and trace != listed[::-1]
     assert list(trace) == listed == [trace[i] for i in range(len(trace))]
     assert [trace[-1], trace[-len(trace)]] == [listed[-1], listed[0]]
+    # slices read as the list's: plain, negative, stepped and empty
+    for cut in (slice(2), slice(-3, None), slice(1, -1, 7), slice(None, None, -5),
+                slice(len(trace), None), slice(5, 2)):
+        assert trace[cut] == listed[cut] and type(trace[cut]) is list
     # the same Python types and floats, bit for bit
     assert json.dumps(list(trace)) == json.dumps(listed)
     for index in (len(trace), -len(trace) - 1):
@@ -596,16 +600,17 @@ def test_lockstep_optimize_raises_the_scalar_search_error_where_a_step_diverges(
 
 
 def test_lockstep_optimize_raises_at_the_first_failing_point_in_search_order(monkeypatch):
-    # closed-form time tables fail their check from level 2 on: points 2 and
-    # 3 fail, and point 2, searched first one point at a time, is raised
-    check = metrics.renewal._check_lorden_row
+    # Lorden's bracket fails from level 2 on, for the golden rows and the
+    # scalar path, while the scan goes unchecked: points 2 and 3 fail, and
+    # point 2, searched first one point at a time, is raised
+    bracket = metrics.renewal._lorden_bracket
 
-    def failing(mean, overshoot, defect, order_up_to, cycles):
-        if order_up_to >= 2:
-            raise metrics.renewal._lorden_error(cycles, 0.0, 0.0, order_up_to)
-        check(mean, overshoot, defect, order_up_to, cycles)
+    def failing(mean, overshoot, defect, order_up_to):
+        lower, upper = bracket(mean, overshoot, defect, order_up_to)
+        return lower, np.where(np.asarray(order_up_to) >= 2, -1.0, upper)
 
-    monkeypatch.setattr(metrics.renewal, "_check_lorden_row", failing)
+    monkeypatch.setattr(metrics.renewal, "_lorden_bracket", failing)
+    monkeypatch.setattr(metrics.renewal, "_check_lorden", lambda *args: None)
     args = (1e5, REFERENCE_COSTS, "time", SearchBounds(1, 3, 20.0))  # load means >= 500
     error = raised(lambda: optimize(*args))
     assert error == raised(lambda: scalar_optimize(*args))

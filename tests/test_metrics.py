@@ -566,8 +566,8 @@ def one_level_scan(rate, costs, q, periods, level):
         m[~closed] = level_rows(g, level)
     sums = np.cumsum(m, axis=1)
     for r in np.flatnonzero(free & ~closed).tolist():
-        head = renewal._pole_head(mu[r])
-        if mu[r] >= renewal._POLE_MIN_MU and head <= level:
+        head = renewal._route(float(mu[r]), q)[1]
+        if head <= level:
             sums[r, head:] = sums[r, head - 1] + renewal._pole_cycles(float(mu[r]), head, level)
     cyc = metrics._cycle_rows(rate, None if q is None else np.full(t.size, q), t)
     holding = np.cumsum(sums[:, :-1], axis=1)[:, -1] if level else np.zeros(mu.size)
@@ -914,16 +914,16 @@ def test_golden_rows_raise_where_average_cost_raises(q, levels, periods, failing
 
 
 def test_golden_rows_raise_where_lordens_check_fails(monkeypatch):
-    # closed-form time tables certify E[K] on the scalar path; a check that
-    # fails from level 2 on fails there and in the rows
-    check = renewal._check_lorden_row
+    # closed-form time rows are certified in the batch, on the bracket that
+    # the scalar path checks; a bracket that fails from level 2 on fails
+    # there and in the rows
+    bracket = renewal._lorden_bracket
 
-    def failing(mean, overshoot, defect, order_up_to, cycles):
-        if order_up_to >= 2:
-            raise renewal._lorden_error(cycles, 0.0, 0.0, order_up_to)
-        check(mean, overshoot, defect, order_up_to, cycles)
+    def failing(mean, overshoot, defect, order_up_to):
+        lower, upper = bracket(mean, overshoot, defect, order_up_to)
+        return lower, np.where(np.asarray(order_up_to) >= 2, -1.0, upper)
 
-    monkeypatch.setattr(renewal, "_check_lorden_row", failing)
+    monkeypatch.setattr(renewal, "_lorden_bracket", failing)
     levels, periods = np.array([5, 2, 1, 0]), np.array([300.0, 400.0, 500.0, 2.0])
     cost, errors = metrics._row_costs(1.0, REF_COSTS, None, levels, periods)
     assert sorted(errors) == [0, 1]
@@ -1095,12 +1095,27 @@ def renewal_readers(name):
 
 
 def test_renewal_splits_time_loads_at_the_closed_form_in_one_place():
-    # the tables split in ``load_table`` and in ``_heads`` for the scan and
-    # the rows (whose closed-form rows take ``load_sums``); the pole sums
-    # take their head in ``load_sums`` and ``_pole_head``, and their pairs
-    # in ``_pole_tail``
-    assert renewal_readers("TP_CLOSED_FORM_MU") == {"load_table", "load_sums", "_heads",
-                                                    "_pole_head", "_pole_tail"}
+    # one function decides every load's route: closed form or not, and its
+    # pole head; ``load_table``, ``load_sums`` and ``_heads`` dispatch on it,
+    # and ``_pole_tail`` has no switch of its own
+    for name in ("TP_CLOSED_FORM_MU", "_POLE_MIN_MU", "_HP_MIN_RADIUS", "_bernstein_cap"):
+        assert renewal_readers(name) == {"_route"}, name
+    assert renewal_readers("_route") == {"load_table", "load_sums", "_heads"}
+
+
+def test_batched_renewal_entry_points_price_no_row_by_the_scalar_sums():
+    # the scan and the golden rows take every route in their own batch
+    for name in ("_row_sums", "_level_table", "_heads"):
+        assert "load_sums" not in renewal_calls(name), name
+
+
+def renewal_calls(name):
+    """The names that the function ``name`` of ``renewal`` calls."""
+    tree = ast.parse(inspect.getsource(renewal))
+    fn = next(node for node in ast.walk(tree)
+              if isinstance(node, ast.FunctionDef) and node.name == name)
+    return {node.func.id for node in ast.walk(fn)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
 
 
 def test_renewal_keeps_its_kernel_gate_and_its_stop_schedule_in_one_place():

@@ -856,6 +856,12 @@ def route_sums(mu, order_up_to, q=None):
             "scan": (scan[order_up_to, 0], held)}
 
 
+def pole_head(mu):
+    """The head i0 of the time load of mean mu, by the route of ``renewal``:
+    its first level from the poles, or MAX_ORDER_UP_TO + 1 if it takes none."""
+    return renewal._route(mu, None)[1]
+
+
 def bernstein_cap(mu):
     """floor(mu + r): a hybrid load of a cap above it is Poisson(mu) on every
     table, within less than 1e-20 of its mass."""
@@ -870,8 +876,8 @@ pole_points = st.floats(math.log(0.04), math.log(2e4)).map(math.exp).flatmap(
     lambda mu: st.tuples(
         st.just(mu),
         st.one_of(st.none(), st.integers(bernstein_cap(mu) + 1, bernstein_cap(mu) + 2000)),
-        st.integers(min(renewal._pole_head(mu), MAX_ORDER_UP_TO),
-                    max(min(renewal._pole_head(mu), MAX_ORDER_UP_TO),
+        st.integers(min(pole_head(mu), MAX_ORDER_UP_TO),
+                    max(min(pole_head(mu), MAX_ORDER_UP_TO),
                         min(MAX_ORDER_UP_TO, int(800 * mu))))))
 
 
@@ -915,7 +921,7 @@ def test_pole_sums_are_no_less_accurate_than_the_table(point):
     exact = series_sums(mu, order_up_to)
     routes = route_sums(mu, order_up_to, q)
     if mu < TP_CLOSED_FORM_MU:
-        head = renewal._pole_head(mu)
+        head = pole_head(mu)
         n = order_up_to - head + 1
         below = series_sums(mu, head - 1)
         table, start = load_table(mu, q, order_up_to), load_table(mu, q, head - 1)
@@ -944,7 +950,7 @@ def test_pole_sums_are_no_less_accurate_than_the_table(point):
 def test_pole_routes_keep_every_bit_below_the_head(mu, past, data):
     # below i0 every route sums the table's levels as without poles; a
     # hybrid load of cap q = floor(mu + r) + past keeps its window table's
-    head = renewal._pole_head(mu)
+    head = pole_head(mu)
     q = None if past is None else bernstein_cap(mu) + past
     levels = [0, 1, 2, head - 1] if data is None else [
         data.draw(st.integers(0, head - 1)) for _ in range(2)]
@@ -1007,7 +1013,7 @@ def test_load_entry_points_reject_a_mean_that_is_not_positive_and_finite(mu, q):
 # 1.2e-7: below the pole route's floor the cut keeps one mass above zero,
 # the head's E[K] errs by ~0.5 and the whole table is solved (it stops at
 # 256); from the threshold on the head is the closed form's m(0), and zeros
-# up to i0 - 1
+# up to i0 - 1, which takes no table at all
 @pytest.mark.parametrize("period", [1.2e-7, 1e-4, 0.02, 1.0, 5.0, 70.0, 255.9, 256.0, 600.0,
                                     9000.0])
 def test_a_time_evaluation_at_the_capacity_solves_only_its_head(monkeypatch, period):
@@ -1018,9 +1024,8 @@ def test_a_time_evaluation_at_the_capacity_solves_only_its_head(monkeypatch, per
     monkeypatch.setattr(renewal, "_renewal_levels", None)
     metrics._policy_table.cache_clear()
     average_cost(SystemConfig(1.0, TimePolicy(period), MAX_ORDER_UP_TO))
-    poles = period >= renewal._POLE_MIN_MU
-    assert solved == [0 if period >= TP_CLOSED_FORM_MU else
-                      renewal._pole_head(period) - 1 if poles else MAX_ORDER_UP_TO]
+    closed, head = renewal._route(period, None)
+    assert solved == ([] if closed else [min(head - 1, MAX_ORDER_UP_TO)])
 
 
 @pytest.mark.parametrize("mu, q, order_up_to", [
@@ -1028,10 +1033,11 @@ def test_a_time_evaluation_at_the_capacity_solves_only_its_head(monkeypatch, per
     (4999.0, None, MAX_ORDER_UP_TO), (9000.0, None, MAX_ORDER_UP_TO), (9000.0, None, 8075)])
 def test_pole_sums_from_the_threshold_build_no_level_past_their_head(monkeypatch, mu, q,
                                                                      order_up_to):
-    # below i0 the closed form is m(0) and zeros, so its table is built to
-    # level 0 alone, and the K pairs are one pass: the memory is O(K), and
+    # below i0 the closed form is m(0) and zeros, so no table is built, not
+    # even to level 0, and the K pairs are one pass: the memory is O(K), and
     # far below the 8 Q bytes of one row of levels
-    head = renewal._pole_head(mu)
+    closed, head = renewal._route(mu, q)
+    assert closed
     pairs = renewal._pole_pairs(mu, head)
     assert head <= order_up_to and 40 <= pairs <= 160
     levels = []
@@ -1040,7 +1046,7 @@ def test_pole_sums_from_the_threshold_build_no_level_past_their_head(monkeypatch
                                                                       row(mu, level))[1])
     monkeypatch.setattr(renewal, "_solve", None)
     load_sums(mu, q, order_up_to)
-    assert levels == [0]
+    assert levels == []
     tracemalloc.start()
     try:
         load_sums(mu, q, order_up_to)
@@ -1055,17 +1061,20 @@ def test_loads_below_the_pole_floor_would_fail_the_untruncated_certificate(monke
     # 1 - g(0) by ~mu/2 relative, and the head's E[K] reads ~31 high at i0,
     # past Lorden's bracket on Poisson(mu), ~1/2 above E[K]
     mu = 1.2e-7
-    assert renewal._tp_support_end(mu) == 1 and mu < renewal._POLE_MIN_MU
-    table = load_table(mu, None, renewal._pole_head(mu))
+    assert renewal._tp_support_end(mu) == 1 and pole_head(mu) > MAX_ORDER_UP_TO
+    # the head it would take, max(ceil(2 mu), 32)
+    table = load_table(mu, None, renewal._POLE_HEAD)
     assert load_sums(mu, None, table.order_up_to) == (expected_k(table), holding_sum(table))
     monkeypatch.setattr(renewal, "_POLE_MIN_MU", 0.0)
+    assert pole_head(mu) == table.order_up_to
     with pytest.raises(ArithmeticError, match="Lorden bracket"):
         load_sums(mu, None, table.order_up_to)
 
 
 def test_pole_pairs_stay_few_below_the_closed_form():
     mu = np.exp(np.linspace(math.log(1e-4), math.log(TP_CLOSED_FORM_MU), 4001))[:-1]
-    head = renewal._pole_head(mu)
+    closed, head = renewal._route(mu, None)
+    assert not closed.any()
     pairs = renewal._pole_pairs(mu, head)
     assert pairs.max() == 18
     # the last pair's modulus at i0 + 1 is at most 1e-18, the one before above it
@@ -1073,6 +1082,73 @@ def test_pole_pairs_stay_few_below_the_closed_form():
     assert np.all(0.5 * (head + 1) * np.log1p(t * t) >= -math.log(1e-18))
     t = 2.0 * np.pi * (pairs - 1) / mu
     assert np.all(0.5 * (head + 1) * np.log1p(t * t) < -math.log(1e-18))
+
+
+def around(x):
+    """x and its two neighbouring floats."""
+    return [math.nextafter(x, 0.0), x, math.nextafter(x, math.inf)]
+
+
+def test_a_float_and_an_array_take_the_same_route():
+    # at the pole floor and the closed form's threshold, a cap at the
+    # Bernstein cap and one past it, and caps up to r(0), which never reach
+    # past the Bernstein cap: an array whose caps are all up to r(0) takes
+    # no Poisson route at all
+    mu = np.array(around(renewal._POLE_MIN_MU) + around(TP_CLOSED_FORM_MU) + [5.0, 1e4])
+    small = [1, math.floor(renewal._HP_MIN_RADIUS)]
+    for caps in ([None], [bernstein_cap(x) for x in mu.tolist()],
+                 [bernstein_cap(x) + 1 for x in mu.tolist()], small):
+        for cap in caps:
+            q = None if cap is None else np.full(mu.size, cap)
+            got = renewal._route(mu, q)
+            floats = [renewal._route(x, None if cap is None else cap) for x in mu.tolist()]
+            if cap is not None and cap <= renewal._HP_MIN_RADIUS:
+                assert got is None
+                assert floats == [(False, MAX_ORDER_UP_TO + 1)] * mu.size
+                got = renewal._route(mu, np.append(q[:-1], 10**9))    # one cap reaches past
+                floats[-1] = renewal._route(float(mu[-1]), 10**9)
+            assert list(zip(got[0].tolist(), got[1].tolist())) == floats, cap
+    assert renewal._route(1e-4, None) == (False, 32) and renewal._route(256.0, None)[0]
+    assert renewal._route(math.nextafter(1e-4, 0.0), None)[1] > MAX_ORDER_UP_TO
+    assert not renewal._route(math.nextafter(256.0, 0.0), None)[0]
+
+
+@pytest.mark.parametrize("q", [None, np.array([2, 40, 3])])
+def test_golden_rows_of_no_positive_finite_mean_are_left_unchecked(q):
+    # no row is left to route, whatever the caps
+    cycles, holding, checked = renewal._row_sums(np.array([math.nan, -1.0, math.inf]), q,
+                                                 np.array([1, 2, 3]))
+    assert np.isnan(cycles).all() and np.isnan(holding).all() and not checked.any()
+
+
+@pytest.mark.parametrize("kind", ["time", "hybrid"])
+def test_a_golden_row_does_not_depend_on_its_batch(monkeypatch, kind):
+    # means on both sides of the pole floor and of the closed form, rows that
+    # carry 1 to ~160 pole pairs at levels on both sides of their heads, and
+    # chunks of one row, the default, and one chunk past the 256 KiB from
+    # which numpy computes a product in place on a temporary; hybrid rows
+    # take caps past their Bernstein caps, and every fifth row below the
+    # closed form a cap that binds
+    sweep = np.exp(np.linspace(math.log(5e-5), math.log(2e4), 250)).tolist()
+    mu = np.array(sorted(around(1e-4) + around(TP_CLOSED_FORM_MU) + sweep))
+    levels = np.array([min(max(0, min(pole_head(x), MAX_ORDER_UP_TO) + (37 * r) % 600 - 100),
+                           MAX_ORDER_UP_TO) for r, x in enumerate(mu.tolist())])
+    q = None if kind == "time" else np.array([
+        bernstein_cap(x) - 5 if r % 5 == 0 and x < TP_CLOSED_FORM_MU else bernstein_cap(x) + 1
+        for r, x in enumerate(mu.tolist())])
+    head = renewal._route(mu, q)[1]
+    pairs = renewal._pole_pairs(mu, head)[head <= levels]
+    assert pairs.min() == 1 and pairs.max() >= 140 and pairs.max() * mu.size > 2**14
+    assert (head > levels).any()
+    batch = renewal._row_sums(mu, q, levels)
+    assert batch[2].all()
+    for r in range(mu.size):
+        one = renewal._row_sums(mu[[r]], None if q is None else q[[r]], levels[[r]])
+        assert [x[0] for x in one] == [x[r] for x in batch], r
+    for chunk in (1, 1 << 30):
+        monkeypatch.setattr(renewal, "_CHUNK_CELLS", chunk)
+        got = renewal._row_sums(mu, q, levels)
+        assert all(np.array_equal(a, b) for a, b in zip(got, batch)), chunk
 
 
 # ---------------------------------------------------------------------------
