@@ -8,15 +8,24 @@ ratio, and the spread of batch ratios estimates the sampling error of the
 grand ratio.
 
 Consolidation cycles are themselves i.i.d. (exponential interarrivals are
-memoryless across dispatch epochs).  ``_generate`` draws each cycle's length
-and load, then its orders' epochs as uniforms on the cycle (Poisson order
-statistics): its cost grows with the load, not with q.  ``_split`` cuts the
-stream where the running load first exceeds its value at the previous cut
-plus the order-up-to level, one integer table of the running load giving the
-next cut from every cycle.  A run draws loads, lengths and order epochs from
-three seeded generators, each consumed in cycle order, and a batch starts
-with the cycles the previous one left: every row sums its own draws, so a
-report does not depend on the sizes of the generated blocks.
+memoryless across dispatch epochs).  ``_generate`` draws each cycle the way
+the policy runs it: a cycle with a cap q draws its q-th arrival epoch
+S_q ~ Gamma(q, 1/rate) and fills to q if S_q comes first; otherwise it lasts
+T and its load is Poisson(rate T), given N < q under a cap.  Poisson loads
+are drawn by inversion (Devroye 1986, ch. III): one uniform each through a
+CDF and a guide table built per call over the window of loads that holds all
+but 1e-20 of the law's mass: O(min(q, sqrt(rate T))) entries, under 1 MB.
+The table's masses are computed here from their log ratios, not taken from
+``renewal`` or ``truncated_poisson``, so the simulator stays an independent
+check of the exact path.  Then the orders' epochs are uniforms on the cycle
+(Poisson order statistics): the cost grows with the load, not with q.
+
+``_split`` cuts the stream where the running load first exceeds its value at
+the previous cut plus the order-up-to level, one integer table of the running
+load giving the next cut from every cycle.  A run draws loads, lengths and
+order epochs from three seeded generators, each consumed in cycle order, and
+a batch starts with the cycles the previous one left: every row sums its own
+draws, so a report does not depend on the sizes of the generated blocks.
 """
 
 from __future__ import annotations
@@ -26,17 +35,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import HybridPolicy, QuantityPolicy, SystemConfig, TimePolicy
+from .metrics import HybridPolicy, SystemConfig, TimePolicy
 
 TRACE_HEADER = "cycle_index,length,k_cycles,cost,sum_delay,sum_sq_delay,inventory_integral"
 
 # Upper bound on the expected order draws (rows x max(mean load, 1)) of one
-# generated block.  The generator keeps two float64 arrays per draw, ~8 MB at
-# the cap, whatever q, the period and the order-up-to level.
+# generated block.  The generator keeps two 8-byte arrays per draw (its cycle
+# and its uniform), ~8 MB at the cap, whatever q, the period and the
+# order-up-to level.
 _GEN_CAP = 1 << 19
 
 # The largest mean numpy's Generator.poisson accepts (numpy/random/_common.pyx).
+# The simulator draws its Poisson loads itself, but keeps numpy's domain.
 _POISSON_LAM_MAX = float(np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10)
+
+# -log of the load mass a Poisson inversion table may leave out: its window
+# misses at most 4 e^-L = 1e-20 (at most e^-L in each tail, doubled by the
+# conditioning on N < q).
+_TAIL_LOG = math.log(4e20)
 
 
 @dataclass(frozen=True)
@@ -141,6 +157,57 @@ def per_order_delays(arrival_times, dispatch_time: float) -> tuple[float, float]
     return linear, squared
 
 
+def _load_table(mu: float, q: int | None = None):
+    """Inversion table (first load, CDF, guide) of Poisson(mu), given N < q
+    when a cap ``q`` is given, over a window of loads holding all but 1e-20
+    of the law's mass.
+
+    The window ends at the cap or at mu + r, where Bernstein's inequality
+    gives P(N >= mu + r) <= e^-L.  Below, P(N <= mu - r) <= e^-L too, and as
+    the Poisson CDF is log-concave the conditioned law's lower tail past
+    r + 1 loads under its top is no heavier; a cap below the mean also makes
+    the masses fall by at least hi / mu a load, which may end the window
+    sooner.  So it holds O(min(q, sqrt(mu) + L)) loads.  The masses come
+    from their log ratios log(mu / k), normalized at the largest, so no table
+    holds a NaN when P(N < q) underflows.  The guide holds, for each of 2n
+    equal slices of [0, 1), the first load whose CDF passes the slice's start
+    (Chen and Asau 1974; Devroye 1986, ch. III).
+    """
+    r = _TAIL_LOG / 3.0 + math.sqrt(_TAIL_LOG * _TAIL_LOG / 9.0 + 2.0 * _TAIL_LOG * mu)
+    hi = math.floor(mu + r) if q is None else min(q - 1, math.floor(mu + r))
+    lo = max(0, min(hi, math.ceil(mu)) - math.ceil(r) - 1)
+    if hi < mu:
+        step = math.log(mu / hi) if hi else math.inf
+        if step > 0.0:
+            lo = max(lo, hi - math.ceil((_TAIL_LOG + math.log(mu / (mu - hi))) / step))
+    log_mass = np.empty(hi - lo + 1)
+    log_mass[0] = 0.0
+    with np.errstate(divide="ignore"):  # a mean that underflowed to 0
+        np.log(mu / np.arange(lo + 1, hi + 1), out=log_mass[1:])
+    np.cumsum(log_mass, out=log_mass)
+    log_mass -= log_mass.max()
+    cdf = np.cumsum(np.exp(log_mass, out=log_mass), out=log_mass)
+    cdf /= cdf[-1]
+    slices = 2 * cdf.size
+    guide = np.searchsorted(cdf, np.arange(slices) / slices, side="right")
+    return lo, cdf, guide
+
+
+def _poisson_loads(rng, table, count: int) -> np.ndarray:
+    """``count`` loads from ``table`` by inversion, one uniform of ``rng`` each.
+
+    The guide's load is the answer unless the uniform passes its CDF; those
+    few are found by binary search.
+    """
+    lo, cdf, guide = table
+    u = rng.random(count)
+    k = guide[(u * guide.size).astype(np.intp)]
+    miss = np.flatnonzero(cdf[k] <= u)
+    k[miss] = np.searchsorted(cdf, u[miss], side="right")
+    k += lo
+    return k
+
+
 def _generate(rngs, system: SystemConfig, count: int):
     """Draw the next ``count`` consolidation cycles from the generators
     ``rngs`` of loads, lengths and order epochs: (length, load), then the
@@ -148,44 +215,44 @@ def _generate(rngs, system: SystemConfig, count: int):
     dispatch.
 
     * time policy: load ~ Poisson(rate T), length T;
-    * quantity policy: length ~ Gamma(q, 1/rate), load q;
-    * hybrid policy: N ~ Poisson(rate T); a cycle with N < q is
-      time-triggered, otherwise length = T Beta(q, N - q + 1) and load q.
+    * quantity policy: length ~ Gamma(q, 1/rate), the q-th arrival, load q;
+    * hybrid policy: the q-th arrival S_q ~ Gamma(q, 1/rate); a cycle with
+      S_q <= T fills to q at S_q, otherwise it is time-triggered, length T
+      and load ~ Poisson(rate T) given N < q ({S_q > T} = {N(T) < q}).
 
-    A cycle's draws and sums do not depend on how cycles are grouped into
-    calls.  Returns (length, load, delay sum, squared-delay sum) arrays and
-    the first cycle's (arrival epochs, dispatch epoch) for the per-order audit.
+    Poisson loads take one uniform each through ``_load_table``.  A cycle's
+    draws and sums do not depend on how cycles are grouped into calls.
+    Returns (length, load, delay sum, squared-delay sum) arrays and the first
+    cycle's (arrival epochs, dispatch epoch) for the per-order audit.
     """
     load_rng, length_rng, epoch_rng = rngs
     policy = system.policy
     rate = system.demand_rate
-    if isinstance(policy, QuantityPolicy):
+    if isinstance(policy, TimePolicy):
+        length = np.full(count, policy.period)
+        loads = _poisson_loads(load_rng, _load_table(rate * policy.period), count)
+        by_count = np.zeros(count, dtype=bool)
+    else:
         length = length_rng.gamma(policy.q, 1.0 / rate, size=count)
         loads = np.full(count, policy.q, dtype=np.int64)
         by_count = np.ones(count, dtype=bool)
-    else:
-        loads = load_rng.poisson(rate * policy.period, size=count)
-        length = np.full(count, policy.period)
-        by_count = np.zeros(count, dtype=bool)
         if isinstance(policy, HybridPolicy):
-            np.greater_equal(loads, policy.q, out=by_count)
-            length[by_count] = policy.period * length_rng.beta(policy.q,
-                                                               loads[by_count] - policy.q + 1)
-            loads[by_count] = policy.q
+            np.less_equal(length, policy.period, out=by_count)
+            timed = np.flatnonzero(~by_count)
+            length[timed] = policy.period
+            loads[timed] = _poisson_loads(load_rng, _load_table(rate * policy.period, policy.q),
+                                          timed.size)
     spread = loads - by_count
-    span = policy.period if isinstance(policy, TimePolicy) else np.repeat(length, spread)
-    waits = epoch_rng.random(int(spread.sum()))
-    waits *= span
-    first = waits[:spread[0]]
-    audit = (np.append(first, length[0]) if by_count[0] else first.copy(), float(length[0]))
-    np.subtract(span, waits, out=waits)
-    # Sums over each cycle's own orders: reduceat over the cycles that have any.
-    delay, sq_delay = np.zeros(count), np.zeros(count)
-    some = spread > 0
-    starts = (np.cumsum(spread) - spread)[some]
-    delay[some] = np.add.reduceat(waits, starts)
-    waits *= waits
-    sq_delay[some] = np.add.reduceat(waits, starts)
+    cycle = np.repeat(np.arange(count), spread)
+    # An order at epoch u * length waits (1 - u) * length: each cycle sums
+    # its own 1 - u, in order, and scales the sum by its length.
+    left = epoch_rng.random(cycle.size)
+    first = left[:spread[0]] * length[0]
+    audit = (np.append(first, length[0]) if by_count[0] else first, float(length[0]))
+    np.subtract(1.0, left, out=left)
+    delay = length * np.bincount(cycle, left, minlength=count)
+    left *= left
+    sq_delay = length * length * np.bincount(cycle, left, minlength=count)
     return length, loads, delay, sq_delay, audit
 
 

@@ -1,15 +1,21 @@
 """Simulator correctness: delays, partition logic, determinism, and agreement
 with the closed forms at Monte Carlo scale."""
 
+import ast
 import io
 import math
 import re
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln, logsumexp
+from scipy.stats import chisquare, norm
+from scipy.stats import t as student_t
 
 from consolidate import (
     CostParams,
@@ -23,6 +29,7 @@ from consolidate import (
     build_increment_tp,
     cycle_metrics,
     per_order_delays,
+    poisson_tail,
     replenish_metrics,
     service_metrics,
     simulate,
@@ -30,8 +37,12 @@ from consolidate import (
 from consolidate.sim import (
     _GEN_CAP,
     _POISSON_LAM_MAX,
+    _TAIL_LOG,
     TRACE_HEADER,
     _generate,
+    _load_table,
+    _mean_load,
+    _poisson_loads,
     _simulate_batch,
     _split,
 )
@@ -256,22 +267,173 @@ def test_generated_cycle_means_match_cycle_metrics(system):
         assert abs(float(np.mean(sample)) - truth) <= 4.0 * se + 1e-12 * truth
 
 
+@pytest.mark.parametrize("system", [s for s in GEN_SYSTEMS if isinstance(s.policy, HybridPolicy)],
+                         ids=lambda s: s.policy.label())
+def test_capped_fraction_follows_the_poisson_tail(system):
+    # A hybrid cycle fills to q when its q-th arrival comes by T:
+    # P(S_q <= T) = P(N(T) >= q).  Time-triggered cycles last exactly T.
+    n = 200_000
+    length = _generate(streams(10), system, n)[0]
+    p = poisson_tail(system.demand_rate * system.policy.period, system.policy.q)
+    capped = int(np.count_nonzero(length < system.policy.period))
+    assert abs(capped - n * p) <= 4.0 * math.sqrt(n * p * (1.0 - p))
+
+
+def _table_bound(mu):
+    """A load past which Poisson(mu) has no mass a double can hold."""
+    return math.ceil(mu + 40.0 * math.sqrt(mu) + 100.0)
+
+
+_MU_EDGE = 2.0**19
+_R_EDGE = _TAIL_LOG / 3.0 + math.sqrt(_TAIL_LOG**2 / 9.0 + 2.0 * _TAIL_LOG * _MU_EDGE)
+
+
+@pytest.mark.parametrize("mu, q", [
+    (1e-6, None), (0.3, None), (5.0, None), (5.9199, None), (200.0, None), (_MU_EDGE, None),
+    (0.3, 1), (5.9199, 6), (2.0, 3), (200.0, 150), (200.0, 201),
+    (_MU_EDGE, 2**19 - 3000), (_MU_EDGE, 2**18), (1e7, 2**19), (_POISSON_LAM_MAX, 6),
+    (5.0, 200), (5.0, 10**9), (_MU_EDGE, math.floor(_MU_EDGE + _R_EDGE) + 2),
+])
+def test_load_tables_reproduce_their_laws(mu, q):
+    # The exact law, Poisson(mu) given N < q, from its log masses
+    # k log mu - log k! (which lose ~1e-10 to cancellation at k ~ 5e5, hence
+    # the 1e-9 on the CDF); the table misses at most 1e-20 of it and its
+    # inversion passes a chi-square test.
+    lo, cdf, guide = _load_table(mu, q)
+    assert np.all(np.isfinite(cdf)) and cdf[-1] == 1.0 and np.all(np.diff(cdf) >= 0.0)
+    k = np.arange(min(q or math.inf, _table_bound(mu)))
+    log_mass = k * math.log(mu) - gammaln(k + 1.0)
+    exact = np.exp(log_mass - logsumexp(log_mass))
+    window = slice(lo, lo + cdf.size)
+    assert exact[:lo].sum() + exact[lo + cdf.size:].sum() <= 1e-20
+    assert np.allclose(cdf, np.cumsum(exact[window]) / exact[window].sum(), rtol=0.0, atol=1e-9)
+
+    n = 200_000
+    counts = np.bincount(_poisson_loads(np.random.default_rng(11), (lo, cdf, guide), n) - lo,
+                         minlength=cdf.size)
+    expected = n * exact[window] / exact[window].sum()
+    big = expected >= 5.0
+    rest, expected_rest = n - counts[big].sum(), n - expected[big].sum()
+    observed, mean = list(counts[big]), list(expected[big])
+    if expected_rest >= 5.0:
+        observed.append(rest)
+        mean.append(expected_rest)
+    else:
+        assert abs(rest - expected_rest) <= 4.0 * math.sqrt(max(expected_rest, 1.0))
+    if len(observed) > 1:
+        assert chisquare(observed, np.array(mean) * sum(observed) / sum(mean)).pvalue > 1e-4
+
+
+@pytest.mark.parametrize("system", [
+    SystemConfig(1.0, TimePolicy(_MU_EDGE), 0),
+    SystemConfig(1.0, HybridPolicy(6, _POISSON_LAM_MAX), 14),
+    SystemConfig(1.0, HybridPolicy(10**9, 5.0), 14),
+    SystemConfig(1.0, HybridPolicy(math.floor(_MU_EDGE + _R_EDGE) - 1, _MU_EDGE), 0),
+    SystemConfig(1.0, HybridPolicy(2**19, 1e7), 0),
+    SystemConfig(1e-200, TimePolicy(1e-200), 0),  # rate * T underflows to 0
+], ids=lambda s: s.policy.label())
+def test_generator_is_bounded_at_the_validators_edges(system):
+    # Each system is one SimConfig accepts.  A call draws up to 100 cycles,
+    # or the one block the generator cap allows; its tables take at most
+    # ~1 MB beyond four 8-byte arrays per order drawn (cycle, uniform, and
+    # the audited first cycle's epochs, twice), and hold no NaN even where
+    # P(N < q) underflows.
+    assert SimConfig(system, 200, seed=1).n_batches == 100
+    mu = system.demand_rate * system.policy.period
+    q = getattr(system.policy, "q", None)
+    tracemalloc.start()
+    try:
+        lo, cdf, guide = _load_table(mu, q)
+        table_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        start = time.perf_counter()
+        count = min(100, max(1, int(_GEN_CAP / max(_mean_load(system), 1.0))))
+        length, loads, delay, sq_delay, _ = _generate(streams(5), system, count)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table_peak < 2**20 and not np.isnan(cdf).any()
+    assert peak < 2**20 + 32 * int(loads.sum())
+    assert elapsed < 1.0
+    assert all(np.all(np.isfinite(x)) for x in (length, delay, sq_delay))
+
+
+class UniformsAndGammas:
+    """A generator that draws only uniforms and gammas."""
+
+    def __init__(self, rng):
+        self.random, self.gamma = rng.random, rng.gamma
+
+
+@pytest.mark.parametrize("system", GEN_SYSTEMS, ids=lambda s: s.policy.label())
+def test_generator_draws_only_uniforms_and_gammas_from_its_own_tables(system):
+    # The oracle stays independent of the exact path: no numpy Poisson or
+    # Beta sampler, and no load masses from renewal or truncated_poisson
+    # (the simulator takes only the policy and system types from the package).
+    rngs = [UniformsAndGammas(rng) for rng in streams(2)]
+    assert np.array_equal(_generate(rngs, system, 500)[1], _generate(streams(2), system, 500)[1])
+    import consolidate.sim as sim_mod
+    tree = ast.parse(Path(sim_mod.__file__).read_text())
+    imported = {(node.module, alias.name) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level for alias in node.names}
+    assert imported == {("metrics", "HybridPolicy"), ("metrics", "SystemConfig"),
+                        ("metrics", "TimePolicy")}
+
+
+# The simulate workloads of bench/workloads.py (``sim_systems``, whose costs
+# are REF_COSTS, ``sim_seed`` and ``Simulate.check``) at their full sizes in
+# bench/spec.py, checked the same way: a sampler that breaks the bench's
+# checks fails here first.
+BENCH_SIMULATE = {
+    # workload: (systems, calls, batches, batch_size)
+    "simulate-narrow": ([SystemConfig.quantity(1.0, 5, 3, REF_COSTS),
+                         SystemConfig(1.0, TimePolicy(5.0), 14, REF_COSTS),
+                         SystemConfig(1.0, HybridPolicy(6, 5.9199), 14, REF_COSTS)], 4, 4, 2000),
+    "simulate-wide-cap": ([SystemConfig(1.0, HybridPolicy(200, 5.0), 100, REF_COSTS)], 5, 4, 200),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+@pytest.mark.parametrize("workload", sorted(BENCH_SIMULATE))
+def test_bench_simulate_checks_pass(workload, seed):
+    systems, calls, batches, batch_size = BENCH_SIMULATE[workload]
+    # Pooled over the calls, the standard error has calls * (batches - 1)
+    # degrees of freedom; the bound is the Student t quantile with the
+    # false-alarm rate of 4 normal standard errors.
+    limit = float(student_t.isf(norm.sf(4.0), calls * (batches - 1)))
+    for i, system in enumerate(systems):
+        reports = []
+        for k in range(calls):
+            run_seed = int(np.random.SeedSequence([seed, i, k]).generate_state(1, np.uint64)[0])
+            reports.append(simulate(SimConfig(system, batches * batch_size, seed=run_seed,
+                                              batch_size=batch_size)))
+        truth = average_cost(system)
+        for name in ("avg_cost", "aod", "air"):
+            mean = math.fsum(getattr(r, name).mean for r in reports) / calls
+            se = math.sqrt(math.fsum(getattr(r, name).se ** 2 for r in reports)) / calls
+            value = getattr(truth, name)
+            assert abs(mean - value) <= limit * se + 1e-12 * abs(value), (
+                f"{system.policy.label()} {name}: {mean!r} +/- {se!r} vs exact {value!r}")
+
+
 def test_time_policy_report_is_unchanged():
     # Stored when each run took three seeded streams (loads, lengths, order
-    # epochs) cut batch after batch.  A report does not depend on block
+    # epochs) cut batch after batch, and loads came by inversion through the
+    # simulator's own Poisson table.  A report does not depend on block
     # sizing (test_reports_do_not_depend_on_block_sizing), so it moves only
     # with the draws or with the sums taken over them.
     system = SystemConfig(2.0, TimePolicy(1.5), 8, REF_COSTS)
     report = simulate(SimConfig(system, 2000, seed=4))
     assert {k: (v["mean"], v["se"]) for k, v in report.to_dict().items()} == {
-        "avg_cost": (17.7622560957944, 0.03828298537570461),
-        "aod": (0.7538638747926286, 0.003249855027075089),
-        "aosd": (0.7557600147277982, 0.004957770190536095),
-        "air": (4.632182281347297, 0.019432503677293465),
+        "avg_cost": (17.84050074262766, 0.04430361235739898),
+        "aod": (0.7538376425074864, 0.0033626609632191073),
+        "aosd": (0.7557402013850673, 0.005131331173052037),
+        "air": (4.651725619361306, 0.020833753721538877),
         "cycle_length": (1.5, 0.0),
-        "replenish_length": (5.2995, 0.032161170828981164),
-        "cycles_per_replenish": (3.533, 0.021440780552654113),
-        "orders_per_cycle": (2.964619303707897, 0.019319832953147178),
+        "replenish_length": (5.23725, 0.03333805837723062),
+        "cycles_per_replenish": (3.4915, 0.02222537225148708),
+        "orders_per_cycle": (3.0004296147787484, 0.02042893859265739),
     }
 
 
