@@ -9,13 +9,27 @@ grand ratio.
 
 Consolidation cycles are themselves i.i.d. (exponential interarrivals are
 memoryless across dispatch epochs).  ``_generate`` draws each cycle the way
-the policy runs it: a cycle with a cap q draws its q-th arrival epoch
-S_q ~ Gamma(q, 1/rate) and fills to q if S_q comes first; otherwise it lasts
-T and its load is Poisson(rate T), given N < q under a cap.  Poisson loads
-are drawn by inversion (Devroye 1986, ch. III): one uniform each through a
-CDF and a guide table built per call over the window of loads that holds all
-but 1e-20 of the law's mass: O(min(q, sqrt(rate T))) entries, under 1 MB.
-The table's masses are computed here from their log ratios, not taken from
+the policy runs it.  A quantity cycle lasts until its q-th arrival
+S_q ~ Gamma(q, 1/rate) and a time cycle lasts T with a Poisson(mu) load,
+mu = rate T.  A hybrid cycle dispatches at min(S_q, T), drawn by one of two
+constructions of that law.  Arrival-first draws S_q and fills to q if
+S_q <= T; otherwise the cycle lasts T and its load is Poisson(mu) given
+N < q.  Load-first draws the load N(T) ~ Poisson(mu); a cycle with N < q
+lasts T, and one with N >= q fills to q at S_q = T X / (X + Y), with
+X ~ Gamma(q) and Y ~ Gamma(N - q + 1): the q-th of N uniform order
+statistics on [0, T] (Devroye 1986, ch. V and IX).  Load-first spares the
+Gamma(q) draw of every time-triggered cycle and pays two gammas a capped
+one, so a call takes it when q > mu and the cap binds with probability
+P(N >= q) below ``LOAD_FIRST_MAX_TAIL``, read from the call's own table:
+0.2, below which load-first won at every mean of a measured grid of
+per-block times (the constant's comment holds the grid).
+
+Poisson loads are drawn by inversion (Devroye 1986, ch. III): one uniform
+each through a CDF and a guide table, one table per call, over the window of
+loads that holds all but 1e-20 of the law's mass: O(min(q, sqrt(mu)))
+entries, under 1 MB.  A hybrid with q > mu builds the whole Poisson(mu)
+table, reads its gate there, and cuts it at q - 1 if it goes arrival-first.
+The masses are computed here from their log ratios, not taken from
 ``renewal`` or ``truncated_poisson``, so the simulator stays an independent
 check of the exact path.  Then the orders' epochs are uniforms on the cycle
 (Poisson order statistics): the cost grows with the load, not with q.
@@ -53,6 +67,15 @@ _POISSON_LAM_MAX = float(np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10)
 # misses at most 4 e^-L = 1e-20 (at most e^-L in each tail, doubled by the
 # conditioning on N < q).
 _TAIL_LOG = math.log(4e20)
+
+# A hybrid cycle draws its load first when its cap q exceeds the mean load
+# mu = rate T and binds with probability P(N(T) >= q) below this
+# (``_generate``).  Load-first against arrival-first, per-block time of
+# 4 700-cycle blocks (medians of 60 alternated pairs, 2 CPUs): at mu = 5,
+# -26 % at p = 0.0002, -17 % at 0.07, -14 % at 0.13, -4 % at 0.24, +12 % at
+# 0.38; +26 % for HP(6, 5.9199), p = 0.54; at mu = 15, -3 % at p = 0.12,
+# 0 % at 0.18, +4 % at 0.34.  Load-first won below 0.2 at every mean.
+LOAD_FIRST_MAX_TAIL = 0.2
 
 
 @dataclass(frozen=True)
@@ -169,9 +192,8 @@ def _load_table(mu: float, q: int | None = None):
     the masses fall by at least hi / mu a load, which may end the window
     sooner.  So it holds O(min(q, sqrt(mu) + L)) loads.  The masses come
     from their log ratios log(mu / k), normalized at the largest, so no table
-    holds a NaN when P(N < q) underflows.  The guide holds, for each of 2n
-    equal slices of [0, 1), the first load whose CDF passes the slice's start
-    (Chen and Asau 1974; Devroye 1986, ch. III).
+    holds a NaN when P(N < q) underflows.  A guide table speeds the
+    inversion (``_guided``; Chen and Asau 1974; Devroye 1986, ch. III).
     """
     r = _TAIL_LOG / 3.0 + math.sqrt(_TAIL_LOG * _TAIL_LOG / 9.0 + 2.0 * _TAIL_LOG * mu)
     hi = math.floor(mu + r) if q is None else min(q - 1, math.floor(mu + r))
@@ -188,9 +210,36 @@ def _load_table(mu: float, q: int | None = None):
     log_mass -= log_mass.max()
     cdf = np.cumsum(np.exp(log_mass, out=log_mass), out=log_mass)
     cdf /= cdf[-1]
+    return _guided(lo, cdf)
+
+
+def _guided(lo: int, cdf: np.ndarray):
+    """The table (lo, cdf, guide) of the loads lo, lo + 1, ... with CDF
+    ``cdf``: the guide holds, for each of 2n equal slices of [0, 1), the
+    first load whose CDF passes the slice's start."""
     slices = 2 * cdf.size
-    guide = np.searchsorted(cdf, np.arange(slices) / slices, side="right")
-    return lo, cdf, guide
+    return lo, cdf, np.searchsorted(cdf, np.arange(slices) / slices, side="right")
+
+
+def _hybrid_table(mu: float, q: int):
+    """(table, load-first) of hybrid cycles with cap q and mean load mu.
+
+    A cap above the mean gets the Poisson(mu) table, and its cycles draw
+    their load first when the cap binds with probability P(N >= q), read
+    from that table's CDF, below ``LOAD_FIRST_MAX_TAIL``; otherwise the
+    table is cut at load q - 1 and renormalized to the law given N < q.  As
+    P(N <= floor(mu)) > 1/e, the cut at most triples the lower tail the
+    window leaves out.  A cap at or below the mean gets the table given
+    N < q, whose window may end far below the mean.
+    """
+    if q <= mu:
+        return _load_table(mu, q), False
+    table = _load_table(mu)
+    lo, cdf, _ = table
+    top = q - 1 - lo
+    if top >= cdf.size or 1.0 - cdf[top] < LOAD_FIRST_MAX_TAIL:
+        return table, True
+    return _guided(lo, cdf[:top + 1] / cdf[top]), False
 
 
 def _poisson_loads(rng, table, count: int) -> np.ndarray:
@@ -214,16 +263,32 @@ def _generate(rngs, system: SystemConfig, count: int):
     orders as uniforms on [0, length], save one at the epoch if it set off the
     dispatch.
 
-    * time policy: load ~ Poisson(rate T), length T;
+    * time policy: load ~ Poisson(mu), mu = rate T, length T;
     * quantity policy: length ~ Gamma(q, 1/rate), the q-th arrival, load q;
-    * hybrid policy: the q-th arrival S_q ~ Gamma(q, 1/rate); a cycle with
-      S_q <= T fills to q at S_q, otherwise it is time-triggered, length T
-      and load ~ Poisson(rate T) given N < q ({S_q > T} = {N(T) < q}).
+    * hybrid policy, dispatched at min(S_q, T), by one of two constructions:
 
-    Poisson loads take one uniform each through ``_load_table``.  A cycle's
-    draws and sums do not depend on how cycles are grouped into calls.
-    Returns (length, load, delay sum, squared-delay sum) arrays and the first
-    cycle's (arrival epochs, dispatch epoch) for the per-order audit.
+      - arrival-first: the q-th arrival S_q ~ Gamma(q, 1/rate); a cycle with
+        S_q <= T fills to q at S_q, otherwise it is time-triggered, length T
+        and load ~ Poisson(mu) given N < q ({S_q > T} = {N(T) < q});
+      - load-first: N = N(T) ~ Poisson(mu); a cycle with N < q is
+        time-triggered, length T and load N, otherwise it fills to q at
+        S_q = T X / (X + Y), X ~ Gamma(q) and Y ~ Gamma(N - q + 1) drawn as
+        one pair (S_q given N(T) = N is T times the q-th of N uniform order
+        statistics, Beta(q, N - q + 1); Devroye 1986, ch. V and IX).
+
+      Load-first spares the Gamma(q) draw of every time-triggered cycle and
+      costs a pair of gammas a capped one; it is taken when q > mu and the
+      capped share P(N >= q), read from the Poisson(mu) table the call
+      builds, is below ``LOAD_FIRST_MAX_TAIL`` = 0.2: in a measured grid of
+      per-block times at mu = 5 and 15, load-first won below it and lost
+      from p ~ 0.3 on (``_hybrid_table``).
+
+    Poisson loads take one uniform each through ``_load_table``, one table
+    a call.  The gamma pairs are drawn in cycle order, like every other
+    draw, so a cycle's draws and sums do not depend on how cycles are
+    grouped into calls.  Returns (length, load, delay sum, squared-delay sum)
+    arrays and the first cycle's (arrival epochs, dispatch epoch) for the
+    per-order audit.
     """
     load_rng, length_rng, epoch_rng = rngs
     policy = system.policy
@@ -233,15 +298,19 @@ def _generate(rngs, system: SystemConfig, count: int):
         loads = _poisson_loads(load_rng, _load_table(rate * policy.period), count)
         by_count = np.zeros(count, dtype=bool)
     else:
-        length = length_rng.gamma(policy.q, 1.0 / rate, size=count)
-        loads = np.full(count, policy.q, dtype=np.int64)
-        by_count = np.ones(count, dtype=bool)
-        if isinstance(policy, HybridPolicy):
-            np.less_equal(length, policy.period, out=by_count)
-            timed = np.flatnonzero(~by_count)
-            length[timed] = policy.period
-            loads[timed] = _poisson_loads(load_rng, _load_table(rate * policy.period, policy.q),
-                                          timed.size)
+        table, load_first = (_hybrid_table(rate * policy.period, policy.q)
+                             if isinstance(policy, HybridPolicy) else (None, False))
+        if load_first:
+            length, loads, by_count = _load_first(length_rng, load_rng, table, policy, count)
+        else:
+            length = length_rng.gamma(policy.q, 1.0 / rate, size=count)
+            loads = np.full(count, policy.q, dtype=np.int64)
+            by_count = np.ones(count, dtype=bool)
+            if table is not None:
+                np.less_equal(length, policy.period, out=by_count)
+                timed = np.flatnonzero(~by_count)
+                length[timed] = policy.period
+                loads[timed] = _poisson_loads(load_rng, table, timed.size)
     spread = loads - by_count
     cycle = np.repeat(np.arange(count), spread)
     # An order at epoch u * length waits (1 - u) * length: each cycle sums
@@ -254,6 +323,26 @@ def _generate(rngs, system: SystemConfig, count: int):
     left *= left
     sq_delay = length * length * np.bincount(cycle, left, minlength=count)
     return length, loads, delay, sq_delay, audit
+
+
+def _load_first(length_rng, load_rng, table, policy: HybridPolicy, count: int):
+    """(length, load, capped) of ``count`` hybrid cycles that draw their load
+    N(T) from ``table`` first.  A cycle with N(T) >= q fills to q at
+    T X / (X + Y), from one gamma pair X ~ Gamma(q), Y ~ Gamma(N - q + 1) in
+    cycle order."""
+    q, period = policy.q, policy.period
+    length = np.full(count, period)
+    loads = _poisson_loads(load_rng, table, count)
+    by_count = loads >= q
+    capped = np.flatnonzero(by_count)
+    if capped.size:
+        shapes = np.empty((capped.size, 2))
+        shapes[:, 0] = q
+        np.subtract(loads[capped], q - 1, out=shapes[:, 1])
+        x = length_rng.gamma(shapes)
+        length[capped] = period * x[:, 0] / (x[:, 0] + x[:, 1])
+        loads[capped] = q
+    return length, loads, by_count
 
 
 def _mean_load(system: SystemConfig) -> float:
@@ -390,31 +479,16 @@ def simulate(cfg: SimConfig, trace=None) -> SimReport:
 
     grand = totals.sum(axis=0)
     n = cfg.n_cycles
-    batch = cfg.batch_size
-
-    def ratio(num_col: int, den_col: int) -> SimEstimate:
-        stats = totals[:, num_col] / totals[:, den_col]
-        return SimEstimate(
-            mean=float(grand[num_col] / grand[den_col]),
-            se=float(np.std(stats, ddof=1) / math.sqrt(n_batches)),
-            n=n,
-        )
-
-    def per_cycle(col: int) -> SimEstimate:
-        stats = totals[:, col] / batch
-        return SimEstimate(
-            mean=float(grand[col] / n),
-            se=float(np.std(stats, ddof=1) / math.sqrt(n_batches)),
-            n=n,
-        )
-
-    return SimReport(
-        avg_cost=ratio(6, 0),
-        aod=ratio(3, 2),
-        aosd=ratio(4, 2),
-        air=ratio(5, 0),
-        cycle_length=ratio(0, 1),
-        replenish_length=per_cycle(0),
-        cycles_per_replenish=per_cycle(1),
-        orders_per_cycle=ratio(2, 1),
-    )
+    # One batch statistic per metric: six ratios of two totals, then two
+    # per-cycle means.  Each row is contiguous, so one std call gives each
+    # row's own std bit for bit.
+    num, den = [6, 3, 4, 5, 0, 2], [0, 2, 2, 0, 1, 1]
+    stats = np.empty((8, n_batches))
+    np.divide(totals[:, num].T, totals[:, den].T, out=stats[:6])
+    np.divide(totals[:, :2].T, cfg.batch_size, out=stats[6:])
+    se = np.std(stats, axis=1, ddof=1) / math.sqrt(n_batches)
+    means = [grand[i] / grand[j] for i, j in zip(num, den)] + [grand[0] / n, grand[1] / n]
+    names = ("avg_cost", "aod", "aosd", "air", "cycle_length", "orders_per_cycle",
+             "replenish_length", "cycles_per_replenish")
+    return SimReport(**{name: SimEstimate(mean=float(m), se=float(e), n=n)
+                        for name, m, e in zip(names, means, se)})

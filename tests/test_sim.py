@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln, logsumexp
-from scipy.stats import chisquare, norm
+from scipy.stats import chisquare, kstest, norm, poisson
 from scipy.stats import t as student_t
 
 from consolidate import (
@@ -40,6 +40,7 @@ from consolidate.sim import (
     _TAIL_LOG,
     TRACE_HEADER,
     _generate,
+    _hybrid_table,
     _load_table,
     _mean_load,
     _poisson_loads,
@@ -231,6 +232,7 @@ GEN_SYSTEMS = [
     SystemConfig(1.0, HybridPolicy(200, 5.0), 100),  # q far above the load
     SystemConfig(2.0, TimePolicy(1.5), 8),
     SystemConfig(1.5, QuantityPolicy(4), 8),
+    SystemConfig(1.0, HybridPolicy(8, 5.0), 14),     # load-first, 13 % of the cycles fill to q
 ]
 
 
@@ -279,6 +281,53 @@ def test_capped_fraction_follows_the_poisson_tail(system):
     assert abs(capped - n * p) <= 4.0 * math.sqrt(n * p * (1.0 - p))
 
 
+@pytest.mark.parametrize("system, load_first", [
+    (GEN_SYSTEMS[0], False),  # P(N(T) >= q) = 0.54
+    (GEN_SYSTEMS[1], False),  # q <= rate T
+    (GEN_SYSTEMS[2], True),   # the cap binds with probability ~1e-100
+    (GEN_SYSTEMS[5], True),   # P(N(T) >= q) = 0.13
+], ids=lambda x: x.policy.label() if isinstance(x, SystemConfig) else str(x))
+def test_hybrid_construction_follows_the_gate(system, load_first, monkeypatch):
+    # A hybrid cycle draws its load first when q > rate T and the cap binds
+    # with probability below LOAD_FIRST_MAX_TAIL; a load-first call draws
+    # no gamma for its time-triggered cycles.
+    import consolidate.sim as sim_mod
+    taken = []
+
+    def spy(mu, q):
+        table, first = _hybrid_table(mu, q)
+        taken.append(first)
+        return table, first
+
+    monkeypatch.setattr(sim_mod, "_hybrid_table", spy)
+    rngs = streams(1)
+    before = rngs[1].bit_generator.state
+    loads = _generate(rngs, system, 100)[1]
+    assert taken == [load_first]
+    no_gamma = rngs[1].bit_generator.state == before
+    assert no_gamma == (load_first and bool(np.all(loads < system.policy.q)))
+
+
+@pytest.mark.parametrize("max_tail", [0.0, 1.0], ids=["arrival-first", "load-first"])
+@pytest.mark.parametrize("system", [GEN_SYSTEMS[0], GEN_SYSTEMS[5]],
+                         ids=lambda s: s.policy.label())
+def test_capped_cycle_lengths_follow_the_arrival_law(system, max_tail, monkeypatch):
+    # A capped cycle lasts S_q given S_q <= T, by either construction (the
+    # gate forced each way): P(S_q <= t | S_q <= T) = P(N(t) >= q) / P(N(T) >= q).
+    # A load-first pair with a wrong shape or the ratio's terms swapped
+    # fails here; a pair drawn out of cycle order keeps this law and fails
+    # test_reports_do_not_depend_on_block_sizing[HP(q=8, T=5)] instead.
+    import consolidate.sim as sim_mod
+    monkeypatch.setattr(sim_mod, "LOAD_FIRST_MAX_TAIL", max_tail)
+    length, loads = _generate(streams(13), system, 200_000)[:2]
+    q, rate, period = system.policy.q, system.demand_rate, system.policy.period
+    capped = length[loads == q]
+    assert capped.size > 10_000 and np.all(capped <= period)
+    assert np.all(length[loads < q] == period)
+    top = poisson.sf(q - 1, rate * period)
+    assert kstest(capped, lambda t: poisson.sf(q - 1, rate * t) / top).pvalue > 1e-4
+
+
 def _table_bound(mu):
     """A load past which Poisson(mu) has no mass a double can hold."""
     return math.ceil(mu + 40.0 * math.sqrt(mu) + 100.0)
@@ -286,6 +335,14 @@ def _table_bound(mu):
 
 _MU_EDGE = 2.0**19
 _R_EDGE = _TAIL_LOG / 3.0 + math.sqrt(_TAIL_LOG**2 / 9.0 + 2.0 * _TAIL_LOG * _MU_EDGE)
+
+
+def conditioned_masses(mu, q):
+    """Poisson(mu) given N < q at 0, 1, ..., from its log masses
+    k log mu - log k!."""
+    k = np.arange(min(q or math.inf, _table_bound(mu)))
+    log_mass = k * math.log(mu) - gammaln(k + 1.0)
+    return np.exp(log_mass - logsumexp(log_mass))
 
 
 @pytest.mark.parametrize("mu, q", [
@@ -301,9 +358,7 @@ def test_load_tables_reproduce_their_laws(mu, q):
     # inversion passes a chi-square test.
     lo, cdf, guide = _load_table(mu, q)
     assert np.all(np.isfinite(cdf)) and cdf[-1] == 1.0 and np.all(np.diff(cdf) >= 0.0)
-    k = np.arange(min(q or math.inf, _table_bound(mu)))
-    log_mass = k * math.log(mu) - gammaln(k + 1.0)
-    exact = np.exp(log_mass - logsumexp(log_mass))
+    exact = conditioned_masses(mu, q)
     window = slice(lo, lo + cdf.size)
     assert exact[:lo].sum() + exact[lo + cdf.size:].sum() <= 1e-20
     assert np.allclose(cdf, np.cumsum(exact[window]) / exact[window].sum(), rtol=0.0, atol=1e-9)
@@ -324,31 +379,63 @@ def test_load_tables_reproduce_their_laws(mu, q):
         assert chisquare(observed, np.array(mean) * sum(observed) / sum(mean)).pvalue > 1e-4
 
 
-@pytest.mark.parametrize("system", [
+@pytest.mark.parametrize("mu, q", [
+    (0.999, 1), (1.0, 2), (5.9199, 6), (5.0, 7), (200.0, 201), (_MU_EDGE, 2**19 + 1),
+])
+def test_cut_tables_reproduce_their_laws(mu, q):
+    # An arrival-first hybrid with q > mu cuts the Poisson(mu) table at
+    # q - 1.  Conditioning on N < q at most triples the lower tail the
+    # window leaves out (P(N <= floor(mu)) > 1/e), so it still misses at
+    # most 1e-20, and its guide finds every load.
+    (lo, cdf, guide), load_first = _hybrid_table(mu, q)
+    assert not load_first
+    assert lo + cdf.size == q and cdf[-1] == 1.0 and np.all(np.diff(cdf) >= 0.0)
+    exact = conditioned_masses(mu, q)
+    assert exact[:lo].sum() <= 1e-20
+    assert np.allclose(cdf, np.cumsum(exact[lo:]), rtol=0.0, atol=1e-9)
+    u = np.random.default_rng(3).random(20_000)
+    loads = _poisson_loads(np.random.default_rng(3), (lo, cdf, guide), u.size)
+    assert np.array_equal(loads, lo + np.searchsorted(cdf, u, side="right"))
+
+
+EDGE_SYSTEMS = [
     SystemConfig(1.0, TimePolicy(_MU_EDGE), 0),
     SystemConfig(1.0, HybridPolicy(6, _POISSON_LAM_MAX), 14),
     SystemConfig(1.0, HybridPolicy(10**9, 5.0), 14),
     SystemConfig(1.0, HybridPolicy(math.floor(_MU_EDGE + _R_EDGE) - 1, _MU_EDGE), 0),
     SystemConfig(1.0, HybridPolicy(2**19, 1e7), 0),
     SystemConfig(1e-200, TimePolicy(1e-200), 0),  # rate * T underflows to 0
-], ids=lambda s: s.policy.label())
+    # q just above the largest mean: the gate reads the whole Poisson(2**19)
+    # table (P(N >= q) = 0.5 and 0.08), then cuts it or draws loads first.
+    SystemConfig(1.0, HybridPolicy(2**19 + 1, _MU_EDGE), 0),
+    SystemConfig(1.0, HybridPolicy(2**19 + 1000, _MU_EDGE), 0),
+]
+
+
+def edge_count(system):
+    """Cycles of one call at an edge: up to 100, or the one block the
+    generator cap allows."""
+    return min(100, max(1, int(_GEN_CAP / max(_mean_load(system), 1.0))))
+
+
+@pytest.mark.parametrize("system", EDGE_SYSTEMS, ids=lambda s: s.policy.label())
 def test_generator_is_bounded_at_the_validators_edges(system):
     # Each system is one SimConfig accepts.  A call draws up to 100 cycles,
     # or the one block the generator cap allows; its tables take at most
     # ~1 MB beyond four 8-byte arrays per order drawn (cycle, uniform, and
     # the audited first cycle's epochs, twice), and hold no NaN even where
-    # P(N < q) underflows.
+    # P(N < q) underflows.  A hybrid with q above the mean builds the
+    # Poisson(mu) table whole, to read its gate from.
     assert SimConfig(system, 200, seed=1).n_batches == 100
     mu = system.demand_rate * system.policy.period
     q = getattr(system.policy, "q", None)
     tracemalloc.start()
     try:
-        lo, cdf, guide = _load_table(mu, q)
+        lo, cdf, guide = _load_table(mu) if q is not None and q > mu else _load_table(mu, q)
         table_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         start = time.perf_counter()
-        count = min(100, max(1, int(_GEN_CAP / max(_mean_load(system), 1.0))))
-        length, loads, delay, sq_delay, _ = _generate(streams(5), system, count)
+        length, loads, delay, sq_delay, _ = _generate(streams(5), system, edge_count(system))
         elapsed = time.perf_counter() - start
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -357,6 +444,23 @@ def test_generator_is_bounded_at_the_validators_edges(system):
     assert peak < 2**20 + 32 * int(loads.sum())
     assert elapsed < 1.0
     assert all(np.all(np.isfinite(x)) for x in (length, delay, sq_delay))
+
+
+@pytest.mark.parametrize("system", GEN_SYSTEMS + EDGE_SYSTEMS, ids=lambda s: s.policy.label())
+def test_generator_builds_at_most_one_load_table_a_call(system, monkeypatch):
+    # The hybrid gate reads its tail from the one table the call builds,
+    # and arrival-first cuts that same table: a second build would cost
+    # every arrival-first block of simulate-narrow.
+    import consolidate.sim as sim_mod
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return _load_table(*args)
+
+    monkeypatch.setattr(sim_mod, "_load_table", counting)
+    _generate(streams(4), system, edge_count(system))
+    assert len(built) <= 1
 
 
 class UniformsAndGammas:
@@ -442,6 +546,7 @@ INVARIANCE_SYSTEMS = [
     SystemConfig(1.0, TimePolicy(5.0), 14, REF_COSTS),
     SystemConfig(1.0, HybridPolicy(6, 5.9199), 14, REF_COSTS),
     SystemConfig(1.0, HybridPolicy(200, 5.0), 100, REF_COSTS),
+    SystemConfig(1.0, HybridPolicy(8, 5.0), 14, REF_COSTS),  # load-first with capped cycles
 ]
 
 
