@@ -12,7 +12,7 @@ an exact finite recursion on 0..Q:
 
     m(i) (1 - g(0)) = [i == 0] + sum_{j=1..min(i, smax)} g(j) m(i - j),
 
-so no truncation error enters beyond the tail cut of a Poisson increment.
+so no truncation error enters beyond the window of a Poisson load (below).
 One function, ``_route``, decides every load's route, on (mu, q) alone.
 The Poisson routes serve the loads of Poisson(mu): time loads, and hybrid
 loads min(X, q) with q > floor(mu + r) (``_bernstein_cap``), whose window
@@ -33,21 +33,21 @@ m(i) = (1/mu)(1 + 2 Re sum_{k>=1} z_k^-(i+1)) exactly for i >= 1, and over
 levels i0..Q the sums are geometric in closed form (``_pole_tail``), added
 in pair order.  K pairs, with |z_K|^-(i0+1) <= 1e-18 (``_pole_pairs``: at
 most 18 below TP_CLOSED_FORM_MU, 47-160 from it on at Q <= MAX_ORDER_UP_TO),
-leave out less than 1e-18 of m(i) a level.  The pole levels carry no tail
-cut; below TP_CLOSED_FORM_MU the head keeps the levels of its load's table
-(the cut time load, the hybrid window), bit for bit, so below i0 nothing
-moves.
+leave out less than 1e-18 of m(i) a level.  Below TP_CLOSED_FORM_MU the
+head keeps the levels of its load's window table, bit for bit, so below i0
+nothing moves.
 
 A table to level Q reads the masses g(0..Q) only.  So the evaluation paths
 build the table of a hybrid load min(X, q), X ~ Poisson(mu), on the window
 min(max(X, a), c) (``_hp_window``): the cap c = min(q, Q + 1, floor(mu + r))
 and the floor a = min(ceil(mu - r), c), where P(X > mu + r) and
-P(X < mu - r) are each below 1e-20 (Bernstein).  The cap Q + 1 changes no
-bit when q > Q + 1; the cap mu + r moves less than 1e-20 of mass down to c,
-and the floor less than 1e-20 up to a.  mu - r > 0 only for mu > 8t/3 ~ 122.8
-(t = -log 1e-20), so below that a = 0 and nothing moves.  A table takes at
-most O(Q) masses for any q, and for a > Q it is m(0) and then zeros, with
-no block solved.
+P(X < mu - r) are each below 1e-20 (Bernstein).  A time load X is the
+hybrid load with no cap, c = min(Q + 1, floor(mu + r)), so no evaluation
+cuts a Poisson tail.  The cap Q + 1 changes no bit when q > Q + 1; the cap
+mu + r moves less than 1e-20 of mass down to c, and the floor less than
+1e-20 up to a.  mu - r > 0 only for mu > 8t/3 ~ 122.8 (t = -log 1e-20), so
+below that a = 0 and nothing moves.  A table takes at most O(Q) masses for
+any q, and for a > Q it is m(0) and then zeros, with no block solved.
 
 The recursion is solved a block of levels at a time.  ``m`` is the power
 series of 1/f with f(z) = (1 - g(0)) - sum_{j>=1} g(j) z^j, so the
@@ -111,12 +111,12 @@ heads or m(0), then one ``_pole_tail`` pass over every row past its head;
 the scan its heads and, at each level L from i0 on, M(i0 - 1) plus the same
 geometric sums to L (``_pole_cycles``), or from TP_CLOSED_FORM_MU on the
 closed-form table, 4-44x cheaper a column.  The batched two share one prologue,
-``_mass_rows``: each row's cut (``_tp_support_ends``) or window, then the rows
-of masses (``_tp_masses``, ``_hp_masses``) in chunks of bounded memory, each
-element by the scalar builder's expression, so a row equals the scalar masses
-bit for bit whatever its chunk.  ``_renewal_levels`` solves the rows, each to
-its head or level, one level at a time along the batch axis, with the scalar
-table's association and stop, and reports where each row stops.
+``_mass_rows``: each row's window, then the rows of masses (``_hp_masses``)
+in chunks of bounded memory, each element by the scalar builder's
+expression, so a row equals the scalar masses bit for bit whatever its
+chunk.  ``_renewal_levels`` solves the rows, each to its head or level, one
+level at a time along the batch axis, with the scalar table's association
+and stop, and reports where each row stops.
 
 One certificate covers every route: Lorden's bracket on E[K]
 (``_check_lorden``, or ``_check_lorden_row`` for one table), checked on every
@@ -142,12 +142,12 @@ from .truncated_poisson import (_poisson_masses, _poisson_tails, _stirling_gaps,
 # The recursion is O(Q * support); reject absurd tables instead of hanging.
 MAX_ORDER_UP_TO = 10_000
 
-# Residual Poisson tail dropped when building a time-policy increment.
+# Poisson tail that ``build_increment_tp`` cuts; no evaluation cuts one.
 DEFAULT_TAIL_EPS = 1e-12
 
 # Load means of Poisson(mu) from which a table (``load_table``, and the
 # optimizer's scan) takes its renewal masses from the closed form
-# (``_tp_renewal_row``) instead of the recursion on a tail-cut load: the
+# (``_tp_renewal_row``) instead of the recursion on its window: the
 # smallest power of two at which the closed form was no slower at any Q in
 # {10, 100, 1000, 10000}.  The sums take the poles on both sides (``_route``).
 TP_CLOSED_FORM_MU = 256.0
@@ -163,12 +163,12 @@ _POLE_HEAD = 32
 _POLE_LOG = -math.log(1e-18)
 
 # Time-load means from which the pole route applies.  The head solves the
-# cut load, whose renormalization moves 1 - g(0) by ~mu/2 relative where the
-# cut keeps one mass above zero (mu below ~1.4e-6): at mu = 1.2e-7 the
-# head's E[K] reads ~31 high at i0 = 32, past Lorden's bracket on the
-# untruncated load, ~1/2 above E[K].  From 1e-4 to 1e-2 the head erred by
-# at most 1/300 of that margin (against a 40-digit recursion at i0).  The
-# loads below the floor settle by level 2 * BLOCK anyway.
+# load's window with no cap, whose only error of note is the cancellation of
+# 1 - g(0) = 1 - e^-mu, ~1e-16/mu relative: at mu = 1.2e-7 the head's E[K]
+# reads 4.4e-9 low at i0 = 32, past Lorden's bracket on the untruncated load,
+# 2.8e-9 below E[K].  From 1e-4 to 1e-2 the head errs by at most 1/200 000
+# of that margin (against a 40-digit recursion at i0).  Below the floor the
+# whole table is solved, on a window of at most 31 masses.
 _POLE_MIN_MU = 1e-4
 
 # Poisson mass left outside each side of a closed-form window, and above the
@@ -176,9 +176,6 @@ _POLE_MIN_MU = 1e-4
 # -log, which sets the Bernstein radius (``_bernstein_radius``).
 _WINDOW_TAIL = 1e-20
 _WINDOW_LOG = -math.log(_WINDOW_TAIL)
-
-# z with P(N(0, 1) > z) = DEFAULT_TAIL_EPS: the seed of ``_tp_support_ends``.
-_TAIL_Z = 7.034483825301131
 
 # Cells of masses, kernel and window of levels that one chunk of rows holds
 # (``_mass_rows``), which bounds its memory when rate * period is large.
@@ -293,11 +290,12 @@ def _bernstein_cap(mu):
     a cap past it leaves Poisson(mu), less _WINDOW_TAIL, on every table."""
     return (mu + _bernstein_radius(mu)) // 1.0
 
-def _hp_window(mu, q: int, order_up_to: int):
+def _hp_window(mu, q: int | None, order_up_to: int):
     """The window (a, c) of the load min(max(X, a), c) on which the table of
-    the hybrid load min(X, q) to level Q is built, X ~ Poisson(mu):
-    c = min(q, Q + 1, floor(mu + r)) and a = min(ceil(mu - r), c), or a = 0
-    for mu <= 8t/3, with r = ``_bernstein_radius(mu)``.  For a float mu, or
+    the hybrid load min(X, q) to level Q is built, X ~ Poisson(mu), or of
+    the time load X when q is None: c = min(q, Q + 1, floor(mu + r)), with
+    no q when q is None, and a = min(ceil(mu - r), c), or a = 0 for
+    mu <= 8t/3, with r = ``_bernstein_radius(mu)``.  For a float mu, or
     integer arrays of floors and caps for an array of means, where q and Q
     may be arrays too, one per mean.
 
@@ -311,10 +309,13 @@ def _hp_window(mu, q: int, order_up_to: int):
     r = _bernstein_radius(mu)
     if isinstance(mu, np.ndarray):
         # the casts floor mu + r > 0 and take ceil(mu - r) >= -0.0 to >= 0
-        caps = np.minimum(mu + r, np.minimum(q, np.add(order_up_to, 1))).astype(int)
+        top = np.add(order_up_to, 1)
+        caps = np.minimum(mu + r, top if q is None else np.minimum(q, top)).astype(int)
         floors = np.where(mu > _HP_FLOOR_MU, np.ceil(mu - r), 0.0)
         return np.minimum(floors, caps).astype(int), caps
-    cap = min(q, order_up_to + 1, math.floor(mu + r))
+    cap = min(order_up_to + 1, math.floor(mu + r))
+    if q is not None:
+        cap = min(q, cap)
     return (min(max(math.ceil(mu - r), 0), cap) if mu > _HP_FLOOR_MU else 0), cap
 
 
@@ -341,8 +342,9 @@ def _hp_masses(mu: np.ndarray, floors: np.ndarray, caps: np.ndarray) -> np.ndarr
     return masses
 
 
-def _tp_support_end(mu: float, tail_eps: float = DEFAULT_TAIL_EPS) -> int:
-    """Smallest point whose residual Poisson(mu) upper tail is below ``tail_eps``."""
+def _tp_support_end(mu: float, tail_eps: float) -> int:
+    """Smallest point whose residual Poisson(mu) upper tail is below
+    ``tail_eps``: ``build_increment_tp``'s cut, which no evaluation takes."""
     # The cut lies in (lo, hi]: P(X > hi) < tail_eps <= P(X > lo), or lo = 1.
     # P(X > mu + 5 sqrt(mu)) is at least 1.9e-7 on mu in [1e-6, 1e8] and tends
     # to the normal 2.9e-7 above, so lo is below the cut.  The seed of hi is
@@ -354,56 +356,6 @@ def _tp_support_end(mu: float, tail_eps: float = DEFAULT_TAIL_EPS) -> int:
     while (tails := _poisson_tails(mu, np.arange(lo + 1, hi + 2, dtype=float)))[-1] >= tail_eps:
         lo, hi = hi, hi + 2 * (hi - lo)
     return lo + int(np.searchsorted(-tails, -tail_eps, side="right"))
-
-
-def _tp_support_ends(mu: np.ndarray) -> np.ndarray:
-    """``_tp_support_end`` of each mean at DEFAULT_TAIL_EPS, as integers.
-
-    The scalar search returns the first x >= 1 with P(X > x) below the tail,
-    and 1 if there is none below its bracket.  Each row here sweeps
-    P(X > x) on the eight points x = s - 6..s + 1, raised to start at 1 if
-    need be, in one 2-d tail evaluation: s is the Cornish-Fisher quantile
-    mu + z sqrt(mu) + (z^2 - 1)/6 of the tail, which puts the cut in that
-    window for mu in [1e-3, 256].  Near the cut the tails fall by far more
-    than their rounding from point to point.  The window holds the cut when
-    its last tail is below the tail and its first is not, or it starts at 1;
-    then the cut is its start plus the count of tails at or above the tail,
-    as the scalar ``searchsorted`` finds it.  Other rows take the scalar
-    search.
-    """
-    seed = (mu + _TAIL_Z * np.sqrt(mu) + (_TAIL_Z * _TAIL_Z - 1.0) / 6.0).astype(int)
-    start = np.maximum(seed - 6, 1)
-    tails = _poisson_tails(mu[:, None], start[:, None] + np.arange(1.0, 9.0))
-    count = np.add.reduce(tails >= DEFAULT_TAIL_EPS, axis=1)
-    ends = start + count
-    missed = (count == 8) | ((count == 0) & (start > 1))
-    for r in (np.flatnonzero(missed).tolist() if missed.any() else []):
-        ends[r] = _tp_support_end(float(mu[r]))
-    return ends
-
-
-def _tp_masses(mu: np.ndarray, ends) -> np.ndarray:
-    """Rows of Poisson(mu[r]) masses cut at ``ends[r]`` and renormalized:
-    ``build_increment_tp``'s expressions, element for element.
-
-    Rows are zero-padded to the widest support.  Each is renormalized by the
-    sum of its own support, the same sum as the one-row builder's: a copy of
-    the rows sorted by end (one stable argsort) is summed one run of equal
-    ends at a time, by a reduction over the last axis, which runs numpy's
-    pairwise sum on each row's contiguous support as on the 1-d one.
-    """
-    ends = np.asarray(ends)
-    masses = _poisson_masses(mu[:, None], int(ends.max()) + 1)
-    masses[np.arange(masses.shape[1]) > ends[:, None]] = 0.0
-    order = np.argsort(ends, kind="stable")
-    ranked, rows = ends[order], masses[order]
-    starts = (np.flatnonzero(np.diff(ranked)) + 1).tolist()
-    totals = np.empty(mu.size)
-    totals[order] = np.concatenate([
-        np.add.reduce(rows[lo:hi, :end + 1], axis=1)
-        for lo, hi, end in zip([0, *starts], [*starts, mu.size], ranked[[0, *starts]].tolist())])
-    masses /= totals[:, None]
-    return masses
 
 
 def build_increment_hp(rate: float, q: int, period: float) -> IncrementDist:
@@ -422,25 +374,20 @@ def build_increment_tp(rate: float, period: float,
     """Load distribution under a time policy: Poisson(rate*period), tail-cut.
 
     The support is cut at the smallest point whose residual upper tail falls
-    below ``tail_eps`` and the remaining masses are renormalized.
+    below ``tail_eps`` and the remaining masses are renormalized.  No
+    evaluation uses it: a time load is the hybrid load with no cap there.
     """
     mu = _load_mean(rate, period)
     if not 0.0 < tail_eps <= 1e-10:
         raise ValueError(f"tail_eps must be in (0, 1e-10], got {tail_eps}")
-    return IncrementDist(_tp_load(mu, tail_eps))
+    masses = _poisson_masses(mu, _tp_support_end(mu, tail_eps) + 1)
+    return IncrementDist(masses / masses.sum())
 
 
 def _hp_load(mu: float, q: int) -> np.ndarray:
     """The masses of ``build_increment_hp`` at the load mean mu, unchecked."""
     masses = _poisson_masses(mu, q + 1)
     masses[q] = poisson_tail(mu, q)
-    return masses
-
-
-def _tp_load(mu: float, tail_eps: float = DEFAULT_TAIL_EPS) -> np.ndarray:
-    """The masses of ``build_increment_tp`` at the load mean mu, unchecked."""
-    masses = _poisson_masses(mu, _tp_support_end(mu, tail_eps) + 1)
-    masses /= masses.sum()
     return masses
 
 
@@ -787,9 +734,9 @@ def load_table(mu: float, q: int | None, order_up_to) -> RenewalTable:
     load Poisson(mu) when q is None, else the hybrid load min(X, q).
 
     A load of Poisson(mu) takes the closed form from TP_CLOSED_FORM_MU on
-    (``_route``), certified by Lorden's bracket.  Below it a time load takes
-    the recursion on its tail-cut load, and any other hybrid load the
-    recursion on its window (``_load_masses``).
+    (``_route``), certified by Lorden's bracket.  Below it, and for any
+    other hybrid load, the table is the recursion on the load's window
+    (``_load_masses``), a time load's with no cap.
     """
     order_up_to = _check_order_up_to(order_up_to)
     mu = _load_mean(1.0, mu)
@@ -802,13 +749,10 @@ def load_table(mu: float, q: int | None, order_up_to) -> RenewalTable:
 
 
 def _load_masses(mu: float, q: int | None, order_up_to: int) -> np.ndarray:
-    """The masses of the recursion's load for ``load_table``: a time load
-    cut at its tail (``_tp_load``), or a hybrid load on its window
-    (``_hp_window``), from ``build_increment_hp``'s masses at the cap
-    (``_hp_load``) or, once floored, from its row of ``_hp_masses``; no mass
-    is checked again."""
-    if q is None:
-        return _tp_load(mu)
+    """The masses of the recursion's load for ``load_table``: a hybrid load,
+    or a time load (q None, no cap), on its window (``_hp_window``), from
+    ``build_increment_hp``'s masses at the cap (``_hp_load``) or, once
+    floored, from its row of ``_hp_masses``; no mass is checked again."""
     floor, cap = _hp_window(mu, q, order_up_to)
     return (_hp_masses(np.array([mu]), np.array([floor]), np.array([cap]))[0] if floor
             else _hp_load(mu, cap))
@@ -967,18 +911,14 @@ def _pole_cycles(mu: float, head: int, top: int) -> np.ndarray:
 
 def _mass_rows(mu: np.ndarray, q, levels: np.ndarray):
     """Yield (part, g), slices part of the rows and the masses g of the loads
-    mu[part] by their scalar builders' expressions: time loads (q None) cut
-    at their support ends, or hybrid loads of cap q (or q[r]) on their
-    windows to the levels.  A chunk holds about _CHUNK_CELLS cells, 2 w +
-    BLOCK + 2 a row for w the widest support end; no row depends on it."""
-    if q is None:
-        ends = _tp_support_ends(mu)
-    else:
-        floors, ends = _hp_window(mu, q, levels)
-    size = max(1, _CHUNK_CELLS // (2 * int(ends.max(initial=0)) + BLOCK + 2))
+    mu[part] by the scalar builder's expressions: hybrid loads of cap q (or
+    q[r]), or time loads (q None, no cap), on their windows to the levels.
+    A chunk holds about _CHUNK_CELLS cells, 2 w + BLOCK + 2 a row for w the
+    widest cap; no row depends on it."""
+    floors, caps = _hp_window(mu, q, levels)
+    size = max(1, _CHUNK_CELLS // (2 * int(caps.max(initial=0)) + BLOCK + 2))
     for part in (slice(start, start + size) for start in range(0, mu.size, size)):
-        yield part, (_tp_masses(mu[part], ends[part]) if q is None
-                     else _hp_masses(mu[part], floors[part], ends[part]))
+        yield part, _hp_masses(mu[part], floors[part], caps[part])
 
 
 def _level_table(mu: np.ndarray, q: int | None, order_up_to: int):
@@ -992,16 +932,16 @@ def _level_table(mu: np.ndarray, q: int | None, order_up_to: int):
     terms.  Raises where the scalar table's divergence check raises;
     Lorden's check is the caller's."""
     rows, head, reach = _heads(np.arange(mu.size), mu, q, np.full(mu.size, order_up_to))
-    cut = rows[reach >= 0]
-    closed = rows[cut.size:]    # they reach -1, so they come last
+    windowed = rows[reach >= 0]
+    closed = rows[windowed.size:]    # they reach -1, so they come last
     cycles = np.empty((order_up_to + 1, mu.size))
     terms = np.empty((3, mu.size))
     terms[:, closed] = _tp_lorden_terms(mu[closed])
     for r in closed.tolist():
         cycles[:, r] = _tp_renewal_row(float(mu[r]), order_up_to)
-    for part, g in _mass_rows(mu[cut], q, np.full(cut.size, order_up_to)):
+    for part, g in _mass_rows(mu[windowed], q, np.full(windowed.size, order_up_to)):
         _check_converges(g[:, 0].max())
-        at, stops = cut[part], {}
+        at, stops = windowed[part], {}
         terms[:, at] = _lorden_terms(g)
         for i, (live, level) in enumerate(_renewal_levels(g, reach[part], stops)):
             cycles[i, at[live]] = level
@@ -1042,8 +982,8 @@ def _row_sums(mu: np.ndarray, q, levels: np.ndarray):
     load, so a closed-form row is ``load_sums`` bit for bit.  A row that
     diverges, fails Lorden's bracket or has no positive finite mean is False."""
     rows, head, reach = _heads(((mu > 0.0) & (mu < math.inf)).nonzero()[0], mu, q, levels)
-    cut = rows if head is None else rows[reach >= 0]
-    closed = rows[cut.size:]    # they reach -1, so they come last
+    windowed = rows if head is None else rows[reach >= 0]
+    closed = rows[windowed.size:]    # they reach -1, so they come last
     cycles, holding_sum, lower, upper = np.full((4, mu.size), np.nan)    # each row's bracket
     checked = np.ones(mu.size, bool)    # rows that converge; no nan sum is checked
     if closed.size:    # a closed-form head: m(0) and zeros
@@ -1051,8 +991,8 @@ def _row_sums(mu: np.ndarray, q, levels: np.ndarray):
         holding_sum[closed] = levels[closed] * cycles[closed]
         lower[closed], upper[closed] = _lorden_bracket(*_tp_lorden_terms(mu[closed]),
                                                        levels[closed])
-    for part, g in _mass_rows(mu[cut], None if q is None else q[cut], levels[cut]):
-        at, stops = cut[part], {}
+    for part, g in _mass_rows(mu[windowed], None if q is None else q[windowed], levels[windowed]):
+        at, stops = windowed[part], {}
         level, solved = levels[at], reach[part]
         solve = _renewal_levels(g, solved, stops)
         m = next(solve)[1]    # level 0, of every row

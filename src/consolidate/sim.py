@@ -59,10 +59,6 @@ TRACE_HEADER = "cycle_index,length,k_cycles,cost,sum_delay,sum_sq_delay,inventor
 # order-up-to level.
 _GEN_CAP = 1 << 19
 
-# The largest mean numpy's Generator.poisson accepts (numpy/random/_common.pyx).
-# The simulator draws its Poisson loads itself, but keeps numpy's domain.
-_POISSON_LAM_MAX = float(np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10)
-
 # -log of the load mass a Poisson inversion table may leave out: its window
 # misses at most 4 e^-L = 1e-20 (at most e^-L in each tail, doubled by the
 # conditioning on N < q).
@@ -115,9 +111,8 @@ class SimConfig:
             raise ValueError(f"mean consolidation load {load:g} exceeds the generator cap "
                              f"{_GEN_CAP} order draws per block")
         mu = self.system.demand_rate * getattr(self.system.policy, "period", 0.0)
-        if mu > _POISSON_LAM_MAX:
-            raise ValueError(f"Poisson load mean rate*period {mu:g} "
-                             f"exceeds numpy's limit {_POISSON_LAM_MAX:g}")
+        if not math.isfinite(mu):
+            raise ValueError(f"Poisson load mean rate*period {mu:g} is not finite")
 
     @property
     def n_batches(self) -> int:

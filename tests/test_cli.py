@@ -276,8 +276,8 @@ INVALID_CONFIGS = [
      "match: target_cycle_length must be finite, got inf"),
     ("compare", {"match.target_replenish_length": math.inf},
      "match: target_replenish_length must be finite, got inf"),
-    ("simulate", {"policy.period": 1e20},
-     "simulate: Poisson load mean rate*period 1e+20 exceeds numpy's limit 9.22337e+18"),
+    ("simulate", {"demand_rate": 1e200, "policy.period": 1e200},
+     "simulate: Poisson load mean rate*period inf is not finite"),
     ("simulate", {"costs.dispatch_fixed": 1e308},
      "simulate: simulated totals of batch 0 are not finite"),
     ("optimize", {"optimize.bounds.q_max": True},

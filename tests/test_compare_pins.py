@@ -11,8 +11,12 @@ scalar ``average_cost`` in the last bits, so each entry's ``ac`` is first
 checked against that scalar oracle at relative 1e-13 and the oracle's value
 is what gets pinned; the optimizer's result is compared exactly.
 
-Regenerate the file only from a version whose outputs are known to be right:
+Every time-policy value behind the pins is also checked against the 40-digit
+oracle of ``tests/oracle.py``.  Regenerate the file only from a version whose
+outputs are known to be right, after ``tests/oracle.py`` has reported each
+moved time-policy value's error against the oracle before and after:
 
+    PYTHONPATH=src python tests/oracle.py
     PYTHONPATH=src python tests/test_compare_pins.py
 """
 
@@ -37,6 +41,7 @@ from consolidate import (
     verify_theorems,
 )
 from consolidate.compare import REFERENCE_COSTS
+from oracle import relative_error, time_eval
 
 PINS = Path(__file__).resolve().parent / "data" / "compare_pins.json"
 
@@ -117,6 +122,26 @@ def verify_pin(grid) -> dict:
     return _json(verify_theorems(grid).to_dict())
 
 
+def time_pin_values(pins):
+    """Yield (where, value, exact) for every time-policy value behind the
+    pins: each optimize best cost, and each matched TP row's ``ac`` and
+    ``air_exact``, with its 40-digit value from the oracle."""
+    for name, rate, costs, kind, _ in OPTIMIZE_CASES:
+        if kind == "time":
+            result = pins["optimize"][name]["result"]
+            best = result["best"]
+            exact = time_eval(rate, best["period"], best["order_up_to"], costs)
+            yield f"optimize {name} best_cost", result["best_cost"], exact["ac"]
+    for name, spec, _, costs in COMPARE_CASES:
+        for row in pins["compare_matched"][name]["rows"]:
+            if row["kind"] == "TP" and row["order_up_to"] is not None:
+                exact = time_eval(spec.demand_rate, row["period"], row["order_up_to"],
+                                  costs or CostParams())
+                for key, oracle in (("ac", "ac"), ("air_exact", "air")):
+                    if row[key] is not None:
+                        yield f"compare_matched {name} TP {key}", row[key], exact[oracle]
+
+
 def compute_pins() -> dict:
     return {
         "optimize": {name: optimize_pin(*args) for name, *args in OPTIMIZE_CASES},
@@ -140,6 +165,18 @@ def test_optimize_matches_pin(pins, name, rate, costs, kind, bounds):
                          ids=[c[0] for c in COMPARE_CASES])
 def test_compare_matched_matches_pin(pins, name, spec, qh_list, costs):
     assert compare_pin(spec, qh_list, costs) == pins["compare_matched"][name]
+
+
+# The largest relative error of a pinned time-policy value against the
+# 40-digit oracle measured 4.2e-16 (the matched TP rows' air_exact).
+TIME_PIN_TOL = 1e-15
+
+
+def test_time_pins_match_the_40_digit_oracle(pins):
+    values = list(time_pin_values(pins))
+    assert len(values) == 9
+    for where, value, exact in values:
+        assert relative_error(value, exact) <= TIME_PIN_TOL, (where, value, float(exact))
 
 
 @pytest.mark.parametrize("name, grid", VERIFY_CASES, ids=[c[0] for c in VERIFY_CASES])

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import consolidate
 from consolidate import (
     CostParams,
     HybridPolicy,
@@ -28,7 +29,7 @@ from consolidate import (
     service_metrics,
     trunc_mean,
 )
-from consolidate import compare, metrics, renewal
+from consolidate import cli, compare, metrics, renewal, sim
 from consolidate.compare import _SCAN_POINTS
 from consolidate.metrics import _period_costs
 from consolidate.truncated_poisson import _factorial_moment
@@ -541,7 +542,8 @@ def test_period_cost_rows_do_not_depend_on_the_top_level(rate, q, levels, period
 
 def one_level_scan(rate, costs, q, periods, level):
     """The scan at one level by its own renewal masses to that level (the
-    closed form for wide loads of Poisson(mu), else the recursion) and the
+    closed form for wide loads of Poisson(mu), else the recursion on the
+    load's window, a time load's with no cap) and the
     scan's reductions at that level, all rows at once: E[K] = M(Q) and the
     holding factor sum_{j<Q} M(j), each a sequential sum, where a load of
     Poisson(mu) on the pole route adds the sums of its levels past the head
@@ -556,13 +558,10 @@ def one_level_scan(rate, costs, q, periods, level):
     m = np.empty((mu.size, level + 1))
     for r in np.flatnonzero(closed).tolist():
         m[r] = renewal._tp_renewal_row(float(mu[r]), level)
-    cut = mu[~closed]
-    if cut.size:
-        if q is None:
-            g = renewal._tp_masses(cut, [renewal._tp_support_end(x) for x in cut.tolist()])
-        else:
-            floors, caps = zip(*(renewal._hp_window(x, q, level) for x in cut.tolist()))
-            g = renewal._hp_masses(cut, np.array(floors), np.array(caps))
+    windowed = mu[~closed]
+    if windowed.size:
+        floors, caps = zip(*(renewal._hp_window(x, q, level) for x in windowed.tolist()))
+        g = renewal._hp_masses(windowed, np.array(floors), np.array(caps))
         m[~closed] = level_rows(g, level)
     sums = np.cumsum(m, axis=1)
     for r in np.flatnonzero(free & ~closed).tolist():
@@ -1101,6 +1100,16 @@ def test_renewal_splits_time_loads_at_the_closed_form_in_one_place():
     for name in ("TP_CLOSED_FORM_MU", "_POLE_MIN_MU", "_HP_MIN_RADIUS", "_bernstein_cap"):
         assert renewal_readers(name) == {"_route"}, name
     assert renewal_readers("_route") == {"load_table", "load_sums", "_heads"}
+
+
+def test_only_the_cut_time_builder_reaches_the_tail_cut():
+    # a time load is the hybrid load with no cap on every evaluation path:
+    # the cut's search and its default tail serve ``build_increment_tp``
+    # alone, and no other module names them
+    for name in ("_tp_support_end", "DEFAULT_TAIL_EPS"):
+        assert renewal_readers(name) == {"build_increment_tp"}, name
+    for module in (consolidate, cli, compare, metrics, sim):
+        assert not renewal_names(module) & {"_tp_support_end", "DEFAULT_TAIL_EPS"}, module
 
 
 def test_batched_renewal_entry_points_price_no_row_by_the_scalar_sums():

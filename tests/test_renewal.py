@@ -11,13 +11,16 @@ and a convolution, from the first positive load; below the matvec gate the
 library must match it bit for bit.  The blocked oracle starts every load at
 level 1 and, above the gate, applies the library's jump matrix or block
 inverse; on every load with g(1) > 0 the library must match it bit for bit.
-The load builders are checked against the per-element mass functions and the
-quantile-seeded tail cut of ``scipy.stats``.  The
-closed-form tables of wide time-policy loads are checked against 40-digit
-``mpmath`` sums of their defining series and against the recursion on the
-tail-cut load.  The sums of time-policy loads past their head, from the
-poles of Poisson(mu), are checked against the same 40-digit sums, and below
-their head against the table's bits.  The sums of a system whose solve
+The load builders are checked against the per-element mass functions, and
+the public time builder's tail cut against the quantile-seeded search of
+``scipy.stats``.  The closed-form tables of wide time-policy loads are
+checked against 40-digit ``mpmath`` sums of their defining series and against
+the recursion on the tail-cut load of ``build_increment_tp``.  The sums of
+time-policy loads past their head, from the poles of Poisson(mu), are checked
+against the same 40-digit sums, and below their head against the table's
+bits; every route of a time load below the closed form against the 40-digit
+recursion of ``tests/oracle.py``, and a time load's tables and sums against
+the hybrid load's with a cap past its window, bit for bit.  The sums of a system whose solve
 stops are checked against the table's E[K] bit for bit and against the
 exact sum of its levels.  The tables of hybrid loads, built on the capped
 load, are checked against the tables of the full load.
@@ -63,13 +66,12 @@ from consolidate.renewal import (
     _check_lorden,
     _hp_masses,
     _renewal_levels,
-    _tp_masses,
     _tp_renewal_row,
-    _tp_support_end,
     load_sums,
     load_table,
 )
 from consolidate.truncated_poisson import _poisson_masses
+from oracle import time_sums
 
 
 def series_oracle(masses, order_up_to, tol=1e-14):
@@ -749,7 +751,7 @@ def series_sums(mu, order_up_to):
             lam += mu
 
 
-# exp(log(256)) rounds below 256, where ``load_table`` takes the cut route
+# exp(log(256)) rounds below 256, where ``load_table`` takes the window route
 wide_loads = st.floats(math.log(TP_CLOSED_FORM_MU), math.log(2e4)).map(
     lambda e: max(math.exp(e), TP_CLOSED_FORM_MU))
 
@@ -908,15 +910,13 @@ pole_points = st.floats(math.log(0.04), math.log(2e4)).map(math.exp).flatmap(
 @settings(max_examples=8, deadline=None)
 def test_pole_sums_are_no_less_accurate_than_the_table(point):
     # Against the 40-digit series, each route errs by at most what the
-    # table on the tail-cut (or hybrid window) load errs, or what its head
-    # carries in (the cut table's levels from i0 on can offset the head's
-    # error: 2.13e-13 against the head's 2.25e-13 at mu = e^5.5, Q = 611),
-    # plus 1e-14: past the head the pole levels carry no cut (4.6e-12 ->
-    # 3e-14 at mu = 5, Q = 3000).  A hybrid load's head is its window table,
-    # which carries no cut either: its routes are within 1e-13 (the window
-    # table errs by 4.3e-13 at mu = 150, q = 400, Q = 2000).  From the
-    # threshold on, every route (the poles, and the scan's closed form) is
-    # within 1e-13.
+    # table on the load's window (a time load's, with no cap) errs, or what
+    # its head carries in, plus 1e-14: at mu = e^5.5, Q = 611 the routes err
+    # by 6.8e-14, the table by 9.8e-14 and the head by 8.1e-14; at mu = 5,
+    # Q = 3000 the routes by 1.9e-16 and the table by 2.3e-14.  A hybrid
+    # load's routes are within 1e-13 (its window table errs by 4.3e-13 at
+    # mu = 150, q = 400, Q = 2000).  From the threshold on, every route (the
+    # poles, and the scan's closed form) is within 1e-13.
     mu, q, order_up_to = point
     exact = series_sums(mu, order_up_to)
     routes = route_sums(mu, order_up_to, q)
@@ -937,6 +937,39 @@ def test_pole_sums_are_no_less_accurate_than_the_table(point):
         for route, sums in routes.items():
             for got, ref in zip(sums, exact):
                 assert abs(got - ref) <= 1e-13 * ref, (route, got, ref)
+
+
+@pytest.mark.parametrize("mu", [0.01, 0.05, 0.3, 1.0, 5.0, 10.0, 31.9, 64.0, 127.0, 200.0, 255.9])
+def test_time_routes_match_the_40_digit_recursion(mu):
+    # Every route of a time load below the closed form (the scalar sums, a
+    # golden row, a scan cell) solves the load's window with no cap up to
+    # its head and takes its poles past it: within 2e-13 of the 40-digit
+    # recursion on the exact masses (measured at most 8.6e-14, at
+    # mu = 0.01, Q = 31; 6.2e-14 from mu = 1 on).
+    levels = [0, 2, 3, 18, 19, 31, 33, 100, 300, 600]
+    exact = time_sums(mu, levels[-1])
+    for order_up_to in levels:
+        ref = [float(x[order_up_to]) for x in exact]
+        for route, sums in route_sums(mu, order_up_to).items():
+            for got, want in zip(sums, ref):
+                assert abs(got - want) <= 2e-13 * want, (route, order_up_to, got, want)
+
+
+@given(mu=st.floats(math.log(1e-6), math.log(TP_CLOSED_FORM_MU), exclude_max=True).map(math.exp),
+       order_up_to=st.integers(0, MAX_ORDER_UP_TO))
+@example(mu=1.2e-7, order_up_to=32)
+@example(mu=5.0, order_up_to=19)
+@example(mu=255.9, order_up_to=MAX_ORDER_UP_TO)
+@settings(max_examples=30, deadline=None)
+def test_a_time_load_is_the_hybrid_load_with_no_cap(mu, order_up_to):
+    # below the closed form, a cap past floor(mu + r) builds the same window
+    # and takes the same route as no cap, so every bit agrees
+    for past in (1, 1000):
+        q = bernstein_cap(mu) + past
+        assert renewal._route(mu, q) == renewal._route(mu, None)
+        time, hybrid = load_table(mu, None, order_up_to), load_table(mu, q, order_up_to)
+        assert np.array_equal(time.m, hybrid.m) and np.array_equal(time.M, hybrid.M)
+        assert load_sums(mu, None, order_up_to) == load_sums(mu, q, order_up_to)
 
 
 @given(mu=st.floats(math.log(1e-4), math.log(TP_CLOSED_FORM_MU), exclude_max=True).map(math.exp),
@@ -1010,10 +1043,10 @@ def test_load_entry_points_reject_a_mean_that_is_not_positive_and_finite(mu, q):
             entry(mu, q, 10)
 
 
-# 1.2e-7: below the pole route's floor the cut keeps one mass above zero,
-# the head's E[K] errs by ~0.5 and the whole table is solved (it stops at
-# 256); from the threshold on the head is the closed form's m(0), and zeros
-# up to i0 - 1, which takes no table at all
+# 1.2e-7: below the pole route's floor the whole table is solved, on its
+# window of 31 masses, whose defect keeps it from stopping; from the
+# threshold on the head is the closed form's m(0), and zeros up to i0 - 1,
+# which takes no table at all
 @pytest.mark.parametrize("period", [1.2e-7, 1e-4, 0.02, 1.0, 5.0, 70.0, 255.9, 256.0, 600.0,
                                     9000.0])
 def test_a_time_evaluation_at_the_capacity_solves_only_its_head(monkeypatch, period):
@@ -1057,11 +1090,11 @@ def test_pole_sums_from_the_threshold_build_no_level_past_their_head(monkeypatch
 
 
 def test_loads_below_the_pole_floor_would_fail_the_untruncated_certificate(monkeypatch):
-    # mu = 1.2e-7: the cut keeps one mass above zero, renormalizing it moves
-    # 1 - g(0) by ~mu/2 relative, and the head's E[K] reads ~31 high at i0,
-    # past Lorden's bracket on Poisson(mu), ~1/2 above E[K]
+    # mu = 1.2e-7: the head solves the time load's window, whose
+    # 1 - g(0) = 1 - e^-mu cancels to ~1e-16/mu relative, and its E[K] reads
+    # 4.4e-9 low at i0, past Lorden's bracket on Poisson(mu), 2.8e-9 below E[K]
     mu = 1.2e-7
-    assert renewal._tp_support_end(mu) == 1 and pole_head(mu) > MAX_ORDER_UP_TO
+    assert pole_head(mu) > MAX_ORDER_UP_TO
     # the head it would take, max(ceil(2 mu), 32)
     table = load_table(mu, None, renewal._POLE_HEAD)
     assert load_sums(mu, None, table.order_up_to) == (expected_k(table), holding_sum(table))
@@ -1171,7 +1204,8 @@ def window_masses(mu, a, c):
 
 
 @pytest.mark.parametrize("route, mu, q, order_up_to", [
-    ("cut", 0.05, None, 40), ("cut", 6.0, None, MAX_ORDER_UP_TO), ("cut", 255.9, None, 3000),
+    ("uncapped", 0.05, None, 40), ("uncapped", 6.0, None, MAX_ORDER_UP_TO),
+    ("uncapped", 255.9, None, 3000),
     ("closed", 256.0, None, 3000), ("closed", 1e4, None, MAX_ORDER_UP_TO),
     ("window", 5.0, 200, 100), ("window", 5.3, 436, 7330), ("window", 60.0, 5, 300),
     ("closed", 700.0, 10**4, 6000), ("floor <= Q", 700.0, 800, 6000),
@@ -1180,19 +1214,18 @@ def window_masses(mu, a, c):
     ("closed", 2e4, 10**7, 50), ("floor > Q", 2e4, 20_100, 50),
 ])
 def test_load_table_takes_the_table_of_its_route(route, mu, q, order_up_to):
-    # a hybrid load whose cap lies past floor(mu + r) takes the time load's table
+    # a hybrid load whose cap lies past floor(mu + r) takes the time load's
+    # table, and a time load below the threshold the table of its window
+    # with no cap
     table = load_table(mu, q, order_up_to)
     if mu >= TP_CLOSED_FORM_MU and (q is None or q > bernstein_cap(mu)):
         assert route == "closed"
         m = _tp_renewal_row(mu, order_up_to)
         expected = renewal.RenewalTable(m=m, M=np.cumsum(m), order_up_to=order_up_to)
-    elif q is None:
-        assert route == "cut"
-        expected = renewal_table(build_increment_tp(1.0, mu), order_up_to)
     else:
         floor, cap = renewal._hp_window(mu, q, order_up_to)
-        assert route == ("window" if not floor else "floor <= Q" if floor <= order_up_to
-                         else "floor > Q")
+        assert route == ("uncapped" if q is None else "window" if not floor
+                         else "floor <= Q" if floor <= order_up_to else "floor > Q")
         masses = (window_masses(mu, floor, cap) if floor
                   else build_increment_hp(1.0, cap, mu).masses)
         expected = renewal_table(IncrementDist(masses), order_up_to)
@@ -1531,7 +1564,8 @@ def test_one_row_lorden_check_is_the_array_check():
 
 
 # ---------------------------------------------------------------------------
-# load builders against per-element masses and the quantile-seeded cut
+# load builders against per-element masses, and the public time builder's
+# quantile-seeded cut
 
 
 @given(mu=st.floats(-3.0, 4.0).map(lambda e: 10.0 ** e), q=st.integers(1, 2000))
@@ -1561,17 +1595,6 @@ def test_tp_support_end_matches_quantile_seeded_search(mu, tail_eps):
     assert build_increment_tp(1.0, mu, tail_eps).support_end == tail_cut_oracle(mu, tail_eps)
 
 
-@given(mu=st.lists(st.floats(-9.0, math.log10(TP_CLOSED_FORM_MU)).map(lambda e: 10.0 ** e),
-                   min_size=1, max_size=40))
-# below ~1.8e-4 the seeded window misses and rows take the scalar search
-@example(mu=[1e-9, 1e-6, 1.8e-4, 1e-3, 0.05, 1.0, 20.0, 255.9])
-@example(mu=[0.005 * k for k in range(1, 200)])
-@settings(max_examples=100, deadline=None)
-def test_tp_support_ends_match_the_scalar_search(mu):
-    ends = renewal._tp_support_ends(np.array(mu))
-    assert ends.tolist() == [_tp_support_end(m) for m in mu]
-
-
 def test_tp_support_end_far_below_default_tail_eps():
     # The seed guess is below the cut here; the upward walk must find it.
     for mu in (0.5, 40.0, 5000.0):
@@ -1582,31 +1605,23 @@ def test_tp_support_end_far_below_default_tail_eps():
 @given(rows=st.lists(st.tuples(st.floats(-3.0, 4.0).map(lambda e: 10.0 ** e),
                                 st.integers(1, 60)), min_size=1, max_size=30))
 @example(rows=[(3.0, 5)])
-# 40 rows on the support ends 20, 30 and 92, in shuffled order
-@example(rows=[((2.5, 6.0, 40.0)[i % 3] + 0.01 * (i * 7 % 13), 8) for i in range(40)])
-# ends 6..9 and 126..129, where numpy's pairwise sum changes form
-@example(rows=[(m, 8) for m in (0.15, 63.1, 0.1, 63.8, 0.2, 62.4, 0.05, 64.5)])
+# 40 rows on the caps 5, 20 and 60, in shuffled order
+@example(rows=[((2.5, 6.0, 40.0)[i % 3] + 0.01 * (i * 7 % 13), (5, 20, 60)[i * 7 % 3])
+               for i in range(40)])
+# time loads: each row's window with no cap, floor(mu + r), 31 to 136
+@example(rows=[(m, bernstein_cap(m)) for m in (0.15, 63.1, 0.1, 63.8, 0.2, 62.4, 0.05, 64.5)])
 @settings(max_examples=40, deadline=None)
 def test_batched_masses_do_not_depend_on_the_batch(rows):
     mu = np.array([m for m, _ in rows])
     caps = np.array([cap for _, cap in rows])
-    ends = [_tp_support_end(m) for m in mu.tolist()]
     floors = np.zeros(mu.size, int)
     hp = _hp_masses(mu, floors, caps)
-    tp = _tp_masses(mu, ends)
     for r, m in enumerate(mu.tolist()):
         one = _hp_masses(mu[r:r + 1], floors[r:r + 1], caps[r:r + 1])[0]
         assert one.size == caps[r] + 1
         assert np.array_equal(hp[r, :one.size], one)
         assert not hp[r, one.size:].any()
         assert np.array_equal(one, build_increment_hp(1.0, int(caps[r]), m).masses)
-        one = _tp_masses(mu[r:r + 1], ends[r:r + 1])[0]
-        assert one.size == ends[r] + 1
-        assert np.array_equal(tp[r, :one.size], one)
-        assert not tp[r, one.size:].any()
-        inc = build_increment_tp(1.0, m)
-        assert inc.support_end == ends[r]
-        assert np.array_equal(one, inc.masses)
 
 
 @given(rows=st.lists(st.tuples(st.floats(math.log(50.0), math.log(1e6)).map(math.exp),

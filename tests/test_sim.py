@@ -36,7 +36,6 @@ from consolidate import (
 )
 from consolidate.sim import (
     _GEN_CAP,
-    _POISSON_LAM_MAX,
     _TAIL_LOG,
     TRACE_HEADER,
     _generate,
@@ -334,6 +333,10 @@ def _table_bound(mu):
 
 
 _MU_EDGE = 2.0**19
+# The largest mean numpy's Generator.poisson accepts, the validator's bound
+# while the simulator drew its loads there; a mean past it, and any finite
+# mean, is in the simulator's domain.
+_NUMPY_POISSON_MAX = float(np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10)
 _R_EDGE = _TAIL_LOG / 3.0 + math.sqrt(_TAIL_LOG**2 / 9.0 + 2.0 * _TAIL_LOG * _MU_EDGE)
 
 
@@ -348,7 +351,8 @@ def conditioned_masses(mu, q):
 @pytest.mark.parametrize("mu, q", [
     (1e-6, None), (0.3, None), (5.0, None), (5.9199, None), (200.0, None), (_MU_EDGE, None),
     (0.3, 1), (5.9199, 6), (2.0, 3), (200.0, 150), (200.0, 201),
-    (_MU_EDGE, 2**19 - 3000), (_MU_EDGE, 2**18), (1e7, 2**19), (_POISSON_LAM_MAX, 6),
+    (_MU_EDGE, 2**19 - 3000), (_MU_EDGE, 2**18), (1e7, 2**19), (_NUMPY_POISSON_MAX, 6),
+    (1e300, 6),
     (5.0, 200), (5.0, 10**9), (_MU_EDGE, math.floor(_MU_EDGE + _R_EDGE) + 2),
 ])
 def test_load_tables_reproduce_their_laws(mu, q):
@@ -400,7 +404,8 @@ def test_cut_tables_reproduce_their_laws(mu, q):
 
 EDGE_SYSTEMS = [
     SystemConfig(1.0, TimePolicy(_MU_EDGE), 0),
-    SystemConfig(1.0, HybridPolicy(6, _POISSON_LAM_MAX), 14),
+    SystemConfig(1.0, HybridPolicy(6, _NUMPY_POISSON_MAX), 14),
+    SystemConfig(1.0, HybridPolicy(6, 1e300), 14),
     SystemConfig(1.0, HybridPolicy(10**9, 5.0), 14),
     SystemConfig(1.0, HybridPolicy(math.floor(_MU_EDGE + _R_EDGE) - 1, _MU_EDGE), 0),
     SystemConfig(1.0, HybridPolicy(2**19, 1e7), 0),
@@ -758,14 +763,32 @@ def test_config_rejects_mean_load_above_generator_cap():
     assert SimConfig(SystemConfig(1.0, TimePolicy(2.0**19), 0), 1000, seed=1).n_batches == 100
 
 
-def test_config_rejects_load_mean_above_numpy_poisson_limit():
-    # Validation only: numpy refuses to draw Poisson variates at this mean.
-    message = f"Poisson load mean rate*period 1e+20 exceeds numpy's limit {_POISSON_LAM_MAX:g}"
+def test_config_rejects_a_load_mean_that_is_not_finite():
+    # rate * period overflows to inf: a ValueError here, not an
+    # OverflowError where the generator floors the mean
     with pytest.raises(ValueError) as err:
-        SimConfig(SystemConfig(2.0, HybridPolicy(6, 5e19), 14), 200, seed=1)
-    assert str(err.value) == message
-    at_limit = SystemConfig(1.0, HybridPolicy(6, _POISSON_LAM_MAX), 14)
-    assert SimConfig(at_limit, 200, seed=1).n_batches == 100
+        SimConfig(SystemConfig(1e200, HybridPolicy(6, 1e200), 14), 200, seed=1)
+    assert str(err.value) == "Poisson load mean rate*period inf is not finite"
+    for period in (5e19, 1e300):    # past numpy's Poisson limit
+        system = SystemConfig(2.0, HybridPolicy(6, period), 14)
+        assert SimConfig(system, 200, seed=1).n_batches == 100
+
+
+def test_a_run_at_a_huge_finite_mean_is_bounded():
+    # HP(6, T = 1e300): every cycle fills to q, the load mean is past any
+    # integer; 200 cycles run in ~0.1 s and trace ~1 MB
+    config = SimConfig(SystemConfig(1.0, HybridPolicy(6, 1e300), 14, REF_COSTS), 200, seed=1)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        report = simulate(config)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 2.0 and peak < 2 * 2**20
+    assert report.orders_per_cycle.mean == 6.0 and report.cycles_per_replenish.mean == 3.0
+    assert math.isfinite(report.avg_cost.mean)
 
 
 def test_simulate_raises_when_a_finite_cost_overflows():
