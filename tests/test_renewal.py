@@ -20,10 +20,10 @@ time-policy loads past their head, from the poles of Poisson(mu), are checked
 against the same 40-digit sums, and below their head against the table's
 bits; every route of a time load below the closed form against the 40-digit
 recursion of ``tests/oracle.py``, and a time load's tables and sums against
-the hybrid load's with a cap past its window, bit for bit.  The sums of a system whose solve
-stops are checked against the table's E[K] bit for bit and against the
-exact sum of its levels.  The tables of hybrid loads, built on the capped
-load, are checked against the tables of the full load.
+the hybrid load's with a cap past its window, bit for bit.  The sums of a
+system whose solve stops are checked against the table's E[K] bit for bit
+and against the exact sum of its levels.  The tables of hybrid loads, built
+on the capped load, are checked against the tables of the full load.
 """
 
 import math

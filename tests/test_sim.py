@@ -333,9 +333,8 @@ def _table_bound(mu):
 
 
 _MU_EDGE = 2.0**19
-# The largest mean numpy's Generator.poisson accepts, the validator's bound
-# while the simulator drew its loads there; a mean past it, and any finite
-# mean, is in the simulator's domain.
+# The largest mean numpy's Generator.poisson accepts: the simulator draws its
+# loads itself, so this and any larger finite mean are in its domain.
 _NUMPY_POISSON_MAX = float(np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10)
 _R_EDGE = _TAIL_LOG / 3.0 + math.sqrt(_TAIL_LOG**2 / 9.0 + 2.0 * _TAIL_LOG * _MU_EDGE)
 
@@ -769,14 +768,11 @@ def test_config_rejects_a_load_mean_that_is_not_finite():
     with pytest.raises(ValueError) as err:
         SimConfig(SystemConfig(1e200, HybridPolicy(6, 1e200), 14), 200, seed=1)
     assert str(err.value) == "Poisson load mean rate*period inf is not finite"
-    for period in (5e19, 1e300):    # past numpy's Poisson limit
-        system = SystemConfig(2.0, HybridPolicy(6, period), 14)
-        assert SimConfig(system, 200, seed=1).n_batches == 100
 
 
 def test_a_run_at_a_huge_finite_mean_is_bounded():
-    # HP(6, T = 1e300): every cycle fills to q, the load mean is past any
-    # integer; 200 cycles run in ~0.1 s and trace ~1 MB
+    # HP(6, T = 1e300), far past numpy's Poisson limit: every cycle fills to
+    # q; 200 cycles run in ~0.1 s and trace ~1 MB
     config = SimConfig(SystemConfig(1.0, HybridPolicy(6, 1e300), 14, REF_COSTS), 200, seed=1)
     tracemalloc.start()
     try:
