@@ -20,8 +20,8 @@ delay per order.  Exact mode computes e_k and the holding factor from the
 renewal masses of the load distribution.  One decision in ``renewal``
 picks a load's route, on (mu, q) and never on Q.  The sums of a load of
 Poisson(mu), mu = rate*T (a time load, or a hybrid load whose cap q lies
-past floor(mu + r) below), take a head of levels and its poles past it from
-mu = 1e-4 on, in one pass over the pole pairs added in pair order: the
+past floor(mu + r) below), take a head of levels and its poles past it at
+every mean, in one pass over the pole pairs added in pair order: the
 recursion's head below ``renewal.TP_CLOSED_FORM_MU``, the closed form's
 m(0) and zeros from that mean on, where the optimizer's scan takes the
 closed-form table; other loads take the recursion on their masses.  A

@@ -13,6 +13,10 @@ an exact finite recursion on 0..Q:
     m(i) (1 - g(0)) = [i == 0] + sum_{j=1..min(i, smax)} g(j) m(i - j),
 
 so no truncation error enters beyond the window of a Poisson load (below).
+For a load of Poisson(mu), time or hybrid, 1 - g(0) = P(X > 0) is taken as
+-expm1(-mu) (``_above_zero``), which the mass builders hand the solves with
+the masses: 1 - e^-mu cancels to ~1e-16/mu relative at small mu.  Only the
+masses given to ``renewal_table``, which carry no mu, take 1 - g(0).
 One function, ``_route``, decides every load's route, on (mu, q) alone.
 The Poisson routes serve the loads of Poisson(mu): time loads, and hybrid
 loads min(X, q) with q > floor(mu + r) (``_bernstein_cap``), whose window
@@ -22,12 +26,12 @@ table of Poisson(mu) does not use it: k cycles load Poisson(k mu) exactly,
 so ``_tp_renewal_row`` sums m(i) = sum_k P(Poisson(k mu) = i) over windows
 of masses whose outside mass is below 1e-20 a side, in O(Q) memory.
 
-The sums E[K] and sum_i (Q - i) m(i) of a load of Poisson(mu), mu from
-_POLE_MIN_MU on, take a table only on the levels below their head i0: the
-recursion below i0 = max(ceil(2 mu), 32), for mu below
-TP_CLOSED_FORM_MU, and from that mean on the closed form below the floor
-i0 = ceil(mu - r) of its first window, where it is m(0) and zeros.  The
-renewal function 1/(1 - e^{mu (z - 1)}) of Poisson(mu) has simple poles
+The sums E[K] and sum_i (Q - i) m(i) of a load of Poisson(mu), of any
+mean, take a table only on the levels below their head i0: the recursion
+below i0 = max(ceil(2 mu), 32), for mu below TP_CLOSED_FORM_MU, and from
+that mean on the closed form below the floor i0 = ceil(mu - r) of its first
+window, where it is m(0) and zeros.  The renewal function
+1/(1 - e^{mu (z - 1)}) of Poisson(mu) has simple poles
 z_k = 1 + 2 pi i k/mu of weight 1/mu (Feller, Vol. 1, ch. XI), so
 m(i) = (1/mu)(1 + 2 Re sum_{k>=1} z_k^-(i+1)) exactly for i >= 1, and over
 levels i0..Q the sums are geometric in closed form (``_pole_tail``), added
@@ -35,7 +39,9 @@ in pair order.  K pairs, with |z_K|^-(i0+1) <= 1e-18 (``_pole_pairs``: at
 most 18 below TP_CLOSED_FORM_MU, 47-160 from it on at Q <= MAX_ORDER_UP_TO),
 leave out less than 1e-18 of m(i) a level.  Below TP_CLOSED_FORM_MU the
 head keeps the levels of its load's window table, bit for bit, so below i0
-nothing moves.
+nothing moves.  The head's start 1/-expm1(-mu) keeps it within ~4e-14 of
+the exact levels at every mean, down to mu = 1e-8 (a 40-digit recursion),
+so the untruncated load's certificate holds on every head.
 
 A table to level Q reads the masses g(0..Q) only.  So the evaluation paths
 build the table of a hybrid load min(X, q), X ~ Poisson(mu), on the window
@@ -162,15 +168,6 @@ TP_CLOSED_FORM_MU = 256.0
 _POLE_HEAD = 32
 _POLE_LOG = -math.log(1e-18)
 
-# Time-load means from which the pole route applies.  The head solves the
-# load's window with no cap, whose only error of note is the cancellation of
-# 1 - g(0) = 1 - e^-mu, ~1e-16/mu relative: at mu = 1.2e-7 the head's E[K]
-# reads 4.4e-9 low at i0 = 32, past Lorden's bracket on the untruncated load,
-# 2.8e-9 below E[K].  From 1e-4 to 1e-2 the head errs by at most 1/200 000
-# of that margin (against a 40-digit recursion at i0).  Below the floor the
-# whole table is solved, on a window of at most 31 masses.
-_POLE_MIN_MU = 1e-4
-
 # Poisson mass left outside each side of a closed-form window, and above the
 # cap and below the floor of a hybrid load's table (``_hp_window``); and its
 # -log, which sets the Bernstein radius (``_bernstein_radius``).
@@ -265,6 +262,15 @@ def _load_mean(rate: float, period: float) -> float:
     if not rate > 0.0 or not period > 0.0 or not math.isfinite(mu):
         raise ValueError("rate and period must be positive with a finite product")
     return mu
+
+
+def _above_zero(mu):
+    """P(X > 0) = -expm1(-mu), X ~ Poisson(mu), the 1 - g(0) of every
+    Poisson load's solve (m(0) = 1/P(X > 0)), which does not cancel at small
+    mu.  For a float, or elementwise by ``math.expm1`` for an array, so that
+    a row's start is the float's bit for bit."""
+    return (-np.fromiter(map(math.expm1, (-mu).tolist()), float, mu.size)
+            if isinstance(mu, np.ndarray) else -math.expm1(-mu))
 
 
 def _bernstein_radius(lam):
@@ -413,24 +419,28 @@ def renewal_table(inc: IncrementDist, order_up_to: int) -> RenewalTable:
     M(Q) equals the expected number of consolidation cycles per replenishment
     cycle.  Zero-mass increments are absorbed by the 1/(1 - g(0)) factor (a
     geometric number of zero-load cycles precedes each level change), which
-    diverges when g(0) -> 1.  A table to Q >= 2 * BLOCK carries Lorden's
-    certificate, and its solve stops once its state settles (``_stop``) if
-    the load's defect is at most SETTLE_TOL; a smaller table solves every
-    level and carries no certificate.
+    diverges when g(0) -> 1.  The masses carry no load mean, so the solve
+    starts at m(0) = 1/(1 - g(0)) as given; a load of Poisson(mu) on the
+    evaluation paths starts at 1/-expm1(-mu) (``load_table``).  A table to
+    Q >= 2 * BLOCK carries Lorden's certificate, and its solve stops once
+    its state settles (``_stop``) if the load's defect is at most
+    SETTLE_TOL; a smaller table solves every level and carries no
+    certificate.
     """
-    return _table(inc.masses, _check_order_up_to(order_up_to))
+    return _table(inc.masses, 1.0 - float(inc.masses[0]), _check_order_up_to(order_up_to))
 
 
-def _solve(g: np.ndarray, order_up_to: int):
+def _solve(g: np.ndarray, above: float, order_up_to: int):
     """The one solve behind ``_table`` and ``_sums``, on the masses g of a
-    load, which the caller built or checked, to a checked level Q: the levels
-    m, solved up to the stop b, and m(b) the value of every level from b on
-    (b = Q + 1 if the solve did not stop); b; and the load's Lorden terms,
-    or None below 2 * BLOCK."""
+    load, which the caller built or checked, and its P(X > 0), the 1 - g(0)
+    of the recursion, to a checked level Q: the levels m, solved up to the
+    stop b, and m(b) the value of every level from b on (b = Q + 1 if the
+    solve did not stop); b; and the load's Lorden terms, or None below
+    2 * BLOCK."""
     _check_converges(g[0])
     m = np.empty(order_up_to + 1)
-    m[0] = 1.0 / (1.0 - g[0])
-    terms = _lorden_row(g) if order_up_to >= 2 * BLOCK else None
+    m[0] = 1.0 / above
+    terms = _lorden_row(g, above) if order_up_to >= 2 * BLOCK else None
     settle = terms is not None and terms[2] <= SETTLE_TOL
     if g[1] == 0.0 and (first := _first_load(g, order_up_to)) >= BLOCK:
         stop = _explicit_solve(m, g, first, settle)
@@ -439,10 +449,10 @@ def _solve(g: np.ndarray, order_up_to: int):
     return m, stop, terms
 
 
-def _table(g: np.ndarray, order_up_to: int) -> RenewalTable:
+def _table(g: np.ndarray, above: float, order_up_to: int) -> RenewalTable:
     """``renewal_table`` on the masses g of a load, which the caller built or
-    checked, to a checked level Q."""
-    m, stop, terms = _solve(g, order_up_to)
+    checked, and its P(X > 0) (``_solve``), to a checked level Q."""
+    m, stop, terms = _solve(g, above, order_up_to)
     if stop > order_up_to:
         M = np.cumsum(m)
     else:
@@ -458,14 +468,14 @@ def _table(g: np.ndarray, order_up_to: int) -> RenewalTable:
     return table
 
 
-def _sums(g: np.ndarray, order_up_to: int) -> tuple[float, float]:
-    """``expected_k`` and ``holding_sum`` of ``_table(g, Q)``, from the levels
-    its solve reached: below the stop b as the table sums them, and the
+def _sums(g: np.ndarray, above: float, order_up_to: int) -> tuple[float, float]:
+    """``expected_k`` and ``holding_sum`` of ``_table(g, above, Q)``, from the
+    levels its solve reached: below the stop b as the table sums them, and the
     Q + 1 - b levels from b on, all the value v, in closed form.  E[K] =
     M(b - 1) + (Q + 1 - b) v is the table's, bit for bit; the holding factor
     adds v (Q - b)(Q - b + 1)/2 to the dot product of the solved levels, so
     it is the table's bit for bit only on a solve that did not stop."""
-    m, stop, terms = _solve(g, order_up_to)
+    m, stop, terms = _solve(g, above, order_up_to)
     solved = m[:stop]
     cycles = float(np.cumsum(solved)[-1])
     holding = float((order_up_to - np.arange(stop)) @ solved)
@@ -626,11 +636,12 @@ def _jump_matrix(m: np.ndarray, kernel: np.ndarray, width: int) -> np.ndarray:
     return jump
 
 
-def _renewal_levels(g: np.ndarray, levels: np.ndarray, stops: dict):
+def _renewal_levels(g: np.ndarray, above: np.ndarray, levels: np.ndarray, stops: dict):
     """Yield (rows, m(i)), i = 0, 1, ..., of the live rows of increment
-    masses g, each to its own level levels[r], in the order of ``_heads``:
-    at level i, the array of m(i) of the live rows that reach it, and their
-    indices in g (a slice until a row stops), valid until the next is taken.
+    masses g and their P(X > 0), each to its own level levels[r], in the
+    order of ``_heads``: at level i, the array of m(i) of the live rows that
+    reach it, and their indices in g (a slice until a row stops), valid
+    until the next is taken.
 
     A level is summed as ``renewal_table`` sums it, (sum_{j=1..i} g(j)
     m(i-j), in j order) m(0): bit for bit up to level 2, within rounding
@@ -645,7 +656,7 @@ def _renewal_levels(g: np.ndarray, levels: np.ndarray, stops: dict):
     defects are built at its first test.  Columns of g past a row's level
     are not read; the divergence check is the caller's.
     """
-    start = 1.0 / (1.0 - g[:, 0])
+    start = 1.0 / above
     yield slice(None), start
     reach = levels.tolist()
     top = reach[0] if reach else 0
@@ -665,7 +676,7 @@ def _renewal_levels(g: np.ndarray, levels: np.ndarray, stops: dict):
         if n and _scheduled(i, 1):
             if ends is None:
                 ends = g.shape[1] - 1 - np.argmax(g[:, :0:-1] > 0.0, axis=1)
-                steady = _lorden_terms(g)[2] <= SETTLE_TOL
+                steady = _lorden_terms(g, above)[2] <= SETTLE_TOL
             rows = np.arange(n) if live is None else live[:n]
             keep = np.ones(n, bool)
             for r in np.flatnonzero(steady[rows] & (ends[rows] <= i)).tolist():
@@ -692,11 +703,12 @@ def _tp_renewal_row(mu: float, order_up_to: int) -> np.ndarray:
     mu >= TP_CLOSED_FORM_MU.
 
     The load of k cycles is Poisson(k mu), so m(i) = sum_{k>=0} P(Poisson(k mu)
-    = i) exactly, with m(0) = 1/(1 - e^-mu).  Cycle k >= 1 adds its masses on
-    the window lam +- r, lam = k mu, cut at Q, with r = ``_bernstein_radius(lam)``:
-    each side outside holds less than _WINDOW_TAIL.  The windows run in
-    order of k until one starts above Q; every window starts above 80 for
-    these means.  A mass is evaluated in the saddle-point form (Loader 2000)
+    = i) exactly, with m(0) = 1/(1 - e^-mu) = 1/-expm1(-mu) (``_above_zero``).
+    Cycle k >= 1 adds its masses on the window lam +- r, lam = k mu, cut at
+    Q, with r = ``_bernstein_radius(lam)``: each side outside holds less than
+    _WINDOW_TAIL.  The windows run in order of k until one starts above Q;
+    every window starts above 80 for these means.  A mass is evaluated in
+    the saddle-point form (Loader 2000)
 
         log P(Poisson(lam) = i) = d - i log1p(d / lam) - gap(i),  d = i - lam,
 
@@ -707,7 +719,7 @@ def _tp_renewal_row(mu: float, order_up_to: int) -> np.ndarray:
     takes O(Q) memory.
     """
     m = np.zeros(order_up_to + 1)
-    m[0] = 1.0 / -math.expm1(-mu)
+    m[0] = 1.0 / _above_zero(mu)
     windows = []
     while True:
         lam = (len(windows) + 1) * mu
@@ -736,7 +748,8 @@ def load_table(mu: float, q: int | None, order_up_to) -> RenewalTable:
     A load of Poisson(mu) takes the closed form from TP_CLOSED_FORM_MU on
     (``_route``), certified by Lorden's bracket.  Below it, and for any
     other hybrid load, the table is the recursion on the load's window
-    (``_load_masses``), a time load's with no cap.
+    (``_load_masses``), a time load's with no cap, from m(0) =
+    1/-expm1(-mu).
     """
     order_up_to = _check_order_up_to(order_up_to)
     mu = _load_mean(1.0, mu)
@@ -745,41 +758,43 @@ def load_table(mu: float, q: int | None, order_up_to) -> RenewalTable:
         table = RenewalTable(m=m, M=np.cumsum(m), order_up_to=order_up_to)
         _check_lorden_row(*_tp_lorden_terms(mu), order_up_to, float(table.M[-1]))
         return table
-    return _table(_load_masses(mu, q, order_up_to), order_up_to)
+    return _table(*_load_masses(mu, q, order_up_to), order_up_to)
 
 
-def _load_masses(mu: float, q: int | None, order_up_to: int) -> np.ndarray:
+def _load_masses(mu: float, q: int | None, order_up_to: int) -> tuple[np.ndarray, float]:
     """The masses of the recursion's load for ``load_table``: a hybrid load,
     or a time load (q None, no cap), on its window (``_hp_window``), from
     ``build_increment_hp``'s masses at the cap (``_hp_load``) or, once
-    floored, from its row of ``_hp_masses``; no mass is checked again."""
+    floored, from its row of ``_hp_masses``; no mass is checked again.  And
+    the load's P(X > 0), which no cap or floor changes (``_above_zero``)."""
     floor, cap = _hp_window(mu, q, order_up_to)
     return (_hp_masses(np.array([mu]), np.array([floor]), np.array([cap]))[0] if floor
-            else _hp_load(mu, cap))
+            else _hp_load(mu, cap)), _above_zero(mu)
 
 
 def load_sums(mu: float, q: int | None, order_up_to) -> tuple[float, float]:
     """E[K] = M(Q) and the holding factor sum_{i<=Q} (Q - i) m(i) of the
     load of ``load_table``, from the levels a solve reaches (``_sums``), so
     E[K] is the table's bit for bit, and so is the holding factor if the
-    solve does not stop.  A load with a pole head i0 (``_route``) solves
-    only the levels below i0 and adds levels i0..Q from its poles, certified
-    on the untruncated load.  Below TP_CLOSED_FORM_MU the head's solve never
+    solve does not stop.  A load of Poisson(mu), of any mean, has a pole
+    head i0 (``_route``): it solves only the levels below i0, 32 of them for
+    every mean below 16, and adds levels i0..Q from its poles, certified on
+    the untruncated load.  Below TP_CLOSED_FORM_MU the head's solve never
     stops (it takes no stop test up to i0 = 2 * BLOCK, and past it ends at
     2 mu - 1, far below the ~1.6 mu^2 levels at which the oscillation
     |z_1|^-(i+1) of m(i) falls below SETTLE_TOL), and its at most 18 pairs
     take ``_pole_loop``.  From it on the head is (m(0), Q m(0)), with
-    m(0) = 1/(1 - e^-mu), plus ``_pole_tail``, a golden row's bits: no work
+    m(0) = 1/-expm1(-mu), plus ``_pole_tail``, a golden row's bits: no work
     or memory grows with Q."""
     order_up_to = _check_order_up_to(order_up_to)
     mu = _load_mean(1.0, mu)
     closed, head = _route(mu, q)
     level = min(order_up_to, head - 1)
     if closed:    # below i0 the closed form: m(0) and zeros
-        cycles = 1.0 / -math.expm1(-mu)
+        cycles = 1.0 / _above_zero(mu)
         holding = order_up_to * cycles
     else:
-        cycles, holding = _sums(_load_masses(mu, q, level), level)
+        cycles, holding = _sums(*_load_masses(mu, q, level), level)
         if level == order_up_to:
             return cycles, holding
         holding += (order_up_to - level) * cycles
@@ -795,22 +810,22 @@ def _route(mu, q):
     None, else min(X, q).  ``closed``: the load is Poisson(mu) (q None, or
     q > ``_bernstein_cap(mu)``) of mean from TP_CLOSED_FORM_MU on, with the
     closed form for its table.  ``head``: the first level i0 that the sums of
-    a load of Poisson(mu) of mean from _POLE_MIN_MU on take from its poles,
+    a load of Poisson(mu), of any mean, take from its poles,
     max(ceil(2 mu), _POLE_HEAD) below TP_CLOSED_FORM_MU, then the floor of
     the closed form's first window, max(ceil(mu - r), _POLE_HEAD) with r the
-    Bernstein radius; else, or past it, MAX_ORDER_UP_TO + 1.  A cap q <= mu
-    + r(0) (_HP_MIN_RADIUS) binds.  For a float, or elementwise as arrays for
-    means and q None, an int or an array, or None if no cap exceeds r(0)."""
+    Bernstein radius; for any other load, or past it, MAX_ORDER_UP_TO + 1.
+    A cap q <= mu + r(0) (_HP_MIN_RADIUS) binds.  For a float, or
+    elementwise as arrays for means and q None, an int or an array, or None
+    if no cap exceeds r(0)."""
     if isinstance(mu, np.ndarray):
         if q is not None and np.max(q, initial=0) <= _HP_MIN_RADIUS:
             return None
-        poisson = (mu >= _POLE_MIN_MU) & (q is None or q > _bernstein_cap(mu))
+        poisson = q is None or q > _bernstein_cap(mu)
         closed = poisson & (mu >= TP_CLOSED_FORM_MU)
         floor = np.where(closed, mu - _bernstein_radius(mu), 2.0 * mu) if closed.any() else 2.0 * mu
         head = np.minimum(np.maximum(np.ceil(floor), _POLE_HEAD), MAX_ORDER_UP_TO + 1)
         return closed, np.where(poisson, head, MAX_ORDER_UP_TO + 1).astype(int)
-    if (q is not None and not (q > mu + _HP_MIN_RADIUS and q > _bernstein_cap(mu))
-            or mu < _POLE_MIN_MU):
+    if q is not None and not (q > mu + _HP_MIN_RADIUS and q > _bernstein_cap(mu)):
         return False, MAX_ORDER_UP_TO + 1
     closed = mu >= TP_CLOSED_FORM_MU
     floor = math.ceil(mu - _bernstein_radius(mu) if closed else 2.0 * mu)
@@ -910,15 +925,16 @@ def _pole_cycles(mu: float, head: int, top: int) -> np.ndarray:
 
 
 def _mass_rows(mu: np.ndarray, q, levels: np.ndarray):
-    """Yield (part, g), slices part of the rows and the masses g of the loads
-    mu[part] by the scalar builder's expressions: hybrid loads of cap q (or
-    q[r]), or time loads (q None, no cap), on their windows to the levels.
-    A chunk holds about _CHUNK_CELLS cells, 2 w + BLOCK + 2 a row for w the
-    widest cap; no row depends on it."""
+    """Yield (part, g, above), slices part of the rows, the masses g of the
+    loads mu[part] by the scalar builder's expressions and their P(X > 0)
+    (``_above_zero``): hybrid loads of cap q (or q[r]), or time loads
+    (q None, no cap), on their windows to the levels.  A chunk holds about
+    _CHUNK_CELLS cells, 2 w + BLOCK + 2 a row for w the widest cap; no row
+    depends on it."""
     floors, caps = _hp_window(mu, q, levels)
     size = max(1, _CHUNK_CELLS // (2 * int(caps.max(initial=0)) + BLOCK + 2))
     for part in (slice(start, start + size) for start in range(0, mu.size, size)):
-        yield part, _hp_masses(mu[part], floors[part], caps[part])
+        yield part, _hp_masses(mu[part], floors[part], caps[part]), _above_zero(mu[part])
 
 
 def _level_table(mu: np.ndarray, q: int | None, order_up_to: int):
@@ -939,11 +955,11 @@ def _level_table(mu: np.ndarray, q: int | None, order_up_to: int):
     terms[:, closed] = _tp_lorden_terms(mu[closed])
     for r in closed.tolist():
         cycles[:, r] = _tp_renewal_row(float(mu[r]), order_up_to)
-    for part, g in _mass_rows(mu[windowed], q, np.full(windowed.size, order_up_to)):
+    for part, g, above in _mass_rows(mu[windowed], q, np.full(windowed.size, order_up_to)):
         _check_converges(g[:, 0].max())
         at, stops = windowed[part], {}
-        terms[:, at] = _lorden_terms(g)
-        for i, (live, level) in enumerate(_renewal_levels(g, reach[part], stops)):
+        terms[:, at] = _lorden_terms(g, above)
+        for i, (live, level) in enumerate(_renewal_levels(g, above, reach[part], stops)):
             cycles[i, at[live]] = level
         for r, (b, value) in stops.items():
             cycles[b:reach[part][r] + 1, at[r]] = value
@@ -987,14 +1003,15 @@ def _row_sums(mu: np.ndarray, q, levels: np.ndarray):
     cycles, holding_sum, lower, upper = np.full((4, mu.size), np.nan)    # each row's bracket
     checked = np.ones(mu.size, bool)    # rows that converge; no nan sum is checked
     if closed.size:    # a closed-form head: m(0) and zeros
-        cycles[closed] = 1.0 / -np.expm1(-mu[closed])
+        cycles[closed] = 1.0 / _above_zero(mu[closed])
         holding_sum[closed] = levels[closed] * cycles[closed]
         lower[closed], upper[closed] = _lorden_bracket(*_tp_lorden_terms(mu[closed]),
                                                        levels[closed])
-    for part, g in _mass_rows(mu[windowed], None if q is None else q[windowed], levels[windowed]):
+    chunks = _mass_rows(mu[windowed], None if q is None else q[windowed], levels[windowed])
+    for part, g, above in chunks:
         at, stops = windowed[part], {}
         level, solved = levels[at], reach[part]
-        solve = _renewal_levels(g, solved, stops)
+        solve = _renewal_levels(g, above, solved, stops)
         m = next(solve)[1]    # level 0, of every row
         k, h = m.copy(), level * m
         for i, (live, m) in enumerate(solve, 1):
@@ -1006,7 +1023,7 @@ def _row_sums(mu: np.ndarray, q, levels: np.ndarray):
             h[r] += ((solved[r] - b + 1) * (level[r] - solved[r])
                      + (solved[r] - b) * (solved[r] - b + 1) // 2) * value
         cycles[at], holding_sum[at] = k, h
-        lower[at], upper[at] = _lorden_bracket(*_lorden_terms(g), level)
+        lower[at], upper[at] = _lorden_bracket(*_lorden_terms(g, above), level)
         checked[at] = g[:, 0] < 1.0 - 1e-12
     if head is not None and (tail := head <= levels[rows]).any():
         poles, start = rows[tail], head[tail]
@@ -1018,22 +1035,20 @@ def _row_sums(mu: np.ndarray, q, levels: np.ndarray):
     return cycles, holding_sum, checked
 
 
-def _lorden_terms(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _lorden_terms(g: np.ndarray, above: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each row's mean E[X], overshoot bound E[X^2]/E[X] and relative mass
-    defect d (see ``_check_lorden``), from its masses g."""
+    defect d (see ``_check_lorden``), from its masses g and P(X > 0)."""
     support = np.arange(g.shape[1], dtype=float)
     mean = g @ support
-    above = 1.0 - g[:, 0]
     defect = np.abs(np.add.reduce(g[:, 1:], axis=1) - above) / above
     return mean, g @ (support * support) / mean, defect
 
 
-def _lorden_row(g: np.ndarray) -> tuple[float, float, float]:
-    """``_lorden_terms`` of one load's masses g, as floats: its mean,
-    overshoot bound and relative mass defect d (``_check_lorden``)."""
+def _lorden_row(g: np.ndarray, above: float) -> tuple[float, float, float]:
+    """``_lorden_terms`` of one load's masses g and P(X > 0), as floats: its
+    mean, overshoot bound and relative mass defect d (``_check_lorden``)."""
     support = np.arange(g.size, dtype=float)
     mean = float(np.dot(g, support))
-    above = 1.0 - float(g[0])
     return (mean, float(np.dot(g, support * support)) / mean,
             abs(float(np.add.reduce(g[1:])) - above) / above)
 
@@ -1070,11 +1085,12 @@ def _check_lorden(mean: np.ndarray, overshoot: np.ndarray, defect: np.ndarray,
     (Q + 1)/E[X] <= E[K] <= (Q + E[X^2]/E[X])/E[X].  For a Poisson(mu) load
     the terms are mu and mu + 1 (``_tp_lorden_terms``).  The recursion sees
     the masses above zero as a distribution of total mass
-    (sum_{j>=1} g(j))/(1 - g(0)), which rounding moves off 1 by a relative
-    defect d (large when g(0) is near 1); over at most Q + 1 nonzero loads
-    that scales E[K] by up to (1 + d)^(Q+1), so the bracket widens by
-    (Q + 2) d on top of WALD_SLACK, a relative slack that keeps the two ends
-    apart at q = 1, where both are equalities.
+    (sum_{j>=1} g(j))/P(X > 0), with P(X > 0) the 1 - g(0) its solve takes,
+    which rounding moves off 1 by a relative defect d (large where 1 - g(0)
+    is taken from g(0) near 1); over at most Q + 1 nonzero loads that scales
+    E[K] by up to (1 + d)^(Q+1), so the bracket widens by (Q + 2) d on top
+    of WALD_SLACK, a relative slack that keeps the two ends apart at q = 1,
+    where both are equalities.
     ``order_up_to`` may also be a column of levels, one per row of ``cycles``;
     then a violation raises at the lowest failing level, at its first failing
     row.  Raises ArithmeticError on a violation.  ``_check_lorden_row`` is

@@ -11,16 +11,20 @@ scalar ``average_cost`` in the last bits, so each entry's ``ac`` is first
 checked against that scalar oracle at relative 1e-13 and the oracle's value
 is what gets pinned; the optimizer's result is compared exactly.
 
-Every time-policy value behind the pins is also checked against the 40-digit
-oracle of ``tests/oracle.py``.  Regenerate the file only from a version whose
-outputs are known to be right, after ``tests/oracle.py`` has reported each
-moved time-policy value's error against the oracle before and after:
+Every quantity-, time- and hybrid-policy value behind the pins, and the
+seed-0 optimize references of ``bench/references.json``, are also checked
+against the 40-digit oracle of ``tests/oracle.py``.  Regenerate the file only
+from a version whose outputs are known to be right, after ``tests/oracle.py``
+has reported each moved time- and hybrid-policy value's error against the
+oracle before and after:
 
     PYTHONPATH=src python tests/oracle.py
     PYTHONPATH=src python tests/test_compare_pins.py
 """
 
+import dataclasses
 import hashlib
+import importlib
 import json
 from pathlib import Path
 
@@ -41,9 +45,10 @@ from consolidate import (
     verify_theorems,
 )
 from consolidate.compare import REFERENCE_COSTS
-from oracle import relative_error, time_eval
+from oracle import oracle_eval, relative_error
 
 PINS = Path(__file__).resolve().parent / "data" / "compare_pins.json"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 MIXED = CostParams(replenish_fixed=5.0, holding=0.2, dispatch_fixed=10.0, wait_linear=2.0)
 DISPATCH_HEAVY = CostParams(dispatch_fixed=100.0)
@@ -95,6 +100,8 @@ POLICY = {
     "time": lambda t: TimePolicy(t["period"]),
     "hybrid": lambda t: HybridPolicy(t["q"], t["period"]),
 }
+KIND = {"quantity": "QP", "time": "TP", "hybrid": "HP"}
+FAMILY = {label: kind for kind, label in KIND.items()}
 
 
 def oracle_ac(rate, costs, kind, entry) -> float:
@@ -122,24 +129,35 @@ def verify_pin(grid) -> dict:
     return _json(verify_theorems(grid).to_dict())
 
 
-def time_pin_values(pins):
-    """Yield (where, value, exact) for every time-policy value behind the
-    pins: each optimize best cost, and each matched TP row's ``ac`` and
-    ``air_exact``, with its 40-digit value from the oracle."""
-    for name, rate, costs, kind, _ in OPTIMIZE_CASES:
-        if kind == "time":
-            result = pins["optimize"][name]["result"]
-            best = result["best"]
-            exact = time_eval(rate, best["period"], best["order_up_to"], costs)
-            yield f"optimize {name} best_cost", result["best_cost"], exact["ac"]
+def matched_systems(pins, kinds):
+    """Yield (where, row, cfg) for every matched row of a policy kind in
+    ``kinds`` ("QP", "TP", "HP") that has a level, with its system."""
     for name, spec, _, costs in COMPARE_CASES:
         for row in pins["compare_matched"][name]["rows"]:
-            if row["kind"] == "TP" and row["order_up_to"] is not None:
-                exact = time_eval(spec.demand_rate, row["period"], row["order_up_to"],
-                                  costs or CostParams())
-                for key, oracle in (("ac", "ac"), ("air_exact", "air")):
-                    if row[key] is not None:
-                        yield f"compare_matched {name} TP {key}", row[key], exact[oracle]
+            if row["kind"] in kinds and row["order_up_to"] is not None:
+                policy = POLICY[FAMILY[row["kind"]]](row)
+                yield (f"compare_matched {name} {row['kind']}", row,
+                       SystemConfig(spec.demand_rate, policy, row["order_up_to"],
+                                    costs or CostParams()))
+
+
+def pin_values(pins, kinds):
+    """Yield (where, value, exact) for every value behind the pins of a
+    policy kind in ``kinds`` ("QP", "TP", "HP"): each optimize best cost, and
+    each matched row's ``ac``, ``air_exact``, ``aod`` and ``aosd``, with its
+    40-digit value from the oracle."""
+    for name, rate, costs, kind, _ in OPTIMIZE_CASES:
+        if KIND[kind] in kinds:
+            result = pins["optimize"][name]["result"]
+            best = result["best"]
+            cfg = SystemConfig(rate, POLICY[kind](best), best["order_up_to"], costs)
+            yield f"optimize {name} best_cost", result["best_cost"], oracle_eval(cfg)["ac"]
+    for where, row, cfg in matched_systems(pins, kinds):
+        exact = oracle_eval(cfg)
+        for key, oracle in (("ac", "ac"), ("air_exact", "air"), ("aod", "aod"),
+                            ("aosd", "aosd")):
+            if row[key] is not None:
+                yield f"{where} {key}", row[key], exact[oracle]
 
 
 def compute_pins() -> dict:
@@ -173,10 +191,63 @@ TIME_PIN_TOL = 1e-15
 
 
 def test_time_pins_match_the_40_digit_oracle(pins):
-    values = list(time_pin_values(pins))
-    assert len(values) == 9
+    values = list(pin_values(pins, ("TP",)))
+    assert len(values) == 15
     for where, value, exact in values:
         assert relative_error(value, exact) <= TIME_PIN_TOL, (where, value, float(exact))
+
+
+# The largest relative error of a pinned quantity- or hybrid-policy value
+# against the 40-digit oracle measured 6.5e-16 (a matched HP row's aosd).
+PIN_TOL = 1e-15
+
+
+def test_quantity_and_hybrid_pins_match_the_40_digit_oracle(pins):
+    values = list(pin_values(pins, ("QP", "HP")))
+    assert len(values) == 35
+    for where, value, exact in values:
+        assert relative_error(value, exact) <= PIN_TOL, (where, value, float(exact))
+
+
+def test_squared_delay_costs_match_the_40_digit_oracle(pins):
+    # the systems behind the matched rows, each charged for its squared delay
+    # (measured at most 4.2e-16)
+    systems = list(matched_systems(pins, ("QP", "TP", "HP")))
+    assert len(systems) == 11
+    for where, _, cfg in systems:
+        cfg = dataclasses.replace(cfg, costs=dataclasses.replace(cfg.costs, wait_squared=1.5))
+        value = average_cost(cfg, delay="squared").avg_cost
+        exact = oracle_eval(cfg, "squared")["ac"]
+        assert relative_error(value, exact) <= PIN_TOL, (where, value, float(exact))
+
+
+@pytest.fixture
+def bench_workloads(monkeypatch):
+    """The benchmark's workload module, imported from ``bench/`` unchanged."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    return importlib.import_module("workloads")
+
+
+# The largest relative error of a stored optimize best cost against the
+# 40-digit oracle measured 4.6e-15: the tiny TP(5) at Q = 0, stored when time
+# loads were cut at a Poisson tail of 1e-12; the others, and what the code
+# computes at each stored point, erred by at most 6.2e-16.
+# The exact-large references are left out: their levels up to Q = 10 000
+# take the 40-digit recursion minutes a system.
+REFERENCE_TOL = 1e-14
+
+
+@pytest.mark.parametrize("size", ["full", "tiny"])
+def test_bench_optimize_references_match_the_40_digit_oracle(bench_workloads, size):
+    references = json.loads((BENCH / "references.json").read_text())[size]["optimize"]["0"]
+    spec = importlib.import_module("spec").WORKLOADS["optimize"][size]
+    problems = bench_workloads.Optimize(0, spec, None).problems
+    assert len(references) == len(problems)
+    for (kind, costs, _), ref in zip(problems, references):
+        cfg = SystemConfig(1.0, POLICY[kind](ref), ref["order_up_to"], costs)
+        exact = oracle_eval(cfg)["ac"]
+        assert relative_error(ref["best_cost"], exact) <= REFERENCE_TOL, (ref, float(exact))
+        assert relative_error(average_cost(cfg).avg_cost, exact) <= PIN_TOL, (ref, float(exact))
 
 
 @pytest.mark.parametrize("name, grid", VERIFY_CASES, ids=[c[0] for c in VERIFY_CASES])

@@ -562,7 +562,7 @@ def one_level_scan(rate, costs, q, periods, level):
     if windowed.size:
         floors, caps = zip(*(renewal._hp_window(x, q, level) for x in windowed.tolist()))
         g = renewal._hp_masses(windowed, np.array(floors), np.array(caps))
-        m[~closed] = level_rows(g, level)
+        m[~closed] = level_rows(g, poisson_above(windowed), level)
     sums = np.cumsum(m, axis=1)
     for r in np.flatnonzero(free & ~closed).tolist():
         head = renewal._route(float(mu[r]), q)[1]
@@ -575,11 +575,17 @@ def one_level_scan(rate, costs, q, periods, level):
                                    "linear").values())
 
 
-def level_rows(g, level):
-    """m(0..Q) of each row of masses g by ``renewal._renewal_levels``, one
-    row per load."""
+def poisson_above(mu):
+    """P(X > 0) = -expm1(-mu) of each mean, X ~ Poisson(mu): the start
+    m(0) = 1/P(X > 0) of each load's solve."""
+    return np.array([-math.expm1(-x) for x in mu.tolist()])
+
+
+def level_rows(g, above, level):
+    """m(0..Q) of each row of masses g and P(X > 0) by
+    ``renewal._renewal_levels``, one row per load."""
     m, stops = np.empty((g.shape[0], level + 1)), {}
-    for i, (live, values) in enumerate(renewal._renewal_levels(g, np.full(g.shape[0], level),
+    for i, (live, values) in enumerate(renewal._renewal_levels(g, above, np.full(g.shape[0], level),
                                                                stops)):
         m[live, i] = values
     for r, (b, value) in stops.items():
@@ -616,8 +622,8 @@ def test_period_costs_memory_at_level_2000(q):
 def test_period_costs_raise_at_the_lowest_level_failing_the_wald_check(monkeypatch):
     solve = renewal._renewal_levels
 
-    def corrupted(g, levels, stops):
-        for i, (live, m) in enumerate(solve(g, levels, stops)):
+    def corrupted(g, above, levels, stops):
+        for i, (live, m) in enumerate(solve(g, above, levels, stops)):
             if i >= 5:  # rows 3 on, from level 5 on
                 m = m.copy()
                 m[3:] *= 100.0
@@ -644,14 +650,13 @@ def test_scan_row_between_the_brackets_raises(monkeypatch):
     support = np.arange(q + 1.0)
     mean = g @ support
     levels = np.arange(order_up_to + 1.0)
-    cycles = np.cumsum(level_rows(g[None], order_up_to)[0])
+    cycles = np.cumsum(level_rows(g[None], poisson_above(np.array([period])), order_up_to)[0])
     scale = ((levels + q) / mean / cycles).min() * (1.0 - 1e-9)
     first = int(np.argmax(scale * cycles > (levels + g @ support**2 / mean) / mean))
     assert scale * cycles[first] > (first + g @ support**2 / mean) / mean * (1.0 + 1e-6)
     solve = renewal._renewal_levels
     monkeypatch.setattr(renewal, "_renewal_levels",
-                        lambda g, levels, stops: ((live, scale * m)
-                                                  for live, m in solve(g, levels, stops)))
+                        lambda *args: ((live, scale * m) for live, m in solve(*args)))
     with pytest.raises(ArithmeticError, match=f"Lorden bracket .* level {first}$"):
         _period_costs(1.0, REF_COSTS, q, [period], order_up_to)
 
@@ -1097,9 +1102,22 @@ def test_renewal_splits_time_loads_at_the_closed_form_in_one_place():
     # one function decides every load's route: closed form or not, and its
     # pole head; ``load_table``, ``load_sums`` and ``_heads`` dispatch on it,
     # and ``_pole_tail`` has no switch of its own
-    for name in ("TP_CLOSED_FORM_MU", "_POLE_MIN_MU", "_HP_MIN_RADIUS", "_bernstein_cap"):
+    for name in ("TP_CLOSED_FORM_MU", "_HP_MIN_RADIUS", "_bernstein_cap"):
         assert renewal_readers(name) == {"_route"}, name
     assert renewal_readers("_route") == {"load_table", "load_sums", "_heads"}
+
+
+def test_every_poisson_load_takes_its_start_from_one_expression():
+    # m(0) = 1/P(X > 0) of a load of Poisson(mu), time or hybrid, with
+    # P(X > 0) = -expm1(-mu), comes from ``_above_zero`` on every route;
+    # only the masses given to ``renewal_table`` start from 1/(1 - g(0))
+    assert renewal_readers("_above_zero") == {"_load_masses", "_mass_rows", "_tp_renewal_row",
+                                              "load_sums", "_row_sums"}
+    tree = ast.parse(inspect.getsource(renewal))
+    assert {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Attribute) and node.attr == "expm1"} == {"_above_zero",
+                                                                             "_pole_pairs"}
 
 
 def test_only_the_cut_time_builder_reaches_the_tail_cut():

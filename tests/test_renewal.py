@@ -71,7 +71,7 @@ from consolidate.renewal import (
     load_table,
 )
 from consolidate.truncated_poisson import _poisson_masses
-from oracle import time_sums
+import oracle
 
 
 def series_oracle(masses, order_up_to, tol=1e-14):
@@ -88,10 +88,18 @@ def series_oracle(masses, order_up_to, tol=1e-14):
     raise RuntimeError("series did not converge")
 
 
-def loop_oracle(masses, order_up_to):
-    """m(0..Q) by the recursion, one level per step."""
+def above_zero(masses, above=None):
+    """The P(X > 0) that starts a load's solve, m(0) = 1/P(X > 0): ``above``,
+    the -expm1(-mu) of a load of Poisson(mu) on the evaluation paths, or
+    1 - g(0) of each row of masses g, as ``renewal_table`` takes it."""
+    return 1.0 - np.asarray(masses, dtype=float)[..., 0] if above is None else above
+
+
+def loop_oracle(masses, order_up_to, above=None):
+    """m(0..Q) by the recursion, one level per step, from P(X > 0) =
+    ``above_zero(masses, above)``."""
     g = np.asarray(masses, dtype=float)
-    scale = 1.0 / (1.0 - g[0])
+    scale = 1.0 / above_zero(g, above)
     smax = g.size - 1
     m = np.empty(order_up_to + 1)
     m[0] = scale
@@ -116,17 +124,17 @@ def convolution_blocks(m, kernel, smax, stop):
         b += n
 
 
-def start_table(masses, order_up_to):
+def start_table(masses, order_up_to, above=None):
     """m with m(0) set, and the correlation kernel g(1..Q) of the library."""
     g = np.asarray(masses, dtype=float)
     m = np.empty(order_up_to + 1)
-    m[0] = 1.0 / (1.0 - g[0])
+    m[0] = 1.0 / above_zero(g, above)
     kernel = np.zeros(order_up_to)
     kernel[:min(g.size - 1, order_up_to)] = g[1:order_up_to + 1]
     return m, kernel
 
 
-def explicit_oracle(masses, order_up_to):
+def explicit_oracle(masses, order_up_to, above=None):
     """m(0..Q) of a load whose first positive load a is at least BLOCK: the
     library's explicit blocks of a levels, one correlation of the window
     g(a..w) each over the levels zero-extended below 0, to Q."""
@@ -134,7 +142,7 @@ def explicit_oracle(masses, order_up_to):
     a = first_load(g, order_up_to)
     width = min(g.size - 1, order_up_to)
     ext = np.zeros(width + order_up_to + 1)
-    ext[width] = 1.0 / (1.0 - g[0])
+    ext[width] = 1.0 / above_zero(g, above)
     for b in range(a, order_up_to + 1, a):
         n = min(a, order_up_to + 1 - b)
         ext[width + b:width + b + n] = np.correlate(ext[b:b + n - a + width],
@@ -142,25 +150,26 @@ def explicit_oracle(masses, order_up_to):
     return ext[width:]
 
 
-def convolution_oracle(masses, order_up_to):
+def convolution_oracle(masses, order_up_to, above=None):
     """m(0..Q) by convolution blocks alone, from level 1, to Q; a load whose
     first positive load is at least BLOCK by ``explicit_oracle``."""
     if first_load(masses, order_up_to) >= BLOCK:
-        return explicit_oracle(masses, order_up_to)
-    m, kernel = start_table(masses, order_up_to)
+        return explicit_oracle(masses, order_up_to, above)
+    m, kernel = start_table(masses, order_up_to, above)
     convolution_blocks(m, kernel, len(masses) - 1, order_up_to + 1)
     return m
 
 
-def blocked_oracle(masses, order_up_to):
-    """m(0..Q) by the blocked solve, to Q: its convolution blocks, then above
-    the gate the library's matvec kernels, the jump matrix of a narrow load
+def blocked_oracle(masses, order_up_to, above=None):
+    """m(0..Q) by the blocked solve, to Q, from P(X > 0) =
+    ``above_zero(masses, above)``: its convolution blocks, then above the
+    gate the library's matvec kernels, the jump matrix of a narrow load
     (w <= BLOCK) from level 2 * BLOCK on, the block inverse of a wide one
     from BLOCK on; a load whose first positive load is at least BLOCK by
     ``explicit_oracle``."""
     if first_load(masses, order_up_to) >= BLOCK:
-        return explicit_oracle(masses, order_up_to)
-    m, kernel = start_table(masses, order_up_to)
+        return explicit_oracle(masses, order_up_to, above)
+    m, kernel = start_table(masses, order_up_to, above)
     smax = len(masses) - 1
     if order_up_to // BLOCK < MATVEC_MIN_BLOCKS:
         convolution_blocks(m, kernel, smax, order_up_to + 1)
@@ -182,17 +191,17 @@ def blocked_oracle(masses, order_up_to):
     return m
 
 
-def stop_level(masses, order_up_to, ref):
+def stop_level(masses, order_up_to, ref, above=None):
     """The level at which the library's solve stops, by its rule applied to
     the levels ``ref`` of the solve run to Q (the solve's own levels up to
     there), or None: the first block start b = 2^k >= 2 * BLOCK (for a load
     whose first positive load a is at least BLOCK, the first multiple of a at
     or past each 2^k) with b >= w whose state m(b-w..b-1) spans at most
-    SETTLE_TOL of its largest level, on a load of defect at most
-    SETTLE_TOL."""
+    SETTLE_TOL of its largest level, on a load of defect at most SETTLE_TOL
+    against P(X > 0) = ``above_zero(masses, above)``."""
     g = np.asarray(masses, dtype=float)
     smax = g.size - 1
-    if renewal._lorden_row(g)[2] > SETTLE_TOL:
+    if renewal._lorden_row(g, above_zero(g, above))[2] > SETTLE_TOL:
         return None
     a = first_load(g, order_up_to)
     starts = range(a, order_up_to + 1, a) if a >= BLOCK else [
@@ -210,11 +219,11 @@ def stop_level(masses, order_up_to, ref):
     return None
 
 
-def assert_stopped_table_keeps_the_bits(table, masses, ref):
+def assert_stopped_table_keeps_the_bits(table, masses, ref, above=None):
     """Levels below the stop equal ``ref`` bit for bit; from the stop on,
     every level is the midpoint of the state's range."""
     order_up_to = table.order_up_to
-    b = stop_level(masses, order_up_to, ref)
+    b = stop_level(masses, order_up_to, ref, above)
     if b is None:
         assert np.array_equal(table.m, ref)
         return
@@ -223,13 +232,13 @@ def assert_stopped_table_keeps_the_bits(table, masses, ref):
     assert (table.m[b:] == 0.5 * (state.min() + state.max())).all()
 
 
-def stopped_sums(table, masses):
+def stopped_sums(table, masses, above=None):
     """(E[K], holding factor) of a table as ``load_sums`` takes them from its
     solve: at a stop b (``stop_level`` on the table's own levels below it),
     the levels below b as the table sums them and the Q + 1 - b levels from
     b on, all m(b), in closed form; the table's sums if it did not stop."""
     order_up_to = table.order_up_to
-    b = stop_level(masses, order_up_to, table.m)
+    b = stop_level(masses, order_up_to, table.m, above)
     if b is None:
         return expected_k(table), holding_sum(table)
     value, rest = float(table.m[b]), order_up_to + 1 - b
@@ -944,10 +953,11 @@ def test_time_routes_match_the_40_digit_recursion(mu):
     # Every route of a time load below the closed form (the scalar sums, a
     # golden row, a scan cell) solves the load's window with no cap up to
     # its head and takes its poles past it: within 2e-13 of the 40-digit
-    # recursion on the exact masses (measured at most 8.6e-14, at
-    # mu = 0.01, Q = 31; 6.2e-14 from mu = 1 on).
+    # recursion on the exact masses (measured at most 6.2e-14, from mu = 1
+    # on; 7.3e-15 below, where the start 1/(1 - g(0)) erred by 8.6e-14 at
+    # mu = 0.01, Q = 31).
     levels = [0, 2, 3, 18, 19, 31, 33, 100, 300, 600]
-    exact = time_sums(mu, levels[-1])
+    exact = oracle.load_sums(mu, levels[-1])
     for order_up_to in levels:
         ref = [float(x[order_up_to]) for x in exact]
         for route, sums in route_sums(mu, order_up_to).items():
@@ -972,8 +982,9 @@ def test_a_time_load_is_the_hybrid_load_with_no_cap(mu, order_up_to):
         assert load_sums(mu, None, order_up_to) == load_sums(mu, q, order_up_to)
 
 
-@given(mu=st.floats(math.log(1e-4), math.log(TP_CLOSED_FORM_MU), exclude_max=True).map(math.exp),
+@given(mu=st.floats(math.log(1e-8), math.log(TP_CLOSED_FORM_MU), exclude_max=True).map(math.exp),
        past=st.one_of(st.none(), st.integers(1, 2000)), data=st.data())
+@example(mu=1e-8, past=None, data=None)
 @example(mu=5.0, past=None, data=None)
 @example(mu=255.9, past=None, data=None)
 @example(mu=5.0, past=200 - bernstein_cap(5.0), data=None)
@@ -988,8 +999,9 @@ def test_pole_routes_keep_every_bit_below_the_head(mu, past, data):
     levels = [0, 1, 2, head - 1] if data is None else [
         data.draw(st.integers(0, head - 1)) for _ in range(2)]
     got = {level: route_sums(mu, level, q) for level in levels}
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(renewal, "_POLE_MIN_MU", math.inf)
+    with pytest.MonkeyPatch.context() as patch:    # no load takes a Poisson route
+        patch.setattr(renewal, "_route", lambda mu, q: None if isinstance(mu, np.ndarray)
+                      else (False, MAX_ORDER_UP_TO + 1))
         without = {level: route_sums(mu, level, q) for level in levels}
     for level in levels:
         assert got[level] == without[level]
@@ -1014,7 +1026,7 @@ def test_only_a_cap_past_the_bernstein_cap_takes_the_poisson_routes(monkeypatch,
     at = route_sums(mu, order_up_to, edge)
     assert taken == []
     table = load_table(mu, edge, order_up_to)
-    assert at["scalar"] == stopped_sums(table, renewal._load_masses(mu, edge, order_up_to))
+    assert at["scalar"] == stopped_sums(table, *renewal._load_masses(mu, edge, order_up_to))
     past = route_sums(mu, order_up_to, edge + 1)
     # from the threshold on the sums take the poles (past a head of the
     # closed form's m(0) and zeros), and the scan the closed form
@@ -1031,7 +1043,7 @@ def test_a_binding_cap_keeps_the_window_tables_bits():
     mu, q, order_up_to = 254.5, 363, 8490
     floor, cap = renewal._hp_window(mu, q, order_up_to)
     assert cap == q <= bernstein_cap(mu)
-    table = renewal_table(IncrementDist(window_masses(mu, floor, cap)), order_up_to)
+    table = renewal._table(window_masses(mu, floor, cap), -math.expm1(-mu), order_up_to)
     assert load_sums(mu, q, order_up_to) == (expected_k(table), holding_sum(table))
 
 
@@ -1043,17 +1055,16 @@ def test_load_entry_points_reject_a_mean_that_is_not_positive_and_finite(mu, q):
             entry(mu, q, 10)
 
 
-# 1.2e-7: below the pole route's floor the whole table is solved, on its
-# window of 31 masses, whose defect keeps it from stopping; from the
-# threshold on the head is the closed form's m(0), and zeros up to i0 - 1,
-# which takes no table at all
+# 1.2e-7: the head of every mean below 16 is 32 levels; from the threshold
+# on the head is the closed form's m(0), and zeros up to i0 - 1, which takes
+# no table at all
 @pytest.mark.parametrize("period", [1.2e-7, 1e-4, 0.02, 1.0, 5.0, 70.0, 255.9, 256.0, 600.0,
                                     9000.0])
 def test_a_time_evaluation_at_the_capacity_solves_only_its_head(monkeypatch, period):
     solved = []
     for name in ("_solve", "_tp_renewal_row"):
-        monkeypatch.setattr(renewal, name, lambda a, level, fn=getattr(renewal, name): (
-            solved.append(level), fn(a, level))[1])
+        monkeypatch.setattr(renewal, name, lambda *args, fn=getattr(renewal, name): (
+            solved.append(args[-1]), fn(*args))[1])
     monkeypatch.setattr(renewal, "_renewal_levels", None)
     metrics._policy_table.cache_clear()
     average_cost(SystemConfig(1.0, TimePolicy(period), MAX_ORDER_UP_TO))
@@ -1089,19 +1100,54 @@ def test_pole_sums_from_the_threshold_build_no_level_past_their_head(monkeypatch
     assert peak <= 256 * pairs + 4096 < 8 * order_up_to
 
 
-def test_loads_below_the_pole_floor_would_fail_the_untruncated_certificate(monkeypatch):
-    # mu = 1.2e-7: the head solves the time load's window, whose
-    # 1 - g(0) = 1 - e^-mu cancels to ~1e-16/mu relative, and its E[K] reads
-    # 4.4e-9 low at i0, past Lorden's bracket on Poisson(mu), 2.8e-9 below E[K]
-    mu = 1.2e-7
-    assert pole_head(mu) > MAX_ORDER_UP_TO
-    # the head it would take, max(ceil(2 mu), 32)
-    table = load_table(mu, None, renewal._POLE_HEAD)
-    assert load_sums(mu, None, table.order_up_to) == (expected_k(table), holding_sum(table))
-    monkeypatch.setattr(renewal, "_POLE_MIN_MU", 0.0)
-    assert pole_head(mu) == table.order_up_to
-    with pytest.raises(ArithmeticError, match="Lorden bracket"):
-        load_sums(mu, None, table.order_up_to)
+# means from 1e-8 to just below the closed form
+GRID_MUS = (1e-8, 1e-6, 1e-5, 9e-5, 2e-4, 1e-3, 0.0113, 0.05, 0.3, 1.0, 2.9, 5.25, 13.0, 40.0,
+            100.0, 255.9)
+
+
+def test_loads_of_every_mean_take_the_pole_route_within_the_40_digit_recursion():
+    # Every load of Poisson(mu) starts its solve at m(0) = 1/-expm1(-mu),
+    # which does not cancel, so the pole route serves every mean: a tiny mean
+    # takes a head of 32 levels.  Time sums (the scalar sums, a golden row, a
+    # scan cell) are within 1e-13 of the 40-digit recursion (measured at most
+    # 4.2e-14, at mu = 1e-8, Q = 31; from 1/(1 - g(0)) they erred by up to
+    # 3.2e-7 at mu = 1e-8, Q = 600).  Capped hybrid loads of mean up to 0.1
+    # take the recursion from the same start, within 2e-12 (at most 8.1e-13,
+    # at mu = 1e-8, q = 8, Q = 600; 3.2e-7 from 1/(1 - g(0))).
+    for mu in (1e-8, 1.2e-7, 1e-6, 9.99e-5):
+        assert renewal._route(mu, None) == (False, renewal._POLE_HEAD)
+    levels = [0, 2, 18, 31, 33, 300, 600]
+    for mu in GRID_MUS:
+        for q, tol in [(None, 1e-13)] + [(q, 2e-12) for q in (1, 2, 3, 8, 20) if mu <= 0.1]:
+            exact = oracle.load_sums(mu, levels[-1], q)
+            for order_up_to in levels:
+                ref = [float(x[order_up_to]) for x in exact]
+                for route, sums in route_sums(mu, order_up_to, q).items():
+                    for got, want in zip(sums, ref):
+                        assert abs(got - want) <= tol * want, (route, mu, q, order_up_to, got)
+
+
+def test_tiny_loads_at_the_capacity_solve_a_bounded_head(monkeypatch):
+    # A time load of tiny mean solves its head of 32 levels and takes its
+    # poles past it, and HP(8, 2e-4), whose masses' defect against
+    # -expm1(-mu) is below SETTLE_TOL, stops at 256.  From 1/(1 - g(0)) the
+    # defect was ~1e-16/mu: both solved all 10 001 levels, in ~10x the time.
+    solves = []
+    solve = renewal._solve
+
+    def recorded(g, above, order_up_to):
+        m, stop, terms = solve(g, above, order_up_to)
+        solves.append((order_up_to, stop))
+        return m, stop, terms
+
+    monkeypatch.setattr(renewal, "_solve", recorded)
+    for mu in (1e-6, 5e-5):
+        solves.clear()
+        load_sums(mu, None, MAX_ORDER_UP_TO)
+        assert solves == [(renewal._POLE_HEAD - 1, renewal._POLE_HEAD)]
+    solves.clear()
+    load_sums(2e-4, 8, MAX_ORDER_UP_TO)
+    assert solves == [(MAX_ORDER_UP_TO, 2 * BLOCK)]
 
 
 def test_pole_pairs_stay_few_below_the_closed_form():
@@ -1123,11 +1169,11 @@ def around(x):
 
 
 def test_a_float_and_an_array_take_the_same_route():
-    # at the pole floor and the closed form's threshold, a cap at the
-    # Bernstein cap and one past it, and caps up to r(0), which never reach
-    # past the Bernstein cap: an array whose caps are all up to r(0) takes
-    # no Poisson route at all
-    mu = np.array(around(renewal._POLE_MIN_MU) + around(TP_CLOSED_FORM_MU) + [5.0, 1e4])
+    # at tiny means and the closed form's threshold, a cap at the Bernstein
+    # cap and one past it, and caps up to r(0), which never reach past the
+    # Bernstein cap: an array whose caps are all up to r(0) takes no Poisson
+    # route at all
+    mu = np.array([1e-8, 1.2e-7, 9.99e-5] + around(TP_CLOSED_FORM_MU) + [5.0, 1e4])
     small = [1, math.floor(renewal._HP_MIN_RADIUS)]
     for caps in ([None], [bernstein_cap(x) for x in mu.tolist()],
                  [bernstein_cap(x) + 1 for x in mu.tolist()], small):
@@ -1141,8 +1187,7 @@ def test_a_float_and_an_array_take_the_same_route():
                 got = renewal._route(mu, np.append(q[:-1], 10**9))    # one cap reaches past
                 floats[-1] = renewal._route(float(mu[-1]), 10**9)
             assert list(zip(got[0].tolist(), got[1].tolist())) == floats, cap
-    assert renewal._route(1e-4, None) == (False, 32) and renewal._route(256.0, None)[0]
-    assert renewal._route(math.nextafter(1e-4, 0.0), None)[1] > MAX_ORDER_UP_TO
+    assert renewal._route(1e-8, None) == (False, 32) and renewal._route(256.0, None)[0]
     assert not renewal._route(math.nextafter(256.0, 0.0), None)[0]
 
 
@@ -1156,14 +1201,14 @@ def test_golden_rows_of_no_positive_finite_mean_are_left_unchecked(q):
 
 @pytest.mark.parametrize("kind", ["time", "hybrid"])
 def test_a_golden_row_does_not_depend_on_its_batch(monkeypatch, kind):
-    # means on both sides of the pole floor and of the closed form, rows that
+    # tiny means and means on both sides of the closed form, rows that
     # carry 1 to ~160 pole pairs at levels on both sides of their heads, and
     # chunks of one row, the default, and one chunk past the 256 KiB from
     # which numpy computes a product in place on a temporary; hybrid rows
     # take caps past their Bernstein caps, and every fifth row below the
     # closed form a cap that binds
     sweep = np.exp(np.linspace(math.log(5e-5), math.log(2e4), 250)).tolist()
-    mu = np.array(sorted(around(1e-4) + around(TP_CLOSED_FORM_MU) + sweep))
+    mu = np.array(sorted([1e-8, 1.2e-7, 9.99e-5] + around(TP_CLOSED_FORM_MU) + sweep))
     levels = np.array([min(max(0, min(pole_head(x), MAX_ORDER_UP_TO) + (37 * r) % 600 - 100),
                            MAX_ORDER_UP_TO) for r, x in enumerate(mu.tolist())])
     q = None if kind == "time" else np.array([
@@ -1216,7 +1261,7 @@ def window_masses(mu, a, c):
 def test_load_table_takes_the_table_of_its_route(route, mu, q, order_up_to):
     # a hybrid load whose cap lies past floor(mu + r) takes the time load's
     # table, and a time load below the threshold the table of its window
-    # with no cap
+    # with no cap, solved from m(0) = 1/-expm1(-mu)
     table = load_table(mu, q, order_up_to)
     if mu >= TP_CLOSED_FORM_MU and (q is None or q > bernstein_cap(mu)):
         assert route == "closed"
@@ -1228,7 +1273,7 @@ def test_load_table_takes_the_table_of_its_route(route, mu, q, order_up_to):
                          else "floor <= Q" if floor <= order_up_to else "floor > Q")
         masses = (window_masses(mu, floor, cap) if floor
                   else build_increment_hp(1.0, cap, mu).masses)
-        expected = renewal_table(IncrementDist(masses), order_up_to)
+        expected = renewal._table(IncrementDist(masses).masses, -math.expm1(-mu), order_up_to)
     assert table.order_up_to == expected.order_up_to == order_up_to
     assert np.array_equal(table.m, expected.m) and np.array_equal(table.M, expected.M)
 
@@ -1264,13 +1309,14 @@ def test_capped_hybrid_table_matches_the_table_of_the_full_load(mu, q, order_up_
     assert table.m.size == order_up_to + 1
     masses = (window_masses(mu, floor, cap) if floor
               else build_increment_hp(1.0, cap, mu).masses)
-    capped = blocked_oracle(masses, order_up_to)
+    above = -math.expm1(-mu)
+    capped = blocked_oracle(masses, order_up_to, above)
     if mu >= TP_CLOSED_FORM_MU and q > bernstein_cap(mu):    # the closed form
         assert np.array_equal(table.m, _tp_renewal_row(mu, order_up_to))
     else:
-        assert_stopped_table_keeps_the_bits(table, masses, capped)
-    # the capped and the full load, each solved to Q
-    full = blocked_oracle(build_increment_hp(1.0, q, mu).masses, order_up_to)
+        assert_stopped_table_keeps_the_bits(table, masses, capped, above)
+    # the capped and the full load, each solved to Q from the same start
+    full = blocked_oracle(build_increment_hp(1.0, q, mu).masses, order_up_to, above)
     q_levels = order_up_to - np.arange(order_up_to + 1)
     assert capped.sum() == pytest.approx(full.sum(), rel=1e-13, abs=0.0)
     assert q_levels @ capped == pytest.approx(q_levels @ full, rel=1e-13, abs=0.0)
@@ -1344,7 +1390,9 @@ def test_stopped_hybrid_tables_match_the_40_digit_recursion(mu, q, order_up_to):
     # the full solve errs by 1.9e-13 to 1.2e-12.
     table = load_table(mu, q, order_up_to)
     masses = build_increment_hp(1.0, renewal._hp_window(mu, q, order_up_to)[1], mu).masses
-    assume(stop_level(masses, order_up_to, blocked_oracle(masses, order_up_to)) is not None)
+    above = -math.expm1(-mu)
+    assume(stop_level(masses, order_up_to, blocked_oracle(masses, order_up_to, above),
+                      above) is not None)
     cycles, holding = exact_sums(exact_hp_masses(mu, q, order_up_to), order_up_to)
     assert expected_k(table) == pytest.approx(cycles, rel=1e-13, abs=0.0)
     assert holding_sum(table) == pytest.approx(holding, rel=1e-13, abs=0.0)
@@ -1412,13 +1460,14 @@ def test_stop_never_fires_on_loads_that_do_not_settle(inc, order_up_to):
     assert_row_never_stops(inc.masses, order_up_to)
 
 
-def assert_row_never_stops(masses, order_up_to):
+def assert_row_never_stops(masses, order_up_to, above=None):
     """The load's row of ``_renewal_levels`` to Q equals its solve with the
     stop switched off, bit for bit."""
-    row = level_rows(np.asarray(masses)[None], [order_up_to])
+    g = np.asarray(masses)[None]
+    row = level_rows(g, [order_up_to], above)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(renewal, "SETTLE_TOL", -1.0)
-        assert np.array_equal(level_rows(np.asarray(masses)[None], [order_up_to]), row)
+        assert np.array_equal(level_rows(g, [order_up_to], above), row)
 
 
 def test_a_row_whose_state_keeps_spreading_never_stops():
@@ -1426,7 +1475,7 @@ def test_a_row_whose_state_keeps_spreading_never_stops():
     # the state's spread at 1.2e-14 to 1.8e-14 at every test up to 10^4
     mu = np.array([10.0])
     assert_row_never_stops(_hp_masses(mu, *renewal._hp_window(mu, 300, MAX_ORDER_UP_TO))[0],
-                           MAX_ORDER_UP_TO)
+                           MAX_ORDER_UP_TO, np.array([-math.expm1(-10.0)]))
 
 
 def test_stop_fires_on_a_settled_load_without_defect():
@@ -1435,8 +1484,8 @@ def test_stop_fires_on_a_settled_load_without_defect():
 
 
 # time loads of mean below the threshold, and hybrid loads whose cap binds
-# (q <= floor(mu + r)); a time load's sums past the pole floor take the
-# poles, so its solve's sums are taken as ``load_sums`` takes the others'
+# (q <= floor(mu + r)); a time load's sums take the poles past its head, so
+# its solve's sums are taken as ``load_sums`` takes the others'
 summed_loads = st.one_of(
     st.tuples(st.floats(math.log(1e-6), math.log(TP_CLOSED_FORM_MU), exclude_max=True).map(
         math.exp), st.none()),
@@ -1452,7 +1501,7 @@ summed_loads = st.one_of(
 @example(load=(700.0, 800), order_up_to=6000)        # floored, on the explicit route
 @example(load=(10.496286259834529, 25), order_up_to=4739)   # the table's dot errs 1.1e-15
 @example(load=(5.0, None), order_up_to=3000)
-@example(load=(1e-5, None), order_up_to=5000)        # below the pole floor
+@example(load=(1e-5, None), order_up_to=5000)        # a tiny mean
 @settings(max_examples=30, deadline=None)
 def test_sums_take_the_tables_levels_to_its_stop(load, order_up_to):
     # E[K] is the table's bit for bit.  The holding factor sums the table's
@@ -1462,17 +1511,16 @@ def test_sums_take_the_tables_levels_to_its_stop(load, order_up_to):
     # the solve does not stop
     mu, q = load
     table = load_table(mu, q, order_up_to)
-    masses = renewal._load_masses(mu, q, order_up_to)
-    poles = q is None and mu >= renewal._POLE_MIN_MU
-    cycles, holding = (renewal._sums(masses, order_up_to) if poles
+    masses, above = renewal._load_masses(mu, q, order_up_to)
+    cycles, holding = (renewal._sums(masses, above, order_up_to) if q is None
                        else load_sums(mu, q, order_up_to))
     assert cycles == expected_k(table)
     exact = float(sum(Fraction(order_up_to - i) * Fraction(x)
                       for i, x in enumerate(table.m.tolist())))
     assert abs(holding - exact) <= 1e-15 * exact
-    if stop_level(masses, order_up_to, table.m) is None:
+    if stop_level(masses, order_up_to, table.m, above) is None:
         assert holding == holding_sum(table)
-    assert (cycles, holding) == stopped_sums(table, masses)
+    assert (cycles, holding) == stopped_sums(table, masses, above)
 
 
 @given(mu=st.floats(math.log(123.0), math.log(1e7)).map(math.exp),
@@ -1498,7 +1546,7 @@ def test_floored_tables_match_the_unfloored_ones(mu, q, order_up_to):
         m = _tp_renewal_row(mu, order_up_to)
         assert np.array_equal(table.m, m) and np.array_equal(table.M, np.cumsum(m))
         reference = series_sums(mu, order_up_to)
-    else:
+    else:    # from mu ~ 122.8 on, -expm1(-mu) is 1 - g(0) = 1
         assert_stopped_table_keeps_the_bits(table, inc.masses,
                                             blocked_oracle(inc.masses, order_up_to))
         unfloored = renewal_table(build_increment_hp(1.0, cap, mu), order_up_to)
@@ -1548,8 +1596,8 @@ def test_one_row_lorden_check_is_the_array_check():
     for width in (1, 2, 30, 400):
         g = rng.random(width + 1)
         g /= g.sum()
-        row = renewal._lorden_row(g)
-        np.testing.assert_allclose(row, [t[0] for t in renewal._lorden_terms(g[None])],
+        row = renewal._lorden_row(g, 1.0 - float(g[0]))
+        np.testing.assert_allclose(row, [t[0] for t in renewal._lorden_terms(g[None], 1.0 - g[:1])],
                                    rtol=1e-14, atol=1e-30)
         for order_up_to in (0, 300):
             cycles = float(np.cumsum(level_rows(g[None], [order_up_to])[0])[-1])
@@ -1662,11 +1710,12 @@ def padded(incs):
     return g
 
 
-def level_rows(g, levels):
+def level_rows(g, levels, above=None):
     """m(0..levels[r]) of each row of masses g by ``_renewal_levels``, one
-    row per load, NaN past its level."""
+    row per load, NaN past its level, from P(X > 0) = ``above_zero(g, above)``."""
     m, stops = np.full((g.shape[0], max(levels, default=-1) + 1), np.nan), {}
-    for i, (live, values) in enumerate(_renewal_levels(g, np.asarray(levels), stops)):
+    solve = _renewal_levels(g, above_zero(g, above), np.asarray(levels), stops)
+    for i, (live, values) in enumerate(solve):
         m[live, i] = values
     for r, (b, value) in stops.items():
         m[r, b:levels[r] + 1] = value
@@ -1786,7 +1835,7 @@ def test_wald_certificate():
     # rows with support end 2 and 3 (one zero-padded), one with mass at zero;
     # E[X^2]/E[X] is 1.5 and 3
     g = np.array([[0.25, 0.5, 0.25, 0.0], [0.5, 0.0, 0.0, 0.5]])
-    terms = renewal._lorden_terms(g)
+    terms = renewal._lorden_terms(g, 1.0 - g[:, 0])
     np.testing.assert_allclose(terms[0], [1.0, 1.5], rtol=1e-15)
     np.testing.assert_allclose(terms[1], [1.5, 3.0], rtol=1e-15)
     assert not terms[2].any()
